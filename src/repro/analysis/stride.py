@@ -15,6 +15,8 @@ subpartition whenever the observed stride is (1) non-zero and non-unit, or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter, sub
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -41,16 +43,7 @@ def access_tuples(ddg, nodes: Sequence[int]) -> List[Tuple[int, ...]]:
     return [ddg.addrs[i] + (ddg.store_addrs[i],) for i in nodes]
 
 
-def _tuple_stride(
-    prev: Tuple[int, ...], cur: Tuple[int, ...]
-) -> Tuple[int, ...]:
-    return tuple(c - p for p, c in zip(prev, cur))
-
-
-def _is_unit_or_zero(stride: Tuple[int, ...], elem_size: int) -> bool:
-    """Every component either repeats the same address (splat / constant
-    operand) or advances by exactly one element."""
-    return all(s == 0 or s == elem_size for s in stride)
+_access_tuple = itemgetter(0)
 
 
 def unit_stride_subpartitions(
@@ -68,21 +61,29 @@ def unit_stride_subpartitions(
     ``breaks``, when given, collects one :class:`StrideBreak` per split
     point (the concrete instance pair whose stride closed a run) — the
     metrics are unchanged; only provenance is recorded.
+
+    The members of one partition are instances of one static
+    instruction, so their access tuples share one arity; the acceptable
+    strides, ``{0, elem_size}`` per component, are built once for it.
     """
     if not partition:
         return []
-    keyed = sorted(
-        zip(access_tuples(ddg, partition), partition), key=lambda kv: kv[0]
-    )
+    addrs = ddg.addrs
+    store_addrs = ddg.store_addrs
+    keyed = sorted([(addrs[i] + (store_addrs[i],), i) for i in partition],
+                   key=_access_tuple)
+    current_tuple, prev_node = keyed[0]
+    # Every stride component either repeats the same address (splat /
+    # constant operand) or advances by exactly one element.
+    acceptable = set(product((0, elem_size), repeat=len(current_tuple)))
     subpartitions: List[List[int]] = []
-    prev_node = keyed[0][1]
     current = [prev_node]
-    current_tuple = keyed[0][0]
     current_stride = None
     for tup, node in keyed[1:]:
-        stride = _tuple_stride(current_tuple, tup)
-        acceptable = _is_unit_or_zero(stride, elem_size)
-        if acceptable and (current_stride is None or stride == current_stride):
+        stride = tuple(map(sub, tup, current_tuple))
+        if stride == current_stride or (
+            current_stride is None and stride in acceptable
+        ):
             current.append(node)
         else:
             subpartitions.append(current)

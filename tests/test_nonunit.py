@@ -1,6 +1,6 @@
 """§3.3 non-unit constant-stride waitlist-scan tests."""
 
-from repro.analysis.nonunit import nonunit_stride_subpartitions
+from repro.analysis.nonunit import NonunitGroup, nonunit_stride_subpartitions
 from repro.ddg import DDG
 from repro.ir.instructions import Opcode
 
@@ -34,12 +34,16 @@ class TestWaitlistScan:
         family_b = [(1000 + 48 * i, 0, 0) for i in range(4)]
         tuples = family_a + family_b
         ddg = ddg_with_tuples(tuples)
-        subs = nonunit_stride_subpartitions(ddg, list(range(8)))
-        sizes = sorted(len(s) for s in subs)
-        # The greedy scan merges the jump between families into the first
-        # subpartition attempt; all items must still be covered.
-        assert sum(sizes) == 8
-        assert max(sizes) >= 4
+        groups = []
+        subs = nonunit_stride_subpartitions(ddg, list(range(8)),
+                                            groups=groups)
+        # Family A's first pair sets stride 32; the jump to family B
+        # mismatches it, so family B waits for the second pass.
+        assert subs == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert groups == [
+            NonunitGroup(4, (32, 0, 0), 0, 1, (100, 0, 0), (132, 0, 0)),
+            NonunitGroup(4, (48, 0, 0), 4, 5, (1000, 0, 0), (1048, 0, 0)),
+        ]
 
     def test_irregular_addresses_stay_singletons(self):
         tuples = [(x, 0, 0) for x in (100, 107, 121, 150, 151)]
@@ -75,9 +79,46 @@ class TestWaitlistScan:
             (148, 248, 0),
         ]
         ddg = ddg_with_tuples(tuples)
-        subs = nonunit_stride_subpartitions(ddg, list(range(4)))
-        assert sorted(len(s) for s in subs) and sum(len(s) for s in subs) == 4
-        assert len(subs) >= 2
+        groups = []
+        subs = nonunit_stride_subpartitions(ddg, list(range(4)),
+                                            groups=groups)
+        assert subs == [[0, 1], [2, 3]]
+        assert groups == [
+            NonunitGroup(2, (16, 16, 0), 0, 1, (100, 200, 0), (116, 216, 0)),
+            NonunitGroup(2, (16, 8, 0), 2, 3, (132, 240, 0), (148, 248, 0)),
+        ]
+
+    def test_repeated_tuples_form_a_zero_stride_round(self):
+        """Copies of one tuple pair at stride zero, and that round takes
+        every copy, in input order."""
+        tuples = [(300, 0, 0), (200, 0, 0), (200, 0, 0), (264, 0, 0),
+                  (200, 0, 0)]
+        ddg = ddg_with_tuples(tuples)
+        groups = []
+        subs = nonunit_stride_subpartitions(ddg, list(range(5)),
+                                            groups=groups)
+        assert subs == [[1, 2, 4], [3, 0]]
+        assert groups == [
+            NonunitGroup(3, (0, 0, 0), 1, 2, (200, 0, 0), (200, 0, 0)),
+            NonunitGroup(2, (36, 0, 0), 3, 0, (264, 0, 0), (300, 0, 0)),
+        ]
+
+    def test_broken_chain_restarts_at_smallest_remaining(self):
+        """A chain stops at its first missing link even when a later item
+        (164 = 100 + 4 * 16) is on its stride; the next round starts at
+        the smallest instance left, in the middle of the list."""
+        tuples = [(100, 0), (116, 0), (132, 0), (150, 0), (164, 0),
+                  (178, 0), (180, 0)]
+        ddg = ddg_with_tuples(tuples)
+        groups = []
+        subs = nonunit_stride_subpartitions(ddg, list(range(7)),
+                                            groups=groups)
+        assert subs == [[0, 1, 2], [3, 4, 5], [6]]
+        assert groups == [
+            NonunitGroup(3, (16, 0), 0, 1, (100, 0), (116, 0)),
+            NonunitGroup(3, (14, 0), 3, 4, (150, 0), (164, 0)),
+            NonunitGroup(1, None, 6, None, (180, 0), None),
+        ]
 
     def test_termination_on_adversarial_input(self):
         """Every pass removes at least the head item, so the scan
