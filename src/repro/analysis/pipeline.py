@@ -9,6 +9,14 @@ The flow mirrors the paper's methodology (§4.1):
 4. build the DDG, run Algorithm 1 + the stride analyses, and attach the
    static-vectorizer Percent Packed for comparison.
 
+Steps 1-2 run only where the loops are discovered
+(:func:`analyze_program`, :func:`analyze_module`).  A driver handed its
+loops by name (:func:`repro.workloads.base.analyze_workload`) skips the
+separate profile run: every windowed re-run executes the whole program
+and accumulates the same profile counters as a sink-less run, so the
+profile of step 1 comes from the first loop's re-run
+(:func:`run_loop_analyses` hands those counters back).
+
 Step 3 uses the fused columnar path: the windowed re-run streams records
 straight into DDG-shaped columns (:class:`ColumnarLoopSink`), so no
 per-record objects and no separate DDG-construction pass exist between
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import loop_metrics
 from repro.analysis.report import BenchmarkReport, LoopReport
@@ -44,6 +52,7 @@ from repro.frontend.lower import lower
 from repro.interp.interpreter import (
     DEFAULT_FUEL,
     Interpreter,
+    ProfileCounters,
     run_and_trace,
 )
 from repro.ir.module import Module
@@ -116,6 +125,14 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     record list (the same validation as :func:`select_instance_subtrace`,
     off the sink's span counter).
 
+    Returns ``(ddg, rows, counters)``.  The re-run executes the whole
+    program to completion; the window only filters what the sink keeps.
+    So its profile counters (``counters``, a
+    :class:`~repro.interp.interpreter.ProfileCounters` snapshot) and its
+    executed-instruction count equal a sink-less run's, and
+    :func:`repro.workloads.base.analyze_workload` takes its §4.1 profile
+    from them.
+
     With ``spill_dir`` set the window streams through a
     :class:`~repro.trace.store.SegmentedLoopSink` instead — full segments
     spill to a per-loop subdirectory under ``segment_rows``-row budgets
@@ -145,6 +162,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
                              compile_loops=compile_loops,
                              compile_threshold=compile_threshold)
         interp.run(entry, args)
+    counters = interp.profile_counters()
     rows = 0
     if tel.enabled:
         stats = sink.stats()
@@ -177,7 +195,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
         tel.count("ddg.nodes", len(ddg.sids))
         tel.count("ddg.edges", len(ddg.pred_indices))
         tel.count("ddg.marker_segments", stats["marker_segments"])
-    return ddg, rows
+    return ddg, rows, counters
 
 
 def analyze_loop(
@@ -207,6 +225,19 @@ def analyze_loop(
     compiler (:mod:`repro.interp.compile`); output is bit-identical
     either way.
     """
+    return _analyze_loop(module, loop_name, entry, args, instance,
+                         include_integer, relax_reductions, fuel, tel,
+                         spill_dir, segment_rows, jobs, compile_loops,
+                         compile_threshold)[0]
+
+
+def _analyze_loop(
+    module, loop_name, entry, args, instance, include_integer,
+    relax_reductions, fuel, tel, spill_dir, segment_rows, jobs,
+    compile_loops, compile_threshold,
+) -> Tuple[LoopReport, ProfileCounters]:
+    """:func:`analyze_loop`, also returning the re-run's profile counters
+    (see :func:`windowed_loop_ddg`)."""
     if tel is None:
         tel = get_telemetry()
     info = module.loop_by_name(loop_name)
@@ -224,12 +255,11 @@ def analyze_loop(
     # hist=True: one occurrence per analyzed loop, so --profile can
     # report p50/p95 per-loop analysis latency across the whole run.
     with use_telemetry(tel), tel.span("loop.analyze", hist=True):
-        ddg, rows = windowed_loop_ddg(module, info.loop_id, loop_name,
-                                      entry, args, instance, fuel, tel,
-                                      spill_dir=spill_dir,
-                                      segment_rows=segment_rows, jobs=jobs,
-                                      compile_loops=compile_loops,
-                                      compile_threshold=compile_threshold)
+        ddg, rows, counters = windowed_loop_ddg(
+            module, info.loop_id, loop_name, entry, args, instance, fuel,
+            tel, spill_dir=spill_dir, segment_rows=segment_rows, jobs=jobs,
+            compile_loops=compile_loops,
+            compile_threshold=compile_threshold)
         report = loop_metrics(ddg, module, loop_name, include_integer,
                               relax_reductions, tel=tel)
     tel.count("pipeline.loops_analyzed")
@@ -254,7 +284,7 @@ def analyze_loop(
         })
     tel.instant("loop.analyze.finish", {"loop": loop_name})
     get_status_bus().count("loops")
-    return report
+    return report, counters
 
 
 def _loop_worker(payload):
@@ -262,9 +292,10 @@ def _loop_worker(payload):
     loop.  Compilation and interpretation are deterministic, so the
     result is identical to an in-process run on the parent's module.
 
-    Returns ``(report, telemetry snapshot or None)``: when the parent
-    profiles, the worker collects its own telemetry and ships the
-    snapshot home so the parent's merged counters match a serial run.
+    Returns ``(report, profile counters, telemetry snapshot or None)``.
+    The counters are the re-run's (see :func:`windowed_loop_ddg`).  When
+    the parent profiles, the worker collects its own telemetry and ships
+    the snapshot home so the parent's merged counters match a serial run.
     When the parent additionally keeps a timeline, the worker records
     its own :class:`EventLog` (stamped with the worker pid) and the
     events ride home inside the snapshot — a ``--jobs N`` trace renders
@@ -291,16 +322,15 @@ def _loop_worker(payload):
             sampler.start()
         try:
             module = compile_source(source, benchmark or "module")
-            report = analyze_loop(module, loop_name, entry, args, instance,
-                                  include_integer, relax_reductions,
-                                  fuel=fuel, tel=tel,
-                                  compile_loops=compile_loops,
-                                  compile_threshold=compile_threshold)
+            report, counters = _analyze_loop(
+                module, loop_name, entry, args, instance, include_integer,
+                relax_reductions, fuel, tel, None, None, 1, compile_loops,
+                compile_threshold)
         finally:
             if sampler is not None:
                 sampler.stop()
                 tel.add_samples(sampler.folded_counts())
-    return report, (tel.snapshot() if profiled else None)
+    return report, counters, (tel.snapshot() if profiled else None)
 
 
 def run_loop_analyses(
@@ -320,11 +350,15 @@ def run_loop_analyses(
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
-) -> List[LoopReport]:
+) -> Tuple[List[LoopReport], Optional[ProfileCounters]]:
     """Per-loop windowed analyses, optionally across a process pool.
 
-    Results are returned in ``loop_names`` order regardless of ``jobs``,
-    so parallel runs produce byte-identical reports.  ``jobs=None`` uses
+    Returns ``(reports, counters)``: the reports in ``loop_names`` order
+    regardless of ``jobs``, so parallel runs produce byte-identical
+    reports, and the :class:`~repro.interp.interpreter.ProfileCounters`
+    of the first loop's re-run (``None`` without loops) — the whole
+    program's profile, wherever that loop ran (see
+    :func:`windowed_loop_ddg`).  ``jobs=None`` uses
     one worker per CPU; any failure to stand up the pool (restricted
     sandboxes, missing semaphores) falls back to the serial path with a
     ``vectra.pipeline`` warning.  Worker telemetry snapshots are merged
@@ -348,17 +382,17 @@ def run_loop_analyses(
     bus = get_status_bus()
     bus.set_total("loops", len(names))
 
-    def serial() -> List[LoopReport]:
-        return [
-            analyze_loop(module, name, entry, args, instance,
-                         include_integer, relax_reductions, fuel=fuel,
-                         tel=tel, spill_dir=spill_dir,
-                         segment_rows=segment_rows,
-                         jobs=jobs if spill_dir else 1,
-                         compile_loops=compile_loops,
-                         compile_threshold=compile_threshold)
+    def serial() -> Tuple[List[LoopReport], Optional[ProfileCounters]]:
+        analyses = [
+            _analyze_loop(module, name, entry, args, instance,
+                          include_integer, relax_reductions, fuel, tel,
+                          spill_dir, segment_rows,
+                          jobs if spill_dir else 1, compile_loops,
+                          compile_threshold)
             for name in names
         ]
+        return ([report for report, _ in analyses],
+                analyses[0][1] if analyses else None)
 
     if spill_dir:
         if jobs > 1:
@@ -378,6 +412,8 @@ def run_loop_analyses(
          sample_hz)
         for name in names
     ]
+    # Workers set their phases on their own buses; this is the parent's.
+    bus.phase("loops")
     initializer, initargs = pool_heartbeat(bus)
     try:
         try:
@@ -416,10 +452,10 @@ def run_loop_analyses(
         return serial()
     bus.retire_workers()
     reports: List[LoopReport] = []
-    for report, snapshot in results:
+    for report, _, snapshot in results:
         reports.append(report)
         tel.merge(snapshot)
-    return reports
+    return reports, results[0][1]
 
 
 def analyze_program(
@@ -475,7 +511,7 @@ def analyze_program(
             tel.count("interp.instructions", interp.executed_instructions)
             tel.count("pipeline.hot_loops", len(hot))
 
-        loop_reports = run_loop_analyses(
+        loop_reports, _ = run_loop_analyses(
             source, benchmark, module,
             [module.loops[prof.loop_id].name for prof in hot],
             entry, args, instance, include_integer, relax_reductions,

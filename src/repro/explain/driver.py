@@ -120,8 +120,8 @@ def explain_loop(
             f"no loop named {loop_name!r}; known loops: {known}"
         )
     tel.instant("explain.start", {"loop": loop_name})
-    ddg, rows = windowed_loop_ddg(module, info.loop_id, loop_name,
-                                  entry, args, instance, fuel, tel)
+    ddg, rows, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
+                                     entry, args, instance, fuel, tel)
     sids = candidate_sids(ddg, include_integer)
     with tel.span("algorithm1"):
         scan = packed_timestamp_scan(ddg, sids)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import FuelExhaustedError, InterpError, MemoryError_
 from repro.interp.compile import (
@@ -112,6 +112,21 @@ def _cdiv(a: int, b: int) -> int:
     """C-style integer division (truncation toward zero)."""
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
+
+
+class ProfileCounters(NamedTuple):
+    """The profile counters of one run, as plain (picklable) dicts.
+
+    Every run updates them on every executed instruction, whether or not
+    a sink records, so a windowed re-run's counters equal a sink-less
+    run's.  :func:`repro.profiler.hotloops.profile_loops` and
+    :func:`repro.vectorizer.packed.percent_packed` read them from either
+    this snapshot or a live :class:`Interpreter`.
+    """
+
+    op_counts: Dict[int, int]
+    dyn_parent: Dict[int, int]
+    loop_iter_hist: Dict[int, Dict[int, int]]
 
 
 class Interpreter:
@@ -206,6 +221,16 @@ class Interpreter:
     @property
     def executed_instructions(self) -> int:
         return self._executed
+
+    def profile_counters(self) -> ProfileCounters:
+        """Snapshot of the profile counters.  Unlike the live counters,
+        whose ``defaultdict(lambda: ...)`` does not pickle, it can leave
+        a pool worker."""
+        return ProfileCounters(
+            dict(self.op_counts),
+            dict(self.dyn_parent),
+            {lid: dict(hist) for lid, hist in self.loop_iter_hist.items()},
+        )
 
     def trace(self) -> Trace:
         """The collected trace (requires a recording sink)."""

@@ -13,9 +13,13 @@ matches HPCToolkit's calling-context attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
-from repro.interp.interpreter import Interpreter, LOOP_KEY_STRIDE
+from repro.interp.interpreter import (
+    LOOP_KEY_STRIDE,
+    Interpreter,
+    ProfileCounters,
+)
 from repro.ir.instructions import FP_ARITH_OPCODES
 from repro.ir.module import Module
 from repro.profiler.costmodel import CostModel, DEFAULT_COST_MODEL
@@ -46,7 +50,8 @@ class LoopProfile:
     depth: int = 1
 
 
-def _direct_tallies(interp: Interpreter, cost_model: CostModel):
+def _direct_tallies(interp: Union[Interpreter, ProfileCounters],
+                    cost_model: CostModel):
     cycles: Dict[int, float] = {}
     fp_ops: Dict[int, int] = {}
     for key, count in interp.op_counts.items():
@@ -62,10 +67,11 @@ def _direct_tallies(interp: Interpreter, cost_model: CostModel):
 
 def profile_loops(
     module: Module,
-    interp: Interpreter,
+    interp: Union[Interpreter, ProfileCounters],
     cost_model: Optional[CostModel] = None,
 ) -> Dict[int, LoopProfile]:
-    """Build per-loop profiles (direct + inclusive over dynamic nesting)."""
+    """Build per-loop profiles (direct + inclusive over dynamic nesting)
+    from a finished run's counters: its interpreter or their snapshot."""
     if cost_model is None:
         cost_model = DEFAULT_COST_MODEL
     cycles, fp_ops = _direct_tallies(interp, cost_model)

@@ -12,9 +12,9 @@ which is why the paper's well-vectorized rows read 96-99% rather than
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
-from repro.interp.interpreter import Interpreter
+from repro.interp.interpreter import Interpreter, ProfileCounters
 from repro.ir.module import Module
 from repro.profiler.hotloops import LoopProfile, profile_loops
 from repro.vectorizer.autovec import (
@@ -25,7 +25,7 @@ from repro.vectorizer.autovec import (
 
 
 def vectorized_fraction(
-    interp: Interpreter, loop_id: int, lanes: int
+    interp: Union[Interpreter, ProfileCounters], loop_id: int, lanes: int
 ) -> float:
     """Fraction of a loop's iterations executed in full vector groups,
     from the interpreter's per-instance trip-count histogram."""
@@ -56,14 +56,15 @@ def _decision_for(
 
 def percent_packed(
     module: Module,
-    interp: Interpreter,
+    interp: Union[Interpreter, ProfileCounters],
     decisions: List[LoopDecision],
     loop_id: int,
     config: Optional[VectorizerConfig] = None,
     profiles: Optional[Dict[int, LoopProfile]] = None,
 ) -> float:
     """Percent Packed for the subtree rooted at ``loop_id``: packed FP ops
-    as a percentage of all FP ops executed inside the loop (inclusive)."""
+    as a percentage of all FP ops executed inside the loop (inclusive).
+    ``interp`` is a finished run's interpreter or its counter snapshot."""
     if config is None:
         config = VectorizerConfig()
     if profiles is None:

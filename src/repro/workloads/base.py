@@ -10,7 +10,7 @@ from repro.analysis.report import BenchmarkReport
 from repro.errors import WorkloadError
 from repro.frontend import parse_source
 from repro.frontend.lower import lower
-from repro.interp.interpreter import DEFAULT_FUEL, Interpreter
+from repro.interp.interpreter import DEFAULT_FUEL
 from repro.ir.verifier import verify_module
 from repro.obs import get_status_bus, get_telemetry
 from repro.profiler.hotloops import profile_loops
@@ -38,9 +38,16 @@ def analyze_workload(
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
 ) -> BenchmarkReport:
-    """Analyze the named ``loops`` of one program (compile once, profile
-    once, then per-loop fused windowed analysis — the §4.1 methodology
-    with an explicit loop list instead of hot-loop discovery).
+    """Analyze the named ``loops`` of one program (compile once, then
+    per-loop fused windowed analysis — the §4.1 methodology with an
+    explicit loop list instead of hot-loop discovery).
+
+    There is no separate profile run: each windowed re-run executes the
+    whole program, so Percent Cycles and Percent Packed come from the
+    profile counters of the first loop's re-run, wherever it ran (see
+    :func:`repro.analysis.pipeline.windowed_loop_ddg`).  Loop names are
+    checked before anything is interpreted, and an empty ``loops``
+    interprets nothing.
 
     ``jobs > 1`` fans the per-loop re-runs across a process pool with
     byte-identical results (see
@@ -60,17 +67,6 @@ def analyze_workload(
                 vec_config = VectorizerConfig()
             decisions = analyze_program_loops(program, analyzer, vec_config)
 
-        bus.phase("profile")
-        with tel.span("profile.run"):
-            interp = Interpreter(module, fuel=fuel,
-                                 compile_loops=compile_loops,
-                                 compile_threshold=compile_threshold)
-            interp.run(entry, args)
-            profiles = profile_loops(module, interp)
-        if tel.enabled:
-            tel.count("interp.runs")
-            tel.count("interp.instructions", interp.executed_instructions)
-
         infos = []
         for loop_name in loops:
             info = module.loop_by_name(loop_name)
@@ -82,7 +78,7 @@ def analyze_workload(
                 )
             infos.append(info)
 
-        loop_reports = run_loop_analyses(
+        loop_reports, counters = run_loop_analyses(
             source, benchmark, module, list(loops), entry, args, instance,
             include_integer, relax_reductions, fuel, jobs, tel=tel,
             spill_dir=spill_dir, segment_rows=segment_rows,
@@ -90,16 +86,20 @@ def analyze_workload(
             compile_threshold=compile_threshold,
         )
         report = BenchmarkReport(benchmark=benchmark)
-        for info, loop_report in zip(infos, loop_reports):
-            loop_report.benchmark = benchmark
-            prof = profiles.get(info.loop_id)
-            if prof is not None:
-                loop_report.percent_cycles = prof.percent_cycles
-            loop_report.percent_packed = percent_packed(
-                module, interp, decisions, info.loop_id, vec_config,
-                profiles
-            )
-            report.loops.append(loop_report)
+        if infos:
+            bus.phase("profile")
+            with tel.span("profile.run"):
+                profiles = profile_loops(module, counters)
+            for info, loop_report in zip(infos, loop_reports):
+                loop_report.benchmark = benchmark
+                prof = profiles.get(info.loop_id)
+                if prof is not None:
+                    loop_report.percent_cycles = prof.percent_cycles
+                loop_report.percent_packed = percent_packed(
+                    module, counters, decisions, info.loop_id, vec_config,
+                    profiles
+                )
+                report.loops.append(loop_report)
         bus.phase("report")
         tel.record_memory()
     return report

@@ -22,6 +22,7 @@ def main() -> None:
         golden[workload.name] = {
             loop.loop_name: {
                 "ops": loop.total_candidate_ops,
+                "cycles": round(loop.percent_cycles, 2),
                 "packed": round(loop.percent_packed, 2),
                 "concur": round(loop.avg_concurrency, 2),
                 "unit": round(loop.percent_vec_unit, 2),

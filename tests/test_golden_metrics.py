@@ -1,11 +1,11 @@
 """Golden-corpus regression tests.
 
 ``golden_metrics.json`` pins the analysis output (candidate-op counts
-and every Table-1 metric) for all 49 analyzed loops across the 37
-registered workloads at their default parameters.  The full pipeline is
-deterministic — compilation order, interpreter execution, partitioning,
-and stride scans have no randomness — so any change here means an
-intentional semantic change (update the corpus with
+and every Table-1 metric, Percent Cycles included) for all 54 analyzed
+loops across the 41 registered workloads at their default parameters.
+The full pipeline is deterministic — compilation order, interpreter
+execution, partitioning, and stride scans have no randomness — so any
+change here means an intentional semantic change (update the corpus with
 ``python tests/regenerate_golden.py``) or a regression.
 """
 
@@ -36,6 +36,9 @@ def test_workload_metrics_match_golden(name):
         loop = measured[loop_name]
         context = f"{name}/{loop_name}"
         assert loop.total_candidate_ops == want["ops"], context
+        assert loop.percent_cycles == pytest.approx(
+            want["cycles"], abs=0.01
+        ), context
         assert loop.percent_packed == pytest.approx(
             want["packed"], abs=0.01
         ), context

@@ -181,8 +181,9 @@ int main() {
 
     def _run(self, jobs):
         module = compile_source(self.SRC2)
-        return run_loop_analyses(self.SRC2, "demo", module, ["P", "Q"],
-                                 jobs=jobs)
+        reports, _ = run_loop_analyses(self.SRC2, "demo", module,
+                                       ["P", "Q"], jobs=jobs)
+        return reports
 
     def test_fallback_reports_identical_and_warns(self, monkeypatch,
                                                   caplog):
@@ -242,11 +243,11 @@ int main() {
         src = self.SRC3
         module = compile_source(src)
         tel1 = Telemetry()
-        r1 = run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=1,
-                               tel=tel1)
+        r1, _ = run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=1,
+                                  tel=tel1)
         tel2 = Telemetry()
-        r2 = run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2,
-                               tel=tel2)
+        r2, _ = run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2,
+                                  tel=tel2)
         assert ([r.total_candidate_ops for r in r1]
                 == [r.total_candidate_ops for r in r2])
         c1 = {k: v for k, v in tel1.counters.items()

@@ -8,7 +8,8 @@ from repro.analysis.report import (
     InstructionReport,
     LoopReport,
 )
-from repro.errors import WorkloadError
+from repro.errors import FuelExhaustedError, WorkloadError
+from repro.obs import Telemetry
 from repro.workloads.base import analyze_workload
 
 
@@ -84,6 +85,44 @@ int main() {
 """
         report = analyze_workload(src, "demo", ["two", "one"])
         assert [l.loop_name for l in report.loops] == ["two", "one"]
+
+    def test_unknown_loop_fails_before_interpreting(self):
+        tel = Telemetry()
+        with pytest.raises(WorkloadError):
+            analyze_workload(self.SRC, "demo", ["L", "nope"], tel=tel)
+        assert tel.counters.get("interp.runs", 0) == 0
+
+    def test_empty_loop_list_interprets_nothing(self):
+        tel = Telemetry()
+        report = analyze_workload(self.SRC, "demo", [], tel=tel)
+        assert report.loops == []
+        assert tel.counters.get("interp.runs", 0) == 0
+
+    def test_small_fuel_fails_alike_serial_and_pooled(self):
+        """The windowed re-run is the only run, so with ``jobs=2`` the
+        fuel error comes from a pool worker: same error as serial, and
+        no pool-to-serial fallback."""
+        src = """
+double A[16]; double B[16];
+int main() {
+  int i;
+  one: for (i = 0; i < 16; i++) A[i] = 1.0;
+  two: for (i = 0; i < 16; i++) B[i] = A[i] + 2.0;
+  return 0;
+}
+"""
+        messages = []
+        for jobs in (1, 2):
+            tel = Telemetry()
+            with pytest.raises(FuelExhaustedError) as exc:
+                analyze_workload(src, "demo", ["one", "two"], fuel=40,
+                                 jobs=jobs, tel=tel)
+            messages.append(str(exc.value))
+            assert tel.counters.get("pipeline.pool_fallbacks", 0) == 0
+        # concurrent.futures chains a worker's traceback as the cause.
+        assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+        assert messages[0] == messages[1]
+        assert "fuel=40" in messages[0]
 
 
 class TestSimulateBreakdown:
