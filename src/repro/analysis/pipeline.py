@@ -450,7 +450,10 @@ def run_loop_analyses(
         })
         bus.retire_workers()
         return serial()
-    bus.retire_workers()
+    finally:
+        # Every exit shuts the pool down, a worker's own exception
+        # included, so no exited worker is left reported as live.
+        bus.retire_workers()
     reports: List[LoopReport] = []
     for report, _, snapshot in results:
         reports.append(report)

@@ -17,7 +17,13 @@ This module borrows the tracing-JIT idiom (PyPy-style meta-tracing):
    When a loop crosses :data:`~repro.profiler.hotloops
    .HOT_LOOP_THRESHOLD` iterations, the interpreter records the next
    iteration's instruction path, anchored just after the loop's
-   ``loop_next`` marker (the backedge position).
+   ``loop_next`` marker (the backedge position).  Kernels are
+   dispatched at two points: at that anchor (the backedge), and at
+   ``loop_enter`` when the next instruction is the ``jump`` to the
+   header the path's own first ``jump`` targets — ``for`` and
+   ``while`` loops lower to exactly that, so each instance's first
+   iteration batches too.  The entry batch's first record carries the
+   entry ``jump``'s sid; everything else about it is the path's.
 2. **Specialization.**  The recorded path is compiled — via
    ``compile``/``exec`` — into a *batch kernel*: a closure running up
    to B iterations per dispatch as straight-line Python over local
@@ -39,17 +45,21 @@ This module borrows the tracing-JIT idiom (PyPy-style meta-tracing):
 4. **Guards and deoptimization.**  Every branch in the path guards its
    recorded direction, and every faulting operation (division by zero,
    invalid load/store address) guards its precondition *before*
-   executing.  A failed guard stops the batch at that exact record
-   index and hands control back to the step interpreter at the guarded
-   instruction with all register/memory state written back — the step
-   interpreter then re-executes it, emitting the identical record or
-   raising the identical error.  Output is therefore bit-identical to
+   executing; a pure intrinsic call (``exp``, ``sqrt``, ...) runs the
+   very function object the step interpreter calls, inside ``try``,
+   and any exception it raises acts as a failed guard.  A failed guard
+   stops the batch at that exact record index and hands control back
+   to the step interpreter at the guarded instruction with all
+   register/memory state written back — the step interpreter then
+   re-executes it, emitting the identical record or raising the
+   identical error.  Output is therefore bit-identical to
    step execution: same columns, same runs, same markers, same
    backpatches, same profile counts, same fuel accounting.
 
 A loop is *rejected* for compilation (permanently) when its recorded
-path contains a call, a nested loop marker, or exceeds
-:data:`MAX_PATH_LEN`; recording *aborts* (transiently, retried up to
+path contains a call to a user function, a nested loop marker, or
+exceeds :data:`MAX_PATH_LEN`; intrinsic calls stay in the path.
+Recording *aborts* (transiently, retried up to
 :data:`MAX_RECORD_FAILURES` times) when the loop exits or returns
 mid-recording — the straddle a short-trip loop always hits.
 
@@ -94,7 +104,8 @@ _log = get_logger("interp.compile")
 
 _CMP_OPS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "=="}
 
-#: Records per path position carry a fixed dependence count per opcode.
+#: Records per path position carry a fixed dependence count per opcode;
+#: an intrinsic call (63) carries one per operand instead.
 _DEP_COUNTS = {
     1: 2, 2: 2, 3: 2,            # add/sub/mul
     4: 2, 5: 2,                  # sdiv/srem
@@ -342,6 +353,13 @@ def _analyze(entries) -> _Plan:
         elif opc == 50:  # ALLOCA
             write(instr.result.index, P, -1)
 
+        elif opc == 63:  # CALL of an intrinsic: one slot per operand
+            descs = tuple(dep_desc(op) for op in ops)
+            for d in descs:
+                add_dep(d)
+            if instr.result is not None:
+                write(instr.result.index, P, -1)
+
         # 60 / 71 (jump / loop_next): no deps, no state.
         prefix.append([descs, mj, sd, fd])
 
@@ -408,7 +426,7 @@ class LoopKernel:
     """
 
     __slots__ = (
-        "loop_id", "length", "anchor", "resume", "plan",
+        "loop_id", "length", "anchor", "entry", "resume", "plan",
         "sid_pat", "op_pat", "cnt_pat", "count_items", "marker_off",
         "calls", "gained",
         "_entries", "_gaddr", "_fns", "_srcs",
@@ -418,6 +436,12 @@ class LoopKernel:
         self.loop_id = loop_id
         self.length = len(entries)
         self.anchor = anchor
+        first = entries[0][0]
+        #: the header block the path's leading ``jump`` targets: a
+        #: ``loop_enter`` followed by a jump there starts an iteration
+        #: of this very path.  ``None`` (no entry dispatch) when the
+        #: path starts with anything else, e.g. a do-while's ``cbr``.
+        self.entry = first.targets[0] if first.opcode._value_ == 60 else None
         #: (block, in-block index) per path position — the step
         #: interpreter resumes here on deopt at that position.
         self.resume = tuple((blk, pc) for _instr, blk, pc, _tk in entries)
@@ -426,7 +450,9 @@ class LoopKernel:
         self.op_pat = [e[0].opcode._value_ for e in entries]
         # array('i'): pattern-repeat and sink extend both stay C-level
         # memcpys (ColumnarSink.dep_counts is itself an array('i')).
-        self.cnt_pat = array("i", [_DEP_COUNTS[op] for op in self.op_pat])
+        self.cnt_pat = array("i", [
+            len(e[0].operands) if op == 63 else _DEP_COUNTS[op]
+            for e, op in zip(entries, self.op_pat)])
         self.count_items = tuple(Counter(self.op_pat).items())
         #: path position of the terminating loop_next marker.
         self.marker_off = self.length - 1
@@ -485,7 +511,7 @@ def _generate(entries, global_addr, recording: bool, plan: _Plan):
     ``dpc`` in the partial iteration have executed and emitted;
     position ``dpc`` and later have not.
     """
-    from repro.interp.interpreter import _cdiv, _f32
+    from repro.interp.interpreter import _INTRINSICS, _cdiv, _f32
     from repro.runtime.memory import default_value
 
     L = len(entries)
@@ -695,6 +721,24 @@ def _generate(entries, global_addr, recording: bool, plan: _Plan):
                 o(f"a{r} = 0")
             written.add(r)
 
+        elif opc == 63:  # CALL of an intrinsic — any exception deopts
+            # The step interpreter's own function object, so values are
+            # identical by construction; on an exception it re-executes
+            # the call and raises exactly what it always raises.
+            consts[f"F{P}"] = _INTRINSICS[instr.callee]
+            call = f"F{P}({', '.join(vx(a) for a in ops)})"
+            res = instr.result
+            o("try:")
+            o(f"    v{res.index} = {call}" if res is not None
+              else f"    {call}")
+            o("except Exception:")
+            o(f"    dpc = {P}")
+            o("    break")
+            if res is not None:
+                if keep_a:
+                    o(f"a{res.index} = 0")
+                written.add(res.index)
+
         else:  # pragma: no cover - build() validates the path first
             raise AssertionError(f"unsupported opcode {opc} in path")
 
@@ -790,11 +834,15 @@ def _pside(d, k, mab, NM, ma, defa):
     return 0 if k else defa[d[1]]
 
 
-def _emit(kern, N0, k, part, nrec, defn, defa, ma, lw, ap, sink, cur_loop):
+def _emit(kern, N0, k, part, nrec, defn, defa, ma, lw, ap, sink, cur_loop,
+          sid0=None):
     """Derive one batch's columns and bulk-append them.
 
     Must run *before* :func:`_writeback`: carried iteration-0 and
     live-in slots read the pre-batch ``defn``/``defa`` entries.
+    ``sid0``, when given, replaces the first record's sid: an entry
+    batch starts with the ``loop_enter`` block's ``jump``, not the
+    path's backedge ``jump``.
     """
     plan = kern.plan
     L = kern.length
@@ -809,6 +857,8 @@ def _emit(kern, N0, k, part, nrec, defn, defa, ma, lw, ap, sink, cur_loop):
         sids = kern.sid_pat * k
         opcs = kern.op_pat * k
         cnts = kern.cnt_pat * k
+    if sid0 is not None:
+        sids[0] = sid0
     deps = plan.dep_pat * k
     # Sparse columns are keyed by absolute node id and handed to the
     # sink as (keys, vals) column runs — a range object plus an
@@ -994,7 +1044,7 @@ class TraceCompiler:
         return _Recording(loop_id, block, pc)
 
     def reject(self, loop_id: int, reason: str = "unspecified") -> None:
-        """Permanently exclude a loop (call/nested loop/oversized path).
+        """Permanently exclude a loop (user call/nested loop/oversized path).
 
         The rejection drops a ``compile.kernel.rejected`` timeline
         instant carrying the reason, so a Perfetto view shows *why* a
@@ -1019,6 +1069,8 @@ class TraceCompiler:
 
     def build(self, rec: _Recording, cur_loop: int) -> None:
         """Validate a completed recording and construct its kernel."""
+        from repro.interp.interpreter import _INTRINSICS
+
         lid = rec.loop_id
         path = rec.path
         if cur_loop != lid or len(path) < 2:
@@ -1039,10 +1091,11 @@ class TraceCompiler:
                 taken = False
             elif opc == 61:
                 taken = path[i + 1][1] is instr.targets[0]
-            elif opc in _DEP_COUNTS:
+            elif opc in _DEP_COUNTS or (opc == 63
+                                         and instr.callee in _INTRINSICS):
                 taken = False
             else:
-                # call/ret/markers should have aborted during capture;
+                # user calls/ret/markers should have stopped the capture;
                 # any other opcode simply is not specialized.
                 self.reject(lid, f"unspecialized opcode {opc}")
                 return
@@ -1059,13 +1112,16 @@ class TraceCompiler:
     # -- batch dispatch -----------------------------------------------------
 
     def dispatch(self, kern: LoopKernel, values, defn, defa, sink,
-                 recording: bool, cur_loop: int, loop_key: int):
+                 recording: bool, cur_loop: int, loop_key: int,
+                 entry_sid: Optional[int] = None):
         """Run batches of the kernel until a guard deoptimizes.
 
         Returns ``(resume_block, resume_pc, iterations)`` — the step
         interpreter continues from there — or ``None`` when fewer than
         one iteration of fuel remains (the step interpreter then burns
         the tail and raises ``FuelExhaustedError`` at the exact budget).
+        ``entry_sid`` marks a dispatch at ``loop_enter``: the sid of
+        the entry ``jump`` that stands in for the path's first record.
         """
         interp = self.interp
         L = kern.length
@@ -1108,10 +1164,11 @@ class TraceCompiler:
                         counts[loop_key + opc_i] += 1
                 if recording:
                     _emit(kern, N0, k, part, nrec, defn, defa, ma, lw,
-                          ap, sink, cur_loop)
+                          ap, sink, cur_loop, entry_sid)
                 _writeback(plan, L, N0, k, part, defn, defa, ma,
                            recording)
                 total += k
+            entry_sid = None
             if dpc >= 0:
                 guard_exit = True
                 resume = kern.resume[dpc]

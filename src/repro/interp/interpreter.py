@@ -483,11 +483,30 @@ class Interpreter:
                             self.dyn_parent[lid] = cur_loop
                         loop_stack.append(lid)
                         self._iter_stack.append(0)
+                        cur_loop = lid
+                        loop_key = (lid + 2) * LOOP_KEY_STRIDE
                         if sink is not None:
                             sink.on_marker(70, lid, instance)
                             recording = sink.active
                             if recording:
                                 sink_emit(node, instr.sid, 70, lid)
+                        # Entry dispatch: a for/while loop enters through
+                        # a jump to the header its kernel path starts at,
+                        # so the first iteration batches too.
+                        if comp is not None:
+                            kern = comp.kernels.get(lid)
+                            nxt = instrs[pc]
+                            if (kern is not None and kern is not _REJECTED
+                                    and nxt.opcode is _OP_JUMP
+                                    and nxt.targets[0] is kern.entry):
+                                res = comp.dispatch(
+                                    kern, values, defn, defa, sink,
+                                    recording, lid, loop_key, nxt.sid)
+                                if res is not None:
+                                    block, pc, iters = res
+                                    instrs = block.instructions
+                                    self._iter_stack[-1] += iters
+                        continue
                     elif opc is _OP_LNEXT:
                         if self._iter_stack:
                             self._iter_stack[-1] += 1
@@ -642,16 +661,17 @@ class Interpreter:
                     continue
 
                 if opc is _OP_CALL:
-                    # Calls (intrinsic or not) end straight-line paths.
-                    if rec is not None:
+                    callee = instr.callee
+                    native = _INTRINSICS.get(callee)
+                    # A user call ends a straight-line path; a pure
+                    # intrinsic compiles inline.
+                    if rec is not None and native is None:
                         comp.reject(rec.loop_id, "call in body")
                         rec = None
                     triples = [ev(a) for a in instr.operands]
                     if recording:
                         sink_emit(node, instr.sid, 63, cur_loop,
                                   tuple(t[1] for t in triples))
-                    callee = instr.callee
-                    native = _INTRINSICS.get(callee)
                     if native is not None:
                         try:
                             value = native(*[t[0] for t in triples])

@@ -301,14 +301,18 @@ class TestBlackboxCLI:
             import time
 
             deadline = time.time() + 30.0
-            # wait until the run is demonstrably mid-analysis
-            while time.time() < deadline:
-                time.sleep(0.2)
+            spill = tmp_path / "spill"
+            # Wait until the run is demonstrably mid-loop: a spilled
+            # segment exists only once the recorder is installed and a
+            # loop is being traced.
+            while not any(spill.glob("*/segment-*.vseg")):
                 if proc.poll() is not None:
                     pytest.fail("run finished before SIGTERM landed; "
                                 "enlarge the workload")
-                proc.send_signal(signal.SIGTERM)
-                break
+                if time.time() > deadline:
+                    pytest.fail("no segment spilled within 30 s")
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=30.0)
         finally:
             if proc.poll() is None:

@@ -342,6 +342,31 @@ class TestLiveStatus:
         assert final["event"] == "done"
         assert final["exit_code"] == 1
 
+    def test_failing_pool_run_retires_every_worker(self, capsys, tmp_path):
+        # A pool worker that raises must not leave its entry live: the
+        # final frame lists every worker as done, whatever the exit.
+        from repro.obs.live import read_frames
+
+        args = ["analyze", "gemsfdtd_update", "--fuel", "1000"]
+        code_serial = main(args + ["-j", "1"])
+        err_serial = capsys.readouterr().err
+        path = tmp_path / "st.jsonl"
+        code_pool = main(args + ["-j", "2", "--status-json", str(path)])
+        err_pool = capsys.readouterr().err
+
+        def errors(text):
+            return [ln for ln in text.splitlines()
+                    if ln.startswith("error:")]
+
+        assert code_serial == code_pool == 1
+        assert errors(err_pool) == errors(err_serial)
+        assert "instruction budget exhausted" in errors(err_pool)[0]
+        final = read_frames(str(path))[-1]
+        assert final["event"] == "done"
+        assert final["exit_code"] == 1
+        assert final["workers"]
+        assert all(w["state"] == "done" for w in final["workers"])
+
     def test_progress_paints_stderr(self, capsys):
         code = main(self.ARGS + ["--progress"])
         captured = capsys.readouterr()

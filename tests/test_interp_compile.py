@@ -13,9 +13,14 @@ import random
 import pytest
 
 from repro.analysis.pipeline import analyze_program
-from repro.errors import FuelExhaustedError
+from repro.errors import FuelExhaustedError, InterpError
 from repro.frontend import compile_source
-from repro.interp.compile import REJECTED, LoopKernel, TraceCompiler
+from repro.interp.compile import (
+    MIN_USEFUL_CALLS,
+    REJECTED,
+    LoopKernel,
+    TraceCompiler,
+)
 from repro.interp.interpreter import Interpreter, run_and_trace
 from repro.obs import Telemetry, use_telemetry
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
@@ -76,7 +81,9 @@ def _cols(sink):
 
 def _run(src, compile_loops, sink_factory=ColumnarSink, threshold=4,
          fuel=500_000_000):
-    module = compile_source(src)
+    """Run mini-C source (or an already compiled module) to completion
+    or to fuel exhaustion."""
+    module = compile_source(src) if isinstance(src, str) else src
     sink = sink_factory()
     interp = Interpreter(module, sink=sink, fuel=fuel,
                          compile_loops=compile_loops,
@@ -206,13 +213,15 @@ int main() {
         assert REJECTED in i1._compiler.kernels.values()
         assert _cols(s0) == _cols(s1)
 
-    def test_short_trip_nested_loops_both_end_rejected(self):
+    def test_short_trip_nested_loops_outer_rejected_inner_kept(self):
         # The outer loop records a nested LOOP_ENTER and is permanently
-        # rejected. The inner 2-trip loop compiles (its recording spans
-        # the two backedges of one entry) but every dispatch finds no
-        # room to batch, so usefulness retirement rejects it too — the
-        # compiler must give up on both rather than re-record forever,
-        # and the trace must stay bit-identical throughout.
+        # rejected.  The inner 2-trip loop compiles (its recording spans
+        # the two backedges of one entry); from then on each instance
+        # dispatches its kernel at loop entry and batches both of its
+        # iterations, so the kernel earns its keep and is never
+        # retired.  The trace stays bit-identical throughout.
+        from repro.obs import EventLog
+
         src = """
 float A[8];
 int main() {
@@ -224,12 +233,20 @@ int main() {
 }
 """
         _, i0, s0, _ = _run(src, False)
-        _, i1, s1, _ = _run(src, True)
+        log = EventLog(capacity=4096)
+        with use_telemetry(Telemetry(events=log)):
+            _, i1, s1, _ = _run(src, True)
         assert _cols(s0) == _cols(s1)
         comp = i1._compiler
-        rejected = [lid for lid, k in comp.kernels.items()
-                    if k is REJECTED]
-        assert sorted(rejected) == [0, 1]
+        rejected = [e["args"] for e in log.snapshot()
+                    if e["name"] == "compile.kernel.rejected"]
+        assert rejected == [{"loop": 0, "reason": "nested loop"}]
+        assert comp.kernels[0] is REJECTED
+        inner = comp.kernels[1]
+        assert isinstance(inner, LoopKernel)
+        # The dispatch right after the build finds no third iteration;
+        # every later instance batches both of its iterations at entry.
+        assert inner.gained == 2 * (inner.calls - 1)
         # The straddled first recording is counted as a failure strike.
         assert comp._fails and max(comp._fails.values()) >= 1
 
@@ -376,21 +393,30 @@ int main() {
         assert any("call in body" in e["args"]["reason"] for e in rejected)
 
     def test_retirement_emits_retired_instant(self):
+        # The kernel is recorded while ``i < 8`` holds: its first batch
+        # runs three iterations, then the branch guard fails at every
+        # later backedge, so after MIN_USEFUL_CALLS dispatches averaging
+        # under one iteration each the kernel is retired.
         src = """
-float A[8];
+float A[64];
 int main() {
-    int i; int r;
-    for (r = 0; r < 64; r = r + 1) {
-        for (i = 0; i < 2; i = i + 1) { A[i] = A[i] + 1.0; }
+    int i;
+    for (i = 0; i < 64; i = i + 1) {
+        if (i < 8) { A[i] = A[i] + 1.0; } else { A[i] = A[i] - 1.0; }
     }
     return 0;
 }
 """
         instants, interp = self._instants(src)
-        retired = [e for e in instants
+        retired = [e["args"] for e in instants
                    if e["name"] == "compile.kernel.retired"]
-        assert retired
-        assert REJECTED in interp._compiler.kernels.values()
+        assert retired == [{"loop": 0, "calls": MIN_USEFUL_CALLS,
+                            "iterations": 3}]
+        assert interp._compiler.kernels[0] is REJECTED
+        _, i0, s0, _ = _run(src, False)
+        _, i1, s1, _ = _run(src, True)
+        assert _cols(s0) == _cols(s1)
+        assert i0.op_counts == i1.op_counts
 
     def test_deopt_emits_instant_with_position(self):
         instants, _ = self._instants(BRANCHY)
@@ -416,3 +442,209 @@ int main() {
                             compile_threshold=4)
         plain.run("main", ())
         assert interp.executed_instructions == plain.executed_instructions
+
+
+def _state(interp):
+    """Everything a run leaves behind besides its trace."""
+    return (interp.executed_instructions, dict(interp.op_counts),
+            interp.memory.data,
+            {lid: dict(h) for lid, h in interp.loop_iter_hist.items()},
+            interp.dyn_parent)
+
+
+class TestIntrinsicKernels:
+    """Loops calling a pure intrinsic (exp, sqrt, fmax, sin/cos, ...)
+    compile with the call inline; a call that raises deoptimizes so the
+    step interpreter raises exactly what it raises without kernels."""
+
+    @pytest.mark.parametrize("name", [
+        "pde_solver", "pde_solver_hoisted", "gromacs_inner",
+        "gromacs_transformed", "namd_pairlist", "povray_bbox",
+        "gemsfdtd_nft",
+    ])
+    def test_registered_program_bit_identity(self, name):
+        from repro.obs import EventLog
+        from repro.workloads import get_workload
+
+        module = get_workload(name).compile()
+        _, i0, s0, e0 = _run(module, False, threshold=None)
+        log = EventLog(capacity=65536)
+        with use_telemetry(Telemetry(events=log)):
+            _, i1, s1, e1 = _run(module, True, threshold=None)
+        assert e0 is None and e1 is None
+        assert _state(i0) == _state(i1)
+        assert _cols(s0) == _cols(s1)
+        reasons = [e["args"]["reason"] for e in log.snapshot()
+                   if e["name"] == "compile.kernel.rejected"]
+        assert not any("call in body" in r for r in reasons)
+        kernels = [k for k in i1._compiler.kernels.values()
+                   if isinstance(k, LoopKernel)]
+        assert any(63 in k.op_pat and k.gained for k in kernels)
+
+    # Each inner loop is compiled during its first instance; the second
+    # instance enters through its kernel and faults inside that batch.
+    FAULTS = {
+        "log": ("A[i] = A[i] + log(64.0 - i - r * 40.0);",
+                "intrinsic log failed: math domain error"),
+        "exp": ("A[i] = A[i] + exp(i * 2.0 + r * 600.0);",
+                "intrinsic exp failed: math range error"),
+        "sqrt": ("A[i] = A[i] + sqrt(80.0 - i - r * 40.0);",
+                 "intrinsic sqrt failed: math domain error"),
+    }
+
+    @pytest.mark.parametrize("fn", sorted(FAULTS))
+    def test_intrinsic_fault_mid_batch(self, fn):
+        body, message = self.FAULTS[fn]
+        src = f"""
+double A[64];
+int main() {{
+    int i; int r;
+    for (r = 0; r < 3; r = r + 1) {{
+        for (i = 0; i < 64; i = i + 1) {{ {body} }}
+    }}
+    return 0;
+}}
+"""
+        module = compile_source(src)
+        runs = []
+        for on in (False, True):
+            sink = ColumnarSink()
+            interp = Interpreter(module, sink=sink, compile_loops=on,
+                                 compile_threshold=4)
+            with pytest.raises(InterpError) as exc:
+                interp.run("main", ())
+            assert type(exc.value) is InterpError
+            assert str(exc.value) == message
+            runs.append((interp, sink))
+        (i0, s0), (i1, s1) = runs
+        assert _state(i0) == _state(i1)
+        assert _cols(s0) == _cols(s1)
+        assert s1.opcodes[-1] == 63  # the faulting call's own record
+        kern = i1._compiler.kernels[1]
+        assert isinstance(kern, LoopKernel) and 63 in kern.op_pat
+        # The fault hit a batch: the second instance ran its kernel
+        # from loop entry up to the failing call.
+        assert kern.gained > 64
+
+
+ENTRY_LOOPS = {
+    "for": "for (i = 0; i < n; i = i + 1) { A[i] = A[i] + s; s = s + 0.5; }",
+    "while": "i = 0; while (i < n) { A[i] = A[i] + s; s = s + 0.5; "
+             "i = i + 1; }",
+    "do_while": "i = 0; do { A[i] = A[i] + s; s = s + 0.5; i = i + 1; } "
+                "while (i < n);",
+    "continue": "for (i = 0; i < n; i = i + 1) { if (i == 3) { continue; } "
+                "A[i] = A[i] + s; s = s + 0.5; }",
+}
+
+
+def _entry_src(loop):
+    # Inner trip counts cycle through 0, 5, 0, 6, 0, 7, 1, 8, 2, ...
+    return f"""
+float A[64]; int T[24];
+int main() {{
+    int i; int r; int n; float s;
+    for (r = 0; r < 24; r = r + 1) {{ T[r] = (r * 7) % 13 - 2; }}
+    s = 0.0;
+    for (r = 0; r < 24; r = r + 1) {{
+        n = T[r];
+        {loop}
+    }}
+    return 0;
+}}
+"""
+
+
+class TestEntryDispatch:
+    """Kernels also dispatch at ``loop_enter`` when a jump to the
+    header their path starts at follows it, so each instance's first
+    iteration batches too; the first record keeps the entry jump's
+    sid."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        """Spy recording ``(executed before, executed after)`` of every
+        dispatch made at loop entry."""
+        spans = []
+        orig = TraceCompiler.dispatch
+
+        def spy(self, *args, **kwargs):
+            before = self.interp._executed
+            res = orig(self, *args, **kwargs)
+            entry = kwargs.get("entry_sid", args[8] if len(args) > 8
+                               else None)
+            if entry is not None:
+                spans.append((before, self.interp._executed))
+            return res
+
+        monkeypatch.setattr(TraceCompiler, "dispatch", spy)
+        return spans
+
+    @staticmethod
+    def _module(kind):
+        module = compile_source(_entry_src(ENTRY_LOOPS[kind]))
+        inner = [li.loop_id for li in module.loops.values()
+                 if li.depth == 2]
+        assert len(inner) == 1
+        return module, inner[0]
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_LOOPS))
+    def test_window_on_every_instance_identical(self, kind, entries):
+        module, lid = self._module(kind)
+        window = lambda: ColumnarLoopSink(lid)  # noqa: E731
+        _, i0, s0, e0 = _run(module, False, window)
+        _, i1, s1, e1 = _run(module, True, window)
+        assert e0 is None and e1 is None
+        assert s0.spans_recorded == s1.spans_recorded == 24
+        assert _state(i0) == _state(i1)
+        assert _cols(s0) == _cols(s1)
+        assert 0 in i0.loop_iter_hist[lid] or kind == "do_while"
+        kern = i1._compiler.kernels[lid]
+        assert isinstance(kern, LoopKernel)
+        if kind == "do_while":
+            # The path starts at the backedge's cbr: no entry dispatch.
+            assert kern.entry is None and not entries
+        else:
+            assert kern.entry is not None and len(entries) > 10
+            assert any(after - before > kern.length
+                       for before, after in entries)
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_LOOPS))
+    def test_spilled_window_identical(self, kind, tmp_path, entries):
+        from repro.trace.store import SegmentedLoopSink
+
+        module, lid = self._module(kind)
+        stores = []
+        for on in (False, True):
+            _, interp, sink, err = _run(module, on, lambda: SegmentedLoopSink(
+                lid, spill_dir=str(tmp_path / str(on)), segment_rows=48))
+            assert err is None
+            stores.append((_state(interp), sink.finish()))
+        (st0, a), (st1, b) = stores
+        assert st0 == st1
+        assert a.manifest["segments"] == b.manifest["segments"]
+        da, db = a.to_ddg(), b.to_ddg()
+        assert da.sids == db.sids
+        assert da.opcodes == db.opcodes
+        assert list(da.pred_indices) == list(db.pred_indices)
+        assert list(da.pred_offsets) == list(db.pred_offsets)
+        assert list(da.mem_addrs) == list(db.mem_addrs)
+        assert list(da.store_addrs) == list(db.store_addrs)
+        assert (kind == "do_while") == (not entries)
+
+    @pytest.mark.parametrize("kind", ["for", "while", "continue"])
+    def test_fuel_exhausted_inside_entry_batches(self, kind, entries):
+        module, lid = self._module(kind)
+        window = lambda: ColumnarLoopSink(lid)  # noqa: E731
+        _run(module, True, window)
+        spans = [sp for sp in entries if sp[1] - sp[0] >= 4][:4]
+        assert spans
+        budgets = sorted({b for start, end in spans
+                          for b in (start + 1, (start + end) // 2, end - 1,
+                                    end)})
+        for fuel in budgets:
+            _, i0, s0, e0 = _run(module, False, window, fuel=fuel)
+            _, i1, s1, e1 = _run(module, True, window, fuel=fuel)
+            assert e0 is not None and e0 == e1, fuel
+            assert _state(i0) == _state(i1), fuel
+            assert _cols(s0) == _cols(s1), fuel
