@@ -1,6 +1,6 @@
 """Trace-replay compiler benchmark: batched kernels vs step interpreter.
 
-Runs the ~1M-record trace-pipeline kernel through the tracing
+Runs a ~1M-record FP kernel through the tracing
 interpreter twice — step mode (``compile_loops=False``) and compiled
 mode (hot loop bodies replayed as fused batch kernels) — asserts the
 trace columns and DDG are bit-identical in both the in-RAM and spilled
@@ -20,8 +20,30 @@ from repro.trace.columnar import ColumnarSink
 from repro.trace.store import SegmentedSink
 
 from benchmarks.conftest import write_bench_json
-from benchmarks.trace_pipeline_common import KERNEL, REPS, ddgs_identical
 
+#: ~1M dynamic records: 40 repetitions of a 512-iteration FP kernel with
+#: loads from four arrays, a recurrence on C, and dense FP arithmetic —
+#: the record mix (1- and 2-dep rows, loads, stores) of a real stencil.
+KERNEL = """
+double A[512]; double B[512]; double C[512]; double D[512];
+int main() {
+  int i; int r;
+  for (i = 0; i < 512; i++) {
+    A[i] = 0.5 * (double)i;
+    B[i] = 1.0 + 0.25 * (double)i;
+    C[i] = 0.0;
+    D[i] = 2.0;
+  }
+  rep: for (r = 0; r < 40; r++) {
+    body: for (i = 0; i < 512; i++) {
+      C[i] = C[i] + A[i] * B[i] + D[i] * 0.5 - B[i] * C[i];
+    }
+  }
+  return 0;
+}
+"""
+
+REPS = 3
 MIN_RECORDS = 1_000_000
 MIN_SPEEDUP = 5.0
 SPILL_SEGMENT_ROWS = 65_536
@@ -33,6 +55,18 @@ def _traced_run(module, sink, compile_loops):
     t0 = time.perf_counter()
     interp.run("main", ())
     return time.perf_counter() - t0
+
+
+def ddgs_identical(a, b) -> bool:
+    return (
+        a.sids == b.sids
+        and a.opcodes == b.opcodes
+        and list(a.pred_indices) == list(b.pred_indices)
+        and list(a.pred_offsets) == list(b.pred_offsets)
+        and [tuple(t) for t in a.addrs] == [tuple(t) for t in b.addrs]
+        and list(a.store_addrs) == list(b.store_addrs)
+        and list(a.mem_addrs) == list(b.mem_addrs)
+    )
 
 
 def _cols(sink):

@@ -12,7 +12,7 @@ from repro.analysis.metrics import loop_metrics
 from repro.ddg import build_ddg
 from repro.frontend import compile_source
 from repro.interp import Interpreter, run_and_trace
-from repro.trace.sinks import RecordingSink
+from repro.trace.columnar import ColumnarSink
 
 from benchmarks.conftest import write_result
 
@@ -45,7 +45,7 @@ def test_traced_execution(benchmark):
     module = compile_source(SRC)
 
     def run():
-        Interpreter(module, sink=RecordingSink()).run()
+        Interpreter(module, sink=ColumnarSink()).run()
 
     benchmark(run)
 

@@ -1,8 +1,8 @@
 """Out-of-core segment store benchmark: bounded RSS at 10M records.
 
 Drives >= 10M synthetic trace records through :class:`SegmentedSink`,
-consumes the spilled store with ``to_ddg(jobs=2)`` (segment sharding)
-and the streaming Algorithm 1 scan, and records throughput plus peak
+consumes the spilled store with ``to_ddg()`` (serial segment
+reassembly) and the streaming Algorithm 1 scan, and records throughput plus peak
 RSS per phase in ``BENCH_trace_store.json``.  The acceptance bar: the
 spilled collection's peak RSS must stay under half the in-RAM slope
 projected to the same record count — memory is bounded by the segment

@@ -4,8 +4,8 @@ Measures the trace-collection memory ceiling the segment store buys:
 the same synthetic emit stream is driven into an in-RAM
 :class:`ColumnarSink` at 1M/2M records (to establish the RSS-per-record
 slope) and into a :class:`SegmentedSink` at >= 10M records, then the
-spilled store is consumed by ``to_ddg(jobs=2)`` (segment sharding) and
-the streaming Algorithm 1 scan.
+spilled store is consumed by ``to_ddg()`` (serial segment reassembly)
+and the streaming Algorithm 1 scan.
 
 Every scenario runs in its own child process so ``ru_maxrss`` is that
 scenario's peak and nothing else's — a parent process's high-water mark
@@ -117,7 +117,7 @@ def _scenario_spill_analyze(spec: dict) -> dict:
 
     store = open_store(spec["spill_dir"])
     t0 = time.perf_counter()
-    ddg = store.to_ddg(jobs=spec["jobs"])
+    ddg = store.to_ddg()
     to_ddg_s = time.perf_counter() - t0
     n_nodes = len(ddg)
     del ddg
@@ -127,7 +127,6 @@ def _scenario_spill_analyze(spec: dict) -> dict:
     )
     scan_s = time.perf_counter() - t0
     return {
-        "jobs": spec["jobs"],
         "ddg_nodes": n_nodes,
         "to_ddg_s": round(to_ddg_s, 4),
         "scan_s": round(scan_s, 4),
@@ -171,7 +170,6 @@ def run_out_of_core(
     spilled_records: int = 10_000_000,
     ram_points: tuple = (1_000_000, 2_000_000),
     segment_rows: int = 1 << 18,
-    jobs: int = 2,
 ) -> dict:
     spill_dir = tempfile.mkdtemp(prefix="vectra-bench-store-")
     try:
@@ -184,7 +182,7 @@ def run_out_of_core(
             "spill_dir": spill_dir, "segment_rows": segment_rows,
         })
         analyze = _run_child({
-            "kind": "spill_analyze", "spill_dir": spill_dir, "jobs": jobs,
+            "kind": "spill_analyze", "spill_dir": spill_dir,
         })
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)

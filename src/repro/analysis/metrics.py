@@ -19,10 +19,7 @@ from typing import Dict, List, Optional
 from repro.analysis.candidates import candidate_sids
 from repro.analysis.nonunit import nonunit_stride_subpartitions
 from repro.analysis.stride import unit_stride_subpartitions
-from repro.analysis.timestamps import (
-    batched_parallel_partitions,
-    parallel_partitions,
-)
+from repro.analysis.timestamps import batched_parallel_partitions
 from repro.analysis.report import InstructionReport, LoopReport
 from repro.ddg.graph import DDG
 from repro.ir.module import Module
@@ -60,31 +57,16 @@ def instruction_metrics(
     sid: int,
     module: Optional[Module] = None,
     elem_size: Optional[int] = None,
-    relax_reductions: bool = False,
-    partitions: Optional[Dict[int, List[int]]] = None,
+    *,
+    partitions: Dict[int, List[int]],
 ) -> InstructionReport:
-    """Run the full per-instruction analysis: Algorithm 1, unit-stride
-    subpartitioning, and the non-unit-stride waitlist scan.
-
-    With ``relax_reductions``, dependences through detected reduction
-    accumulators are ignored (the paper's future-work extension),
-    modeling a reduction-vectorizing compiler.
-
-    ``partitions`` lets a caller that already ran Algorithm 1 (the
-    batched engine in :func:`loop_metrics`) pass its result in; otherwise
-    one scalar pass is made here.
+    """The per-instruction analysis over ``sid``'s Algorithm 1
+    ``partitions`` (timestamp -> node list, from the batched engine that
+    :func:`loop_metrics` runs once for every candidate): unit-stride
+    subpartitioning, then the non-unit-stride waitlist scan.
     """
     if elem_size is None:
         elem_size = _elem_size(module, sid)
-    if partitions is None:
-        if relax_reductions:
-            from repro.analysis.reductions import (
-                reduction_relaxed_partitions,
-            )
-
-            partitions = reduction_relaxed_partitions(ddg, sid)
-        else:
-            partitions = parallel_partitions(ddg, sid)
     num_instances = sum(len(p) for p in partitions.values())
     unit_sizes: List[int] = []
     nonunit_sizes: List[int] = []
@@ -169,7 +151,6 @@ def loop_metrics(
     with tel.span("stride"):
         for sid in sids:
             ir = instruction_metrics(ddg, sid, module,
-                                     relax_reductions=relax_reductions,
                                      partitions=partitions_by_sid[sid])
             report.instructions.append(ir)
             total_ops += ir.num_instances

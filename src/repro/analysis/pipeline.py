@@ -18,15 +18,17 @@ profile of step 1 comes from the first loop's re-run
 (:func:`run_loop_analyses` hands those counters back).
 
 Step 3 uses the fused columnar path: the windowed re-run streams records
-straight into DDG-shaped columns (:class:`ColumnarLoopSink`), so no
-per-record objects and no separate DDG-construction pass exist between
-interpretation and analysis.
+straight into DDG-shaped columns (:class:`ColumnarLoopSink`, or the
+spilling :class:`~repro.trace.store.SegmentedLoopSink` under
+``spill_dir``), and one numpy remap turns them into the DDG, so no
+per-record objects exist between interpretation and analysis.
 
 Because each hot loop's windowed re-run is independent, step 3 fans out
 across a process pool when ``jobs > 1`` (each worker recompiles the
 source — modules are cheap to rebuild and deterministic, so reports are
 byte-identical to the serial path).  Pool failures fall back to serial,
-with a ``vectra.pipeline`` warning so the degradation is visible.
+with a ``vectra.pipeline`` warning so the degradation is visible.  An
+out-of-core run (``spill_dir``) analyzes its loops serially.
 
 Every driver takes an optional ``tel`` telemetry object (default: the
 process-wide active telemetry, a no-op unless e.g. the CLI's
@@ -80,7 +82,6 @@ _log = get_logger("pipeline")
 __all__ = [
     "compile_source",
     "run_and_trace",
-    "select_instance_subtrace",
     "analyze_loop",
     "analyze_module",
     "analyze_program",
@@ -90,40 +91,18 @@ __all__ = [
 ]
 
 
-def select_instance_subtrace(trace, loop_id: int, loop_name: str,
-                             instance: int):
-    """The subtrace of the one loop instance a windowed trace recorded.
-
-    A trace collected with ``instances={instance}`` contains exactly one
-    span of ``loop_id`` — the requested instance, renumbered 0 by the
-    window filter.  Select it explicitly: no recorded span means the
-    requested instance never executed; more than one means the window
-    filter misbehaved, and silently taking span 0 would analyze the wrong
-    iteration.
-    """
-    spans = trace.loop_instances(loop_id)
-    if not spans:
-        raise AnalysisError(
-            f"loop {loop_name!r} instance {instance} never executed"
-        )
-    if len(spans) != 1:
-        raise AnalysisError(
-            f"loop {loop_name!r}: expected one recorded span for instance "
-            f"{instance}, found {len(spans)}"
-        )
-    return trace.subtrace(loop_id, 0)
-
-
 def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
                       entry: str, args: Sequence, instance: int,
                       fuel: int, tel=None, spill_dir: Optional[str] = None,
-                      segment_rows: Optional[int] = None, jobs: int = 1,
+                      segment_rows: Optional[int] = None,
                       compile_loops: bool = True,
                       compile_threshold: Optional[int] = None):
     """Fused trace→DDG for one loop instance: the windowed re-run streams
     into columnar storage and the DDG drops out without materializing a
-    record list (the same validation as :func:`select_instance_subtrace`,
-    off the sink's span counter).
+    record list.  The sink's span counter validates the instance: no
+    recorded span means the requested instance never executed; more than
+    one means the window filter misbehaved, and silently taking the
+    first would analyze the wrong iteration.
 
     Returns ``(ddg, rows, counters)``.  The re-run executes the whole
     program to completion; the window only filters what the sink keeps.
@@ -136,9 +115,8 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     With ``spill_dir`` set the window streams through a
     :class:`~repro.trace.store.SegmentedLoopSink` instead — full segments
     spill to a per-loop subdirectory under ``segment_rows``-row budgets
-    and the DDG is reassembled by streaming segment windows (``jobs > 1``
-    shards the per-segment remap across a process pool).  The resulting
-    DDG is bit-identical to the in-RAM path.
+    and the DDG is reassembled by streaming segment windows through the
+    same remap.  The resulting DDG is bit-identical to the in-RAM path.
     """
     if tel is None:
         tel = get_telemetry()
@@ -187,7 +165,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     if spill_dir:
         store = sink.finish()
         with tel.span("ddg.build"):
-            ddg = store.to_ddg(jobs=jobs, tel=tel)
+            ddg = store.to_ddg(tel=tel)
     else:
         with tel.span("ddg.build"):
             ddg = sink.to_ddg()
@@ -210,7 +188,6 @@ def analyze_loop(
     tel=None,
     spill_dir: Optional[str] = None,
     segment_rows: Optional[int] = None,
-    jobs: int = 1,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
 ) -> LoopReport:
@@ -219,22 +196,21 @@ def analyze_loop(
     ``function:line``.
 
     ``spill_dir``/``segment_rows`` switch the windowed trace to the
-    out-of-core segment store (bit-identical report); ``jobs`` then
-    shards the segment reassembly across a process pool.
+    out-of-core segment store (bit-identical report).
     ``compile_loops``/``compile_threshold`` control the trace-replay
     compiler (:mod:`repro.interp.compile`); output is bit-identical
     either way.
     """
     return _analyze_loop(module, loop_name, entry, args, instance,
                          include_integer, relax_reductions, fuel, tel,
-                         spill_dir, segment_rows, jobs, compile_loops,
+                         spill_dir, segment_rows, compile_loops,
                          compile_threshold)[0]
 
 
 def _analyze_loop(
     module, loop_name, entry, args, instance, include_integer,
-    relax_reductions, fuel, tel, spill_dir, segment_rows, jobs,
-    compile_loops, compile_threshold,
+    relax_reductions, fuel, tel, spill_dir, segment_rows, compile_loops,
+    compile_threshold,
 ) -> Tuple[LoopReport, ProfileCounters]:
     """:func:`analyze_loop`, also returning the re-run's profile counters
     (see :func:`windowed_loop_ddg`)."""
@@ -257,7 +233,7 @@ def _analyze_loop(
     with use_telemetry(tel), tel.span("loop.analyze", hist=True):
         ddg, rows, counters = windowed_loop_ddg(
             module, info.loop_id, loop_name, entry, args, instance, fuel,
-            tel, spill_dir=spill_dir, segment_rows=segment_rows, jobs=jobs,
+            tel, spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
             compile_threshold=compile_threshold)
         report = loop_metrics(ddg, module, loop_name, include_integer,
@@ -302,9 +278,11 @@ def _loop_worker(payload):
     as N worker tracks.
 
     When the parent samples (``sample_hz > 0``), the worker runs its own
-    :class:`SamplingProfiler` and folds the resolved sample table into
-    its telemetry before snapshotting, so profiler samples ride home the
-    same way counters do and the merged flamegraph covers all workers."""
+    :class:`SamplingProfiler` and folds the resolved sample table and its
+    ``sampling.samples``/``sampling.ir_samples`` counts into its telemetry
+    before snapshotting, so profiler samples ride home the same way
+    counters do: the merged flamegraph covers all workers, and the merged
+    counts equal its sample total."""
     (source, benchmark, loop_name, entry, args, instance,
      include_integer, relax_reductions, fuel, profiled, timeline,
      compile_loops, compile_threshold, sample_hz) = payload
@@ -324,12 +302,14 @@ def _loop_worker(payload):
             module = compile_source(source, benchmark or "module")
             report, counters = _analyze_loop(
                 module, loop_name, entry, args, instance, include_integer,
-                relax_reductions, fuel, tel, None, None, 1, compile_loops,
+                relax_reductions, fuel, tel, None, None, compile_loops,
                 compile_threshold)
         finally:
             if sampler is not None:
                 sampler.stop()
                 tel.add_samples(sampler.folded_counts())
+                tel.count("sampling.samples", sampler.total_samples)
+                tel.count("sampling.ir_samples", sampler.ir_samples)
     return report, counters, (tel.snapshot() if profiled else None)
 
 
@@ -364,20 +344,16 @@ def run_loop_analyses(
     ``vectra.pipeline`` warning.  Worker telemetry snapshots are merged
     into ``tel``, so counter totals match the serial path exactly.
 
-    With ``spill_dir`` set, loops run serially (an out-of-core run is
-    memory-bound, so loop-level fan-out would multiply the working set)
-    and ``jobs`` instead shards each loop's spilled segments across the
-    pool during DDG reassembly — see
-    :meth:`repro.trace.store.SegmentStore.to_ddg`.
+    With ``spill_dir`` set, loops run serially whatever ``jobs`` says:
+    an out-of-core run is memory-bound, so loop-level fan-out would
+    multiply the working set.
     """
     if tel is None:
         tel = get_telemetry()
     names = list(loop_names)
     if jobs is None or int(jobs) <= 0:
         jobs = multiprocessing.cpu_count()
-    jobs = max(1, int(jobs)) if spill_dir else (
-        max(1, min(int(jobs), len(names)))
-    )
+    jobs = 1 if spill_dir else max(1, min(int(jobs), len(names)))
     tel.gauge("pipeline.jobs", jobs)
     bus = get_status_bus()
     bus.set_total("loops", len(names))
@@ -386,22 +362,14 @@ def run_loop_analyses(
         analyses = [
             _analyze_loop(module, name, entry, args, instance,
                           include_integer, relax_reductions, fuel, tel,
-                          spill_dir, segment_rows,
-                          jobs if spill_dir else 1, compile_loops,
+                          spill_dir, segment_rows, compile_loops,
                           compile_threshold)
             for name in names
         ]
         return ([report for report, _ in analyses],
                 analyses[0][1] if analyses else None)
 
-    if spill_dir:
-        if jobs > 1:
-            _log.debug(
-                "spill mode: analyzing %d loop(s) serially, sharding "
-                "segments across %d worker(s)", len(names), jobs,
-            )
-        return serial()
-    if jobs <= 1 or len(names) <= 1:
+    if jobs <= 1:
         return serial()
     sampler = get_sampler()
     sample_hz = sampler.hz if sampler.enabled else 0
@@ -485,8 +453,7 @@ def analyze_program(
     ``jobs > 1`` analyzes the hot loops concurrently across a process
     pool (``None`` = one worker per CPU); reports are byte-identical to
     ``jobs=1``.  ``spill_dir``/``segment_rows`` run the windowed traces
-    out-of-core (bit-identical report; ``jobs`` shards segments instead
-    of loops).
+    out-of-core (bit-identical report; loops then run serially).
     """
     if tel is None:
         tel = get_telemetry()

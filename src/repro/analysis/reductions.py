@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.analysis.timestamps import parallel_partitions
+from repro.analysis.timestamps import batched_parallel_partitions
 from repro.ddg.graph import DDG
 from repro.ir.instructions import Opcode
 
@@ -108,11 +108,7 @@ def reduction_relaxed_partitions(
     ddg: DDG, sid: int
 ) -> Dict[int, List[int]]:
     """Algorithm 1 partitions for ``sid`` with its reduction dependences
-    ignored.  If ``sid`` has no detected reduction chain, the result
-    equals the unrelaxed partitioning."""
-    chains = cached_reduction_chains(ddg)
-    accumulators = chains.get(sid)
-    if not accumulators:
-        return parallel_partitions(ddg, sid)
-    removed = reduction_edges(ddg, accumulators)
-    return parallel_partitions(ddg, sid, removed_edges=removed)
+    ignored: one lane of the batched engine.  If ``sid`` has no detected
+    reduction chain, the result equals the unrelaxed partitioning."""
+    removed = removed_edges_by_sid(ddg, [sid])
+    return batched_parallel_partitions(ddg, [sid], removed)[sid]

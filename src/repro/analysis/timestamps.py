@@ -18,13 +18,15 @@ the traversal is a single linear scan.
 
 Two engines are provided:
 
-- :func:`compute_timestamps` / :func:`parallel_partitions` — the scalar
-  reference: one O(N+E) pass per analyzed static instruction.
 - :func:`compute_all_timestamps` / :func:`batched_parallel_partitions` —
-  the batched engine: ONE pass over the CSR-packed graph carrying a
-  K-wide timestamp vector per node (elementwise max over predecessors,
-  then increment only the lane of the node's own sid).  Timestamp lanes
-  never interact, so the result is bit-identical to K scalar passes.
+  the batched engine every analysis runs: ONE pass over the CSR-packed
+  graph carrying a K-wide timestamp vector per node (elementwise max
+  over predecessors, then increment only the lane of the node's own
+  sid).  One static instruction is the K=1 case.
+- :func:`compute_timestamps` / :func:`parallel_partitions` — the scalar
+  reference the tests check the batched engine against: one O(N+E) pass
+  per static instruction.  Timestamp lanes never interact, so the
+  batched result is bit-identical to K scalar passes.
 
 The batched engine packs all K lanes of a node's vector into a single
 Python integer (fixed-width bit fields, one guard bit each) so that the

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.candidates import candidate_sids
 from repro.analysis.nonunit import nonunit_stride_subpartitions
 from repro.analysis.stride import unit_stride_subpartitions
-from repro.analysis.timestamps import parallel_partitions
+from repro.analysis.timestamps import batched_parallel_partitions
 from repro.ddg.graph import DDG
 from repro.ir.module import Module
 
@@ -101,13 +101,15 @@ def vector_length_profile(
 ) -> VectorLengthProfile:
     """Build the group-size distribution for one loop's DDG."""
     profile = VectorLengthProfile(loop_name=loop_name, widths=widths)
-    for sid in candidate_sids(ddg, include_integer):
+    sids = candidate_sids(ddg, include_integer)
+    partitions_by_sid = batched_parallel_partitions(ddg, sids)
+    for sid in sids:
         elem_size = 8
         if module is not None:
             instr = module.instruction(sid)
             if instr.result is not None:
                 elem_size = instr.result.type.sizeof()
-        partitions = parallel_partitions(ddg, sid)
+        partitions = partitions_by_sid[sid]
         profile.total_ops += sum(len(p) for p in partitions.values())
         for members in partitions.values():
             if len(members) < 2:

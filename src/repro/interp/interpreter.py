@@ -42,7 +42,6 @@ from repro.trace.columnar import (
     ColumnarSink,
     ColumnarTrace,
 )
-from repro.trace.sinks import LoopWindowSink, RecordingSink
 from repro.trace.trace import Trace
 
 _OP_ADD = Opcode.ADD
@@ -161,8 +160,9 @@ class Interpreter:
         #: trace-replay compiler (:mod:`repro.interp.compile`): hot loop
         #: bodies specialize into batch kernels that emit trace records
         #: wholesale.  Requires a sink with the bulk-append write path
-        #: (or no sink at all — profile runs batch too); the legacy
-        #: object-per-record sinks fall back to pure stepping.
+        #: (or no sink at all — profile runs batch too); a sink without
+        #: one (the record-object reference sinks of the test oracle)
+        #: runs on pure stepping.
         self._compiler = None
         if compile_loops and (
             sink is None or hasattr(sink, "bulk_append")
@@ -231,14 +231,6 @@ class Interpreter:
             dict(self.dyn_parent),
             {lid: dict(hist) for lid, hist in self.loop_iter_hist.items()},
         )
-
-    def trace(self) -> Trace:
-        """The collected trace (requires a recording sink)."""
-        if self.sink is None:
-            raise InterpError("interpreter was run without a trace sink")
-        if isinstance(self.sink, ColumnarSink):
-            return ColumnarTrace(self.module, self.sink)
-        return Trace(self.module, self.sink.records)
 
     # -- the dispatch loop -----------------------------------------------------
 
@@ -729,7 +721,6 @@ def run_and_trace(
     loop: Optional[int] = None,
     instances: Optional[set] = None,
     fuel: int = DEFAULT_FUEL,
-    columnar: bool = True,
     tel=None,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
@@ -740,21 +731,16 @@ def run_and_trace(
     paper's per-loop subtrace); ``instances`` optionally narrows to chosen
     dynamic instances of the loop.
 
-    By default the trace is collected into flat columns
+    The trace is collected into flat columns
     (:class:`~repro.trace.columnar.ColumnarSink`) and returned as a
     :class:`~repro.trace.columnar.ColumnarTrace` — ``records`` stay
-    available as a lazy view, and DDG construction takes the fused fast
-    path.  ``columnar=False`` forces the legacy object-per-record sinks.
+    available as a lazy view, and DDG construction remaps the columns
+    directly.
     """
     if tel is None:
         tel = get_telemetry()
-    if columnar:
-        sink = (ColumnarSink() if loop is None
-                else ColumnarLoopSink(loop, instances))
-    elif loop is None:
-        sink = RecordingSink()
-    else:
-        sink = LoopWindowSink(loop, instances)
+    sink = (ColumnarSink() if loop is None
+            else ColumnarLoopSink(loop, instances))
     interp = Interpreter(module, sink=sink, fuel=fuel,
                          compile_loops=compile_loops,
                          compile_threshold=compile_threshold)
@@ -767,15 +753,10 @@ def run_and_trace(
     if tel.enabled:
         tel.count("interp.runs")
         tel.count("interp.instructions", interp.executed_instructions)
-        if isinstance(sink, ColumnarSink):
-            stats = sink.stats()
-            tel.count("trace.records.kept", stats["rows"])
-            tel.count("trace.records.filtered",
-                      interp.executed_instructions - stats["rows"])
-            tel.count("trace.markers", stats["markers"])
-            tel.count("trace.backpatches", stats["backpatches"])
-        else:
-            tel.count("trace.records.kept", len(sink.records))
-    if columnar:
-        return ColumnarTrace(module, sink)
-    return Trace(module, sink.records)
+        stats = sink.stats()
+        tel.count("trace.records.kept", stats["rows"])
+        tel.count("trace.records.filtered",
+                  interp.executed_instructions - stats["rows"])
+        tel.count("trace.markers", stats["markers"])
+        tel.count("trace.backpatches", stats["backpatches"])
+    return ColumnarTrace(module, sink)

@@ -58,8 +58,8 @@ the CLI refuses the combination up front, naming the colliding flags.
 
 ``analyze`` and ``analyze-file`` additionally accept ``--spill-dir DIR``
 / ``--segment-rows N``: the windowed traces stream through the
-out-of-core segment store (bit-identical reports, bounded peak memory;
-``--jobs`` then shards segments instead of loops).
+out-of-core segment store (bit-identical reports, bounded trace
+memory; loops then run one at a time, so ``--jobs`` has no effect).
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def _cmd_baselines(args) -> int:
     from repro.analysis.larus import larus_loop_parallelism
     from repro.analysis.timestamps import (
         average_partition_size,
-        parallel_partitions,
+        batched_parallel_partitions,
     )
     from repro.analysis.candidates import candidate_sids
     from repro.ddg import build_ddg
@@ -274,8 +274,10 @@ def _cmd_baselines(args) -> int:
     print(f"  Kumar average parallelism:      "
           f"{profile.average_parallelism:.2f}")
     print(f"  Larus loop-level parallelism:   {larus.parallelism:.2f}")
-    for sid in candidate_sids(ddg):
-        parts = parallel_partitions(ddg, sid)
+    sids = candidate_sids(ddg)
+    partitions_by_sid = batched_parallel_partitions(ddg, sids)
+    for sid in sids:
+        parts = partitions_by_sid[sid]
         instr = module.instruction(sid)
         print(f"  Algorithm 1 [{instr.mnemonic} line {instr.line}]: "
               f"{len(parts)} partitions, avg size "
@@ -284,7 +286,7 @@ def _cmd_baselines(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    from repro.analysis.timestamps import compute_timestamps
+    from repro.analysis.timestamps import compute_all_timestamps
     from repro.ddg import build_ddg
     from repro.ddg.dot import ddg_to_dot
     from repro.interp import run_and_trace
@@ -306,7 +308,7 @@ def _cmd_dot(args) -> int:
         for sid in candidate_sids(ddg):
             if module.instruction(sid).line == args.highlight_line:
                 highlight = sid
-                timestamps = compute_timestamps(ddg, sid)
+                timestamps = compute_all_timestamps(ddg, [sid])[sid]
                 break
         if highlight is None:
             raise VectraError(
@@ -603,7 +605,8 @@ def _add_jobs_option(p):
     p.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
                    help="analyze hot loops across N worker processes "
                         "(0 or negative: one per CPU); results are "
-                        "byte-identical to --jobs 1")
+                        "byte-identical to --jobs 1; ignored with "
+                        "--spill-dir")
 
 
 def _add_spill_options(p):
@@ -611,9 +614,9 @@ def _add_spill_options(p):
     g.add_argument("--spill-dir", metavar="DIR", default=None,
                    help="spill windowed trace columns to segment files "
                         "under DIR instead of holding them in RAM; "
-                        "reports are bit-identical, peak memory is "
-                        "bounded by the segment budget (with --jobs, "
-                        "segments shard across the worker pool)")
+                        "reports are bit-identical, trace memory is "
+                        "bounded by the segment budget, and loops are "
+                        "analyzed one at a time")
     g.add_argument("--segment-rows", type=int, default=None, metavar="N",
                    help="rows per spilled segment (default: 1048576); "
                         "cuts align to loop-iteration markers; requires "

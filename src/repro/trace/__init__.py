@@ -2,7 +2,6 @@
 
 from repro.trace.events import DynInstr, MARKER_ENTER, MARKER_NEXT, MARKER_EXIT
 from repro.trace.trace import Trace, LoopSpan
-from repro.trace.sinks import RecordingSink, LoopWindowSink
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, ColumnarTrace
 from repro.trace.store import (
     DEFAULT_SEGMENT_ROWS,
@@ -20,8 +19,6 @@ __all__ = [
     "MARKER_EXIT",
     "Trace",
     "LoopSpan",
-    "RecordingSink",
-    "LoopWindowSink",
     "ColumnarSink",
     "ColumnarLoopSink",
     "ColumnarTrace",

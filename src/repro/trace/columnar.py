@@ -1,13 +1,15 @@
-"""Columnar streaming trace storage.
+"""Columnar streaming trace storage: the one trace→DDG path.
 
-The legacy sinks allocate one :class:`DynInstr` per executed instruction
-and the DDG builder re-walks that object list after the run.  The sinks
-here pack each dynamic record straight into flat per-field columns as it
-is emitted — no per-record object — and :meth:`ColumnarSink.to_ddg`
-turns the columns into the CSR :class:`~repro.ddg.graph.DDG` in one
-tight pass over plain lists.  The combination is the "fused
-interpret→trace→DDG" pipeline: a windowed analysis run produces an
-analysis-ready DDG with no intermediate trace materialization.
+The sinks here pack each dynamic record straight into flat per-field
+columns as the interpreter emits it — no per-record object — and
+:meth:`ColumnarSink.to_ddg` turns the columns into the CSR
+:class:`~repro.ddg.graph.DDG` with a handful of numpy array passes.  The
+combination is the "fused interpret→trace→DDG" pipeline: a windowed
+analysis run produces an analysis-ready DDG with no intermediate trace
+materialization.  A record :class:`~repro.trace.trace.Trace` (a
+``subtrace`` or a file read back by :mod:`repro.trace.serialize`) is
+packed into the same columns by :func:`pack_records`, so every DDG in
+the system comes out of the same remap.
 
 Two pieces of bookkeeping keep the columns as small as the data:
 
@@ -22,7 +24,7 @@ Two pieces of bookkeeping keep the columns as small as the data:
   changes at loop-marker records, so the per-record ``loop_id`` column
   is piecewise constant and stored as (row, loop_id) change points.
 
-The legacy ``DynInstr``/``Trace`` API survives as a lazy compat layer:
+The ``DynInstr``/``Trace`` API survives as a lazy view:
 :attr:`ColumnarSink.records` materializes the object list on demand and
 :class:`ColumnarTrace` is a :class:`~repro.trace.trace.Trace` whose
 ``records`` delegate to it, so serialization, ``LoopSpan`` indexing and
@@ -33,21 +35,23 @@ tuple-view pattern of the batched Algorithm 1 engine).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.errors import TraceError
+from repro.ir.instructions import Opcode
 from repro.trace.events import (
     MARKER_ENTER,
     MARKER_EXIT,
-    MARKER_NEXT,
     DynInstr,
 )
 from repro.trace.trace import Trace
 
-try:  # optional: vectorizes the dependence remap in to_ddg
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
+#: Every opcode a record may carry.  The columns read any opcode at or
+#: above ``MARKER_ENTER`` as a loop marker, so :func:`pack_records`
+#: refuses values outside the enum.
+_OPCODES = frozenset(int(op) for op in Opcode)
 
 
 def _scatter_int(map_, di, n):
@@ -55,9 +59,9 @@ def _scatter_int(map_, di, n):
     routing each row through the row→node map ``di``."""
     if not map_:
         return [0] * n
-    rows = _np.fromiter(map_.keys(), _np.int64, len(map_))
-    vals = _np.fromiter(map_.values(), _np.int64, len(map_))
-    out = _np.zeros(n, dtype=_np.int64)
+    rows = np.fromiter(map_.keys(), np.int64, len(map_))
+    vals = np.fromiter(map_.values(), np.int64, len(map_))
+    out = np.zeros(n, dtype=np.int64)
     out[di[rows]] = vals
     return out.tolist()
 
@@ -65,17 +69,17 @@ def _scatter_int(map_, di, n):
 def _row_index(keys):
     """Row keys of one deferred sparse run as an int64 index array."""
     if type(keys) is range:
-        return _np.arange(keys.start, keys.stop, keys.step, _np.int64)
-    return _np.asarray(keys, dtype=_np.int64)
+        return np.arange(keys.start, keys.stop, keys.step, np.int64)
+    return np.asarray(keys, dtype=np.int64)
 
 
 class ColumnarSink:
     """Retains every dynamic record, packed into flat columns.
 
-    Drop-in replacement for :class:`~repro.trace.sinks.RecordingSink`:
-    the interpreter feeds it through :meth:`emit` (opcode as a plain
-    int), and downstream code either consumes the columns directly
-    (:meth:`to_ddg`) or the lazy :attr:`records` compat view.
+    The interpreter feeds it through :meth:`emit` (opcode as a plain
+    int) and the compiled kernels through :meth:`bulk_append`;
+    downstream code either consumes the columns directly (:meth:`to_ddg`)
+    or the lazy :attr:`records` view.
     """
 
     __slots__ = (
@@ -122,7 +126,9 @@ class ColumnarSink:
         #: bulk-copy the marker-free row segments between them).
         self.marker_rows: List[int] = []
         self.active = True
-        self._next_node = -1
+        #: Node id that continues the open run; ``None`` until the first
+        #: record, so that record opens a run whatever its id.
+        self._next_node: Optional[int] = None
         self._cur_node0 = 0
         self._cur_row0 = 0
         self._last_loop: Optional[int] = None
@@ -283,8 +289,7 @@ class ColumnarSink:
 
         Backpatches resolve within the current contiguous run (for a
         full recording that is the whole trace; for a window sink, the
-        open span — the same bound the legacy window sink applies).
-        The first store wins, as in the legacy sinks.
+        open span).  The first store wins.
         """
         row = producer_node - self._cur_node0 + self._cur_row0
         if row >= self._cur_row0 and row not in self.store_map:
@@ -317,24 +322,19 @@ class ColumnarSink:
     # -- fused DDG construction --------------------------------------------
 
     def to_ddg(self):
-        """The CSR DDG over these columns — semantics identical to
-        :func:`repro.ddg.build.build_ddg` on the materialized trace.
+        """The CSR DDG over these columns: every non-marker row is a node,
+        and each row's recorded producers that are nodes of these columns
+        become its sorted, unique predecessors.
 
         Markers are sparse, so instead of testing every row the pass
         slices the marker-free segments out of each column wholesale
-        (C-level copies).  The remaining work — the row→node map, the
-        sparse-column scatter, and the dependence remap — runs as
-        vectorized array passes when numpy is available, with an
-        equivalent interpreted fallback (1- and 2-dep rows, which
-        dominate real traces, special-cased past the set/sort
-        machinery).
+        (C-level copies).  The row→node map, the sparse-column scatter
+        and the dependence remap run as vectorized array passes.
         """
-        from repro.ddg.graph import _CSR_TYPECODE, DDG
+        from repro.ddg.graph import DDG
 
         sids_col = self.sids
         opcodes_col = self.opcodes
-        dep_flat = self.dep_flat
-        dep_counts = self.dep_counts
         n_rows = len(sids_col)
 
         # Half-open row ranges holding no marker records.
@@ -357,188 +357,13 @@ class ColumnarSink:
             out_ops += opcodes_col[s:e]
             n += e - s
 
-        runs = self.runs
-        single_run = len(runs) <= 1
-        node0 = runs[0][0] if runs else 0
-        run_maps = None
-        if not single_run:
-            run_nodes = [r[0] for r in runs]
-            run_rows = [r[1] for r in runs]
-            run_ends = run_rows[1:] + [n_rows]
-            run_maps = (run_nodes, run_rows, run_ends)
-
-        # Execution order is topological order, so every edge the remap
-        # emits satisfies p < n and the DDG constructor can skip
-        # structural validation (same argument as build_ddg's
-        # insert-after-deps ordering).
-        if _np is not None and n:
-            (out_addrs, out_store, out_mem, indices_arr, offsets_arr) = (
-                self._finish_numpy(segs, n, n_rows, single_run, node0,
-                                   run_maps)
-            )
-            return DDG(
-                out_sids,
-                out_ops,
-                addrs=out_addrs,
-                store_addrs=out_store,
-                mem_addrs=out_mem,
-                pred_indices=indices_arr,
-                pred_offsets=offsets_arr,
-                validate=False,
-            )
-
-        # -- interpreted fallback (numpy unavailable) -----------------------
-
-        self._flush_sparse()
-
-        #: row -> DDG node index (-1 for markers).  One trailing slot is
-        #: left at -1 so the full-trace remap below can resolve the
-        #: interpreter's "no producer" dep sentinel (-1) by plain
-        #: negative indexing — ``ddg_index[-1]`` lands on it — with no
-        #: range check per dep.
-        ddg_index = [-1] * (n_rows + 1)
-        b = 0
-        for s, e in segs:
-            ddg_index[s:e] = range(b, b + (e - s))
-            b += e - s
-
-        # Scatter the sparse columns into dense per-node vectors
-        # (markers carry none of these, so every keyed row maps to a
-        # real DDG node).
-        out_addrs: List[tuple] = [()] * n
-        out_store: List[int] = [0] * n
-        out_mem: List[int] = [0] * n
-        for row, val in self.addr_map.items():
-            out_addrs[ddg_index[row]] = val
-        for row, val in self.store_map.items():
-            out_store[ddg_index[row]] = val
-        for row, val in self.mem_map.items():
-            out_mem[ddg_index[row]] = val
-
-        pred_indices: List[int] = []
-        pred_offsets = [0] * (n + 1)
-        idx_append = pred_indices.append
-        idx_extend = pred_indices.extend
-        count = 0
-        i = 0
-        # ``start`` tracks the dep_flat cursor across ALL rows: the rows
-        # between segments are markers, which carry zero deps, so the
-        # cursor carries over segment gaps unchanged.
-        start = 0
-        if single_run and node0 == 0:
-            # Full recording: node id == row, and a dep is either a
-            # prior node or the -1 sentinel, which negative-indexes into
-            # the trailing -1 slot of ddg_index.  No bounds tests at all.
-            for s, e in segs:
-                for row in range(s, e):
-                    nd = dep_counts[row]
-                    if nd == 1:
-                        p = ddg_index[dep_flat[start]]
-                        if p >= 0:
-                            idx_append(p)
-                            count += 1
-                    elif nd == 2:
-                        p0 = ddg_index[dep_flat[start]]
-                        p1 = ddg_index[dep_flat[start + 1]]
-                        if p0 > p1:
-                            p0, p1 = p1, p0
-                        if p1 >= 0:
-                            if p0 >= 0 and p0 != p1:
-                                idx_append(p0)
-                                count += 1
-                            idx_append(p1)
-                            count += 1
-                    elif nd:
-                        acc = {ddg_index[d]
-                               for d in dep_flat[start:start + nd]}
-                        acc.discard(-1)
-                        if acc:
-                            ordered = sorted(acc)
-                            idx_extend(ordered)
-                            count += len(ordered)
-                    start += nd
-                    i += 1
-                    pred_offsets[i] = count
-        elif single_run:
-            for s, e in segs:
-                for row in range(s, e):
-                    nd = dep_counts[row]
-                    if nd == 1:
-                        d = dep_flat[start]
-                        if d >= node0:
-                            p = ddg_index[d - node0]
-                            if p >= 0:
-                                idx_append(p)
-                                count += 1
-                    elif nd == 2:
-                        d0 = dep_flat[start]
-                        d1 = dep_flat[start + 1]
-                        p0 = ddg_index[d0 - node0] if d0 >= node0 else -1
-                        p1 = ddg_index[d1 - node0] if d1 >= node0 else -1
-                        if p0 > p1:
-                            p0, p1 = p1, p0
-                        if p1 >= 0:
-                            if p0 >= 0 and p0 != p1:
-                                idx_append(p0)
-                                count += 1
-                            idx_append(p1)
-                            count += 1
-                    elif nd:
-                        acc = {ddg_index[d - node0]
-                               for d in dep_flat[start:start + nd]
-                               if d >= node0}
-                        acc.discard(-1)
-                        if acc:
-                            ordered = sorted(acc)
-                            idx_extend(ordered)
-                            count += len(ordered)
-                    start += nd
-                    i += 1
-                    pred_offsets[i] = count
-        else:
-            run_nodes, run_rows, run_ends = run_maps
-            for s, e in segs:
-                for row in range(s, e):
-                    nd = dep_counts[row]
-                    if nd:
-                        acc = set()
-                        for d in dep_flat[start:start + nd]:
-                            j = bisect_right(run_nodes, d) - 1
-                            if j >= 0:
-                                r = d - run_nodes[j] + run_rows[j]
-                                if r < run_ends[j]:
-                                    acc.add(ddg_index[r])
-                        acc.discard(-1)
-                        if acc:
-                            ordered = sorted(acc)
-                            idx_extend(ordered)
-                            count += len(ordered)
-                    start += nd
-                    i += 1
-                    pred_offsets[i] = count
-
-        return DDG(
-            out_sids,
-            out_ops,
-            addrs=out_addrs,
-            store_addrs=out_store,
-            mem_addrs=out_mem,
-            pred_indices=array(_CSR_TYPECODE, pred_indices),
-            pred_offsets=array(_CSR_TYPECODE, pred_offsets),
-            validate=False,
-        )
-
-    def _finish_numpy(self, segs, n, n_rows, single_run, node0, run_maps):
-        """Row→node map, sparse-column scatter and dependence remap as
-        vectorized array passes.  Bit-identical to the interpreted
-        fallback in :meth:`to_ddg`."""
         # row -> DDG node index (-1 for markers), with one trailing -1
         # slot so the full-trace remap can resolve the interpreter's
         # "no producer" dep sentinel (-1) by plain negative indexing.
-        di = _np.full(n_rows + 1, -1, dtype=_np.int64)
+        di = np.full(n_rows + 1, -1, dtype=np.int64)
         b = 0
         for s, e in segs:
-            di[s:e] = _np.arange(b, b + (e - s), dtype=_np.int64)
+            di[s:e] = np.arange(b, b + (e - s), dtype=np.int64)
             b += e - s
 
         # Scatter the sparse columns into dense per-node vectors
@@ -549,7 +374,7 @@ class ColumnarSink:
         out_addrs: List[tuple] = [()] * n
         addr_map = self.addr_map
         if addr_map:
-            rows = _np.fromiter(addr_map.keys(), _np.int64, len(addr_map))
+            rows = np.fromiter(addr_map.keys(), np.int64, len(addr_map))
             for p, val in zip(di[rows].tolist(), addr_map.values()):
                 out_addrs[p] = val
         for keys, vals in self._addr_runs:
@@ -558,12 +383,12 @@ class ColumnarSink:
         out_store = _scatter_int(self.store_map, di, n)
         mem_runs = self._mem_runs
         if mem_runs:
-            out = _np.zeros(n, dtype=_np.int64)
+            out = np.zeros(n, dtype=np.int64)
             mem_map = self.mem_map
             if mem_map:
-                rows = _np.fromiter(mem_map.keys(), _np.int64, len(mem_map))
-                vals = _np.fromiter(mem_map.values(), _np.int64,
-                                    len(mem_map))
+                rows = np.fromiter(mem_map.keys(), np.int64, len(mem_map))
+                vals = np.fromiter(mem_map.values(), np.int64,
+                                   len(mem_map))
                 out[di[rows]] = vals
             for keys, vals in mem_runs:
                 out[di[_row_index(keys)]] = vals
@@ -571,45 +396,56 @@ class ColumnarSink:
         else:
             out_mem = _scatter_int(self.mem_map, di, n)
 
-        indices_arr, offsets_arr = self._remap_deps_numpy(
-            di, n, n_rows, single_run, node0, run_maps
+        indices_arr, offsets_arr = self._remap_deps(di, n, n_rows)
+        # Execution order is topological order, so every edge the remap
+        # emits satisfies p < n and the DDG constructor can skip
+        # structural validation.
+        return DDG(
+            out_sids,
+            out_ops,
+            addrs=out_addrs,
+            store_addrs=out_store,
+            mem_addrs=out_mem,
+            pred_indices=indices_arr,
+            pred_offsets=offsets_arr,
+            validate=False,
         )
-        return out_addrs, out_store, out_mem, indices_arr, offsets_arr
 
-    def _remap_deps_numpy(self, di, n, n_rows, single_run, node0, run_maps):
-        """The dependence remap as a handful of C-level array passes.
-
-        Bit-identical to the interpreted loops in :meth:`to_ddg`: map
-        every dep to its DDG node (or -1), then produce each row's
-        sorted unique preds via one global sort of (row-major,
-        pred-minor) composite keys followed by an adjacent-duplicate
-        mask.  Returns (pred_indices, pred_offsets) as ``array('q')``.
+    def _remap_deps(self, di, n, n_rows):
+        """The dependence remap as a handful of C-level array passes: map
+        every dep to its DDG node (or -1), then produce each row's sorted
+        unique preds via one global sort of (row-major, pred-minor)
+        composite keys followed by an adjacent-duplicate mask.  Returns
+        (pred_indices, pred_offsets) as ``array('q')``.
         """
         from repro.ddg.graph import _CSR_TYPECODE
 
-        df = _np.asarray(self.dep_flat, dtype=_np.int64)
-        if single_run:
+        df = np.asarray(self.dep_flat, dtype=np.int64)
+        runs = self.runs
+        if len(runs) <= 1:
+            node0 = runs[0][0] if runs else 0
             if node0:
                 idx = df - node0
-                idx = _np.where((idx >= 0) & (idx < n_rows), idx, n_rows)
+                idx = np.where((idx >= 0) & (idx < n_rows), idx, n_rows)
             else:
                 # Full recording: node id == row; the -1 dep sentinel
                 # wraps to the trailing -1 slot of di.
                 idx = df
             mapped = di[idx]
         else:
-            run_nodes, run_rows, run_ends = run_maps
-            rn = _np.asarray(run_nodes, dtype=_np.int64)
-            rr = _np.asarray(run_rows, dtype=_np.int64)
-            rend = _np.asarray(run_ends, dtype=_np.int64)
-            j = _np.searchsorted(rn, df, side="right") - 1
-            jc = _np.maximum(j, 0)
+            rn = np.asarray([r[0] for r in runs], dtype=np.int64)
+            rr = np.asarray([r[1] for r in runs], dtype=np.int64)
+            rend = np.empty_like(rr)
+            rend[:-1] = rr[1:]
+            rend[-1] = n_rows
+            j = np.searchsorted(rn, df, side="right") - 1
+            jc = np.maximum(j, 0)
             rows = df - rn[jc] + rr[jc]
-            mapped = di[_np.where((j >= 0) & (rows < rend[jc]), rows, n_rows)]
+            mapped = di[np.where((j >= 0) & (rows < rend[jc]), rows, n_rows)]
 
-        counts = _np.frombuffer(self.dep_counts, dtype=_np.intc)
+        counts = np.frombuffer(self.dep_counts, dtype=np.intc)
         stride = n + 2
-        key = _np.repeat(_np.arange(n_rows, dtype=_np.int64), counts)
+        key = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
         key *= stride
         key += mapped
         key += 1
@@ -619,29 +455,29 @@ class ColumnarSink:
         smapped -= 1
         m = key.shape[0]
         if m:
-            keep = _np.empty(m, dtype=bool)
+            keep = np.empty(m, dtype=bool)
             keep[0] = True
-            _np.not_equal(key[1:], key[:-1], out=keep[1:])
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
             keep &= smapped >= 0
             kept = smapped[keep]
-            row_counts = _np.bincount(srid[keep], minlength=n_rows)
+            row_counts = np.bincount(srid[keep], minlength=n_rows)
         else:
             kept = smapped
-            row_counts = _np.zeros(n_rows, dtype=_np.int64)
+            row_counts = np.zeros(n_rows, dtype=np.int64)
 
-        mask = _np.ones(n_rows, dtype=bool)
+        mask = np.ones(n_rows, dtype=bool)
         if self.marker_rows:
             mask[self.marker_rows] = False
-        pred_offsets = _np.empty(n + 1, dtype=_np.int64)
+        pred_offsets = np.empty(n + 1, dtype=np.int64)
         pred_offsets[0] = 0
-        _np.cumsum(row_counts[mask], out=pred_offsets[1:])
+        np.cumsum(row_counts[mask], out=pred_offsets[1:])
         indices_arr = array(_CSR_TYPECODE)
         indices_arr.frombytes(kept.tobytes())
         offsets_arr = array(_CSR_TYPECODE)
         offsets_arr.frombytes(pred_offsets.tobytes())
         return indices_arr, offsets_arr
 
-    # -- legacy compat view ------------------------------------------------
+    # -- record view -------------------------------------------------------
 
     @property
     def records(self) -> List[DynInstr]:
@@ -688,8 +524,11 @@ class ColumnarSink:
 
 
 class ColumnarLoopSink(ColumnarSink):
-    """Columnar variant of :class:`~repro.trace.sinks.LoopWindowSink`:
-    retains records only inside chosen instances of one loop.
+    """Retains records only inside chosen instances of one loop — the
+    paper's subtrace, "started upon loop entry and terminated upon loop
+    exit" (§4.1).  ``instances=None`` keeps every instance; nested
+    re-entry of the same loop id (through recursion) is handled with a
+    depth counter.
 
     ``spans_recorded`` counts the window activations — the number of
     loop spans the columns contain — so the fused analysis path can
@@ -724,13 +563,54 @@ class ColumnarLoopSink(ColumnarSink):
                 self.active = False
 
 
+def pack_records(records: Sequence[DynInstr]) -> ColumnarSink:
+    """Pack a record list into the columns of a :class:`ColumnarSink`,
+    so that record traces take the same :meth:`ColumnarSink.to_ddg` as
+    the interpreter's sinks.
+
+    The DDG of the packed columns has one node per non-marker record and
+    an edge from each of its deps that names an earlier non-marker
+    record.  To keep
+    the remap's invariants, markers are packed bare (no deps or
+    addresses), deps that do not name an earlier node id are dropped, and
+    store addresses are written to ``store_map`` as recorded.  Raises
+    :class:`TraceError` when node ids do not strictly increase or a
+    record's opcode is not an :class:`~repro.ir.instructions.Opcode`.
+    """
+    sink = ColumnarSink()
+    emit = sink.emit
+    store_map = sink.store_map
+    first = prev = None
+    for row, rec in enumerate(records):
+        node = rec.node
+        if prev is None:
+            first = node
+        elif node <= prev:
+            raise TraceError(
+                f"record {row}: node id {node} does not follow {prev}"
+            )
+        prev = node
+        op = rec.opcode
+        if op not in _OPCODES:
+            raise TraceError(f"record {row}: unknown opcode {op!r}")
+        op = int(op)
+        if op >= MARKER_ENTER:
+            emit(node, rec.sid, op, rec.loop_id)
+            continue
+        deps = tuple(d for d in rec.deps if first <= d < node)
+        emit(node, rec.sid, op, rec.loop_id, deps, rec.addrs, rec.addr)
+        if rec.store_addr:
+            store_map[row] = rec.store_addr
+    return sink
+
+
 class ColumnarTrace(Trace):
     """A :class:`Trace` view over a columnar sink.
 
     ``records`` materializes lazily; span indexing, subtraces and
     serialization work unchanged through it.  :func:`~repro.ddg.build
-    .build_ddg` recognizes the attached sink and takes the fused
-    columnar path instead of walking the records.
+    .build_ddg` recognizes the attached sink and remaps its columns
+    directly instead of packing the records again.
     """
 
     def __init__(self, module, sink: ColumnarSink):

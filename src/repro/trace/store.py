@@ -24,10 +24,9 @@ format while tracing and streams the analysis back segment by segment:
 - :class:`SegmentStore`: the reader.  Columns come back as mmap-backed
   (or buffered) typed arrays; :meth:`SegmentStore.to_ddg` rebuilds the
   CSR DDG by walking segment windows — never holding more than one
-  segment's columns plus the (much smaller) marker/run context — and can
-  shard the per-segment dependence remap across a process pool
-  (``jobs``).  :meth:`SegmentStore.iter_ddg_chunks` exposes the same
-  windows to streaming consumers such as
+  segment's columns plus the (much smaller) marker/run context.
+  :meth:`SegmentStore.iter_ddg_chunks` exposes the same windows to
+  streaming consumers such as
   :func:`repro.analysis.timestamps.packed_scan_stream`.
 
 Everything is gated on bit-identity: ``SegmentStore.to_ddg()`` equals
@@ -55,13 +54,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import TraceError
-from repro.obs import get_logger, get_status_bus, get_telemetry, pool_heartbeat
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, _np
+from repro.obs import get_status_bus, get_telemetry
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.events import MARKER_ENTER
 from repro.trace.trace import Trace
-
-_log = get_logger("trace_store")
 
 MANIFEST_NAME = "MANIFEST.json"
 STORE_SCHEMA = "vectra.trace-store/1"
@@ -750,11 +749,6 @@ class SegmentStore:
         marker filtering, same out-of-window dependence drops, same
         sorted-unique predecessor lists.
         """
-        if _np is not None:
-            return self._chunk_numpy(seg, ctx)
-        return self._chunk_python(seg, ctx)
-
-    def _chunk_numpy(self, seg: SegmentData, ctx: _StoreContext) -> DDGChunk:
         meta = seg.meta
         row0 = meta["row0"]
         n_rows = meta["rows"]
@@ -777,29 +771,29 @@ class SegmentStore:
         # Dependence remap: node id -> absolute row (via runs) -> global
         # DDG index (subtract preceding markers), -1 when out of window
         # or pointing at a marker.
-        df = _np.frombuffer(seg.dep_flat, dtype=_np.int64).astype(
-            _np.int64, copy=False
+        df = np.frombuffer(seg.dep_flat, dtype=np.int64).astype(
+            np.int64, copy=False
         )
         if df.size:
-            rn = _np.frombuffer(ctx.run_nodes, dtype=_np.int64)
-            rr = _np.frombuffer(ctx.run_rows, dtype=_np.int64)
-            rend = _np.frombuffer(ctx.run_ends, dtype=_np.int64)
-            mk = _np.frombuffer(ctx.marker_rows, dtype=_np.int64)
-            j = _np.searchsorted(rn, df, side="right") - 1
-            jc = _np.maximum(j, 0)
+            rn = np.frombuffer(ctx.run_nodes, dtype=np.int64)
+            rr = np.frombuffer(ctx.run_rows, dtype=np.int64)
+            rend = np.frombuffer(ctx.run_ends, dtype=np.int64)
+            mk = np.frombuffer(ctx.marker_rows, dtype=np.int64)
+            j = np.searchsorted(rn, df, side="right") - 1
+            jc = np.maximum(j, 0)
             rows = df - rn[jc] + rr[jc]
             valid = (j >= 0) & (rows < rend[jc])
-            k = _np.searchsorted(mk, rows, side="right")
-            at_marker = _np.zeros(df.shape, dtype=bool)
+            k = np.searchsorted(mk, rows, side="right")
+            at_marker = np.zeros(df.shape, dtype=bool)
             has_before = k > 0
             at_marker[has_before] = mk[k[has_before] - 1] == rows[has_before]
-            mapped = _np.where(valid & ~at_marker, rows - k, -1)
+            mapped = np.where(valid & ~at_marker, rows - k, -1)
         else:
             mapped = df
 
-        counts = _np.frombuffer(seg.dep_counts, dtype=_np.intc)
+        counts = np.frombuffer(seg.dep_counts, dtype=np.intc)
         stride = self.n_nodes + 2
-        key = _np.repeat(_np.arange(n_rows, dtype=_np.int64), counts)
+        key = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
         key *= stride
         key += mapped
         key += 1
@@ -809,81 +803,27 @@ class SegmentStore:
         smapped -= 1
         m = key.shape[0]
         if m:
-            keep = _np.empty(m, dtype=bool)
+            keep = np.empty(m, dtype=bool)
             keep[0] = True
-            _np.not_equal(key[1:], key[:-1], out=keep[1:])
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
             keep &= smapped >= 0
             kept = smapped[keep]
-            row_counts = _np.bincount(srid[keep], minlength=n_rows)
+            row_counts = np.bincount(srid[keep], minlength=n_rows)
         else:
             kept = smapped
-            row_counts = _np.zeros(n_rows, dtype=_np.int64)
+            row_counts = np.zeros(n_rows, dtype=np.int64)
 
-        mask = _np.ones(n_rows, dtype=bool)
+        mask = np.ones(n_rows, dtype=bool)
         if len(local_markers):
-            mask[_np.frombuffer(local_markers, dtype=_np.int64)] = False
-        offsets = _np.empty(n_out + 1, dtype=_np.int64)
+            mask[np.frombuffer(local_markers, dtype=np.int64)] = False
+        offsets = np.empty(n_out + 1, dtype=np.int64)
         offsets[0] = 0
-        _np.cumsum(row_counts[mask], out=offsets[1:])
+        np.cumsum(row_counts[mask], out=offsets[1:])
         indices_arr = array("q")
-        indices_arr.frombytes(kept.astype(_np.int64, copy=False).tobytes())
+        indices_arr.frombytes(kept.astype(np.int64, copy=False).tobytes())
         offsets_arr = array("q")
         offsets_arr.frombytes(offsets.tobytes())
 
-        out_addrs, out_store, out_mem = self._scatter_sparse(
-            seg, local_markers, n_out
-        )
-        return DDGChunk(node0_out, out_sids, out_ops, out_addrs, out_store,
-                        out_mem, indices_arr, offsets_arr)
-
-    def _chunk_python(self, seg: SegmentData, ctx: _StoreContext) -> DDGChunk:
-        meta = seg.meta
-        row0 = meta["row0"]
-        n_rows = meta["rows"]
-        node0_out = row0 - meta["markers_before"]
-        local_markers = list(seg.marker_rows)
-        marker_set = set(local_markers)
-        mk = ctx.marker_rows
-        run_nodes = ctx.run_nodes
-        run_rows = ctx.run_rows
-        run_ends = ctx.run_ends
-
-        out_sids: List[int] = []
-        out_ops: List[int] = []
-        indices_arr = array("q")
-        offsets_arr = array("q", [0])
-        idx_extend = indices_arr.extend
-        off_append = offsets_arr.append
-        dep_flat = seg.dep_flat
-        dep_counts = seg.dep_counts
-        sids_col = seg.sids
-        ops_col = seg.opcodes
-        start = 0
-        count = 0
-        for r in range(n_rows):
-            nd = dep_counts[r]
-            if r in marker_set:
-                start += nd
-                continue
-            out_sids.append(sids_col[r])
-            out_ops.append(ops_col[r])
-            if nd:
-                acc = set()
-                for d in dep_flat[start:start + nd]:
-                    j = bisect_right(run_nodes, d) - 1
-                    if j >= 0:
-                        row = d - run_nodes[j] + run_rows[j]
-                        if row < run_ends[j]:
-                            k = bisect_right(mk, row)
-                            if not (k > 0 and mk[k - 1] == row):
-                                acc.add(row - k)
-                if acc:
-                    ordered = sorted(acc)
-                    idx_extend(ordered)
-                    count += len(ordered)
-            start += nd
-            off_append(count)
-        n_out = len(out_sids)
         out_addrs, out_store, out_mem = self._scatter_sparse(
             seg, local_markers, n_out
         )
@@ -946,22 +886,18 @@ class SegmentStore:
             tel.observe("ddg.chunk_nodes", len(chunk.sids))
             yield chunk
 
-    def to_ddg(self, jobs: int = 1, tel=None):
+    def to_ddg(self, tel=None):
         """Assemble the CSR DDG by streaming segment windows.
 
         Bit-identical to ``self.to_sink().to_ddg()`` (and therefore to
         the unspilled in-RAM pipeline), but never holds more than one
         segment's columns — the peak-memory term is the DDG itself plus
-        the marker/run context.  ``jobs > 1`` shards the per-segment
-        dependence remap across a fork process pool; any failure to
-        stand up the pool falls back to the serial walk with a
-        ``vectra.trace_store`` warning.
+        the marker/run context.
         """
         from repro.ddg.graph import DDG
 
         if tel is None:
             tel = get_telemetry()
-        n_segments = len(self.segments)
         out_sids: List[int] = []
         out_ops: List[int] = []
         out_addrs: List[tuple] = []
@@ -970,42 +906,20 @@ class SegmentStore:
         indices = array("q")
         offsets = array("q", [0])
         with tel.span("trace_store.to_ddg"):
-            chunks: Iterator[DDGChunk]
-            used_jobs = 1
-            if jobs is not None and jobs > 1 and n_segments > 1:
-                pooled = self._pooled_chunks(min(jobs, n_segments))
-                if pooled is not None:
-                    chunks = pooled
-                    used_jobs = min(jobs, n_segments)
-                else:
-                    chunks = self.iter_ddg_chunks()
-            else:
-                chunks = self.iter_ddg_chunks()
-            for chunk in chunks:
-                if used_jobs > 1 and tel.enabled:
-                    # Serial walks observe chunk sizes inside
-                    # iter_ddg_chunks; pool workers return bare chunks
-                    # (no telemetry ride-home on this path), so the
-                    # parent records them here — never both.
-                    tel.observe("ddg.chunk_nodes", len(chunk.sids))
+            for chunk in self.iter_ddg_chunks():
                 out_sids += chunk.sids
                 out_ops += chunk.opcodes
                 out_addrs += chunk.addrs
                 out_store += chunk.store_addrs
                 out_mem += chunk.mem_addrs
                 indices.extend(chunk.pred_indices)
-                base = offsets[-1]
-                if _np is not None:
-                    rebased = _np.frombuffer(chunk.pred_offsets,
-                                             dtype=_np.int64)[1:] + base
-                    offsets.frombytes(rebased.tobytes())
-                else:
-                    offsets.extend(x + base for x in chunk.pred_offsets[1:])
+                rebased = np.frombuffer(chunk.pred_offsets,
+                                        dtype=np.int64)[1:] + offsets[-1]
+                offsets.frombytes(rebased.tobytes())
         if tel.enabled:
-            tel.count("trace_store.segments_read", n_segments)
+            tel.count("trace_store.segments_read", len(self.segments))
             tel.count("trace_store.bytes_read",
                       self.manifest.get("segment_bytes", 0))
-            tel.gauge("trace_store.to_ddg_jobs", used_jobs)
         return DDG(
             out_sids,
             out_ops,
@@ -1016,60 +930,6 @@ class SegmentStore:
             pred_offsets=offsets,
             validate=False,
         )
-
-    def _pooled_chunks(self, jobs: int) -> Optional[List[DDGChunk]]:
-        """Per-segment chunks computed across a process pool (ordered),
-        or ``None`` when no pool can be stood up."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        global _POOL_STORE
-        self.context()  # build before fork so workers inherit it
-        _POOL_STORE = self
-        bus = get_status_bus()
-        initializer, initargs = pool_heartbeat(bus)
-        try:
-            try:
-                mp_ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                mp_ctx = multiprocessing.get_context()
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     mp_context=mp_ctx,
-                                     initializer=initializer,
-                                     initargs=initargs) as pool:
-                chunks = list(pool.map(
-                    _segment_worker,
-                    [(self.path, i)
-                     for i in range(len(self.segments))]))
-            bus.retire_workers()
-            return chunks
-        except (OSError, PermissionError, ImportError,
-                RuntimeError) as exc:
-            _log.warning(
-                "process pool startup failed (%s: %s); assembling %d "
-                "segment(s) serially — use jobs=1 to silence this warning",
-                type(exc).__name__, exc, len(self.segments),
-            )
-            tel = get_telemetry()
-            tel.count("trace_store.pool_fallbacks")
-            return None
-        finally:
-            _POOL_STORE = None
-
-
-#: Fork-inherited store for pool workers (rebuilt from the manifest when
-#: the start method is spawn and nothing was inherited).
-_POOL_STORE: Optional[SegmentStore] = None
-
-
-def _segment_worker(payload) -> DDGChunk:
-    path, index = payload
-    global _POOL_STORE
-    store = _POOL_STORE
-    if store is None or store.path != path:
-        store = SegmentStore(path)
-        _POOL_STORE = store
-    return store._chunk(store.load(index), store.context())
 
 
 class StoredTrace(Trace):

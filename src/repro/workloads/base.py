@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.pipeline import run_loop_analyses, select_instance_subtrace
+from repro.analysis.pipeline import run_loop_analyses
 from repro.analysis.report import BenchmarkReport
 from repro.errors import WorkloadError
 from repro.frontend import parse_source
@@ -17,7 +17,7 @@ from repro.profiler.hotloops import profile_loops
 from repro.vectorizer.autovec import VectorizerConfig, analyze_program_loops
 from repro.vectorizer.packed import percent_packed
 
-__all__ = ["Workload", "analyze_workload", "select_instance_subtrace"]
+__all__ = ["Workload", "analyze_workload"]
 
 
 def analyze_workload(
@@ -53,7 +53,8 @@ def analyze_workload(
     byte-identical results (see
     :func:`repro.analysis.pipeline.run_loop_analyses`).
     ``spill_dir``/``segment_rows`` run the windowed traces out-of-core
-    through the segment store — reports stay bit-identical."""
+    through the segment store, one loop at a time — reports stay
+    bit-identical."""
     if tel is None:
         tel = get_telemetry()
     bus = get_status_bus()

@@ -437,6 +437,27 @@ class TestSamplingCli:
         report = _json.loads((tmp_path / "m.json").read_text())
         assert "sampling.samples" in report["counters"]
 
+    def test_pooled_sample_counts_match_folded_total(self, capsys,
+                                                     tmp_path):
+        """Loop-pool workers ship their sample counts home with their
+        sample tables, so the run report counts every folded sample."""
+        flame = tmp_path / "flame.folded"
+        metrics = tmp_path / "m.json"
+        code = main(["analyze", "gemsfdtd_update", "-j", "2",
+                     "--sample-hz", "500", "--flame", str(flame),
+                     "--metrics-json", str(metrics)])
+        capsys.readouterr()
+        assert code == 0
+        import json as _json
+
+        folded = [line.rsplit(" ", 1)
+                  for line in flame.read_text().splitlines()]
+        total = sum(int(n) for _, n in folded)
+        ir = sum(int(n) for stack, n in folded if "[ir] " in stack)
+        counters = _json.loads(metrics.read_text())["counters"]
+        assert counters["sampling.samples"] == total > 0
+        assert counters["sampling.ir_samples"] >= ir
+
     def test_bad_sample_hz_fails_cleanly(self, capsys):
         code = main(self.ARGS + ["--sample-hz", "0"])
         err = capsys.readouterr().err

@@ -1,11 +1,11 @@
-"""Columnar streaming pipeline: equivalence with the legacy object path.
+"""Columnar streaming pipeline: equivalence with the record oracle.
 
-The fused columnar sinks must be *bit-identical* to the DynInstr path —
-same DDG columns, same CSR adjacency, same reports — on arbitrary
-programs, or every downstream metric silently drifts.  A seeded-random
-kernel generator (nested loops, cross-iteration offsets, reduction
-accumulators) drives the comparison; each seed is one deterministic
-tier-1 case.
+The fused columnar sinks must be *bit-identical* to the record-object
+reference path of ``tests/trace_oracle.py`` — same DDG columns, same CSR
+adjacency, same reports — on arbitrary programs, or every downstream
+metric silently drifts.  A seeded-random kernel generator (nested loops,
+cross-iteration offsets, reduction accumulators) drives the comparison;
+each seed is one deterministic tier-1 case.
 """
 
 import random
@@ -13,13 +13,19 @@ import random
 import pytest
 
 from repro.analysis.metrics import loop_metrics
-from repro.analysis.pipeline import analyze_loop, select_instance_subtrace
+from repro.analysis.pipeline import analyze_loop
 from repro.ddg.build import build_ddg
 from repro.frontend import compile_source
 from repro.interp import run_and_trace
 from repro.interp.interpreter import Interpreter
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, ColumnarTrace
-from repro.trace.sinks import LoopWindowSink
+
+from tests.trace_oracle import (
+    LoopWindowSink,
+    assert_ddgs_identical,
+    record_trace,
+    walk_records,
+)
 
 
 def random_kernel(seed: int) -> str:
@@ -75,30 +81,28 @@ int main() {{
 SEEDS = list(range(10))
 
 
-def assert_ddgs_identical(a, b):
-    assert a.sids == b.sids
-    assert a.opcodes == b.opcodes
-    assert list(a.pred_indices) == list(b.pred_indices)
-    assert list(a.pred_offsets) == list(b.pred_offsets)
-    assert [tuple(t) for t in a.addrs] == [tuple(t) for t in b.addrs]
-    assert list(a.store_addrs) == list(b.store_addrs)
-    assert list(a.mem_addrs) == list(b.mem_addrs)
+def oracle_subtrace(module, loop_id):
+    """The oracle's subtrace of instance 0 of ``loop_id``: the window
+    must hold exactly one span of it."""
+    trace = record_trace(module, loop=loop_id, instances={0})
+    assert len(trace.loop_instances(loop_id)) == 1
+    return trace.subtrace(loop_id, 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_trace_ddg_bit_identical(seed):
     module = compile_source(random_kernel(seed))
-    legacy = run_and_trace(module, columnar=False)
+    legacy = record_trace(module)
     columnar = run_and_trace(module)
     assert isinstance(columnar, ColumnarTrace)
     assert len(columnar) == len(legacy)
-    assert_ddgs_identical(build_ddg(columnar), build_ddg(legacy))
+    assert_ddgs_identical(build_ddg(columnar), walk_records(legacy))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_trace_records_compat_view(seed):
     module = compile_source(random_kernel(seed))
-    legacy = run_and_trace(module, columnar=False)
+    legacy = record_trace(module)
     columnar = run_and_trace(module)
     for a, b in zip(columnar.records, legacy.records):
         assert a.node == b.node
@@ -116,10 +120,7 @@ def test_windowed_fused_ddg_matches_legacy_subtrace(seed):
     module = compile_source(random_kernel(seed))
     loop_name = "red" if seed % 2 == 1 else "outer"
     info = module.loop_by_name(loop_name)
-    legacy = run_and_trace(module, loop=info.loop_id, instances={0},
-                           columnar=False)
-    sub = select_instance_subtrace(legacy, info.loop_id, loop_name, 0)
-    legacy_ddg = build_ddg(sub)
+    legacy_ddg = walk_records(oracle_subtrace(module, info.loop_id))
 
     sink = ColumnarLoopSink(info.loop_id, instances={0})
     Interpreter(module, sink=sink).run("main", ())
@@ -131,15 +132,13 @@ def test_windowed_fused_ddg_matches_legacy_subtrace(seed):
 @pytest.mark.parametrize("relax", [False, True])
 def test_loop_metrics_unchanged_on_reductions(seed, relax):
     """End to end: the report off the fused path equals the report off
-    the legacy subtrace path, with and without reduction relaxation."""
+    the oracle's subtrace, with and without reduction relaxation."""
     module = compile_source(random_kernel(seed))
     info = module.loop_by_name("red")
     fused = analyze_loop(module, "red", relax_reductions=relax)
 
-    legacy = run_and_trace(module, loop=info.loop_id, instances={0},
-                           columnar=False)
-    sub = select_instance_subtrace(legacy, info.loop_id, "red", 0)
-    expected = loop_metrics(build_ddg(sub), module, "red",
+    sub = oracle_subtrace(module, info.loop_id)
+    expected = loop_metrics(walk_records(sub), module, "red",
                             include_integer=False, relax_reductions=relax)
     assert fused == expected
 
@@ -151,18 +150,17 @@ def test_windowed_multi_instance_spans():
     module = compile_source(random_kernel(0))
     info = module.loop_by_name("innr")
     columnar = run_and_trace(module, loop=info.loop_id, instances=None)
-    legacy = run_and_trace(module, loop=info.loop_id, instances=None,
-                           columnar=False)
+    legacy = record_trace(module, loop=info.loop_id, instances=None)
     spans_c = columnar.loop_instances(info.loop_id)
     spans_l = legacy.loop_instances(info.loop_id)
     assert len(spans_c) == len(spans_l) > 1
     assert len(columnar.columnar_sink.runs) >= len(spans_c)
-    assert_ddgs_identical(build_ddg(columnar), build_ddg(legacy))
+    assert_ddgs_identical(build_ddg(columnar), walk_records(legacy))
 
 
 def test_store_backpatch_is_bounded_to_open_run():
     """note_store for a node before the current run is a no-op (matches
-    the legacy window sink, whose index is cleared at span close)."""
+    the oracle's window sink, whose index is cleared at span close)."""
     sink = ColumnarSink()
     sink.emit(10, 1, 1, -1)
     sink.emit(11, 2, 1, -1)
@@ -175,7 +173,7 @@ def test_store_backpatch_is_bounded_to_open_run():
 
 
 def test_loop_window_sink_by_node_is_bounded():
-    """Regression (memory hazard): the legacy window sink's backpatch
+    """Regression (memory hazard): the oracle window sink's backpatch
     index must not accumulate across the whole run — it holds at most
     the open span and is emptied once the span closes."""
     module = compile_source(random_kernel(2))
@@ -188,33 +186,11 @@ def test_loop_window_sink_by_node_is_bounded():
     assert 0 < window < interp.executed_instructions
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_numpy_and_fallback_remaps_agree(seed, monkeypatch):
-    """to_ddg has two implementations of the scatter + dependence remap
-    (vectorized and interpreted); both must produce the same DDG, on
-    full traces and on windowed multi-span sinks."""
-    import repro.trace.columnar as columnar_mod
-
-    if columnar_mod._np is None:
-        pytest.skip("numpy unavailable; only the fallback path exists")
-    module = compile_source(random_kernel(seed))
-    loop_name = "red" if seed % 2 == 1 else "innr"
-    info = module.loop_by_name(loop_name)
-    full = run_and_trace(module)
-    windowed = run_and_trace(module, loop=info.loop_id, instances=None)
-    fast = [build_ddg(full), build_ddg(windowed)]
-    monkeypatch.setattr(columnar_mod, "_np", None)
-    slow = [full.columnar_sink.to_ddg(), windowed.columnar_sink.to_ddg()]
-    for a, b in zip(fast, slow):
-        assert_ddgs_identical(a, b)
-
-
 def test_columnar_trace_serializes_like_legacy():
     module = compile_source(random_kernel(4))
     info = module.loop_by_name("outer")
     columnar = run_and_trace(module, loop=info.loop_id, instances={0})
-    legacy = run_and_trace(module, loop=info.loop_id, instances={0},
-                           columnar=False)
+    legacy = record_trace(module, loop=info.loop_id, instances={0})
     import io
 
     from repro.trace.serialize import write_trace

@@ -32,7 +32,8 @@ from repro.trace.store import (
     SegmentStore,
 )
 
-from tests.test_columnar import assert_ddgs_identical, random_kernel
+from tests.test_columnar import random_kernel
+from tests.trace_oracle import assert_ddgs_identical
 
 SEEDS = list(range(8))
 
@@ -79,29 +80,6 @@ def test_to_sink_reconstructs_exact_columns(seed, tmp_path):
     assert back.store_map == ram.store_map
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_segment_sharded_jobs_identical(seed, tmp_path):
-    """--jobs sharding over segments returns the same DDG in the same
-    order (pool failures fall back to serial, so this holds even in
-    pool-hostile sandboxes)."""
-    _, _, ram, store = _window_pair(seed, tmp_path)
-    assert_ddgs_identical(ram.to_ddg(), store.to_ddg(jobs=2))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 4])
-def test_numpy_and_fallback_chunks_agree(seed, tmp_path, monkeypatch):
-    import repro.trace.store as store_mod
-
-    if store_mod._np is None:
-        pytest.skip("numpy unavailable; only the fallback path exists")
-    _, _, ram, store = _window_pair(seed, tmp_path)
-    fast = store.to_ddg()
-    monkeypatch.setattr(store_mod, "_np", None)
-    slow = store.to_ddg()
-    assert_ddgs_identical(fast, slow)
-    assert_ddgs_identical(ram.to_ddg(), slow)
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 def test_loop_report_bit_identical_under_spill(seed, tmp_path):
     """End to end through analyze_loop: the report is the same object
@@ -111,7 +89,7 @@ def test_loop_report_bit_identical_under_spill(seed, tmp_path):
     in_ram = analyze_loop(module, loop_name)
     spilled = analyze_loop(module, loop_name,
                            spill_dir=str(tmp_path / "spill"),
-                           segment_rows=8, jobs=2)
+                           segment_rows=8)
     assert in_ram == spilled
 
 
