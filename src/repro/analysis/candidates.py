@@ -30,9 +30,3 @@ def candidate_sids(ddg: DDG, include_integer: bool = False) -> List[int]:
     sid -> opcode index instead of rescanning the node columns."""
     ops = candidate_opcodes(include_integer)
     return [sid for sid, opcode in ddg.sid_opcodes.items() if opcode in ops]
-
-
-def candidate_nodes(ddg: DDG, include_integer: bool = False) -> List[int]:
-    """All node indices whose opcode is a candidate operation."""
-    ops = candidate_opcodes(include_integer)
-    return [i for i, opcode in enumerate(ddg.opcodes) if opcode in ops]

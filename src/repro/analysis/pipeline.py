@@ -21,7 +21,11 @@ Step 3 uses the fused columnar path: the windowed re-run streams records
 straight into DDG-shaped columns (:class:`ColumnarLoopSink`, or the
 spilling :class:`~repro.trace.store.SegmentedLoopSink` under
 ``spill_dir``), and one numpy remap turns them into the DDG, so no
-per-record objects exist between interpretation and analysis.
+per-record objects exist between interpretation and analysis.  The
+remap keeps only the window's candidate cone — the nodes a candidate
+instruction reaches, the only ones Algorithm 1 can give a nonzero
+timestamp — so step 4 builds and scans no node that cannot move a
+partition (:class:`~repro.trace.columnar.CandidateCone`).
 
 Because each hot loop's windowed re-run is independent, step 3 fans out
 across a process pool when ``jobs > 1`` (each worker recompiles the
@@ -44,6 +48,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
+from repro.analysis.candidates import candidate_opcodes
 from repro.analysis.metrics import loop_metrics
 from repro.analysis.report import BenchmarkReport, LoopReport
 from repro.ddg.build import build_ddg
@@ -96,7 +101,8 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
                       fuel: int, tel=None, spill_dir: Optional[str] = None,
                       segment_rows: Optional[int] = None,
                       compile_loops: bool = True,
-                      compile_threshold: Optional[int] = None):
+                      compile_threshold: Optional[int] = None,
+                      cone_ops=None):
     """Fused trace→DDG for one loop instance: the windowed re-run streams
     into columnar storage and the DDG drops out without materializing a
     record list.  The sink's span counter validates the instance: no
@@ -117,6 +123,12 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     spill to a per-loop subdirectory under ``segment_rows``-row budgets
     and the DDG is reassembled by streaming segment windows through the
     same remap.  The resulting DDG is bit-identical to the in-RAM path.
+
+    ``cone_ops`` (a set of candidate opcodes) cuts the DDG down to the
+    window's candidate cone inside the remap
+    (:class:`~repro.trace.columnar.CandidateCone`); ``ddg.nodes`` and
+    ``ddg.edges`` still count the whole window, and ``ddg.cone_nodes``
+    and ``ddg.cone_edges`` count the cone.
     """
     if tel is None:
         tel = get_telemetry()
@@ -165,13 +177,16 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     if spill_dir:
         store = sink.finish()
         with tel.span("ddg.build"):
-            ddg = store.to_ddg(tel=tel)
+            ddg = store.to_ddg(tel=tel, cone_ops=cone_ops)
     else:
         with tel.span("ddg.build"):
-            ddg = sink.to_ddg()
+            ddg = sink.to_ddg(cone_ops)
     if tel.enabled:
-        tel.count("ddg.nodes", len(ddg.sids))
-        tel.count("ddg.edges", len(ddg.pred_indices))
+        tel.count("ddg.nodes", ddg.window_nodes)
+        tel.count("ddg.edges", ddg.window_edges)
+        if cone_ops is not None:
+            tel.count("ddg.cone_nodes", len(ddg.sids))
+            tel.count("ddg.cone_edges", ddg.num_edges)
         tel.count("ddg.marker_segments", stats["marker_segments"])
     return ddg, rows, counters
 
@@ -235,7 +250,8 @@ def _analyze_loop(
             module, info.loop_id, loop_name, entry, args, instance, fuel,
             tel, spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
-            compile_threshold=compile_threshold)
+            compile_threshold=compile_threshold,
+            cone_ops=candidate_opcodes(include_integer))
         report = loop_metrics(ddg, module, loop_name, include_integer,
                               relax_reductions, tel=tel)
     tel.count("pipeline.loops_analyzed")
@@ -243,7 +259,8 @@ def _analyze_loop(
         tel.section(f"loop.{loop_name}", {
             "loop": loop_name,
             "records_traced": rows,
-            "ddg_nodes": len(ddg.sids),
+            "ddg_nodes": ddg.window_nodes,
+            "cone_nodes": len(ddg.sids),
             "candidate_ops": report.total_candidate_ops,
             "avg_concurrency": report.avg_concurrency,
             "partitions": sum(ir.num_partitions

@@ -112,10 +112,6 @@ class PackedScan:
         return self.lane_value(i, self.lane[sid])
 
 
-#: Backwards-compatible private alias (pre-explain-layer name).
-_PackedScan = PackedScan
-
-
 def _timestamp_vectors(
     ddg: DDG,
     targets: Sequence[int],

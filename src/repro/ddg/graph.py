@@ -42,6 +42,10 @@ class DDG:
     addrs:     operand source-address tuple per node (candidates only).
     store_addrs: address the node's result was first stored to (0 if none).
     mem_addrs: accessed address for load/store nodes (0 otherwise).
+    window_nodes, window_edges: size of the whole trace window's graph.
+               A candidate cone (:class:`repro.trace.columnar
+               .CandidateCone`) is cut from a larger window graph;
+               otherwise they equal ``len(self)`` and :attr:`num_edges`.
     """
 
     def __init__(
@@ -56,6 +60,8 @@ class DDG:
         pred_indices: Optional[Sequence[int]] = None,
         pred_offsets: Optional[Sequence[int]] = None,
         validate: bool = True,
+        window_nodes: Optional[int] = None,
+        window_edges: Optional[int] = None,
     ):
         n = len(sids)
         if len(opcodes) != n:
@@ -96,6 +102,9 @@ class DDG:
             list(store_addrs) if store_addrs is not None else [0] * n
         )
         self.mem_addrs = list(mem_addrs) if mem_addrs is not None else [0] * n
+        self.window_nodes = n if window_nodes is None else window_nodes
+        self.window_edges = (len(self.pred_indices) if window_edges is None
+                             else window_edges)
         # ``validate=False`` is for constructors that guarantee a
         # well-formed topological CSR by construction (build_ddg); every
         # other path keeps the O(N+E) structural check.

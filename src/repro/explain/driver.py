@@ -120,6 +120,9 @@ def explain_loop(
             f"no loop named {loop_name!r}; known loops: {known}"
         )
     tel.instant("explain.start", {"loop": loop_name})
+    # The full window graph, not analyze's candidate cone: the report
+    # prints its node and edge totals, the refusal verdicts count every
+    # store->load edge, and the witnesses name its node indices.
     ddg, rows, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
                                      entry, args, instance, fuel, tel)
     sids = candidate_sids(ddg, include_integer)

@@ -9,7 +9,9 @@ analysis run produces an analysis-ready DDG with no intermediate trace
 materialization.  A record :class:`~repro.trace.trace.Trace` (a
 ``subtrace`` or a file read back by :mod:`repro.trace.serialize`) is
 packed into the same columns by :func:`pack_records`, so every DDG in
-the system comes out of the same remap.
+the system comes out of the same remap.  Given a set of candidate
+opcodes, the remap returns the window's candidate cone
+(:class:`CandidateCone`) instead of the whole window graph.
 
 Two pieces of bookkeeping keep the columns as small as the data:
 
@@ -54,16 +56,156 @@ from repro.trace.trace import Trace
 _OPCODES = frozenset(int(op) for op in Opcode)
 
 
-def _scatter_int(map_, di, n):
-    """Scatter a sparse row->int column into a dense length-``n`` list,
-    routing each row through the row→node map ``di``."""
-    if not map_:
-        return [0] * n
-    rows = np.fromiter(map_.keys(), np.int64, len(map_))
-    vals = np.fromiter(map_.values(), np.int64, len(map_))
-    out = np.zeros(n, dtype=np.int64)
-    out[di[rows]] = vals
-    return out.tolist()
+def scatter_ints(out, di, rows, vals):
+    """Scatter int ``vals`` keyed by row into ``out`` through the
+    row→node map ``di``; rows that map to no node (-1) are skipped."""
+    p = di[rows]
+    kept = p >= 0
+    out[p[kept]] = np.asarray(vals, dtype=np.int64)[kept]
+
+
+def _scatter_map(out, di, map_):
+    """:func:`scatter_ints` from a row-keyed dict."""
+    if map_:
+        rows = np.fromiter(map_.keys(), np.int64, len(map_))
+        vals = np.fromiter(map_.values(), np.int64, len(map_))
+        scatter_ints(out, di, rows, vals)
+
+
+def unique_deps(mapped, counts, n_rows, n_nodes):
+    """Each row's sorted unique predecessors, as flat edge columns.
+
+    ``mapped`` holds every recorded dependence as a DDG node index (-1
+    when it names no node of the window) and ``counts`` the number of
+    dependences per row, ``n_rows`` rows in all; ``n_nodes`` bounds the
+    node indices.  One global sort of (row-major, pred-minor) composite
+    keys and an adjacent-duplicate mask do the work.  Returns ``(rows,
+    preds)``: the consumer row and producer node of every kept edge,
+    sorted by row, then by producer.
+    """
+    stride = n_nodes + 2
+    key = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+    key *= stride
+    key += mapped
+    key += 1
+    key.sort()
+    rows = key // stride
+    preds = key - rows * stride
+    preds -= 1
+    m = key.shape[0]
+    if not m:
+        return rows, preds
+    keep = np.empty(m, dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    keep &= preds >= 0
+    return rows[keep], preds[keep]
+
+
+def csr_arrays(rows, preds, node_rows, n_rows):
+    """``(pred_indices, pred_offsets)`` as ``array('q')`` for the nodes
+    at ``node_rows`` (in node order), from :func:`unique_deps`-shaped
+    edge columns whose consumers all lie in ``node_rows``."""
+    from repro.ddg.graph import _CSR_TYPECODE
+
+    offsets = np.empty(len(node_rows) + 1, dtype=np.int64)
+    offsets[0] = 0
+    np.cumsum(np.bincount(rows, minlength=n_rows)[node_rows],
+              out=offsets[1:])
+    indices_arr = array(_CSR_TYPECODE)
+    indices_arr.frombytes(preds.astype(np.int64, copy=False).tobytes())
+    offsets_arr = array(_CSR_TYPECODE)
+    offsets_arr.frombytes(offsets.tobytes())
+    return indices_arr, offsets_arr
+
+
+class CandidateCone:
+    """The candidate cone of one trace window: the nodes whose static
+    instruction is a candidate's, or reachable from one.
+
+    Algorithm 1 (§3.1) raises a timestamp only at instances of the
+    instruction under analysis, so a node that no candidate instance
+    reaches has timestamp 0 on every lane; 0 is the identity of max over
+    timestamps >= 0, so dropping it and its out-edges changes no kept
+    node's timestamp.  The cone is taken on the window's *sid graph*
+    (an edge ``a -> b`` for every DDG edge from an instance of static
+    instruction ``a`` to one of ``b``): the live sids are the candidate
+    sids and every sid reachable from them, and the cone is every node
+    with a live sid.  That is a superset of the per-node cone (no
+    candidate instance reaches a node whose sid is not live), and the
+    sid graph has only as many vertices as the window has static
+    instructions, so the walk is cheap.
+
+    Both remaps use it in three steps: :meth:`add` takes the window's
+    nodes and edges in batches (all at once in RAM, one segment at a
+    time when spilled), :meth:`finish` fixes the cone over every node
+    of the window, and :meth:`select` cuts one batch of remapped
+    columns down to it, renumbering kept nodes in execution order.
+    """
+
+    def __init__(self, cone_ops):
+        self._ops = np.fromiter(cone_ops, np.int64)
+        self._seeds = set()
+        self._edges = set()
+        self.keep = None
+        self.new_index = None
+
+    def add(self, node_sids, node_ops, pred_sids, cons_sids) -> None:
+        """One batch: the sids and opcodes of some window nodes, and the
+        producer and consumer sids of some window edges."""
+        is_candidate = np.isin(node_ops, self._ops)
+        self._seeds.update(np.unique(node_sids[is_candidate]).tolist())
+        if not len(pred_sids):
+            return
+        lo = min(int(pred_sids.min()), int(cons_sids.min()))
+        span = max(int(pred_sids.max()), int(cons_sids.max())) - lo + 1
+        keys = (pred_sids - lo) * span
+        keys += cons_sids - lo
+        if span * span <= 8 * len(keys):
+            # A flag per possible pair takes no more memory than the keys
+            # and is an order of magnitude faster than hashing them.
+            seen = np.zeros(span * span, dtype=bool)
+            seen[keys] = True
+            pairs = np.flatnonzero(seen)
+        else:
+            pairs = np.unique(keys)
+        src, dst = np.divmod(pairs, span)
+        self._edges.update(zip((src + lo).tolist(), (dst + lo).tolist()))
+
+    def _live_sids(self) -> set:
+        """The candidate sids and every sid reachable from them."""
+        succs = {}
+        for a, b in self._edges:
+            succs.setdefault(a, []).append(b)
+        live = set(self._seeds)
+        stack = list(live)
+        while stack:
+            for b in succs.get(stack.pop(), ()):
+                if b not in live:
+                    live.add(b)
+                    stack.append(b)
+        return live
+
+    def finish(self, node_sids) -> None:
+        """Fix the cone over all window nodes (their sids, in node order):
+        ``keep`` marks cone nodes and ``new_index`` numbers them."""
+        self.keep = np.isin(node_sids,
+                            np.fromiter(self._live_sids(), np.int64))
+        self.new_index = np.cumsum(self.keep) - 1
+
+    def select(self, node0, node_rows, rows, preds):
+        """Cut one batch of remapped columns down to the cone.
+
+        ``node_rows`` are the batch's node rows, holding window nodes
+        ``node0, node0 + 1, ...``; ``rows``/``preds`` are its
+        :func:`unique_deps` edges with window-wide producer indices.
+        An edge survives iff its producer is in the cone (its consumer
+        then is too).  Returns the kept node rows and edges, producers
+        renumbered into the cone.
+        """
+        live = self.keep[preds]
+        kept_rows = node_rows[self.keep[node0:node0 + len(node_rows)]]
+        return kept_rows, rows[live], self.new_index[preds[live]]
 
 
 def _row_index(keys):
@@ -321,82 +463,91 @@ class ColumnarSink:
 
     # -- fused DDG construction --------------------------------------------
 
-    def to_ddg(self):
+    def to_ddg(self, cone_ops=None):
         """The CSR DDG over these columns: every non-marker row is a node,
         and each row's recorded producers that are nodes of these columns
         become its sorted, unique predecessors.
 
-        Markers are sparse, so instead of testing every row the pass
-        slices the marker-free segments out of each column wholesale
-        (C-level copies).  The row→node map, the sparse-column scatter
-        and the dependence remap run as vectorized array passes.
+        The row→node map, the sparse-column scatter and the dependence
+        remap run as vectorized array passes.
+
+        With ``cone_ops`` (a set of candidate opcodes) the result is the
+        window's candidate cone (:class:`CandidateCone`): only the nodes
+        whose static instruction is reachable from a candidate's, in
+        execution order, and only the edges out of them.  The cone is cut
+        right after the dependence sort, before any per-node list is
+        built.  ``window_nodes``/``window_edges`` of the result always
+        count the whole window's graph.
         """
         from repro.ddg.graph import DDG
 
-        sids_col = self.sids
-        opcodes_col = self.opcodes
-        n_rows = len(sids_col)
-
-        # Half-open row ranges holding no marker records.
-        segs: List[Tuple[int, int]] = []
-        prev = 0
-        for m in self.marker_rows:
-            if m > prev:
-                segs.append((prev, m))
-            prev = m + 1
-        if prev < n_rows:
-            segs.append((prev, n_rows))
-
-        out_sids: List[int] = []
-        out_ops: List[int] = []
-        n = 0
-        for s, e in segs:
-            out_sids += sids_col[s:e]
-            # Every emit site passes the opcode as a plain int, so the
-            # column slice-copies without a per-element conversion.
-            out_ops += opcodes_col[s:e]
-            n += e - s
-
+        n_rows = len(self.sids)
+        is_node = np.ones(n_rows, dtype=bool)
+        if self.marker_rows:
+            is_node[self.marker_rows] = False
+        node_rows = np.flatnonzero(is_node)
+        n = len(node_rows)
         # row -> DDG node index (-1 for markers), with one trailing -1
         # slot so the full-trace remap can resolve the interpreter's
         # "no producer" dep sentinel (-1) by plain negative indexing.
         di = np.full(n_rows + 1, -1, dtype=np.int64)
-        b = 0
-        for s, e in segs:
-            di[s:e] = np.arange(b, b + (e - s), dtype=np.int64)
-            b += e - s
+        di[node_rows] = np.arange(n, dtype=np.int64)
+        rows, preds = self._remap_deps(di, n, n_rows)
+        window_nodes, window_edges = n, len(preds)
+
+        if cone_ops is None:
+            # The marker-free row spans slice-copy out of the columns
+            # wholesale (C-level copies, cheaper than a gather).
+            out_sids: List[int] = []
+            out_ops: List[int] = []
+            prev = 0
+            for m in self.marker_rows + [n_rows]:
+                out_sids += self.sids[prev:m]
+                out_ops += self.opcodes[prev:m]
+                prev = m + 1
+        else:
+            sid_rows = np.fromiter(self.sids, np.int64, n_rows)
+            # Opcodes fit a byte (segment files store them as one), and
+            # bytearray converts a list of small ints ~8x faster than
+            # numpy does.
+            op_rows = np.frombuffer(bytearray(self.opcodes), dtype=np.uint8)
+            node_sids = sid_rows[node_rows]
+            cone = CandidateCone(cone_ops)
+            cone.add(node_sids, op_rows[node_rows], node_sids[preds],
+                     sid_rows[rows])
+            cone.finish(node_sids)
+            node_rows, rows, preds = cone.select(0, node_rows, rows, preds)
+            n = len(node_rows)
+            di.fill(-1)
+            di[node_rows] = np.arange(n, dtype=np.int64)
+            out_sids = sid_rows[node_rows].tolist()
+            out_ops = op_rows[node_rows].tolist()
 
         # Scatter the sparse columns into dense per-node vectors
-        # (markers carry none of these, so every keyed row maps to a
-        # real DDG node).  The int-valued columns scatter wholesale;
-        # operand-address tuples stay a Python loop over the few keyed
-        # rows.
+        # (markers carry none of these; rows of nodes outside the cone
+        # map to -1 and are skipped).  The int-valued columns scatter
+        # wholesale; operand-address tuples stay a Python loop over the
+        # few keyed rows.
         out_addrs: List[tuple] = [()] * n
         addr_map = self.addr_map
         if addr_map:
-            rows = np.fromiter(addr_map.keys(), np.int64, len(addr_map))
-            for p, val in zip(di[rows].tolist(), addr_map.values()):
-                out_addrs[p] = val
+            keyed = np.fromiter(addr_map.keys(), np.int64, len(addr_map))
+            for p, val in zip(di[keyed].tolist(), addr_map.values()):
+                if p >= 0:
+                    out_addrs[p] = val
         for keys, vals in self._addr_runs:
             for p, val in zip(di[_row_index(keys)].tolist(), vals):
-                out_addrs[p] = val
-        out_store = _scatter_int(self.store_map, di, n)
-        mem_runs = self._mem_runs
-        if mem_runs:
-            out = np.zeros(n, dtype=np.int64)
-            mem_map = self.mem_map
-            if mem_map:
-                rows = np.fromiter(mem_map.keys(), np.int64, len(mem_map))
-                vals = np.fromiter(mem_map.values(), np.int64,
-                                   len(mem_map))
-                out[di[rows]] = vals
-            for keys, vals in mem_runs:
-                out[di[_row_index(keys)]] = vals
-            out_mem = out.tolist()
-        else:
-            out_mem = _scatter_int(self.mem_map, di, n)
+                if p >= 0:
+                    out_addrs[p] = val
+        out_store = np.zeros(n, dtype=np.int64)
+        _scatter_map(out_store, di, self.store_map)
+        out_mem = np.zeros(n, dtype=np.int64)
+        _scatter_map(out_mem, di, self.mem_map)
+        for keys, vals in self._mem_runs:
+            scatter_ints(out_mem, di, _row_index(keys), vals)
 
-        indices_arr, offsets_arr = self._remap_deps(di, n, n_rows)
+        indices_arr, offsets_arr = csr_arrays(rows, preds, node_rows,
+                                              n_rows)
         # Execution order is topological order, so every edge the remap
         # emits satisfies p < n and the DDG constructor can skip
         # structural validation.
@@ -404,23 +555,20 @@ class ColumnarSink:
             out_sids,
             out_ops,
             addrs=out_addrs,
-            store_addrs=out_store,
-            mem_addrs=out_mem,
+            store_addrs=out_store.tolist(),
+            mem_addrs=out_mem.tolist(),
             pred_indices=indices_arr,
             pred_offsets=offsets_arr,
             validate=False,
+            window_nodes=window_nodes,
+            window_edges=window_edges,
         )
 
     def _remap_deps(self, di, n, n_rows):
-        """The dependence remap as a handful of C-level array passes: map
-        every dep to its DDG node (or -1), then produce each row's sorted
-        unique preds via one global sort of (row-major, pred-minor)
-        composite keys followed by an adjacent-duplicate mask.  Returns
-        (pred_indices, pred_offsets) as ``array('q')``.
-        """
-        from repro.ddg.graph import _CSR_TYPECODE
-
-        df = np.asarray(self.dep_flat, dtype=np.int64)
+        """Map every dep to its DDG node (or -1) through the runs and the
+        row→node map ``di``, then :func:`unique_deps`.  Returns the
+        ``(rows, preds)`` edge columns."""
+        df = np.fromiter(self.dep_flat, np.int64, len(self.dep_flat))
         runs = self.runs
         if len(runs) <= 1:
             node0 = runs[0][0] if runs else 0
@@ -442,40 +590,8 @@ class ColumnarSink:
             jc = np.maximum(j, 0)
             rows = df - rn[jc] + rr[jc]
             mapped = di[np.where((j >= 0) & (rows < rend[jc]), rows, n_rows)]
-
         counts = np.frombuffer(self.dep_counts, dtype=np.intc)
-        stride = n + 2
-        key = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-        key *= stride
-        key += mapped
-        key += 1
-        key.sort()
-        srid = key // stride
-        smapped = key - srid * stride
-        smapped -= 1
-        m = key.shape[0]
-        if m:
-            keep = np.empty(m, dtype=bool)
-            keep[0] = True
-            np.not_equal(key[1:], key[:-1], out=keep[1:])
-            keep &= smapped >= 0
-            kept = smapped[keep]
-            row_counts = np.bincount(srid[keep], minlength=n_rows)
-        else:
-            kept = smapped
-            row_counts = np.zeros(n_rows, dtype=np.int64)
-
-        mask = np.ones(n_rows, dtype=bool)
-        if self.marker_rows:
-            mask[self.marker_rows] = False
-        pred_offsets = np.empty(n + 1, dtype=np.int64)
-        pred_offsets[0] = 0
-        np.cumsum(row_counts[mask], out=pred_offsets[1:])
-        indices_arr = array(_CSR_TYPECODE)
-        indices_arr.frombytes(kept.tobytes())
-        offsets_arr = array(_CSR_TYPECODE)
-        offsets_arr.frombytes(pred_offsets.tobytes())
-        return indices_arr, offsets_arr
+        return unique_deps(mapped, counts, n_rows, n)
 
     # -- record view -------------------------------------------------------
 

@@ -24,7 +24,9 @@ format while tracing and streams the analysis back segment by segment:
 - :class:`SegmentStore`: the reader.  Columns come back as mmap-backed
   (or buffered) typed arrays; :meth:`SegmentStore.to_ddg` rebuilds the
   CSR DDG by walking segment windows — never holding more than one
-  segment's columns plus the (much smaller) marker/run context.
+  segment's columns plus the (much smaller) marker/run context.  Asked
+  for the candidate cone, it first walks every segment once to fix the
+  cone, since edges cross segments.
   :meth:`SegmentStore.iter_ddg_chunks` exposes the same windows to
   streaming consumers such as
   :func:`repro.analysis.timestamps.packed_scan_stream`.
@@ -58,7 +60,14 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.obs import get_status_bus, get_telemetry
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
+from repro.trace.columnar import (
+    CandidateCone,
+    ColumnarLoopSink,
+    ColumnarSink,
+    csr_arrays,
+    scatter_ints,
+    unique_deps,
+)
 from repro.trace.events import MARKER_ENTER
 from repro.trace.trace import Trace
 
@@ -461,7 +470,7 @@ class SegmentedSink(ColumnarSink):
 
     # -- disabled in-RAM conveniences --------------------------------------
 
-    def to_ddg(self):
+    def to_ddg(self, cone_ops=None):
         raise TraceError(
             "SegmentedSink spills columns to disk; call finish() and use "
             "SegmentStore.to_ddg() instead"
@@ -560,6 +569,8 @@ class DDGChunk(NamedTuple):
     mem_addrs: List[int]
     pred_indices: array
     pred_offsets: array
+    #: the segment's edge count before any cone cut.
+    window_edges: int
 
 
 class _StoreContext(NamedTuple):
@@ -741,131 +752,144 @@ class SegmentStore:
 
     # -- streaming DDG assembly --------------------------------------------
 
-    def _chunk(self, seg: SegmentData, ctx: _StoreContext) -> DDGChunk:
+    def _map_deps(self, seg: SegmentData, ctx: _StoreContext):
+        """Every dependence of one segment as a window-wide DDG node
+        index: node id -> absolute row (via runs) -> node index (subtract
+        preceding markers), -1 when out of window or at a marker."""
+        df = np.frombuffer(seg.dep_flat, dtype=np.int64)
+        if not df.size:
+            return df
+        rn = np.frombuffer(ctx.run_nodes, dtype=np.int64)
+        rr = np.frombuffer(ctx.run_rows, dtype=np.int64)
+        rend = np.frombuffer(ctx.run_ends, dtype=np.int64)
+        mk = np.frombuffer(ctx.marker_rows, dtype=np.int64)
+        j = np.searchsorted(rn, df, side="right") - 1
+        jc = np.maximum(j, 0)
+        rows = df - rn[jc] + rr[jc]
+        valid = (j >= 0) & (rows < rend[jc])
+        k = np.searchsorted(mk, rows, side="right")
+        at_marker = np.zeros(df.shape, dtype=bool)
+        has_before = k > 0
+        at_marker[has_before] = mk[k[has_before] - 1] == rows[has_before]
+        return np.where(valid & ~at_marker, rows - k, -1)
+
+    @staticmethod
+    def _node_rows(seg: SegmentData):
+        """Segment-relative rows of the segment's DDG nodes (its
+        non-marker rows), ascending."""
+        is_node = np.ones(seg.n_rows, dtype=bool)
+        is_node[np.frombuffer(seg.marker_rows, dtype=np.int64)] = False
+        return np.flatnonzero(is_node)
+
+    def _cone(self, ctx: _StoreContext, cone_ops) -> CandidateCone:
+        """First pass of the cone remap: the window's sid graph, one
+        segment at a time, then the cone over every node.
+
+        Producers lie in earlier segments too, so the pass keeps one
+        node->sid array for the whole window.  Duplicate dependences add
+        no sid edge, so this pass skips the dependence sort.
+        """
+        cone = CandidateCone(cone_ops)
+        node_sids = np.empty(self.n_nodes, dtype=np.int64)
+        for seg in self.iter_segments():
+            node_rows = self._node_rows(seg)
+            node0 = seg.row0 - seg.meta["markers_before"]
+            sids = np.frombuffer(seg.sids, dtype=np.int64)
+            seg_sids = sids[node_rows]
+            node_sids[node0:node0 + len(node_rows)] = seg_sids
+            mapped = self._map_deps(seg, ctx)
+            consumer_sids = np.repeat(
+                sids, np.frombuffer(seg.dep_counts, dtype=np.intc))
+            valid = mapped >= 0
+            cone.add(seg_sids,
+                     np.frombuffer(seg.opcodes, dtype=np.int8)[node_rows],
+                     node_sids[mapped[valid]], consumer_sids[valid])
+        cone.finish(node_sids)
+        return cone
+
+    def _chunk(self, seg: SegmentData, ctx: _StoreContext,
+               cone: Optional[CandidateCone] = None) -> DDGChunk:
         """One segment's DDG columns — the per-window unit of work.
 
         Value-identical to the corresponding slice of
         :meth:`ColumnarSink.to_ddg` on the reassembled columns: same
         marker filtering, same out-of-window dependence drops, same
-        sorted-unique predecessor lists.
+        sorted-unique predecessor lists — and, given the window's
+        ``cone``, the same cut to it.
         """
         meta = seg.meta
-        row0 = meta["row0"]
         n_rows = meta["rows"]
-        node0_out = row0 - meta["markers_before"]
-        local_markers = seg.marker_rows
-
-        out_sids: List[int] = []
-        out_ops: List[int] = []
-        prev = 0
-        for m in local_markers:
-            if m > prev:
-                out_sids += seg.sids[prev:m].tolist()
-                out_ops += seg.opcodes[prev:m].tolist()
-            prev = m + 1
-        if prev < n_rows:
-            out_sids += seg.sids[prev:].tolist()
-            out_ops += seg.opcodes[prev:].tolist()
-        n_out = len(out_sids)
-
-        # Dependence remap: node id -> absolute row (via runs) -> global
-        # DDG index (subtract preceding markers), -1 when out of window
-        # or pointing at a marker.
-        df = np.frombuffer(seg.dep_flat, dtype=np.int64).astype(
-            np.int64, copy=False
-        )
-        if df.size:
-            rn = np.frombuffer(ctx.run_nodes, dtype=np.int64)
-            rr = np.frombuffer(ctx.run_rows, dtype=np.int64)
-            rend = np.frombuffer(ctx.run_ends, dtype=np.int64)
-            mk = np.frombuffer(ctx.marker_rows, dtype=np.int64)
-            j = np.searchsorted(rn, df, side="right") - 1
-            jc = np.maximum(j, 0)
-            rows = df - rn[jc] + rr[jc]
-            valid = (j >= 0) & (rows < rend[jc])
-            k = np.searchsorted(mk, rows, side="right")
-            at_marker = np.zeros(df.shape, dtype=bool)
-            has_before = k > 0
-            at_marker[has_before] = mk[k[has_before] - 1] == rows[has_before]
-            mapped = np.where(valid & ~at_marker, rows - k, -1)
-        else:
-            mapped = df
-
-        counts = np.frombuffer(seg.dep_counts, dtype=np.intc)
-        stride = self.n_nodes + 2
-        key = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-        key *= stride
-        key += mapped
-        key += 1
-        key.sort()
-        srid = key // stride
-        smapped = key - srid * stride
-        smapped -= 1
-        m = key.shape[0]
-        if m:
-            keep = np.empty(m, dtype=bool)
-            keep[0] = True
-            np.not_equal(key[1:], key[:-1], out=keep[1:])
-            keep &= smapped >= 0
-            kept = smapped[keep]
-            row_counts = np.bincount(srid[keep], minlength=n_rows)
-        else:
-            kept = smapped
-            row_counts = np.zeros(n_rows, dtype=np.int64)
-
-        mask = np.ones(n_rows, dtype=bool)
-        if len(local_markers):
-            mask[np.frombuffer(local_markers, dtype=np.int64)] = False
-        offsets = np.empty(n_out + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(row_counts[mask], out=offsets[1:])
-        indices_arr = array("q")
-        indices_arr.frombytes(kept.astype(np.int64, copy=False).tobytes())
-        offsets_arr = array("q")
-        offsets_arr.frombytes(offsets.tobytes())
-
+        first = node0 = meta["row0"] - meta["markers_before"]
+        node_rows = self._node_rows(seg)
+        rows, preds = unique_deps(
+            self._map_deps(seg, ctx),
+            np.frombuffer(seg.dep_counts, dtype=np.intc), n_rows,
+            self.n_nodes)
+        window_edges = len(preds)
+        if cone is not None:
+            node_rows, rows, preds = cone.select(first, node_rows, rows,
+                                                 preds)
+            node0 = int(cone.new_index[first - 1]) + 1 if first else 0
+        indices_arr, offsets_arr = csr_arrays(rows, preds, node_rows,
+                                              n_rows)
+        # Segment row -> chunk-local output index, -1 for markers and
+        # rows outside the cone.
+        ri = np.full(n_rows, -1, dtype=np.int64)
+        ri[node_rows] = np.arange(len(node_rows), dtype=np.int64)
         out_addrs, out_store, out_mem = self._scatter_sparse(
-            seg, local_markers, n_out
-        )
-        return DDGChunk(node0_out, out_sids, out_ops, out_addrs, out_store,
-                        out_mem, indices_arr, offsets_arr)
+            seg, ri, len(node_rows))
+        return DDGChunk(
+            node0,
+            np.frombuffer(seg.sids, dtype=np.int64)[node_rows].tolist(),
+            np.frombuffer(seg.opcodes, dtype=np.int8)[node_rows].tolist(),
+            out_addrs, out_store, out_mem, indices_arr, offsets_arr,
+            window_edges)
 
-    def _scatter_sparse(self, seg: SegmentData, local_markers,
-                        n_out: int) -> Tuple[List[tuple], List[int],
-                                             List[int]]:
+    @staticmethod
+    def _scatter_sparse(seg: SegmentData, ri, n_out: int
+                        ) -> Tuple[List[tuple], List[int], List[int]]:
         """Dense per-node address vectors from the sparse row-keyed
-        sections (sparse rows are never markers, so every key maps to a
-        real output node)."""
-        markers = (local_markers if isinstance(local_markers, list)
-                   else list(local_markers))
-
-        def out_index(row: int) -> int:
-            return row - bisect_right(markers, row)
-
+        sections, scattered through the row->output map ``ri`` (rows
+        mapping to -1 are skipped).  A section store entry predates any
+        late ``store_patches`` entry for its row, so it wins."""
         out_addrs: List[tuple] = [()] * n_out
-        out_store: List[int] = [0] * n_out
-        out_mem: List[int] = [0] * n_out
-        flat_pos = 0
-        addr_flat = seg.addr_flat
-        for row, cnt in zip(seg.addr_rows, seg.addr_counts):
-            out_addrs[out_index(row)] = tuple(
-                addr_flat[flat_pos:flat_pos + cnt]
-            )
-            flat_pos += cnt
-        for row, val in zip(seg.store_rows, seg.store_vals):
-            out_store[out_index(row)] = val
-        for row, val in seg.meta["store_patches"]:
-            i = out_index(row)
-            if out_store[i] == 0:
-                out_store[i] = val
-        for row, val in zip(seg.mem_rows, seg.mem_vals):
-            out_mem[out_index(row)] = val
-        return out_addrs, out_store, out_mem
+        counts = np.frombuffer(seg.addr_counts, dtype=np.intc)
+        if counts.size:
+            ends = np.cumsum(counts).tolist()
+            flat = seg.addr_flat.tolist()
+            out = ri[np.frombuffer(seg.addr_rows, dtype=np.int64)].tolist()
+            start = 0
+            for p, end in zip(out, ends):
+                if p >= 0:
+                    out_addrs[p] = tuple(flat[start:end])
+                start = end
+        out_store = np.zeros(n_out, dtype=np.int64)
+        scatter_ints(out_store, ri,
+                     np.frombuffer(seg.store_rows, dtype=np.int64),
+                     np.frombuffer(seg.store_vals, dtype=np.int64))
+        patches = seg.meta["store_patches"]
+        if patches:
+            prow, pval = np.asarray(patches, dtype=np.int64).T
+            p = ri[prow]
+            hit = p >= 0
+            p, pval = p[hit], pval[hit]
+            free = out_store[p] == 0
+            out_store[p[free]] = pval[free]
+        out_mem = np.zeros(n_out, dtype=np.int64)
+        scatter_ints(out_mem, ri,
+                     np.frombuffer(seg.mem_rows, dtype=np.int64),
+                     np.frombuffer(seg.mem_vals, dtype=np.int64))
+        return out_addrs, out_store.tolist(), out_mem.tolist()
 
-    def iter_ddg_chunks(self) -> Iterator[DDGChunk]:
+    def iter_ddg_chunks(self, cone_ops=None) -> Iterator[DDGChunk]:
         """The DDG, one segment window at a time — the streaming-consumer
         interface (the chunked Algorithm 1 scan and the windowed
         assembly in :meth:`to_ddg` both walk these).
+
+        With ``cone_ops`` the chunks hold the window's candidate cone
+        (see :meth:`ColumnarSink.to_ddg`): a first pass over every
+        segment fixes the cone (:meth:`_cone`), since edges cross
+        segments, and the chunks then cut each segment down to it.
 
         Under telemetry, each segment's load+remap latency feeds the
         ``trace_store.segment_read`` histogram and each chunk's node
@@ -873,26 +897,28 @@ class SegmentStore:
         whether out-of-core reads are uniform or one segment dominates.
         """
         ctx = self.context()
+        cone = None if cone_ops is None else self._cone(ctx, cone_ops)
         tel = get_telemetry()
         if not tel.enabled:
             for seg in self.iter_segments():
-                yield self._chunk(seg, ctx)
+                yield self._chunk(seg, ctx, cone)
             return
         for seg in self.iter_segments():
             t0 = time.perf_counter()
-            chunk = self._chunk(seg, ctx)
+            chunk = self._chunk(seg, ctx, cone)
             tel.observe("trace_store.segment_read",
                         time.perf_counter() - t0)
             tel.observe("ddg.chunk_nodes", len(chunk.sids))
             yield chunk
 
-    def to_ddg(self, tel=None):
+    def to_ddg(self, tel=None, cone_ops=None):
         """Assemble the CSR DDG by streaming segment windows.
 
-        Bit-identical to ``self.to_sink().to_ddg()`` (and therefore to
-        the unspilled in-RAM pipeline), but never holds more than one
-        segment's columns — the peak-memory term is the DDG itself plus
-        the marker/run context.
+        Bit-identical to ``self.to_sink().to_ddg(cone_ops)`` (and
+        therefore to the unspilled in-RAM pipeline), but never holds more
+        than one segment's columns — the peak-memory term is the DDG
+        itself plus the marker/run context (and, with ``cone_ops``, the
+        cone's per-node arrays).
         """
         from repro.ddg.graph import DDG
 
@@ -905,8 +931,9 @@ class SegmentStore:
         out_mem: List[int] = []
         indices = array("q")
         offsets = array("q", [0])
+        window_edges = 0
         with tel.span("trace_store.to_ddg"):
-            for chunk in self.iter_ddg_chunks():
+            for chunk in self.iter_ddg_chunks(cone_ops):
                 out_sids += chunk.sids
                 out_ops += chunk.opcodes
                 out_addrs += chunk.addrs
@@ -916,6 +943,7 @@ class SegmentStore:
                 rebased = np.frombuffer(chunk.pred_offsets,
                                         dtype=np.int64)[1:] + offsets[-1]
                 offsets.frombytes(rebased.tobytes())
+                window_edges += chunk.window_edges
         if tel.enabled:
             tel.count("trace_store.segments_read", len(self.segments))
             tel.count("trace_store.bytes_read",
@@ -929,6 +957,8 @@ class SegmentStore:
             pred_indices=indices,
             pred_offsets=offsets,
             validate=False,
+            window_nodes=self.n_nodes,
+            window_edges=window_edges,
         )
 
 

@@ -164,6 +164,40 @@ class TestAnalyzeModule:
         assert tel.counters["ddg.nodes"] > 0
         assert tel.counters["ddg.edges"] > 0
 
+    def test_cone_counters(self, monkeypatch):
+        """``analyze`` scans the candidate cone and counts it apart:
+        ``ddg.nodes``/``ddg.edges`` keep counting the whole window, as
+        ``explain`` (which keeps the full graph) does."""
+        analyzed = []
+        metrics = pipeline_mod.loop_metrics
+
+        def capture(ddg, *args, **kwargs):
+            analyzed.append(ddg)
+            return metrics(ddg, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "loop_metrics", capture)
+        module = compile_source(SRC)
+        tel = Telemetry()
+        analyze_loop(module, "body", tel=tel)
+        (ddg,) = analyzed
+        counters = tel.counters
+        assert counters["ddg.cone_nodes"] == len(ddg) > 0
+        assert counters["ddg.cone_edges"] == ddg.num_edges
+        assert counters["ddg.cone_nodes"] < counters["ddg.nodes"]
+        assert counters["ddg.cone_edges"] < counters["ddg.edges"]
+        section = tel.sections["loop.body"]
+        assert section["cone_nodes"] == len(ddg)
+        assert section["ddg_nodes"] == counters["ddg.nodes"]
+
+        from repro.explain.driver import explain_loop
+
+        explained = Telemetry()
+        explain_loop(module, "body", tel=explained)
+        assert not any(name.startswith("ddg.cone_")
+                       for name in explained.counters)
+        for name in ("ddg.nodes", "ddg.edges"):
+            assert explained.counters[name] == counters[name]
+
 
 class TestSerialFallback:
     """A pool that cannot start must degrade to serial with identical
