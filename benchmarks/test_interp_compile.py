@@ -70,10 +70,12 @@ def ddgs_identical(a, b) -> bool:
 
 
 def _cols(sink):
-    sink._flush_sparse()
-    return (sink.sids, sink.opcodes, list(sink.dep_counts), sink.dep_flat,
-            sink.runs, sink.loop_breaks, sink.marker_rows, sink.addr_map,
-            sink.mem_map, sink.store_map)
+    """The sink's columns, flattened to lists and dicts."""
+    cols = sink.columns()
+    return (cols.sids.tolist(), cols.opcodes.tolist(),
+            cols.dep_counts.tolist(), cols.dep_flat.tolist(), sink.runs,
+            sink.loop_breaks, sink.marker_rows, cols.addr_map(),
+            cols.mem_map(), sink.store_map)
 
 
 def run_comparison(source: str = KERNEL, reps: int = REPS) -> dict:

@@ -37,11 +37,12 @@ This module borrows the tracing-JIT idiom (PyPy-style meta-tracing):
    re-derivable from path structure plus the kernel's memory-address
    stream.  The kernel therefore accumulates only what is genuinely
    runtime — one address per memory operand, one ``MW`` lookup per
-   load — and the dispatcher reconstructs whole columns at C speed
-   (``pattern * k`` plus strided slice assignment from ``range``
-   objects) before appending batches through
+   load — and the dispatcher derives whole numpy columns from the
+   kernel's pattern arrays with a fixed handful of vectorized calls per
+   batch, whatever the path length, and hands them to
    :meth:`ColumnarSink.bulk_append` / :meth:`SegmentedSink.bulk_append`
-   — no per-record ``emit()``, no per-record Python bookkeeping.
+   as they are — no per-record ``emit()``, no per-record Python
+   bookkeeping (store backpatches aside).
 4. **Guards and deoptimization.**  Every branch in the path guards its
    recorded direction, and every faulting operation (division by zero,
    invalid load/store address) guards its precondition *before*
@@ -72,11 +73,12 @@ interpreter hits the exact budgeted instruction and raises
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from itertools import chain as _chain, repeat as _repeat
+from itertools import chain as _chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.ir.types import FloatType, IntType
 from repro.ir.values import Constant, VirtualReg
@@ -149,15 +151,19 @@ class _Recording:
 class _Plan:
     """Static column structure derived from a recorded path.
 
-    Dependence slots classify as *constant* (``-1`` baked into the
-    per-iteration pattern), *affine* (operand written earlier in the
-    same iteration at position ``d`` → node ``N0 + i*L + d``),
-    *carried* (written later in the path → the previous iteration's
-    final write), *live-in* (never written in the path → the pre-batch
-    ``defn`` entry), or *load-writer* (the runtime ``MW`` lookup a load
-    emits).  Everything but the last two columns' runtime values is
-    known at plan time, so the dispatcher fills the dependence slab
-    with ``dep_pat * k`` plus one strided slice assignment per slot.
+    Dependence slots classify as *constant* (``-1``), *affine* (operand
+    written earlier in the same iteration at position ``d`` → node
+    ``N0 + i*L + d``), *carried* (written later in the path → the
+    previous iteration's final write, ``N0 + i*L + d - L``; iteration 0
+    reads the pre-batch ``defn`` entry), *live-in* (never written in the
+    path → the pre-batch ``defn`` entry), or *load-writer* (the runtime
+    ``MW`` lookup a load emits).  The per-slot pair ``dep_mask`` (1 on
+    affine and carried slots) and ``dep_off`` (``-1``, ``d`` or
+    ``d - L``; 0 where the batch fills the slot) make a batch's whole
+    dependence slab one expression, ``base[:, None] * dep_mask +
+    dep_off`` with ``base`` the iterations' first node ids; three
+    fancy-index assignments fill the carried slots' first row, the
+    live-in slots and the load-writer slots.
 
     Def-addr classes per write event form a small lattice: ``-1``
     (zero — arithmetic, compares, allocas), ``mj >= 0`` (the mj-th
@@ -167,43 +173,49 @@ class _Plan:
     demotes the whole kernel to *legacy* address mode, where the kernel
     itself tracks per-register addresses and appends one operand-address
     pair per FP record; otherwise the dispatcher derives the address
-    column from the memory-address stream.
+    column from the memory-address stream.  In derived mode each FP
+    operand side is a gather from the stream (``fp_stride``/``fp_off``
+    over a zero slot followed by the stream), and live-in, carried-load
+    and carried-zero sides patch in their pre-batch ``defa`` entries.
     """
 
     __slots__ = (
-        "dep_pat", "dep_width",
-        "aff_slots", "car_slots", "li_slots", "lw_slots",
-        "n_mem", "n_load", "n_addr",
-        "mem_pos", "fp_groups", "rta_pos", "store_groups",
-        "wb", "prefix", "legacy", "has_store",
+        "sids", "ops", "cnts", "dep_width", "dep_end", "dep_off",
+        "dep_mask", "car_slots", "car_idx", "car_regs", "li_idx",
+        "li_regs", "lw_idx", "n_mem", "n_load", "n_addr", "mem_pos",
+        "fp_groups", "fp_pos", "fp_end", "fp_base", "fp_stride", "fp_off",
+        "fp_li_idx", "fp_li_regs", "fp_first_idx", "fp_first_regs",
+        "rta_pos", "store_groups", "wb", "legacy", "has_store",
     )
 
 
 def _analyze(entries) -> _Plan:
     """Single forward walk over the path computing the :class:`_Plan`."""
+    L = len(entries)
     final_w: Dict[int, int] = {}
     for P, (instr, _b, _p, _t) in enumerate(entries):
         res = getattr(instr, "result", None)
         if res is not None:
             final_w[res.index] = P
 
-    dep_pat: List[int] = []
-    aff_slots: List[Tuple[int, int]] = []
+    dep_off: List[int] = []
+    dep_mask: List[int] = []
+    dep_end: List[int] = [0]
     car_slots: List[Tuple[int, int, int]] = []
     li_slots: List[Tuple[int, int]] = []
-    lw_slots: List[Tuple[int, int]] = []
-    mem_pos: List[Tuple[int, int]] = []
+    lw_slots: List[int] = []
+    mem_pos: List[int] = []
     rta_pos: List[int] = []
+    fp_end: List[int] = [0]
     fp_raw: List[Tuple] = []
     store_groups: List[Tuple[int, int, int, int, int]] = []
-    prefix: List[list] = []
     cur_w: Dict[int, int] = {}    # reg -> most recent write pos this iter
     wclass: Dict[int, int] = {}   # reg -> current def-addr class
     writes: Dict[int, List[int]] = defaultdict(list)
     aclasses: Dict[int, List[int]] = defaultdict(list)
     legacy = False
     has_store = False
-    n_mem = n_load = 0
+    n_load = 0
 
     def dep_desc(op):
         if isinstance(op, VirtualReg):
@@ -216,20 +228,23 @@ def _analyze(entries) -> _Plan:
         return (0, 0, 0)                      # constant / global
 
     def add_dep(d):
-        slot = len(dep_pat)
+        slot = len(dep_off)
         kind = d[0]
-        if kind == 0:
-            dep_pat.append(-1)
-            return
-        dep_pat.append(0)
         if kind == 1:
-            aff_slots.append((slot, d[1]))
-        elif kind == 2:
+            dep_off.append(d[1])
+            dep_mask.append(1)
+            return
+        if kind == 2:
+            dep_off.append(d[1] - L)
+            dep_mask.append(1)
             car_slots.append((slot, d[1], d[2]))
-        elif kind == 3:
+            return
+        dep_off.append(-1 if kind == 0 else 0)
+        dep_mask.append(0)
+        if kind == 3:
             li_slots.append((slot, d[1]))
-        else:
-            lw_slots.append((slot, d[1]))
+        elif kind == 4:
+            lw_slots.append(slot)
 
     def side_desc(op):
         # FP-operand address provenance (derived mode only).
@@ -265,66 +280,41 @@ def _analyze(entries) -> _Plan:
     for P, (instr, _b, _p, _taken) in enumerate(entries):
         opc = instr.opcode._value_
         ops = instr.operands
-        descs: Tuple = ()
-        mj = -1
-        sd = None
-        fd = None
 
-        if opc == 51:  # LOAD
-            pd = dep_desc(ops[0])
-            lwd = (4, n_load, 0)
-            descs = (pd, lwd)
-            add_dep(pd)
-            add_dep(lwd)
-            mj = n_mem
-            mem_pos.append((P, n_mem))
-            n_mem += 1
+        if opc == 51:  # LOAD: pointer slot, then the load-writer slot
+            add_dep(dep_desc(ops[0]))
+            add_dep((4, n_load, 0))
             n_load += 1
-            write(instr.result.index, P, mj)
+            write(instr.result.index, P, len(mem_pos))
+            mem_pos.append(P)
 
         elif opc == 52:  # STORE
             vd = dep_desc(ops[0])
-            pd = dep_desc(ops[1])
-            descs = (vd, pd)
             add_dep(vd)
-            add_dep(pd)
-            mj = n_mem
-            mem_pos.append((P, n_mem))
-            n_mem += 1
+            add_dep(dep_desc(ops[1]))
             has_store = True
             if vd[0]:  # real producer -> note_store item group
-                store_groups.append((P, mj, vd[0], vd[1], vd[2]))
-                sd = vd
+                store_groups.append((P, len(mem_pos), vd[0], vd[1], vd[2]))
+            mem_pos.append(P)
 
         elif opc in _FP_ARITH:
-            ad = dep_desc(ops[0])
-            bd = dep_desc(ops[1])
-            descs = (ad, bd)
-            add_dep(ad)
-            add_dep(bd)
-            fp_raw.append((P, len(rta_pos), side_desc(ops[0]),
-                           side_desc(ops[1])))
+            add_dep(dep_desc(ops[0]))
+            add_dep(dep_desc(ops[1]))
+            fp_raw.append((P, side_desc(ops[0]), side_desc(ops[1])))
             rta_pos.append(P)
             write(instr.result.index, P, -1)
 
         elif (opc in _INT_ARITH or opc in _BITWISE
               or opc in (4, 5, 30, 31, 53)):
-            ad = dep_desc(ops[0])
-            bd = dep_desc(ops[1])
-            descs = (ad, bd)
-            add_dep(ad)
-            add_dep(bd)
+            add_dep(dep_desc(ops[0]))
+            add_dep(dep_desc(ops[1]))
             write(instr.result.index, P, -1)
 
         elif opc == 61:  # CBR
-            cd = dep_desc(ops[0])
-            descs = (cd,)
-            add_dep(cd)
+            add_dep(dep_desc(ops[0]))
 
         elif opc == 40:  # CAST
-            vd = dep_desc(ops[0])
-            descs = (vd,)
-            add_dep(vd)
+            add_dep(dep_desc(ops[0]))
             to_type = instr.result.type
             if isinstance(to_type, (IntType, FloatType)):
                 ac = -1
@@ -333,35 +323,28 @@ def _analyze(entries) -> _Plan:
             write(instr.result.index, P, ac)
 
         elif opc == 41:  # SELECT
-            cd = dep_desc(ops[0])
-            ad = dep_desc(ops[1])
-            bd = dep_desc(ops[2])
-            descs = (cd, ad, bd)
-            add_dep(cd)
-            add_dep(ad)
-            add_dep(bd)
+            for op in ops:
+                add_dep(dep_desc(op))
             ac = (-1 if aclass_of(ops[1]) == -1
                   and aclass_of(ops[2]) == -1 else -2)
             write(instr.result.index, P, ac)
 
         elif opc == 42:  # COPY
-            vd = dep_desc(ops[0])
-            descs = (vd,)
-            add_dep(vd)
+            add_dep(dep_desc(ops[0]))
             write(instr.result.index, P, aclass_of(ops[0]))
 
         elif opc == 50:  # ALLOCA
             write(instr.result.index, P, -1)
 
         elif opc == 63:  # CALL of an intrinsic: one slot per operand
-            descs = tuple(dep_desc(op) for op in ops)
-            for d in descs:
-                add_dep(d)
+            for op in ops:
+                add_dep(dep_desc(op))
             if instr.result is not None:
                 write(instr.result.index, P, -1)
 
         # 60 / 71 (jump / loop_next): no deps, no state.
-        prefix.append([descs, mj, sd, fd])
+        dep_end.append(len(dep_off))
+        fp_end.append(len(rta_pos))
 
     def fin_side(s):
         # Resolve a carried/live-in pend against the *final* write.
@@ -381,36 +364,73 @@ def _analyze(entries) -> _Plan:
 
     fp_groups: List[Tuple] = []
     if not legacy:
-        fins = [(fin_side(s1), fin_side(s2)) for _P, _rj, s1, s2 in fp_raw]
+        fins = [(fin_side(s1), fin_side(s2)) for _P, s1, s2 in fp_raw]
         if any(f1 is None or f2 is None for f1, f2 in fins):
             legacy = True
         else:
             fp_groups = [(raw[0], f1, f2)
                          for raw, (f1, f2) in zip(fp_raw, fins)]
-    for idx, (P, rj, _s1, _s2) in enumerate(fp_raw):
-        if legacy:
-            prefix[P][3] = (1, rj)
-        else:
-            g = fp_groups[idx]
-            prefix[P][3] = (0, g[1], g[2])
 
     plan = _Plan()
-    plan.dep_pat = dep_pat
-    plan.dep_width = len(dep_pat)
-    plan.aff_slots = tuple(aff_slots)
+    NM = len(mem_pos)
+    plan.sids = np.array([[e[0].sid for e in entries]], dtype=np.int64)
+    plan.ops = np.array([[e[0].opcode._value_ for e in entries]],
+                        dtype=np.int8)
+    plan.cnts = np.diff(dep_end).astype(np.intc).reshape(1, L)
+    plan.dep_width = len(dep_off)
+    plan.dep_end = tuple(dep_end)
+    plan.dep_off = np.array(dep_off, dtype=np.int64)
+    plan.dep_mask = np.array(dep_mask, dtype=np.int64)
     plan.car_slots = tuple(car_slots)
-    plan.li_slots = tuple(li_slots)
-    plan.lw_slots = tuple(lw_slots)
-    plan.n_mem = n_mem
+    plan.car_idx = np.array([c[0] for c in car_slots], dtype=np.intp)
+    plan.car_regs = tuple(c[2] for c in car_slots)
+    plan.li_idx = np.array([c[0] for c in li_slots], dtype=np.intp)
+    plan.li_regs = tuple(c[1] for c in li_slots)
+    plan.lw_idx = np.array(lw_slots, dtype=np.intp)
+    plan.n_mem = NM
     plan.n_load = n_load
     plan.n_addr = len(rta_pos)
-    plan.mem_pos = tuple(mem_pos)
-    plan.fp_groups = tuple(fp_groups) if not legacy else ()
-    plan.rta_pos = tuple(rta_pos)
+    plan.mem_pos = np.array(mem_pos, dtype=np.int64)
+    plan.fp_groups = tuple(fp_groups)
+    plan.fp_pos = np.array([g[0] for g in fp_groups], dtype=np.int64)
+    plan.fp_end = tuple(fp_end)
+    # Derived FP operand addresses gather from ``[zeros(fp_base),
+    # stream]``: a same-iteration load reads its iteration's slot, a
+    # carried load the previous one's (the zero block, for iteration 0),
+    # and every other side the first zero.
+    plan.fp_base = max(NM, 1)
+    stride: List[int] = []
+    off: List[int] = []
+    li: List[Tuple[int, int]] = []
+    first: List[Tuple[int, int]] = []
+    for _P, d1, d2 in fp_groups:
+        for d in (d1, d2):
+            s = len(stride)
+            kd = d[0]
+            if kd == 2:                       # same-iteration load
+                stride.append(NM)
+                off.append(plan.fp_base + d[1])
+            elif kd == 3:                     # carried load
+                stride.append(NM)
+                off.append(plan.fp_base - NM + d[1])
+                first.append((s, d[2]))
+            else:
+                stride.append(0)
+                off.append(0)
+                if kd == 1:                   # live-in: every iteration
+                    li.append((s, d[1]))
+                elif kd == 4:                 # carried zero: iteration 0
+                    first.append((s, d[1]))
+    plan.fp_stride = np.array(stride, dtype=np.int64)
+    plan.fp_off = np.array(off, dtype=np.int64)
+    plan.fp_li_idx = np.array([c[0] for c in li], dtype=np.intp)
+    plan.fp_li_regs = tuple(c[1] for c in li)
+    plan.fp_first_idx = np.array([c[0] for c in first], dtype=np.intp)
+    plan.fp_first_regs = tuple(c[1] for c in first)
+    plan.rta_pos = np.array(rta_pos, dtype=np.int64)
     plan.store_groups = tuple(store_groups)
     plan.wb = tuple(
         (r, tuple(writes[r]), tuple(aclasses[r])) for r in sorted(writes))
-    plan.prefix = tuple(tuple(e) for e in prefix)
     plan.legacy = legacy
     plan.has_store = has_store
     return plan
@@ -427,8 +447,7 @@ class LoopKernel:
 
     __slots__ = (
         "loop_id", "length", "anchor", "entry", "resume", "plan",
-        "sid_pat", "op_pat", "cnt_pat", "count_items", "marker_off",
-        "calls", "gained",
+        "op_pat", "count_items", "calls", "gained",
         "_entries", "_gaddr", "_fns", "_srcs",
     )
 
@@ -446,16 +465,8 @@ class LoopKernel:
         #: interpreter resumes here on deopt at that position.
         self.resume = tuple((blk, pc) for _instr, blk, pc, _tk in entries)
         self.plan = _analyze(entries)
-        self.sid_pat = [e[0].sid for e in entries]
         self.op_pat = [e[0].opcode._value_ for e in entries]
-        # array('i'): pattern-repeat and sink extend both stay C-level
-        # memcpys (ColumnarSink.dep_counts is itself an array('i')).
-        self.cnt_pat = array("i", [
-            len(e[0].operands) if op == 63 else _DEP_COUNTS[op]
-            for e, op in zip(entries, self.op_pat)])
         self.count_items = tuple(Counter(self.op_pat).items())
-        #: path position of the terminating loop_next marker.
-        self.marker_off = self.length - 1
         self.calls = 0
         self.gained = 0
         self._entries = entries
@@ -790,53 +801,23 @@ def _generate(entries, global_addr, recording: bool, plan: _Plan):
 # -- column derivation -------------------------------------------------------
 
 
-def _side_seq(d, k, kNM, NM, ma, defa):
-    """Per-iteration operand-address values for one FP operand side."""
-    kd = d[0]
-    if kd == 0:                               # zero
-        return _repeat(0)
-    if kd == 1:                               # live-in
-        return _repeat(defa[d[1]])
-    if kd == 2:                               # same-iteration load
-        return ma[d[1]:kNM:NM]
-    if kd == 3:                               # carried load
-        return [defa[d[2]]] + ma[d[1]:kNM - NM:NM]
-    return _chain((defa[d[1]],), _repeat(0, k - 1))   # carried zero
+#: The operand-address columns of a batch without FP records.
+_NO_NODES = np.empty(0, dtype=np.int64)
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+_NO_NODES.flags.writeable = _NO_PAIRS.flags.writeable = False
 
 
-def _pair_vals(d1, d2, k, kNM, NM, ma, defa):
-    """Materialized per-iteration address pairs for one FP op.
-
-    A list (not a lazy zip) because the sink may scan the run more than
-    once — once per DDG build, once more if the trace is serialized.
-    """
-    k1 = d1[0]
-    k2 = d2[0]
-    if k1 < 2 and k2 < 2:
-        # Both sides iteration-invariant: one shared pair tuple.
-        return [(0 if k1 == 0 else defa[d1[1]],
-                 0 if k2 == 0 else defa[d2[1]])] * k
-    return list(zip(_side_seq(d1, k, kNM, NM, ma, defa),
-                    _side_seq(d2, k, kNM, NM, ma, defa)))
-
-
-def _pside(d, k, mab, NM, ma, defa):
-    """One FP operand side's address for the partial iteration."""
-    kd = d[0]
-    if kd == 0:
-        return 0
-    if kd == 1:
-        return defa[d[1]]
-    if kd == 2:
-        return ma[mab + d[1]]
-    if kd == 3:
-        return ma[mab - NM + d[1]] if k else defa[d[2]]
-    return 0 if k else defa[d[1]]
-
-
-def _emit(kern, N0, k, part, nrec, defn, defa, ma, lw, ap, sink, cur_loop,
+def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
           sid0=None):
-    """Derive one batch's columns and bulk-append them.
+    """Derive one batch's columns as numpy arrays and bulk-append them.
+
+    The batch's ``k`` full iterations, plus the partial one a deopt
+    leaves (its first ``part`` records), are laid out as the rows of a
+    grid per column — one row per iteration, one column per path
+    position, dependence slot, memory operand or FP operand — and each
+    column is cut at the count of what executed.  So every column comes
+    from a fixed handful of vectorized calls whatever the path length;
+    only the store backpatches stay per item.
 
     Must run *before* :func:`_writeback`: carried iteration-0 and
     live-in slots read the pre-batch ``defn``/``defa`` entries.
@@ -846,57 +827,51 @@ def _emit(kern, N0, k, part, nrec, defn, defa, ma, lw, ap, sink, cur_loop,
     """
     plan = kern.plan
     L = kern.length
-    D = plan.dep_width
     NM = plan.n_mem
-    kL = k * L
-    if part:
-        sids = kern.sid_pat * k + kern.sid_pat[:part]
-        opcs = kern.op_pat * k + kern.op_pat[:part]
-        cnts = kern.cnt_pat * k + kern.cnt_pat[:part]
-    else:
-        sids = kern.sid_pat * k
-        opcs = kern.op_pat * k
-        cnts = kern.cnt_pat * k
+    rows = k + 1 if part else k
+    nrec = k * L + part
+    # First node id of each iteration.
+    base = np.arange(N0, N0 + rows * L, L, dtype=np.int64)
+    col = base[:, None]
+    sids = plan.sids.repeat(rows, 0).reshape(-1)[:nrec]
     if sid0 is not None:
         sids[0] = sid0
-    deps = plan.dep_pat * k
-    # Sparse columns are keyed by absolute node id and handed to the
-    # sink as (keys, vals) column runs — a range object plus an
-    # address-stream slice per memop — which the full-recording sink
-    # parks as-is and the DDG build scatters vectorized, so no per-item
-    # work happens anywhere on the batch path.
-    mem_runs: List = []
-    addr_runs: List = []
+    deps = col * plan.dep_mask + plan.dep_off
+    if plan.car_regs:
+        deps[0, plan.car_idx] = [defn[r] for r in plan.car_regs]
+    if plan.li_regs:
+        deps[:, plan.li_idx] = [defn[r] for r in plan.li_regs]
+    if plan.n_load:
+        # The partial iteration's missing tail lands only in slots that
+        # the cut below drops.
+        writers = np.empty(rows * plan.n_load, dtype=np.int64)
+        writers[:len(lw)] = np.fromiter(lw, np.int64, len(lw))
+        deps[:, plan.lw_idx] = writers.reshape(rows, plan.n_load)
+    mem_vals = np.fromiter(ma, np.int64, len(ma))
+    mem_nodes = (col + plan.mem_pos).reshape(-1)[:len(mem_vals)]
+    if plan.legacy:
+        addr_pairs = np.array(ap, dtype=np.int64).reshape(-1, 2)
+        addr_nodes = (col + plan.rta_pos).reshape(-1)[:len(addr_pairs)]
+    elif not len(plan.fp_pos):
+        addr_pairs = _NO_PAIRS
+        addr_nodes = _NO_NODES
+    else:
+        n_fp = k * len(plan.fp_pos) + plan.fp_end[part]
+        stream = np.zeros(plan.fp_base + rows * NM, dtype=np.int64)
+        stream[plan.fp_base:plan.fp_base + len(mem_vals)] = mem_vals
+        sides = stream[np.arange(rows)[:, None] * plan.fp_stride
+                       + plan.fp_off]
+        if plan.fp_li_regs:
+            sides[:, plan.fp_li_idx] = [defa[q] for q in plan.fp_li_regs]
+        if plan.fp_first_regs:
+            sides[0, plan.fp_first_idx] = [defa[q]
+                                           for q in plan.fp_first_regs]
+        addr_pairs = sides.reshape(-1, 2)[:n_fp]
+        addr_nodes = (col + plan.fp_pos).reshape(-1)[:n_fp]
     store_lists: List[list] = []
     if k:
+        kL = k * L
         kNM = k * NM
-        for slot, d in plan.aff_slots:
-            b = N0 + d
-            deps[slot::D] = range(b, b + kL, L)
-        for slot, d, r in plan.car_slots:
-            b = N0 + d - L
-            deps[slot::D] = range(b, b + kL, L)
-            deps[slot] = defn[r]
-        for slot, r in plan.li_slots:
-            deps[slot::D] = [defn[r]] * k
-        kNL = k * plan.n_load
-        for slot, lj in plan.lw_slots:
-            deps[slot::D] = lw[lj:kNL:plan.n_load]
-        for P, mj in plan.mem_pos:
-            b = N0 + P
-            mem_runs.append((range(b, b + kL, L), ma[mj:kNM:NM]))
-        if plan.legacy:
-            NA = plan.n_addr
-            kNA = k * NA
-            for rj, P in enumerate(plan.rta_pos):
-                b = N0 + P
-                addr_runs.append((range(b, b + kL, L), ap[rj:kNA:NA]))
-        else:
-            for P, d1, d2 in plan.fp_groups:
-                b = N0 + P
-                addr_runs.append((range(b, b + kL, L),
-                                  _pair_vals(d1, d2, k, kNM, NM, ma,
-                                             defa)))
         for P, mj, kind, a1, a2 in plan.store_groups:
             b = N0 + P
             if kind == 1:     # producer written same iteration at a1
@@ -918,54 +893,20 @@ def _emit(kern, N0, k, part, nrec, defn, defa, ma, lw, ap, sink, cur_loop,
                 if p0 >= 0:
                     store_lists.append([(b, p0, ma[mj])])
     if part:
-        nfin = N0 + kL
+        nfin = N0 + k * L
         mab = k * NM
-        lwb = k * plan.n_load
-        apb = k * plan.n_addr
-        dap = deps.append
-        pmem_k: List[int] = []
-        pmem_v: List[int] = []
-        paddr_k: List[int] = []
-        paddr_v: List[tuple] = []
         pstore = []
-        for off, (descs, mj, sd, fd) in enumerate(plan.prefix[:part]):
-            for d in descs:
-                kd = d[0]
-                if kd == 0:
-                    dap(-1)
-                elif kd == 1:
-                    dap(nfin + d[1])
-                elif kd == 2:
-                    dap(nfin - L + d[1] if k else defn[d[2]])
-                elif kd == 3:
-                    dap(defn[d[1]])
-                else:
-                    dap(lw[lwb + d[1]])
-            if mj >= 0:
-                pmem_k.append(nfin + off)
-                pmem_v.append(ma[mab + mj])
-            if sd is not None:
-                kd = sd[0]
-                if kd == 1:
-                    p0 = nfin + sd[1]
-                elif kd == 2:
-                    p0 = nfin - L + sd[1] if k else defn[sd[2]]
-                else:
-                    p0 = defn[sd[1]]
-                if p0 >= 0:
-                    pstore.append((nfin + off, p0, ma[mab + mj]))
-            if fd is not None:
-                paddr_k.append(nfin + off)
-                if fd[0]:
-                    paddr_v.append(ap[apb + fd[1]])
-                else:
-                    paddr_v.append(
-                        (_pside(fd[1], k, mab, NM, ma, defa),
-                         _pside(fd[2], k, mab, NM, ma, defa)))
-        if pmem_k:
-            mem_runs.append((pmem_k, pmem_v))
-        if paddr_k:
-            addr_runs.append((paddr_k, paddr_v))
+        for P, mj, kind, a1, a2 in plan.store_groups:
+            if P >= part:
+                break
+            if kind == 1:
+                p0 = nfin + a1
+            elif kind == 2:
+                p0 = nfin - L + a1 if k else defn[a2]
+            else:
+                p0 = defn[a1]
+            if p0 >= 0:
+                pstore.append((nfin + P, p0, ma[mab + mj]))
         if pstore:
             store_lists.append(pstore)
     if len(store_lists) > 1:
@@ -977,10 +918,13 @@ def _emit(kern, N0, k, part, nrec, defn, defa, ma, lw, ap, sink, cur_loop,
         store_items = store_lists[0]
     else:
         store_items = ()
-    moff = N0 + kern.marker_off
-    sink.bulk_append(N0, cur_loop, nrec, sids, opcs, cnts, deps,
-                     range(moff, moff + kL, L), addr_runs, mem_runs,
-                     store_items)
+    sink.bulk_append(
+        N0, cur_loop, sids,
+        plan.ops.repeat(rows, 0).reshape(-1)[:nrec],
+        plan.cnts.repeat(rows, 0).reshape(-1)[:nrec],
+        deps.reshape(-1)[:k * plan.dep_width + plan.dep_end[part]],
+        base[:k] + (L - 1), addr_nodes, addr_pairs, mem_nodes, mem_vals,
+        store_items)
 
 
 def _writeback(plan, L, N0, k, part, defn, defa, ma, recording):
@@ -1163,8 +1107,8 @@ class TraceCompiler:
                     for opc_i in kern.op_pat[:part]:
                         counts[loop_key + opc_i] += 1
                 if recording:
-                    _emit(kern, N0, k, part, nrec, defn, defa, ma, lw,
-                          ap, sink, cur_loop, entry_sid)
+                    _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink,
+                          cur_loop, entry_sid)
                 _writeback(plan, L, N0, k, part, defn, defa, ma,
                            recording)
                 total += k

@@ -1,7 +1,7 @@
 """Columnar streaming trace storage: the one trace→DDG path.
 
-The sinks here pack each dynamic record straight into flat per-field
-columns as the interpreter emits it — no per-record object — and
+The sinks here pack each dynamic record straight into per-field columns
+as the interpreter emits it — no per-record object — and
 :meth:`ColumnarSink.to_ddg` turns the columns into the CSR
 :class:`~repro.ddg.graph.DDG` with a handful of numpy array passes.  The
 combination is the "fused interpret→trace→DDG" pipeline: a windowed
@@ -13,18 +13,29 @@ the system comes out of the same remap.  Given a set of candidate
 opcodes, the remap returns the window's candidate cone
 (:class:`CandidateCone`) instead of the whole window graph.
 
-Two pieces of bookkeeping keep the columns as small as the data:
+The columns are numpy arrays (:class:`TraceColumns`) held in chunks.
+Compiled loop batches (:mod:`repro.interp.compile`) derive theirs as
+arrays and hand them over whole; the records :meth:`ColumnarSink.emit`
+receives one at a time are buffered in Python lists and sealed into a
+chunk when a batch arrives or the columns are read.  Every reader takes
+the columns from :meth:`ColumnarSink.columns`, which concatenates the
+chunks.
+
+Three pieces of bookkeeping keep the columns as small as the data:
 
 - **Runs.**  Node ids are global and monotonically increasing, and the
   interpreter only skips emitting while a window sink is inactive, so
   recorded node ids form contiguous runs.  Only each run's (first node,
   first row) pair is stored; every other node id is recovered by
   arithmetic.  This also makes the store-address backpatch an O(1)
-  list write (``row = node - run_node0 + run_row0``) instead of a
-  node→record dict.
+  dict write (``row = node - run_node0 + run_row0``) instead of a
+  node→record lookup.
 - **Loop-id run-length encoding.**  The innermost active loop only
   changes at loop-marker records, so the per-record ``loop_id`` column
   is piecewise constant and stored as (row, loop_id) change points.
+- **Sparse columns.**  Most records carry no operand addresses and no
+  memory address, so those are stored only for the rows that carry
+  them, as ascending row keys with CSR values.
 
 The ``DynInstr``/``Trace`` API survives as a lazy view:
 :attr:`ColumnarSink.records` materializes the object list on demand and
@@ -37,7 +48,8 @@ tuple-view pattern of the batched Algorithm 1 engine).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain as _chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,20 +68,92 @@ from repro.trace.trace import Trace
 _OPCODES = frozenset(int(op) for op in Opcode)
 
 
+class TraceColumns(NamedTuple):
+    """A sink's trace columns as numpy arrays, one row per record.
+
+    The dense columns hold one entry per row; ``dep_flat`` holds each
+    row's ``dep_counts[r]`` producer node ids, concatenated.  The sparse
+    columns are keyed by ascending row: ``addr_rows`` are the rows that
+    carry operand addresses, ``addr_counts`` how many each carries and
+    ``addr_flat`` the addresses; ``mem_rows``/``mem_vals`` are the rows
+    of loads and stores and the address each accessed.  The fields and
+    dtypes are the segment file's sections of the same names
+    (:mod:`repro.trace.store`).
+    """
+
+    sids: np.ndarray
+    opcodes: np.ndarray
+    dep_counts: np.ndarray
+    dep_flat: np.ndarray
+    addr_rows: np.ndarray
+    addr_counts: np.ndarray
+    addr_flat: np.ndarray
+    mem_rows: np.ndarray
+    mem_vals: np.ndarray
+
+    def addr_map(self) -> Dict[int, Tuple[int, ...]]:
+        """Row -> operand-address tuple, for the rows that carry one."""
+        return dict(zip(self.addr_rows.tolist(),
+                        addr_tuples(self.addr_counts, self.addr_flat)))
+
+    def mem_map(self) -> Dict[int, int]:
+        """Row -> accessed address, for the loads and stores."""
+        return dict(zip(self.mem_rows.tolist(), self.mem_vals.tolist()))
+
+
+#: The dtype of each :class:`TraceColumns` field.
+COLUMN_DTYPES = (np.int64, np.int8, np.intc, np.int64, np.int64, np.intc,
+                 np.int64, np.int64, np.int64)
+
+_EMPTY_COLUMNS = TraceColumns(*(np.empty(0, dtype=dt)
+                                for dt in COLUMN_DTYPES))
+for _col in _EMPTY_COLUMNS:
+    _col.flags.writeable = False
+
+
+def concat_columns(parts: Sequence[TraceColumns]) -> TraceColumns:
+    """The rows of ``parts``, in order, copied into one set of columns."""
+    if not parts:
+        return _EMPTY_COLUMNS
+    return TraceColumns(*(np.concatenate(p) for p in zip(*parts)))
+
+
+def addr_tuples(counts, flat) -> List[Tuple[int, ...]]:
+    """The operand-address tuple of each row of CSR address columns."""
+    if (counts == 2).all():
+        # Every interpreter and kernel row: a binary FP op's pair.
+        return list(zip(flat[0::2].tolist(), flat[1::2].tolist()))
+    flat = flat.tolist()
+    out = []
+    start = 0
+    for end in np.cumsum(counts).tolist():
+        out.append(tuple(flat[start:end]))
+        start = end
+    return out
+
+
 def scatter_ints(out, di, rows, vals):
     """Scatter int ``vals`` keyed by row into ``out`` through the
     row→node map ``di``; rows that map to no node (-1) are skipped."""
     p = di[rows]
     kept = p >= 0
-    out[p[kept]] = np.asarray(vals, dtype=np.int64)[kept]
+    out[p[kept]] = vals[kept]
 
 
-def _scatter_map(out, di, map_):
-    """:func:`scatter_ints` from a row-keyed dict."""
-    if map_:
-        rows = np.fromiter(map_.keys(), np.int64, len(map_))
-        vals = np.fromiter(map_.values(), np.int64, len(map_))
-        scatter_ints(out, di, rows, vals)
+def scatter_sparse(di, n, cols: TraceColumns):
+    """Dense per-node columns from the sparse ones of ``cols``, through
+    the row→node map ``di`` (rows mapping to -1 are skipped): the
+    operand-address tuples as a list and the memory addresses as an
+    array, zero where a node has none."""
+    out_addrs: List[tuple] = [()] * n
+    if len(cols.addr_rows):
+        for p, val in zip(di[cols.addr_rows].tolist(),
+                          addr_tuples(cols.addr_counts, cols.addr_flat)):
+            if p >= 0:
+                out_addrs[p] = val
+    out_mem = np.zeros(n, dtype=np.int64)
+    scatter_ints(out_mem, di, cols.mem_rows, cols.mem_vals)
+    return out_addrs, out_mem
 
 
 def unique_deps(mapped, counts, n_rows, n_nodes):
@@ -208,64 +292,48 @@ class CandidateCone:
         return kept_rows, rows[live], self.new_index[preds[live]]
 
 
-def _row_index(keys):
-    """Row keys of one deferred sparse run as an int64 index array."""
-    if type(keys) is range:
-        return np.arange(keys.start, keys.stop, keys.step, np.int64)
-    return np.asarray(keys, dtype=np.int64)
-
-
 class ColumnarSink:
     """Retains every dynamic record, packed into flat columns.
 
     The interpreter feeds it through :meth:`emit` (opcode as a plain
-    int) and the compiled kernels through :meth:`bulk_append`;
-    downstream code either consumes the columns directly (:meth:`to_ddg`)
-    or the lazy :attr:`records` view.
+    int) and the compiled kernels through :meth:`bulk_append`; every
+    reader — :meth:`to_ddg`, the lazy :attr:`records` view, the segment
+    spill — takes the columns from :meth:`columns`.
     """
 
     __slots__ = (
-        "sids", "opcodes", "dep_flat", "dep_counts",
-        "addr_map", "mem_map", "store_map",
-        "runs", "loop_breaks", "marker_rows", "active",
-        "_addr_runs", "_mem_runs",
+        "store_map", "runs", "loop_breaks", "marker_rows", "active",
+        "_chunks", "_sealed", "_sids", "_ops", "_cnts", "_deps",
+        "_addrs", "_mems",
         "_next_node", "_cur_node0", "_cur_row0", "_last_loop", "_records",
         "_sid_append", "_op_append", "_cnt_append", "_dep_extend",
     )
 
     def __init__(self):
-        self.sids: List[int] = []
-        self.opcodes: List[int] = []
-        #: CSR-style dependence column: ``dep_counts[r]`` producer node
-        #: ids per row, concatenated in ``dep_flat``.  Flat ints instead
-        #: of a tuple per row: the cyclic collector has nothing to
-        #: track, which matters at millions of records.  ``dep_flat`` is
-        #: a plain list (list append is ~4x faster per record than
-        #: ``array('q')``; :meth:`to_ddg` converts once in bulk) and the
-        #: counts live in an ``array('i')`` numpy can view zero-copy.
-        #: (An earlier revision used a u8 ``bytearray`` here, which made
-        #: any dynamic row with >255 predecessors raise mid-trace.)
-        self.dep_flat: List[int] = []
-        self.dep_counts = array("i")
-        #: Sparse columns, keyed by row: most records carry no operand
-        #: addresses, no memory address, and no store backpatch, so a
-        #: map per populated row beats a dense per-record append.
-        self.addr_map: Dict[int, Tuple[int, ...]] = {}
-        self.mem_map: Dict[int, int] = {}
+        #: Sealed rows, as :class:`TraceColumns` chunks in row order.
+        #: Compiled batches arrive as arrays and become chunks as they
+        #: are; the rows :meth:`emit` buffers are sealed into one when a
+        #: batch arrives or the columns are read.
+        self._chunks: List[TraceColumns] = []
+        self._sealed = 0
+        #: The emit buffer: plain lists (a list append is the cheapest
+        #: per-record write) and row-keyed dicts for the sparse fields,
+        #: since most records carry no operand or memory address.
+        self._sids: List[int] = []
+        self._ops: List[int] = []
+        self._cnts: List[int] = []
+        self._deps: List[int] = []
+        self._addrs: Dict[int, Tuple[int, ...]] = {}
+        self._mems: Dict[int, int] = {}
+        #: Store-address backpatches, keyed by row: written out of row
+        #: order (a producer learns its address when a later store
+        #: names it), first store wins.
         self.store_map: Dict[int, int] = {}
-        #: Sparse-column runs deferred by :meth:`bulk_append` when the
-        #: batch lands with row == node: each entry is a ``(keys, vals)``
-        #: column pair whose keys are already rows.  The vectorized DDG
-        #: scatter consumes them natively (no dict hashing at all);
-        #: every other reader drains them via :meth:`_flush_sparse`.
-        self._addr_runs: List[tuple] = []
-        self._mem_runs: List[tuple] = []
         #: (first node id, first row) of each contiguous recorded run.
         self.runs: List[Tuple[int, int]] = []
         #: (row, loop_id) change points of the RLE'd loop-id column.
         self.loop_breaks: List[Tuple[int, int]] = []
-        #: rows holding loop-marker records (sparse; lets :meth:`to_ddg`
-        #: bulk-copy the marker-free row segments between them).
+        #: rows holding loop-marker records (sparse; they are no nodes).
         self.marker_rows: List[int] = []
         self.active = True
         #: Node id that continues the open run; ``None`` until the first
@@ -275,16 +343,39 @@ class ColumnarSink:
         self._cur_row0 = 0
         self._last_loop: Optional[int] = None
         self._records: Optional[List[DynInstr]] = None
-        # The columns are append-only and never rebound, so the bound
-        # methods can be cached once — each saves an attribute chain per
-        # record in emit().
-        self._sid_append = self.sids.append
-        self._op_append = self.opcodes.append
-        self._cnt_append = self.dep_counts.append
-        self._dep_extend = self.dep_flat.extend
+        # The buffer lists are cleared in place, never rebound, so the
+        # bound methods can be cached once — each saves an attribute
+        # chain per record in emit().
+        self._sid_append = self._sids.append
+        self._op_append = self._ops.append
+        self._cnt_append = self._cnts.append
+        self._dep_extend = self._deps.extend
+
+    @classmethod
+    def from_columns(cls, cols: TraceColumns, runs, loop_breaks,
+                     marker_rows, store_map) -> "ColumnarSink":
+        """A sink holding ``cols`` and the given bookkeeping, ready to
+        take more records as if it had emitted them (the segment store
+        reassembles spilled columns through this)."""
+        sink = cls()
+        if len(cols.sids):
+            sink._chunks.append(cols)
+            sink._sealed = len(cols.sids)
+        sink.runs.extend(runs)
+        sink.loop_breaks.extend(loop_breaks)
+        sink.marker_rows.extend(marker_rows)
+        sink.store_map.update(store_map)
+        if sink.runs:
+            last_node, last_row = sink.runs[-1]
+            sink._next_node = last_node + (sink._sealed - last_row)
+            sink._cur_node0 = last_node
+            sink._cur_row0 = last_row
+        if sink.loop_breaks:
+            sink._last_loop = sink.loop_breaks[-1][1]
+        return sink
 
     def __len__(self) -> int:
-        return len(self.sids)
+        return self._sealed + len(self._sids)
 
     # -- the streaming write path (hot) ------------------------------------
 
@@ -298,7 +389,7 @@ class ColumnarSink:
         addrs: Tuple[int, ...] = (),
         addr: int = 0,
     ) -> None:
-        row = len(self.sids)
+        row = self._sealed + len(self._sids)
         if node != self._next_node:
             self._cur_node0 = node
             self._cur_row0 = row
@@ -315,53 +406,79 @@ class ColumnarSink:
             self._dep_extend(deps)
         self._cnt_append(len(deps))
         if addrs:
-            self.addr_map[row] = addrs
+            self._addrs[row] = addrs
         if addr:
-            self.mem_map[row] = addr
+            self._mems[row] = addr
+
+    def _seal(self) -> None:
+        """Turn the emit buffer into a chunk of arrays."""
+        n = len(self._sids)
+        if not n:
+            return
+        addrs = self._addrs
+        mems = self._mems
+        vals = list(addrs.values())
+        self._chunks.append(TraceColumns(
+            np.array(self._sids, dtype=np.int64),
+            np.array(self._ops, dtype=np.int8),
+            np.array(self._cnts, dtype=np.intc),
+            np.array(self._deps, dtype=np.int64),
+            np.fromiter(addrs, np.int64, len(vals)),
+            np.fromiter(map(len, vals), np.intc, len(vals)),
+            np.fromiter(_chain.from_iterable(vals), np.int64),
+            np.fromiter(mems, np.int64, len(mems)),
+            np.fromiter(mems.values(), np.int64, len(mems)),
+        ))
+        self._sealed += n
+        self._sids.clear()
+        self._ops.clear()
+        self._cnts.clear()
+        self._deps.clear()
+        addrs.clear()
+        mems.clear()
 
     def bulk_append(
         self,
         node0: int,
         loop_id: int,
-        n: int,
         sids,
         opcodes,
         dep_counts,
         dep_flat,
-        marker_offsets=(),
-        addr_runs=(),
-        mem_runs=(),
+        marker_nodes,
+        addr_nodes,
+        addr_pairs,
+        mem_nodes,
+        mem_vals,
         store_items=(),
     ) -> None:
-        """Append ``n`` contiguous records wholesale — the batch-kernel
-        write path (:mod:`repro.interp.compile`).
+        """Append a compiled batch's records wholesale, as one chunk.
 
-        The records carry node ids ``node0 .. node0+n-1`` and a single
-        ``loop_id`` (a compiled region never crosses a loop-enter/exit
-        marker, so the innermost loop is constant).  ``sids``/``opcodes``
-        are length-``n`` columns; ``dep_counts`` and ``dep_flat`` are the
-        CSR dependence slab.  ``marker_offsets`` lists the loop-marker
-        records by *absolute node id*.  The sparse columns arrive as
-        *column runs*: ``addr_runs`` and ``mem_runs`` are sequences of
-        ``(keys, vals)`` pairs where ``keys`` is a range (or ascending
-        list) of absolute node ids and ``vals`` a same-length sequence —
-        operand-address tuples and memory addresses respectively.
-        ``store_items`` stays an item triple iterable ``(store_node,
-        producer_node, addr)`` in chronological order (store nodes
-        ascending) so the first-store-wins rule of :meth:`note_store`
-        resolves exactly as per-record emission would.  Absolute keys
-        make the common case — a full recording, where row == node —
-        zero-cost: the runs are parked as-is and either scattered
-        vectorized by the DDG build or drained once by
-        :meth:`_flush_sparse`.  Any row/node skew (window sinks, spilled
-        chunks) falls back to a per-item adjustment.
+        The records carry node ids ``node0 .. node0+n-1`` (``n =
+        len(sids)``) and a single ``loop_id`` (a compiled region never
+        crosses a loop-enter/exit marker, so the innermost loop is
+        constant).  Every column is a numpy array with the dtype of its
+        :class:`TraceColumns` field: ``sids``/``opcodes``/``dep_counts``
+        have one entry per record and ``dep_flat`` holds their
+        dependences.  The rest are keyed by *absolute node id*, ascending:
+        ``marker_nodes`` are the loop-marker records, ``addr_nodes`` the
+        records with an operand-address pair (``addr_pairs``, shape
+        ``(len(addr_nodes), 2)``), ``mem_nodes`` the loads and stores and
+        ``mem_vals`` their addresses.  The sink shifts the keys to rows
+        (``row - node`` is one constant over the batch) and keeps the
+        arrays as they are.  ``store_items`` stays an item triple
+        iterable ``(store_node, producer_node, addr)`` in chronological
+        order (store nodes ascending), so the first-store-wins rule of
+        :meth:`note_store` resolves exactly as per-record emission would.
 
-        The result is byte-identical to ``n`` :meth:`emit` calls with
-        the same per-record fields.
+        The result is identical to ``n`` :meth:`emit` calls with the same
+        per-record fields.
         """
-        if n <= 0:
+        n = len(sids)
+        if not n:
             return
-        row0 = len(self.sids)
+        self._seal()
+        row0 = self._sealed
         if node0 != self._next_node:
             self._cur_node0 = node0
             self._cur_row0 = row0
@@ -371,57 +488,32 @@ class ColumnarSink:
             self.loop_breaks.append((row0, loop_id))
             self._last_loop = loop_id
         shift = row0 - node0
-        if marker_offsets:
-            if shift == 0:
-                self.marker_rows += marker_offsets
-            else:
-                mr_append = self.marker_rows.append
-                for m in marker_offsets:
-                    mr_append(m + shift)
-        self.sids += sids
-        self.opcodes += opcodes
-        self.dep_counts.extend(dep_counts)
-        if dep_flat:
-            self.dep_flat += dep_flat
-        if addr_runs:
-            if shift == 0:
-                self._addr_runs += addr_runs
-            else:
-                addr_map = self.addr_map
-                for keys, vals in addr_runs:
-                    for node, addrs in zip(keys, vals):
-                        addr_map[node + shift] = addrs
-        if mem_runs:
-            if shift == 0:
-                self._mem_runs += mem_runs
-            else:
-                mem_map = self.mem_map
-                for keys, vals in mem_runs:
-                    for node, addr in zip(keys, vals):
-                        mem_map[node + shift] = addr
+        if len(marker_nodes):
+            self.marker_rows += (marker_nodes + shift).tolist()
+        self._chunks.append(TraceColumns(
+            sids, opcodes, dep_counts, dep_flat,
+            addr_nodes + shift,
+            np.full(len(addr_nodes), 2, dtype=np.intc),
+            addr_pairs.reshape(-1),
+            mem_nodes + shift, mem_vals,
+        ))
+        self._sealed = row0 + n
         if store_items:
             note = self.note_store
             for _node, producer_node, addr in store_items:
                 note(producer_node, addr)
 
-    def _flush_sparse(self) -> None:
-        """Drain deferred sparse-column runs into the row-keyed maps.
+    def columns(self) -> TraceColumns:
+        """Every row's columns, as numpy arrays: the one read path.
 
-        Runs are deferred only when their batch landed with row == node,
-        so the keys already are rows.  Idempotent; readers that touch
-        ``addr_map``/``mem_map`` directly call this first, while the
-        vectorized DDG scatter consumes the runs without a dict pass.
+        Seals the emit buffer and concatenates the chunks into one, which
+        replaces them, so a second call costs nothing.  Callers must not
+        write into the arrays.
         """
-        if self._addr_runs:
-            am = self.addr_map
-            for keys, vals in self._addr_runs:
-                am.update(zip(keys, vals))
-            self._addr_runs.clear()
-        if self._mem_runs:
-            mm = self.mem_map
-            for keys, vals in self._mem_runs:
-                mm.update(zip(keys, vals))
-            self._mem_runs.clear()
+        self._seal()
+        if len(self._chunks) != 1:
+            self._chunks = [concat_columns(self._chunks)]
+        return self._chunks[0]
 
     def on_marker(self, kind: int, loop_id: int, instance: int) -> None:
         """Markers are recorded through :meth:`emit`; nothing extra."""
@@ -442,9 +534,9 @@ class ColumnarSink:
     def stats(self) -> Dict[str, int]:
         """Cheap summary counters for telemetry (O(#markers), no column
         walk): recorded rows, marker records, marker-free segments (the
-        DDG-node-producing spans :meth:`to_ddg` bulk-copies), resolved
-        store backpatches, and contiguous recorded runs."""
-        n = len(self.sids)
+        spans of DDG nodes between markers), resolved store backpatches,
+        and contiguous recorded runs."""
+        n = len(self)
         segments = 0
         prev = 0
         for m in self.marker_rows:
@@ -468,8 +560,9 @@ class ColumnarSink:
         and each row's recorded producers that are nodes of these columns
         become its sorted, unique predecessors.
 
-        The row→node map, the sparse-column scatter and the dependence
-        remap run as vectorized array passes.
+        The row→node map, the dependence remap, the node-column gathers
+        and the sparse-column scatter run as vectorized array passes over
+        :meth:`columns`.
 
         With ``cone_ops`` (a set of candidate opcodes) the result is the
         window's candidate cone (:class:`CandidateCone`): only the nodes
@@ -481,7 +574,8 @@ class ColumnarSink:
         """
         from repro.ddg.graph import DDG
 
-        n_rows = len(self.sids)
+        cols = self.columns()
+        n_rows = len(cols.sids)
         is_node = np.ones(n_rows, dtype=bool)
         if self.marker_rows:
             is_node[self.marker_rows] = False
@@ -492,68 +586,35 @@ class ColumnarSink:
         # "no producer" dep sentinel (-1) by plain negative indexing.
         di = np.full(n_rows + 1, -1, dtype=np.int64)
         di[node_rows] = np.arange(n, dtype=np.int64)
-        rows, preds = self._remap_deps(di, n, n_rows)
+        rows, preds = self._remap_deps(cols, di, n, n_rows)
         window_nodes, window_edges = n, len(preds)
 
-        if cone_ops is None:
-            # The marker-free row spans slice-copy out of the columns
-            # wholesale (C-level copies, cheaper than a gather).
-            out_sids: List[int] = []
-            out_ops: List[int] = []
-            prev = 0
-            for m in self.marker_rows + [n_rows]:
-                out_sids += self.sids[prev:m]
-                out_ops += self.opcodes[prev:m]
-                prev = m + 1
-        else:
-            sid_rows = np.fromiter(self.sids, np.int64, n_rows)
-            # Opcodes fit a byte (segment files store them as one), and
-            # bytearray converts a list of small ints ~8x faster than
-            # numpy does.
-            op_rows = np.frombuffer(bytearray(self.opcodes), dtype=np.uint8)
-            node_sids = sid_rows[node_rows]
+        if cone_ops is not None:
+            node_sids = cols.sids[node_rows]
             cone = CandidateCone(cone_ops)
-            cone.add(node_sids, op_rows[node_rows], node_sids[preds],
-                     sid_rows[rows])
+            cone.add(node_sids, cols.opcodes[node_rows], node_sids[preds],
+                     cols.sids[rows])
             cone.finish(node_sids)
             node_rows, rows, preds = cone.select(0, node_rows, rows, preds)
             n = len(node_rows)
             di.fill(-1)
             di[node_rows] = np.arange(n, dtype=np.int64)
-            out_sids = sid_rows[node_rows].tolist()
-            out_ops = op_rows[node_rows].tolist()
 
-        # Scatter the sparse columns into dense per-node vectors
-        # (markers carry none of these; rows of nodes outside the cone
-        # map to -1 and are skipped).  The int-valued columns scatter
-        # wholesale; operand-address tuples stay a Python loop over the
-        # few keyed rows.
-        out_addrs: List[tuple] = [()] * n
-        addr_map = self.addr_map
-        if addr_map:
-            keyed = np.fromiter(addr_map.keys(), np.int64, len(addr_map))
-            for p, val in zip(di[keyed].tolist(), addr_map.values()):
-                if p >= 0:
-                    out_addrs[p] = val
-        for keys, vals in self._addr_runs:
-            for p, val in zip(di[_row_index(keys)].tolist(), vals):
-                if p >= 0:
-                    out_addrs[p] = val
+        # Markers carry no sparse fields; rows of nodes outside the cone
+        # map to -1 and are skipped.
+        out_addrs, out_mem = scatter_sparse(di, n, cols)
+        store = self.store_map
         out_store = np.zeros(n, dtype=np.int64)
-        _scatter_map(out_store, di, self.store_map)
-        out_mem = np.zeros(n, dtype=np.int64)
-        _scatter_map(out_mem, di, self.mem_map)
-        for keys, vals in self._mem_runs:
-            scatter_ints(out_mem, di, _row_index(keys), vals)
-
+        scatter_ints(out_store, di, np.fromiter(store, np.int64, len(store)),
+                     np.fromiter(store.values(), np.int64, len(store)))
         indices_arr, offsets_arr = csr_arrays(rows, preds, node_rows,
                                               n_rows)
         # Execution order is topological order, so every edge the remap
         # emits satisfies p < n and the DDG constructor can skip
         # structural validation.
         return DDG(
-            out_sids,
-            out_ops,
+            cols.sids[node_rows].tolist(),
+            cols.opcodes[node_rows].tolist(),
             addrs=out_addrs,
             store_addrs=out_store.tolist(),
             mem_addrs=out_mem.tolist(),
@@ -564,11 +625,11 @@ class ColumnarSink:
             window_edges=window_edges,
         )
 
-    def _remap_deps(self, di, n, n_rows):
+    def _remap_deps(self, cols, di, n, n_rows):
         """Map every dep to its DDG node (or -1) through the runs and the
         row→node map ``di``, then :func:`unique_deps`.  Returns the
         ``(rows, preds)`` edge columns."""
-        df = np.fromiter(self.dep_flat, np.int64, len(self.dep_flat))
+        df = cols.dep_flat
         runs = self.runs
         if len(runs) <= 1:
             node0 = runs[0][0] if runs else 0
@@ -590,8 +651,7 @@ class ColumnarSink:
             jc = np.maximum(j, 0)
             rows = df - rn[jc] + rr[jc]
             mapped = di[np.where((j >= 0) & (rows < rend[jc]), rows, n_rows)]
-        counts = np.frombuffer(self.dep_counts, dtype=np.intc)
-        return unique_deps(mapped, counts, n_rows, n)
+        return unique_deps(mapped, cols.dep_counts, n_rows, n)
 
     # -- record view -------------------------------------------------------
 
@@ -600,17 +660,17 @@ class ColumnarSink:
         """Lazy ``DynInstr`` materialization of the columns (built once;
         rebuilt if more records arrived since)."""
         recs = self._records
-        if recs is not None and len(recs) == len(self.sids):
+        if recs is not None and len(recs) == len(self):
             return recs
-        self._flush_sparse()
+        cols = self.columns()
         recs = []
         append = recs.append
         runs = self.runs
         breaks = self.loop_breaks
-        dep_flat = self.dep_flat
-        dep_counts = self.dep_counts
-        addr_get = self.addr_map.get
-        mem_get = self.mem_map.get
+        dep_flat = cols.dep_flat.tolist()
+        dep_counts = cols.dep_counts.tolist()
+        addr_get = cols.addr_map().get
+        mem_get = cols.mem_map().get
         store_get = self.store_map.get
         n_runs = len(runs)
         n_breaks = len(breaks)
@@ -620,7 +680,7 @@ class ColumnarSink:
         loop_id = -1
         row = 0
         start = 0
-        for sid, op in zip(self.sids, self.opcodes):
+        for sid, op in zip(cols.sids.tolist(), cols.opcodes.tolist()):
             if ri < n_runs and runs[ri][1] == row:
                 node = runs[ri][0]
                 ri += 1

@@ -61,11 +61,15 @@ import numpy as np
 from repro.errors import TraceError
 from repro.obs import get_status_bus, get_telemetry
 from repro.trace.columnar import (
+    COLUMN_DTYPES,
     CandidateCone,
     ColumnarLoopSink,
     ColumnarSink,
+    TraceColumns,
+    concat_columns,
     csr_arrays,
     scatter_ints,
+    scatter_sparse,
     unique_deps,
 )
 from repro.trace.events import MARKER_ENTER
@@ -117,11 +121,13 @@ class SegmentedSink(ColumnarSink):
     """A :class:`ColumnarSink` that spills full segments to disk.
 
     The hot :meth:`emit` path is the parent's; this class only adds the
-    cut check (two comparisons per record).  Rows inside the in-memory
-    columns are relative to :attr:`base_row`, which advances at every
-    spill — ``emit`` itself never sees absolute rows, so the parent's
-    bookkeeping (runs, loop RLE, sparse maps) works unchanged on the
-    open chunk.
+    cut check (two comparisons per record, on the sealed plus buffered
+    rows).  Rows inside the in-memory columns are relative to
+    :attr:`base_row`, which advances at every spill — ``emit`` itself
+    never sees absolute rows, so the parent's bookkeeping (runs, loop
+    RLE, sparse columns, store backpatches) works unchanged on the open
+    chunk, and a spill writes the sections straight from
+    :meth:`~repro.trace.columnar.ColumnarSink.columns`.
     """
 
     __slots__ = (
@@ -167,9 +173,9 @@ class SegmentedSink(ColumnarSink):
     def emit(self, node, sid, opcode, loop_id, deps=(), addrs=(), addr=0):
         ColumnarSink.emit(self, node, sid, opcode, loop_id, deps, addrs,
                           addr)
-        if len(self.sids) >= self.segment_rows and (
-                opcode >= MARKER_ENTER
-                or len(self.sids) >= self._force_rows):
+        rows = self._sealed + len(self._sids)
+        if rows >= self.segment_rows and (
+                opcode >= MARKER_ENTER or rows >= self._force_rows):
             self._spill(aligned=opcode >= MARKER_ENTER)
 
     def note_store(self, producer_node: int, addr: int) -> None:
@@ -183,9 +189,9 @@ class SegmentedSink(ColumnarSink):
             else:
                 self._late_stores.setdefault(row + self.base_row, addr)
 
-    def bulk_append(self, node0, loop_id, n, sids, opcodes, dep_counts,
-                    dep_flat, marker_offsets=(), addr_runs=(),
-                    mem_runs=(), store_items=()):
+    def bulk_append(self, node0, loop_id, sids, opcodes, dep_counts,
+                    dep_flat, marker_nodes, addr_nodes, addr_pairs,
+                    mem_nodes, mem_vals, store_items=()):
         """Batch append that cuts segments at exactly the rows where
         per-record :meth:`emit` would have cut.
 
@@ -193,36 +199,32 @@ class SegmentedSink(ColumnarSink):
         loop-marker row that lands at or past ``segment_rows``, or the
         unconditional ``2x``-budget row, whichever per-record emission
         would hit first — and each slice is appended through the parent
-        and spilled with the same ``aligned`` flag.  Store notes are
-        applied with their own slice, so the section-entry vs late-patch
-        classification (which depends on what had spilled when the note
-        arrived) also matches step-mode tracing row for row.
+        and spilled with the same ``aligned`` flag.  The slices are views
+        of the batch's arrays; the key arrays ascend, so each slice's
+        sparse entries are found by ``searchsorted`` on the cut's node.
+        Store notes are applied with their own slice, so the
+        section-entry vs late-patch classification (which depends on
+        what had spilled when the note arrived) also matches step-mode
+        tracing row for row.
         """
-        if n <= 0:
-            return
-        if len(self.sids) + n < self.segment_rows:
+        n = len(sids)
+        if self._sealed + len(self._sids) + n < self.segment_rows:
             # No record in this batch can reach the cut threshold.
             ColumnarSink.bulk_append(
-                self, node0, loop_id, n, sids, opcodes, dep_counts,
-                dep_flat, marker_offsets, addr_runs, mem_runs,
+                self, node0, loop_id, sids, opcodes, dep_counts, dep_flat,
+                marker_nodes, addr_nodes, addr_pairs, mem_nodes, mem_vals,
                 store_items)
             return
-        # Keys are absolute node ids; the cut search runs in batch
-        # offsets, so markers convert once, and the sparse runs flatten
-        # to sorted item lists whose keys compare against the cut's
-        # absolute node.
-        markers = [m - node0 for m in marker_offsets]
-        addr_items = sorted(
-            (k, v) for ks, vs in addr_runs for k, v in zip(ks, vs))
-        mem_items = sorted(
-            (k, v) for ks, vs in mem_runs for k, v in zip(ks, vs))
+        # The cut search runs in batch offsets, so markers convert once.
+        markers = (marker_nodes - node0).tolist()
+        dep_ends = np.cumsum(dep_counts)
         store_items = list(store_items)
         nmark = len(markers)
-        mk = ai = mi = si = 0
+        mk = si = 0
+        a0 = m0 = 0
         i = 0
-        dep_pos = 0
         while i < n:
-            chunk_len = len(self.sids)
+            chunk_len = self._sealed + len(self._sids)
             # First batch offset >= i whose emission triggers a cut.
             # A marker at offset m cuts once the chunk holds
             # ``segment_rows`` rows (aligned); any row cuts at the
@@ -242,38 +244,21 @@ class SegmentedSink(ColumnarSink):
             else:
                 end = n
                 spill = aligned = False
-            span = 0
-            for c in dep_counts[i:end]:
-                span += c
+            d0 = int(dep_ends[i - 1]) if i else 0
+            d1 = int(dep_ends[end - 1])
+            mk1 = bisect_left(markers, end, mk)
             node_end = node0 + end
-            sl_markers = []
-            while mk < nmark and markers[mk] < end:
-                sl_markers.append(node0 + markers[mk])
-                mk += 1
-            sl_ak, sl_av = [], []
-            while ai < len(addr_items) and addr_items[ai][0] < node_end:
-                k, v = addr_items[ai]
-                sl_ak.append(k)
-                sl_av.append(v)
-                ai += 1
-            sl_mk, sl_mv = [], []
-            while mi < len(mem_items) and mem_items[mi][0] < node_end:
-                k, v = mem_items[mi]
-                sl_mk.append(k)
-                sl_mv.append(v)
-                mi += 1
-            sl_stores = []
-            while si < len(store_items) and store_items[si][0] < node_end:
-                sl_stores.append(store_items[si])
-                si += 1
+            a1 = int(np.searchsorted(addr_nodes, node_end))
+            m1 = int(np.searchsorted(mem_nodes, node_end))
+            s1 = si
+            while s1 < len(store_items) and store_items[s1][0] < node_end:
+                s1 += 1
             ColumnarSink.bulk_append(
-                self, node0 + i, loop_id, end - i, sids[i:end],
-                opcodes[i:end], dep_counts[i:end],
-                dep_flat[dep_pos:dep_pos + span], sl_markers,
-                ((sl_ak, sl_av),) if sl_ak else (),
-                ((sl_mk, sl_mv),) if sl_mk else (), sl_stores)
-            dep_pos += span
-            i = end
+                self, node0 + i, loop_id, sids[i:end], opcodes[i:end],
+                dep_counts[i:end], dep_flat[d0:d1], marker_nodes[mk:mk1],
+                addr_nodes[a0:a1], addr_pairs[a0:a1], mem_nodes[m0:m1],
+                mem_vals[m0:m1], store_items[si:s1])
+            i, mk, a0, m0, si = end, mk1, a1, m1, s1
             if spill:
                 self._spill(aligned=aligned)
 
@@ -298,12 +283,11 @@ class SegmentedSink(ColumnarSink):
         return spans, open_span
 
     def _spill(self, aligned: bool) -> None:
-        n = len(self.sids)
+        n = len(self)
         if n == 0:
             return
         if self._finished:
             raise TraceError("segmented sink already finalized")
-        self._flush_sparse()
         tel = get_telemetry()
         # hist=True: one occurrence per spilled segment, so --profile
         # reports the p50/p95 per-segment spill latency distribution.
@@ -318,34 +302,19 @@ class SegmentedSink(ColumnarSink):
                 loop0 = breaks[0][1]
             else:
                 loop0 = self._loop_at_base
-            addr_rows = sorted(self.addr_map)
-            addr_counts = array("i", [len(self.addr_map[r])
-                                      for r in addr_rows])
-            addr_flat: List[int] = []
-            for r in addr_rows:
-                addr_flat.extend(self.addr_map[r])
-            mem_rows = sorted(self.mem_map)
+            cols = self.columns()
             store_rows = sorted(self.store_map)
-            sections = {
-                "sids": array("q", self.sids),
-                "opcodes": array("b", self.opcodes),
-                "dep_counts": self.dep_counts,
-                "dep_flat": array("q", self.dep_flat),
+            sections = dict(zip(TraceColumns._fields, cols))
+            sections.update({
                 "marker_rows": array("q", self.marker_rows),
                 "run_nodes": array("q", [r[0] for r in runs]),
                 "run_rows": array("q", [r[1] for r in runs]),
                 "loop_rows": array("q", [b[0] for b in breaks]),
                 "loop_vals": array("q", [b[1] for b in breaks]),
-                "addr_rows": array("q", addr_rows),
-                "addr_counts": addr_counts,
-                "addr_flat": array("q", addr_flat),
-                "mem_rows": array("q", mem_rows),
-                "mem_vals": array("q", [self.mem_map[r]
-                                        for r in mem_rows]),
                 "store_rows": array("q", store_rows),
                 "store_vals": array("q", [self.store_map[r]
                                           for r in store_rows]),
-            }
+            })
             index = len(self.segments)
             filename = f"segment-{index:05d}.vseg"
             section_meta, nbytes = _write_segment_file(
@@ -355,6 +324,7 @@ class SegmentedSink(ColumnarSink):
                 self.marker_rows, n, self._open_span
             )
             totals = self._totals
+            n_deps = len(cols.dep_flat)
             self.segments.append({
                 "file": filename,
                 "row0": self.base_row,
@@ -363,7 +333,7 @@ class SegmentedSink(ColumnarSink):
                 "loop0": loop0,
                 "markers": len(self.marker_rows),
                 "markers_before": totals["markers"],
-                "deps": len(self.dep_flat),
+                "deps": n_deps,
                 "dep0": totals["deps"],
                 "aligned": bool(aligned),
                 "bytes": nbytes,
@@ -375,7 +345,7 @@ class SegmentedSink(ColumnarSink):
             totals["marker_segments"] += spans
             totals["backpatches"] += len(store_rows)
             totals["runs"] += len(runs)
-            totals["deps"] += len(self.dep_flat)
+            totals["deps"] += n_deps
             totals["bytes"] += nbytes
         if tel.enabled:
             tel.count("trace_store.segments_spilled")
@@ -387,18 +357,14 @@ class SegmentedSink(ColumnarSink):
         if bus.enabled:
             bus.count("segments")
             bus.count("spill_bytes", nbytes)
-        # Reset the chunk in place (the parent's cached bound methods
-        # keep pointing at the same column objects) and rebase.
+        # Reset the chunk (the emit buffer is already empty: columns()
+        # sealed it) and rebase.
         self.base_row += n
         self._node_at_base = self._next_node
         self._loop_at_base = self._last_loop
         self._cur_row0 -= n
-        del self.sids[:]
-        del self.opcodes[:]
-        del self.dep_flat[:]
-        del self.dep_counts[:]
-        self.addr_map.clear()
-        self.mem_map.clear()
+        self._chunks = []
+        self._sealed = 0
         self.store_map.clear()
         del self.runs[:]
         del self.loop_breaks[:]
@@ -415,7 +381,7 @@ class SegmentedSink(ColumnarSink):
             with tel.span("trace_store.finalize"):
                 tail_aligned = bool(
                     self.marker_rows
-                    and self.marker_rows[-1] == len(self.sids) - 1
+                    and self.marker_rows[-1] == len(self) - 1
                 )
                 self._spill(aligned=tail_aligned)
                 self._finished = True
@@ -456,11 +422,12 @@ class SegmentedSink(ColumnarSink):
         """Spilled totals plus the open in-memory chunk — the same
         counters :meth:`ColumnarSink.stats` reports for an in-RAM run."""
         totals = self._totals
+        n = len(self)
         spans, _ = self._count_marker_free_spans(
-            self.marker_rows, len(self.sids), self._open_span
+            self.marker_rows, n, self._open_span
         )
         return {
-            "rows": totals["rows"] + len(self.sids),
+            "rows": totals["rows"] + n,
             "markers": totals["markers"] + len(self.marker_rows),
             "marker_segments": totals["marker_segments"] + spans,
             "backpatches": (totals["backpatches"] + len(self.store_map)
@@ -550,6 +517,13 @@ class SegmentData:
     @property
     def n_rows(self) -> int:
         return self.meta["rows"]
+
+    def columns(self) -> TraceColumns:
+        """The segment's trace columns as numpy views of its sections
+        (rows relative to the segment start)."""
+        return TraceColumns(*(
+            np.frombuffer(getattr(self, name), dtype=dt)
+            for name, dt in zip(TraceColumns._fields, COLUMN_DTYPES)))
 
 
 class DDGChunk(NamedTuple):
@@ -712,51 +686,40 @@ class SegmentStore:
         """Reassemble the full in-RAM :class:`ColumnarSink` — the exact
         columns an unspilled run would hold.  This is the compat and
         validation path; it deliberately pays the full-RAM cost."""
-        sink = ColumnarSink()
+        parts: List[TraceColumns] = []
+        markers: List[int] = []
+        runs: List[Tuple[int, int]] = []
+        breaks: List[Tuple[int, int]] = []
+        stores: Dict[int, int] = {}
         for seg in self.iter_segments():
             row0 = seg.row0
-            sink.sids.extend(seg.sids.tolist())
-            sink.opcodes.extend(seg.opcodes.tolist())
-            sink.dep_flat.extend(seg.dep_flat.tolist())
-            sink.dep_counts.extend(seg.dep_counts)
-            for m in seg.marker_rows:
-                sink.marker_rows.append(row0 + m)
-            for node, row in zip(seg.run_nodes, seg.run_rows):
-                sink.runs.append((node, row0 + row))
-            for row, val in zip(seg.loop_rows, seg.loop_vals):
-                sink.loop_breaks.append((row0 + row, val))
-            flat_pos = 0
-            addr_flat = seg.addr_flat
-            for row, count in zip(seg.addr_rows, seg.addr_counts):
-                sink.addr_map[row0 + row] = tuple(
-                    addr_flat[flat_pos:flat_pos + count]
-                )
-                flat_pos += count
-            for row, val in zip(seg.mem_rows, seg.mem_vals):
-                sink.mem_map[row0 + row] = val
+            cols = seg.columns()
+            parts.append(cols._replace(addr_rows=cols.addr_rows + row0,
+                                       mem_rows=cols.mem_rows + row0))
+            markers += [row0 + m for m in seg.marker_rows]
+            runs += [(node, row0 + row)
+                     for node, row in zip(seg.run_nodes, seg.run_rows)]
+            breaks += [(row0 + row, val)
+                       for row, val in zip(seg.loop_rows, seg.loop_vals)]
             for row, val in zip(seg.store_rows, seg.store_vals):
-                sink.store_map[row0 + row] = val
+                stores[row0 + row] = val
             for row, val in seg.meta["store_patches"]:
-                sink.store_map.setdefault(row0 + row, val)
-        if sink.runs:
-            last_node, last_row = sink.runs[-1]
-            sink._next_node = last_node + (self.total_rows - last_row)
-            sink._cur_node0 = last_node
-            sink._cur_row0 = last_row
-        if sink.loop_breaks:
-            sink._last_loop = sink.loop_breaks[-1][1]
-        return sink
+                stores.setdefault(row0 + row, val)
+        # Concatenating copies the columns out of the segment mappings.
+        return ColumnarSink.from_columns(concat_columns(parts), runs,
+                                         breaks, markers, stores)
 
     def trace(self, module) -> "StoredTrace":
         return StoredTrace(module, self)
 
     # -- streaming DDG assembly --------------------------------------------
 
-    def _map_deps(self, seg: SegmentData, ctx: _StoreContext):
-        """Every dependence of one segment as a window-wide DDG node
-        index: node id -> absolute row (via runs) -> node index (subtract
-        preceding markers), -1 when out of window or at a marker."""
-        df = np.frombuffer(seg.dep_flat, dtype=np.int64)
+    def _map_deps(self, cols: TraceColumns, ctx: _StoreContext):
+        """Every dependence of one segment (its columns ``cols``) as a
+        window-wide DDG node index: node id -> absolute row (via runs) ->
+        node index (subtract preceding markers), -1 when out of window or
+        at a marker."""
+        df = cols.dep_flat
         if not df.size:
             return df
         rn = np.frombuffer(ctx.run_nodes, dtype=np.int64)
@@ -792,17 +755,15 @@ class SegmentStore:
         cone = CandidateCone(cone_ops)
         node_sids = np.empty(self.n_nodes, dtype=np.int64)
         for seg in self.iter_segments():
+            cols = seg.columns()
             node_rows = self._node_rows(seg)
             node0 = seg.row0 - seg.meta["markers_before"]
-            sids = np.frombuffer(seg.sids, dtype=np.int64)
-            seg_sids = sids[node_rows]
+            seg_sids = cols.sids[node_rows]
             node_sids[node0:node0 + len(node_rows)] = seg_sids
-            mapped = self._map_deps(seg, ctx)
-            consumer_sids = np.repeat(
-                sids, np.frombuffer(seg.dep_counts, dtype=np.intc))
+            mapped = self._map_deps(cols, ctx)
+            consumer_sids = np.repeat(cols.sids, cols.dep_counts)
             valid = mapped >= 0
-            cone.add(seg_sids,
-                     np.frombuffer(seg.opcodes, dtype=np.int8)[node_rows],
+            cone.add(seg_sids, cols.opcodes[node_rows],
                      node_sids[mapped[valid]], consumer_sids[valid])
         cone.finish(node_sids)
         return cone
@@ -820,11 +781,10 @@ class SegmentStore:
         meta = seg.meta
         n_rows = meta["rows"]
         first = node0 = meta["row0"] - meta["markers_before"]
+        cols = seg.columns()
         node_rows = self._node_rows(seg)
-        rows, preds = unique_deps(
-            self._map_deps(seg, ctx),
-            np.frombuffer(seg.dep_counts, dtype=np.intc), n_rows,
-            self.n_nodes)
+        rows, preds = unique_deps(self._map_deps(cols, ctx),
+                                  cols.dep_counts, n_rows, self.n_nodes)
         window_edges = len(preds)
         if cone is not None:
             node_rows, rows, preds = cone.select(first, node_rows, rows,
@@ -836,33 +796,22 @@ class SegmentStore:
         # rows outside the cone.
         ri = np.full(n_rows, -1, dtype=np.int64)
         ri[node_rows] = np.arange(len(node_rows), dtype=np.int64)
-        out_addrs, out_store, out_mem = self._scatter_sparse(
-            seg, ri, len(node_rows))
+        out_addrs, out_mem = scatter_sparse(ri, len(node_rows), cols)
         return DDGChunk(
             node0,
-            np.frombuffer(seg.sids, dtype=np.int64)[node_rows].tolist(),
-            np.frombuffer(seg.opcodes, dtype=np.int8)[node_rows].tolist(),
-            out_addrs, out_store, out_mem, indices_arr, offsets_arr,
-            window_edges)
+            cols.sids[node_rows].tolist(),
+            cols.opcodes[node_rows].tolist(),
+            out_addrs,
+            self._store_addrs(seg, ri, len(node_rows)).tolist(),
+            out_mem.tolist(), indices_arr, offsets_arr, window_edges)
 
     @staticmethod
-    def _scatter_sparse(seg: SegmentData, ri, n_out: int
-                        ) -> Tuple[List[tuple], List[int], List[int]]:
-        """Dense per-node address vectors from the sparse row-keyed
-        sections, scattered through the row->output map ``ri`` (rows
-        mapping to -1 are skipped).  A section store entry predates any
-        late ``store_patches`` entry for its row, so it wins."""
-        out_addrs: List[tuple] = [()] * n_out
-        counts = np.frombuffer(seg.addr_counts, dtype=np.intc)
-        if counts.size:
-            ends = np.cumsum(counts).tolist()
-            flat = seg.addr_flat.tolist()
-            out = ri[np.frombuffer(seg.addr_rows, dtype=np.int64)].tolist()
-            start = 0
-            for p, end in zip(out, ends):
-                if p >= 0:
-                    out_addrs[p] = tuple(flat[start:end])
-                start = end
+    def _store_addrs(seg: SegmentData, ri, n_out: int):
+        """The dense store-address column of one segment's output: its
+        store sections, then its late ``store_patches``, scattered
+        through the row->output map ``ri`` (rows mapping to -1 are
+        skipped).  A section entry predates any late patch for its row,
+        so it wins."""
         out_store = np.zeros(n_out, dtype=np.int64)
         scatter_ints(out_store, ri,
                      np.frombuffer(seg.store_rows, dtype=np.int64),
@@ -875,11 +824,7 @@ class SegmentStore:
             p, pval = p[hit], pval[hit]
             free = out_store[p] == 0
             out_store[p[free]] = pval[free]
-        out_mem = np.zeros(n_out, dtype=np.int64)
-        scatter_ints(out_mem, ri,
-                     np.frombuffer(seg.mem_rows, dtype=np.int64),
-                     np.frombuffer(seg.mem_vals, dtype=np.int64))
-        return out_addrs, out_store.tolist(), out_mem.tolist()
+        return out_store
 
     def iter_ddg_chunks(self, cone_ops=None) -> Iterator[DDGChunk]:
         """The DDG, one segment window at a time — the streaming-consumer

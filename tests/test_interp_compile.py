@@ -73,10 +73,12 @@ int main() {
 
 
 def _cols(sink):
-    sink._flush_sparse()
-    return (sink.sids, sink.opcodes, list(sink.dep_counts), sink.dep_flat,
-            sink.runs, sink.loop_breaks, sink.marker_rows, sink.addr_map,
-            sink.mem_map, sink.store_map)
+    """The sink's columns, flattened to lists and dicts."""
+    cols = sink.columns()
+    return (cols.sids.tolist(), cols.opcodes.tolist(),
+            cols.dep_counts.tolist(), cols.dep_flat.tolist(), sink.runs,
+            sink.loop_breaks, sink.marker_rows, cols.addr_map(),
+            cols.mem_map(), sink.store_map)
 
 
 def _run(src, compile_loops, sink_factory=ColumnarSink, threshold=4,
@@ -112,8 +114,8 @@ class TestBitIdentity:
                    for k in i1._compiler.kernels.values())
 
     def test_ddg_identical_before_any_flush(self):
-        # to_ddg straight after the run exercises the vectorized
-        # deferred-run scatter (no dict materialization ever happens).
+        # to_ddg straight after the run: the batches' array chunks and
+        # the stepped rows' buffer meet first in columns().
         _, _, s0, _ = _run(STENCIL, False)
         _, _, s1, _ = _run(STENCIL, True)
         d0, d1 = s0.to_ddg(), s1.to_ddg()
@@ -124,7 +126,7 @@ class TestBitIdentity:
         assert d0.store_addrs == d1.store_addrs
         assert list(d0.pred_indices) == list(d1.pred_indices)
         assert list(d0.pred_offsets) == list(d1.pred_offsets)
-        # Runs must survive the scatter: a second build and the lazy
+        # The columns survive the build: a second build and the lazy
         # record view both still see every sparse entry.
         d2 = s1.to_ddg()
         assert d2.addrs == d1.addrs and d2.mem_addrs == d1.mem_addrs
@@ -519,7 +521,7 @@ int main() {{
         (i0, s0), (i1, s1) = runs
         assert _state(i0) == _state(i1)
         assert _cols(s0) == _cols(s1)
-        assert s1.opcodes[-1] == 63  # the faulting call's own record
+        assert s1.columns().opcodes[-1] == 63  # the faulting call's own record
         kern = i1._compiler.kernels[1]
         assert isinstance(kern, LoopKernel) and 63 in kern.op_pat
         # The fault hit a batch: the second instance ran its kernel

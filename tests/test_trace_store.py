@@ -68,15 +68,16 @@ def test_to_sink_reconstructs_exact_columns(seed, tmp_path):
     for column — the strongest form of the bit-identity gate."""
     _, _, ram, store = _window_pair(seed, tmp_path)
     back = store.to_sink()
-    assert back.sids == ram.sids
-    assert back.opcodes == ram.opcodes
-    assert back.dep_flat == ram.dep_flat
-    assert back.dep_counts == ram.dep_counts
+    got, want = back.columns(), ram.columns()
+    assert got.sids.tolist() == want.sids.tolist()
+    assert got.opcodes.tolist() == want.opcodes.tolist()
+    assert got.dep_flat.tolist() == want.dep_flat.tolist()
+    assert got.dep_counts.tolist() == want.dep_counts.tolist()
     assert back.marker_rows == ram.marker_rows
     assert back.runs == ram.runs
     assert back.loop_breaks == ram.loop_breaks
-    assert back.addr_map == ram.addr_map
-    assert back.mem_map == ram.mem_map
+    assert got.addr_map() == want.addr_map()
+    assert got.mem_map() == want.mem_map()
     assert back.store_map == ram.store_map
 
 
@@ -225,7 +226,7 @@ def test_empty_run_yields_empty_store(tmp_path):
     store = sink.finish()
     assert len(store.segments) == 0
     assert len(store.to_ddg()) == 0
-    assert store.to_sink().sids == []
+    assert store.to_sink().columns().sids.tolist() == []
 
 
 def test_rerun_cleans_stale_segments(tmp_path):
