@@ -39,7 +39,9 @@ process-wide active telemetry, a no-op unless e.g. the CLI's
 ``--profile`` installed a live one) and records stage spans plus work
 counters; pool workers collect their own telemetry and ship a snapshot
 back with each report, which the parent merges — serial and parallel
-runs report identical counter totals.
+runs report identical counter totals, except for the trace-replay
+compiler's: the drivers that own their module share one kernel table
+across its serial runs, which pool workers cannot.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
                       segment_rows: Optional[int] = None,
                       compile_loops: bool = True,
                       compile_threshold: Optional[int] = None,
-                      cone_ops=None):
+                      cone_ops=None, kernels=None):
     """Fused trace→DDG for one loop instance: the windowed re-run streams
     into columnar storage and the DDG drops out without materializing a
     record list.  The sink's span counter validates the instance: no
@@ -129,6 +131,10 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     (:class:`~repro.trace.columnar.CandidateCone`); ``ddg.nodes`` and
     ``ddg.edges`` still count the whole window, and ``ddg.cone_nodes``
     and ``ddg.cone_edges`` count the cone.
+
+    ``kernels`` is the caller's kernel table for ``module`` (see
+    :class:`~repro.interp.compile.TraceCompiler`): the re-run dispatches
+    the kernels earlier runs of the same analysis built and adds its own.
     """
     if tel is None:
         tel = get_telemetry()
@@ -150,7 +156,8 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     with tel.span("loop.rerun", hist=True):
         interp = Interpreter(module, sink=sink, fuel=fuel,
                              compile_loops=compile_loops,
-                             compile_threshold=compile_threshold)
+                             compile_threshold=compile_threshold,
+                             kernels=kernels)
         interp.run(entry, args)
     counters = interp.profile_counters()
     rows = 0
@@ -225,10 +232,11 @@ def analyze_loop(
 def _analyze_loop(
     module, loop_name, entry, args, instance, include_integer,
     relax_reductions, fuel, tel, spill_dir, segment_rows, compile_loops,
-    compile_threshold,
+    compile_threshold, kernels=None,
 ) -> Tuple[LoopReport, ProfileCounters]:
     """:func:`analyze_loop`, also returning the re-run's profile counters
-    (see :func:`windowed_loop_ddg`)."""
+    (see :func:`windowed_loop_ddg`).  ``kernels`` is the caller's kernel
+    table for ``module``."""
     if tel is None:
         tel = get_telemetry()
     info = module.loop_by_name(loop_name)
@@ -251,7 +259,7 @@ def _analyze_loop(
             tel, spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
             compile_threshold=compile_threshold,
-            cone_ops=candidate_opcodes(include_integer))
+            cone_ops=candidate_opcodes(include_integer), kernels=kernels)
         report = loop_metrics(ddg, module, loop_name, include_integer,
                               relax_reductions, tel=tel)
     tel.count("pipeline.loops_analyzed")
@@ -347,6 +355,7 @@ def run_loop_analyses(
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
+    kernels: Optional[dict] = None,
 ) -> Tuple[List[LoopReport], Optional[ProfileCounters]]:
     """Per-loop windowed analyses, optionally across a process pool.
 
@@ -364,6 +373,16 @@ def run_loop_analyses(
     With ``spill_dir`` set, loops run serially whatever ``jobs`` says:
     an out-of-core run is memory-bound, so loop-level fan-out would
     multiply the working set.
+
+    ``kernels`` is a kernel table for ``module`` that the caller owns
+    (see :class:`~repro.interp.compile.TraceCompiler`), or ``None`` for
+    a fresh table per re-run.  The serial re-runs share it: a later
+    loop's re-run dispatches the kernels an earlier run built from its
+    first iteration on, instead of stepping to the hotness threshold and
+    recording and compiling them again.  Pool workers compile a module
+    of their own, so each keeps its own table, and the ``interp.compile``
+    counters of a pooled run then count the kernel work each worker
+    repeats.
     """
     if tel is None:
         tel = get_telemetry()
@@ -380,7 +399,7 @@ def run_loop_analyses(
             _analyze_loop(module, name, entry, args, instance,
                           include_integer, relax_reductions, fuel, tel,
                           spill_dir, segment_rows, compile_loops,
-                          compile_threshold)
+                          compile_threshold, kernels)
             for name in names
         ]
         return ([report for report, _ in analyses],
@@ -470,7 +489,8 @@ def analyze_program(
     ``jobs > 1`` analyzes the hot loops concurrently across a process
     pool (``None`` = one worker per CPU); reports are byte-identical to
     ``jobs=1``.  ``spill_dir``/``segment_rows`` run the windowed traces
-    out-of-core (bit-identical report; loops then run serially).
+    out-of-core (bit-identical report; loops then run serially).  The
+    profile run and the serial re-runs share one kernel table.
     """
     if tel is None:
         tel = get_telemetry()
@@ -486,10 +506,12 @@ def analyze_program(
             decisions = analyze_program_loops(program, analyzer, vec_config)
 
         bus.phase("profile")
+        kernels: dict = {}
         with tel.span("profile.run"):
             interp = Interpreter(module, fuel=fuel,
                                  compile_loops=compile_loops,
-                                 compile_threshold=compile_threshold)
+                                 compile_threshold=compile_threshold,
+                                 kernels=kernels)
             interp.run(entry, args)
             profiles = profile_loops(module, interp, cost_model)
             hot = hot_loops(module, interp, threshold, cost_model)
@@ -504,7 +526,7 @@ def analyze_program(
             entry, args, instance, include_integer, relax_reductions,
             fuel, jobs, tel=tel, spill_dir=spill_dir,
             segment_rows=segment_rows, compile_loops=compile_loops,
-            compile_threshold=compile_threshold,
+            compile_threshold=compile_threshold, kernels=kernels,
         )
         report = BenchmarkReport(benchmark=benchmark)
         for prof, loop_report in zip(hot, loop_reports):

@@ -28,7 +28,12 @@ This module borrows the tracing-JIT idiom (PyPy-style meta-tracing):
    ``compile``/``exec`` — into a *batch kernel*: a closure running up
    to B iterations per dispatch as straight-line Python over local
    variables, with operand dispatch, register maps, constants, and
-   global addresses folded in at codegen time.
+   global addresses folded in at codegen time.  One kernel per loop
+   serves every dispatch, recording or not, and its source is kept
+   short (see :func:`_generate`), since a short run can spend as long
+   compiling its kernels as running them.  The kernel table
+   (:class:`TraceCompiler`) may be shared by the runs of one analysis,
+   so each loop is recorded and compiled once per analysis.
 3. **Derived columns.**  Record node ids within a straight-line path
    are *affine* in the iteration index — the record at path position
    ``P`` of iteration ``i`` is node ``N0 + i*L + P`` — so the
@@ -81,7 +86,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.ir.types import FloatType, IntType
-from repro.ir.values import Constant, VirtualReg
+from repro.ir.values import Constant, GlobalRef, VirtualReg
 from repro.obs import get_logger, get_status_bus, get_telemetry
 
 #: Iterations of a batch dispatched per kernel invocation.
@@ -437,18 +442,20 @@ def _analyze(entries) -> _Plan:
 
 
 class LoopKernel:
-    """A compiled loop body: path metadata plus lazily-built variants.
+    """A compiled loop body: path metadata plus one kernel function.
 
-    Two kernel variants exist per loop — recording (accumulates the
-    memory-address / load-writer streams for column derivation) and
-    non-recording (state updates only, for profile runs and inactive
-    trace windows) — generated on first use.
+    One kernel serves every dispatch of the loop.  It always accumulates
+    the memory-address and load-writer streams: a recording dispatch
+    derives the batch's trace columns from them (:func:`_emit`), and
+    every dispatch derives the def-address write-backs from the address
+    stream (:func:`_writeback`).  The function is generated and compiled
+    on first use.
     """
 
     __slots__ = (
         "loop_id", "length", "anchor", "entry", "resume", "plan",
         "op_pat", "count_items", "calls", "gained",
-        "_entries", "_gaddr", "_fns", "_srcs",
+        "_entries", "_gaddr", "_fn", "_src",
     )
 
     def __init__(self, loop_id: int, entries, anchor, global_addr):
@@ -471,78 +478,96 @@ class LoopKernel:
         self.gained = 0
         self._entries = entries
         self._gaddr = global_addr
-        self._fns: Dict[bool, object] = {}
-        self._srcs: Dict[bool, str] = {}
+        self._fn = None
+        self._src = ""
 
-    def source(self, recording: bool) -> str:
-        """The generated kernel source for one variant (for tests and
-        ``explain``-style introspection)."""
-        self.fn(recording)
-        return self._srcs[recording]
+    def source(self) -> str:
+        """The generated kernel source (for tests and introspection)."""
+        self.fn(True)
+        return self._src
 
     def fn(self, recording: bool):
-        f = self._fns.get(recording)
+        """The kernel function, generated and compiled on first call.
+
+        ``recording`` does not select anything: the one kernel serves
+        recording and non-recording dispatches alike.  The parameter
+        stays because ``perfbench/tracer.py`` wraps this method, with
+        this signature, to count the batches of every dispatch.
+        """
+        f = self._fn
         if f is None:
             tel = get_telemetry()
             with tel.span("interp.compile.build"):
-                src, consts = _generate(self._entries, self._gaddr,
-                                        recording, self.plan)
-                tag = "rec" if recording else "norec"
-                code = compile(
-                    src, f"<vectra-kernel-loop{self.loop_id}-{tag}>",
-                    "exec")
-                ns = consts
-                exec(code, ns)
-                f = ns["_kernel"]
-            self._srcs[recording] = src
-            self._fns[recording] = f
+                src, ns = _generate(self._entries, self._gaddr, self.plan)
+                exec(compile(src, f"<vectra-kernel-loop{self.loop_id}>",
+                             "exec"), ns)
+                f = self._fn = ns["_kernel"]
+            self._src = src
             if tel.enabled:
                 tel.count("interp.compile.kernels")
             get_status_bus().count("kernels")
-            _log.debug("compiled loop %d (%s, %d records/iter)",
-                       self.loop_id, tag, self.length)
+            _log.debug("compiled loop %d (%d records/iter)", self.loop_id,
+                       self.length)
         return f
 
 
 # -- code generation ---------------------------------------------------------
 
 
-def _generate(entries, global_addr, recording: bool, plan: _Plan):
-    """Generate one kernel variant's source for a recorded path.
+def _tuple_assign(targets: List[str], values: List[str]) -> str:
+    """One assignment statement binding ``targets`` to ``values``."""
+    return f"{', '.join(targets)} = {', '.join(values)}"
+
+
+def _generate(entries, global_addr, plan: _Plan):
+    """Generate the kernel source for a recorded path.
 
     Returns ``(source, namespace)`` where ``namespace`` carries the
-    helpers and non-literal constants (alloca types) the source needs.
-    The generated ``_kernel(B, N0, V, A, MEM, MW, ALLOC)`` runs up to
-    ``B`` iterations, returning ``(k, dpc, ma, lw, ap)`` — ``k``
-    completed iterations and, when a guard failed, the path position
-    ``dpc`` to resume stepping at (``-1`` for a full batch); ``ma``
-    holds one address per executed memory operand, ``lw`` one ``MW``
-    lookup per executed load, and ``ap`` (legacy address mode only)
-    one operand-address pair per executed FP record.  Positions before
-    ``dpc`` in the partial iteration have executed and emitted;
-    position ``dpc`` and later have not.
+    helpers and non-literal constants (alloca types, intrinsics) the
+    source needs.  The generated ``_kernel(B, N0, V, A, MEM, MW,
+    ALLOC)`` runs up to ``B`` iterations, returning ``(k, dpc, ma, lw,
+    ap)`` — ``k`` completed iterations and, when a guard failed, the
+    path position ``dpc`` to resume stepping at (``-1`` for a full
+    batch); ``ma`` holds one address per executed memory operand, ``lw``
+    one ``MW`` lookup per executed load, and ``ap`` (legacy address mode
+    only) one operand-address pair per executed FP record.  Positions
+    before ``dpc`` in the partial iteration have executed; position
+    ``dpc`` and later have not.
+
+    The source is kept short, since compiling it is a large share of a
+    short run's cost:
+
+    - every register the path touches is loaded from ``V`` in one
+      tuple assignment, and every register it writes is stored back in
+      one (a guard can fail before a register's first write in the very
+      first iteration, so the write-back must see the pre-batch value);
+    - a pointer register is guarded once per iteration until the path
+      writes it again — an unchanged value that passed the guard passes
+      it again — and a global's address is never guarded;
+    - a guard, and the wrap of an integer result, is one statement.
+
+    Only legacy address mode tracks an address per register (``a{r}``,
+    loaded from and stored back to ``A``); derived mode leaves that to
+    :func:`_writeback`.
     """
     from repro.interp.interpreter import _INTRINSICS, _cdiv, _f32
     from repro.runtime.memory import default_value
 
     L = len(entries)
-    # Derived mode needs no per-register address tracking at all; the
-    # non-recording variant and legacy mode keep it (the dispatcher
-    # cannot derive ``defa`` without the recorded address stream).
-    keep_a = plan.legacy or not recording
+    legacy = plan.legacy
     consts: Dict[str, object] = {"_f32": _f32, "_cdiv": _cdiv}
-    live: set = set()
+    touched: set = set()
     a_live: set = set()
     written: set = set()
+    # pointer registers that passed a guard since their last write
+    guarded: set = set()
     body: List[str] = []
     o = body.append
 
     def vx(op) -> str:
         if isinstance(op, VirtualReg):
-            i = op.index
-            if i not in written:
-                live.add(i)
-            return f"v{i}"
+            touched.add(op.index)
+            return f"v{op.index}"
         if isinstance(op, Constant):
             return f"({op.value!r})"
         return repr(global_addr[op.name])  # GlobalRef
@@ -555,97 +580,84 @@ def _generate(entries, global_addr, recording: bool, plan: _Plan):
             return f"a{i}"
         return "0"
 
-    def wrap_int(target: str, bits: int) -> None:
-        o(f"if {target} >> {bits - 1} not in (0, -1):")
-        o(f"    {target} &= {(1 << bits) - 1}")
-        o(f"    if {target} >= {1 << (bits - 1)}:")
-        o(f"        {target} -= {1 << bits}")
+    def deopt(cond: str, P: int) -> None:
+        o(f"if {cond}: dpc = {P}; break")
+
+    def pointer(op, P: int) -> str:
+        pe = vx(op)
+        if isinstance(op, GlobalRef):
+            return pe
+        if isinstance(op, VirtualReg):
+            if op.index in guarded:
+                return pe
+            guarded.add(op.index)
+        deopt(f"type({pe}) is not int or {pe} <= 0", P)
+        return pe
+
+    def wrote(r: int) -> None:
+        touched.add(r)
+        written.add(r)
+        guarded.discard(r)
+
+    def define(r: int, expr: str, addr: str = "0") -> None:
+        # ``addr`` is the legacy-mode address of the result; it is
+        # bound first, since it may read the register being written.
+        if legacy:
+            o(f"a{r} = {addr}")
+        o(f"v{r} = {expr}")
+        wrote(r)
+
+    def wrap_int(r: int, bits: int) -> None:
+        # ``v >> (bits - 1)`` runs first, as in the step interpreter, so
+        # a float operand raises the same TypeError.
+        half = 1 << (bits - 1)
+        o(f"if v{r} >> {bits - 1} not in (0, -1):"
+          f" v{r} = ((v{r} + {half}) & {(1 << bits) - 1}) - {half}")
 
     for P, (instr, _blk, _pc, taken) in enumerate(entries):
         opc = instr.opcode._value_
         ops = instr.operands
 
-        if opc == 51:  # LOAD
-            pe = vx(ops[0])
-            r = instr.result.index
-            o(f"p{P} = {pe}")
-            o(f"if type(p{P}) is not int or p{P} <= 0:")
-            o(f"    dpc = {P}")
-            o("    break")
-            if recording:
-                o(f"lwa(MWg(p{P}, -1))")
+        if opc == 51:  # LOAD: stream entries read the pointer first
+            pe = pointer(ops[0], P)
+            o(f"lwa(MWg({pe}, -1)); maa({pe})")
             dv = default_value(instr.result.type)
-            o(f"v{r} = MEMg(p{P}, {dv!r})")
-            if keep_a:
-                o(f"a{r} = p{P}")
-            if recording:
-                o(f"maa(p{P})")
-            written.add(r)
+            define(instr.result.index, f"MEMg({pe}, {dv!r})", pe)
 
         elif opc == 52:  # STORE
             ve = vx(ops[0])
-            pe = vx(ops[1])
-            o(f"p{P} = {pe}")
-            o(f"if type(p{P}) is not int or p{P} <= 0:")
-            o(f"    dpc = {P}")
-            o("    break")
-            o(f"MEM[p{P}] = {ve}")
-            o(f"MW[p{P}] = nb + {P}")
-            if recording:
-                o(f"maa(p{P})")
+            pe = pointer(ops[1], P)
+            o(f"MEM[{pe}] = {ve}; MW[{pe}] = nb + {P}; maa({pe})")
 
         elif opc in _FP_ARITH:
             ae = vx(ops[0])
             be = vx(ops[1])
             if opc == 13:
-                o(f"if {be} == 0.0:")
-                o(f"    dpc = {P}")
-                o("    break")
+                deopt(f"{be} == 0.0", P)
+            if legacy:
+                o(f"apa(({ax(ops[0])}, {ax(ops[1])}))")
             expr = f"{ae} {_FP_ARITH[opc]} {be}"
             if instr.result.type.bits == 32:
                 expr = f"_f32({expr})"
-            r = instr.result.index
-            o(f"v{r} = {expr}")
-            if recording and plan.legacy:
-                o(f"apa(({ax(ops[0])}, {ax(ops[1])}))")
-            if keep_a:
-                o(f"a{r} = 0")
-            written.add(r)
+            define(instr.result.index, expr)
 
-        elif opc in _INT_ARITH:
-            ae = vx(ops[0])
-            be = vx(ops[1])
+        elif opc in _INT_ARITH or opc in _BITWISE:
+            sym = _INT_ARITH.get(opc) or _BITWISE[opc]
             r = instr.result.index
-            o(f"v{r} = {ae} {_INT_ARITH[opc]} {be}")
-            wrap_int(f"v{r}", instr.result.type.bits)
-            if keep_a:
-                o(f"a{r} = 0")
-            written.add(r)
+            define(r, f"{vx(ops[0])} {sym} {vx(ops[1])}")
+            wrap_int(r, instr.result.type.bits)
 
         elif opc == 53:  # PTRADD
-            ae = vx(ops[0])
-            be = vx(ops[1])
-            r = instr.result.index
-            o(f"v{r} = {ae} + {be}")
-            if keep_a:
-                o(f"a{r} = 0")
-            written.add(r)
+            define(instr.result.index, f"{vx(ops[0])} + {vx(ops[1])}")
 
         elif opc == 30 or opc == 31:  # ICMP / FCMP
-            ae = vx(ops[0])
-            be = vx(ops[1])
             cmp = _CMP_OPS.get(instr.pred, "!=")
-            r = instr.result.index
-            o(f"v{r} = 1 if {ae} {cmp} {be} else 0")
-            if keep_a:
-                o(f"a{r} = 0")
-            written.add(r)
+            define(instr.result.index,
+                   f"1 if {vx(ops[0])} {cmp} {vx(ops[1])} else 0")
 
         elif opc == 61:  # CBR — guard the recorded direction
             ce = vx(ops[0])
-            o(f"if not {ce}:" if taken else f"if {ce}:")
-            o(f"    dpc = {P}")
-            o("    break")
+            deopt(f"not {ce}" if taken else ce, P)
 
         elif opc == 60 or opc == 71:  # JUMP / LOOP_NEXT: no deps, no state
             pass
@@ -655,82 +667,44 @@ def _generate(entries, global_addr, recording: bool, plan: _Plan):
             to_type = instr.result.type
             r = instr.result.index
             if isinstance(to_type, IntType):
-                o(f"v{r} = {ve}")
-                o(f"if type(v{r}) is float:")
-                o(f"    v{r} = int(v{r})")
-                wrap_int(f"v{r}", to_type.bits)
-                if keep_a:
-                    o(f"a{r} = 0")
+                define(r, f"int({ve}) if type({ve}) is float else {ve}")
+                wrap_int(r, to_type.bits)
             elif isinstance(to_type, FloatType):
-                if to_type.bits == 32:
-                    o(f"v{r} = _f32(float({ve}))")
-                else:
-                    o(f"v{r} = float({ve})")
-                if keep_a:
-                    o(f"a{r} = 0")
+                define(r, f"_f32(float({ve}))" if to_type.bits == 32
+                       else f"float({ve})")
             else:  # pointer retyping keeps provenance
-                o(f"v{r} = {ve}")
-                if keep_a:
-                    o(f"a{r} = {ax(ops[0])}")
-            written.add(r)
+                define(r, ve, ax(ops[0]))
 
         elif opc == 4 or opc == 5:  # SDIV / SREM
             ae = vx(ops[0])
             be = vx(ops[1])
-            o(f"if {be} == 0:")
-            o(f"    dpc = {P}")
-            o("    break")
-            r = instr.result.index
+            deopt(f"{be} == 0", P)
             if opc == 4:
-                o(f"v{r} = _cdiv({ae}, {be})")
+                define(instr.result.index, f"_cdiv({ae}, {be})")
             else:
-                o(f"q{P} = _cdiv({ae}, {be})")
-                o(f"v{r} = {ae} - q{P} * {be}")
-            if keep_a:
-                o(f"a{r} = 0")
-            written.add(r)
-
-        elif opc in _BITWISE:
-            ae = vx(ops[0])
-            be = vx(ops[1])
-            r = instr.result.index
-            o(f"v{r} = {ae} {_BITWISE[opc]} {be}")
-            wrap_int(f"v{r}", instr.result.type.bits)
-            if keep_a:
-                o(f"a{r} = 0")
-            written.add(r)
+                define(instr.result.index,
+                       f"{ae} - _cdiv({ae}, {be}) * {be}")
 
         elif opc == 41:  # SELECT
             ce = vx(ops[0])
             ae = vx(ops[1])
             be = vx(ops[2])
             r = instr.result.index
-            if keep_a:
-                o(f"if {ce}:")
-                o(f"    v{r} = {ae}")
-                o(f"    a{r} = {ax(ops[1])}")
-                o("else:")
-                o(f"    v{r} = {be}")
-                o(f"    a{r} = {ax(ops[2])}")
+            if legacy:
+                # One statement: the condition is read once, before
+                # either register is written.
+                o(f"v{r}, a{r} = ({ae}, {ax(ops[1])}) if {ce}"
+                  f" else ({be}, {ax(ops[2])})")
+                wrote(r)
             else:
-                o(f"v{r} = {ae} if {ce} else {be}")
-            written.add(r)
+                define(r, f"{ae} if {ce} else {be}")
 
         elif opc == 42:  # COPY
-            ve = vx(ops[0])
-            r = instr.result.index
-            o(f"v{r} = {ve}")
-            if keep_a:
-                o(f"a{r} = {ax(ops[0])}")
-            written.add(r)
+            define(instr.result.index, vx(ops[0]), ax(ops[0]))
 
         elif opc == 50:  # ALLOCA
             consts[f"T{P}"] = instr.alloc_type
-            r = instr.result.index
-            o(f"v{r} = ALLOC(T{P})")
-            if keep_a:
-                o(f"a{r} = 0")
-            written.add(r)
+            define(instr.result.index, f"ALLOC(T{P})")
 
         elif opc == 63:  # CALL of an intrinsic — any exception deopts
             # The step interpreter's own function object, so values are
@@ -739,47 +713,35 @@ def _generate(entries, global_addr, recording: bool, plan: _Plan):
             consts[f"F{P}"] = _INTRINSICS[instr.callee]
             call = f"F{P}({', '.join(vx(a) for a in ops)})"
             res = instr.result
-            o("try:")
-            o(f"    v{res.index} = {call}" if res is not None
-              else f"    {call}")
-            o("except Exception:")
-            o(f"    dpc = {P}")
-            o("    break")
+            if res is None:
+                o(f"try: {call}")
+            else:
+                o(f"try: v{res.index} = {call}")
+            o(f"except Exception: dpc = {P}; break")
             if res is not None:
-                if keep_a:
+                if legacy:
                     o(f"a{res.index} = 0")
-                written.add(res.index)
+                wrote(res.index)
 
         else:  # pragma: no cover - build() validates the path first
             raise AssertionError(f"unsupported opcode {opc} in path")
 
-    rec_ma = recording and plan.n_mem
-    rec_lw = recording and plan.n_load
-    rec_ap = recording and plan.legacy and plan.n_addr
     lines = ["def _kernel(B, N0, V, A, MEM, MW, ALLOC):"]
     w = lines.append
     if plan.n_load:
-        w("    MEMg = MEM.get")
-        if recording:
-            w("    MWg = MW.get")
-    if rec_ma:
-        w("    ma = []")
-        w("    maa = ma.append")
-    if rec_lw:
-        w("    lw = []")
-        w("    lwa = lw.append")
-    if rec_ap:
-        w("    ap = []")
-        w("    apa = ap.append")
-    # Every touched register is preloaded — not just live-ins: a guard
-    # can fail before a register's first write in the very first
-    # iteration, and the epilogue write-back below must then restore
-    # the untouched pre-batch value.
-    for i in sorted(live | written):
-        w(f"    v{i} = V[{i}]")
-    if keep_a:
-        for i in sorted(a_live | written):
-            w(f"    a{i} = A[{i}]")
+        w("    MEMg = MEM.get; MWg = MW.get; lw = []; lwa = lw.append")
+    if plan.n_mem:
+        w("    ma = []; maa = ma.append")
+    if legacy and plan.n_addr:
+        w("    ap = []; apa = ap.append")
+    if touched:
+        regs = sorted(touched)
+        w("    " + _tuple_assign([f"v{i}" for i in regs],
+                                 [f"V[{i}]" for i in regs]))
+    if legacy and (a_live | written):
+        regs = sorted(a_live | written)
+        w("    " + _tuple_assign([f"a{i}" for i in regs],
+                                 [f"A[{i}]" for i in regs]))
     w("    dpc = -1")
     w("    for k in range(B):")
     if plan.has_store:
@@ -788,13 +750,16 @@ def _generate(entries, global_addr, recording: bool, plan: _Plan):
         w("        " + line)
     w("    else:")
     w("        k = B")
-    for i in sorted(written):
-        w(f"    V[{i}] = v{i}")
-    if keep_a:
-        for i in sorted(written):
-            w(f"    A[{i}] = a{i}")
-    w(f"    return k, dpc, {'ma' if rec_ma else '()'},"
-      f" {'lw' if rec_lw else '()'}, {'ap' if rec_ap else '()'}")
+    if written:
+        regs = sorted(written)
+        w("    " + _tuple_assign([f"V[{i}]" for i in regs],
+                                 [f"v{i}" for i in regs]))
+        if legacy:
+            w("    " + _tuple_assign([f"A[{i}]" for i in regs],
+                                     [f"a{i}" for i in regs]))
+    w(f"    return k, dpc, {'ma' if plan.n_mem else '()'},"
+      f" {'lw' if plan.n_load else '()'},"
+      f" {'ap' if legacy and plan.n_addr else '()'}")
     return "\n".join(lines) + "\n", consts
 
 
@@ -927,18 +892,19 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
         store_items)
 
 
-def _writeback(plan, L, N0, k, part, defn, defa, ma, recording):
+def _writeback(plan, L, N0, k, part, defn, defa, ma):
     """Update ``defn``/``defa`` for every register the batch wrote.
 
     The last write visible to the step interpreter is the final full
     iteration's — or, after a deopt, the partial iteration's last write
-    *before* the failed guard.  Legacy and non-recording kernels track
-    ``defa`` themselves; derived recording mode reconstructs it from
-    the memory-address stream here.
+    *before* the failed guard.  A legacy-mode kernel tracks ``defa``
+    itself; in derived mode it is reconstructed here from the
+    memory-address stream, for recording and non-recording dispatches
+    alike.
     """
     nfin = N0 + k * L
     NM = plan.n_mem
-    derive_a = recording and not plan.legacy
+    derive_a = not plan.legacy
     if part:
         for r, wl, al in plan.wb:
             j = bisect_left(wl, part)
@@ -966,12 +932,22 @@ def _writeback(plan, L, N0, k, part, defn, defa, ma, recording):
 
 class TraceCompiler:
     """Per-interpreter trace-replay compiler: hotness, recording,
-    kernel construction, and batch dispatch."""
+    kernel construction, and batch dispatch.
+
+    ``kernels`` is the kernel table (loop id -> :class:`LoopKernel` or
+    :data:`REJECTED`).  By default each compiler starts an empty one;
+    the interpreters of one analysis of one module may share a table,
+    so a later run dispatches the kernels an earlier run built from its
+    first iteration on.  Sharing is exact: guards make a kernel correct
+    from any entry state, and every interpreter of a module lays its
+    globals out at the same addresses, the ones a kernel bakes in.
+    """
 
     __slots__ = ("interp", "threshold", "batch_iters", "kernels", "_fails")
 
     def __init__(self, interp, threshold: Optional[int] = None,
-                 batch_iters: int = BATCH_ITERS):
+                 batch_iters: int = BATCH_ITERS,
+                 kernels: Optional[Dict[int, object]] = None):
         from repro.profiler.hotloops import HOT_LOOP_THRESHOLD
 
         self.interp = interp
@@ -979,7 +955,7 @@ class TraceCompiler:
                           else threshold)
         self.batch_iters = batch_iters
         #: loop id -> LoopKernel, or :data:`REJECTED`.
-        self.kernels: Dict[int, object] = {}
+        self.kernels: Dict[int, object] = {} if kernels is None else kernels
         self._fails: Dict[int, int] = defaultdict(int)
 
     # -- recording lifecycle ------------------------------------------------
@@ -1078,6 +1054,7 @@ class TraceCompiler:
         mem = interp.memory.data
         mw = interp._mem_writer
         alloc = interp.memory.alloc_stack
+        # Positional on purpose: perfbench/tracer.py wraps LoopKernel.fn.
         fn = kern.fn(recording)
         batch = self.batch_iters
         total = 0
@@ -1109,8 +1086,7 @@ class TraceCompiler:
                 if recording:
                     _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink,
                           cur_loop, entry_sid)
-                _writeback(plan, L, N0, k, part, defn, defa, ma,
-                           recording)
+                _writeback(plan, L, N0, k, part, defn, defa, ma)
                 total += k
             entry_sid = None
             if dpc >= 0:

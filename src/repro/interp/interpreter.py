@@ -133,7 +133,8 @@ class Interpreter:
 
     def __init__(self, module: Module, sink=None, fuel: int = DEFAULT_FUEL,
                  compile_loops: bool = True,
-                 compile_threshold: Optional[int] = None):
+                 compile_threshold: Optional[int] = None,
+                 kernels: Optional[dict] = None):
         self.module = module
         self.memory = Memory()
         self.sink = sink
@@ -162,12 +163,15 @@ class Interpreter:
         #: wholesale.  Requires a sink with the bulk-append write path
         #: (or no sink at all — profile runs batch too); a sink without
         #: one (the record-object reference sinks of the test oracle)
-        #: runs on pure stepping.
+        #: runs on pure stepping.  ``kernels``, a kernel table the caller
+        #: owns, lets the runs of one analysis of this module share their
+        #: kernels (see :class:`~repro.interp.compile.TraceCompiler`).
         self._compiler = None
         if compile_loops and (
             sink is None or hasattr(sink, "bulk_append")
         ):
-            self._compiler = TraceCompiler(self, compile_threshold)
+            self._compiler = TraceCompiler(self, compile_threshold,
+                                           kernels=kernels)
         # One check at construction, zero per-record cost: the sampling
         # profiler resolves (loop id, sid) samples against this module
         # at fold time.

@@ -39,9 +39,11 @@ decision.
 Store semantics note: ``note_store`` backpatches the producer's row,
 which may already live in a spilled segment.  Spilled store columns are
 immutable, so such *late* patches accumulate in memory (first-wins, like
-the in-RAM sink) and are recorded in the manifest at finalize; the
-reader merges them back with section entries taking precedence — a
-section entry always predates the spill and therefore any late patch.
+the in-RAM sink) and are recorded in the manifest at finalize.  A row
+whose segment section already holds a store entry takes no late patch:
+that entry predates the spill and so wins, as the first store does in
+RAM.  The sink finds out by reading the segment's ``store_rows`` section
+back, once per distinct late-noted row.
 """
 
 from __future__ import annotations
@@ -132,8 +134,8 @@ class SegmentedSink(ColumnarSink):
 
     __slots__ = (
         "spill_dir", "segment_rows", "base_row", "segments",
-        "_force_rows", "_late_stores", "_node_at_base", "_loop_at_base",
-        "_totals", "_open_span", "_finished",
+        "_force_rows", "_late_stores", "_settled_rows", "_node_at_base",
+        "_loop_at_base", "_totals", "_open_span", "_finished",
     )
 
     def __init__(self, spill_dir: str,
@@ -151,6 +153,8 @@ class SegmentedSink(ColumnarSink):
         self.base_row = 0
         self.segments: List[dict] = []
         self._late_stores: Dict[int, int] = {}
+        #: spilled rows a late note found with a section store entry.
+        self._settled_rows: set = set()
         self._node_at_base = 0
         self._loop_at_base: Optional[int] = None
         self._totals = {
@@ -180,14 +184,34 @@ class SegmentedSink(ColumnarSink):
 
     def note_store(self, producer_node: int, addr: int) -> None:
         # Same run-bounded, first-wins semantics as the parent; rows in
-        # [_cur_row0, 0) were already spilled and become late patches.
+        # [_cur_row0, 0) were already spilled and become late patches,
+        # unless their section already holds the first store.
         row = producer_node - self._cur_node0 + self._cur_row0
         if row >= self._cur_row0:
             if row >= 0:
                 if row not in self.store_map:
                     self.store_map[row] = addr
+                return
+            row += self.base_row
+            if row in self._late_stores or row in self._settled_rows:
+                return
+            if self._spilled_store_entry(row):
+                self._settled_rows.add(row)
             else:
-                self._late_stores.setdefault(row + self.base_row, addr)
+                self._late_stores[row] = addr
+
+    def _spilled_store_entry(self, row: int) -> bool:
+        """Whether spilled absolute ``row`` has a store section entry: a
+        read of one segment's sorted ``store_rows`` section.  It runs
+        once per distinct late-noted row, so nothing is cached."""
+        seg = self.segments[bisect_right(
+            [meta["row0"] for meta in self.segments], row) - 1]
+        off, count = seg["sections"]["store_rows"]
+        rows = np.fromfile(os.path.join(self.spill_dir, seg["file"]),
+                           dtype=np.int64, count=count, offset=off)
+        rel = row - seg["row0"]
+        i = int(np.searchsorted(rows, rel))
+        return i < len(rows) and int(rows[i]) == rel
 
     def bulk_append(self, node0, loop_id, sids, opcodes, dep_counts,
                     dep_flat, marker_nodes, addr_nodes, addr_pairs,

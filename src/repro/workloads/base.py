@@ -47,7 +47,8 @@ def analyze_workload(
     profile counters of the first loop's re-run, wherever it ran (see
     :func:`repro.analysis.pipeline.windowed_loop_ddg`).  Loop names are
     checked before anything is interpreted, and an empty ``loops``
-    interprets nothing.
+    interprets nothing.  The serial re-runs share one kernel table, so
+    a later loop's re-run dispatches the kernels the earlier ones built.
 
     ``jobs > 1`` fans the per-loop re-runs across a process pool with
     byte-identical results (see
@@ -84,7 +85,7 @@ def analyze_workload(
             include_integer, relax_reductions, fuel, jobs, tel=tel,
             spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
-            compile_threshold=compile_threshold,
+            compile_threshold=compile_threshold, kernels={},
         )
         report = BenchmarkReport(benchmark=benchmark)
         if infos:

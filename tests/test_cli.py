@@ -239,7 +239,15 @@ class TestObservability:
     def test_metrics_json_counters_identical_across_jobs(self, tmp_path,
                                                          capsys):
         """Acceptance: --jobs 1 and --jobs 4 produce identical counter
-        totals (worker telemetry merged into the parent)."""
+        totals (worker telemetry merged into the parent).  The compile
+        counters are the exception: the serial re-runs share one kernel
+        table and each pool worker keeps its own, so the pooled ones
+        equal those of serial re-runs with a table each."""
+        from repro.analysis.pipeline import run_loop_analyses
+        from repro.frontend import compile_source
+        from repro.obs import Telemetry
+        from repro.workloads import get_workload
+
         paths = {}
         for jobs in ("1", "4"):
             path = tmp_path / f"j{jobs}.json"
@@ -255,11 +263,29 @@ class TestObservability:
             return {k: v for k, v in report["counters"].items()
                     if not k.startswith("pipeline.pool")}
 
+        def compile_part(counts):
+            return {k: counts.pop(k) for k in list(counts)
+                    if k.startswith("interp.compile.")}
+
         c1, c4 = counters(paths["1"]), counters(paths["4"])
+        k1, k4 = compile_part(c1), compile_part(c4)
         assert c1 == c4
         for key in ("trace.records.kept", "ddg.nodes", "ddg.edges",
                     "algorithm1.partitions"):
             assert c1[key] > 0
+        if "pipeline.pool_fallbacks" in paths["4"]["counters"]:
+            assert k4 == k1  # the pool fell back to the serial re-runs
+            return
+        workload = get_workload("gemsfdtd_update")
+        source = workload.source()
+        cold = Telemetry()
+        run_loop_analyses(source, workload.name,
+                          compile_source(source, workload.name),
+                          workload.analyze_loops, entry=workload.entry,
+                          tel=cold)
+        assert k4 == compile_part(dict(cold.counters))
+        assert k1.keys() == k4.keys()
+        assert 0 < k1["interp.compile.kernels"] < k4["interp.compile.kernels"]
 
     def test_metrics_json_on_error_still_written(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -11,7 +11,9 @@ branches of the batch column derivation that lowered source cannot:
   zero;
 - store producers that are carried or live-in;
 - legacy address mode, where a select over loaded values (or over a
-  carried pointer) makes operand addresses runtime-only.
+  carried pointer) makes operand addresses runtime-only;
+- a pointer register written twice in one iteration, which the kernel
+  must guard again after the second write.
 
 Each loop also takes a data-dependent branch every few iterations, so
 batches deoptimize mid-path and end on a partial iteration.  Compiled
@@ -23,6 +25,7 @@ inside batches.
 import pytest
 
 from repro.analysis.candidates import candidate_opcodes
+from repro.errors import MemoryError_
 from repro.interp.compile import LoopKernel
 from repro.interp.interpreter import Interpreter
 from repro.ir.builder import IRBuilder
@@ -175,6 +178,45 @@ def carried_module(legacy: bool) -> Module:
     return m
 
 
+def rewritten_pointer_module() -> Module:
+    """``for i < N: q = &A[i]; x = *q; q = i == 25 ? 0 : &A[i + 1];
+    A[i] = x + *q`` with ``q`` one register, written twice per
+    iteration: the load through its second value faults at ``i == 25``.
+    """
+    m = Module("rewritten")
+    m.add_global(GlobalVar("A", ArrayType(DOUBLE, N + 1),
+                           [0.5 * j for j in range(N + 1)]))
+    b = IRBuilder(m)
+    b.start_function("main", [], INT32)
+    loop = b.new_loop(1, 1, None, "loop")
+    i = b.new_reg(INT64, "i")
+    q = b.new_reg(F64P, "q")
+    _set(b, Opcode.COPY, i, (_i64(0),))
+    head, body, done = (b.new_block("head"), b.new_block("body"),
+                        b.new_block("done"))
+    b.loop_enter(loop)
+    b.jump(head)
+    b.position_at(head)
+    b.cbranch(b.icmp("lt", i, _i64(N)), body, done)
+
+    b.position_at(body)
+    _set(b, Opcode.PTRADD, q, (_arr("A"), b.mul(i, _i64(8))))
+    x = b.load(q)
+    live = b.cast(b.icmp("ne", i, _i64(25)), INT64)
+    nxt = b.cast(_elem(b, "A", b.add(i, _i64(1))), INT64)
+    _set(b, Opcode.CAST, q, (b.mul(live, nxt),))
+    b.store(b.fadd(x, b.load(q)), _elem(b, "A", i))
+    _set(b, Opcode.ADD, i, (i, _i64(1)))
+    b.loop_next(loop)
+    b.jump(head)
+
+    b.position_at(done)
+    b.loop_exit(loop)
+    b.ret(Constant(0, INT32))
+    b.finish_function()
+    return m
+
+
 MODULES = {legacy: carried_module(legacy) for legacy in (False, True)}
 INNER = MODULES[False].loop_by_name("inner").loop_id
 
@@ -265,6 +307,9 @@ def test_spilled_compiled_equals_stepped_and_in_ram(legacy, window,
         stats.append(s.stats())
         stores.append(s.finish())
     assert stats[0] == stats[1]
+    # A store of a value whose producer row already spilled with its
+    # store entry is no late patch: counted once, as in RAM.
+    assert stats[0] == ram.stats()
     a, b = stores
     assert len(a.segments) > 2
     assert a.manifest["segments"] == b.manifest["segments"]
@@ -295,3 +340,25 @@ def test_fuel_cut_inside_a_batch(legacy):
         (c0, d0), (c1, d1) = cols
         assert c0 == c1, fuel
         assert_ddgs_identical(d0, d1)
+
+
+def test_pointer_rewritten_mid_path_is_guarded_again():
+    module = rewritten_pointer_module()
+    runs = []
+    for compiled in (False, True):
+        sink = ColumnarSink()
+        interp = Interpreter(module, sink=sink, compile_loops=compiled,
+                             compile_threshold=2)
+        with pytest.raises(MemoryError_) as exc:
+            interp.run("main", ())
+        runs.append((str(exc.value), interp, sink))
+    (m0, i0, s0), (m1, i1, s1) = runs
+    assert m0 == m1
+    assert m0.startswith("load from invalid address 0 ")
+    assert i0.executed_instructions == i1.executed_instructions
+    assert i0.memory.data == i1.memory.data
+    assert _cols(s0) == _cols(s1)
+    assert s0.stats() == s1.stats()
+    kern = i1._compiler.kernels[module.loop_by_name("loop").loop_id]
+    assert isinstance(kern, LoopKernel) and not kern.plan.legacy
+    assert 15 < kern.gained < 25

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.analysis.pipeline import analyze_program
-from repro.errors import FuelExhaustedError, InterpError
+from repro.errors import FuelExhaustedError, InterpError, MemoryError_
 from repro.frontend import compile_source
 from repro.interp.compile import (
     MIN_USEFUL_CALLS,
@@ -527,6 +527,60 @@ int main() {{
         # The fault hit a batch: the second instance ran its kernel
         # from loop entry up to the failing call.
         assert kern.gained > 64
+
+
+class TestPointerGuards:
+    """A kernel guards a pointer register once per iteration until the
+    path writes it again.  Each iteration here loads twice through
+    ``p = P[i]`` and twice through ``p = Q[i]``; ``Q[40]`` is null, so
+    iteration 40 faults inside a batch, at the first load through the
+    second pointer, where stepping faults."""
+
+    SRC = """
+double X[64]; double Y[64];
+double *P[64]; double *Q[64];
+double total;
+int main() {
+    int i; double s; double *p;
+    for (i = 0; i < 64; i = i + 1) {
+        X[i] = i * 0.5; Y[i] = i + 1.0;
+        P[i] = &X[i]; Q[i] = &Y[i];
+    }
+    Q[40] = 0;
+    s = 0.0;
+    for (i = 0; i < 64; i = i + 1) {
+        p = P[i];
+        s = s + *p * *p;
+        p = Q[i];
+        s = s + *p * *p;
+    }
+    total = s;
+    return 0;
+}
+"""
+
+    def test_null_pointer_faults_mid_batch_as_stepped(self):
+        module = compile_source(self.SRC)
+        runs = []
+        for on in (False, True):
+            sink = ColumnarSink()
+            interp = Interpreter(module, sink=sink, compile_loops=on,
+                                 compile_threshold=4)
+            with pytest.raises(MemoryError_) as exc:
+                interp.run("main", ())
+            runs.append((str(exc.value), interp, sink))
+        (m0, i0, s0), (m1, i1, s1) = runs
+        assert m0 == m1
+        assert m0.startswith("load from invalid address 0 ")
+        assert i0.executed_instructions == i1.executed_instructions
+        assert _state(i0) == _state(i1)
+        assert _cols(s0) == _cols(s1)
+        assert s0.stats() == s1.stats()
+        # The second loop's kernel ran the iterations before the fault
+        # in one batch.
+        kern = i1._compiler.kernels[1]
+        assert isinstance(kern, LoopKernel)
+        assert kern.calls == 1 and 30 < kern.gained < 40
 
 
 ENTRY_LOOPS = {

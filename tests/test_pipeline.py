@@ -407,3 +407,46 @@ class TestAnalyzeKernelByName:
 
         small = repro.analyze_kernel("utdsp_fir_array", ntap=4, nout=8)
         assert small.loops[0].total_candidate_ops < 200
+
+
+class TestSharedKernelTable:
+    """The serial runs of one analysis share one kernel table: each loop
+    is recorded and compiled at most once per analysis, and the report
+    stays equal to the compiler-off and the pooled one.  Pool workers,
+    and separate analyses, keep tables of their own."""
+
+    TWO_LOOPS = TestParallelTelemetryMerge.SRC3
+
+    @staticmethod
+    def _analyze(driver, **kwargs):
+        from repro.obs import EventLog, use_telemetry
+        from repro.workloads import get_workload
+
+        log = EventLog(capacity=65536)
+        tel = Telemetry(events=log)
+        with use_telemetry(tel):
+            if driver == "workload":
+                report = get_workload("sphinx3_subvq").analyze(**kwargs)
+            else:
+                report = analyze_program(TestSharedKernelTable.TWO_LOOPS,
+                                         benchmark="demo", **kwargs)
+        recorded = [e["args"]["loop"] for e in log.snapshot()
+                    if e["name"] == "compile.kernel.recorded"]
+        return report, tel.counters, recorded
+
+    @pytest.mark.parametrize("driver", ["workload", "program"])
+    def test_each_kernel_built_once_per_analysis(self, driver):
+        report, counters, recorded = self._analyze(driver)
+        assert len(report.loops) == 2
+        assert recorded
+        assert len(recorded) == len(set(recorded))
+        assert counters["interp.compile.kernels"] == len(set(recorded))
+        assert report == self._analyze(driver, compile_loops=False)[0]
+        assert report == self._analyze(driver, jobs=2)[0]
+
+    def test_separate_analyses_share_no_table(self):
+        _, first, rec_first = self._analyze("workload")
+        _, second, rec_second = self._analyze("workload")
+        assert rec_second == rec_first
+        assert (second["interp.compile.kernels"]
+                == first["interp.compile.kernels"] > 0)
