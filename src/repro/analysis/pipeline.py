@@ -25,7 +25,9 @@ per-record objects exist between interpretation and analysis.  The
 remap keeps only the window's candidate cone — the nodes a candidate
 instruction reaches, the only ones Algorithm 1 can give a nonzero
 timestamp — so step 4 builds and scans no node that cannot move a
-partition (:class:`~repro.trace.columnar.CandidateCone`).
+partition (:class:`~repro.trace.columnar.CandidateCone`).  The re-run
+itself records only the instructions a candidate can reach statically
+(:func:`~repro.analysis.candidates.capture_sids`, DESIGN.md §18).
 
 Because each hot loop's windowed re-run is independent, step 3 fans out
 across a process pool when ``jobs > 1`` (each worker recompiles the
@@ -47,10 +49,11 @@ across its serial runs, which pool workers cannot.
 from __future__ import annotations
 
 import multiprocessing
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.candidates import candidate_opcodes
+from repro.analysis.candidates import candidate_opcodes, capture_sids
 from repro.analysis.metrics import loop_metrics
 from repro.analysis.report import BenchmarkReport, LoopReport
 from repro.ddg.build import build_ddg
@@ -58,6 +61,7 @@ from repro.errors import AnalysisError
 from repro.frontend import parse_source
 from repro.frontend.driver import compile_source
 from repro.frontend.lower import lower
+from repro.interp.compile import KernelTable
 from repro.interp.interpreter import (
     DEFAULT_FUEL,
     Interpreter,
@@ -104,7 +108,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
                       segment_rows: Optional[int] = None,
                       compile_loops: bool = True,
                       compile_threshold: Optional[int] = None,
-                      cone_ops=None, kernels=None):
+                      cone_ops=None, kernels: Optional[KernelTable] = None):
     """Fused trace→DDG for one loop instance: the windowed re-run streams
     into columnar storage and the DDG drops out without materializing a
     record list.  The sink's span counter validates the instance: no
@@ -112,9 +116,10 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     one means the window filter misbehaved, and silently taking the
     first would analyze the wrong iteration.
 
-    Returns ``(ddg, rows, counters)``.  The re-run executes the whole
-    program to completion; the window only filters what the sink keeps.
-    So its profile counters (``counters``, a
+    Returns ``(ddg, stats, counters)``.  ``stats`` are the window sink's
+    (:meth:`~repro.trace.columnar.ColumnarSink.stats`).  The re-run
+    executes the whole program to completion; the window only filters
+    what the sink keeps.  So its profile counters (``counters``, a
     :class:`~repro.interp.interpreter.ProfileCounters` snapshot) and its
     executed-instruction count equal a sink-less run's, and
     :func:`repro.workloads.base.analyze_workload` takes its §4.1 profile
@@ -128,16 +133,36 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
 
     ``cone_ops`` (a set of candidate opcodes) cuts the DDG down to the
     window's candidate cone inside the remap
-    (:class:`~repro.trace.columnar.CandidateCone`); ``ddg.nodes`` and
-    ``ddg.edges`` still count the whole window, and ``ddg.cone_nodes``
-    and ``ddg.cone_edges`` count the cone.
+    (:class:`~repro.trace.columnar.CandidateCone`), and the re-run
+    records only the instructions of the capture set
+    (:func:`~repro.analysis.candidates.capture_sids`): ``kernels``, the
+    caller's :class:`~repro.interp.compile.KernelTable` for ``module``,
+    carries that set (a fresh table for ``cone_ops`` when none is
+    given).  The re-run dispatches the kernels earlier runs of the same
+    analysis built and adds its own.  ``trace.records.kept`` and
+    ``ddg.nodes`` still count the whole window, ``trace.records
+    .captured`` the rows held; ``ddg.edges`` counts the edges among
+    them, and ``ddg.cone_nodes``/``ddg.cone_edges`` the cone.
 
-    ``kernels`` is the caller's kernel table for ``module`` (see
-    :class:`~repro.interp.compile.TraceCompiler`): the re-run dispatches
-    the kernels earlier runs of the same analysis built and adds its own.
+    The static capture set misses a memory dependence only where two
+    base objects share an address at run time (a stack slot reused by
+    another frame and read as an uninitialized local, a subscript past
+    an array's end).  The re-run catches that: an
+    uncaptured load inside the window that read a captured store is a
+    *capture miss*.  On a miss the window (and its spill subdirectory)
+    is discarded and run again capturing every instruction, which counts
+    ``trace.capture_fallbacks`` and logs a ``vectra.pipeline`` warning;
+    ``kernels`` then captures every instruction for the rest of the
+    analysis.  If the capture set holds every sid of the window's
+    dynamic candidate cone, the cone cut from the captured rows equals
+    the one cut from all rows (DESIGN.md §18), so the DDG never depends
+    on the capture set.
     """
     if tel is None:
         tel = get_telemetry()
+    if kernels is None:
+        kernels = KernelTable(None if cone_ops is None
+                              else capture_sids(module, cone_ops))
     if spill_dir:
         from repro.trace.store import (
             DEFAULT_SEGMENT_ROWS,
@@ -145,30 +170,47 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
             spill_subdir,
         )
 
-        sink = SegmentedLoopSink(
-            loop_id, instances={instance},
-            spill_dir=spill_subdir(spill_dir,
-                                   f"{loop_name}-inst{instance}"),
-            segment_rows=segment_rows or DEFAULT_SEGMENT_ROWS,
+        window_dir = spill_subdir(spill_dir, f"{loop_name}-inst{instance}")
+
+    def rerun():
+        if spill_dir:
+            sink = SegmentedLoopSink(
+                loop_id, instances={instance}, spill_dir=window_dir,
+                segment_rows=segment_rows or DEFAULT_SEGMENT_ROWS,
+            )
+        else:
+            sink = ColumnarLoopSink(loop_id, instances={instance})
+        with tel.span("loop.rerun", hist=True):
+            interp = Interpreter(module, sink=sink, fuel=fuel,
+                                 compile_loops=compile_loops,
+                                 compile_threshold=compile_threshold,
+                                 kernels=kernels)
+            interp.run(entry, args)
+        return sink, interp
+
+    sink, interp = rerun()
+    if sink.capture_misses:
+        _log.warning(
+            "loop %r: %d load(s) outside the capture set read a captured "
+            "store; re-running the window with every instruction "
+            "captured", loop_name, sink.capture_misses,
         )
-    else:
-        sink = ColumnarLoopSink(loop_id, instances={instance})
-    with tel.span("loop.rerun", hist=True):
-        interp = Interpreter(module, sink=sink, fuel=fuel,
-                             compile_loops=compile_loops,
-                             compile_threshold=compile_threshold,
-                             kernels=kernels)
-        interp.run(entry, args)
+        tel.count("trace.capture_fallbacks")
+        tel.instant("trace.capture_fallback",
+                    {"loop": loop_name, "misses": sink.capture_misses})
+        if spill_dir:
+            shutil.rmtree(window_dir, ignore_errors=True)
+        kernels.reset(None)
+        sink, interp = rerun()
     counters = interp.profile_counters()
-    rows = 0
+    stats = sink.stats()
     if tel.enabled:
-        stats = sink.stats()
-        rows = stats["rows"]
         tel.count("interp.runs")
         tel.count("interp.instructions", interp.executed_instructions)
-        tel.count("trace.records.kept", rows)
+        tel.count("trace.records.kept", stats["rows"])
+        tel.count("trace.records.captured", stats["captured"])
         tel.count("trace.records.filtered",
-                  interp.executed_instructions - rows)
+                  interp.executed_instructions - stats["rows"])
         tel.count("trace.markers", stats["markers"])
         tel.count("trace.backpatches", stats["backpatches"])
         tel.count("trace.spans_recorded", sink.spans_recorded)
@@ -195,7 +237,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
             tel.count("ddg.cone_nodes", len(ddg.sids))
             tel.count("ddg.cone_edges", ddg.num_edges)
         tel.count("ddg.marker_segments", stats["marker_segments"])
-    return ddg, rows, counters
+    return ddg, stats, counters
 
 
 def analyze_loop(
@@ -236,7 +278,8 @@ def _analyze_loop(
 ) -> Tuple[LoopReport, ProfileCounters]:
     """:func:`analyze_loop`, also returning the re-run's profile counters
     (see :func:`windowed_loop_ddg`).  ``kernels`` is the caller's kernel
-    table for ``module``."""
+    table for ``module``, with the capture set of this ``include_integer``
+    (a fresh table per re-run when ``None``)."""
     if tel is None:
         tel = get_telemetry()
     info = module.loop_by_name(loop_name)
@@ -254,7 +297,7 @@ def _analyze_loop(
     # hist=True: one occurrence per analyzed loop, so --profile can
     # report p50/p95 per-loop analysis latency across the whole run.
     with use_telemetry(tel), tel.span("loop.analyze", hist=True):
-        ddg, rows, counters = windowed_loop_ddg(
+        ddg, stats, counters = windowed_loop_ddg(
             module, info.loop_id, loop_name, entry, args, instance, fuel,
             tel, spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
@@ -266,7 +309,8 @@ def _analyze_loop(
     if tel.enabled:
         tel.section(f"loop.{loop_name}", {
             "loop": loop_name,
-            "records_traced": rows,
+            "records_traced": stats["rows"],
+            "captured_rows": stats["captured"],
             "ddg_nodes": ddg.window_nodes,
             "cone_nodes": len(ddg.sids),
             "candidate_ops": report.total_candidate_ops,
@@ -374,12 +418,13 @@ def run_loop_analyses(
     an out-of-core run is memory-bound, so loop-level fan-out would
     multiply the working set.
 
-    ``kernels`` is a kernel table for ``module`` that the caller owns
-    (see :class:`~repro.interp.compile.TraceCompiler`), or ``None`` for
-    a fresh table per re-run.  The serial re-runs share it: a later
-    loop's re-run dispatches the kernels an earlier run built from its
-    first iteration on, instead of stepping to the hotness threshold and
-    recording and compiling them again.  Pool workers compile a module
+    ``kernels`` is a :class:`~repro.interp.compile.KernelTable` for
+    ``module`` that the caller owns, with the capture set of this
+    ``include_integer``, or ``None`` for a fresh table per re-run.  The
+    serial re-runs share it: a later loop's re-run dispatches the
+    kernels an earlier run built from its first iteration on, instead of
+    stepping to the hotness threshold and recording and compiling them
+    again.  Pool workers compile a module
     of their own, so each keeps its own table, and the ``interp.compile``
     counters of a pooled run then count the kernel work each worker
     repeats.
@@ -506,7 +551,8 @@ def analyze_program(
             decisions = analyze_program_loops(program, analyzer, vec_config)
 
         bus.phase("profile")
-        kernels: dict = {}
+        kernels = KernelTable(
+            capture_sids(module, candidate_opcodes(include_integer)))
         with tel.span("profile.run"):
             interp = Interpreter(module, fuel=fuel,
                                  compile_loops=compile_loops,

@@ -42,10 +42,16 @@ class DDG:
     addrs:     operand source-address tuple per node (candidates only).
     store_addrs: address the node's result was first stored to (0 if none).
     mem_addrs: accessed address for load/store nodes (0 otherwise).
-    window_nodes, window_edges: size of the whole trace window's graph.
-               A candidate cone (:class:`repro.trace.columnar
-               .CandidateCone`) is cut from a larger window graph;
-               otherwise they equal ``len(self)`` and :attr:`num_edges`.
+    window_nodes, window_edges: size of the trace window's graph.
+               ``window_nodes`` counts every node of the window, and
+               ``window_edges`` the edges among the records the run
+               captured: a run that records only a capture set
+               (:func:`repro.analysis.candidates.capture_sids`) holds
+               no row, and so no edge, for the other instructions.  A
+               candidate cone (:class:`repro.trace.columnar
+               .CandidateCone`) is cut from a larger window graph; a
+               full graph of a run that captured everything has them
+               equal to ``len(self)`` and :attr:`num_edges`.
     """
 
     def __init__(

@@ -123,8 +123,8 @@ def explain_loop(
     # The full window graph, not analyze's candidate cone: the report
     # prints its node and edge totals, the refusal verdicts count every
     # store->load edge, and the witnesses name its node indices.
-    ddg, rows, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
-                                     entry, args, instance, fuel, tel)
+    ddg, stats, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
+                                      entry, args, instance, fuel, tel)
     sids = candidate_sids(ddg, include_integer)
     with tel.span("algorithm1"):
         scan = packed_timestamp_scan(ddg, sids)
@@ -171,7 +171,7 @@ def explain_loop(
         tel.count("explain.refusals_examined", len(findings))
         tel.section(f"explain.{loop_name}", {
             "loop": loop_name,
-            "records_traced": rows,
+            "records_traced": stats["rows"],
             "dependence_witnesses": len(dep_witnesses),
             "stride_witnesses": len(stride_witnesses),
             "memory_flow_edges": len(mem_edges),

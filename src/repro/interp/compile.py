@@ -32,19 +32,22 @@ This module borrows the tracing-JIT idiom (PyPy-style meta-tracing):
    serves every dispatch, recording or not, and its source is kept
    short (see :func:`_generate`), since a short run can spend as long
    compiling its kernels as running them.  The kernel table
-   (:class:`TraceCompiler`) may be shared by the runs of one analysis,
+   (:class:`KernelTable`) may be shared by the runs of one analysis,
    so each loop is recorded and compiled once per analysis.
 3. **Derived columns.**  Record node ids within a straight-line path
-   are *affine* in the iteration index — the record at path position
-   ``P`` of iteration ``i`` is node ``N0 + i*L + P`` — so the
-   dependence column, the def-node write-backs, and (via a static
-   def-addr class analysis) the operand-address column are all
-   re-derivable from path structure plus the kernel's memory-address
-   stream.  The kernel therefore accumulates only what is genuinely
-   runtime — one address per memory operand, one ``MW`` lookup per
-   load — and the dispatcher derives whole numpy columns from the
-   kernel's pattern arrays with a fixed handful of vectorized calls per
-   batch, whatever the path length, and hands them to
+   are *affine* in the iteration index — the record at captured path
+   position ``P`` of iteration ``i`` is node ``N0 + i*W + rank[P]``,
+   with ``W`` the positions per iteration that the run's capture set
+   holds and ``rank[P]`` the position's rank among them (every
+   position, when the run captures everything) — so the dependence
+   column, the def-node write-backs, and (via a static def-addr class
+   analysis) the operand-address column are all re-derivable from path
+   structure plus the kernel's memory-address stream.  The kernel
+   therefore accumulates only what is genuinely runtime — one address
+   per memory operand, one ``MW`` lookup per load when recording — and
+   the dispatcher derives whole numpy columns from the kernel's pattern
+   arrays with a fixed handful of vectorized calls per batch, whatever
+   the path length, and hands them to
    :meth:`ColumnarSink.bulk_append` / :meth:`SegmentedSink.bulk_append`
    as they are — no per-record ``emit()``, no per-record Python
    bookkeeping (store backpatches aside).
@@ -65,9 +68,10 @@ This module borrows the tracing-JIT idiom (PyPy-style meta-tracing):
 A loop is *rejected* for compilation (permanently) when its recorded
 path contains a call to a user function, a nested loop marker, or
 exceeds :data:`MAX_PATH_LEN`; intrinsic calls stay in the path.
-Recording *aborts* (transiently, retried up to
-:data:`MAX_RECORD_FAILURES` times) when the loop exits or returns
-mid-recording — the straddle a short-trip loop always hits.
+Recording *aborts* (transiently, retried until
+:data:`MAX_RECORD_FAILURES` aborts over all the runs that share the
+kernel table) when the loop exits or returns mid-recording — the
+straddle a short-trip loop always hits.
 
 Fuel never overshoots: the dispatcher caps each batch at
 ``(fuel - executed) // path_len`` full iterations and refuses to run
@@ -156,19 +160,38 @@ class _Recording:
 class _Plan:
     """Static column structure derived from a recorded path.
 
+    The run's capture set (:func:`repro.analysis.candidates
+    .capture_sids`) splits the path positions into *captured* ones, which
+    take node ids and become records, and the rest, which take none and
+    write ``-1`` ("no producer") wherever their node id would go.  Each
+    captured position ``P`` has a ``rank`` among the captured positions
+    of the path, so the record at ``P`` in iteration ``i`` is node ``N0
+    + i*W + rank[P]`` with ``W`` (``width``) the captured positions per
+    iteration; only captured positions get a column slot.  Memory
+    operands, loads and FP records are laid out for the whole path, so
+    the kernel's streams stay complete: operand addresses come from
+    uncaptured loads too, and an uncaptured load's ``MW`` lookup is what
+    the capture-miss test reads (``dead_cols``).  ``mem_cols`` and
+    ``fp_cols`` pick the captured entries out of the memory-operand and
+    FP-record streams, and ``mem_end``/``fp_end`` count the captured
+    ones before each path position, where a partial iteration is cut.
+
     Dependence slots classify as *constant* (``-1``), *affine* (operand
-    written earlier in the same iteration at position ``d`` → node
-    ``N0 + i*L + d``), *carried* (written later in the path → the
-    previous iteration's final write, ``N0 + i*L + d - L``; iteration 0
-    reads the pre-batch ``defn`` entry), *live-in* (never written in the
-    path → the pre-batch ``defn`` entry), or *load-writer* (the runtime
-    ``MW`` lookup a load emits).  The per-slot pair ``dep_mask`` (1 on
-    affine and carried slots) and ``dep_off`` (``-1``, ``d`` or
-    ``d - L``; 0 where the batch fills the slot) make a batch's whole
-    dependence slab one expression, ``base[:, None] * dep_mask +
-    dep_off`` with ``base`` the iterations' first node ids; three
-    fancy-index assignments fill the carried slots' first row, the
-    live-in slots and the load-writer slots.
+    written earlier in the same iteration at captured position ``d`` →
+    node ``N0 + i*W + rank[d]``), *carried* (written later in the path →
+    the previous iteration's final write, ``N0 + i*W + rank[d] - W``;
+    iteration 0 reads the pre-batch ``defn`` entry), *live-in* (never
+    written in the path → the pre-batch ``defn`` entry), or
+    *load-writer* (the runtime ``MW`` lookup a load emits).  An affine or
+    carried producer at an uncaptured position is a constant ``-1``
+    (iteration 0 of a carried one still reads ``defn``).  The per-slot
+    pair ``dep_mask`` (1 on live affine and carried slots) and
+    ``dep_off`` (``-1``, ``rank[d]`` or ``rank[d] - W``; 0 where the
+    batch fills the slot) make a batch's whole dependence slab one
+    expression, ``base[:, None] * dep_mask + dep_off`` with ``base`` the
+    iterations' first node ids; three fancy-index assignments fill the
+    carried slots' first row, the live-in slots and the load-writer
+    slots.
 
     Def-addr classes per write event form a small lattice: ``-1``
     (zero — arithmetic, compares, allocas), ``mj >= 0`` (the mj-th
@@ -185,18 +208,27 @@ class _Plan:
     """
 
     __slots__ = (
+        "rank", "width", "cap_end",
         "sids", "ops", "cnts", "dep_width", "dep_end", "dep_off",
         "dep_mask", "car_slots", "car_idx", "car_regs", "li_idx",
-        "li_regs", "lw_idx", "n_mem", "n_load", "n_addr", "mem_pos",
-        "fp_groups", "fp_pos", "fp_end", "fp_base", "fp_stride", "fp_off",
-        "fp_li_idx", "fp_li_regs", "fp_first_idx", "fp_first_regs",
-        "rta_pos", "store_groups", "wb", "legacy", "has_store",
+        "li_regs", "lw_idx", "lw_cols", "dead_cols", "n_mem", "n_load",
+        "n_addr", "mem_cols", "mem_off", "mem_end", "fp_cols", "fp_pos",
+        "fp_groups", "fp_end", "fp_base", "fp_stride", "fp_off", "fp_li_idx",
+        "fp_li_regs", "fp_first_idx", "fp_first_regs", "store_groups",
+        "wb", "legacy",
     )
 
 
-def _analyze(entries) -> _Plan:
-    """Single forward walk over the path computing the :class:`_Plan`."""
+def _analyze(entries, captured) -> _Plan:
+    """Single forward walk over the path computing the :class:`_Plan`;
+    ``captured`` flags each path position that the capture set holds."""
     L = len(entries)
+    rank: List[int] = []
+    cap_end: List[int] = [0]
+    for cap in captured:
+        rank.append(cap_end[-1] if cap else -1)
+        cap_end.append(cap_end[-1] + (1 if cap else 0))
+    W = cap_end[-1]
     final_w: Dict[int, int] = {}
     for P, (instr, _b, _p, _t) in enumerate(entries):
         res = getattr(instr, "result", None)
@@ -208,10 +240,12 @@ def _analyze(entries) -> _Plan:
     dep_end: List[int] = [0]
     car_slots: List[Tuple[int, int, int]] = []
     li_slots: List[Tuple[int, int]] = []
-    lw_slots: List[int] = []
-    mem_pos: List[int] = []
-    rta_pos: List[int] = []
+    lw_slots: List[Tuple[int, int]] = []
+    dead_loads: List[bool] = []
+    mem_rank: List[int] = []
+    fp_rank: List[int] = []
     fp_end: List[int] = [0]
+    mem_end: List[int] = [0]
     fp_raw: List[Tuple] = []
     store_groups: List[Tuple[int, int, int, int, int]] = []
     cur_w: Dict[int, int] = {}    # reg -> most recent write pos this iter
@@ -219,8 +253,6 @@ def _analyze(entries) -> _Plan:
     writes: Dict[int, List[int]] = defaultdict(list)
     aclasses: Dict[int, List[int]] = defaultdict(list)
     legacy = False
-    has_store = False
-    n_load = 0
 
     def dep_desc(op):
         if isinstance(op, VirtualReg):
@@ -233,23 +265,27 @@ def _analyze(entries) -> _Plan:
         return (0, 0, 0)                      # constant / global
 
     def add_dep(d):
+        if not cap:
+            return
         slot = len(dep_off)
         kind = d[0]
-        if kind == 1:
-            dep_off.append(d[1])
-            dep_mask.append(1)
-            return
-        if kind == 2:
-            dep_off.append(d[1] - L)
-            dep_mask.append(1)
-            car_slots.append((slot, d[1], d[2]))
+        if kind == 1 or kind == 2:
+            r = rank[d[1]]
+            if kind == 2:
+                car_slots.append((slot, d[1], d[2]))
+            if r < 0:                         # uncaptured producer
+                dep_off.append(-1)
+                dep_mask.append(0)
+            else:
+                dep_off.append(r - W if kind == 2 else r)
+                dep_mask.append(1)
             return
         dep_off.append(-1 if kind == 0 else 0)
         dep_mask.append(0)
         if kind == 3:
             li_slots.append((slot, d[1]))
         elif kind == 4:
-            lw_slots.append(slot)
+            lw_slots.append((slot, d[1]))
 
     def side_desc(op):
         # FP-operand address provenance (derived mode only).
@@ -285,28 +321,33 @@ def _analyze(entries) -> _Plan:
     for P, (instr, _b, _p, _taken) in enumerate(entries):
         opc = instr.opcode._value_
         ops = instr.operands
+        cap = captured[P]
 
         if opc == 51:  # LOAD: pointer slot, then the load-writer slot
             add_dep(dep_desc(ops[0]))
-            add_dep((4, n_load, 0))
-            n_load += 1
-            write(instr.result.index, P, len(mem_pos))
-            mem_pos.append(P)
+            add_dep((4, len(dead_loads), 0))
+            dead_loads.append(not cap)
+            write(instr.result.index, P, len(mem_rank))
+            mem_rank.append(rank[P])
 
         elif opc == 52:  # STORE
             vd = dep_desc(ops[0])
             add_dep(vd)
             add_dep(dep_desc(ops[1]))
-            has_store = True
-            if vd[0]:  # real producer -> note_store item group
-                store_groups.append((P, len(mem_pos), vd[0], vd[1], vd[2]))
-            mem_pos.append(P)
+            kind = vd[0]
+            # A real producer -> a note_store item group; an uncaptured
+            # one takes no backpatch (a carried one still may, from the
+            # pre-batch ``defn`` entry).
+            if cap and (kind >= 2 or (kind == 1 and rank[vd[1]] >= 0)):
+                a1 = vd[1] if kind == 3 else rank[vd[1]]
+                store_groups.append((P, len(mem_rank), kind, a1, vd[2]))
+            mem_rank.append(rank[P])
 
         elif opc in _FP_ARITH:
             add_dep(dep_desc(ops[0]))
             add_dep(dep_desc(ops[1]))
             fp_raw.append((P, side_desc(ops[0]), side_desc(ops[1])))
-            rta_pos.append(P)
+            fp_rank.append(rank[P])
             write(instr.result.index, P, -1)
 
         elif (opc in _INT_ARITH or opc in _BITWISE
@@ -349,7 +390,8 @@ def _analyze(entries) -> _Plan:
 
         # 60 / 71 (jump / loop_next): no deps, no state.
         dep_end.append(len(dep_off))
-        fp_end.append(len(rta_pos))
+        fp_end.append(fp_end[-1] + (1 if cap and opc in _FP_ARITH else 0))
+        mem_end.append(mem_end[-1] + (1 if cap and opc in (51, 52) else 0))
 
     def fin_side(s):
         # Resolve a carried/live-in pend against the *final* write.
@@ -373,15 +415,22 @@ def _analyze(entries) -> _Plan:
         if any(f1 is None or f2 is None for f1, f2 in fins):
             legacy = True
         else:
-            fp_groups = [(raw[0], f1, f2)
-                         for raw, (f1, f2) in zip(fp_raw, fins)]
+            fp_groups = [(rank[raw[0]], f1, f2)
+                         for raw, (f1, f2) in zip(fp_raw, fins)
+                         if rank[raw[0]] >= 0]
 
     plan = _Plan()
-    NM = len(mem_pos)
-    plan.sids = np.array([[e[0].sid for e in entries]], dtype=np.int64)
-    plan.ops = np.array([[e[0].opcode._value_ for e in entries]],
+    NM = len(mem_rank)
+    kept = [e for e, cap in zip(entries, captured) if cap]
+    plan.rank = tuple(rank)
+    plan.width = W
+    plan.cap_end = tuple(cap_end)
+    plan.sids = np.array([[e[0].sid for e in kept]], dtype=np.int64)
+    plan.ops = np.array([[e[0].opcode._value_ for e in kept]],
                         dtype=np.int8)
-    plan.cnts = np.diff(dep_end).astype(np.intc).reshape(1, L)
+    plan.cnts = np.array([[dep_end[P + 1] - dep_end[P]
+                           for P in range(L) if captured[P]]],
+                         dtype=np.intc)
     plan.dep_width = len(dep_off)
     plan.dep_end = tuple(dep_end)
     plan.dep_off = np.array(dep_off, dtype=np.int64)
@@ -391,13 +440,20 @@ def _analyze(entries) -> _Plan:
     plan.car_regs = tuple(c[2] for c in car_slots)
     plan.li_idx = np.array([c[0] for c in li_slots], dtype=np.intp)
     plan.li_regs = tuple(c[1] for c in li_slots)
-    plan.lw_idx = np.array(lw_slots, dtype=np.intp)
+    plan.lw_idx = np.array([c[0] for c in lw_slots], dtype=np.intp)
+    plan.lw_cols = np.array([c[1] for c in lw_slots], dtype=np.intp)
+    plan.dead_cols = (np.flatnonzero(dead_loads) if any(dead_loads)
+                      else None)
     plan.n_mem = NM
-    plan.n_load = n_load
-    plan.n_addr = len(rta_pos)
-    plan.mem_pos = np.array(mem_pos, dtype=np.int64)
+    plan.n_load = len(dead_loads)
+    plan.n_addr = len(fp_rank)
+    plan.mem_cols = np.flatnonzero([r >= 0 for r in mem_rank])
+    plan.mem_off = np.array([r for r in mem_rank if r >= 0],
+                            dtype=np.int64)
+    plan.mem_end = tuple(mem_end)
+    plan.fp_cols = np.flatnonzero([r >= 0 for r in fp_rank])
+    plan.fp_pos = np.array([r for r in fp_rank if r >= 0], dtype=np.int64)
     plan.fp_groups = tuple(fp_groups)
-    plan.fp_pos = np.array([g[0] for g in fp_groups], dtype=np.int64)
     plan.fp_end = tuple(fp_end)
     # Derived FP operand addresses gather from ``[zeros(fp_base),
     # stream]``: a same-iteration load reads its iteration's slot, a
@@ -408,7 +464,7 @@ def _analyze(entries) -> _Plan:
     off: List[int] = []
     li: List[Tuple[int, int]] = []
     first: List[Tuple[int, int]] = []
-    for _P, d1, d2 in fp_groups:
+    for _r, d1, d2 in fp_groups:
         for d in (d1, d2):
             s = len(stride)
             kd = d[0]
@@ -432,12 +488,11 @@ def _analyze(entries) -> _Plan:
     plan.fp_li_regs = tuple(c[1] for c in li)
     plan.fp_first_idx = np.array([c[0] for c in first], dtype=np.intp)
     plan.fp_first_regs = tuple(c[1] for c in first)
-    plan.rta_pos = np.array(rta_pos, dtype=np.int64)
     plan.store_groups = tuple(store_groups)
     plan.wb = tuple(
-        (r, tuple(writes[r]), tuple(aclasses[r])) for r in sorted(writes))
+        (r, tuple(writes[r]), tuple(aclasses[r]),
+         tuple(rank[P] for P in writes[r])) for r in sorted(writes))
     plan.legacy = legacy
-    plan.has_store = has_store
     return plan
 
 
@@ -445,11 +500,14 @@ class LoopKernel:
     """A compiled loop body: path metadata plus one kernel function.
 
     One kernel serves every dispatch of the loop.  It always accumulates
-    the memory-address and load-writer streams: a recording dispatch
-    derives the batch's trace columns from them (:func:`_emit`), and
-    every dispatch derives the def-address write-backs from the address
-    stream (:func:`_writeback`).  The function is generated and compiled
-    on first use.
+    the memory-address stream, and the load-writer stream when
+    recording: a recording dispatch derives the batch's trace columns
+    from them (:func:`_emit`), and every dispatch derives the
+    def-address write-backs from the address stream
+    (:func:`_writeback`).  The function is generated and compiled
+    on first use.  ``captured`` flags the path positions the run's
+    capture set holds (see :class:`_Plan`); the kernel numbers only
+    those, so it serves only runs with the same capture set.
     """
 
     __slots__ = (
@@ -458,7 +516,8 @@ class LoopKernel:
         "_entries", "_gaddr", "_fn", "_src",
     )
 
-    def __init__(self, loop_id: int, entries, anchor, global_addr):
+    def __init__(self, loop_id: int, entries, anchor, global_addr,
+                 captured):
         self.loop_id = loop_id
         self.length = len(entries)
         self.anchor = anchor
@@ -467,11 +526,13 @@ class LoopKernel:
         #: ``loop_enter`` followed by a jump there starts an iteration
         #: of this very path.  ``None`` (no entry dispatch) when the
         #: path starts with anything else, e.g. a do-while's ``cbr``.
+        #: A jump has no operand, so a capture set holds every jump or
+        #: none, and the entry jump is captured just when this one is.
         self.entry = first.targets[0] if first.opcode._value_ == 60 else None
         #: (block, in-block index) per path position — the step
         #: interpreter resumes here on deopt at that position.
         self.resume = tuple((blk, pc) for _instr, blk, pc, _tk in entries)
-        self.plan = _analyze(entries)
+        self.plan = _analyze(entries, captured)
         self.op_pat = [e[0].opcode._value_ for e in entries]
         self.count_items = tuple(Counter(self.op_pat).items())
         self.calls = 0
@@ -524,15 +585,19 @@ def _generate(entries, global_addr, plan: _Plan):
 
     Returns ``(source, namespace)`` where ``namespace`` carries the
     helpers and non-literal constants (alloca types, intrinsics) the
-    source needs.  The generated ``_kernel(B, N0, V, A, MEM, MW,
-    ALLOC)`` runs up to ``B`` iterations, returning ``(k, dpc, ma, lw,
+    source needs.  The generated ``_kernel(B, N0, V, A, MEM, MW, ALLOC,
+    R)`` runs up to ``B`` iterations, returning ``(k, dpc, ma, lw,
     ap)`` — ``k`` completed iterations and, when a guard failed, the
     path position ``dpc`` to resume stepping at (``-1`` for a full
     batch); ``ma`` holds one address per executed memory operand, ``lw``
-    one ``MW`` lookup per executed load, and ``ap`` (legacy address mode
-    only) one operand-address pair per executed FP record.  Positions
-    before ``dpc`` in the partial iteration have executed; position
-    ``dpc`` and later have not.
+    one ``MW`` lookup per executed load when ``R`` (a recording
+    dispatch: only :func:`_emit` reads ``lw``) and none otherwise, and
+    ``ap`` (legacy address mode only) one operand-address pair per
+    executed FP record, captured or not.  Positions before ``dpc`` in
+    the partial iteration have executed; position ``dpc`` and later
+    have not.  A store records its node id in ``MW`` (``N0`` numbers
+    the batch's first captured record), or ``-1`` when the capture set
+    does not hold it.
 
     The source is kept short, since compiling it is a large share of a
     short run's cost:
@@ -553,7 +618,6 @@ def _generate(entries, global_addr, plan: _Plan):
     from repro.interp.interpreter import _INTRINSICS, _cdiv, _f32
     from repro.runtime.memory import default_value
 
-    L = len(entries)
     legacy = plan.legacy
     consts: Dict[str, object] = {"_f32": _f32, "_cdiv": _cdiv}
     touched: set = set()
@@ -561,6 +625,7 @@ def _generate(entries, global_addr, plan: _Plan):
     written: set = set()
     # pointer registers that passed a guard since their last write
     guarded: set = set()
+    stamps = False  # a captured store writes ``nb`` into MW
     body: List[str] = []
     o = body.append
 
@@ -620,14 +685,17 @@ def _generate(entries, global_addr, plan: _Plan):
 
         if opc == 51:  # LOAD: stream entries read the pointer first
             pe = pointer(ops[0], P)
-            o(f"lwa(MWg({pe}, -1)); maa({pe})")
+            o(f"R and lwa(MWg({pe}, -1)); maa({pe})")
             dv = default_value(instr.result.type)
             define(instr.result.index, f"MEMg({pe}, {dv!r})", pe)
 
         elif opc == 52:  # STORE
             ve = vx(ops[0])
             pe = pointer(ops[1], P)
-            o(f"MEM[{pe}] = {ve}; MW[{pe}] = nb + {P}; maa({pe})")
+            r = plan.rank[P]
+            stamps = stamps or r >= 0
+            writer = f"nb + {r}" if r >= 0 else "-1"
+            o(f"MEM[{pe}] = {ve}; MW[{pe}] = {writer}; maa({pe})")
 
         elif opc in _FP_ARITH:
             ae = vx(ops[0])
@@ -726,7 +794,7 @@ def _generate(entries, global_addr, plan: _Plan):
         else:  # pragma: no cover - build() validates the path first
             raise AssertionError(f"unsupported opcode {opc} in path")
 
-    lines = ["def _kernel(B, N0, V, A, MEM, MW, ALLOC):"]
+    lines = ["def _kernel(B, N0, V, A, MEM, MW, ALLOC, R):"]
     w = lines.append
     if plan.n_load:
         w("    MEMg = MEM.get; MWg = MW.get; lw = []; lwa = lw.append")
@@ -744,8 +812,8 @@ def _generate(entries, global_addr, plan: _Plan):
                                  [f"A[{i}]" for i in regs]))
     w("    dpc = -1")
     w("    for k in range(B):")
-    if plan.has_store:
-        w(f"        nb = N0 + k * {L}")
+    if stamps:
+        w(f"        nb = N0 + k * {plan.width}")
     for line in body:
         w("        " + line)
     w("    else:")
@@ -777,12 +845,17 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
     """Derive one batch's columns as numpy arrays and bulk-append them.
 
     The batch's ``k`` full iterations, plus the partial one a deopt
-    leaves (its first ``part`` records), are laid out as the rows of a
-    grid per column — one row per iteration, one column per path
-    position, dependence slot, memory operand or FP operand — and each
-    column is cut at the count of what executed.  So every column comes
-    from a fixed handful of vectorized calls whatever the path length;
-    only the store backpatches stay per item.
+    leaves (its first ``part`` path positions), are laid out as the rows
+    of a grid per column — one row per iteration, one column per
+    captured path position, dependence slot, memory operand or FP
+    operand — and each column is cut at the count of what executed.  So
+    every column comes from a fixed handful of vectorized calls whatever
+    the path length; only the store backpatches stay per item.  The
+    records the capture set does not hold are counted into the sink's
+    ``uncaptured`` rows, and one vectorized test of their loads' ``MW``
+    lookups counts the capture misses (an uncaptured load that read a
+    captured store; see :func:`repro.analysis.pipeline
+    .windowed_loop_ddg`).
 
     Must run *before* :func:`_writeback`: carried iteration-0 and
     live-in slots read the pre-batch ``defn``/``defa`` entries.
@@ -791,15 +864,16 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
     path's backedge ``jump``.
     """
     plan = kern.plan
-    L = kern.length
+    W = plan.width
     NM = plan.n_mem
     rows = k + 1 if part else k
-    nrec = k * L + part
+    ncap = k * W + plan.cap_end[part]
+    sink.uncaptured += k * kern.length + part - ncap
     # First node id of each iteration.
-    base = np.arange(N0, N0 + rows * L, L, dtype=np.int64)
+    base = np.arange(N0, N0 + rows * W, W, dtype=np.int64)
     col = base[:, None]
-    sids = plan.sids.repeat(rows, 0).reshape(-1)[:nrec]
-    if sid0 is not None:
+    sids = plan.sids.repeat(rows, 0).reshape(-1)[:ncap]
+    if sid0 is not None and plan.rank[0] >= 0:
         sids[0] = sid0
     deps = col * plan.dep_mask + plan.dep_off
     if plan.car_regs:
@@ -807,25 +881,35 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
     if plan.li_regs:
         deps[:, plan.li_idx] = [defn[r] for r in plan.li_regs]
     if plan.n_load:
-        # The partial iteration's missing tail lands only in slots that
-        # the cut below drops.
-        writers = np.empty(rows * plan.n_load, dtype=np.int64)
+        # The partial iteration's missing tail reads "no writer"; it
+        # lands only in slots that the cut below drops.
+        writers = np.full(rows * plan.n_load, -1, dtype=np.int64)
         writers[:len(lw)] = np.fromiter(lw, np.int64, len(lw))
-        deps[:, plan.lw_idx] = writers.reshape(rows, plan.n_load)
-    mem_vals = np.fromiter(ma, np.int64, len(ma))
-    mem_nodes = (col + plan.mem_pos).reshape(-1)[:len(mem_vals)]
+        writers = writers.reshape(rows, plan.n_load)
+        deps[:, plan.lw_idx] = writers[:, plan.lw_cols]
+        if plan.dead_cols is not None:
+            sink.capture_misses += int(np.count_nonzero(
+                writers[:, plan.dead_cols] >= 0))
+    stream = np.empty(rows * NM, dtype=np.int64)
+    stream[:len(ma)] = np.fromiter(ma, np.int64, len(ma))
+    n_mem = k * len(plan.mem_off) + plan.mem_end[part]
+    mem_vals = stream.reshape(rows, NM)[:, plan.mem_cols].reshape(-1)[:n_mem]
+    mem_nodes = (col + plan.mem_off).reshape(-1)[:n_mem]
+    n_fp = k * len(plan.fp_pos) + plan.fp_end[part]
     if plan.legacy:
-        addr_pairs = np.array(ap, dtype=np.int64).reshape(-1, 2)
-        addr_nodes = (col + plan.rta_pos).reshape(-1)[:len(addr_pairs)]
+        pairs = np.empty((rows * plan.n_addr, 2), dtype=np.int64)
+        pairs[:len(ap)] = np.array(ap, dtype=np.int64).reshape(-1, 2)
+        addr_pairs = pairs.reshape(rows, plan.n_addr, 2)[
+            :, plan.fp_cols].reshape(-1, 2)[:n_fp]
+        addr_nodes = (col + plan.fp_pos).reshape(-1)[:n_fp]
     elif not len(plan.fp_pos):
         addr_pairs = _NO_PAIRS
         addr_nodes = _NO_NODES
     else:
-        n_fp = k * len(plan.fp_pos) + plan.fp_end[part]
-        stream = np.zeros(plan.fp_base + rows * NM, dtype=np.int64)
-        stream[plan.fp_base:plan.fp_base + len(mem_vals)] = mem_vals
-        sides = stream[np.arange(rows)[:, None] * plan.fp_stride
-                       + plan.fp_off]
+        grid = np.zeros(plan.fp_base + rows * NM, dtype=np.int64)
+        grid[plan.fp_base:plan.fp_base + len(ma)] = stream[:len(ma)]
+        sides = grid[np.arange(rows)[:, None] * plan.fp_stride
+                     + plan.fp_off]
         if plan.fp_li_regs:
             sides[:, plan.fp_li_idx] = [defa[q] for q in plan.fp_li_regs]
         if plan.fp_first_regs:
@@ -835,19 +919,19 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
         addr_nodes = (col + plan.fp_pos).reshape(-1)[:n_fp]
     store_lists: List[list] = []
     if k:
-        kL = k * L
+        kW = k * W
         kNM = k * NM
         for P, mj, kind, a1, a2 in plan.store_groups:
-            b = N0 + P
-            if kind == 1:     # producer written same iteration at a1
+            b = N0 + plan.rank[P]
+            if kind == 1:     # producer written same iteration, rank a1
                 store_lists.append(list(zip(
-                    range(b, b + kL, L),
-                    range(N0 + a1, N0 + a1 + kL, L),
+                    range(b, b + kW, W),
+                    range(N0 + a1, N0 + a1 + kW, W),
                     ma[mj:kNM:NM])))
             elif kind == 2:   # carried producer: prior iteration's a1
-                g = list(zip(
-                    range(b + L, b + kL, L),
-                    range(N0 + a1, N0 + a1 + kL - L, L),
+                g = [] if a1 < 0 else list(zip(
+                    range(b + W, b + kW, W),
+                    range(N0 + a1, N0 + a1 + kW - W, W),
                     ma[mj + NM:kNM:NM]))
                 p0 = defn[a2]
                 if p0 >= 0:
@@ -858,7 +942,7 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
                 if p0 >= 0:
                     store_lists.append([(b, p0, ma[mj])])
     if part:
-        nfin = N0 + k * L
+        nfin = N0 + k * W
         mab = k * NM
         pstore = []
         for P, mj, kind, a1, a2 in plan.store_groups:
@@ -867,11 +951,11 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
             if kind == 1:
                 p0 = nfin + a1
             elif kind == 2:
-                p0 = nfin - L + a1 if k else defn[a2]
+                p0 = defn[a2] if not k else nfin - W + a1 if a1 >= 0 else -1
             else:
                 p0 = defn[a1]
             if p0 >= 0:
-                pstore.append((nfin + P, p0, ma[mab + mj]))
+                pstore.append((nfin + plan.rank[P], p0, ma[mab + mj]))
         if pstore:
             store_lists.append(pstore)
     if len(store_lists) > 1:
@@ -883,12 +967,14 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
         store_items = store_lists[0]
     else:
         store_items = ()
+    # Every path ends at its loop_next marker, which the capture set
+    # always holds: the last captured position.
     sink.bulk_append(
         N0, cur_loop, sids,
-        plan.ops.repeat(rows, 0).reshape(-1)[:nrec],
-        plan.cnts.repeat(rows, 0).reshape(-1)[:nrec],
+        plan.ops.repeat(rows, 0).reshape(-1)[:ncap],
+        plan.cnts.repeat(rows, 0).reshape(-1)[:ncap],
         deps.reshape(-1)[:k * plan.dep_width + plan.dep_end[part]],
-        base[:k] + (L - 1), addr_nodes, addr_pairs, mem_nodes, mem_vals,
+        base[:k] + (W - 1), addr_nodes, addr_pairs, mem_nodes, mem_vals,
         store_items)
 
 
@@ -897,31 +983,35 @@ def _writeback(plan, L, N0, k, part, defn, defa, ma):
 
     The last write visible to the step interpreter is the final full
     iteration's — or, after a deopt, the partial iteration's last write
-    *before* the failed guard.  A legacy-mode kernel tracks ``defa``
-    itself; in derived mode it is reconstructed here from the
-    memory-address stream, for recording and non-recording dispatches
-    alike.
+    *before* the failed guard; a write at an uncaptured position leaves
+    ``-1``.  A legacy-mode kernel tracks ``defa`` itself; in derived
+    mode it is reconstructed here from the memory-address stream, for
+    recording and non-recording dispatches alike.
     """
-    nfin = N0 + k * L
+    W = plan.width
+    nfin = N0 + k * W
     NM = plan.n_mem
     derive_a = not plan.legacy
     if part:
-        for r, wl, al in plan.wb:
+        for r, wl, al, wn in plan.wb:
             j = bisect_left(wl, part)
             if j:
                 j -= 1
-                defn[r] = nfin + wl[j]
+                o = wn[j]
+                defn[r] = nfin + o if o >= 0 else -1
                 if derive_a:
                     a = al[j]
                     defa[r] = 0 if a < 0 else ma[k * NM + a]
             elif k:
-                defn[r] = nfin - L + wl[-1]
+                o = wn[-1]
+                defn[r] = nfin - W + o if o >= 0 else -1
                 if derive_a:
                     a = al[-1]
                     defa[r] = 0 if a < 0 else ma[(k - 1) * NM + a]
     elif k:
-        for r, wl, al in plan.wb:
-            defn[r] = nfin - L + wl[-1]
+        for r, _wl, al, wn in plan.wb:
+            o = wn[-1]
+            defn[r] = nfin - W + o if o >= 0 else -1
             if derive_a:
                 a = al[-1]
                 defa[r] = 0 if a < 0 else ma[(k - 1) * NM + a]
@@ -930,24 +1020,52 @@ def _writeback(plan, L, N0, k, part, defn, defa, ma):
 # -- the compiler ------------------------------------------------------------
 
 
+class KernelTable(dict):
+    """The kernels of one analysis: loop id -> :class:`LoopKernel`, or
+    :data:`REJECTED`.
+
+    The interpreters of one analysis of one module may share a table, so
+    a later run dispatches the kernels an earlier run built from its
+    first iteration on.  Sharing is exact: guards make a kernel correct
+    from any entry state, and every interpreter of a module lays its
+    globals out at the same addresses, the ones a kernel bakes in.
+
+    ``capture`` is the capture set of every run that uses the table (a
+    set of sids, or ``None`` for every instruction;
+    :func:`repro.analysis.candidates.capture_sids`): a kernel numbers
+    only the records its capture set holds, so runs with another set
+    need another table.  :meth:`reset` empties the table for a new set.
+    ``fails`` counts each loop's aborted recordings over all those runs,
+    so a loop whose recordings keep straddling its exit is rejected
+    after :data:`MAX_RECORD_FAILURES` of them in total.
+    """
+
+    def __init__(self, capture=None):
+        super().__init__()
+        self.capture = capture
+        self.fails: Dict[int, int] = defaultdict(int)
+
+    def reset(self, capture) -> None:
+        """Drop every kernel and strike; later runs capture ``capture``."""
+        self.clear()
+        self.fails.clear()
+        self.capture = capture
+
+
 class TraceCompiler:
     """Per-interpreter trace-replay compiler: hotness, recording,
     kernel construction, and batch dispatch.
 
-    ``kernels`` is the kernel table (loop id -> :class:`LoopKernel` or
-    :data:`REJECTED`).  By default each compiler starts an empty one;
-    the interpreters of one analysis of one module may share a table,
-    so a later run dispatches the kernels an earlier run built from its
-    first iteration on.  Sharing is exact: guards make a kernel correct
-    from any entry state, and every interpreter of a module lays its
-    globals out at the same addresses, the ones a kernel bakes in.
+    ``kernels`` is the :class:`KernelTable` the interpreter was given
+    (a fresh one when none was), whose capture set the interpreter's
+    runs follow.
     """
 
     __slots__ = ("interp", "threshold", "batch_iters", "kernels", "_fails")
 
     def __init__(self, interp, threshold: Optional[int] = None,
                  batch_iters: int = BATCH_ITERS,
-                 kernels: Optional[Dict[int, object]] = None):
+                 kernels: Optional[KernelTable] = None):
         from repro.profiler.hotloops import HOT_LOOP_THRESHOLD
 
         self.interp = interp
@@ -955,8 +1073,8 @@ class TraceCompiler:
                           else threshold)
         self.batch_iters = batch_iters
         #: loop id -> LoopKernel, or :data:`REJECTED`.
-        self.kernels: Dict[int, object] = {} if kernels is None else kernels
-        self._fails: Dict[int, int] = defaultdict(int)
+        self.kernels = KernelTable() if kernels is None else kernels
+        self._fails = self.kernels.fails
 
     # -- recording lifecycle ------------------------------------------------
 
@@ -1020,8 +1138,10 @@ class TraceCompiler:
                 self.reject(lid, f"unspecialized opcode {opc}")
                 return
             entries.append((instr, blk, pc, taken))
+        captured = self.interp.captured
         kern = LoopKernel(lid, entries, (rec.block, rec.pc),
-                          self.interp.global_addr)
+                          self.interp.global_addr,
+                          [captured[e[0].sid] for e in entries])
         self.kernels[lid] = kern
         get_telemetry().instant(
             "compile.kernel.recorded",
@@ -1068,14 +1188,15 @@ class TraceCompiler:
         while True:
             B = batch if batch < room else room
             N0 = interp._node
-            k, dpc, ma, lw, ap = fn(B, N0, values, defa, mem, mw, alloc)
+            k, dpc, ma, lw, ap = fn(B, N0, values, defa, mem, mw, alloc,
+                                    recording)
             batches += 1
             if ks is not None:
                 ks.append(k)
             part = dpc if dpc > 0 else 0
             nrec = k * L + part
             if nrec:
-                interp._node = N0 + nrec
+                interp._node = N0 + k * plan.width + plan.cap_end[part]
                 interp._executed += nrec
                 if k:
                     for opc_i, c in kern.count_items:

@@ -8,6 +8,13 @@ executed IR instruction, carrying
   virtual registers and through memory via a last-writer table), and
 - the byte addresses of memory operands (for the stride analyses).
 
+A run captures the instructions of its kernel table's capture set (every
+instruction when it has none; see
+:func:`repro.analysis.candidates.capture_sids`).  An instruction outside
+it takes no node id and emits nothing, and writes ``-1`` ("no producer")
+to its result's def-node and, for a store, to the last-writer table, so
+the captured records keep contiguous node ids.
+
 Register dependences are wired *through* calls and returns: a parameter
 use links to the caller's argument producer, and a call's result links to
 the producer of the returned value.  This matches tracking dependences
@@ -29,6 +36,7 @@ from repro.errors import FuelExhaustedError, InterpError, MemoryError_
 from repro.interp.compile import (
     MAX_PATH_LEN as _MAX_PATH,
     REJECTED as _REJECTED,
+    KernelTable,
     TraceCompiler,
 )
 from repro.ir.instructions import Opcode
@@ -134,7 +142,7 @@ class Interpreter:
     def __init__(self, module: Module, sink=None, fuel: int = DEFAULT_FUEL,
                  compile_loops: bool = True,
                  compile_threshold: Optional[int] = None,
-                 kernels: Optional[dict] = None):
+                 kernels: Optional[KernelTable] = None):
         self.module = module
         self.memory = Memory()
         self.sink = sink
@@ -157,6 +165,12 @@ class Interpreter:
             lambda: defaultdict(int)
         )
         self._executed = 0
+        #: per sid: whether this run captures the instruction's records —
+        #: the capture set of ``kernels``, or every instruction.
+        capture = kernels.capture if kernels is not None else None
+        self.captured: List[bool] = (
+            [True] * module.sid_bound if capture is None
+            else [sid in capture for sid in range(module.sid_bound)])
         self._layout_globals()
         #: trace-replay compiler (:mod:`repro.interp.compile`): hot loop
         #: bodies specialize into batch kernels that emit trace records
@@ -165,7 +179,7 @@ class Interpreter:
         #: one (the record-object reference sinks of the test oracle)
         #: runs on pure stepping.  ``kernels``, a kernel table the caller
         #: owns, lets the runs of one analysis of this module share their
-        #: kernels (see :class:`~repro.interp.compile.TraceCompiler`).
+        #: kernels (see :class:`~repro.interp.compile.KernelTable`).
         self._compiler = None
         if compile_loops and (
             sink is None or hasattr(sink, "bulk_append")
@@ -274,6 +288,7 @@ class Interpreter:
         comp = self._compiler
         rec = None
         rec_path: List = []
+        captured = self.captured
 
         VR = VirtualReg
         CONST = Constant
@@ -297,8 +312,6 @@ class Interpreter:
                     if len(rec_path) > _MAX_PATH:
                         comp.reject(rec.loop_id, "path too long")
                         rec = None
-                node = self._node
-                self._node = node + 1
                 self._executed += 1
                 counts[loop_key + opc] += 1
                 if self._executed > fuel:
@@ -318,6 +331,15 @@ class Interpreter:
                         f"re-run with a larger budget via --fuel or "
                         f"Interpreter(fuel=...)"
                     )
+                if captured[instr.sid]:
+                    node = self._node
+                    self._node = node + 1
+                    emitting = recording
+                else:
+                    node = -1
+                    emitting = False
+                    if recording:
+                        sink.uncaptured += 1
 
                 if opc is _OP_LOAD:
                     addr, pdn, _ = ev(instr.operands[0])
@@ -334,9 +356,13 @@ class Interpreter:
                     values[i] = value
                     defn[i] = node
                     defa[i] = addr
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 51, cur_loop,
                                   (pdn, writer), (), addr)
+                    elif recording and writer >= 0:
+                        # An uncaptured load read a captured store: a
+                        # dependence the capture set missed.
+                        sink.capture_misses += 1
                     continue
 
                 if opc is _OP_STORE:
@@ -349,7 +375,7 @@ class Interpreter:
                         )
                     mem[addr] = value
                     self._mem_writer[addr] = node
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 52, cur_loop,
                                   (vdn, pdn), (), addr)
                         if vdn >= 0:
@@ -382,7 +408,7 @@ class Interpreter:
                     values[i] = value
                     defn[i] = node
                     defa[i] = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, opc._value_, cur_loop,
                                   (adn, bdn), (ada, bda))
                     continue
@@ -409,7 +435,7 @@ class Interpreter:
                     values[i] = value
                     defn[i] = node
                     defa[i] = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, opc._value_, cur_loop, (adn, bdn))
                     continue
 
@@ -420,7 +446,7 @@ class Interpreter:
                     values[i] = a + b
                     defn[i] = node
                     defa[i] = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 53, cur_loop, (adn, bdn))
                     continue
 
@@ -444,7 +470,7 @@ class Interpreter:
                     values[i] = value
                     defn[i] = node
                     defa[i] = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, opc._value_, cur_loop, (adn, bdn))
                     continue
 
@@ -453,7 +479,7 @@ class Interpreter:
                     block = instr.targets[0] if cond else instr.targets[1]
                     instrs = block.instructions
                     pc = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 61, cur_loop, (cdn,))
                     continue
 
@@ -461,7 +487,7 @@ class Interpreter:
                     block = instr.targets[0]
                     instrs = block.instructions
                     pc = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 60, cur_loop)
                     continue
 
@@ -506,7 +532,7 @@ class Interpreter:
                     elif opc is _OP_LNEXT:
                         if self._iter_stack:
                             self._iter_stack[-1] += 1
-                        if recording:
+                        if emitting:
                             sink_emit(node, instr.sid, 71, lid)
                         if comp is not None:
                             if rec is not None and rec.loop_id == lid:
@@ -538,7 +564,7 @@ class Interpreter:
                             if self._iter_stack:
                                 iters = self._iter_stack.pop()
                                 self.loop_iter_hist[lid][iters] += 1
-                        if recording:
+                        if emitting:
                             sink_emit(node, instr.sid, 72, lid)
                         if sink is not None:
                             sink.on_marker(72, lid, -1)
@@ -570,7 +596,7 @@ class Interpreter:
                     # carries artificial address 0; only pointer *retyping*
                     # keeps provenance (it is not a computation).
                     defa[i] = vda if isinstance(to_type, PointerType) else 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 40, cur_loop, (vdn,))
                     continue
 
@@ -587,7 +613,7 @@ class Interpreter:
                     values[i] = value
                     defn[i] = node
                     defa[i] = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, opc._value_, cur_loop, (adn, bdn))
                     continue
 
@@ -619,7 +645,7 @@ class Interpreter:
                     values[i] = value
                     defn[i] = node
                     defa[i] = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, opc._value_, cur_loop, (adn, bdn))
                     continue
 
@@ -631,7 +657,7 @@ class Interpreter:
                     values[i] = a if cond else b
                     defn[i] = node
                     defa[i] = ada if cond else bda
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 41, cur_loop,
                                   (cdn, adn, bdn))
                     continue
@@ -642,7 +668,7 @@ class Interpreter:
                     values[i] = value
                     defn[i] = node
                     defa[i] = vda
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 42, cur_loop, (vdn,))
                     continue
 
@@ -652,7 +678,7 @@ class Interpreter:
                     values[i] = addr
                     defn[i] = node
                     defa[i] = 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 50, cur_loop)
                     continue
 
@@ -665,7 +691,7 @@ class Interpreter:
                         comp.reject(rec.loop_id, "call in body")
                         rec = None
                     triples = [ev(a) for a in instr.operands]
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 63, cur_loop,
                                   tuple(t[1] for t in triples))
                     if native is not None:
@@ -698,7 +724,7 @@ class Interpreter:
                         value, vdn, vda = ev(instr.operands[0])
                     else:
                         value, vdn, vda = None, -1, 0
-                    if recording:
+                    if emitting:
                         sink_emit(node, instr.sid, 62, cur_loop,
                                   (vdn,) if instr.operands else ())
                     return value, vdn, vda

@@ -93,6 +93,12 @@ class Module:
     def num_instructions(self) -> int:
         return len(self._instructions_by_sid)
 
+    @property
+    def sid_bound(self) -> int:
+        """One more than the largest sid handed out, so a list of this
+        length can be indexed by any sid of the module."""
+        return self._next_sid
+
     def loops_in_function(self, fname: str) -> List[LoopInfo]:
         return [li for li in self.loops.values() if li.function == fname]
 

@@ -303,6 +303,7 @@ class ColumnarSink:
 
     __slots__ = (
         "store_map", "runs", "loop_breaks", "marker_rows", "active",
+        "uncaptured", "capture_misses",
         "_chunks", "_sealed", "_sids", "_ops", "_cnts", "_deps",
         "_addrs", "_mems",
         "_next_node", "_cur_node0", "_cur_row0", "_last_loop", "_records",
@@ -336,6 +337,12 @@ class ColumnarSink:
         #: rows holding loop-marker records (sparse; they are no nodes).
         self.marker_rows: List[int] = []
         self.active = True
+        #: Window records the interpreter executed but did not capture
+        #: (outside its capture set): they count in :meth:`stats`'s
+        #: ``rows`` and the DDG's ``window_nodes``, and hold no row.
+        self.uncaptured = 0
+        #: Uncaptured loads that read a captured store while recording.
+        self.capture_misses = 0
         #: Node id that continues the open run; ``None`` until the first
         #: record, so that record opens a run whatever its id.
         self._next_node: Optional[int] = None
@@ -353,11 +360,13 @@ class ColumnarSink:
 
     @classmethod
     def from_columns(cls, cols: TraceColumns, runs, loop_breaks,
-                     marker_rows, store_map) -> "ColumnarSink":
+                     marker_rows, store_map,
+                     uncaptured: int = 0) -> "ColumnarSink":
         """A sink holding ``cols`` and the given bookkeeping, ready to
         take more records as if it had emitted them (the segment store
         reassembles spilled columns through this)."""
         sink = cls()
+        sink.uncaptured = uncaptured
         if len(cols.sids):
             sink._chunks.append(cols)
             sink._sealed = len(cols.sids)
@@ -533,9 +542,14 @@ class ColumnarSink:
 
     def stats(self) -> Dict[str, int]:
         """Cheap summary counters for telemetry (O(#markers), no column
-        walk): recorded rows, marker records, marker-free segments (the
-        spans of DDG nodes between markers), resolved store backpatches,
-        and contiguous recorded runs."""
+        walk).
+
+        ``rows`` counts every record of the window, captured or not (the
+        rows a run capturing every instruction would hold), ``captured``
+        the rows held.  The rest count what the held rows carry: marker
+        records, marker-free segments (the spans of captured DDG nodes
+        between markers), resolved store backpatches (stores of a
+        captured producer), and contiguous recorded runs."""
         n = len(self)
         segments = 0
         prev = 0
@@ -546,7 +560,8 @@ class ColumnarSink:
         if prev < n:
             segments += 1
         return {
-            "rows": n,
+            "rows": n + self.uncaptured,
+            "captured": n,
             "markers": len(self.marker_rows),
             "marker_segments": segments,
             "backpatches": len(self.store_map),
@@ -569,8 +584,9 @@ class ColumnarSink:
         whose static instruction is reachable from a candidate's, in
         execution order, and only the edges out of them.  The cone is cut
         right after the dependence sort, before any per-node list is
-        built.  ``window_nodes``/``window_edges`` of the result always
-        count the whole window's graph.
+        built.  ``window_nodes`` of the result counts every node of the
+        window, captured or not; ``window_edges`` counts the edges among
+        the captured rows.
         """
         from repro.ddg.graph import DDG
 
@@ -621,7 +637,7 @@ class ColumnarSink:
             pred_indices=indices_arr,
             pred_offsets=offsets_arr,
             validate=False,
-            window_nodes=window_nodes,
+            window_nodes=window_nodes + self.uncaptured,
             window_edges=window_edges,
         )
 
@@ -731,6 +747,9 @@ class ColumnarLoopSink(ColumnarSink):
             if self._depth == 0 and self._wanted(instance):
                 self.active = True
                 self.spans_recorded += 1
+                # Each span opens a run, even when no captured record
+                # ran since the last one ended.
+                self._next_node = None
             self._depth += 1
         elif kind == MARKER_EXIT:
             self._depth -= 1

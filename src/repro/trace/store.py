@@ -426,6 +426,7 @@ class SegmentedSink(ColumnarSink):
                     "backpatches": (totals["backpatches"]
                                     + len(self._late_stores)),
                     "late_patches": len(self._late_stores),
+                    "uncaptured": self.uncaptured,
                     "segment_bytes": totals["bytes"],
                     "segments": self.segments,
                 }
@@ -451,7 +452,8 @@ class SegmentedSink(ColumnarSink):
             self.marker_rows, n, self._open_span
         )
         return {
-            "rows": totals["rows"] + n,
+            "rows": totals["rows"] + n + self.uncaptured,
+            "captured": totals["rows"] + n,
             "markers": totals["markers"] + len(self.marker_rows),
             "marker_segments": totals["marker_segments"] + spans,
             "backpatches": (totals["backpatches"] + len(self.store_map)
@@ -731,7 +733,8 @@ class SegmentStore:
                 stores.setdefault(row0 + row, val)
         # Concatenating copies the columns out of the segment mappings.
         return ColumnarSink.from_columns(concat_columns(parts), runs,
-                                         breaks, markers, stores)
+                                         breaks, markers, stores,
+                                         self.manifest.get("uncaptured", 0))
 
     def trace(self, module) -> "StoredTrace":
         return StoredTrace(module, self)
@@ -926,7 +929,7 @@ class SegmentStore:
             pred_indices=indices,
             pred_offsets=offsets,
             validate=False,
-            window_nodes=self.n_nodes,
+            window_nodes=self.n_nodes + self.manifest.get("uncaptured", 0),
             window_edges=window_edges,
         )
 

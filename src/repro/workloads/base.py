@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.analysis.candidates import candidate_opcodes, capture_sids
 from repro.analysis.pipeline import run_loop_analyses
 from repro.analysis.report import BenchmarkReport
 from repro.errors import WorkloadError
 from repro.frontend import parse_source
 from repro.frontend.lower import lower
+from repro.interp.compile import KernelTable
 from repro.interp.interpreter import DEFAULT_FUEL
 from repro.ir.verifier import verify_module
 from repro.obs import get_status_bus, get_telemetry
@@ -85,7 +87,9 @@ def analyze_workload(
             include_integer, relax_reductions, fuel, jobs, tel=tel,
             spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
-            compile_threshold=compile_threshold, kernels={},
+            compile_threshold=compile_threshold,
+            kernels=KernelTable(
+                capture_sids(module, candidate_opcodes(include_integer))),
         )
         report = BenchmarkReport(benchmark=benchmark)
         if infos:
