@@ -21,13 +21,8 @@ import time
 
 from repro.analysis.pipeline import analyze_loop
 from repro.frontend import compile_source
-from repro.obs.live import (
-    DEFAULT_STATUS_INTERVAL,
-    NULL_STATUS_BUS,
-    StatusBus,
-    StatusTicker,
-    use_status_bus,
-)
+from repro.obs import Run, use_run
+from repro.obs.live import DEFAULT_STATUS_INTERVAL, StatusBus, StatusTicker
 
 from benchmarks.conftest import write_bench_json
 
@@ -53,22 +48,22 @@ def _analyze(module):
 
 def test_analysis_null_status_bus(benchmark):
     module = compile_source(SRC)
-    with use_status_bus(NULL_STATUS_BUS):
+    with use_run(Run()):
         benchmark(lambda: _analyze(module))
 
 
 def test_analysis_live_status_bus(benchmark):
     module = compile_source(SRC)
-    bus = StatusBus()
+    run = Run(bus=StatusBus())
     with open(os.devnull, "w") as sink:
-        ticker = StatusTicker(bus, interval=DEFAULT_STATUS_INTERVAL,
-                              stream=sink)
-        ticker.start()
+        run.ticker = StatusTicker(run, interval=DEFAULT_STATUS_INTERVAL,
+                                  stream=sink)
+        run.ticker.start()
         try:
-            with use_status_bus(bus):
+            with use_run(run):
                 benchmark(lambda: _analyze(module))
         finally:
-            ticker.close(exit_code=0)
+            run.ticker.close(exit_code=0)
 
 
 def test_live_overhead_artifact():
@@ -88,19 +83,19 @@ def test_live_overhead_artifact():
         fn()
         return time.perf_counter() - t0
 
-    with use_status_bus(NULL_STATUS_BUS):
+    with use_run(Run()):
         off_s, off_report = timed(lambda: _analyze(module))
 
-    bus = StatusBus()
+    run = Run(bus=StatusBus())
     with open(os.devnull, "w") as sink:
-        ticker = StatusTicker(bus, interval=DEFAULT_STATUS_INTERVAL,
-                              stream=sink)
-        ticker.start()
+        run.ticker = StatusTicker(run, interval=DEFAULT_STATUS_INTERVAL,
+                                  stream=sink)
+        run.ticker.start()
         try:
-            with use_status_bus(bus):
+            with use_run(run):
                 on_s, on_report = timed(lambda: _analyze(module))
         finally:
-            ticker.close(exit_code=0)
+            run.ticker.close(exit_code=0)
 
     identical = off_report.row() == on_report.row()
     overhead_pct = round((on_s - off_s) / off_s * 100.0, 1)

@@ -21,7 +21,8 @@ import urllib.request
 
 from repro.analysis.pipeline import analyze_loop
 from repro.frontend import compile_source
-from repro.obs import StatusBus, StatusTicker, Telemetry, use_telemetry
+from repro.obs import Run, Telemetry, use_run
+from repro.obs.live import StatusBus, StatusTicker
 from repro.obs.monitor import MonitorServer
 
 from benchmarks.conftest import write_bench_json
@@ -48,25 +49,33 @@ def _analyze(module):
     return analyze_loop(module, "body")
 
 
+def _serving(tel):
+    """A ticker and a serving monitor over ``tel`` and an idle status
+    bus.  The analysis records into ``tel`` alone (``Run(tel=tel)``), so
+    only the monitor plane differs from the off runs."""
+    run = Run(tel=tel, bus=StatusBus())
+    run.ticker = StatusTicker(run, interval=1.0)
+    run.monitor = MonitorServer(run, port=0)
+    run.monitor.start()
+    run.ticker.start()
+    return run
+
+
 def test_analysis_monitor_off(benchmark):
     module = compile_source(SRC)
     tel = Telemetry()
-    with use_telemetry(tel):
+    with use_run(Run(tel=tel)):
         benchmark(lambda: _analyze(module))
 
 
 def test_analysis_monitor_on_scraped(benchmark):
     module = compile_source(SRC)
     tel = Telemetry()
-    bus = StatusBus()
-    ticker = StatusTicker(bus, interval=1.0, tel=tel)
-    monitor = MonitorServer(port=0, tel=tel, ticker=ticker, bus=bus)
-    monitor.start()
-    ticker.start()
+    plane = _serving(tel)
     stop = threading.Event()
 
     def scraper():
-        url = monitor.url("/metrics")
+        url = plane.monitor.url("/metrics")
         while True:
             try:
                 urllib.request.urlopen(url, timeout=2.0).read()
@@ -78,13 +87,12 @@ def test_analysis_monitor_on_scraped(benchmark):
     thread = threading.Thread(target=scraper, daemon=True)
     thread.start()
     try:
-        with use_telemetry(tel):
+        with use_run(Run(tel=tel)):
             benchmark(lambda: _analyze(module))
     finally:
         stop.set()
         thread.join(timeout=5.0)
-        ticker.close(exit_code=0)
-        monitor.close()
+        plane.close(exit_code=0)
 
 
 def test_monitor_overhead_artifact():
@@ -109,20 +117,16 @@ def test_monitor_overhead_artifact():
     # between blocks, and the sandwich keeps that drift out of the
     # reported overhead.
     tel_off = Telemetry()
-    with use_telemetry(tel_off):
+    with use_run(Run(tel=tel_off)):
         off1_s, off_report = timed(lambda: _analyze(module))
 
     tel_on = Telemetry()
-    bus = StatusBus()
-    ticker = StatusTicker(bus, interval=1.0, tel=tel_on)
-    monitor = MonitorServer(port=0, tel=tel_on, ticker=ticker, bus=bus)
-    monitor.start()
-    ticker.start()
+    plane = _serving(tel_on)
     stop = threading.Event()
     scrapes = []
 
     def scraper():
-        url = monitor.url("/metrics")
+        url = plane.monitor.url("/metrics")
         while True:
             try:
                 body = urllib.request.urlopen(url, timeout=2.0).read()
@@ -135,16 +139,15 @@ def test_monitor_overhead_artifact():
     thread = threading.Thread(target=scraper, daemon=True)
     thread.start()
     try:
-        with use_telemetry(tel_on):
+        with use_run(Run(tel=tel_on)):
             on_s, on_report = timed(lambda: _analyze(module))
     finally:
         stop.set()
         thread.join(timeout=5.0)
-        ticker.close(exit_code=0)
-        monitor.close()
+        plane.close(exit_code=0)
 
     tel_off2 = Telemetry()
-    with use_telemetry(tel_off2):
+    with use_run(Run(tel=tel_off2)):
         off2_s, off_report2 = timed(lambda: _analyze(module))
     off_s = min(off1_s, off2_s)
 

@@ -20,7 +20,8 @@ import time
 
 from repro.analysis.pipeline import analyze_loop
 from repro.frontend import compile_source
-from repro.obs.sampling import NULL_SAMPLER, SamplingProfiler, use_sampler
+from repro.obs import Run, use_run
+from repro.obs.sampling import SamplingProfiler
 
 from benchmarks.conftest import write_bench_json
 
@@ -48,14 +49,14 @@ def _analyze(module):
 
 def test_analysis_sampler_off(benchmark):
     module = compile_source(SRC)
-    with use_sampler(NULL_SAMPLER):
+    with use_run(Run()):
         benchmark(lambda: _analyze(module))
 
 
 def test_analysis_sampler_on(benchmark):
     module = compile_source(SRC)
     sampler = SamplingProfiler(hz=SAMPLE_HZ)
-    with use_sampler(sampler):
+    with use_run(Run(sampler=sampler)):
         sampler.start()
         try:
             benchmark(lambda: _analyze(module))
@@ -81,11 +82,11 @@ def test_sampling_overhead_artifact():
         fn()
         return time.perf_counter() - t0
 
-    with use_sampler(NULL_SAMPLER):
+    with use_run(Run()):
         off_s, off_report = timed(lambda: _analyze(module))
 
     sampler = SamplingProfiler(hz=SAMPLE_HZ)
-    with use_sampler(sampler):
+    with use_run(Run(sampler=sampler)):
         sampler.start()
         try:
             on_s, on_report = timed(lambda: _analyze(module))

@@ -10,7 +10,7 @@ either shows up as a benchmark delta rather than a silent slowdown.
 
 from repro.analysis.pipeline import analyze_loop
 from repro.frontend import compile_source
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Run, Telemetry, use_run
 
 SRC = """
 double A[64];
@@ -28,11 +28,16 @@ int main() {
 """
 
 
+def _analyze(module, run):
+    with use_run(run):
+        return analyze_loop(module, "body")
+
+
 def test_analysis_null_telemetry(benchmark):
     module = compile_source(SRC)
-    benchmark(lambda: analyze_loop(module, "body", tel=NULL_TELEMETRY))
+    benchmark(lambda: _analyze(module, Run()))
 
 
 def test_analysis_live_telemetry(benchmark):
     module = compile_source(SRC)
-    benchmark(lambda: analyze_loop(module, "body", tel=Telemetry()))
+    benchmark(lambda: _analyze(module, Run(tel=Telemetry())))

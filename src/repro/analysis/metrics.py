@@ -23,7 +23,7 @@ from repro.analysis.timestamps import batched_parallel_partitions
 from repro.analysis.report import InstructionReport, LoopReport
 from repro.ddg.graph import DDG
 from repro.ir.module import Module
-from repro.obs import get_telemetry
+from repro.obs import current_run
 
 
 def _elem_size(module: Optional[Module], sid: int, default: int = 8) -> int:
@@ -111,7 +111,6 @@ def loop_metrics(
     loop_name: str = "",
     include_integer: bool = False,
     relax_reductions: bool = False,
-    tel=None,
     partitions_by_sid: Optional[Dict[int, Dict[int, List[int]]]] = None,
 ) -> LoopReport:
     """Aggregate the paper's loop-level metrics over all candidate
@@ -124,8 +123,7 @@ def loop_metrics(
     extraction) pass them in, skipping the second pass; it must cover
     every candidate sid of the graph.
     """
-    if tel is None:
-        tel = get_telemetry()
+    tel = current_run().tel
     report = LoopReport(loop_name=loop_name)
     total_ops = 0
     total_partitions = 0

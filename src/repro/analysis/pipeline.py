@@ -36,14 +36,14 @@ byte-identical to the serial path).  Pool failures fall back to serial,
 with a ``vectra.pipeline`` warning so the degradation is visible.  An
 out-of-core run (``spill_dir``) analyzes its loops serially.
 
-Every driver takes an optional ``tel`` telemetry object (default: the
-process-wide active telemetry, a no-op unless e.g. the CLI's
-``--profile`` installed a live one) and records stage spans plus work
-counters; pool workers collect their own telemetry and ship a snapshot
-back with each report, which the parent merges — serial and parallel
-runs report identical counter totals, except for the trace-replay
-compiler's: the drivers that own their module share one kernel table
-across its serial runs, which pool workers cannot.
+Every driver records stage spans plus work counters into the current
+run's telemetry (:func:`repro.obs.run.current_run`; a no-op unless e.g.
+the CLI's ``--profile`` installed a run that records).  Pool workers
+record each loop into a fresh telemetry and ship a snapshot back with
+its report, which the parent merges — serial and parallel runs report
+identical counter totals, except for the trace-replay compiler's: the
+drivers that own their module share one kernel table across its serial
+runs, which pool workers cannot.
 """
 
 from __future__ import annotations
@@ -66,22 +66,13 @@ from repro.interp.interpreter import (
     DEFAULT_FUEL,
     Interpreter,
     ProfileCounters,
+    count_traced_run,
     run_and_trace,
 )
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
-from repro.obs import (
-    EventLog,
-    SamplingProfiler,
-    Telemetry,
-    get_logger,
-    get_sampler,
-    get_status_bus,
-    get_telemetry,
-    pool_heartbeat,
-    use_sampler,
-    use_telemetry,
-)
+from repro.obs import current_run, get_logger
+from repro.obs.run import init_worker
 from repro.profiler.costmodel import CostModel
 from repro.profiler.hotloops import hot_loops, profile_loops
 from repro.trace.columnar import ColumnarLoopSink
@@ -104,7 +95,7 @@ __all__ = [
 
 def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
                       entry: str, args: Sequence, instance: int,
-                      fuel: int, tel=None, spill_dir: Optional[str] = None,
+                      fuel: int, spill_dir: Optional[str] = None,
                       segment_rows: Optional[int] = None,
                       compile_loops: bool = True,
                       compile_threshold: Optional[int] = None,
@@ -158,8 +149,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     the one cut from all rows (DESIGN.md §18), so the DDG never depends
     on the capture set.
     """
-    if tel is None:
-        tel = get_telemetry()
+    tel = current_run().tel
     if kernels is None:
         kernels = KernelTable(None if cone_ops is None
                               else capture_sids(module, cone_ops))
@@ -205,14 +195,8 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     counters = interp.profile_counters()
     stats = sink.stats()
     if tel.enabled:
-        tel.count("interp.runs")
-        tel.count("interp.instructions", interp.executed_instructions)
-        tel.count("trace.records.kept", stats["rows"])
+        count_traced_run(tel, interp, stats)
         tel.count("trace.records.captured", stats["captured"])
-        tel.count("trace.records.filtered",
-                  interp.executed_instructions - stats["rows"])
-        tel.count("trace.markers", stats["markers"])
-        tel.count("trace.backpatches", stats["backpatches"])
         tel.count("trace.spans_recorded", sink.spans_recorded)
     if sink.spans_recorded == 0:
         raise AnalysisError(
@@ -226,7 +210,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     if spill_dir:
         store = sink.finish()
         with tel.span("ddg.build"):
-            ddg = store.to_ddg(tel=tel, cone_ops=cone_ops)
+            ddg = store.to_ddg(cone_ops=cone_ops)
     else:
         with tel.span("ddg.build"):
             ddg = sink.to_ddg(cone_ops)
@@ -249,7 +233,6 @@ def analyze_loop(
     include_integer: bool = False,
     relax_reductions: bool = False,
     fuel: int = DEFAULT_FUEL,
-    tel=None,
     spill_dir: Optional[str] = None,
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
@@ -266,45 +249,41 @@ def analyze_loop(
     either way.
     """
     return _analyze_loop(module, loop_name, entry, args, instance,
-                         include_integer, relax_reductions, fuel, tel,
+                         include_integer, relax_reductions, fuel,
                          spill_dir, segment_rows, compile_loops,
                          compile_threshold)[0]
 
 
 def _analyze_loop(
     module, loop_name, entry, args, instance, include_integer,
-    relax_reductions, fuel, tel, spill_dir, segment_rows, compile_loops,
+    relax_reductions, fuel, spill_dir, segment_rows, compile_loops,
     compile_threshold, kernels=None,
 ) -> Tuple[LoopReport, ProfileCounters]:
     """:func:`analyze_loop`, also returning the re-run's profile counters
     (see :func:`windowed_loop_ddg`).  ``kernels`` is the caller's kernel
     table for ``module``, with the capture set of this ``include_integer``
     (a fresh table per re-run when ``None``)."""
-    if tel is None:
-        tel = get_telemetry()
+    run = current_run()
+    tel = run.tel
     info = module.loop_by_name(loop_name)
     if info is None:
         known = ", ".join(li.name for li in module.loops.values())
         raise AnalysisError(
             f"no loop named {loop_name!r}; known loops: {known}"
         )
-    # Make ``tel`` the process-active telemetry for the duration so that
-    # deep instrumentation resolving the active object (e.g. the batched
-    # Algorithm 1 scan) records into the same place whether this call is
-    # serial with an explicit ``tel=`` or inside a pool worker.
     tel.instant("loop.analyze.start", {"loop": loop_name})
-    get_status_bus().phase(f"loop.{loop_name}")
+    run.bus.phase(f"loop.{loop_name}")
     # hist=True: one occurrence per analyzed loop, so --profile can
     # report p50/p95 per-loop analysis latency across the whole run.
-    with use_telemetry(tel), tel.span("loop.analyze", hist=True):
+    with tel.span("loop.analyze", hist=True):
         ddg, stats, counters = windowed_loop_ddg(
             module, info.loop_id, loop_name, entry, args, instance, fuel,
-            tel, spill_dir=spill_dir, segment_rows=segment_rows,
+            spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
             compile_threshold=compile_threshold,
             cone_ops=candidate_opcodes(include_integer), kernels=kernels)
         report = loop_metrics(ddg, module, loop_name, include_integer,
-                              relax_reductions, tel=tel)
+                              relax_reductions)
     tel.count("pipeline.loops_analyzed")
     if tel.enabled:
         tel.section(f"loop.{loop_name}", {
@@ -328,7 +307,7 @@ def _analyze_loop(
             "avg_vec_size_nonunit": report.avg_vec_size_nonunit,
         })
     tel.instant("loop.analyze.finish", {"loop": loop_name})
-    get_status_bus().count("loops")
+    run.bus.count("loops")
     return report, counters
 
 
@@ -338,48 +317,28 @@ def _loop_worker(payload):
     result is identical to an in-process run on the parent's module.
 
     Returns ``(report, profile counters, telemetry snapshot or None)``.
-    The counters are the re-run's (see :func:`windowed_loop_ddg`).  When
-    the parent profiles, the worker collects its own telemetry and ships
-    the snapshot home so the parent's merged counters match a serial run.
-    When the parent additionally keeps a timeline, the worker records
-    its own :class:`EventLog` (stamped with the worker pid) and the
-    events ride home inside the snapshot — a ``--jobs N`` trace renders
-    as N worker tracks.
-
-    When the parent samples (``sample_hz > 0``), the worker runs its own
-    :class:`SamplingProfiler` and folds the resolved sample table and its
-    ``sampling.samples``/``sampling.ir_samples`` counts into its telemetry
-    before snapshotting, so profiler samples ride home the same way
-    counters do: the merged flamegraph covers all workers, and the merged
-    counts equal its sample total."""
+    The counters are the re-run's (see :func:`windowed_loop_ddg`).  The
+    loop runs in a fresh task run built from the parent's worker spec
+    (:meth:`repro.obs.run.Run.task`).  When the parent records, the
+    task's telemetry snapshot rides home so the parent's merged counters
+    match a serial run.  A parent timeline makes each worker record its
+    own :class:`~repro.obs.timeline.EventLog` (stamped with the worker
+    pid), so a ``--jobs N`` trace renders as N worker tracks; a parent
+    sampler makes each task sample itself and fold its resolved sample
+    table and ``sampling.samples``/``sampling.ir_samples`` counts into
+    the snapshot, so the merged flamegraph covers all workers and the
+    merged counts equal its sample total."""
     (source, benchmark, loop_name, entry, args, instance,
-     include_integer, relax_reductions, fuel, profiled, timeline,
-     compile_loops, compile_threshold, sample_hz) = payload
-    tel = None
-    if profiled:
-        tel = Telemetry(events=EventLog() if timeline else None)
-    sampler = (SamplingProfiler(hz=sample_hz)
-               if profiled and sample_hz else None)
-    # Install the worker's telemetry as the process-active one too: with
-    # a fork start method the child inherits the parent's (doomed) copy,
-    # and any instrumentation that resolves the active telemetry would
-    # otherwise record into it and be lost.
-    with use_telemetry(tel), use_sampler(sampler):
-        if sampler is not None:
-            sampler.start()
-        try:
-            module = compile_source(source, benchmark or "module")
-            report, counters = _analyze_loop(
-                module, loop_name, entry, args, instance, include_integer,
-                relax_reductions, fuel, tel, None, None, compile_loops,
-                compile_threshold)
-        finally:
-            if sampler is not None:
-                sampler.stop()
-                tel.add_samples(sampler.folded_counts())
-                tel.count("sampling.samples", sampler.total_samples)
-                tel.count("sampling.ir_samples", sampler.ir_samples)
-    return report, counters, (tel.snapshot() if profiled else None)
+     include_integer, relax_reductions, fuel, compile_loops,
+     compile_threshold) = payload
+    with current_run().task() as run:
+        module = compile_source(source, benchmark or "module")
+        report, counters = _analyze_loop(
+            module, loop_name, entry, args, instance, include_integer,
+            relax_reductions, fuel, None, None, compile_loops,
+            compile_threshold)
+    return report, counters, (run.tel.snapshot() if run.tel.enabled
+                              else None)
 
 
 def run_loop_analyses(
@@ -394,7 +353,6 @@ def run_loop_analyses(
     relax_reductions: bool = False,
     fuel: int = DEFAULT_FUEL,
     jobs: int = 1,
-    tel=None,
     spill_dir: Optional[str] = None,
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
@@ -412,7 +370,8 @@ def run_loop_analyses(
     one worker per CPU; any failure to stand up the pool (restricted
     sandboxes, missing semaphores) falls back to the serial path with a
     ``vectra.pipeline`` warning.  Worker telemetry snapshots are merged
-    into ``tel``, so counter totals match the serial path exactly.
+    into the current run's telemetry, so counter totals match the serial
+    path exactly.
 
     With ``spill_dir`` set, loops run serially whatever ``jobs`` says:
     an out-of-core run is memory-bound, so loop-level fan-out would
@@ -429,20 +388,20 @@ def run_loop_analyses(
     counters of a pooled run then count the kernel work each worker
     repeats.
     """
-    if tel is None:
-        tel = get_telemetry()
+    run = current_run()
+    tel = run.tel
+    bus = run.bus
     names = list(loop_names)
     if jobs is None or int(jobs) <= 0:
         jobs = multiprocessing.cpu_count()
     jobs = 1 if spill_dir else max(1, min(int(jobs), len(names)))
     tel.gauge("pipeline.jobs", jobs)
-    bus = get_status_bus()
     bus.set_total("loops", len(names))
 
     def serial() -> Tuple[List[LoopReport], Optional[ProfileCounters]]:
         analyses = [
             _analyze_loop(module, name, entry, args, instance,
-                          include_integer, relax_reductions, fuel, tel,
+                          include_integer, relax_reductions, fuel,
                           spill_dir, segment_rows, compile_loops,
                           compile_threshold, kernels)
             for name in names
@@ -452,26 +411,22 @@ def run_loop_analyses(
 
     if jobs <= 1:
         return serial()
-    sampler = get_sampler()
-    sample_hz = sampler.hz if sampler.enabled else 0
     payloads = [
         (source, benchmark, name, entry, tuple(args), instance,
-         include_integer, relax_reductions, fuel, tel.enabled,
-         tel.events is not None, compile_loops, compile_threshold,
-         sample_hz)
+         include_integer, relax_reductions, fuel, compile_loops,
+         compile_threshold)
         for name in names
     ]
     # Workers set their phases on their own buses; this is the parent's.
     bus.phase("loops")
-    initializer, initargs = pool_heartbeat(bus)
     try:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
-                                 initializer=initializer,
-                                 initargs=initargs) as pool:
+                                 initializer=init_worker,
+                                 initargs=(run.worker_spec(),)) as pool:
             # pool.map yields in submission order as results land, so
             # loop progress advances while later loops are still running.
             results = []
@@ -489,9 +444,7 @@ def run_loop_analyses(
                     {"loops": len(names), "error": type(exc).__name__})
         # Leave the worker forensics where a post-mortem can find them:
         # after the fallback the pool (and its pids) are gone.
-        from repro.obs.blackbox import blackbox_note
-
-        blackbox_note("pool_failure", {
+        run.note("pool_failure", {
             "error": type(exc).__name__,
             "detail": str(exc),
             "loops": list(names),
@@ -523,7 +476,6 @@ def analyze_program(
     relax_reductions: bool = False,
     fuel: int = DEFAULT_FUEL,
     jobs: int = 1,
-    tel=None,
     spill_dir: Optional[str] = None,
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
@@ -537,9 +489,9 @@ def analyze_program(
     out-of-core (bit-identical report; loops then run serially).  The
     profile run and the serial re-runs share one kernel table.
     """
-    if tel is None:
-        tel = get_telemetry()
-    bus = get_status_bus()
+    run = current_run()
+    tel = run.tel
+    bus = run.bus
     with tel.span("analysis.total"):
         bus.phase("frontend")
         with tel.span("frontend.parse_lower"):
@@ -570,7 +522,7 @@ def analyze_program(
             source, benchmark, module,
             [module.loops[prof.loop_id].name for prof in hot],
             entry, args, instance, include_integer, relax_reductions,
-            fuel, jobs, tel=tel, spill_dir=spill_dir,
+            fuel, jobs, spill_dir=spill_dir,
             segment_rows=segment_rows, compile_loops=compile_loops,
             compile_threshold=compile_threshold, kernels=kernels,
         )
@@ -597,7 +549,6 @@ def analyze_module(
     include_integer: bool = False,
     relax_reductions: bool = False,
     fuel: int = DEFAULT_FUEL,
-    tel=None,
     spill_dir: Optional[str] = None,
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
@@ -605,9 +556,9 @@ def analyze_module(
 ) -> BenchmarkReport:
     """Hot-loop analysis without a source AST (no Percent Packed column;
     serial — without source text there is nothing to ship to workers)."""
-    if tel is None:
-        tel = get_telemetry()
-    bus = get_status_bus()
+    run = current_run()
+    tel = run.tel
+    bus = run.bus
     with tel.span("analysis.total"):
         bus.phase("profile")
         with tel.span("profile.run"):
@@ -626,7 +577,7 @@ def analyze_module(
             info = module.loops[prof.loop_id]
             loop_report = analyze_loop(
                 module, info.name, entry, args, instance, include_integer,
-                relax_reductions, fuel=fuel, tel=tel, spill_dir=spill_dir,
+                relax_reductions, fuel=fuel, spill_dir=spill_dir,
                 segment_rows=segment_rows, compile_loops=compile_loops,
                 compile_threshold=compile_threshold,
             )

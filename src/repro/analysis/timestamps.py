@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ddg.graph import DDG
 from repro.errors import AnalysisError
-from repro.obs import get_telemetry
+from repro.obs import current_run
 
 
 def compute_timestamps(
@@ -134,7 +134,7 @@ def _timestamp_vectors(
     indices = ddg.pred_indices
     offsets = ddg.pred_offsets
     n = len(sids)
-    tel = get_telemetry()
+    tel = current_run().tel
     if tel.enabled:
         tel.count("algorithm1.nodes_scanned", n)
         tel.count("algorithm1.edges_scanned", len(indices))
@@ -252,7 +252,7 @@ def packed_scan_stream(
     vectors: List[int] = []
     append = vectors.append
     partitions: Dict[int, Dict[int, List[int]]] = {sid: {} for sid in lane}
-    tel = get_telemetry()
+    tel = current_run().tel
     i = len(vectors)
     for chunk in chunks:
         sids = chunk.sids

@@ -17,19 +17,18 @@ spilled segments through the same remap, and a record
 
 from __future__ import annotations
 
-from repro.obs import get_telemetry
+from repro.obs import current_run
 from repro.trace.columnar import pack_records
 from repro.trace.trace import Trace
 from repro.ddg.graph import DDG
 
 
-def build_ddg(trace: Trace, tel=None) -> DDG:
-    if tel is None:
-        tel = get_telemetry()
+def build_ddg(trace: Trace) -> DDG:
+    tel = current_run().tel
     store = getattr(trace, "segment_store", None)
     sink = getattr(trace, "columnar_sink", None)
     if store is not None:
-        ddg = store.to_ddg(tel=tel)
+        ddg = store.to_ddg()
     else:
         with tel.span("ddg.build"):
             ddg = (pack_records(trace.records) if sink is None

@@ -42,7 +42,7 @@ from repro.explain.witnesses import (
 )
 from repro.interp.interpreter import DEFAULT_FUEL
 from repro.ir.module import Module
-from repro.obs import get_telemetry
+from repro.obs import current_run
 
 
 @dataclass
@@ -102,7 +102,6 @@ def explain_loop(
     instance: int = 0,
     include_integer: bool = False,
     fuel: int = DEFAULT_FUEL,
-    tel=None,
 ) -> ExplainReport:
     """Trace one instance of ``loop_name`` and extract all witnesses.
 
@@ -111,8 +110,7 @@ def explain_loop(
     — empty means the cross-examination section is empty, the dynamic
     witnesses are still produced.
     """
-    if tel is None:
-        tel = get_telemetry()
+    tel = current_run().tel
     info = module.loop_by_name(loop_name)
     if info is None:
         known = ", ".join(li.name for li in module.loops.values())
@@ -124,7 +122,7 @@ def explain_loop(
     # prints its node and edge totals, the refusal verdicts count every
     # store->load edge, and the witnesses name its node indices.
     ddg, stats, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
-                                      entry, args, instance, fuel, tel)
+                                      entry, args, instance, fuel)
     sids = candidate_sids(ddg, include_integer)
     with tel.span("algorithm1"):
         scan = packed_timestamp_scan(ddg, sids)
@@ -136,7 +134,7 @@ def explain_loop(
         tel.count("algorithm1.candidate_sids", len(sids))
         tel.count("algorithm1.lanes_packed", len(sids))
     metrics = loop_metrics(ddg, module, loop_name, include_integer,
-                           tel=tel, partitions_by_sid=partitions_by_sid)
+                           partitions_by_sid=partitions_by_sid)
     with tel.span("explain.witness.dependence"):
         dep_witnesses = extract_dependence_witnesses(
             ddg, scan, partitions_by_sid, module

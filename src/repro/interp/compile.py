@@ -91,7 +91,7 @@ import numpy as np
 
 from repro.ir.types import FloatType, IntType
 from repro.ir.values import Constant, GlobalRef, VirtualReg
-from repro.obs import get_logger, get_status_bus, get_telemetry
+from repro.obs import current_run, get_logger
 
 #: Iterations of a batch dispatched per kernel invocation.
 BATCH_ITERS = 1024
@@ -557,7 +557,8 @@ class LoopKernel:
         """
         f = self._fn
         if f is None:
-            tel = get_telemetry()
+            run = current_run()
+            tel = run.tel
             with tel.span("interp.compile.build"):
                 src, ns = _generate(self._entries, self._gaddr, self.plan)
                 exec(compile(src, f"<vectra-kernel-loop{self.loop_id}>",
@@ -566,7 +567,7 @@ class LoopKernel:
             self._src = src
             if tel.enabled:
                 tel.count("interp.compile.kernels")
-            get_status_bus().count("kernels")
+            run.bus.count("kernels")
             _log.debug("compiled loop %d (%d records/iter)", self.loop_id,
                        self.length)
         return f
@@ -1089,8 +1090,8 @@ class TraceCompiler:
         loop fell back to the step interpreter.
         """
         self.kernels[loop_id] = REJECTED
-        get_telemetry().instant("compile.kernel.rejected",
-                                {"loop": loop_id, "reason": reason})
+        current_run().tel.instant("compile.kernel.rejected",
+                                  {"loop": loop_id, "reason": reason})
         _log.debug("loop %d rejected for compilation: %s", loop_id,
                    reason)
 
@@ -1143,7 +1144,7 @@ class TraceCompiler:
                           self.interp.global_addr,
                           [captured[e[0].sid] for e in entries])
         self.kernels[lid] = kern
-        get_telemetry().instant(
+        current_run().tel.instant(
             "compile.kernel.recorded",
             {"loop": lid, "records_per_iter": kern.length,
              "legacy_addr": kern.plan.legacy},
@@ -1180,7 +1181,8 @@ class TraceCompiler:
         total = 0
         batches = 0
         guard_exit = False
-        tel = get_telemetry()
+        run = current_run()
+        tel = run.tel
         # Per-batch iteration counts (k) feed the batch_iterations
         # histogram; collected only under telemetry so the disabled
         # dispatch path is unchanged.
@@ -1246,5 +1248,5 @@ class TraceCompiler:
                 tel.count("interp.compile.guard_exits")
             for k in ks:
                 tel.observe("interp.compile.batch_iterations", k)
-        get_status_bus().count("batches", batches)
+        run.bus.count("batches", batches)
         return resume[0], resume[1], total

@@ -40,7 +40,7 @@ from repro.interp.compile import (
     TraceCompiler,
 )
 from repro.ir.instructions import Opcode
-from repro.obs import get_logger, get_sampler, get_status_bus, get_telemetry
+from repro.obs import current_run, get_logger
 from repro.ir.module import Module
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.ir.values import Constant, GlobalRef, VirtualReg
@@ -189,7 +189,7 @@ class Interpreter:
         # One check at construction, zero per-record cost: the sampling
         # profiler resolves (loop id, sid) samples against this module
         # at fold time.
-        sampler = get_sampler()
+        sampler = current_run().sampler
         if sampler.enabled:
             sampler.attach_module(module)
 
@@ -214,7 +214,7 @@ class Interpreter:
             )
         triples = [(self._coerce_arg(v, t), -1, 0)
                    for v, t in zip(args, fn.param_types)]
-        bus = get_status_bus()
+        bus = current_run().bus
         if not bus.enabled:
             value, _, _ = self._exec_function(fn, triples)
             return value
@@ -320,7 +320,7 @@ class Interpreter:
                         "in %s; the collected trace is truncated",
                         self._executed, fuel, fn.name,
                     )
-                    get_telemetry().instant(
+                    current_run().tel.instant(
                         "interp.fuel_exhausted",
                         {"executed": self._executed, "fuel": fuel,
                          "function": fn.name},
@@ -751,7 +751,6 @@ def run_and_trace(
     loop: Optional[int] = None,
     instances: Optional[set] = None,
     fuel: int = DEFAULT_FUEL,
-    tel=None,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
 ) -> Trace:
@@ -767,8 +766,7 @@ def run_and_trace(
     available as a lazy view, and DDG construction remaps the columns
     directly.
     """
-    if tel is None:
-        tel = get_telemetry()
+    tel = current_run().tel
     sink = (ColumnarSink() if loop is None
             else ColumnarLoopSink(loop, instances))
     interp = Interpreter(module, sink=sink, fuel=fuel,
@@ -781,12 +779,18 @@ def run_and_trace(
                   hist=loop is not None):
         interp.run(entry, args)
     if tel.enabled:
-        tel.count("interp.runs")
-        tel.count("interp.instructions", interp.executed_instructions)
-        stats = sink.stats()
-        tel.count("trace.records.kept", stats["rows"])
-        tel.count("trace.records.filtered",
-                  interp.executed_instructions - stats["rows"])
-        tel.count("trace.markers", stats["markers"])
-        tel.count("trace.backpatches", stats["backpatches"])
+        count_traced_run(tel, interp, sink.stats())
     return ColumnarTrace(module, sink)
+
+
+def count_traced_run(tel, interp: Interpreter, stats: dict) -> None:
+    """Count one traced run into ``tel``: the run, its executed
+    instructions, and what its sink kept (``stats``, the sink's
+    :meth:`~repro.trace.columnar.ColumnarSink.stats`) and filtered."""
+    tel.count("interp.runs")
+    tel.count("interp.instructions", interp.executed_instructions)
+    tel.count("trace.records.kept", stats["rows"])
+    tel.count("trace.records.filtered",
+              interp.executed_instructions - stats["rows"])
+    tel.count("trace.markers", stats["markers"])
+    tel.count("trace.backpatches", stats["backpatches"])

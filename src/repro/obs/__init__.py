@@ -1,140 +1,39 @@
-"""Observability: telemetry spans/counters/gauges, run timelines, report
-history/comparison, and the ``vectra.*`` logger hierarchy.
+"""Observability: telemetry, run timelines, live status, profiling, the
+HTTP monitor, the crash flight recorder, report history and the
+``vectra.*`` loggers.
 
-The pipeline accepts an optional :class:`Telemetry`; when none is given
-it falls back to the process-wide active telemetry (default: the no-op
-:data:`NULL_TELEMETRY`), so instrumentation costs nothing unless a
-caller — typically the CLI's ``--profile`` / ``--metrics-json`` /
-``--trace-json`` — opts in.  Attaching an :class:`EventLog` to a live
-:class:`Telemetry` additionally records every span occurrence and
-instant event on a Chrome-trace-exportable run timeline;
-:mod:`repro.obs.history` accumulates run reports in a JSONL ledger and
-:mod:`repro.obs.compare` diffs and threshold-gates two reports.
+Every instrumented layer records into the process's current run
+(:func:`current_run`, :mod:`repro.obs.run`): its :class:`Telemetry`
+(spans, counters, gauges, histograms; with an :class:`EventLog` also a
+Chrome-trace timeline), its live status bus (:mod:`repro.obs.live`) and
+its sampling profiler (:mod:`repro.obs.sampling`).  The default run
+records nothing, so instrumentation costs a few attribute lookups
+unless a caller opts in: the CLI builds one :class:`Run` from its
+observability flags, and a library caller wraps its calls in
+``use_run(Run(tel=Telemetry()))``.
 
-:mod:`repro.obs.live` is the during-the-run counterpart: stages feed the
-active :class:`StatusBus` (default: the no-op :data:`NULL_STATUS_BUS`)
-and a :class:`StatusTicker` thread streams ``vectra.live/1`` status
-frames — progress, rates/ETA, resource gauges, worker heartbeats, and
-the stall watchdog — to the CLI's ``--status-json`` / ``--progress``
-consumers.
-
-The deep-profiling layer rides the same opt-in machinery:
-:mod:`repro.obs.sampling` is a timer-thread sampling profiler (default:
-the no-op :data:`NULL_SAMPLER`) whose samples attribute wall time to
-workload IR (loop, sid) and render as flamegraphs via
-:mod:`repro.obs.flamegraph`; histograms (``Telemetry.observe`` /
-``span(..., hist=True)``) carry log-bucketed latency/size
-distributions through worker merges; and :mod:`repro.obs.statsdb`
-indexes the JSONL ledger into sqlite for ``vectra stats`` trend queries
-and MAD-based regression detection.
-
-The outward-facing layer: :mod:`repro.obs.monitor` serves the live run
-over loopback HTTP (``--monitor-port`` → ``/metrics`` OpenMetrics,
-``/status`` live frame, ``/healthz``, ``/flame``), and
-:mod:`repro.obs.blackbox` is the crash flight recorder — on an unhandled
-exception or fatal signal it writes a ``vectra.blackbox/1`` bundle that
-``vectra autopsy`` renders as a post-mortem.
+The rest lives in its own module, imported where it is used:
+:mod:`repro.obs.monitor` serves a live run over loopback HTTP
+(``--monitor-port``), :mod:`repro.obs.blackbox` writes the
+``vectra.blackbox/1`` crash bundle (``--blackbox``, ``vectra
+autopsy``), :mod:`repro.obs.flamegraph` renders samples (``--flame``),
+:mod:`repro.obs.history`, :mod:`repro.obs.compare` and
+:mod:`repro.obs.statsdb` keep and gate run reports.  The package
+re-exports only what the rest of ``repro`` imports from it, so a
+command that asks for none of those loads none of them.
 """
 
-from repro.obs.blackbox import (
-    BLACKBOX_SCHEMA,
-    FlightRecorder,
-    blackbox_note,
-    get_blackbox,
-    install_blackbox,
-    load_blackbox,
-    render_autopsy,
-    uninstall_blackbox,
-)
-from repro.obs.monitor import (
-    OPENMETRICS_CONTENT_TYPE,
-    MonitorServer,
-    get_monitor,
-    render_openmetrics,
-)
-
-from repro.obs.live import (
-    LIVE_SCHEMA,
-    NULL_STATUS_BUS,
-    NullStatusBus,
-    StatusBus,
-    StatusTicker,
-    WorkerStallWarning,
-    get_status_bus,
-    pool_heartbeat,
-    set_status_bus,
-    use_status_bus,
-)
-from repro.obs.flamegraph import write_flame
 from repro.obs.logs import configure_logging, get_logger
-from repro.obs.sampling import (
-    DEFAULT_SAMPLE_HZ,
-    NULL_SAMPLER,
-    NullSampler,
-    SamplingProfiler,
-    get_sampler,
-    set_sampler,
-    use_sampler,
-)
-from repro.obs.telemetry import (
-    KNOWN_SCHEMAS,
-    NULL_TELEMETRY,
-    REPORT_SCHEMA,
-    Histogram,
-    NullTelemetry,
-    Telemetry,
-    dump_report,
-    get_telemetry,
-    set_telemetry,
-    use_telemetry,
-    validate_report_schema,
-)
-from repro.obs.timeline import EventLog, write_chrome_trace
+from repro.obs.run import Run, current_run, use_run
+from repro.obs.telemetry import Telemetry
+from repro.obs.timeline import EventLog
 
 __all__ = [
-    "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "Histogram",
-    "SamplingProfiler",
-    "NullSampler",
-    "NULL_SAMPLER",
-    "DEFAULT_SAMPLE_HZ",
-    "get_sampler",
-    "set_sampler",
-    "use_sampler",
-    "write_flame",
-    "REPORT_SCHEMA",
-    "KNOWN_SCHEMAS",
     "EventLog",
-    "get_telemetry",
-    "set_telemetry",
-    "use_telemetry",
-    "validate_report_schema",
-    "dump_report",
-    "write_chrome_trace",
-    "get_logger",
+    "Run",
+    "Telemetry",
     "configure_logging",
-    "LIVE_SCHEMA",
-    "StatusBus",
-    "NullStatusBus",
-    "NULL_STATUS_BUS",
-    "StatusTicker",
-    "WorkerStallWarning",
-    "get_status_bus",
-    "set_status_bus",
-    "use_status_bus",
-    "pool_heartbeat",
-    "MonitorServer",
-    "OPENMETRICS_CONTENT_TYPE",
-    "get_monitor",
-    "render_openmetrics",
-    "BLACKBOX_SCHEMA",
-    "FlightRecorder",
-    "install_blackbox",
-    "uninstall_blackbox",
-    "get_blackbox",
-    "blackbox_note",
-    "load_blackbox",
-    "render_autopsy",
+    "current_run",
+    "get_logger",
+    "use_run",
 ]

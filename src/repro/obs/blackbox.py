@@ -45,15 +45,12 @@ from typing import Dict, List, Optional
 
 from repro.errors import VectraError
 from repro.obs.logs import get_logger
+from repro.obs.telemetry import live_snapshot
 
 __all__ = [
     "BLACKBOX_SCHEMA",
     "EVENT_TAIL",
     "FlightRecorder",
-    "install_blackbox",
-    "uninstall_blackbox",
-    "get_blackbox",
-    "blackbox_note",
     "load_blackbox",
     "render_autopsy",
 ]
@@ -72,22 +69,19 @@ _log = get_logger("blackbox")
 
 
 class FlightRecorder:
-    """Captures run state into a ``vectra.blackbox/1`` bundle on death.
+    """Captures a run's state into a ``vectra.blackbox/1`` bundle on
+    death.
 
-    The recorder holds *references* to the live observability objects —
-    telemetry, status bus, status ticker — and reads them only at write
-    time, so installing it costs nothing on the hot path.  ``install()``
-    traps SIGTERM/SIGINT (main thread only; elsewhere the signal hooks
-    are skipped and only explicit :meth:`record_exception` calls fire).
+    The recorder holds a *reference* to the run and reads its
+    telemetry, status bus and status ticker only at write time, so
+    installing it costs nothing on the hot path.  ``install()`` traps
+    SIGTERM/SIGINT (main thread only; elsewhere the signal hooks are
+    skipped and only explicit :meth:`record_exception` calls fire).
     """
 
-    def __init__(self, path: str, tel=None, bus=None, ticker=None,
-                 command: str = "", argv: Optional[List[str]] = None):
+    def __init__(self, path: str, run, argv: Optional[List[str]] = None):
         self.path = path
-        self.tel = tel
-        self.bus = bus
-        self.ticker = ticker
-        self.command = command
+        self.run = run
         self.argv = list(argv) if argv is not None else None
         self.notes: Dict[str, dict] = {}
         self.written = False
@@ -98,19 +92,16 @@ class FlightRecorder:
     # -- lifecycle ---------------------------------------------------------
 
     def install(self) -> "FlightRecorder":
-        """Trap fatal signals and register as the process-active
-        recorder (for :func:`blackbox_note`)."""
+        """Trap fatal signals."""
         if threading.current_thread() is threading.main_thread():
             for signum in FATAL_SIGNALS:
                 self._prev_handlers[signum] = signal.getsignal(signum)
                 signal.signal(signum, self._on_signal)
             self._installed_signals = True
-        global _active
-        _active = self
         return self
 
     def uninstall(self) -> None:
-        """Restore the previous signal handlers and deregister."""
+        """Restore the previous signal handlers."""
         if self._installed_signals:
             for signum, prev in self._prev_handlers.items():
                 try:
@@ -119,9 +110,6 @@ class FlightRecorder:
                     pass
             self._prev_handlers.clear()
             self._installed_signals = False
-        global _active
-        if _active is self:
-            _active = None
 
     # -- capture -----------------------------------------------------------
 
@@ -166,14 +154,15 @@ class FlightRecorder:
     # -- bundle assembly ---------------------------------------------------
 
     def build_bundle(self, reason: dict) -> dict:
-        bus = self.bus
-        ticker = self.ticker
-        tel = self.tel
+        run = self.run
+        bus = run.bus
+        ticker = run.ticker
+        tel = run.tel
         phase = None
         progress: Dict[str, int] = {}
         workers: List[dict] = []
         stalls = 0
-        if bus is not None and bus.enabled:
+        if bus.enabled:
             phase = bus.phase_name
             progress = bus.sample()
             worker_records = bus.worker_records()
@@ -184,16 +173,13 @@ class FlightRecorder:
             stalls = bus.stalls
         events: List[dict] = []
         telemetry = None
-        if tel is not None and tel.enabled:
+        if tel.enabled:
             if tel.events is not None:
                 events = tel.events.tail(EVENT_TAIL)
             try:
-                telemetry = tel.snapshot()
-            except RuntimeError:  # racing mutator; retry once
-                try:
-                    telemetry = tel.snapshot()
-                except RuntimeError:  # pragma: no cover
-                    telemetry = None
+                telemetry = live_snapshot(tel)
+            except RuntimeError:  # pragma: no cover - racing mutator
+                telemetry = None
         frames = list(ticker.recent_frames) if ticker is not None else []
         active_loop = None
         if phase and phase.startswith("loop."):
@@ -202,7 +188,7 @@ class FlightRecorder:
             "schema": BLACKBOX_SCHEMA,
             "written_at": round(time.time(), 3),
             "pid": os.getpid(),
-            "command": self.command,
+            "command": run.command,
             "reason": reason,
             "phase": phase,
             "active_loop": active_loop,
@@ -241,39 +227,6 @@ class FlightRecorder:
         _log.warning("blackbox bundle written to %s (%s)", self.path,
                      reason.get("signal") or reason.get("type"))
         return True
-
-
-# ---------------------------------------------------------------------------
-# process-active recorder
-
-_active: Optional[FlightRecorder] = None
-
-
-def install_blackbox(path: str, tel=None, bus=None, ticker=None,
-                     command: str = "",
-                     argv: Optional[List[str]] = None) -> FlightRecorder:
-    """Create a :class:`FlightRecorder` writing to ``path`` and install
-    it (signal hooks + process-active registration)."""
-    return FlightRecorder(path, tel=tel, bus=bus, ticker=ticker,
-                          command=command, argv=argv).install()
-
-
-def uninstall_blackbox() -> None:
-    """Tear down the active recorder, if any."""
-    if _active is not None:
-        _active.uninstall()
-
-
-def get_blackbox() -> Optional[FlightRecorder]:
-    """The installed recorder, if any."""
-    return _active
-
-
-def blackbox_note(name: str, payload: dict) -> None:
-    """Attach a forensic note to the active recorder's future bundle —
-    a no-op without one, so subsystems note unconditionally."""
-    if _active is not None:
-        _active.note(name, payload)
 
 
 # ---------------------------------------------------------------------------

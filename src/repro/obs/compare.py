@@ -44,7 +44,6 @@ __all__ = [
     "evaluate_thresholds",
     "format_diff_table",
     "compare_json_doc",
-    "compare_reports",
 ]
 
 #: Schema tag of the ``vectra compare --json`` delta document.
@@ -306,12 +305,3 @@ def compare_json_doc(
         "verdict": "FAIL" if violations else "OK",
     }
 
-
-def compare_reports(
-    base: dict, head: dict, fail_on: Sequence[str] = ()
-) -> Tuple[List[Delta], List[str]]:
-    """Diff two loaded reports and evaluate ``--fail-on`` specs; returns
-    ``(deltas, violations)``."""
-    deltas = diff_reports(base, head)
-    thresholds = [parse_fail_on(spec) for spec in fail_on]
-    return deltas, evaluate_thresholds(deltas, thresholds)

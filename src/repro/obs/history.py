@@ -24,8 +24,8 @@ from typing import Dict, List, Tuple
 from repro.errors import VectraError
 from repro.obs.telemetry import REPORT_SCHEMA, validate_report_schema
 
-__all__ = ["append_report", "read_ledger", "baseline_and_latest",
-           "median_report", "select_baseline"]
+__all__ = ["append_report", "read_ledger", "median_report",
+           "select_baseline"]
 
 
 def append_report(path: str, report: dict) -> None:
@@ -70,16 +70,6 @@ def read_ledger(path: str) -> List[dict]:
     if not reports:
         raise VectraError(f"ledger {path!r} contains no reports")
     return reports
-
-
-def baseline_and_latest(reports: List[dict]) -> Tuple[dict, dict]:
-    """The (baseline, latest) pair to gate: the first recorded report is
-    the baseline, the last is the run under test."""
-    if len(reports) < 2:
-        raise VectraError(
-            f"ledger needs at least 2 reports to compare, has {len(reports)}"
-        )
-    return reports[0], reports[-1]
 
 
 def median_report(reports: List[dict]) -> dict:

@@ -24,9 +24,9 @@ this module answers "what is happening" *during* one.  Three pieces:
   The final frame (``event: "done"``) records the exit code.  The same
   frame renders the ``--progress`` single-line stderr display.
 - the **heartbeat watchdog** — pool workers run a sidecar daemon
-  thread (installed by the executor initializer
-  :func:`install_worker_heartbeat`) that ships ``(pid, wall time,
-  records)`` tuples through a multiprocessing queue every
+  thread (:meth:`StatusBus.heartbeat_to`, started by the pool
+  initializer :func:`repro.obs.run.init_worker`) that ships ``(pid,
+  wall time, records)`` tuples through a multiprocessing queue every
   ``heartbeat_interval``.  The parent's ticker drains the queue; a
   worker silent past ``stall_timeout`` raises a
   :class:`WorkerStallWarning`, logs a ``vectra.live`` warning, bumps
@@ -53,11 +53,11 @@ import threading
 import time
 import warnings
 from collections import deque
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import VectraError
 from repro.obs.logs import get_logger
+from repro.obs.telemetry import NULL_TELEMETRY
 
 __all__ = [
     "LIVE_SCHEMA",
@@ -69,11 +69,6 @@ __all__ = [
     "NULL_STATUS_BUS",
     "StatusBus",
     "StatusTicker",
-    "get_status_bus",
-    "set_status_bus",
-    "use_status_bus",
-    "install_worker_heartbeat",
-    "pool_heartbeat",
     "suspend_worker_heartbeat",
     "read_frames",
     "validate_frames",
@@ -147,7 +142,7 @@ class NullStatusBus:
         pass
 
 
-#: The process-wide default status bus (see :func:`get_status_bus`).
+#: The bus of a run without live status (see :mod:`repro.obs.run`).
 NULL_STATUS_BUS = NullStatusBus()
 
 
@@ -260,6 +255,13 @@ class StatusBus:
             self._hb_queue = ctx.Queue()
         return self._hb_queue
 
+    def heartbeat_to(self, channel) -> None:
+        """Worker side: start the sidecar daemon thread that ships this
+        bus's record count into the parent's ``channel`` every
+        ``heartbeat_interval``."""
+        threading.Thread(target=_heartbeat_loop, args=(channel, self),
+                         name="vectra-heartbeat", daemon=True).start()
+
     def drain_heartbeats(self) -> None:
         """Fold queued worker heartbeats into the worker table.  A
         heartbeat from a worker previously flagged stalled marks it
@@ -298,18 +300,18 @@ class StatusBus:
                 if worker["state"] in ("ok", "stalled"):
                     worker["state"] = "done"
 
-    def check_stalls(self, stall_timeout: float, tel=None,
+    def check_stalls(self, stall_timeout: float, tel=NULL_TELEMETRY,
                      now: Optional[float] = None) -> List[dict]:
         """The watchdog: flag workers whose last heartbeat is older
         than ``stall_timeout``.
 
         Each newly flagged worker raises a :class:`WorkerStallWarning`
         naming the pid and age, logs a ``vectra.live`` warning, bumps
-        the bus's ``live.stalls`` counter, and (when ``tel`` records)
-        mirrors the counter and drops a ``live.worker_stall`` timeline
-        instant.  A dead pid is reported as *died* — worker death and
-        worker slowness are distinct failure reports.  Returns the
-        newly flagged worker dicts.
+        the bus's ``live.stalls`` counter, and mirrors the counter into
+        ``tel`` with a ``live.worker_stall`` timeline instant.  A dead
+        pid is reported as *died* — worker death and worker slowness
+        are distinct failure reports.  Returns the newly flagged worker
+        dicts.
         """
         if now is None:
             now = time.time()
@@ -341,11 +343,10 @@ class StatusBus:
                 )
             warnings.warn(message, WorkerStallWarning, stacklevel=2)
             _log.warning("%s", message)
-            if tel is not None and tel.enabled:
-                tel.count("live.stalls")
-                tel.instant("live.worker_stall",
-                            {"pid": pid, "age_s": round(age, 3),
-                             "alive": alive})
+            tel.count("live.stalls")
+            tel.instant("live.worker_stall",
+                        {"pid": pid, "age_s": round(age, 3),
+                         "alive": alive})
             flagged.append({"pid": pid, "age_s": age, "alive": alive,
                             "state": state})
         return flagged
@@ -380,39 +381,6 @@ def _pid_alive(pid: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# process-active bus (mirrors repro.obs.telemetry's active-telemetry API)
-
-_active_bus: Union[StatusBus, NullStatusBus] = NULL_STATUS_BUS
-
-
-def get_status_bus() -> Union[StatusBus, NullStatusBus]:
-    """The active status bus (the no-op singleton unless one was set)."""
-    return _active_bus
-
-
-def set_status_bus(
-    bus: Optional[Union[StatusBus, NullStatusBus]],
-) -> Union[StatusBus, NullStatusBus]:
-    """Install ``bus`` (``None`` resets to no-op); returns the previous
-    active bus so callers can restore it."""
-    global _active_bus
-    prev = _active_bus
-    _active_bus = bus if bus is not None else NULL_STATUS_BUS
-    return prev
-
-
-@contextmanager
-def use_status_bus(bus: Optional[Union[StatusBus, NullStatusBus]]):
-    """Scoped :func:`set_status_bus`: active inside the ``with`` block,
-    previous bus restored on exit."""
-    prev = set_status_bus(bus)
-    try:
-        yield bus
-    finally:
-        set_status_bus(prev)
-
-
-# ---------------------------------------------------------------------------
 # worker-side heartbeats
 
 #: Worker-process heartbeat switch — :func:`suspend_worker_heartbeat`
@@ -420,37 +388,17 @@ def use_status_bus(bus: Optional[Union[StatusBus, NullStatusBus]]):
 _HB_STATE = {"suspended": False}
 
 
-def _heartbeat_loop(q, interval: float) -> None:
+def _heartbeat_loop(q, bus: StatusBus) -> None:
     pid = os.getpid()
+    interval = bus.heartbeat_interval
     while True:
         if not _HB_STATE["suspended"]:
-            bus = get_status_bus()
-            records = bus.sample().get("records", 0) if bus.enabled else 0
+            records = bus.sample().get("records", 0)
             try:
                 q.put((pid, time.time(), records))
             except (OSError, ValueError):  # parent gone / queue closed
                 return
         time.sleep(interval)
-
-
-def install_worker_heartbeat(q, interval: float) -> None:
-    """Process-pool initializer: give the worker its own
-    :class:`StatusBus` (so the interpreter's sampler feeds heartbeat
-    record counts) and start the sidecar heartbeat thread."""
-    set_status_bus(StatusBus(heartbeat_interval=interval))
-    thread = threading.Thread(target=_heartbeat_loop, args=(q, interval),
-                              name="vectra-heartbeat", daemon=True)
-    thread.start()
-
-
-def pool_heartbeat(bus) -> Tuple[Optional[Callable], tuple]:
-    """``(initializer, initargs)`` for a ``ProcessPoolExecutor`` so its
-    workers heartbeat into ``bus`` — ``(None, ())`` when the bus is the
-    no-op, so the off state changes nothing about pool startup."""
-    if not bus.enabled:
-        return None, ()
-    return install_worker_heartbeat, (bus.worker_channel(),
-                                      bus.heartbeat_interval)
 
 
 def suspend_worker_heartbeat(suspend: bool = True) -> None:
@@ -462,16 +410,6 @@ def suspend_worker_heartbeat(suspend: bool = True) -> None:
 
 # ---------------------------------------------------------------------------
 # resource gauges
-
-
-def _sampler_samples() -> Optional[int]:
-    """Samples taken by the active profiler so far (``None`` when
-    sampling is off) — lets ``vectra watch`` confirm the sampler is
-    alive during a long run."""
-    from repro.obs.sampling import get_sampler
-
-    sampler = get_sampler()
-    return sampler.total_samples if sampler.enabled else None
 
 
 def _rss_kb() -> Optional[int]:
@@ -518,20 +456,21 @@ def _spill_usage(spill_dirs: List[str]) -> Tuple[Optional[int],
 
 
 class StatusTicker(threading.Thread):
-    """Daemon thread draining a :class:`StatusBus` into status frames.
+    """Daemon thread draining a run's :class:`StatusBus` into status
+    frames.
 
     Every ``interval`` seconds (plus once at start and once at
     :meth:`close`) it drains worker heartbeats, runs the stall
-    watchdog, builds one ``vectra.live/1`` frame, appends it as a JSON
-    line to the status sink, and repaints the ``--progress`` line.
-    ``clock`` is injectable for deterministic tests.
+    watchdog (mirrored into the run's telemetry), builds one
+    ``vectra.live/1`` frame, appends it as a JSON line to the status
+    sink, and repaints the ``--progress`` line.  ``clock`` is
+    injectable for deterministic tests.
     """
 
-    def __init__(self, bus: StatusBus,
-                 interval: float = DEFAULT_STATUS_INTERVAL,
+    def __init__(self, run, interval: float = DEFAULT_STATUS_INTERVAL,
                  stall_timeout: float = DEFAULT_STALL_TIMEOUT,
                  path: Optional[str] = None, stream=None,
-                 progress_stream=None, tel=None, command: str = "",
+                 progress_stream=None,
                  clock: Callable[[], float] = time.monotonic):
         super().__init__(name="vectra-status-ticker", daemon=True)
         if interval <= 0:
@@ -542,11 +481,10 @@ class StatusTicker(threading.Thread):
             raise VectraError(
                 f"--stall-timeout must be positive, got {stall_timeout}"
             )
-        self.bus = bus
+        #: the run this ticker reports on (``run`` is the thread body).
+        self.ctx = run
         self.interval = interval
         self.stall_timeout = stall_timeout
-        self.tel = tel
-        self.command = command
         self._clock = clock
         self._progress = progress_stream
         self._owns_fh = False
@@ -631,9 +569,10 @@ class StatusTicker(threading.Thread):
 
     def build_frame(self, event: str = "tick",
                     exit_code: Optional[int] = None) -> dict:
-        bus = self.bus
+        run = self.ctx
+        bus = run.bus
         bus.drain_heartbeats()
-        bus.check_stalls(self.stall_timeout, tel=self.tel)
+        bus.check_stalls(self.stall_timeout, tel=run.tel)
         now = self._clock()
         sample = bus.sample()
         worker_records = bus.worker_records()
@@ -652,7 +591,7 @@ class StatusTicker(threading.Thread):
             "event": event,
             "ts": round(time.time(), 3),
             "elapsed_s": round(bus.elapsed(), 3),
-            "command": self.command,
+            "command": run.command,
             "phase": bus.phase_name,
             "progress": progress,
             "rates": {
@@ -666,7 +605,10 @@ class StatusTicker(threading.Thread):
                 "open_segments": open_segments,
                 # Additive within vectra.live/1: readers require the
                 # section, not its exact key set (validate_frames).
-                "profiler_samples": _sampler_samples(),
+                # Samples taken so far (None when sampling is off):
+                # lets ``vectra watch`` see the sampler is alive.
+                "profiler_samples": (run.sampler.total_samples
+                                     if run.sampler.enabled else None),
                 "monitor_port": bus.monitor_port,
             },
             "workers": bus.worker_rows(),

@@ -45,14 +45,13 @@ from typing import Dict, Optional, Tuple
 from repro.errors import VectraError
 from repro.obs.live import DEFAULT_STALL_TIMEOUT
 from repro.obs.logs import get_logger
-from repro.obs.telemetry import Histogram
+from repro.obs.telemetry import Histogram, live_snapshot
 
 __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
     "MonitorServer",
     "render_openmetrics",
     "render_folded_samples",
-    "get_monitor",
 ]
 
 #: Content type of the ``/metrics`` exposition (OpenMetrics 1.0 text).
@@ -168,24 +167,6 @@ def render_folded_samples(table: Dict[str, int]) -> str:
     return "".join(f"{stack} {n}\n" for stack, n in sorted(table.items()))
 
 
-def _snapshot_with_retry(tel, attempts: int = 8) -> dict:
-    """Snapshot a telemetry object that another thread is mutating.
-
-    Aggregate writes are GIL-atomic per key, but snapshotting iterates
-    the dicts, and the pipeline thread may insert a new key mid-scrape —
-    a benign race that surfaces as ``RuntimeError: dictionary changed
-    size``.  Retry a few times; a scrape landing one counter earlier or
-    later is exactly as truthful.
-    """
-    for remaining in range(attempts - 1, -1, -1):
-        try:
-            return tel.snapshot()
-        except RuntimeError:
-            if remaining == 0:
-                raise
-    raise AssertionError("unreachable")
-
-
 class _MonitorHandler(BaseHTTPRequestHandler):
     """Routes one request against the owning :class:`MonitorServer`
     (attached as ``server.monitor`` by :meth:`MonitorServer.start`)."""
@@ -230,29 +211,24 @@ class _MonitorHandler(BaseHTTPRequestHandler):
 
 
 class MonitorServer:
-    """The run's HTTP observability plane (one per process).
+    """A run's HTTP observability plane (one per process).
 
     Construction binds the socket (so an ephemeral ``port=0`` resolves
     immediately and the caller can print the real port);
     :meth:`start` begins serving from a daemon thread, :meth:`close`
-    shuts the server down.  All routes read shared run state — the
-    telemetry, the status ticker's last frame, the sampling profiler —
+    shuts the server down.  All routes read the run's state — its
+    telemetry, its status ticker's last frame, its sampling profiler —
     and never write any of it, so a scrape cannot perturb the report.
     """
 
-    def __init__(self, port: int = 0, tel=None, ticker=None, bus=None,
-                 sampler=None, command: str = "", host: str = DEFAULT_HOST,
+    def __init__(self, run, port: int = 0, host: str = DEFAULT_HOST,
                  stall_timeout: float = DEFAULT_STALL_TIMEOUT):
         if port is None or port < 0 or port > 65535:
             raise VectraError(
                 f"--monitor-port must be 0 (ephemeral) or 1-65535, "
                 f"got {port}"
             )
-        self.tel = tel
-        self.ticker = ticker
-        self.bus = bus
-        self.sampler = sampler
-        self.command = command
+        self.run = run
         self.stall_timeout = stall_timeout
         self._lock = threading.Lock()
         self.requests: Dict[str, int] = {}
@@ -271,9 +247,7 @@ class MonitorServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Serve from a daemon thread and register as the process-active
-        monitor (so in-process consumers — tests, a future ``vectra
-        serve`` — can find the bound port)."""
+        """Serve from a daemon thread."""
         if self._thread is not None:
             return
         self._thread = threading.Thread(
@@ -282,7 +256,6 @@ class MonitorServer:
             name="vectra-monitor", daemon=True,
         )
         self._thread.start()
-        _set_monitor(self)
         _log.info("monitor serving on http://%s:%d", self.host, self.port)
 
     def close(self) -> None:
@@ -292,8 +265,6 @@ class MonitorServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._server.server_close()
-        if get_monitor() is self:
-            _set_monitor(None)
 
     def url(self, route: str = "") -> str:
         return f"http://{self.host}:{self.port}{route}"
@@ -305,16 +276,17 @@ class MonitorServer:
     # -- routes ------------------------------------------------------------
 
     def handle_index(self) -> Tuple[int, str, str]:
-        lines = [f"vectra monitor — command {self.command or '?'}",
+        lines = [f"vectra monitor — command {self.run.command or '?'}",
                  "routes: /metrics /status /healthz /flame", ""]
         return 200, "text/plain; charset=utf-8", "\n".join(lines)
 
     def handle_metrics(self) -> Tuple[int, str, str]:
-        if self.tel is None or not self.tel.enabled:
+        tel = self.run.tel
+        if not tel.enabled:
             return (503, "text/plain; charset=utf-8",
                     "telemetry is not active\n")
-        snapshot = _snapshot_with_retry(self.tel)
-        snapshot["command"] = self.command
+        snapshot = live_snapshot(tel)
+        snapshot["command"] = self.run.command
         with self._lock:
             extra = {
                 f"monitor.requests.{path.strip('/') or 'index'}": n
@@ -324,7 +296,8 @@ class MonitorServer:
                 render_openmetrics(snapshot, extra_counters=extra))
 
     def handle_status(self) -> Tuple[int, str, str]:
-        frame = self.ticker.last_frame if self.ticker is not None else None
+        ticker = self.run.ticker
+        frame = ticker.last_frame if ticker is not None else None
         if frame is None:
             return (503, "application/json",
                     json.dumps({"error": "no status frame yet"}) + "\n")
@@ -333,7 +306,7 @@ class MonitorServer:
 
     def handle_healthz(self) -> Tuple[int, str, str]:
         ctype = "text/plain; charset=utf-8"
-        ticker = self.ticker
+        ticker = self.run.ticker
         if ticker is None or ticker.last_frame is None:
             return 503, ctype, "unhealthy: no status ticker\n"
         age = ticker.last_tick_age()
@@ -354,25 +327,10 @@ class MonitorServer:
 
     def handle_flame(self) -> Tuple[int, str, str]:
         ctype = "text/plain; charset=utf-8"
-        sampler = self.sampler
-        if sampler is None or not sampler.enabled:
+        sampler = self.run.sampler
+        if not sampler.enabled:
             return (404, ctype,
                     "sampling is off; re-run with --sample-hz N (or "
                     "--flame) to serve folded samples here\n")
         return 200, ctype, render_folded_samples(sampler.folded_counts())
 
-
-# ---------------------------------------------------------------------------
-# process-active monitor (mirrors the active-telemetry/-bus registries)
-
-_active_monitor: Optional[MonitorServer] = None
-
-
-def get_monitor() -> Optional[MonitorServer]:
-    """The currently serving :class:`MonitorServer`, if any."""
-    return _active_monitor
-
-
-def _set_monitor(monitor: Optional[MonitorServer]) -> None:
-    global _active_monitor
-    _active_monitor = monitor

@@ -26,8 +26,8 @@ resolves loop ids/sids against the module the interpreter attached
 ship the folded table home inside their telemetry snapshot
 (``Telemetry.samples``), merged by sum exactly like counters.
 
-The default is the no-op :class:`NullSampler` singleton mirroring
-``NullTelemetry``: when sampling is off, the interpreter pays a single
+A run without sampling holds the no-op :class:`NullSampler` singleton
+(mirroring ``NullTelemetry``): the interpreter then pays a single
 attribute check at construction time and the hot paths are untouched.
 """
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
 from repro.errors import VectraError
@@ -46,9 +45,6 @@ __all__ = [
     "SamplingProfiler",
     "NullSampler",
     "NULL_SAMPLER",
-    "get_sampler",
-    "set_sampler",
-    "use_sampler",
 ]
 
 #: Default sampling rate for ``--flame`` without an explicit
@@ -248,7 +244,7 @@ class SamplingProfiler:
 
 
 class NullSampler:
-    """Sampler that does nothing — the process default, so workloads
+    """Sampler that does nothing — a run's default, so workloads
     without ``--sample-hz`` never see a timer thread."""
 
     __slots__ = ()
@@ -273,32 +269,5 @@ class NullSampler:
         return {}
 
 
-#: The process-wide default sampler (see :func:`get_sampler`).
+#: The sampler of a run without sampling (see :mod:`repro.obs.run`).
 NULL_SAMPLER = NullSampler()
-
-_active = NULL_SAMPLER
-
-
-def get_sampler():
-    """The active sampler (the no-op singleton unless one was set)."""
-    return _active
-
-
-def set_sampler(sampler):
-    """Install ``sampler`` (``None`` resets to no-op); returns the
-    previous active sampler so callers can restore it."""
-    global _active
-    prev = _active
-    _active = sampler if sampler is not None else NULL_SAMPLER
-    return prev
-
-
-@contextmanager
-def use_sampler(sampler):
-    """Scoped :func:`set_sampler`: active inside the ``with`` block,
-    previous sampler restored on exit."""
-    prev = set_sampler(sampler)
-    try:
-        yield sampler
-    finally:
-        set_sampler(prev)

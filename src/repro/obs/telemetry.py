@@ -21,7 +21,9 @@ One :class:`Telemetry` object rides along a pipeline run and collects
   yields the same distribution.  ``--profile`` derives p50/p90/p99
   from the buckets.
 
-The default is the no-op :class:`NullTelemetry` singleton: every method
+Instrumented code records into the current run's telemetry
+(:func:`repro.obs.run.current_run`).  By default that is the no-op
+:class:`NullTelemetry` singleton: every method
 is a ``pass`` and :meth:`NullTelemetry.span` hands back one shared,
 stateless context manager, so instrumented code paths cost a few
 attribute lookups when telemetry is off.  Instrumentation sits at stage
@@ -42,7 +44,6 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Union
 
 from repro.errors import VectraError
@@ -252,8 +253,8 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTelemetry:
-    """Telemetry that records nothing — the default for every pipeline
-    entry point, so the instrumented hot paths stay hot."""
+    """Telemetry that records nothing — the default run's, so the
+    instrumented hot paths stay hot."""
 
     __slots__ = ()
     enabled = False
@@ -295,7 +296,7 @@ class NullTelemetry:
                 "events": []}
 
 
-#: The process-wide default telemetry (see :func:`get_telemetry`).
+#: The telemetry of a run that records nothing (see :mod:`repro.obs.run`).
 NULL_TELEMETRY = NullTelemetry()
 
 
@@ -523,12 +524,6 @@ class Telemetry:
                 report[key] = value
         return report
 
-    def write_json(self, path: str, **meta) -> None:
-        """Write the run report to ``path`` (``"-"`` writes to stdout for
-        shell pipelines; extra ``meta`` keys — e.g. the CLI command —
-        land at the top level next to ``schema``)."""
-        dump_report(self.report(**meta), path)
-
     def format_table(self) -> str:
         """The human-readable ``--profile`` stage/counter table.
 
@@ -599,33 +594,19 @@ def dump_report(report: dict, path: str) -> None:
         fh.write("\n")
 
 
-#: module-level active telemetry, used by pipeline code when no explicit
-#: ``tel`` argument is supplied.
-_active: Union[Telemetry, NullTelemetry] = NULL_TELEMETRY
+def live_snapshot(tel: Telemetry, attempts: int = 8) -> dict:
+    """Snapshot a telemetry object that another thread is mutating.
 
-
-def get_telemetry() -> Union[Telemetry, NullTelemetry]:
-    """The active telemetry (the no-op singleton unless one was set)."""
-    return _active
-
-
-def set_telemetry(
-    tel: Optional[Union[Telemetry, NullTelemetry]],
-) -> Union[Telemetry, NullTelemetry]:
-    """Install ``tel`` (``None`` resets to no-op); returns the previous
-    active telemetry so callers can restore it."""
-    global _active
-    prev = _active
-    _active = tel if tel is not None else NULL_TELEMETRY
-    return prev
-
-
-@contextmanager
-def use_telemetry(tel: Optional[Union[Telemetry, NullTelemetry]]):
-    """Scoped :func:`set_telemetry`: active inside the ``with`` block,
-    previous telemetry restored on exit."""
-    prev = set_telemetry(tel)
-    try:
-        yield tel
-    finally:
-        set_telemetry(prev)
+    Aggregate writes are GIL-atomic per key, but snapshotting iterates
+    the dicts, and the pipeline thread may insert a new key mid-read —
+    a benign race that surfaces as ``RuntimeError: dictionary changed
+    size``.  Retry a few times (the last failure propagates); a
+    snapshot landing one counter earlier or later is exactly as
+    truthful.
+    """
+    for _ in range(attempts - 1):
+        try:
+            return tel.snapshot()
+        except RuntimeError:
+            pass
+    return tel.snapshot()

@@ -217,6 +217,9 @@ def _cmd_trace(args) -> int:
         raise VectraError(f"no loop named {args.loop!r}")
     trace = run_and_trace(module, workload.entry, loop=info.loop_id,
                           instances={args.instance}, **_run_opts(args))
+    if trace.columnar_sink.spans_recorded == 0:
+        raise VectraError(f"loop {args.loop!r} instance {args.instance} "
+                          f"never executed")
     save_trace(trace, args.output)
     print(f"wrote {len(trace)} records to {args.output}")
     return 0
@@ -642,12 +645,13 @@ def _parse_params(items):
 
 def _obs_options() -> argparse.ArgumentParser:
     """Shared observability options, attached to every subcommand."""
-    from repro.obs import DEFAULT_SAMPLE_HZ, REPORT_SCHEMA
     from repro.obs.live import (
         DEFAULT_STALL_TIMEOUT,
         DEFAULT_STATUS_INTERVAL,
         LIVE_SCHEMA,
     )
+    from repro.obs.sampling import DEFAULT_SAMPLE_HZ
+    from repro.obs.telemetry import REPORT_SCHEMA
 
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("observability")
@@ -945,18 +949,135 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_run(args, argv):
+    """The run the command records into, built from its observability
+    flags.  A construction error closes what was already opened and
+    propagates."""
+    from repro.obs import EventLog, Run, Telemetry
+
+    sampling = args.sample_hz is not None or bool(args.flame)
+    monitoring = args.monitor_port is not None
+    run = Run(command=args.command)
+    # The monitor serves /metrics and the blackbox snapshots telemetry
+    # at death, so either one turns recording on; the blackbox also
+    # wants the event ring for its bundle's tail.
+    if (args.profile or args.metrics_json or args.metrics_append
+            or args.trace_json or sampling or monitoring or args.blackbox):
+        run.tel = Telemetry(
+            events=EventLog() if (args.trace_json or args.blackbox)
+            else None)
+    try:
+        if sampling:
+            from repro.obs.sampling import DEFAULT_SAMPLE_HZ, SamplingProfiler
+
+            run.sampler = SamplingProfiler(
+                hz=args.sample_hz if args.sample_hz is not None
+                else DEFAULT_SAMPLE_HZ)
+        # The monitor's /status and /healthz and the blackbox's frame
+        # ring both read the ticker, so either one brings the live plane
+        # up even without a --status-json sink (a sink-less ticker just
+        # retains frames in memory).
+        if args.status_json or args.progress or monitoring or args.blackbox:
+            from repro.obs.live import StatusBus, StatusTicker
+
+            # Workers heartbeat a few times per stall window, and at
+            # least as often as frames are cut, so stalls resolve within
+            # one timeout and every frame sees fresh ages.
+            run.bus = StatusBus(heartbeat_interval=max(
+                0.05, min(args.status_interval, args.stall_timeout / 4.0)))
+            run.ticker = StatusTicker(
+                run, interval=args.status_interval,
+                stall_timeout=args.stall_timeout, path=args.status_json,
+                progress_stream=sys.stderr if args.progress else None)
+            run.ticker.start()
+        if monitoring:
+            from repro.obs.monitor import MonitorServer
+
+            run.monitor = MonitorServer(run, port=args.monitor_port,
+                                        stall_timeout=args.stall_timeout)
+            run.monitor.start()
+            run.bus.monitor_port = run.monitor.port
+            print(f"monitor: serving /metrics /status /healthz /flame on "
+                  f"{run.monitor.url()}", file=sys.stderr)
+        if args.blackbox:
+            from repro.obs.blackbox import FlightRecorder
+
+            run.recorder = FlightRecorder(
+                args.blackbox, run,
+                argv=list(argv) if argv is not None else sys.argv[1:],
+            ).install()
+    except VectraError:
+        run.close(exit_code=1)
+        raise
+    return run
+
+
+def _close_run(run, args, code: int) -> int:
+    """End the run (:meth:`~repro.obs.run.Run.close`) and write the
+    reports its flags ask for.  They are written even when the command
+    failed — a truncated run's telemetry is exactly what debugging
+    needs.  Returns the exit code, 1 once a report cannot be written."""
+    # The final 'done' frame carries the exit code and lands even on
+    # failure — a watcher sees how the run ended either way.
+    run.close(exit_code=code)
+    tel = run.tel
+    if not tel.enabled:
+        return code
+    if args.flame:
+        from repro.obs.flamegraph import write_flame
+
+        try:
+            fmt = write_flame(tel.samples, args.flame,
+                              title=f"vectra {args.command}")
+        except OSError as exc:
+            print(f"error: cannot write flamegraph: {exc}", file=sys.stderr)
+            code = 1
+        else:
+            if args.flame != "-":
+                n = sum(tel.samples.values())
+                print(f"flamegraph ({fmt}, {n} samples) written to "
+                      f"{args.flame}", file=sys.stderr)
+    if args.profile:
+        print(tel.format_table(), file=sys.stderr)
+    if args.metrics_json or args.metrics_append:
+        from repro.obs.history import append_report
+        from repro.obs.telemetry import dump_report
+
+        report = tel.report(command=args.command, exit_code=code)
+        if args.metrics_json:
+            try:
+                dump_report(report, args.metrics_json)
+            except OSError as exc:
+                print(f"error: cannot write metrics report: {exc}",
+                      file=sys.stderr)
+                code = 1
+        if args.metrics_append:
+            try:
+                append_report(args.metrics_append, report)
+            except OSError as exc:
+                print(f"error: cannot append to ledger: {exc}",
+                      file=sys.stderr)
+                code = 1
+    if args.trace_json:
+        from repro.obs.timeline import write_chrome_trace
+
+        try:
+            write_chrome_trace(tel.events, args.trace_json)
+        except OSError as exc:
+            print(f"error: cannot write trace timeline: {exc}",
+                  file=sys.stderr)
+            code = 1
+        else:
+            if tel.events is not None and tel.events.dropped:
+                print(f"warning: timeline ring buffer dropped "
+                      f"{tel.events.dropped} event(s) (capacity "
+                      f"{tel.events.capacity}); the exported trace is "
+                      f"missing its oldest events", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    from repro.obs import (
-        NULL_TELEMETRY,
-        EventLog,
-        Telemetry,
-        configure_logging,
-        dump_report,
-        use_status_bus,
-        use_telemetry,
-        write_chrome_trace,
-    )
-    from repro.obs.history import append_report
+    from repro.obs import configure_logging, use_run
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -964,173 +1085,29 @@ def main(argv=None) -> int:
         if args.log_level:
             configure_logging(args.log_level)
         _check_stdout_collisions(args)
+        run = _open_run(args, argv)
     except VectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sampling = args.sample_hz is not None or bool(args.flame)
-    monitoring = args.monitor_port is not None
-    # The monitor serves /metrics and the blackbox snapshots telemetry
-    # at death, so either one turns recording on; the blackbox also
-    # wants the event ring for its bundle's tail.
-    profiling = (args.profile or args.metrics_json or args.metrics_append
-                 or args.trace_json or sampling or monitoring
-                 or bool(args.blackbox))
-    tel = (Telemetry(events=EventLog() if (args.trace_json or args.blackbox)
-                     else None)
-           if profiling else NULL_TELEMETRY)
-    sampler = None
-    if sampling:
-        from repro.obs.sampling import DEFAULT_SAMPLE_HZ, SamplingProfiler
-
-        hz = (args.sample_hz if args.sample_hz is not None
-              else DEFAULT_SAMPLE_HZ)
-        try:
-            sampler = SamplingProfiler(hz=hz)
-        except VectraError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    bus = None
-    ticker = None
-    # The monitor's /status and /healthz and the blackbox's frame ring
-    # both read the ticker, so either one brings the live plane up even
-    # without a --status-json sink (a sink-less ticker just retains
-    # frames in memory).
-    if (args.status_json or args.progress or monitoring
-            or args.blackbox):
-        from repro.obs.live import StatusBus, StatusTicker
-
-        # Workers heartbeat a few times per stall window, and at least
-        # as often as frames are cut, so stalls resolve within one
-        # timeout and every frame sees fresh ages.
-        heartbeat = max(0.05, min(args.status_interval,
-                                  args.stall_timeout / 4.0))
-        bus = StatusBus(heartbeat_interval=heartbeat)
-        try:
-            ticker = StatusTicker(
-                bus, interval=args.status_interval,
-                stall_timeout=args.stall_timeout, path=args.status_json,
-                progress_stream=sys.stderr if args.progress else None,
-                tel=tel, command=args.command)
-        except VectraError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        ticker.start()
-    monitor = None
-    if monitoring:
-        from repro.obs.monitor import MonitorServer
-
-        try:
-            monitor = MonitorServer(
-                port=args.monitor_port, tel=tel, ticker=ticker, bus=bus,
-                sampler=sampler, command=args.command,
-                stall_timeout=args.stall_timeout)
-        except VectraError as exc:
-            if ticker is not None:
-                ticker.close(exit_code=1)
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        monitor.start()
-        if bus is not None:
-            bus.monitor_port = monitor.port
-        print(f"monitor: serving /metrics /status /healthz /flame on "
-              f"http://{monitor.host}:{monitor.port}", file=sys.stderr)
-    recorder = None
-    if args.blackbox:
-        from repro.obs.blackbox import install_blackbox
-
-        recorder = install_blackbox(
-            args.blackbox, tel=tel, bus=bus, ticker=ticker,
-            command=args.command,
-            argv=list(argv) if argv is not None else sys.argv[1:])
     code = 0
     try:
-        from repro.obs.sampling import use_sampler
-
-        with use_telemetry(tel), use_status_bus(bus), \
-                use_sampler(sampler), \
-                tel.span(f"command.{args.command}"):
-            if sampler is not None:
-                sampler.start()
+        with use_run(run), run.tel.span(f"command.{args.command}"):
+            run.sampler.start()
             code = args.func(args)
     except VectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     except BaseException as exc:
         # The flight recorder must see the crash here: by the time the
-        # exception reaches sys.excepthook the finally block below has
-        # already torn the recorder down.
-        if recorder is not None:
-            recorder.record_exception(exc)
+        # exception reaches sys.excepthook the run is closed and the
+        # recorder torn down.
+        if run.recorder is not None:
+            run.recorder.record_exception(exc)
         # The done frame should not claim success for a crashed run.
         code = 130 if isinstance(exc, KeyboardInterrupt) else 1
         raise
     finally:
-        # The final 'done' frame carries the exit code and lands even on
-        # failure — a watcher sees how the run ended either way.
-        if ticker is not None:
-            ticker.close(exit_code=code)
-        if monitor is not None:
-            monitor.close()
-        if recorder is not None:
-            recorder.uninstall()
-        # Reports/timelines are written even when the run failed — a
-        # truncated run's telemetry is exactly what debugging needs.
-        if sampler is not None:
-            sampler.stop()
-            tel.add_samples(sampler.folded_counts())
-            tel.count("sampling.samples", sampler.total_samples)
-            tel.count("sampling.ir_samples", sampler.ir_samples)
-        if tel.enabled:
-            tel.record_memory()
-            if args.flame:
-                from repro.obs.flamegraph import write_flame
-
-                try:
-                    fmt = write_flame(tel.samples, args.flame,
-                                      title=f"vectra {args.command}")
-                except OSError as exc:
-                    print(f"error: cannot write flamegraph: {exc}",
-                          file=sys.stderr)
-                    code = 1
-                else:
-                    if args.flame != "-":
-                        n = sum(tel.samples.values())
-                        print(f"flamegraph ({fmt}, {n} samples) written "
-                              f"to {args.flame}", file=sys.stderr)
-            if args.profile:
-                print(tel.format_table(), file=sys.stderr)
-            if args.metrics_json or args.metrics_append:
-                report = tel.report(command=args.command, exit_code=code)
-                if args.metrics_json:
-                    try:
-                        dump_report(report, args.metrics_json)
-                    except OSError as exc:
-                        print(f"error: cannot write metrics report: {exc}",
-                              file=sys.stderr)
-                        code = 1
-                if args.metrics_append:
-                    try:
-                        append_report(args.metrics_append, report)
-                    except OSError as exc:
-                        print(f"error: cannot append to ledger: {exc}",
-                              file=sys.stderr)
-                        code = 1
-            if args.trace_json:
-                try:
-                    write_chrome_trace(tel.events, args.trace_json)
-                except OSError as exc:
-                    print(f"error: cannot write trace timeline: {exc}",
-                          file=sys.stderr)
-                    code = 1
-                else:
-                    if tel.events is not None and tel.events.dropped:
-                        print(
-                            f"warning: timeline ring buffer dropped "
-                            f"{tel.events.dropped} event(s) (capacity "
-                            f"{tel.events.capacity}); the exported trace "
-                            f"is missing its oldest events",
-                            file=sys.stderr,
-                        )
+        code = _close_run(run, args, code)
     return code
 
 

@@ -61,7 +61,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.errors import TraceError
-from repro.obs import get_status_bus, get_telemetry
+from repro.obs import current_run
 from repro.trace.columnar import (
     COLUMN_DTYPES,
     CandidateCone,
@@ -163,7 +163,7 @@ class SegmentedSink(ColumnarSink):
         }
         self._open_span = False
         self._finished = False
-        get_status_bus().note_spill_dir(spill_dir)
+        current_run().bus.note_spill_dir(spill_dir)
         os.makedirs(spill_dir, exist_ok=True)
         # A fresh run owns the directory: drop any stale store so a
         # rerun with fewer segments cannot leave orphans behind the new
@@ -312,7 +312,8 @@ class SegmentedSink(ColumnarSink):
             return
         if self._finished:
             raise TraceError("segmented sink already finalized")
-        tel = get_telemetry()
+        run = current_run()
+        tel = run.tel
         # hist=True: one occurrence per spilled segment, so --profile
         # reports the p50/p95 per-segment spill latency distribution.
         with tel.span("trace_store.spill", hist=True):
@@ -377,7 +378,7 @@ class SegmentedSink(ColumnarSink):
             tel.count("trace_store.bytes_written", nbytes)
             if not aligned:
                 tel.count("trace_store.unaligned_cuts")
-        bus = get_status_bus()
+        bus = run.bus
         if bus.enabled:
             bus.count("segments")
             bus.count("spill_bytes", nbytes)
@@ -401,7 +402,7 @@ class SegmentedSink(ColumnarSink):
         """Spill the open chunk, write the manifest, and hand back the
         reader.  Idempotent."""
         if not self._finished:
-            tel = get_telemetry()
+            tel = current_run().tel
             with tel.span("trace_store.finalize"):
                 tail_aligned = bool(
                     self.marker_rows
@@ -870,7 +871,7 @@ class SegmentStore:
         """
         ctx = self.context()
         cone = None if cone_ops is None else self._cone(ctx, cone_ops)
-        tel = get_telemetry()
+        tel = current_run().tel
         if not tel.enabled:
             for seg in self.iter_segments():
                 yield self._chunk(seg, ctx, cone)
@@ -883,7 +884,7 @@ class SegmentStore:
             tel.observe("ddg.chunk_nodes", len(chunk.sids))
             yield chunk
 
-    def to_ddg(self, tel=None, cone_ops=None):
+    def to_ddg(self, cone_ops=None):
         """Assemble the CSR DDG by streaming segment windows.
 
         Bit-identical to ``self.to_sink().to_ddg(cone_ops)`` (and
@@ -894,8 +895,7 @@ class SegmentStore:
         """
         from repro.ddg.graph import DDG
 
-        if tel is None:
-            tel = get_telemetry()
+        tel = current_run().tel
         out_sids: List[int] = []
         out_ops: List[int] = []
         out_addrs: List[tuple] = []

@@ -14,7 +14,7 @@ from repro.frontend.lower import lower
 from repro.interp.compile import KernelTable
 from repro.interp.interpreter import DEFAULT_FUEL
 from repro.ir.verifier import verify_module
-from repro.obs import get_status_bus, get_telemetry
+from repro.obs import current_run
 from repro.profiler.hotloops import profile_loops
 from repro.vectorizer.autovec import VectorizerConfig, analyze_program_loops
 from repro.vectorizer.packed import percent_packed
@@ -34,7 +34,6 @@ def analyze_workload(
     relax_reductions: bool = False,
     fuel: int = DEFAULT_FUEL,
     jobs: int = 1,
-    tel=None,
     spill_dir: Optional[str] = None,
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
@@ -58,9 +57,9 @@ def analyze_workload(
     ``spill_dir``/``segment_rows`` run the windowed traces out-of-core
     through the segment store, one loop at a time — reports stay
     bit-identical."""
-    if tel is None:
-        tel = get_telemetry()
-    bus = get_status_bus()
+    run = current_run()
+    tel = run.tel
+    bus = run.bus
     with tel.span("analysis.total"):
         bus.phase("frontend")
         with tel.span("frontend.parse_lower"):
@@ -84,7 +83,7 @@ def analyze_workload(
 
         loop_reports, counters = run_loop_analyses(
             source, benchmark, module, list(loops), entry, args, instance,
-            include_integer, relax_reductions, fuel, jobs, tel=tel,
+            include_integer, relax_reductions, fuel, jobs,
             spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
             compile_threshold=compile_threshold,

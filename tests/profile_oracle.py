@@ -6,8 +6,10 @@ The original two-pass driver, kept as the oracle that
 program once without a trace sink to fill Percent Cycles and Percent
 Packed, then analyzes every requested loop through its windowed re-run.
 The production driver takes the profile from the first re-run instead.
-The body is verbatim except for one edit: ``run_loop_analyses`` now
-returns ``(reports, counters)``, and the oracle drops the counters.
+The body is verbatim except for two edits: ``run_loop_analyses`` now
+returns ``(reports, counters)``, and the oracle drops the counters; and
+the telemetry and status bus come from the current run instead of a
+``tel`` parameter and the old process-global registries.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.frontend import parse_source
 from repro.frontend.lower import lower
 from repro.interp.interpreter import DEFAULT_FUEL, Interpreter
 from repro.ir.verifier import verify_module
-from repro.obs import get_status_bus, get_telemetry
+from repro.obs import current_run
 from repro.profiler.hotloops import profile_loops
 from repro.vectorizer.autovec import VectorizerConfig, analyze_program_loops
 from repro.vectorizer.packed import percent_packed
@@ -39,15 +41,14 @@ def analyze_workload(
     relax_reductions: bool = False,
     fuel: int = DEFAULT_FUEL,
     jobs: int = 1,
-    tel=None,
     spill_dir: Optional[str] = None,
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
 ) -> BenchmarkReport:
-    if tel is None:
-        tel = get_telemetry()
-    bus = get_status_bus()
+    run = current_run()
+    tel = run.tel
+    bus = run.bus
     with tel.span("analysis.total"):
         bus.phase("frontend")
         with tel.span("frontend.parse_lower"):
@@ -82,7 +83,7 @@ def analyze_workload(
 
         loop_reports, _ = run_loop_analyses(
             source, benchmark, module, list(loops), entry, args, instance,
-            include_integer, relax_reductions, fuel, jobs, tel=tel,
+            include_integer, relax_reductions, fuel, jobs,
             spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
             compile_threshold=compile_threshold,

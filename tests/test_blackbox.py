@@ -11,24 +11,22 @@ import sys
 import pytest
 
 from repro.errors import VectraError
-from repro.obs import EventLog, StatusBus, StatusTicker, Telemetry
+from repro.obs import EventLog, Run, Telemetry, current_run, use_run
 from repro.obs.blackbox import (
     BLACKBOX_SCHEMA,
     FlightRecorder,
-    blackbox_note,
-    get_blackbox,
-    install_blackbox,
     load_blackbox,
     render_autopsy,
-    uninstall_blackbox,
 )
+from repro.obs.live import StatusBus, StatusTicker
 from repro.tools.cli import main
 
 
 @pytest.fixture
 def stack():
-    """Telemetry with an event ring, a bus mid-loop, and a ticker with
-    one retained frame — the state a real crash would capture."""
+    """A run whose telemetry has an event ring, whose bus is mid-loop,
+    and whose ticker retains one frame — the state a real crash would
+    capture."""
     tel = Telemetry(events=EventLog())
     tel.count("interp.instructions", 500)
     tel.instant("loop.start", {"loop": "fir_n"})
@@ -36,17 +34,16 @@ def stack():
     bus = StatusBus(heartbeat_interval=0.2)
     bus.phase("loop.fir_n")
     bus.count("records", 500)
-    ticker = StatusTicker(bus, interval=60.0, tel=tel, command="analyze")
-    ticker.tick()
-    return tel, bus, ticker
+    run = Run(tel=tel, bus=bus, command="analyze")
+    run.ticker = StatusTicker(run, interval=60.0)
+    run.ticker.tick()
+    return run
 
 
 class TestFlightRecorder:
     def _recorder(self, tmp_path, stack):
-        tel, bus, ticker = stack
         path = str(tmp_path / "crash.json")
-        return FlightRecorder(path, tel=tel, bus=bus, ticker=ticker,
-                              command="analyze",
+        return FlightRecorder(path, stack,
                               argv=["analyze", "utdsp_fir_array"]), path
 
     def test_exception_bundle_contents(self, tmp_path, stack):
@@ -101,9 +98,7 @@ class TestFlightRecorder:
 
     def test_unwritable_path_does_not_mask_the_crash(self, stack,
                                                      capsys):
-        tel, bus, ticker = stack
-        recorder = FlightRecorder("/nonexistent-dir/crash.json", tel=tel,
-                                  bus=bus, ticker=ticker)
+        recorder = FlightRecorder("/nonexistent-dir/crash.json", stack)
         try:
             raise ValueError("boom")
         except ValueError as exc:
@@ -113,25 +108,26 @@ class TestFlightRecorder:
     def test_install_registers_and_uninstall_restores(self, tmp_path):
         prev_term = signal.getsignal(signal.SIGTERM)
         prev_int = signal.getsignal(signal.SIGINT)
-        recorder = install_blackbox(str(tmp_path / "c.json"))
+        run = Run()
+        run.recorder = FlightRecorder(str(tmp_path / "c.json"), run)
+        run.recorder.install()
         try:
-            assert get_blackbox() is recorder
             assert signal.getsignal(signal.SIGTERM) != prev_term
         finally:
-            uninstall_blackbox()
-        assert get_blackbox() is None
+            run.close()
+        assert run.recorder is None
         assert signal.getsignal(signal.SIGTERM) == prev_term
         assert signal.getsignal(signal.SIGINT) == prev_int
 
-    def test_blackbox_note_is_noop_without_recorder(self):
-        assert get_blackbox() is None
-        blackbox_note("anything", {"x": 1})  # must not raise
+    def test_note_is_noop_without_recorder(self):
+        assert current_run().recorder is None
+        current_run().note("anything", {"x": 1})  # must not raise
 
     def test_minimal_recorder_without_observability(self, tmp_path):
-        """A recorder with no telemetry/bus/ticker still writes a valid
-        (if sparse) bundle."""
+        """A recorder of a run with no telemetry/bus/ticker still writes
+        a valid (if sparse) bundle."""
         path = str(tmp_path / "bare.json")
-        recorder = FlightRecorder(path)
+        recorder = FlightRecorder(path, Run())
         recorder.record_signal(signal.SIGTERM.value)
         bundle = load_blackbox(path)
         assert bundle["phase"] is None
@@ -159,10 +155,8 @@ class TestLoadAndAutopsy:
             load_blackbox(str(path))
 
     def test_autopsy_names_the_essentials(self, tmp_path, stack):
-        tel, bus, ticker = stack
         path = str(tmp_path / "crash.json")
-        recorder = FlightRecorder(path, tel=tel, bus=bus, ticker=ticker,
-                                  command="analyze")
+        recorder = FlightRecorder(path, stack)
         recorder.note("pool_failure", {"error": "OSError"})
         try:
             raise ValueError("boom mid-loop")
@@ -217,13 +211,16 @@ int main() {
 
         monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor",
                             BrokenPool)
-        recorder = install_blackbox(str(tmp_path / "c.json"))
+        run = Run()
+        recorder = run.recorder = FlightRecorder(str(tmp_path / "c.json"),
+                                                 run).install()
         try:
             module = compile_source(src)
-            pipeline_mod.run_loop_analyses(src, "demo", module,
-                                           ["P", "Q"], jobs=2)
+            with use_run(run):
+                pipeline_mod.run_loop_analyses(src, "demo", module,
+                                               ["P", "Q"], jobs=2)
         finally:
-            uninstall_blackbox()
+            run.close()
         note = recorder.notes["pool_failure"]
         assert note["error"] == "OSError"
         assert "semaphores" in note["detail"]
@@ -248,7 +245,7 @@ class TestBlackboxCLI:
         bundle = load_blackbox(path)
         assert bundle["reason"]["type"] == "RuntimeError"
         assert bundle["command"] == "list"
-        assert get_blackbox() is None  # finally uninstalled it
+        assert current_run().recorder is None  # finally uninstalled it
 
     def test_clean_run_leaves_no_bundle(self, tmp_path, capsys):
         path = str(tmp_path / "crash.json")
@@ -256,13 +253,11 @@ class TestBlackboxCLI:
         capsys.readouterr()
         assert code == 0
         assert not os.path.exists(path)
-        assert get_blackbox() is None
+        assert current_run().recorder is None
 
     def test_autopsy_subcommand(self, tmp_path, capsys, stack):
-        tel, bus, ticker = stack
         path = str(tmp_path / "crash.json")
-        recorder = FlightRecorder(path, tel=tel, bus=bus, ticker=ticker,
-                                  command="analyze")
+        recorder = FlightRecorder(path, stack)
         recorder.record_signal(signal.SIGTERM.value)
         code = main(["autopsy", path])
         out = capsys.readouterr().out

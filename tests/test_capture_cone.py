@@ -39,7 +39,7 @@ from repro.ir.instructions import Opcode
 from repro.ir.module import GlobalVar, Module
 from repro.ir.types import DOUBLE, INT32, INT64, ArrayType
 from repro.ir.values import Constant
-from repro.obs import Telemetry
+from repro.obs import Run, Telemetry, use_run
 from repro.trace.columnar import ColumnarLoopSink
 from repro.trace.store import SegmentStore, spill_subdir
 from repro.workloads import list_workloads
@@ -85,11 +85,12 @@ def test_registry_windows_capture_exactly(workload, tmp_path):
                     tel = Telemetry()
                     spill_dir = str(tmp_path / f"s{include_integer}"
                                     f"{compiled}") if spilled else None
-                    ddg, stats, _ = windowed_loop_ddg(
-                        module, loop_id, loop_name, workload.entry, (), 0,
-                        DEFAULT_FUEL, tel=tel, spill_dir=spill_dir,
-                        segment_rows=max(1, held // 4),
-                        compile_loops=compiled, cone_ops=ops)
+                    with use_run(Run(tel=tel)):
+                        ddg, stats, _ = windowed_loop_ddg(
+                            module, loop_id, loop_name, workload.entry, (),
+                            0, DEFAULT_FUEL, spill_dir=spill_dir,
+                            segment_rows=max(1, held // 4),
+                            compile_loops=compiled, cone_ops=ops)
                     where = (loop_name, include_integer, compiled, spilled)
                     assert_ddgs_identical(ddg, expected)
                     assert ddg.window_nodes == expected.window_nodes, where
@@ -151,8 +152,9 @@ def test_capture_miss_falls_back_to_full_capture(caplog):
     assert [ir.num_partitions for ir in expected.instructions] == [8, 8]
 
     tel = Telemetry()
-    with caplog.at_level(logging.WARNING, logger="vectra.pipeline"):
-        report = analyze_loop(module, "L", tel=tel)
+    with use_run(Run(tel=tel)), \
+            caplog.at_level(logging.WARNING, logger="vectra.pipeline"):
+        report = analyze_loop(module, "L")
     assert report == expected
     assert tel.counters["trace.capture_fallbacks"] == 1
     assert tel.counters["trace.records.captured"] == (
@@ -219,9 +221,10 @@ def test_kernel_batches_count_capture_misses(batch_iters):
     assert misses == [40, 40]
 
     tel = Telemetry()
-    ddg, _, _ = windowed_loop_ddg(module, loop_id, "L", "main", (), 0,
-                                  DEFAULT_FUEL, tel=tel, compile_threshold=2,
-                                  cone_ops=ops)
+    with use_run(Run(tel=tel)):
+        ddg, _, _ = windowed_loop_ddg(module, loop_id, "L", "main", (), 0,
+                                      DEFAULT_FUEL, compile_threshold=2,
+                                      cone_ops=ops)
     assert tel.counters["trace.capture_fallbacks"] == 1
     assert_ddgs_identical(ddg, _window(module, loop_id, "main").to_ddg(ops))
 

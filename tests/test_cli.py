@@ -62,6 +62,18 @@ class TestCLI:
         assert code == 0
         assert "wrote" in out
 
+    def test_trace_missing_instance_fails_without_writing(self, capsys,
+                                                          tmp_path):
+        out_path = tmp_path / "x.vtrc"
+        code = main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                     "--instance", "999", "-o", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert ("error: loop 'fir_n' instance 999 never executed"
+                in captured.err)
+        assert "wrote" not in captured.out
+        assert not out_path.exists()
+
     def test_vlength(self, capsys):
         code, out = run_cli(capsys, "vlength", "utdsp_fir_array")
         assert code == 0
@@ -245,7 +257,7 @@ class TestObservability:
         equal those of serial re-runs with a table each."""
         from repro.analysis.pipeline import run_loop_analyses
         from repro.frontend import compile_source
-        from repro.obs import Telemetry
+        from repro.obs import Run, Telemetry, use_run
         from repro.workloads import get_workload
 
         paths = {}
@@ -279,10 +291,10 @@ class TestObservability:
         workload = get_workload("gemsfdtd_update")
         source = workload.source()
         cold = Telemetry()
-        run_loop_analyses(source, workload.name,
-                          compile_source(source, workload.name),
-                          workload.analyze_loops, entry=workload.entry,
-                          tel=cold)
+        with use_run(Run(tel=cold)):
+            run_loop_analyses(source, workload.name,
+                              compile_source(source, workload.name),
+                              workload.analyze_loops, entry=workload.entry)
         assert k4 == compile_part(dict(cold.counters))
         assert k1.keys() == k4.keys()
         assert 0 < k1["interp.compile.kernels"] < k4["interp.compile.kernels"]

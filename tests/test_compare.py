@@ -6,17 +6,16 @@ import json
 import pytest
 
 from repro.errors import VectraError
-from repro.obs import REPORT_SCHEMA
 from repro.obs.compare import (
     Delta,
-    compare_reports,
     diff_reports,
     evaluate_thresholds,
     format_diff_table,
     load_report,
     parse_fail_on,
 )
-from repro.obs.history import append_report, baseline_and_latest, read_ledger
+from repro.obs.history import append_report, read_ledger, select_baseline
+from repro.obs.telemetry import REPORT_SCHEMA
 from repro.tools.cli import main
 
 
@@ -103,9 +102,10 @@ class TestThresholds:
         report = make_report(spans={"s": 1.0}, counters={"c": 3},
                              gauges={"g": 2.0},
                              sections={"loop.L": {"ops": 7}})
-        _, violations = compare_reports(report, report, [
-            "span:s:+0%", "counter:c:+0%", "gauge:g:+0%",
-            "section:loop.L.ops:+0%",
+        violations = evaluate_thresholds(diff_reports(report, report), [
+            parse_fail_on(spec) for spec in (
+                "span:s:+0%", "counter:c:+0%", "gauge:g:+0%",
+                "section:loop.L.ops:+0%")
         ])
         assert violations == []
 
@@ -195,15 +195,15 @@ class TestLedger:
         path = str(tmp_path / "ledger.jsonl")
         for n in (1, 2, 3):
             append_report(path, make_report(counters={"c": n}))
-        base, head = baseline_and_latest(read_ledger(path))
-        assert base["counters"]["c"] == 1
-        assert head["counters"]["c"] == 3
+        reports = read_ledger(path)
+        assert select_baseline(reports)["counters"]["c"] == 1
+        assert reports[-1]["counters"]["c"] == 3
 
     def test_single_entry_cannot_compare(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         append_report(path, make_report())
         with pytest.raises(VectraError, match="at least 2"):
-            baseline_and_latest(read_ledger(path))
+            select_baseline(read_ledger(path))
 
     def test_malformed_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

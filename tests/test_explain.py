@@ -22,7 +22,7 @@ from repro.explain import (
     render_explain,
 )
 from repro.ir.instructions import Opcode
-from repro.obs import EventLog, Telemetry
+from repro.obs import EventLog, Run, Telemetry, use_run
 from repro.tools.cli import main
 
 LOAD = int(Opcode.LOAD)
@@ -342,7 +342,8 @@ class TestExplainDriver:
 
         module = compile_source(milc_source(), "milc_su3mv")
         tel = Telemetry()
-        explain_loop(module, "sites_loop", [], tel=tel)
+        with use_run(Run(tel=tel)):
+            explain_loop(module, "sites_loop", [])
         snap = tel.snapshot()
         assert snap["counters"]["explain.loops"] == 1
         assert snap["counters"]["explain.dependence_witnesses"] >= 1
@@ -357,6 +358,42 @@ class TestExplainDriver:
         assert "explain.witness.dependence" in spans
         assert "explain.witness.stride" in spans
         assert "explain.refusals" in spans
+
+
+class TestOneRoute:
+    """A library caller's run records what the CLI's does: the compiled
+    kernels and the packed Algorithm 1 scan report into the current
+    run, the same place ``explain_loop``'s own counters go."""
+
+    #: what ``vectra explain utdsp_fir_array -p nout=32 -p ntap=8
+    #: --metrics-json`` reports for the kernels and the packed scan.
+    DEEP = {
+        "interp.compile.kernels": 2,
+        "interp.compile.batches": 31,
+        "interp.compile.iterations": 261,
+        "interp.compile.deopts": 31,
+        "interp.compile.guard_exits": 31,
+        "algorithm1.nodes_scanned": 7109,
+        "algorithm1.edges_scanned": 7225,
+    }
+
+    def test_library_run_records_the_cli_counters(self, capsys, tmp_path):
+        from repro.workloads import get_workload
+
+        path = tmp_path / "explain.json"
+        code = main(["explain", "utdsp_fir_array", "-p", "nout=32",
+                     "-p", "ntap=8", "--metrics-json", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        cli = json.loads(path.read_text())["counters"]
+
+        module = get_workload("utdsp_fir_array").compile(nout=32, ntap=8)
+        tel = Telemetry()
+        with use_run(Run(tel=tel)):
+            explain_loop(module, "fir_n")
+        mine = {name: tel.counters.get(name) for name in self.DEEP}
+        assert mine == {name: cli.get(name) for name in self.DEEP}
+        assert mine == self.DEEP
 
 
 class TestExplainCLI:

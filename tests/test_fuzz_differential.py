@@ -31,7 +31,7 @@ from repro.frontend import compile_source
 from repro.interp import run_and_trace, run_module
 from repro.interp.interpreter import DEFAULT_FUEL, Interpreter
 from repro.ir.passes import optimize_module
-from repro.obs import Telemetry
+from repro.obs import Run, Telemetry, use_run
 from repro.trace.columnar import ColumnarLoopSink
 
 from tests.test_candidate_cone import oracle_cone
@@ -339,9 +339,10 @@ def test_capture_keeps_the_cone_of_generated_programs(program):
     for include_integer in (False, True):
         ops = candidate_opcodes(include_integer)
         tel = Telemetry()
-        ddg, stats, _ = windowed_loop_ddg(
-            module, loop_id, "L0", "main", (), 0, DEFAULT_FUEL, tel=tel,
-            compile_threshold=2, cone_ops=ops)
+        with use_run(Run(tel=tel)):
+            ddg, stats, _ = windowed_loop_ddg(
+                module, loop_id, "L0", "main", (), 0, DEFAULT_FUEL,
+                compile_threshold=2, cone_ops=ops)
         assert_ddgs_identical(ddg, sink.to_ddg(ops))
         assert stats["rows"] == sink.stats()["rows"]
         cone = {full.sids[j] for j in oracle_cone(full, ops)}

@@ -22,7 +22,7 @@ from repro.interp.compile import (
     TraceCompiler,
 )
 from repro.interp.interpreter import Interpreter, run_and_trace
-from repro.obs import Telemetry, use_telemetry
+from repro.obs import Run, Telemetry, use_run
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.serialize import write_trace
 
@@ -236,7 +236,7 @@ int main() {
 """
         _, i0, s0, _ = _run(src, False)
         log = EventLog(capacity=4096)
-        with use_telemetry(Telemetry(events=log)):
+        with use_run(Run(tel=Telemetry(events=log))):
             _, i1, s1, _ = _run(src, True)
         assert _cols(s0) == _cols(s1)
         comp = i1._compiler
@@ -273,7 +273,7 @@ class TestTelemetry:
     def test_compile_counters_recorded(self):
         tel = Telemetry()
         module = compile_source(STENCIL)
-        with use_telemetry(tel):
+        with use_run(Run(tel=tel)):
             interp = Interpreter(module, sink=ColumnarSink(),
                                  compile_threshold=4)
             interp.run("main", ())
@@ -359,7 +359,7 @@ class TestLifecycleInstants:
         log = EventLog(capacity=4096)
         tel = Telemetry(events=log)
         module = compile_source(src)
-        with use_telemetry(tel):
+        with use_run(Run(tel=tel)):
             interp = Interpreter(module, sink=ColumnarSink(),
                                  compile_threshold=threshold)
             interp.run("main", ())
@@ -429,11 +429,11 @@ int main() {
             assert e["args"]["iterations"] >= 0
 
     def test_status_bus_counts_kernels_and_batches(self):
-        from repro.obs.live import StatusBus, use_status_bus
+        from repro.obs.live import StatusBus
 
         bus = StatusBus()
         module = compile_source(STENCIL)
-        with use_status_bus(bus):
+        with use_run(Run(bus=bus)):
             interp = Interpreter(module, sink=ColumnarSink(),
                                  compile_threshold=4)
             interp.run("main", ())
@@ -471,7 +471,7 @@ class TestIntrinsicKernels:
         module = get_workload(name).compile()
         _, i0, s0, e0 = _run(module, False, threshold=None)
         log = EventLog(capacity=65536)
-        with use_telemetry(Telemetry(events=log)):
+        with use_run(Run(tel=Telemetry(events=log))):
             _, i1, s1, e1 = _run(module, True, threshold=None)
         assert e0 is None and e1 is None
         assert _state(i0) == _state(i1)

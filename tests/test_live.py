@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.errors import VectraError
-from repro.obs import EventLog, Telemetry
+from repro.obs import EventLog, Run, Telemetry, current_run, use_run
 from repro.obs.live import (
     LIVE_SCHEMA,
     NULL_STATUS_BUS,
@@ -26,16 +26,13 @@ from repro.obs.live import (
     StatusBus,
     StatusTicker,
     WorkerStallWarning,
-    get_status_bus,
-    pool_heartbeat,
     read_frames,
     render_dashboard,
     render_progress_line,
-    set_status_bus,
     suspend_worker_heartbeat,
-    use_status_bus,
     validate_frames,
 )
+from repro.obs.run import init_worker
 
 
 def make_clock(start=0.0):
@@ -111,22 +108,19 @@ class TestStatusBus:
 
 class TestActiveBus:
     def test_default_is_null(self):
-        assert get_status_bus() is NULL_STATUS_BUS
-        assert not get_status_bus().enabled
+        assert current_run().bus is NULL_STATUS_BUS
+        assert not current_run().bus.enabled
 
     def test_use_restores_previous(self):
         bus = StatusBus(clock=make_clock())
-        with use_status_bus(bus):
-            assert get_status_bus() is bus
-        assert get_status_bus() is NULL_STATUS_BUS
+        with use_run(Run(bus=bus)):
+            assert current_run().bus is bus
+        assert current_run().bus is NULL_STATUS_BUS
 
     def test_set_none_resets_to_null(self):
-        prev = set_status_bus(StatusBus(clock=make_clock()))
-        try:
-            set_status_bus(None)
-            assert get_status_bus() is NULL_STATUS_BUS
-        finally:
-            set_status_bus(prev)
+        with use_run(Run(bus=StatusBus(clock=make_clock()))):
+            with use_run(Run()):
+                assert current_run().bus is NULL_STATUS_BUS
 
     def test_null_bus_api_is_noop(self):
         bus = NULL_STATUS_BUS
@@ -254,9 +248,9 @@ class TestStatusTicker:
         clock = kw.pop("clock", make_clock())
         bus = bus or StatusBus(clock=clock)
         stream = kw.pop("stream", io.StringIO())
-        ticker = StatusTicker(bus, interval=0.5, stall_timeout=30.0,
-                              stream=stream, clock=clock,
-                              command="analyze", **kw)
+        ticker = StatusTicker(Run(bus=bus, command="analyze"),
+                              interval=0.5, stall_timeout=30.0,
+                              stream=stream, clock=clock, **kw)
         return ticker, bus, stream, clock
 
     def test_frame_shape(self):
@@ -363,26 +357,27 @@ class TestStatusTicker:
     def test_bad_interval_rejected(self):
         bus = StatusBus(clock=make_clock())
         with pytest.raises(VectraError, match="--status-interval"):
-            StatusTicker(bus, interval=0.0, stream=io.StringIO())
+            StatusTicker(Run(bus=bus), interval=0.0, stream=io.StringIO())
         with pytest.raises(VectraError, match="--stall-timeout"):
-            StatusTicker(bus, interval=1.0, stall_timeout=-1.0,
+            StatusTicker(Run(bus=bus), interval=1.0, stall_timeout=-1.0,
                          stream=io.StringIO())
 
     def test_bad_fd_target_rejected(self):
         bus = StatusBus(clock=make_clock())
         with pytest.raises(VectraError, match="fd:N"):
-            StatusTicker(bus, path="fd:notanint")
+            StatusTicker(Run(bus=bus), path="fd:notanint")
 
     def test_unwritable_path_rejected(self, tmp_path):
         bus = StatusBus(clock=make_clock())
         with pytest.raises(VectraError, match="cannot write status frames"):
-            StatusTicker(bus, path=str(tmp_path / "missing" / "st.jsonl"))
+            StatusTicker(Run(bus=bus),
+                         path=str(tmp_path / "missing" / "st.jsonl"))
 
     def test_real_thread_ticks_and_closes(self, tmp_path):
         path = tmp_path / "st.jsonl"
         bus = StatusBus()
-        ticker = StatusTicker(bus, interval=0.02, path=str(path),
-                              command="analyze")
+        ticker = StatusTicker(Run(bus=bus, command="analyze"),
+                              interval=0.02, path=str(path))
         ticker.start()
         bus.count("loops")
         deadline = time.time() + 5.0
@@ -399,8 +394,8 @@ class TestStatusTicker:
 class TestFrameReader:
     def _write_stream(self, tmp_path, tail=""):
         bus = StatusBus(clock=make_clock())
-        ticker = StatusTicker(bus, stream=io.StringIO(),
-                              clock=make_clock(), command="analyze")
+        ticker = StatusTicker(Run(bus=bus, command="analyze"),
+                              stream=io.StringIO(), clock=make_clock())
         lines = []
         for i in range(3):
             bus.count("loops")
@@ -486,8 +481,8 @@ class TestRendering:
         bus.set_total("loops", 4)
         bus.count("loops", 1)
         bus.phase("loop.fir_n")
-        ticker = StatusTicker(bus, stream=io.StringIO(),
-                              clock=make_clock(), command="analyze")
+        ticker = StatusTicker(Run(bus=bus, command="analyze"),
+                              stream=io.StringIO(), clock=make_clock())
         frame = ticker.tick()
         frame.update(over)
         return frame
@@ -545,9 +540,9 @@ class TestPoolStallInjection:
         from concurrent.futures import ProcessPoolExecutor
 
         bus = StatusBus(heartbeat_interval=0.05)
-        initializer, initargs = pool_heartbeat(bus)
-        with ProcessPoolExecutor(max_workers=1, initializer=initializer,
-                                 initargs=initargs) as pool:
+        spec = Run(bus=bus).worker_spec()
+        with ProcessPoolExecutor(max_workers=1, initializer=init_worker,
+                                 initargs=(spec,)) as pool:
             future = pool.submit(_stall_then_return, 1.2)
             # wait for the worker's first heartbeat
             deadline = time.time() + 10.0
@@ -570,5 +565,11 @@ class TestPoolStallInjection:
             bus.retire_workers()
         assert bus.workers[pid]["state"] == "done"
 
-    def test_null_bus_means_no_pool_initializer(self):
-        assert pool_heartbeat(NULL_STATUS_BUS) == (None, ())
+    def test_null_bus_means_no_heartbeat_channel(self):
+        spec = Run().worker_spec()
+        assert spec.channel is None
+        # use_run restores this process's run after the worker setup.
+        with use_run(current_run()):
+            init_worker(spec)  # what a pool worker runs first
+            assert current_run().bus is NULL_STATUS_BUS
+            assert current_run().spec is spec

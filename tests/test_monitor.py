@@ -12,12 +12,12 @@ import urllib.request
 import pytest
 
 from repro.errors import VectraError
-from repro.obs import EventLog, StatusBus, StatusTicker, Telemetry
+from repro.obs import EventLog, Run, Telemetry, current_run
+from repro.obs.live import StatusBus, StatusTicker
 from repro.obs.monitor import (
     OPENMETRICS_CONTENT_TYPE,
     MonitorServer,
     _metric_name,
-    get_monitor,
     render_openmetrics,
 )
 from repro.obs.telemetry import Histogram
@@ -163,11 +163,10 @@ def plane():
     tel.count("interp.instructions", 10)
     bus = StatusBus(heartbeat_interval=0.2)
     clock = _Clock()
-    ticker = StatusTicker(bus, interval=0.5, stall_timeout=10.0,
-                          tel=tel, command="analyze", clock=clock)
-    monitor = MonitorServer(port=0, tel=tel, ticker=ticker, bus=bus,
-                            sampler=None, command="analyze",
-                            stall_timeout=10.0)
+    run = Run(tel=tel, bus=bus, command="analyze")
+    ticker = run.ticker = StatusTicker(run, interval=0.5, stall_timeout=10.0,
+                                       clock=clock)
+    monitor = run.monitor = MonitorServer(run, port=0, stall_timeout=10.0)
     monitor.start()
     bus.monitor_port = monitor.port
     try:
@@ -179,14 +178,14 @@ def plane():
 class TestMonitorServer:
     def test_rejects_bad_port(self):
         with pytest.raises(VectraError, match="monitor-port"):
-            MonitorServer(port=70000)
+            MonitorServer(Run(), port=70000)
         with pytest.raises(VectraError, match="monitor-port"):
-            MonitorServer(port=-1)
+            MonitorServer(Run(), port=-1)
 
     def test_bind_conflict_is_a_clean_error(self, plane):
         monitor = plane[0]
         with pytest.raises(VectraError, match="cannot bind"):
-            MonitorServer(port=monitor.port)
+            MonitorServer(Run(), port=monitor.port)
 
     def test_metrics_route(self, plane):
         monitor = plane[0]
@@ -264,10 +263,11 @@ class TestMonitorServer:
 
     def test_close_is_idempotent_and_clears_active(self, plane):
         monitor = plane[0]
-        assert get_monitor() is monitor
+        run = monitor.run
+        assert run.monitor is monitor
+        run.close()
         monitor.close()
-        monitor.close()
-        assert get_monitor() is None
+        assert run.monitor is None
 
 
 class TestMonitorCLI:
@@ -279,7 +279,7 @@ class TestMonitorCLI:
         assert code == 0
         assert "monitor: serving /metrics /status /healthz /flame" \
             in captured.err
-        assert get_monitor() is None  # torn down with the run
+        assert current_run().monitor is None  # torn down with the run
 
     def test_monitor_bind_failure_is_clean(self, capsys):
         code = main(["analyze", "utdsp_fir_array",
@@ -303,7 +303,7 @@ class TestMonitorCLI:
 
         def scraper():
             while not stop.is_set():
-                monitor = get_monitor()
+                monitor = current_run().monitor
                 if monitor is not None:
                     try:
                         scrapes.append(_get(monitor.url("/metrics"),
@@ -343,8 +343,8 @@ class TestWatchExitCode:
     def _frames_file(self, tmp_path, exit_code):
         bus = StatusBus(heartbeat_interval=0.2)
         stream = io.StringIO()
-        ticker = StatusTicker(bus, interval=60.0, stream=stream,
-                              command="analyze")
+        ticker = StatusTicker(Run(bus=bus, command="analyze"),
+                              interval=60.0, stream=stream)
         ticker.tick()
         ticker.close(exit_code=exit_code)
         path = tmp_path / "frames.jsonl"

@@ -1,4 +1,4 @@
-"""Telemetry core: spans, counters, gauges, merge, active management."""
+"""Telemetry core: spans, counters, gauges, merge, the current run."""
 
 import itertools
 import json
@@ -9,15 +9,19 @@ import pytest
 
 from repro.errors import VectraError
 from repro.obs import (
-    NULL_TELEMETRY,
-    REPORT_SCHEMA,
-    NullTelemetry,
+    Run,
     Telemetry,
     configure_logging,
+    current_run,
     get_logger,
-    get_telemetry,
-    set_telemetry,
-    use_telemetry,
+    use_run,
+)
+from repro.obs.telemetry import (
+    NULL_TELEMETRY,
+    REPORT_SCHEMA,
+    Histogram,
+    NullTelemetry,
+    dump_report,
 )
 
 
@@ -120,7 +124,7 @@ class TestTelemetry:
         tel = Telemetry()
         tel.count("c", 2)
         path = tmp_path / "report.json"
-        tel.write_json(str(path), command="analyze", exit_code=0)
+        dump_report(tel.report(command="analyze", exit_code=0), str(path))
         report = json.loads(path.read_text())
         assert report["schema"] == REPORT_SCHEMA
         assert report["command"] == "analyze"
@@ -257,8 +261,6 @@ class TestMergeAssociativity:
 
 class TestHistogram:
     def test_observe_tracks_exact_stats(self):
-        from repro.obs import Histogram
-
         h = Histogram()
         for v in (0.25, 0.5, 1.0, 4.0):
             h.observe(v)
@@ -269,15 +271,11 @@ class TestHistogram:
         assert h.mean == 5.75 / 4
 
     def test_empty_percentile_is_none(self):
-        from repro.obs import Histogram
-
         h = Histogram()
         assert h.percentile(0.5) is None
         assert h.mean is None
 
     def test_single_sample_exact_at_every_quantile(self):
-        from repro.obs import Histogram
-
         h = Histogram()
         h.observe(0.37)
         for q in (0.0, 0.5, 0.9, 0.99, 1.0):
@@ -286,8 +284,6 @@ class TestHistogram:
     def test_percentile_within_bucket_error(self):
         """Log bucketing at 4 buckets/doubling bounds relative error
         around 10%; check against the true empirical quantiles."""
-        from repro.obs import Histogram
-
         values = [0.001 * (i + 1) for i in range(1000)]
         h = Histogram()
         for v in values:
@@ -298,8 +294,6 @@ class TestHistogram:
             assert abs(est - true) / true < 0.11, (q, est, true)
 
     def test_zeros_and_negatives_counted_separately(self):
-        from repro.obs import Histogram
-
         h = Histogram()
         h.observe(0.0, n=3)
         h.observe(-1.0)
@@ -313,8 +307,6 @@ class TestHistogram:
         assert h.percentile(1.0) == 2.0
 
     def test_snapshot_roundtrip(self):
-        from repro.obs import Histogram
-
         h = Histogram()
         for v in (0.25, 0.5, 0.5, 3.0, 0.0):
             h.observe(v)
@@ -328,8 +320,6 @@ class TestHistogram:
         """Bucketing is a pure function of the value, so every merge
         order must produce the identical snapshot (values chosen
         exactly representable so float sums are order-proof)."""
-        from repro.obs import Histogram
-
         def make(i):
             h = Histogram()
             h.observe(0.25 * (i + 1), n=i + 1)
@@ -499,29 +489,28 @@ class TestNullTelemetry:
 
 class TestActiveTelemetry:
     def test_default_is_null(self):
-        assert get_telemetry() is NULL_TELEMETRY
+        assert current_run().tel is NULL_TELEMETRY
 
     def test_set_and_restore(self):
-        tel = Telemetry()
-        prev = set_telemetry(tel)
-        try:
-            assert get_telemetry() is tel
-        finally:
-            set_telemetry(prev)
-        assert get_telemetry() is prev
+        outer = Run(tel=Telemetry())
+        inner = Run(tel=Telemetry())
+        with use_run(outer):
+            with use_run(inner):
+                assert current_run().tel is inner.tel
+            assert current_run().tel is outer.tel
+        assert current_run().tel is NULL_TELEMETRY
 
-    def test_use_telemetry_scopes(self):
+    def test_use_run_scopes(self):
         tel = Telemetry()
-        with use_telemetry(tel):
-            assert get_telemetry() is tel
-        assert get_telemetry() is NULL_TELEMETRY
+        with use_run(Run(tel=tel)) as run:
+            assert current_run() is run
+            assert current_run().tel is tel
+        assert current_run().tel is NULL_TELEMETRY
 
     def test_set_none_resets_to_null(self):
-        prev = set_telemetry(None)
-        try:
-            assert get_telemetry() is NULL_TELEMETRY
-        finally:
-            set_telemetry(prev)
+        with use_run(Run(tel=Telemetry())):
+            with use_run(Run()):
+                assert current_run().tel is NULL_TELEMETRY
 
 
 class TestLogging:
@@ -547,3 +536,27 @@ class TestLogging:
     def test_unknown_level_raises_vectra_error(self):
         with pytest.raises(VectraError, match="unknown log level"):
             configure_logging("loud")
+
+
+class TestPackageSurface:
+    def test_cli_import_loads_no_optional_plane(self):
+        """Only --monitor-port, --blackbox/autopsy and --flame need the
+        HTTP monitor, the flight recorder and the flamegraph writer, so
+        importing the CLI and listing the workloads loads none of them."""
+        import os
+        import subprocess
+        import sys
+
+        optional = ("http.server", "repro.obs.monitor",
+                    "repro.obs.blackbox", "repro.obs.flamegraph")
+        code = ("import sys\n"
+                "import repro.tools.cli\n"
+                "from repro.workloads import list_workloads\n"
+                "list_workloads()\n"
+                f"print([m for m in {optional!r} if m in sys.modules])\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

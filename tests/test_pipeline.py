@@ -13,7 +13,7 @@ from repro.analysis.pipeline import (
 )
 from repro.errors import AnalysisError, FuelExhaustedError
 from repro.frontend import compile_source
-from repro.obs import Telemetry
+from repro.obs import Run, Telemetry, use_run
 
 
 SRC = """
@@ -152,7 +152,8 @@ class TestAnalyzeModule:
     def test_records_telemetry(self):
         module = compile_source(SRC)
         tel = Telemetry()
-        analyze_module(module, tel=tel)
+        with use_run(Run(tel=tel)):
+            analyze_module(module)
         assert "profile.run" in tel.spans
         assert "loop.rerun" in tel.spans
         assert "ddg.build" in tel.spans
@@ -180,7 +181,8 @@ class TestAnalyzeModule:
         monkeypatch.setattr(pipeline_mod, "loop_metrics", capture)
         module = compile_source(SRC)
         tel = Telemetry()
-        analyze_loop(module, "body", tel=tel)
+        with use_run(Run(tel=tel)):
+            analyze_loop(module, "body")
         (ddg,) = analyzed
         counters = tel.counters
         assert counters["ddg.cone_nodes"] == len(ddg) > 0
@@ -194,7 +196,8 @@ class TestAnalyzeModule:
         from repro.explain.driver import explain_loop
 
         explained = Telemetry()
-        explain_loop(module, "body", tel=explained)
+        with use_run(Run(tel=explained)):
+            explain_loop(module, "body")
         assert not any(name.startswith("ddg.cone_")
                        for name in explained.counters)
         assert explained.counters["ddg.nodes"] == counters["ddg.nodes"]
@@ -247,13 +250,13 @@ int main() {
 
         module = compile_source(self.SRC2)
         tel_serial = Telemetry()
-        run_loop_analyses(self.SRC2, "demo", module, ["P", "Q"], jobs=1,
-                          tel=tel_serial)
+        with use_run(Run(tel=tel_serial)):
+            run_loop_analyses(self.SRC2, "demo", module, ["P", "Q"], jobs=1)
         monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor",
                             BrokenPool)
         tel_fallback = Telemetry()
-        run_loop_analyses(self.SRC2, "demo", module, ["P", "Q"], jobs=2,
-                          tel=tel_fallback)
+        with use_run(Run(tel=tel_fallback)):
+            run_loop_analyses(self.SRC2, "demo", module, ["P", "Q"], jobs=2)
         assert tel_fallback.counters["pipeline.pool_fallbacks"] == 1
         for key, value in tel_serial.counters.items():
             assert tel_fallback.counters[key] == value
@@ -279,11 +282,13 @@ int main() {
         src = self.SRC3
         module = compile_source(src)
         tel1 = Telemetry()
-        r1, _ = run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=1,
-                                  tel=tel1)
+        with use_run(Run(tel=tel1)):
+            r1, _ = run_loop_analyses(src, "demo", module, ["P", "Q"],
+                                      jobs=1)
         tel2 = Telemetry()
-        r2, _ = run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2,
-                                  tel=tel2)
+        with use_run(Run(tel=tel2)):
+            r2, _ = run_loop_analyses(src, "demo", module, ["P", "Q"],
+                                      jobs=2)
         assert ([r.total_candidate_ops for r in r1]
                 == [r.total_candidate_ops for r in r2])
         c1 = {k: v for k, v in tel1.counters.items()
@@ -307,11 +312,11 @@ int main() {
         src = self.SRC3
         module = compile_source(src)
         tel1 = Telemetry()
-        run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=1,
-                          tel=tel1)
+        with use_run(Run(tel=tel1)):
+            run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=1)
         tel2 = Telemetry()
-        run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2,
-                          tel=tel2)
+        with use_run(Run(tel=tel2)):
+            run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2)
         h1 = tel1.snapshot()["histograms"]
         h2 = tel2.snapshot()["histograms"]
         assert set(h1) == set(h2)
@@ -324,19 +329,19 @@ int main() {
     def test_pool_histogram_merge_matches_manual_fold(self):
         """Merging the two per-loop serial analyses by hand equals the
         pooled run's merged histograms for deterministic metrics."""
-        from repro.obs import Histogram
+        from repro.obs.telemetry import Histogram
 
         src = self.SRC3
         module = compile_source(src)
         folded = Histogram()
         for name in ("P", "Q"):
             tel = Telemetry()
-            run_loop_analyses(src, "demo", module, [name], jobs=1,
-                              tel=tel)
+            with use_run(Run(tel=tel)):
+                run_loop_analyses(src, "demo", module, [name], jobs=1)
             folded.merge(tel.histograms["interp.compile.batch_iterations"])
         tel2 = Telemetry()
-        run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2,
-                          tel=tel2)
+        with use_run(Run(tel=tel2)):
+            run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2)
         pooled = tel2.histograms["interp.compile.batch_iterations"]
         assert pooled.buckets == folded.buckets
         assert pooled.count == folded.count
@@ -421,12 +426,12 @@ class TestSharedKernelTable:
 
     @staticmethod
     def _analyze(driver, **kwargs):
-        from repro.obs import EventLog, use_telemetry
+        from repro.obs import EventLog
         from repro.workloads import get_workload
 
         log = EventLog(capacity=65536)
         tel = Telemetry(events=log)
-        with use_telemetry(tel):
+        with use_run(Run(tel=tel)):
             if driver == "workload":
                 report = get_workload("sphinx3_subvq").analyze(**kwargs)
             else:
@@ -475,7 +480,7 @@ int main() {
         ``MAX_RECORD_FAILURES``-th abort of the analysis, and never
         recorded again."""
         from repro.interp.compile import MAX_RECORD_FAILURES, TraceCompiler
-        from repro.obs import EventLog, use_telemetry
+        from repro.obs import EventLog
         from repro.workloads.base import analyze_workload
 
         aborts = []
@@ -489,7 +494,7 @@ int main() {
         module = compile_source(self.STRADDLE)
         once = module.loop_by_name("once").loop_id
         log = EventLog(capacity=65536)
-        with use_telemetry(Telemetry(events=log)):
+        with use_run(Run(tel=Telemetry(events=log))):
             analyze_workload(self.STRADDLE, "demo", ["a", "b", "c"],
                              compile_threshold=1)
         rejected = [e["args"] for e in log.snapshot()

@@ -9,7 +9,7 @@ from repro.analysis.report import (
     LoopReport,
 )
 from repro.errors import FuelExhaustedError, WorkloadError
-from repro.obs import Telemetry
+from repro.obs import Run, Telemetry, use_run
 from repro.workloads.base import analyze_workload
 
 
@@ -88,13 +88,14 @@ int main() {
 
     def test_unknown_loop_fails_before_interpreting(self):
         tel = Telemetry()
-        with pytest.raises(WorkloadError):
-            analyze_workload(self.SRC, "demo", ["L", "nope"], tel=tel)
+        with use_run(Run(tel=tel)), pytest.raises(WorkloadError):
+            analyze_workload(self.SRC, "demo", ["L", "nope"])
         assert tel.counters.get("interp.runs", 0) == 0
 
     def test_empty_loop_list_interprets_nothing(self):
         tel = Telemetry()
-        report = analyze_workload(self.SRC, "demo", [], tel=tel)
+        with use_run(Run(tel=tel)):
+            report = analyze_workload(self.SRC, "demo", [])
         assert report.loops == []
         assert tel.counters.get("interp.runs", 0) == 0
 
@@ -114,9 +115,10 @@ int main() {
         messages = []
         for jobs in (1, 2):
             tel = Telemetry()
-            with pytest.raises(FuelExhaustedError) as exc:
+            with use_run(Run(tel=tel)), \
+                    pytest.raises(FuelExhaustedError) as exc:
                 analyze_workload(src, "demo", ["one", "two"], fuel=40,
-                                 jobs=jobs, tel=tel)
+                                 jobs=jobs)
             messages.append(str(exc.value))
             assert tel.counters.get("pipeline.pool_fallbacks", 0) == 0
         # concurrent.futures chains a worker's traceback as the cause.

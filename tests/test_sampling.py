@@ -15,14 +15,12 @@ import pytest
 from repro.errors import VectraError
 from repro.frontend import compile_source
 from repro.interp.interpreter import run_module
+from repro.obs import Run, current_run, use_run
 from repro.obs.sampling import (
     DEFAULT_SAMPLE_HZ,
     NULL_SAMPLER,
     NullSampler,
     SamplingProfiler,
-    get_sampler,
-    set_sampler,
-    use_sampler,
 )
 
 WORKLOAD = """
@@ -57,7 +55,7 @@ class TestConstruction:
 
 class TestNullSampler:
     def test_is_process_default(self):
-        assert get_sampler() is NULL_SAMPLER
+        assert current_run().sampler is NULL_SAMPLER
         assert not NULL_SAMPLER.enabled
 
     def test_all_methods_noop(self):
@@ -71,22 +69,20 @@ class TestNullSampler:
 
 
 class TestActiveSampler:
-    def test_use_sampler_scopes_and_restores(self):
+    def test_use_run_scopes_and_restores(self):
         sampler = SamplingProfiler(hz=10)
-        with use_sampler(sampler):
-            assert get_sampler() is sampler
-        assert get_sampler() is NULL_SAMPLER
+        with use_run(Run(sampler=sampler)):
+            assert current_run().sampler is sampler
+        assert current_run().sampler is NULL_SAMPLER
 
     def test_set_none_resets_to_null(self):
-        prev = set_sampler(None)
-        try:
-            assert get_sampler() is NULL_SAMPLER
-        finally:
-            set_sampler(prev)
+        with use_run(Run(sampler=SamplingProfiler(hz=10))):
+            with use_run(Run()):
+                assert current_run().sampler is NULL_SAMPLER
 
-    def test_use_sampler_none_is_null_scope(self):
-        with use_sampler(None):
-            assert get_sampler() is NULL_SAMPLER
+    def test_run_without_sampler_is_null_scope(self):
+        with use_run(Run()):
+            assert current_run().sampler is NULL_SAMPLER
 
 
 class TestSampling:

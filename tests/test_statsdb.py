@@ -42,7 +42,7 @@ def write_ledger(path, reports):
 
 
 def hist_snap(values):
-    from repro.obs import Histogram
+    from repro.obs.telemetry import Histogram
 
     h = Histogram()
     for v in values:

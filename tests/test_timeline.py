@@ -8,7 +8,9 @@ import pickle
 
 import pytest
 
-from repro.obs import EventLog, NullTelemetry, Telemetry, write_chrome_trace
+from repro.obs import EventLog, Telemetry
+from repro.obs.telemetry import NullTelemetry
+from repro.obs.timeline import write_chrome_trace
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_trace.json"
 
