@@ -227,12 +227,23 @@ int main() {
         assert note["loops"] == ["P", "Q"]
 
 
+def _fatal_handlers():
+    """The process's SIGTERM and SIGINT handlers, which an installed
+    recorder replaces with its own."""
+    return [signal.getsignal(signum)
+            for signum in (signal.SIGTERM, signal.SIGINT)]
+
+
 class TestBlackboxCLI:
     def test_unhandled_exception_writes_bundle(self, tmp_path, capsys,
                                                monkeypatch):
         import repro.tools.cli as cli_mod
 
+        handlers = _fatal_handlers()
+        seen = []
+
         def exploding(args):
+            seen.append(_fatal_handlers())
             raise RuntimeError("synthetic crash")
 
         monkeypatch.setattr(cli_mod, "_cmd_list", exploding)
@@ -245,15 +256,31 @@ class TestBlackboxCLI:
         bundle = load_blackbox(path)
         assert bundle["reason"]["type"] == "RuntimeError"
         assert bundle["command"] == "list"
-        assert current_run().recorder is None  # finally uninstalled it
+        # The recorder trapped the fatal signals during the command, and
+        # main's finally restored the previous handlers.
+        assert seen[0] != handlers
+        assert _fatal_handlers() == handlers
 
-    def test_clean_run_leaves_no_bundle(self, tmp_path, capsys):
+    def test_clean_run_leaves_no_bundle(self, tmp_path, capsys,
+                                        monkeypatch):
+        import repro.tools.cli as cli_mod
+
+        handlers = _fatal_handlers()
+        seen = []
+        cmd_list = cli_mod._cmd_list
+
+        def listing(args):
+            seen.append(_fatal_handlers())
+            return cmd_list(args)
+
+        monkeypatch.setattr(cli_mod, "_cmd_list", listing)
         path = str(tmp_path / "crash.json")
         code = main(["list", "--blackbox", path])
         capsys.readouterr()
         assert code == 0
         assert not os.path.exists(path)
-        assert current_run().recorder is None
+        assert seen[0] != handlers
+        assert _fatal_handlers() == handlers
 
     def test_autopsy_subcommand(self, tmp_path, capsys, stack):
         path = str(tmp_path / "crash.json")

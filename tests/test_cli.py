@@ -496,6 +496,21 @@ class TestSamplingCli:
         assert counters["sampling.samples"] == total > 0
         assert counters["sampling.ir_samples"] >= ir
 
+    def test_done_frame_counts_samples(self, capsys, tmp_path):
+        """The run's sampler is still attached when the final frame is
+        cut, so the frame counts its samples."""
+        from repro.obs.live import read_frames
+
+        path = tmp_path / "st.jsonl"
+        code = main(self.ARGS + ["--sample-hz", "500",
+                                 "--status-json", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        final = read_frames(str(path))[-1]
+        assert final["event"] == "done"
+        samples = final["resources"]["profiler_samples"]
+        assert isinstance(samples, int) and not isinstance(samples, bool)
+
     def test_bad_sample_hz_fails_cleanly(self, capsys):
         code = main(self.ARGS + ["--sample-hz", "0"])
         err = capsys.readouterr().err

@@ -4,6 +4,8 @@ with the monitor on)."""
 
 import io
 import json
+import re
+import socket
 import threading
 import time
 import urllib.error
@@ -279,7 +281,11 @@ class TestMonitorCLI:
         assert code == 0
         assert "monitor: serving /metrics /status /healthz /flame" \
             in captured.err
-        assert current_run().monitor is None  # torn down with the run
+        # Torn down with the run: its socket no longer accepts.
+        match = re.search(r"on http://([^:\s]+):(\d+)", captured.err)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(
+                (match.group(1), int(match.group(2))), timeout=5.0).close()
 
     def test_monitor_bind_failure_is_clean(self, capsys):
         code = main(["analyze", "utdsp_fir_array",

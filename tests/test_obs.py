@@ -492,6 +492,8 @@ class TestActiveTelemetry:
         assert current_run().tel is NULL_TELEMETRY
 
     def test_set_and_restore(self):
+        """Nested use_run scopes: the inner run is current inside, the
+        outer one again after it, the default run after both."""
         outer = Run(tel=Telemetry())
         inner = Run(tel=Telemetry())
         with use_run(outer):
@@ -508,6 +510,8 @@ class TestActiveTelemetry:
         assert current_run().tel is NULL_TELEMETRY
 
     def test_set_none_resets_to_null(self):
+        """A run without telemetry, scoped inside one with telemetry,
+        records into the null telemetry."""
         with use_run(Run(tel=Telemetry())):
             with use_run(Run()):
                 assert current_run().tel is NULL_TELEMETRY
