@@ -17,8 +17,8 @@ The rest lives in its own module, imported where it is used:
 (``--monitor-port``), :mod:`repro.obs.blackbox` writes the
 ``vectra.blackbox/1`` crash bundle (``--blackbox``, ``vectra
 autopsy``), :mod:`repro.obs.flamegraph` renders samples (``--flame``),
-:mod:`repro.obs.history`, :mod:`repro.obs.compare` and
-:mod:`repro.obs.statsdb` keep and gate run reports.  The package
+:mod:`repro.obs.history` keeps the run-report ledger and
+:mod:`repro.obs.compare` gates a run against its base runs.  The package
 re-exports only what the rest of ``repro`` imports from it, so a
 command that asks for none of those loads none of them.
 """

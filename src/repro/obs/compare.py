@@ -1,10 +1,18 @@
-"""Run-report comparison: per-stage/per-counter deltas and a perf gate.
+"""Run-report comparison: per-metric deltas and the one regression gate.
 
 ``vectra compare BASE.json HEAD.json`` loads two ``--metrics-json`` run
-reports (or the baseline/latest pair of a ``--metrics-append`` ledger),
-prints a human diff table, and — with one or more ``--fail-on`` specs —
-returns a thresholded verdict with a nonzero exit code, which is what CI
-uses as a regression gate over a checked-in baseline report.
+reports (or, with ``--ledger``, every entry of a ``--metrics-append``
+ledger), prints a human diff table, and — with one or more
+``--fail-on`` specs — returns a thresholded verdict with a nonzero exit
+code, which is what CI uses as a regression gate.
+
+The head run is scored against its **base runs**: the one BASE report,
+or every ledger entry but the last.  Each metric's base is the median
+of its value over the base runs (a metric absent from a run counts as
+0 there), and with two or more base runs it also has a **spread**,
+``max(1.4826·MAD, 1%·|median|, 1e-9)`` — the median absolute deviation
+scaled to a standard deviation, floored at 1% of the median so a
+metric that never moved cannot trip on a sub-percent wiggle.
 
 A ``--fail-on`` spec is ``kind:name:limit``:
 
@@ -13,22 +21,29 @@ A ``--fail-on`` spec is ``kind:name:limit``:
   ``count``/``mean``/``max``/``p50``/``p90``/``p95``/``p99``, derived
   from the report's log-bucketed histograms), or ``section`` (``name``
   is then ``section-name.field``);
-- ``name`` — the metric key as it appears in the report;
-- ``limit`` — a signed change bound, relative (``+10%`` fails when HEAD
-  exceeds BASE by more than 10%) or absolute (``+250000`` fails when
-  HEAD exceeds BASE by more than 250000); a leading ``-`` guards the
-  downward direction instead (e.g. a counter that must not shrink).
+- ``name`` — the metric key as it appears in the report, or an
+  ``fnmatch`` pattern (``counter:*``) whose limit applies to every
+  metric of that kind it matches;
+- ``limit`` — a signed change bound: relative (``+10%`` fails when
+  HEAD exceeds BASE by more than 10%), absolute (``+250000``), or in
+  spreads (``+3.5mad`` fails when HEAD exceeds BASE by more than 3.5
+  spreads; never on a metric without a spread).  A leading ``-``
+  guards the downward direction instead (e.g. a counter that must not
+  shrink).
 
-Metrics missing from a report are treated as 0, so a relative bound also
+A metric missing from the head counts as 0, so a relative bound also
 catches a stage/counter that newly appeared (0 → anything positive
-exceeds any ``+N%``).
+exceeds any ``+N%``); a name or pattern that matches no metric passes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from fnmatch import fnmatchcase
+from statistics import median
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import VectraError
 from repro.obs.telemetry import Histogram, validate_report_schema
@@ -37,9 +52,9 @@ __all__ = [
     "COMPARE_SCHEMA",
     "Delta",
     "Threshold",
+    "Violation",
     "load_report",
     "diff_reports",
-    "metric_items",
     "parse_fail_on",
     "evaluate_thresholds",
     "format_diff_table",
@@ -47,7 +62,7 @@ __all__ = [
 ]
 
 #: Schema tag of the ``vectra compare --json`` delta document.
-COMPARE_SCHEMA = "vectra.compare/1"
+COMPARE_SCHEMA = "vectra.compare/2"
 
 #: Metric namespaces a spec/diff can address.
 KINDS = ("span", "counter", "gauge", "hist", "section")
@@ -55,6 +70,10 @@ KINDS = ("span", "counter", "gauge", "hist", "section")
 #: Histogram stats the ``hist`` namespace exposes per histogram.
 HIST_STATS = (("count", None), ("mean", None), ("max", None),
               ("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99))
+
+#: Limit units: percent of base, spreads, absolute (the empty suffix
+#: matches every limit, so it comes last).
+UNITS = ("%", "mad", "")
 
 
 def load_report(path: str) -> dict:
@@ -81,12 +100,8 @@ def _metric_values(report: dict, kind: str) -> Dict[str, float]:
         return dict(report.get("counters", {}))
     if kind == "gauge":
         return dict(report.get("gauges", {}))
+    values: Dict[str, float] = {}
     if kind == "hist":
-        # Synthetic baselines (obs.history.median_report) carry the
-        # already-flattened stats; real reports carry bucket snapshots.
-        if "hist_flat" in report:
-            return dict(report["hist_flat"])
-        values: Dict[str, float] = {}
         for name, rec in report.get("histograms", {}).items():
             hist = Histogram.from_snapshot(rec)
             values[f"{name}.count"] = hist.count
@@ -97,9 +112,6 @@ def _metric_values(report: dict, kind: str) -> Dict[str, float]:
                     if q is not None:
                         values[f"{name}.{stat}"] = hist.percentile(q)
         return values
-    if "section_flat" in report:
-        return dict(report["section_flat"])
-    values = {}
     for sec_name, data in report.get("sections", {}).items():
         for field, value in data.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -107,23 +119,16 @@ def _metric_values(report: dict, kind: str) -> Dict[str, float]:
     return values
 
 
-def metric_items(report: dict):
-    """Every numeric metric of a report as ``(kind, name, value)``
-    triples, sorted within each kind — the flat view the run-stats
-    database ingests and the median baseline aggregates."""
-    for kind in KINDS:
-        for name, value in sorted(_metric_values(report, kind).items()):
-            yield kind, name, value
-
-
 @dataclass
 class Delta:
-    """One metric's base→head movement."""
+    """One metric's base→head movement.  ``base`` is the median over the
+    base runs; ``spread`` is ``None`` with fewer than two of them."""
 
     kind: str
     name: str
     base: float
     head: float
+    spread: Optional[float] = None
 
     @property
     def change(self) -> float:
@@ -138,15 +143,27 @@ class Delta:
         return 100.0 * self.change / self.base
 
 
-def diff_reports(base: dict, head: dict) -> List[Delta]:
-    """Per-metric deltas over the union of both reports' keys, grouped
-    by kind and sorted by name for stable output."""
+def _spread(values: Sequence[float], med: float) -> Optional[float]:
+    """The robust scale of ``values`` around their median ``med``."""
+    if len(values) < 2:
+        return None
+    mad = median(abs(v - med) for v in values)
+    return max(1.4826 * mad, 0.01 * abs(med), 1e-9)
+
+
+def diff_reports(base_runs: Sequence[dict], head: dict) -> List[Delta]:
+    """Per-metric deltas of ``head`` against the median of ``base_runs``
+    over the union of all reports' keys, grouped by kind and sorted by
+    name for stable output."""
     deltas: List[Delta] = []
     for kind in KINDS:
-        b = _metric_values(base, kind)
+        runs = [_metric_values(report, kind) for report in base_runs]
         h = _metric_values(head, kind)
-        for name in sorted(set(b) | set(h)):
-            deltas.append(Delta(kind, name, b.get(name, 0), h.get(name, 0)))
+        for name in sorted(set(h).union(*runs)):
+            values = [run.get(name, 0) for run in runs]
+            med = median(values)
+            deltas.append(Delta(kind, name, med, h.get(name, 0),
+                                _spread(values, med)))
     return deltas
 
 
@@ -155,16 +172,21 @@ class Threshold:
     """A parsed ``--fail-on`` spec."""
 
     kind: str
-    name: str
+    name: str  # a metric name or an fnmatch pattern over names
     amount: float
-    relative: bool  # True: amount is a percentage of base
+    unit: str  # one of UNITS
     direction: int  # +1 guards increases, -1 guards decreases
     spec: str
 
     def violation(self, delta: Delta) -> Optional[str]:
         """A human-readable violation line, or ``None`` if within bound."""
         change = delta.change * self.direction
-        if self.relative:
+        if self.unit == "mad":
+            if delta.spread is None:
+                return None
+            exceeded = change > self.amount * delta.spread
+            observed = f"{delta.change / delta.spread:+.1f} MAD"
+        elif self.unit == "%":
             if delta.base == 0:
                 exceeded = change > 0
             else:
@@ -205,40 +227,49 @@ def parse_fail_on(spec: str) -> Threshold:
         )
     direction = 1 if limit[0] == "+" else -1
     body = limit[1:]
-    relative = body.endswith("%")
-    if relative:
-        body = body[:-1]
+    unit = next(u for u in UNITS if body.endswith(u))
     try:
-        amount = float(body)
+        amount = float(body[:len(body) - len(unit)])
     except ValueError:
+        amount = math.nan
+    # nan and inf parse as floats but make a gate that can never trip.
+    if not math.isfinite(amount):
         raise VectraError(
             f"bad --fail-on spec {spec!r}: limit {limit!r} is not a number"
-        ) from None
+        )
     if amount < 0:
         raise VectraError(
             f"bad --fail-on spec {spec!r}: limit magnitude must be >= 0"
         )
-    return Threshold(kind, name, amount, relative, direction, spec)
+    return Threshold(kind, name, amount, unit, direction, spec)
+
+
+class Violation(NamedTuple):
+    """One metric one ``--fail-on`` spec flagged."""
+
+    kind: str
+    name: str
+    spec: str
+    line: str
 
 
 def evaluate_thresholds(
     deltas: Sequence[Delta], thresholds: Sequence[Threshold]
-) -> List[str]:
-    """All violation lines across ``thresholds`` (empty = verdict OK).
-
-    A threshold naming a metric absent from both reports compares 0
-    against 0 and passes — gating on a metric the workload never emits
-    is a configuration smell but not a regression.
-    """
-    by_key = {(d.kind, d.name): d for d in deltas}
-    violations: List[str] = []
+) -> List[Violation]:
+    """Every (threshold, metric) violation, in threshold order (empty =
+    verdict OK).  A threshold whose name matches no metric passes —
+    gating on a metric the workload never emits is a configuration
+    smell but not a regression."""
+    violations: List[Violation] = []
     for threshold in thresholds:
-        delta = by_key.get((threshold.kind, threshold.name))
-        if delta is None:
-            delta = Delta(threshold.kind, threshold.name, 0, 0)
-        line = threshold.violation(delta)
-        if line is not None:
-            violations.append(line)
+        for delta in deltas:
+            if (delta.kind != threshold.kind
+                    or not fnmatchcase(delta.name, threshold.name)):
+                continue
+            line = threshold.violation(delta)
+            if line is not None:
+                violations.append(Violation(delta.kind, delta.name,
+                                            threshold.spec, line))
     return violations
 
 
@@ -267,26 +298,21 @@ def format_diff_table(deltas: Sequence[Delta],
 
 
 def compare_json_doc(
-    deltas: Sequence[Delta], thresholds: Sequence[Threshold] = ()
+    deltas: Sequence[Delta],
+    thresholds: Sequence[Threshold],
+    violations: Sequence[Violation],
+    base_runs: int,
 ) -> dict:
     """The machine-readable ``--json`` delta document: every delta with
-    its old/new values and whether a ``--fail-on`` threshold flagged it,
-    plus the overall verdict — what a CI step parses instead of scraping
-    the human table."""
-    violated_specs: Dict[Tuple[str, str], List[str]] = {}
-    violations: List[str] = []
-    by_key = {(d.kind, d.name): d for d in deltas}
-    for threshold in thresholds:
-        key = (threshold.kind, threshold.name)
-        delta = by_key.get(key)
-        if delta is None:
-            delta = Delta(threshold.kind, threshold.name, 0, 0)
-        line = threshold.violation(delta)
-        if line is not None:
-            violations.append(line)
-            violated_specs.setdefault(key, []).append(threshold.spec)
+    its base/head values, spread and the specs that flagged it, plus
+    the overall verdict — what a CI step parses instead of scraping the
+    human table."""
+    violated_by: Dict[tuple, List[str]] = {}
+    for v in violations:
+        violated_by.setdefault((v.kind, v.name), []).append(v.spec)
     return {
         "schema": COMPARE_SCHEMA,
+        "base_runs": base_runs,
         "deltas": [
             {
                 "kind": d.kind,
@@ -295,13 +321,13 @@ def compare_json_doc(
                 "head": d.head,
                 "change": d.change,
                 "pct": d.pct,
-                "violated": (d.kind, d.name) in violated_specs,
-                "violated_by": violated_specs.get((d.kind, d.name), []),
+                "spread": d.spread,
+                "violated": (d.kind, d.name) in violated_by,
+                "violated_by": violated_by.get((d.kind, d.name), []),
             }
             for d in deltas
         ],
         "thresholds": [t.spec for t in thresholds],
-        "violations": violations,
+        "violations": [v.line for v in violations],
         "verdict": "FAIL" if violations else "OK",
     }
-

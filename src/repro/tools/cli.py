@@ -15,16 +15,12 @@ Subcommands:
 - ``explain <workload> [--loop NAME]`` — drill-down evidence report:
   dependence witnesses, stride-break provenance with layout culprits,
   and the static refusal reasons cross-examined against the trace.
-- ``compare <base> <head>`` — diff two run reports (or a ledger's
-  baseline vs latest; ``--baseline median:N`` gates against the
-  per-metric median of the last N prior runs instead of the first
-  entry), gate on ``--fail-on`` thresholds, optionally emit a
-  machine-readable ``--json`` delta document.
-- ``stats <ledger.jsonl>`` — ingest a ``--metrics-append`` ledger into
-  sqlite and print per-metric trend rows (sparkline, median, latest)
-  over the last N runs, with a median-absolute-deviation regression
-  check that makes the exit code nonzero when the latest run is an
-  outlier (``--json`` emits the ``vectra.stats/1`` document).
+- ``compare <base> <head>`` — diff two run reports, or gate the latest
+  entry of a ``--ledger`` against the median and spread of the earlier
+  ones; ``--fail-on`` thresholds (in percent, absolute units or
+  spreads, over a metric name or an ``fnmatch`` pattern) make the exit
+  code nonzero, and ``--json`` emits the ``vectra.compare/2`` delta
+  document.
 - ``watch <status.jsonl>`` — tail a ``--status-json`` file from another
   run into a live terminal dashboard (``--validate`` instead checks
   every frame against the ``vectra.live/1`` schema — the CI gate).
@@ -52,7 +48,7 @@ text to stdout).  ``--flame`` alone implies sampling at the default
 rate.
 
 At most one of ``--metrics-json`` / ``--trace-json`` /
-``--status-json`` / ``--flame`` / ``compare``/``stats`` ``--json`` may
+``--status-json`` / ``--flame`` / ``compare --json`` may
 target ``-``: two JSON documents interleaved on stdout are corrupt, so
 the CLI refuses the combination up front, naming the colliding flags.
 
@@ -369,7 +365,7 @@ def _cmd_compare(args) -> int:
         load_report,
         parse_fail_on,
     )
-    from repro.obs.history import read_ledger, select_baseline
+    from repro.obs.history import read_ledger
 
     # Parse the gate specs before touching any report: a malformed
     # --fail-on is CI misconfiguration and must fail naming the exact
@@ -382,22 +378,20 @@ def _cmd_compare(args) -> int:
                 "not both"
             )
         reports = read_ledger(args.ledger)
-        base = select_baseline(reports, args.baseline)
-        head = reports[-1]
-    else:
-        if args.baseline != "first":
+        if len(reports) < 2:
             raise VectraError(
-                "--baseline requires --ledger (a single BASE report has "
-                "no run history to take a median over)"
+                f"ledger needs at least 2 reports to compare, "
+                f"has {len(reports)}"
             )
+        base_runs, head = reports[:-1], reports[-1]
+    else:
         if not args.base or not args.head:
             raise VectraError(
                 "compare needs BASE and HEAD report paths "
                 "(or --ledger LEDGER.jsonl)"
             )
-        base = load_report(args.base)
-        head = load_report(args.head)
-    deltas = diff_reports(base, head)
+        base_runs, head = [load_report(args.base)], load_report(args.head)
+    deltas = diff_reports(base_runs, head)
     violations = evaluate_thresholds(deltas, thresholds)
     # With --json - the delta document owns stdout; the human table and
     # the OK verdict move aside so the output stays machine-parseable.
@@ -405,8 +399,9 @@ def _cmd_compare(args) -> int:
     if not json_to_stdout:
         print(format_diff_table(deltas, changed_only=args.changed_only))
     if args.json:
-        payload = json.dumps(compare_json_doc(deltas, thresholds),
-                             indent=2, sort_keys=True)
+        doc = compare_json_doc(deltas, thresholds, violations,
+                               len(base_runs))
+        payload = json.dumps(doc, indent=2, sort_keys=True)
         if args.json == "-":
             print(payload)
         else:
@@ -418,63 +413,14 @@ def _cmd_compare(args) -> int:
                     f"cannot write compare JSON to {args.json!r}: {exc}"
                 ) from exc
     if violations:
-        for line in violations:
-            print(f"FAIL {line}", file=sys.stderr)
+        for violation in violations:
+            print(f"FAIL {violation.line}", file=sys.stderr)
         print(f"verdict: FAIL ({len(violations)} threshold(s) exceeded)",
               file=sys.stderr)
         return 1
     if args.fail_on:
         print(f"verdict: OK ({len(args.fail_on)} threshold(s) satisfied)",
               file=sys.stderr if json_to_stdout else sys.stdout)
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    """Trend table + MAD regression check over a metrics ledger."""
-    import json
-
-    from repro.obs.history import read_ledger
-    from repro.obs.statsdb import (
-        format_trend_table,
-        ingest_reports,
-        metric_trends,
-        open_db,
-        stats_json_doc,
-    )
-
-    reports = read_ledger(args.ledger)
-    conn = open_db(args.db)
-    try:
-        ingest_reports(conn, reports, source=args.ledger)
-        trends, runs = metric_trends(
-            conn, args.ledger, last_n=args.last,
-            patterns=args.metric or (), threshold=args.mad_threshold)
-    finally:
-        conn.close()
-    json_to_stdout = args.json == "-"
-    if not json_to_stdout:
-        print(format_trend_table(trends, runs,
-                                 changed_only=args.changed_only))
-    if args.json:
-        payload = json.dumps(stats_json_doc(trends, runs, args.ledger),
-                             indent=2, sort_keys=True)
-        if json_to_stdout:
-            print(payload)
-        else:
-            try:
-                with open(args.json, "w") as fh:
-                    fh.write(payload + "\n")
-            except OSError as exc:
-                raise VectraError(
-                    f"cannot write stats JSON to {args.json!r}: {exc}"
-                ) from exc
-    regressions = [t.regression for t in trends if t.regression]
-    if regressions:
-        for line in regressions:
-            print(f"FAIL {line}", file=sys.stderr)
-        print(f"verdict: FAIL ({len(regressions)} metric(s) regressed "
-              f"by the MAD check)", file=sys.stderr)
-        return 0 if args.no_fail else 1
     return 0
 
 
@@ -857,56 +803,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("head", nargs="?", default=None,
                    help="run report under test")
     p.add_argument("--ledger", metavar="PATH", default=None,
-                   help="compare the baseline (first) vs latest (last) "
-                        "entries of a --metrics-append ledger instead of "
-                        "two report files")
-    p.add_argument("--baseline", metavar="SPEC", default="first",
-                   help="with --ledger: which baseline the latest run is "
-                        "gated against — 'first' (the ledger's first "
-                        "entry, the default) or 'median:N' (per-metric "
-                        "median of the last N runs before the latest, "
-                        "robust to one noisy baseline run)")
+                   help="gate the latest entry of a --metrics-append "
+                        "ledger against the median and spread of the "
+                        "earlier entries instead of comparing two report "
+                        "files")
     p.add_argument("--fail-on", action="append", metavar="SPEC",
                    help="threshold KIND:NAME:LIMIT (e.g. "
-                        "\"span:analysis.total:+10%%\" or "
-                        "\"counter:interp.instructions:+0%%\"); "
-                        "repeatable; any exceeded threshold makes the "
-                        "exit code nonzero")
+                        "\"span:analysis.total:+10%%\", "
+                        "\"counter:interp.instructions:+0%%\" or "
+                        "\"counter:*:+3.5mad\"); LIMIT is signed, in "
+                        "percent, absolute units or spreads (mad), and "
+                        "NAME may be an fnmatch pattern; repeatable; any "
+                        "exceeded threshold makes the exit code nonzero")
     p.add_argument("--changed-only", action="store_true",
                    help="only print rows whose value moved")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write a machine-readable delta document "
-                        "(vectra.compare/1 JSON) to PATH ('-' for "
+                        "(vectra.compare/2 JSON) to PATH ('-' for "
                         "stdout), with per-metric violated flags")
     p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("stats",
-                       help="trend table + MAD regression check over a "
-                            "--metrics-append ledger",
-                       parents=[obs])
-    p.add_argument("ledger",
-                   help="the --metrics-append JSONL ledger to analyze")
-    p.add_argument("--last", type=int, default=None, metavar="N",
-                   help="only consider the last N runs (default: all)")
-    p.add_argument("--metric", action="append", metavar="GLOB",
-                   help="fnmatch filter on KIND:NAME (e.g. 'counter:*' "
-                        "or 'hist:loop.analyze.p95'); repeatable, "
-                        "default: every metric")
-    p.add_argument("--mad-threshold", type=float, default=3.5,
-                   metavar="X",
-                   help="modified-z-score above which the latest run "
-                        "counts as a regression (default: %(default)s)")
-    p.add_argument("--db", metavar="PATH", default=None,
-                   help="persist the sqlite stats database at PATH "
-                        "(default: in-memory for this query only)")
-    p.add_argument("--changed-only", action="store_true",
-                   help="only print metrics whose value ever moved")
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="also write the machine-readable trend document "
-                        "(vectra.stats/1 JSON) to PATH ('-' for stdout)")
-    p.add_argument("--no-fail", action="store_true",
-                   help="report regressions but keep the exit code 0")
-    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("watch",
                        help="tail a --status-json file into a live "

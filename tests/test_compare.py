@@ -1,5 +1,5 @@
-"""Report diffing, --fail-on thresholds, the run-report ledger, and the
-``vectra compare`` subcommand."""
+"""Report diffing against base runs, --fail-on thresholds, the run-report
+ledger, and the ``vectra compare`` subcommand."""
 
 import json
 
@@ -14,12 +14,13 @@ from repro.obs.compare import (
     load_report,
     parse_fail_on,
 )
-from repro.obs.history import append_report, read_ledger, select_baseline
-from repro.obs.telemetry import REPORT_SCHEMA
+from repro.obs.history import append_report, read_ledger
+from repro.obs.telemetry import REPORT_SCHEMA, Histogram
 from repro.tools.cli import main
 
 
-def make_report(spans=None, counters=None, gauges=None, sections=None):
+def make_report(spans=None, counters=None, gauges=None, sections=None,
+                hists=None):
     return {
         "schema": REPORT_SCHEMA,
         "spans": {
@@ -28,20 +29,40 @@ def make_report(spans=None, counters=None, gauges=None, sections=None):
         },
         "counters": dict(counters or {}),
         "gauges": dict(gauges or {}),
+        "histograms": {name: hist_snap(values)
+                       for name, values in (hists or {}).items()},
         "sections": dict(sections or {}),
         "events": [],
     }
+
+
+def hist_snap(values):
+    h = Histogram()
+    for v in values:
+        h.observe(v)
+    return h.snapshot()
+
+
+def write_ledger(path, reports):
+    for report in reports:
+        append_report(str(path), report)
+    return str(path)
 
 
 class TestParseFailOn:
     def test_relative_increase(self):
         t = parse_fail_on("span:analysis.total:+10%")
         assert (t.kind, t.name) == ("span", "analysis.total")
-        assert t.relative and t.amount == 10.0 and t.direction == 1
+        assert t.unit == "%" and t.amount == 10.0 and t.direction == 1
 
     def test_absolute_decrease(self):
         t = parse_fail_on("counter:ddg.nodes:-100")
-        assert not t.relative and t.amount == 100.0 and t.direction == -1
+        assert t.unit == "" and t.amount == 100.0 and t.direction == -1
+
+    def test_mad_limit_over_a_pattern(self):
+        t = parse_fail_on("counter:*:-3.5mad")
+        assert (t.kind, t.name) == ("counter", "*")
+        assert t.unit == "mad" and t.amount == 3.5 and t.direction == -1
 
     def test_section_kind_with_dotted_name(self):
         t = parse_fail_on("section:loop.fir_n.candidate_ops:+0%")
@@ -51,6 +72,8 @@ class TestParseFailOn:
     @pytest.mark.parametrize("spec", [
         "nope", "span:analysis.total", "span::+10%", "span:x:",
         "weird:x:+10%", "span:x:10%", "span:x:+ten%",
+        "counter:c:+nan%", "counter:c:+nan", "counter:c:+inf%",
+        "counter:c:-nanmad",
     ])
     def test_malformed_specs_raise_naming_the_spec(self, spec):
         with pytest.raises(VectraError) as err:
@@ -60,8 +83,9 @@ class TestParseFailOn:
 
 class TestThresholds:
     def run(self, base, head, spec):
-        deltas = diff_reports(base, head)
-        return evaluate_thresholds(deltas, [parse_fail_on(spec)])
+        deltas = diff_reports([base], head)
+        return [v.line for v in
+                evaluate_thresholds(deltas, [parse_fail_on(spec)])]
 
     def test_relative_within_bound_passes(self):
         base = make_report(spans={"s": 1.0})
@@ -102,12 +126,74 @@ class TestThresholds:
         report = make_report(spans={"s": 1.0}, counters={"c": 3},
                              gauges={"g": 2.0},
                              sections={"loop.L": {"ops": 7}})
-        violations = evaluate_thresholds(diff_reports(report, report), [
+        violations = evaluate_thresholds(diff_reports([report], report), [
             parse_fail_on(spec) for spec in (
                 "span:s:+0%", "counter:c:+0%", "gauge:g:+0%",
                 "section:loop.L.ops:+0%")
         ])
         assert violations == []
+
+    def test_pattern_selects_metrics_of_its_kind(self):
+        base = make_report(spans={"s": 1.0}, counters={"a": 1, "b": 1})
+        head = make_report(spans={"s": 9.0}, counters={"a": 2, "b": 3})
+        violations = evaluate_thresholds(diff_reports([base], head),
+                                         [parse_fail_on("counter:*:+50%")])
+        assert [(v.kind, v.name) for v in violations] == [
+            ("counter", "a"), ("counter", "b")]
+        assert all(v.spec == "counter:*:+50%" for v in violations)
+        assert self.run(base, head, "counter:nomatch*:+0%") == []
+
+
+class TestBaseRuns:
+    """The median and spread of several base runs, and the mad unit."""
+
+    def gate(self, series, spec="counter:c:+3.5mad"):
+        runs = [make_report(counters={"c": v}) for v in series]
+        deltas = diff_reports(runs[:-1], runs[-1])
+        return [v.line for v in
+                evaluate_thresholds(deltas, [parse_fail_on(spec)])]
+
+    def test_base_is_the_median_of_the_base_runs(self):
+        runs = [make_report(counters={"c": v}) for v in (1, 5, 100)]
+        (delta,) = diff_reports(runs, make_report(counters={"c": 7}))
+        assert (delta.base, delta.head) == (5, 7)
+        # 1.4826 * MAD (4) beats the 1% floor
+        assert delta.spread == pytest.approx(1.4826 * 4)
+
+    def test_metric_absent_from_a_base_run_counts_as_zero(self):
+        runs = [make_report(counters={"c": 5}), make_report(),
+                make_report()]
+        (delta,) = diff_reports(runs[:2], runs[2])
+        assert (delta.base, delta.head) == (2.5, 0)
+
+    def test_histograms_flatten_per_run_before_the_median(self):
+        runs = [make_report(hists={"h": [v]}) for v in (1.0, 2.0, 3.0)]
+        deltas = {d.name: d for d in diff_reports(runs, make_report())
+                  if d.kind == "hist"}
+        assert deltas["h.p50"].base == pytest.approx(2.0)
+        assert deltas["h.count"].base == 1
+
+    def test_spike_after_stable_history_trips(self):
+        (line,) = self.gate([100, 101, 99, 100, 300])
+        assert "counter:c:+3.5mad" in line and "'c'" in line
+        assert "+200.0 MAD (base 100, head 300)" in line
+
+    def test_downward_mad_guard(self):
+        assert self.gate([100, 101, 99, 100, 10]) == []
+        assert len(self.gate([100, 101, 99, 100, 10],
+                             "counter:c:-3.5mad")) == 1
+
+    def test_stable_series_passes(self):
+        assert self.gate([100, 101, 99, 100.5]) == []
+
+    def test_sub_percent_wiggle_with_zero_mad_passes(self):
+        # perfectly flat history: MAD is 0, the 1%-of-median floor keeps
+        # a 0.5% move from tripping
+        assert self.gate([200, 200, 200, 201]) == []
+
+    def test_too_few_runs_never_trips(self):
+        assert self.gate([1, 500]) == []
+        assert self.gate([1, 500], "counter:c:+0mad") == []
 
 
 class TestDiff:
@@ -115,7 +201,7 @@ class TestDiff:
         base = make_report(counters={"a": 1},
                            sections={"loop.L": {"ops": 5, "name": "L"}})
         head = make_report(counters={"b": 2})
-        deltas = {(d.kind, d.name): d for d in diff_reports(base, head)}
+        deltas = {(d.kind, d.name): d for d in diff_reports([base], head)}
         assert deltas[("counter", "a")].head == 0
         assert deltas[("counter", "b")].base == 0
         # numeric section fields flatten; non-numeric are skipped
@@ -125,15 +211,15 @@ class TestDiff:
     def test_table_lists_and_filters(self):
         base = make_report(counters={"a": 1, "b": 2})
         head = make_report(counters={"a": 1, "b": 3})
-        table = format_diff_table(diff_reports(base, head))
+        table = format_diff_table(diff_reports([base], head))
         assert "a" in table and "b" in table
-        filtered = format_diff_table(diff_reports(base, head),
+        filtered = format_diff_table(diff_reports([base], head),
                                      changed_only=True)
         assert "b" in filtered
         assert "\na " not in filtered
 
     def test_table_on_no_differences(self):
-        table = format_diff_table(diff_reports(make_report(),
+        table = format_diff_table(diff_reports([make_report()],
                                                make_report()),
                                   changed_only=True)
         assert "(no differences)" in table
@@ -181,29 +267,41 @@ class TestLoadReport:
 
 class TestLedger:
     def test_append_read_roundtrip_strips_events(self, tmp_path):
+        """The ledger keeps only what the gate reads: no timeline, no
+        profiler stacks, no explain witnesses."""
         path = str(tmp_path / "ledger.jsonl")
         r1 = make_report(counters={"c": 1})
         r1["events"] = [{"ph": "i", "name": "x", "ts": 0, "pid": 1,
                          "tid": 1}]
+        r1["samples"] = {"main;analyze;[ir] loop L (L1)": 7}
+        r1["explain"] = {"loop.L": {"witnesses": [{"src": 1, "dst": 2}]}}
         append_report(path, r1)
         append_report(path, make_report(counters={"c": 2}))
         reports = read_ledger(path)
         assert [r["counters"]["c"] for r in reports] == [1, 2]
-        assert "events" not in reports[0]
+        for key in ("events", "samples", "explain"):
+            assert key not in reports[0]
 
-    def test_baseline_and_latest(self, tmp_path):
-        path = str(tmp_path / "ledger.jsonl")
-        for n in (1, 2, 3):
-            append_report(path, make_report(counters={"c": n}))
-        reports = read_ledger(path)
-        assert select_baseline(reports)["counters"]["c"] == 1
-        assert reports[-1]["counters"]["c"] == 3
+    def test_baseline_and_latest(self, capsys, tmp_path):
+        """A ledger's base runs are every entry but the last; its head
+        is the last entry."""
+        path = write_ledger(tmp_path / "ledger.jsonl",
+                            [make_report(counters={"c": n})
+                             for n in (1, 2, 3)])
+        doc_path = tmp_path / "doc.json"
+        assert main(["compare", "--ledger", path,
+                     "--json", str(doc_path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(doc_path.read_text())
+        assert doc["base_runs"] == 2
+        (delta,) = doc["deltas"]
+        assert (delta["base"], delta["head"]) == (1.5, 3)
+        assert delta["spread"] == pytest.approx(1.4826 * 0.5)
 
-    def test_single_entry_cannot_compare(self, tmp_path):
-        path = str(tmp_path / "ledger.jsonl")
-        append_report(path, make_report())
-        with pytest.raises(VectraError, match="at least 2"):
-            select_baseline(read_ledger(path))
+    def test_single_entry_cannot_compare(self, capsys, tmp_path):
+        path = write_ledger(tmp_path / "ledger.jsonl", [make_report()])
+        assert main(["compare", "--ledger", path]) == 1
+        assert "at least 2 reports" in capsys.readouterr().err
 
     def test_malformed_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -292,6 +390,62 @@ class TestCompareCLI:
         code = main(["compare", path, path, "--ledger", path])
         assert code == 1
         assert "not both" in capsys.readouterr().err
+
+    def test_outlier_first_entry_no_longer_fails_ledger_gate(self, capsys,
+                                                            tmp_path):
+        # the first run is a wild outlier; the median of the base runs
+        # is the stable middle, so the gate holds
+        path = write_ledger(tmp_path / "ledger.jsonl",
+                            [make_report(counters={"c": v})
+                             for v in (1, 100, 100, 100, 100)])
+        code = main(["compare", "--ledger", path,
+                     "--fail-on", "counter:c:+50%"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "verdict: OK" in captured.out
+
+    def test_mad_spike_in_ledger_exits_nonzero(self, capsys, tmp_path):
+        path = write_ledger(tmp_path / "ledger.jsonl",
+                            [make_report(counters={"c": v, "flat": 5})
+                             for v in (100, 100, 100, 100, 900)])
+        code = main(["compare", "--ledger", path,
+                     "--fail-on", "counter:*:+3.5mad",
+                     "--fail-on", "counter:*:-3.5mad"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert ("FAIL counter:*:+3.5mad: counter 'c' moved +800.0 MAD "
+                "(base 100, head 900)") in captured.err
+        assert "'flat'" not in captured.err
+        assert "verdict: FAIL (1 threshold(s) exceeded)" in captured.err
+
+    def test_json_dash_owns_stdout(self, capsys, tmp_path):
+        path = write_ledger(tmp_path / "ledger.jsonl",
+                            [make_report(counters={"c": v})
+                             for v in (1, 2, 3)])
+        code = main(["compare", "--ledger", path, "--json", "-",
+                     "--fail-on", "counter:*:+3.5mad"])
+        captured = capsys.readouterr()
+        assert code == 0
+        doc = json.loads(captured.out)
+        assert doc["schema"] == "vectra.compare/2"
+        assert doc["base_runs"] == 2
+        assert doc["verdict"] == "OK"
+        assert "verdict: OK" in captured.err
+
+    def test_json_flame_collision_names_both(self, capsys, tmp_path):
+        path = write_ledger(tmp_path / "ledger.jsonl",
+                            [make_report(), make_report()])
+        code = main(["compare", "--ledger", path, "--json", "-",
+                     "--flame", "-"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--flame and --json" in err
+        assert "interleave" in err
+
+    def test_missing_ledger_fails_cleanly(self, capsys, tmp_path):
+        code = main(["compare", "--ledger", str(tmp_path / "nope.jsonl")])
+        assert code == 1
+        assert "cannot read ledger" in capsys.readouterr().err
 
 
 class TestReportOutputsCLI:

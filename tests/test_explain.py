@@ -562,13 +562,15 @@ class TestCompareJson:
         capsys.readouterr()
         assert code == 1  # 50% > 10%
         doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "vectra.compare/1"
+        assert doc["schema"] == "vectra.compare/2"
+        assert doc["base_runs"] == 1
         assert doc["verdict"] == "FAIL"
         assert doc["thresholds"] == ["counter:ops:+10%"]
         (delta,) = [d for d in doc["deltas"] if d["name"] == "ops"]
         assert delta["base"] == 100
         assert delta["head"] == 150
         assert delta["change"] == 50
+        assert delta["spread"] is None
         assert delta["violated"] is True
         assert delta["violated_by"] == ["counter:ops:+10%"]
 

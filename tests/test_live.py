@@ -117,13 +117,6 @@ class TestActiveBus:
             assert current_run().bus is bus
         assert current_run().bus is NULL_STATUS_BUS
 
-    def test_set_none_resets_to_null(self):
-        """A run without a bus, scoped inside one with a bus, has the
-        null bus."""
-        with use_run(Run(bus=StatusBus(clock=make_clock()))):
-            with use_run(Run()):
-                assert current_run().bus is NULL_STATUS_BUS
-
     def test_null_bus_api_is_noop(self):
         bus = NULL_STATUS_BUS
         bus.count("records", 5)

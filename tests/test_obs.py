@@ -16,6 +16,8 @@ from repro.obs import (
     get_logger,
     use_run,
 )
+from repro.obs.live import NULL_STATUS_BUS, StatusBus
+from repro.obs.sampling import NULL_SAMPLER, SamplingProfiler
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     REPORT_SCHEMA,
@@ -491,17 +493,6 @@ class TestActiveTelemetry:
     def test_default_is_null(self):
         assert current_run().tel is NULL_TELEMETRY
 
-    def test_set_and_restore(self):
-        """Nested use_run scopes: the inner run is current inside, the
-        outer one again after it, the default run after both."""
-        outer = Run(tel=Telemetry())
-        inner = Run(tel=Telemetry())
-        with use_run(outer):
-            with use_run(inner):
-                assert current_run().tel is inner.tel
-            assert current_run().tel is outer.tel
-        assert current_run().tel is NULL_TELEMETRY
-
     def test_use_run_scopes(self):
         tel = Telemetry()
         with use_run(Run(tel=tel)) as run:
@@ -509,12 +500,25 @@ class TestActiveTelemetry:
             assert current_run().tel is tel
         assert current_run().tel is NULL_TELEMETRY
 
-    def test_set_none_resets_to_null(self):
-        """A run without telemetry, scoped inside one with telemetry,
-        records into the null telemetry."""
-        with use_run(Run(tel=Telemetry())):
-            with use_run(Run()):
-                assert current_run().tel is NULL_TELEMETRY
+
+@pytest.mark.parametrize("field, make, null", [
+    ("tel", Telemetry, NULL_TELEMETRY),
+    ("bus", StatusBus, NULL_STATUS_BUS),
+    ("sampler", lambda: SamplingProfiler(hz=10), NULL_SAMPLER),
+], ids=["tel", "bus", "sampler"])
+def test_nested_run_scopes(field, make, null):
+    """Nested use_run scopes: the inner run is current inside, the outer
+    one again after it; an inner Run() has the null object."""
+    outer = Run(**{field: make()})
+    inner = Run(**{field: make()})
+    with use_run(outer):
+        with use_run(inner):
+            assert getattr(current_run(), field) is getattr(inner, field)
+        assert getattr(current_run(), field) is getattr(outer, field)
+        with use_run(Run()):
+            assert getattr(current_run(), field) is null
+        assert current_run() is outer
+    assert getattr(current_run(), field) is null
 
 
 class TestLogging:

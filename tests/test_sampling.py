@@ -75,13 +75,6 @@ class TestActiveSampler:
             assert current_run().sampler is sampler
         assert current_run().sampler is NULL_SAMPLER
 
-    def test_set_none_resets_to_null(self):
-        """A run without a sampler, scoped inside one with a sampler,
-        has the null sampler."""
-        with use_run(Run(sampler=SamplingProfiler(hz=10))):
-            with use_run(Run()):
-                assert current_run().sampler is NULL_SAMPLER
-
     def test_run_without_sampler_is_null_scope(self):
         with use_run(Run()):
             assert current_run().sampler is NULL_SAMPLER
