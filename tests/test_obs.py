@@ -493,6 +493,17 @@ class TestActiveTelemetry:
     def test_default_is_null(self):
         assert current_run().tel is NULL_TELEMETRY
 
+    def test_set_and_restore(self):
+        """Nested use_run scopes: the inner run is current inside, the
+        outer one again after it, the default run after both."""
+        outer = Run(tel=Telemetry())
+        inner = Run(tel=Telemetry())
+        with use_run(outer):
+            with use_run(inner):
+                assert current_run().tel is inner.tel
+            assert current_run().tel is outer.tel
+        assert current_run().tel is NULL_TELEMETRY
+
     def test_use_run_scopes(self):
         tel = Telemetry()
         with use_run(Run(tel=tel)) as run:
@@ -500,15 +511,23 @@ class TestActiveTelemetry:
             assert current_run().tel is tel
         assert current_run().tel is NULL_TELEMETRY
 
+    def test_set_none_resets_to_null(self):
+        """A run without telemetry, scoped inside one with telemetry,
+        records into the null telemetry."""
+        with use_run(Run(tel=Telemetry())):
+            with use_run(Run()):
+                assert current_run().tel is NULL_TELEMETRY
+
 
 @pytest.mark.parametrize("field, make, null", [
-    ("tel", Telemetry, NULL_TELEMETRY),
     ("bus", StatusBus, NULL_STATUS_BUS),
     ("sampler", lambda: SamplingProfiler(hz=10), NULL_SAMPLER),
-], ids=["tel", "bus", "sampler"])
+], ids=["bus", "sampler"])
 def test_nested_run_scopes(field, make, null):
     """Nested use_run scopes: the inner run is current inside, the outer
-    one again after it; an inner Run() has the null object."""
+    one again after it; an inner Run() has the null object.  Telemetry's
+    case is TestActiveTelemetry's test_set_and_restore and
+    test_set_none_resets_to_null."""
     outer = Run(**{field: make()})
     inner = Run(**{field: make()})
     with use_run(outer):
