@@ -8,10 +8,10 @@ Listing-4 rewrite (transpose + AoS->SoA) both become 100% unit and the
 static vectorizer accepts them.
 """
 
+from repro.analysis.pipeline import analyze_program
 from repro.frontend import parse_source
 from repro.vectorizer import analyze_program_loops
 from repro.vectorizer.autovec import decisions_by_name
-from repro.workloads.base import analyze_workload
 
 from benchmarks.conftest import write_result
 
@@ -75,7 +75,7 @@ int main() {{
 def regenerate():
     out = {}
     for name, src in (("listing3", LISTING3), ("listing4", LISTING4)):
-        report = analyze_workload(src, name, ["s1", "s23"])
+        report = analyze_program(src, name, ["s1", "s23"])
         program, analyzer = parse_source(src)
         decisions = decisions_by_name(
             analyze_program_loops(program, analyzer)

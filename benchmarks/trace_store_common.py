@@ -4,8 +4,7 @@ Measures the trace-collection memory ceiling the segment store buys:
 the same synthetic emit stream is driven into an in-RAM
 :class:`ColumnarSink` at 1M/2M records (to establish the RSS-per-record
 slope) and into a :class:`SegmentedSink` at >= 10M records, then the
-spilled store is consumed by ``to_ddg()`` (serial segment reassembly)
-and the streaming Algorithm 1 scan.
+spilled store is consumed by ``to_ddg()`` (serial segment reassembly).
 
 Every scenario runs in its own child process so ``ru_maxrss`` is that
 scenario's peak and nothing else's — a parent process's high-water mark
@@ -34,9 +33,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Rows per synthetic loop iteration: 2 loads, 4 arithmetic rows, one
 #: store, one NEXT marker — the record mix of a windowed stencil trace.
 BODY_ROWS = 8
-
-#: Static ids the synthetic driver assigns to its non-marker rows.
-TARGET_SIDS = [1, 2, 3, 4, 5, 6, 7]
 
 
 def drive(sink, n_records: int) -> int:
@@ -112,25 +108,15 @@ def _scenario_spill_emit(spec: dict) -> dict:
 
 
 def _scenario_spill_analyze(spec: dict) -> dict:
-    from repro.analysis.timestamps import packed_scan_stream
     from repro.trace.store import open_store
 
     store = open_store(spec["spill_dir"])
     t0 = time.perf_counter()
     ddg = store.to_ddg()
     to_ddg_s = time.perf_counter() - t0
-    n_nodes = len(ddg)
-    del ddg
-    t0 = time.perf_counter()
-    _, partitions = packed_scan_stream(
-        store.iter_ddg_chunks(), TARGET_SIDS, store.n_nodes
-    )
-    scan_s = time.perf_counter() - t0
     return {
-        "ddg_nodes": n_nodes,
+        "ddg_nodes": len(ddg),
         "to_ddg_s": round(to_ddg_s, 4),
-        "scan_s": round(scan_s, 4),
-        "scan_partitions": len(partitions),
         "maxrss_kb": _maxrss_kb(),
     }
 

@@ -9,9 +9,12 @@ once the full pipeline is importable):
 
 - :func:`compile_source` — mini-C source text to an IR :class:`~repro.ir.Module`.
 - :func:`run_and_trace` — execute a module and collect a dynamic trace.
-- :func:`analyze_loop` / :func:`analyze_module` — the paper's analysis:
+- :func:`analyze_loop` — the paper's analysis of one loop:
   per-static-instruction parallel partitions, stride subpartitions, and the
   Table-1 metrics.
+- :func:`analyze_program` — the §4.1 methodology for a whole program:
+  profile, pick the hot loops (or take them by name), analyze each.
+- :func:`analyze_kernel` — the same for a registered workload, by name.
 """
 
 __version__ = "1.0.0"
@@ -25,7 +28,7 @@ _PIPELINE_NAMES = frozenset(
         "compile_source",
         "run_and_trace",
         "analyze_loop",
-        "analyze_module",
+        "analyze_program",
         "analyze_kernel",
         "LoopReport",
     }

@@ -1,6 +1,7 @@
-"""End-to-end drivers: source text in, Table-1-style reports out.
+"""End-to-end driver: source text in, Table-1-style reports out.
 
-The flow mirrors the paper's methodology (§4.1):
+:func:`analyze_program` is the one driver of the paper's methodology
+(§4.1):
 
 1. compile and run the program, collecting a cycle profile;
 2. select hot loops (>=10% of cycles, innermost-first selection rule);
@@ -9,13 +10,13 @@ The flow mirrors the paper's methodology (§4.1):
 4. build the DDG, run Algorithm 1 + the stride analyses, and attach the
    static-vectorizer Percent Packed for comparison.
 
-Steps 1-2 run only where the loops are discovered
-(:func:`analyze_program`, :func:`analyze_module`).  A driver handed its
-loops by name (:func:`repro.workloads.base.analyze_workload`) skips the
-separate profile run: every windowed re-run executes the whole program
-and accumulates the same profile counters as a sink-less run, so the
-profile of step 1 comes from the first loop's re-run
-(:func:`run_loop_analyses` hands those counters back).
+Steps 1-2 run only where the loops are discovered.  Handed its loops by
+name (``loops=[...]``, as :meth:`repro.workloads.base.Workload.analyze`
+and ``analyze-file --loop`` do), the driver skips the separate profile
+run: every windowed re-run executes the whole program and accumulates
+the same profile counters as a sink-less run, so the profile of step 1
+comes from the first loop's re-run (:func:`run_loop_analyses` hands
+those counters back).
 
 Step 3 uses the fused columnar path: the windowed re-run streams records
 straight into DDG-shaped columns (:class:`ColumnarLoopSink`, or the
@@ -36,14 +37,14 @@ byte-identical to the serial path).  Pool failures fall back to serial,
 with a ``vectra.pipeline`` warning so the degradation is visible.  An
 out-of-core run (``spill_dir``) analyzes its loops serially.
 
-Every driver records stage spans plus work counters into the current
+The driver records stage spans plus work counters into the current
 run's telemetry (:func:`repro.obs.run.current_run`; a no-op unless e.g.
 the CLI's ``--profile`` installed a run that records).  Pool workers
 record each loop into a fresh telemetry and ship a snapshot back with
 its report, which the parent merges — serial and parallel runs report
 identical counter totals, except for the trace-replay compiler's: the
-drivers that own their module share one kernel table across its serial
-runs, which pool workers cannot.
+driver shares one kernel table across its module's serial runs, which
+pool workers cannot.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.candidates import candidate_opcodes, capture_sids
 from repro.analysis.metrics import loop_metrics
 from repro.analysis.report import BenchmarkReport, LoopReport
-from repro.ddg.build import build_ddg
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, WorkloadError
 from repro.frontend import parse_source
 from repro.frontend.driver import compile_source
 from repro.frontend.lower import lower
@@ -85,7 +85,6 @@ __all__ = [
     "compile_source",
     "run_and_trace",
     "analyze_loop",
-    "analyze_module",
     "analyze_program",
     "analyze_kernel",
     "run_loop_analyses",
@@ -113,8 +112,8 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
     what the sink keeps.  So its profile counters (``counters``, a
     :class:`~repro.interp.interpreter.ProfileCounters` snapshot) and its
     executed-instruction count equal a sink-less run's, and
-    :func:`repro.workloads.base.analyze_workload` takes its §4.1 profile
-    from them.
+    :func:`analyze_program`, handed its loops by name, takes its §4.1
+    profile from them.
 
     With ``spill_dir`` set the window streams through a
     :class:`~repro.trace.store.SegmentedLoopSink` instead — full segments
@@ -166,7 +165,8 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
         if spill_dir:
             sink = SegmentedLoopSink(
                 loop_id, instances={instance}, spill_dir=window_dir,
-                segment_rows=segment_rows or DEFAULT_SEGMENT_ROWS,
+                segment_rows=(DEFAULT_SEGMENT_ROWS if segment_rows is None
+                              else segment_rows),
             )
         else:
             sink = ColumnarLoopSink(loop_id, instances={instance})
@@ -466,6 +466,7 @@ def run_loop_analyses(
 def analyze_program(
     source: str,
     benchmark: str = "",
+    loops: Optional[Sequence[str]] = None,
     entry: str = "main",
     args: Sequence = (),
     threshold: float = 0.10,
@@ -483,12 +484,25 @@ def analyze_program(
 ) -> BenchmarkReport:
     """The full §4.1 methodology for one program.
 
-    ``jobs > 1`` analyzes the hot loops concurrently across a process
-    pool (``None`` = one worker per CPU); reports are byte-identical to
+    With ``loops=None`` a profile run picks the hot loops: those that
+    take at least ``threshold`` of the cycles (a fraction in [0, 1]),
+    innermost first.  A list of loop names (labels or ``function:line``)
+    skips that run: the names are checked before anything is
+    interpreted, an empty list interprets nothing, and Percent Cycles
+    and Percent Packed come from the profile counters of the first
+    loop's re-run, wherever it ran (see :func:`windowed_loop_ddg`).
+
+    ``jobs > 1`` analyzes the loops concurrently across a process pool
+    (``None`` = one worker per CPU); reports are byte-identical to
     ``jobs=1``.  ``spill_dir``/``segment_rows`` run the windowed traces
     out-of-core (bit-identical report; loops then run serially).  The
     profile run and the serial re-runs share one kernel table.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise AnalysisError(
+            f"threshold is a fraction of the cycles in [0, 1], "
+            f"got {threshold}"
+        )
     run = current_run()
     tel = run.tel
     bus = run.bus
@@ -502,88 +516,63 @@ def analyze_program(
                 vec_config = VectorizerConfig()
             decisions = analyze_program_loops(program, analyzer, vec_config)
 
-        bus.phase("profile")
         kernels = KernelTable(
             capture_sids(module, candidate_opcodes(include_integer)))
-        with tel.span("profile.run"):
-            interp = Interpreter(module, fuel=fuel,
-                                 compile_loops=compile_loops,
-                                 compile_threshold=compile_threshold,
-                                 kernels=kernels)
-            interp.run(entry, args)
-            profiles = profile_loops(module, interp, cost_model)
-            hot = hot_loops(module, interp, threshold, cost_model)
-        if tel.enabled:
-            tel.count("interp.runs")
-            tel.count("interp.instructions", interp.executed_instructions)
-            tel.count("pipeline.hot_loops", len(hot))
+        if loops is None:
+            bus.phase("profile")
+            with tel.span("profile.run"):
+                profile = Interpreter(module, fuel=fuel,
+                                      compile_loops=compile_loops,
+                                      compile_threshold=compile_threshold,
+                                      kernels=kernels)
+                profile.run(entry, args)
+                profiles = profile_loops(module, profile, cost_model)
+                hot = hot_loops(module, profile, threshold, cost_model)
+            if tel.enabled:
+                tel.count("interp.runs")
+                tel.count("interp.instructions",
+                          profile.executed_instructions)
+                tel.count("pipeline.hot_loops", len(hot))
+            loop_ids = [prof.loop_id for prof in hot]
+            names = [module.loops[lid].name for lid in loop_ids]
+        else:
+            names = list(loops)
+            loop_ids = []
+            for name in names:
+                info = module.loop_by_name(name)
+                if info is None:
+                    known = ", ".join(li.name for li in module.loops.values())
+                    raise WorkloadError(
+                        f"{benchmark}: no loop named {name!r} "
+                        f"(known: {known})"
+                    )
+                loop_ids.append(info.loop_id)
 
-        loop_reports, _ = run_loop_analyses(
-            source, benchmark, module,
-            [module.loops[prof.loop_id].name for prof in hot],
-            entry, args, instance, include_integer, relax_reductions,
-            fuel, jobs, spill_dir=spill_dir,
-            segment_rows=segment_rows, compile_loops=compile_loops,
+        loop_reports, counters = run_loop_analyses(
+            source, benchmark, module, names, entry, args, instance,
+            include_integer, relax_reductions, fuel, jobs,
+            spill_dir=spill_dir, segment_rows=segment_rows,
+            compile_loops=compile_loops,
             compile_threshold=compile_threshold, kernels=kernels,
         )
+        if loops is not None and names:
+            # The first re-run ran the whole program: its counters are
+            # the profile a sink-less run would have taken.
+            profile = counters
+            bus.phase("profile")
+            with tel.span("profile.run"):
+                profiles = profile_loops(module, profile, cost_model)
         report = BenchmarkReport(benchmark=benchmark)
-        for prof, loop_report in zip(hot, loop_reports):
+        for loop_id, loop_report in zip(loop_ids, loop_reports):
             loop_report.benchmark = benchmark
-            loop_report.percent_cycles = prof.percent_cycles
+            prof = profiles.get(loop_id)
+            if prof is not None:
+                loop_report.percent_cycles = prof.percent_cycles
             loop_report.percent_packed = percent_packed(
-                module, interp, decisions, prof.loop_id, vec_config,
-                profiles
+                module, profile, decisions, loop_id, vec_config, profiles
             )
             report.loops.append(loop_report)
         bus.phase("report")
-        tel.record_memory()
-    return report
-
-
-def analyze_module(
-    module: Module,
-    entry: str = "main",
-    args: Sequence = (),
-    threshold: float = 0.10,
-    instance: int = 0,
-    include_integer: bool = False,
-    relax_reductions: bool = False,
-    fuel: int = DEFAULT_FUEL,
-    spill_dir: Optional[str] = None,
-    segment_rows: Optional[int] = None,
-    compile_loops: bool = True,
-    compile_threshold: Optional[int] = None,
-) -> BenchmarkReport:
-    """Hot-loop analysis without a source AST (no Percent Packed column;
-    serial — without source text there is nothing to ship to workers)."""
-    run = current_run()
-    tel = run.tel
-    bus = run.bus
-    with tel.span("analysis.total"):
-        bus.phase("profile")
-        with tel.span("profile.run"):
-            interp = Interpreter(module, fuel=fuel,
-                                 compile_loops=compile_loops,
-                                 compile_threshold=compile_threshold)
-            interp.run(entry, args)
-            hot = hot_loops(module, interp, threshold)
-        if tel.enabled:
-            tel.count("interp.runs")
-            tel.count("interp.instructions", interp.executed_instructions)
-            tel.count("pipeline.hot_loops", len(hot))
-        bus.set_total("loops", len(hot))
-        report = BenchmarkReport(benchmark=module.name)
-        for prof in hot:
-            info = module.loops[prof.loop_id]
-            loop_report = analyze_loop(
-                module, info.name, entry, args, instance, include_integer,
-                relax_reductions, fuel=fuel, spill_dir=spill_dir,
-                segment_rows=segment_rows, compile_loops=compile_loops,
-                compile_threshold=compile_threshold,
-            )
-            loop_report.benchmark = module.name
-            loop_report.percent_cycles = prof.percent_cycles
-            report.loops.append(loop_report)
         tel.record_memory()
     return report
 

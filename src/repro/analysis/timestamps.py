@@ -207,92 +207,6 @@ def _timestamp_vectors(
     return PackedScan(vectors, lane, width, value_mask)
 
 
-def packed_scan_stream(
-    chunks: Iterable,
-    target_sids: Sequence[int],
-    n_nodes: int,
-) -> Tuple[PackedScan, Dict[int, Dict[int, List[int]]]]:
-    """Batched Algorithm 1 over a *chunked* DDG — the out-of-core scan.
-
-    ``chunks`` yields windows of the CSR graph in topological order (the
-    shape :meth:`repro.trace.store.SegmentStore.iter_ddg_chunks`
-    produces): each chunk carries ``sids``, ``pred_indices`` holding
-    *global* node indices, and chunk-local ``pred_offsets``
-    (``pred_offsets[0] == 0``).  Edges always point backward, so the
-    packed timestamp vector list grows monotonically and each window
-    only reads already-computed entries — the scan never needs the whole
-    graph's columns at once, just its own output.
-
-    ``n_nodes`` is the total node count (it fixes the lane width, so it
-    must be known up front — the segment store records it in the
-    manifest).  Returns the completed :class:`PackedScan` plus the
-    partitions, bit-identical to :func:`packed_timestamp_scan` /
-    :func:`batched_parallel_partitions` on the assembled DDG.  (The
-    reduction-relaxation edge filter is a per-loop-report refinement and
-    stays on the assembled-DDG path.)
-    """
-    targets = list(target_sids)
-    k = len(targets)
-    lane: Dict[int, int] = {sid: j for j, sid in enumerate(targets)}
-    if len(lane) != k:
-        raise AnalysisError("duplicate target sids in batched timestamping")
-    width = n_nodes.bit_length() + 1
-    field = (1 << width) - 1
-    value_mask = field >> 1
-    guards = 0
-    full = 0
-    for j in range(k):
-        guards |= 1 << (j * width + width - 1)
-        full |= field << (j * width)
-    increments = {sid: 1 << (lane[sid] * width) for sid in targets}
-    get_increment = increments.get
-    shifts = {sid: j * width for sid, j in lane.items()}
-    shift_of = shifts.get
-    shift = width - 1
-    vectors: List[int] = []
-    append = vectors.append
-    partitions: Dict[int, Dict[int, List[int]]] = {sid: {} for sid in lane}
-    tel = current_run().tel
-    i = len(vectors)
-    for chunk in chunks:
-        sids = chunk.sids
-        indices = chunk.pred_indices
-        offsets = chunk.pred_offsets
-        if tel.enabled:
-            tel.count("algorithm1.nodes_scanned", len(sids))
-            tel.count("algorithm1.edges_scanned", len(indices))
-        for lo, hi, sid in zip(offsets[:-1], offsets[1:], sids):
-            m = hi - lo
-            if m == 0:
-                t = 0
-            elif m == 1:
-                t = vectors[indices[lo]]
-            else:
-                t = vectors[indices[lo]]
-                for x in range(lo + 1, hi):
-                    b = vectors[indices[x]]
-                    if t is not b:
-                        select = (
-                            (((t | guards) - b) & guards) >> shift
-                        ) * field
-                        t = (t & select) | (b & (full ^ select))
-            add = get_increment(sid)
-            if add is not None:
-                t += add
-            append(t)
-            lane_shift = shift_of(sid)
-            if lane_shift is not None:
-                partitions[sid].setdefault(
-                    (t >> lane_shift) & value_mask, []
-                ).append(i)
-            i += 1
-    if i > n_nodes:
-        raise AnalysisError(
-            f"chunked scan saw {i} nodes but was sized for {n_nodes}"
-        )
-    return PackedScan(vectors, lane, width, value_mask), partitions
-
-
 def packed_timestamp_scan(
     ddg: DDG,
     target_sids: Sequence[int],

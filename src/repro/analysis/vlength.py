@@ -14,12 +14,9 @@ width — from 2-lane SSE up to GPU-warp (32) and GPU-block (256) scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.analysis.candidates import candidate_sids
-from repro.analysis.nonunit import nonunit_stride_subpartitions
-from repro.analysis.stride import unit_stride_subpartitions
-from repro.analysis.timestamps import batched_parallel_partitions
+from repro.analysis.metrics import loop_metrics
 from repro.ddg.graph import DDG
 from repro.ir.module import Module
 
@@ -99,34 +96,17 @@ def vector_length_profile(
     include_integer: bool = False,
     widths: Sequence[int] = DEFAULT_WIDTHS,
 ) -> VectorLengthProfile:
-    """Build the group-size distribution for one loop's DDG."""
+    """Build the group-size distribution for one loop's DDG from its
+    per-instruction metrics (:func:`~repro.analysis.metrics.loop_metrics`):
+    every subpartition of two or more operations is one group."""
     profile = VectorLengthProfile(loop_name=loop_name, widths=widths)
-    sids = candidate_sids(ddg, include_integer)
-    partitions_by_sid = batched_parallel_partitions(ddg, sids)
-    for sid in sids:
-        elem_size = 8
-        if module is not None:
-            instr = module.instruction(sid)
-            if instr.result is not None:
-                elem_size = instr.result.type.sizeof()
-        partitions = partitions_by_sid[sid]
-        profile.total_ops += sum(len(p) for p in partitions.values())
-        for members in partitions.values():
-            if len(members) < 2:
-                continue
-            subs = unit_stride_subpartitions(ddg, members, elem_size)
-            leftovers: List[int] = []
-            for sub in subs:
-                if len(sub) >= 2:
-                    profile.unit_histogram[len(sub)] = (
-                        profile.unit_histogram.get(len(sub), 0) + 1
-                    )
-                else:
-                    leftovers.extend(sub)
-            if leftovers:
-                for sub in nonunit_stride_subpartitions(ddg, leftovers):
-                    if len(sub) >= 2:
-                        profile.nonunit_histogram[len(sub)] = (
-                            profile.nonunit_histogram.get(len(sub), 0) + 1
-                        )
+    report = loop_metrics(ddg, module, loop_name, include_integer)
+    for ir in report.instructions:
+        profile.total_ops += ir.num_instances
+        for sizes, histogram in (
+                (ir.unit_subpartition_sizes, profile.unit_histogram),
+                (ir.nonunit_subpartition_sizes, profile.nonunit_histogram)):
+            for size in sizes:
+                if size >= 2:
+                    histogram[size] = histogram.get(size, 0) + 1
     return profile

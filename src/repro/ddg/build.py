@@ -9,11 +9,11 @@ paper's per-loop subtrace analysis).
 Every trace goes through the one columnar remap,
 :meth:`~repro.trace.columnar.ColumnarSink.to_ddg`: a
 :class:`~repro.trace.columnar.ColumnarTrace` hands over the columns it was
-recorded into, a :class:`~repro.trace.store.StoredTrace` streams its
-spilled segments through the same remap, and a record
-:class:`~repro.trace.trace.Trace` (a ``subtrace``, or a file read back by
-:mod:`repro.trace.serialize`) is packed into columns first
-(:func:`~repro.trace.columnar.pack_records`)."""
+recorded into, and a record :class:`~repro.trace.trace.Trace` (a
+``subtrace``, or a file read back by :mod:`repro.trace.serialize`) is
+packed into columns first (:func:`~repro.trace.columnar.pack_records`).
+A spilled trace builds its DDG with
+:meth:`~repro.trace.store.SegmentStore.to_ddg`."""
 
 from __future__ import annotations
 
@@ -25,14 +25,10 @@ from repro.ddg.graph import DDG
 
 def build_ddg(trace: Trace) -> DDG:
     tel = current_run().tel
-    store = getattr(trace, "segment_store", None)
     sink = getattr(trace, "columnar_sink", None)
-    if store is not None:
-        ddg = store.to_ddg()
-    else:
-        with tel.span("ddg.build"):
-            ddg = (pack_records(trace.records) if sink is None
-                   else sink).to_ddg()
+    with tel.span("ddg.build"):
+        ddg = (pack_records(trace.records) if sink is None
+               else sink).to_ddg()
     if tel.enabled:
         tel.count("ddg.nodes", len(ddg.sids))
         tel.count("ddg.edges", len(ddg.pred_indices))

@@ -66,7 +66,8 @@ This module borrows the tracing-JIT idiom (PyPy-style meta-tracing):
    backpatches, same profile counts, same fuel accounting.
 
 A loop is *rejected* for compilation (permanently) when its recorded
-path contains a call to a user function, a nested loop marker, or
+path contains a call to a user function, a nested loop marker, or a
+register whose address only run time knows (see :class:`_Plan`), or
 exceeds :data:`MAX_PATH_LEN`; intrinsic calls stay in the path.
 Recording *aborts* (transiently, retried until
 :data:`MAX_RECORD_FAILURES` aborts over all the runs that share the
@@ -168,13 +169,13 @@ class _Plan:
     of the path, so the record at ``P`` in iteration ``i`` is node ``N0
     + i*W + rank[P]`` with ``W`` (``width``) the captured positions per
     iteration; only captured positions get a column slot.  Memory
-    operands, loads and FP records are laid out for the whole path, so
-    the kernel's streams stay complete: operand addresses come from
-    uncaptured loads too, and an uncaptured load's ``MW`` lookup is what
-    the capture-miss test reads (``dead_cols``).  ``mem_cols`` and
-    ``fp_cols`` pick the captured entries out of the memory-operand and
-    FP-record streams, and ``mem_end``/``fp_end`` count the captured
-    ones before each path position, where a partial iteration is cut.
+    operands and loads are laid out for the whole path, so the kernel's
+    streams stay complete: operand addresses come from uncaptured loads
+    too, and an uncaptured load's ``MW`` lookup is what the capture-miss
+    test reads (``dead_cols``).  ``mem_cols`` picks the captured entries
+    out of the memory-operand stream, ``fp_pos`` holds the captured FP
+    records' ranks, and ``mem_end``/``fp_end`` count the captured ones
+    before each path position, where a partial iteration is cut.
 
     Dependence slots classify as *constant* (``-1``), *affine* (operand
     written earlier in the same iteration at captured position ``d`` →
@@ -196,15 +197,15 @@ class _Plan:
     Def-addr classes per write event form a small lattice: ``-1``
     (zero — arithmetic, compares, allocas), ``mj >= 0`` (the mj-th
     memory operand's address: a load, or a copy/pointer-cast of one
-    within the iteration), or ``-2`` (runtime-only — a select over
-    pointers, or a copy of a carried/live-in pointer).  Any ``-2``
-    demotes the whole kernel to *legacy* address mode, where the kernel
-    itself tracks per-register addresses and appends one operand-address
-    pair per FP record; otherwise the dispatcher derives the address
-    column from the memory-address stream.  In derived mode each FP
-    operand side is a gather from the stream (``fp_stride``/``fp_off``
-    over a zero slot followed by the stream), and live-in, carried-load
-    and carried-zero sides patch in their pre-batch ``defa`` entries.
+    within the iteration), or ``-2`` (runtime-only — a select over a
+    value that has an address, or a copy of a carried/live-in pointer).
+    A path with any ``-2`` gets no plan (:func:`_analyze` returns
+    ``None``) and its loop is rejected; for every other path the
+    dispatcher derives the address column, and the def-address
+    write-backs, from the memory-address stream.  Each FP operand side
+    is a gather from the stream (``fp_stride``/``fp_off`` over a zero
+    slot followed by the stream), and live-in, carried-load and
+    carried-zero sides patch in their pre-batch ``defa`` entries.
     """
 
     __slots__ = (
@@ -212,16 +213,16 @@ class _Plan:
         "sids", "ops", "cnts", "dep_width", "dep_end", "dep_off",
         "dep_mask", "car_slots", "car_idx", "car_regs", "li_idx",
         "li_regs", "lw_idx", "lw_cols", "dead_cols", "n_mem", "n_load",
-        "n_addr", "mem_cols", "mem_off", "mem_end", "fp_cols", "fp_pos",
-        "fp_groups", "fp_end", "fp_base", "fp_stride", "fp_off", "fp_li_idx",
-        "fp_li_regs", "fp_first_idx", "fp_first_regs", "store_groups",
-        "wb", "legacy",
+        "mem_cols", "mem_off", "mem_end", "fp_pos", "fp_groups", "fp_end",
+        "fp_base", "fp_stride", "fp_off", "fp_li_idx", "fp_li_regs",
+        "fp_first_idx", "fp_first_regs", "store_groups", "wb",
     )
 
 
-def _analyze(entries, captured) -> _Plan:
+def _analyze(entries, captured) -> Optional[_Plan]:
     """Single forward walk over the path computing the :class:`_Plan`;
-    ``captured`` flags each path position that the capture set holds."""
+    ``captured`` flags each path position that the capture set holds.
+    ``None`` when a register's def-address is runtime-only."""
     L = len(entries)
     rank: List[int] = []
     cap_end: List[int] = [0]
@@ -243,7 +244,6 @@ def _analyze(entries, captured) -> _Plan:
     lw_slots: List[Tuple[int, int]] = []
     dead_loads: List[bool] = []
     mem_rank: List[int] = []
-    fp_rank: List[int] = []
     fp_end: List[int] = [0]
     mem_end: List[int] = [0]
     fp_raw: List[Tuple] = []
@@ -252,7 +252,7 @@ def _analyze(entries, captured) -> _Plan:
     wclass: Dict[int, int] = {}   # reg -> current def-addr class
     writes: Dict[int, List[int]] = defaultdict(list)
     aclasses: Dict[int, List[int]] = defaultdict(list)
-    legacy = False
+    runtime_addr = False
 
     def dep_desc(op):
         if isinstance(op, VirtualReg):
@@ -288,17 +288,13 @@ def _analyze(entries, captured) -> _Plan:
             lw_slots.append((slot, d[1]))
 
     def side_desc(op):
-        # FP-operand address provenance (derived mode only).
+        # FP-operand address provenance (a -2 class rejects the path).
         if not isinstance(op, VirtualReg):
             return (0,)
         q = op.index
         if q in cur_w:
             c = wclass[q]
-            if c == -1:
-                return (0,)
-            if c >= 0:
-                return (2, c)
-            return None                       # runtime-only
+            return (0,) if c < 0 else (2, c)
         return ("p", q)                       # resolve after the walk
 
     def aclass_of(op):
@@ -310,13 +306,13 @@ def _analyze(entries, captured) -> _Plan:
         return -2  # carried/live-in pointer provenance: runtime-only
 
     def write(r, P, ac):
-        nonlocal legacy
+        nonlocal runtime_addr
         cur_w[r] = P
         wclass[r] = ac
         writes[r].append(P)
         aclasses[r].append(ac)
         if ac == -2:
-            legacy = True
+            runtime_addr = True
 
     for P, (instr, _b, _p, _taken) in enumerate(entries):
         opc = instr.opcode._value_
@@ -347,7 +343,6 @@ def _analyze(entries, captured) -> _Plan:
             add_dep(dep_desc(ops[0]))
             add_dep(dep_desc(ops[1]))
             fp_raw.append((P, side_desc(ops[0]), side_desc(ops[1])))
-            fp_rank.append(rank[P])
             write(instr.result.index, P, -1)
 
         elif (opc in _INT_ARITH or opc in _BITWISE
@@ -393,31 +388,21 @@ def _analyze(entries, captured) -> _Plan:
         fp_end.append(fp_end[-1] + (1 if cap and opc in _FP_ARITH else 0))
         mem_end.append(mem_end[-1] + (1 if cap and opc in (51, 52) else 0))
 
+    if runtime_addr:
+        return None
+
     def fin_side(s):
         # Resolve a carried/live-in pend against the *final* write.
-        if s is None:
-            return None
         if s[0] == "p":
             q = s[1]
             if q not in writes:
                 return (1, q)                 # live-in
             c = aclasses[q][-1]
-            if c == -1:
-                return (4, q)                 # carried zero
-            if c >= 0:
-                return (3, c, q)              # carried load
-            return None
+            return (4, q) if c < 0 else (3, c, q)  # carried zero / load
         return s
 
-    fp_groups: List[Tuple] = []
-    if not legacy:
-        fins = [(fin_side(s1), fin_side(s2)) for _P, s1, s2 in fp_raw]
-        if any(f1 is None or f2 is None for f1, f2 in fins):
-            legacy = True
-        else:
-            fp_groups = [(rank[raw[0]], f1, f2)
-                         for raw, (f1, f2) in zip(fp_raw, fins)
-                         if rank[raw[0]] >= 0]
+    fp_groups = [(rank[P], fin_side(s1), fin_side(s2))
+                 for P, s1, s2 in fp_raw if rank[P] >= 0]
 
     plan = _Plan()
     NM = len(mem_rank)
@@ -446,13 +431,11 @@ def _analyze(entries, captured) -> _Plan:
                       else None)
     plan.n_mem = NM
     plan.n_load = len(dead_loads)
-    plan.n_addr = len(fp_rank)
     plan.mem_cols = np.flatnonzero([r >= 0 for r in mem_rank])
     plan.mem_off = np.array([r for r in mem_rank if r >= 0],
                             dtype=np.int64)
     plan.mem_end = tuple(mem_end)
-    plan.fp_cols = np.flatnonzero([r >= 0 for r in fp_rank])
-    plan.fp_pos = np.array([r for r in fp_rank if r >= 0], dtype=np.int64)
+    plan.fp_pos = np.array([g[0] for g in fp_groups], dtype=np.int64)
     plan.fp_groups = tuple(fp_groups)
     plan.fp_end = tuple(fp_end)
     # Derived FP operand addresses gather from ``[zeros(fp_base),
@@ -492,7 +475,6 @@ def _analyze(entries, captured) -> _Plan:
     plan.wb = tuple(
         (r, tuple(writes[r]), tuple(aclasses[r]),
          tuple(rank[P] for P in writes[r])) for r in sorted(writes))
-    plan.legacy = legacy
     return plan
 
 
@@ -505,9 +487,9 @@ class LoopKernel:
     from them (:func:`_emit`), and every dispatch derives the
     def-address write-backs from the address stream
     (:func:`_writeback`).  The function is generated and compiled
-    on first use.  ``captured`` flags the path positions the run's
-    capture set holds (see :class:`_Plan`); the kernel numbers only
-    those, so it serves only runs with the same capture set.
+    on first use.  ``plan`` is the path's :func:`_analyze` under the
+    run's capture set; the kernel numbers only the captured positions,
+    so it serves only runs with the same capture set.
     """
 
     __slots__ = (
@@ -517,7 +499,7 @@ class LoopKernel:
     )
 
     def __init__(self, loop_id: int, entries, anchor, global_addr,
-                 captured):
+                 plan: _Plan):
         self.loop_id = loop_id
         self.length = len(entries)
         self.anchor = anchor
@@ -532,7 +514,7 @@ class LoopKernel:
         #: (block, in-block index) per path position — the step
         #: interpreter resumes here on deopt at that position.
         self.resume = tuple((blk, pc) for _instr, blk, pc, _tk in entries)
-        self.plan = _analyze(entries, captured)
+        self.plan = plan
         self.op_pat = [e[0].opcode._value_ for e in entries]
         self.count_items = tuple(Counter(self.op_pat).items())
         self.calls = 0
@@ -586,17 +568,15 @@ def _generate(entries, global_addr, plan: _Plan):
 
     Returns ``(source, namespace)`` where ``namespace`` carries the
     helpers and non-literal constants (alloca types, intrinsics) the
-    source needs.  The generated ``_kernel(B, N0, V, A, MEM, MW, ALLOC,
-    R)`` runs up to ``B`` iterations, returning ``(k, dpc, ma, lw,
-    ap)`` — ``k`` completed iterations and, when a guard failed, the
-    path position ``dpc`` to resume stepping at (``-1`` for a full
-    batch); ``ma`` holds one address per executed memory operand, ``lw``
-    one ``MW`` lookup per executed load when ``R`` (a recording
-    dispatch: only :func:`_emit` reads ``lw``) and none otherwise, and
-    ``ap`` (legacy address mode only) one operand-address pair per
-    executed FP record, captured or not.  Positions before ``dpc`` in
-    the partial iteration have executed; position ``dpc`` and later
-    have not.  A store records its node id in ``MW`` (``N0`` numbers
+    source needs.  The generated ``_kernel(B, N0, V, MEM, MW, ALLOC, R)``
+    runs up to ``B`` iterations, returning ``(k, dpc, ma, lw)`` — ``k``
+    completed iterations and, when a guard failed, the path position
+    ``dpc`` to resume stepping at (``-1`` for a full batch); ``ma``
+    holds one address per executed memory operand, and ``lw`` one ``MW``
+    lookup per executed load when ``R`` (a recording dispatch: only
+    :func:`_emit` reads ``lw``) and none otherwise.  Positions before
+    ``dpc`` in the partial iteration have executed; position ``dpc`` and
+    later have not.  A store records its node id in ``MW`` (``N0`` numbers
     the batch's first captured record), or ``-1`` when the capture set
     does not hold it.
 
@@ -612,17 +592,14 @@ def _generate(entries, global_addr, plan: _Plan):
       it again — and a global's address is never guarded;
     - a guard, and the wrap of an integer result, is one statement.
 
-    Only legacy address mode tracks an address per register (``a{r}``,
-    loaded from and stored back to ``A``); derived mode leaves that to
-    :func:`_writeback`.
+    The kernel tracks no operand addresses: :func:`_emit` and
+    :func:`_writeback` derive them from ``ma``.
     """
     from repro.interp.interpreter import _INTRINSICS, _cdiv, _f32
     from repro.runtime.memory import default_value
 
-    legacy = plan.legacy
     consts: Dict[str, object] = {"_f32": _f32, "_cdiv": _cdiv}
     touched: set = set()
-    a_live: set = set()
     written: set = set()
     # pointer registers that passed a guard since their last write
     guarded: set = set()
@@ -637,14 +614,6 @@ def _generate(entries, global_addr, plan: _Plan):
         if isinstance(op, Constant):
             return f"({op.value!r})"
         return repr(global_addr[op.name])  # GlobalRef
-
-    def ax(op) -> str:
-        if isinstance(op, VirtualReg):
-            i = op.index
-            if i not in written:
-                a_live.add(i)
-            return f"a{i}"
-        return "0"
 
     def deopt(cond: str, P: int) -> None:
         o(f"if {cond}: dpc = {P}; break")
@@ -665,11 +634,7 @@ def _generate(entries, global_addr, plan: _Plan):
         written.add(r)
         guarded.discard(r)
 
-    def define(r: int, expr: str, addr: str = "0") -> None:
-        # ``addr`` is the legacy-mode address of the result; it is
-        # bound first, since it may read the register being written.
-        if legacy:
-            o(f"a{r} = {addr}")
+    def define(r: int, expr: str) -> None:
         o(f"v{r} = {expr}")
         wrote(r)
 
@@ -688,7 +653,7 @@ def _generate(entries, global_addr, plan: _Plan):
             pe = pointer(ops[0], P)
             o(f"R and lwa(MWg({pe}, -1)); maa({pe})")
             dv = default_value(instr.result.type)
-            define(instr.result.index, f"MEMg({pe}, {dv!r})", pe)
+            define(instr.result.index, f"MEMg({pe}, {dv!r})")
 
         elif opc == 52:  # STORE
             ve = vx(ops[0])
@@ -703,8 +668,6 @@ def _generate(entries, global_addr, plan: _Plan):
             be = vx(ops[1])
             if opc == 13:
                 deopt(f"{be} == 0.0", P)
-            if legacy:
-                o(f"apa(({ax(ops[0])}, {ax(ops[1])}))")
             expr = f"{ae} {_FP_ARITH[opc]} {be}"
             if instr.result.type.bits == 32:
                 expr = f"_f32({expr})"
@@ -742,7 +705,7 @@ def _generate(entries, global_addr, plan: _Plan):
                 define(r, f"_f32(float({ve}))" if to_type.bits == 32
                        else f"float({ve})")
             else:  # pointer retyping keeps provenance
-                define(r, ve, ax(ops[0]))
+                define(r, ve)
 
         elif opc == 4 or opc == 5:  # SDIV / SREM
             ae = vx(ops[0])
@@ -758,18 +721,10 @@ def _generate(entries, global_addr, plan: _Plan):
             ce = vx(ops[0])
             ae = vx(ops[1])
             be = vx(ops[2])
-            r = instr.result.index
-            if legacy:
-                # One statement: the condition is read once, before
-                # either register is written.
-                o(f"v{r}, a{r} = ({ae}, {ax(ops[1])}) if {ce}"
-                  f" else ({be}, {ax(ops[2])})")
-                wrote(r)
-            else:
-                define(r, f"{ae} if {ce} else {be}")
+            define(instr.result.index, f"{ae} if {ce} else {be}")
 
         elif opc == 42:  # COPY
-            define(instr.result.index, vx(ops[0]), ax(ops[0]))
+            define(instr.result.index, vx(ops[0]))
 
         elif opc == 50:  # ALLOCA
             consts[f"T{P}"] = instr.alloc_type
@@ -788,29 +743,21 @@ def _generate(entries, global_addr, plan: _Plan):
                 o(f"try: v{res.index} = {call}")
             o(f"except Exception: dpc = {P}; break")
             if res is not None:
-                if legacy:
-                    o(f"a{res.index} = 0")
                 wrote(res.index)
 
         else:  # pragma: no cover - build() validates the path first
             raise AssertionError(f"unsupported opcode {opc} in path")
 
-    lines = ["def _kernel(B, N0, V, A, MEM, MW, ALLOC, R):"]
+    lines = ["def _kernel(B, N0, V, MEM, MW, ALLOC, R):"]
     w = lines.append
     if plan.n_load:
         w("    MEMg = MEM.get; MWg = MW.get; lw = []; lwa = lw.append")
     if plan.n_mem:
         w("    ma = []; maa = ma.append")
-    if legacy and plan.n_addr:
-        w("    ap = []; apa = ap.append")
     if touched:
         regs = sorted(touched)
         w("    " + _tuple_assign([f"v{i}" for i in regs],
                                  [f"V[{i}]" for i in regs]))
-    if legacy and (a_live | written):
-        regs = sorted(a_live | written)
-        w("    " + _tuple_assign([f"a{i}" for i in regs],
-                                 [f"A[{i}]" for i in regs]))
     w("    dpc = -1")
     w("    for k in range(B):")
     if stamps:
@@ -823,12 +770,8 @@ def _generate(entries, global_addr, plan: _Plan):
         regs = sorted(written)
         w("    " + _tuple_assign([f"V[{i}]" for i in regs],
                                  [f"v{i}" for i in regs]))
-        if legacy:
-            w("    " + _tuple_assign([f"A[{i}]" for i in regs],
-                                     [f"a{i}" for i in regs]))
     w(f"    return k, dpc, {'ma' if plan.n_mem else '()'},"
-      f" {'lw' if plan.n_load else '()'},"
-      f" {'ap' if legacy and plan.n_addr else '()'}")
+      f" {'lw' if plan.n_load else '()'}")
     return "\n".join(lines) + "\n", consts
 
 
@@ -841,7 +784,7 @@ _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 _NO_NODES.flags.writeable = _NO_PAIRS.flags.writeable = False
 
 
-def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
+def _emit(kern, N0, k, part, defn, defa, ma, lw, sink, cur_loop,
           sid0=None):
     """Derive one batch's columns as numpy arrays and bulk-append them.
 
@@ -897,13 +840,7 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
     mem_vals = stream.reshape(rows, NM)[:, plan.mem_cols].reshape(-1)[:n_mem]
     mem_nodes = (col + plan.mem_off).reshape(-1)[:n_mem]
     n_fp = k * len(plan.fp_pos) + plan.fp_end[part]
-    if plan.legacy:
-        pairs = np.empty((rows * plan.n_addr, 2), dtype=np.int64)
-        pairs[:len(ap)] = np.array(ap, dtype=np.int64).reshape(-1, 2)
-        addr_pairs = pairs.reshape(rows, plan.n_addr, 2)[
-            :, plan.fp_cols].reshape(-1, 2)[:n_fp]
-        addr_nodes = (col + plan.fp_pos).reshape(-1)[:n_fp]
-    elif not len(plan.fp_pos):
+    if not len(plan.fp_pos):
         addr_pairs = _NO_PAIRS
         addr_nodes = _NO_NODES
     else:
@@ -979,20 +916,18 @@ def _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink, cur_loop,
         store_items)
 
 
-def _writeback(plan, L, N0, k, part, defn, defa, ma):
+def _writeback(plan, N0, k, part, defn, defa, ma):
     """Update ``defn``/``defa`` for every register the batch wrote.
 
     The last write visible to the step interpreter is the final full
     iteration's — or, after a deopt, the partial iteration's last write
     *before* the failed guard; a write at an uncaptured position leaves
-    ``-1``.  A legacy-mode kernel tracks ``defa`` itself; in derived
-    mode it is reconstructed here from the memory-address stream, for
-    recording and non-recording dispatches alike.
+    ``-1``.  ``defa`` is reconstructed from the memory-address stream,
+    for recording and non-recording dispatches alike.
     """
     W = plan.width
     nfin = N0 + k * W
     NM = plan.n_mem
-    derive_a = not plan.legacy
     if part:
         for r, wl, al, wn in plan.wb:
             j = bisect_left(wl, part)
@@ -1000,22 +935,19 @@ def _writeback(plan, L, N0, k, part, defn, defa, ma):
                 j -= 1
                 o = wn[j]
                 defn[r] = nfin + o if o >= 0 else -1
-                if derive_a:
-                    a = al[j]
-                    defa[r] = 0 if a < 0 else ma[k * NM + a]
+                a = al[j]
+                defa[r] = 0 if a < 0 else ma[k * NM + a]
             elif k:
                 o = wn[-1]
                 defn[r] = nfin - W + o if o >= 0 else -1
-                if derive_a:
-                    a = al[-1]
-                    defa[r] = 0 if a < 0 else ma[(k - 1) * NM + a]
+                a = al[-1]
+                defa[r] = 0 if a < 0 else ma[(k - 1) * NM + a]
     elif k:
         for r, _wl, al, wn in plan.wb:
             o = wn[-1]
             defn[r] = nfin - W + o if o >= 0 else -1
-            if derive_a:
-                a = al[-1]
-                defa[r] = 0 if a < 0 else ma[(k - 1) * NM + a]
+            a = al[-1]
+            defa[r] = 0 if a < 0 else ma[(k - 1) * NM + a]
 
 
 # -- the compiler ------------------------------------------------------------
@@ -1140,14 +1072,18 @@ class TraceCompiler:
                 return
             entries.append((instr, blk, pc, taken))
         captured = self.interp.captured
+        plan = _analyze(entries, [captured[e[0].sid] for e in entries])
+        if plan is None:
+            self.reject(lid, "runtime-only operand address (a select over "
+                             "an addressed value, or a copy of a carried "
+                             "or live-in pointer)")
+            return
         kern = LoopKernel(lid, entries, (rec.block, rec.pc),
-                          self.interp.global_addr,
-                          [captured[e[0].sid] for e in entries])
+                          self.interp.global_addr, plan)
         self.kernels[lid] = kern
         current_run().tel.instant(
             "compile.kernel.recorded",
-            {"loop": lid, "records_per_iter": kern.length,
-             "legacy_addr": kern.plan.legacy},
+            {"loop": lid, "records_per_iter": kern.length},
         )
 
     # -- batch dispatch -----------------------------------------------------
@@ -1190,8 +1126,7 @@ class TraceCompiler:
         while True:
             B = batch if batch < room else room
             N0 = interp._node
-            k, dpc, ma, lw, ap = fn(B, N0, values, defa, mem, mw, alloc,
-                                    recording)
+            k, dpc, ma, lw = fn(B, N0, values, mem, mw, alloc, recording)
             batches += 1
             if ks is not None:
                 ks.append(k)
@@ -1207,9 +1142,9 @@ class TraceCompiler:
                     for opc_i in kern.op_pat[:part]:
                         counts[loop_key + opc_i] += 1
                 if recording:
-                    _emit(kern, N0, k, part, defn, defa, ma, lw, ap, sink,
+                    _emit(kern, N0, k, part, defn, defa, ma, lw, sink,
                           cur_loop, entry_sid)
-                _writeback(plan, L, N0, k, part, defn, defa, ma)
+                _writeback(plan, N0, k, part, defn, defa, ma)
                 total += k
             entry_sid = None
             if dpc >= 0:

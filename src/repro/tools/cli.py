@@ -108,17 +108,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_analyze_file(args) -> int:
     from repro.analysis.pipeline import analyze_program
-    from repro.workloads.base import analyze_workload
 
     with open(args.path) as fh:
         source = fh.read()
-    if args.loop:
-        report = analyze_workload(source, args.path, [args.loop],
-                                  **_run_opts(args))
-    else:
-        report = analyze_program(source, benchmark=args.path,
-                                 threshold=args.threshold,
-                                 **_run_opts(args))
+    report = analyze_program(source, args.path,
+                             [args.loop] if args.loop else None,
+                             threshold=args.threshold, **_run_opts(args))
     print(report.table())
     return 0
 

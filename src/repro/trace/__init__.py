@@ -8,7 +8,6 @@ from repro.trace.store import (
     SegmentedLoopSink,
     SegmentedSink,
     SegmentStore,
-    StoredTrace,
     open_store,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "SegmentedSink",
     "SegmentedLoopSink",
     "SegmentStore",
-    "StoredTrace",
     "open_store",
 ]

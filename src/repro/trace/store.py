@@ -21,15 +21,12 @@ format while tracing and streams the analysis back segment by segment:
   boundaries are the natural analysis windows); a chunk that doubles the
   budget without seeing a marker is cut anyway and flagged
   ``aligned: false`` in the manifest.
-- :class:`SegmentStore`: the reader.  Columns come back as mmap-backed
-  (or buffered) typed arrays; :meth:`SegmentStore.to_ddg` rebuilds the
-  CSR DDG by walking segment windows — never holding more than one
-  segment's columns plus the (much smaller) marker/run context.  Asked
-  for the candidate cone, it first walks every segment once to fix the
-  cone, since edges cross segments.
-  :meth:`SegmentStore.iter_ddg_chunks` exposes the same windows to
-  streaming consumers such as
-  :func:`repro.analysis.timestamps.packed_scan_stream`.
+- :class:`SegmentStore`: the reader.  Columns come back as typed views
+  of a read-only mmap of each segment file; :meth:`SegmentStore.to_ddg`
+  rebuilds the CSR DDG by walking segment windows — never holding more
+  than one segment's columns plus the (much smaller) marker/run context
+  and the DDG it builds.  Asked for the candidate cone, it first walks
+  every segment once to fix the cone, since edges cross segments.
 
 Everything is gated on bit-identity: ``SegmentStore.to_ddg()`` equals
 ``ColumnarSink.to_ddg()`` on the same run, column for column (tested on
@@ -75,7 +72,6 @@ from repro.trace.columnar import (
     unique_deps,
 )
 from repro.trace.events import MARKER_ENTER
-from repro.trace.trace import Trace
 
 MANIFEST_NAME = "MANIFEST.json"
 STORE_SCHEMA = "vectra.trace-store/1"
@@ -523,12 +519,8 @@ def _write_segment_file(path: str, index: int,
 
 
 class SegmentData:
-    """One loaded segment: manifest metadata plus typed column views.
-
-    Columns are memoryview casts over an mmap (zero-copy) or plain
-    ``array`` objects read from the file — both index, slice, and
-    ``tolist()`` the same way.
-    """
+    """One loaded segment: manifest metadata plus typed column views
+    (memoryview casts over a read-only mmap of the file, zero-copy)."""
 
     __slots__ = ["index", "meta"] + list(SECTION_TYPECODES) + ["_mm"]
 
@@ -586,9 +578,8 @@ class _StoreContext(NamedTuple):
 class SegmentStore:
     """Reader over a spilled segment directory."""
 
-    def __init__(self, path: str, use_mmap: bool = True):
+    def __init__(self, path: str):
         self.path = path
-        self.use_mmap = use_mmap
         manifest_path = os.path.join(path, MANIFEST_NAME)
         try:
             with open(manifest_path) as fh:
@@ -642,28 +633,16 @@ class SegmentStore:
                         f"{path!r}: segment header mismatch (version "
                         f"{version}, index {idx}; manifest says {index})"
                     )
-                if self.use_mmap and meta["rows"]:
-                    mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                    seg._mm = mm
-                    view = memoryview(mm)
-                    for name, tc in SECTION_TYPECODES.items():
-                        off, count = sections[name]
-                        nbytes = count * struct.calcsize(tc)
-                        setattr(seg, name,
-                                view[off:off + nbytes].cast(tc))
-                else:
-                    for name, tc in SECTION_TYPECODES.items():
-                        off, count = sections[name]
-                        fh.seek(off)
-                        arr = array(tc)
-                        nbytes = count * arr.itemsize
-                        data = fh.read(nbytes)
-                        if len(data) != nbytes:
-                            raise TraceError(
-                                f"{path!r}: truncated section {name!r}"
-                            )
-                        arr.frombytes(data)
-                        setattr(seg, name, arr)
+                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                seg._mm = mm
+                view = memoryview(mm)
+                for name, tc in SECTION_TYPECODES.items():
+                    off, count = sections[name]
+                    nbytes = count * struct.calcsize(tc)
+                    if off + nbytes > len(mm):
+                        raise TraceError(
+                            f"{path!r}: truncated section {name!r}")
+                    setattr(seg, name, view[off:off + nbytes].cast(tc))
         except OSError as exc:
             raise TraceError(f"cannot read segment {path!r}: {exc}") from None
         return seg
@@ -736,9 +715,6 @@ class SegmentStore:
         return ColumnarSink.from_columns(concat_columns(parts), runs,
                                          breaks, markers, stores,
                                          self.manifest.get("uncaptured", 0))
-
-    def trace(self, module) -> "StoredTrace":
-        return StoredTrace(module, self)
 
     # -- streaming DDG assembly --------------------------------------------
 
@@ -854,10 +830,8 @@ class SegmentStore:
             out_store[p[free]] = pval[free]
         return out_store
 
-    def iter_ddg_chunks(self, cone_ops=None) -> Iterator[DDGChunk]:
-        """The DDG, one segment window at a time — the streaming-consumer
-        interface (the chunked Algorithm 1 scan and the windowed
-        assembly in :meth:`to_ddg` both walk these).
+    def _ddg_chunks(self, cone_ops=None) -> Iterator[DDGChunk]:
+        """The DDG, one segment window at a time, for :meth:`to_ddg`.
 
         With ``cone_ops`` the chunks hold the window's candidate cone
         (see :meth:`ColumnarSink.to_ddg`): a first pass over every
@@ -905,7 +879,7 @@ class SegmentStore:
         offsets = array("q", [0])
         window_edges = 0
         with tel.span("trace_store.to_ddg"):
-            for chunk in self.iter_ddg_chunks(cone_ops):
+            for chunk in self._ddg_chunks(cone_ops):
                 out_sids += chunk.sids
                 out_ops += chunk.opcodes
                 out_addrs += chunk.addrs
@@ -934,34 +908,9 @@ class SegmentStore:
         )
 
 
-class StoredTrace(Trace):
-    """A :class:`Trace` view over a segment store.
-
-    :func:`~repro.ddg.build.build_ddg` recognizes the attached store and
-    streams segment windows; ``records`` (span indexing, serialization)
-    materializes the full columns on demand via :meth:`SegmentStore
-    .to_sink` — the compat path, at full-RAM cost.
-    """
-
-    def __init__(self, module, store: SegmentStore):
-        self.module = module
-        self.segment_store = store
-        self._spans = None
-        self._sink: Optional[ColumnarSink] = None
-
-    def __len__(self) -> int:
-        return self.segment_store.total_rows
-
-    @property
-    def records(self):
-        if self._sink is None:
-            self._sink = self.segment_store.to_sink()
-        return self._sink.records
-
-
-def open_store(path: str, use_mmap: bool = True) -> SegmentStore:
+def open_store(path: str) -> SegmentStore:
     """Open a spilled segment directory for reading."""
-    return SegmentStore(path, use_mmap=use_mmap)
+    return SegmentStore(path)
 
 
 def spill_subdir(spill_dir: str, label: str) -> str:

@@ -83,21 +83,3 @@ def carried_dependence(a: Access, b: Access, ivar: str) -> Optional[str]:
     if distance == 0:
         return None  # loop-independent dependence only
     return f"loop-carried dependence (distance {distance})"
-
-
-def loop_carried_pairs(accesses, ivar: str):
-    """All (write, other, reason) triples with a possible carried
-    dependence among ``accesses``."""
-    out = []
-    for i, a in enumerate(accesses):
-        if not a.is_write:
-            continue
-        for j, b in enumerate(accesses):
-            if i == j:
-                continue
-            if not a.is_write and not b.is_write:
-                continue
-            reason = carried_dependence(a, b, ivar)
-            if reason is not None:
-                out.append((a, b, reason))
-    return out

@@ -9,7 +9,7 @@ mapping).  UTDSP kernels and the standalone kernels are implemented
 directly, in both array and pointer styles where the paper compares them.
 """
 
-from repro.workloads.base import Workload, analyze_workload
+from repro.workloads.base import Workload
 from repro.workloads.loader import (
     get_workload,
     list_workloads,
@@ -18,7 +18,6 @@ from repro.workloads.loader import (
 
 __all__ = [
     "Workload",
-    "analyze_workload",
     "get_workload",
     "list_workloads",
     "register",

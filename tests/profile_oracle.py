@@ -1,15 +1,16 @@
-"""Reference oracle for the §4.1 profile of ``analyze_workload``.
+"""Reference oracle for the §4.1 profile of named loops.
 
-The original two-pass driver, kept as the oracle that
-``tests/test_profile_differential.py`` checks
-:func:`repro.workloads.base.analyze_workload` against.  It runs the whole
-program once without a trace sink to fill Percent Cycles and Percent
-Packed, then analyzes every requested loop through its windowed re-run.
-The production driver takes the profile from the first re-run instead.
-The body is verbatim except for two edits: ``run_loop_analyses`` now
-returns ``(reports, counters)``, and the oracle drops the counters; and
-the telemetry and status bus come from the current run instead of a
-``tel`` parameter and the old process-global registries.
+The original two-pass driver for a list of loop names, kept as the
+oracle that ``tests/test_profile_differential.py`` checks
+:func:`repro.analysis.pipeline.analyze_program` (``loops=[...]``)
+against.  It runs the whole program once without a trace sink to fill
+Percent Cycles and Percent Packed, then analyzes every requested loop
+through its windowed re-run.  The production driver takes the profile
+from the first re-run instead.  The body is verbatim except for two
+edits: ``run_loop_analyses`` now returns ``(reports, counters)``, and
+the oracle drops the counters; and the telemetry and status bus come
+from the current run instead of a ``tel`` parameter and the old
+process-global registries.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.vectorizer.autovec import VectorizerConfig, analyze_program_loops
 from repro.vectorizer.packed import percent_packed
 
 
-def analyze_workload(
+def analyze_named_loops(
     source: str,
     benchmark: str,
     loops: Sequence[str],

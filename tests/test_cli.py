@@ -107,6 +107,22 @@ class TestCLI:
         assert code == 0
         assert "L" in out
 
+    @pytest.mark.parametrize("threshold", ["2", "10", "-0.5"])
+    def test_analyze_file_threshold_outside_unit_range_fails(
+            self, capsys, tmp_path, threshold):
+        """``--threshold`` is a fraction of the cycles: ``10`` for 10%
+        would print an empty table, a negative value every loop."""
+        src = tmp_path / "k.c"
+        src.write_text(
+            "double A[8]; int main() { int i; "
+            "L: for (i=0;i<8;i++) A[i] = (double)i * 2.0; return 0; }"
+        )
+        assert main(["analyze-file", str(src),
+                     "--threshold", threshold]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[0, 1]" in captured.err
+
 
 class TestRunOptions:
     """--jobs / --fuel plumbing through the analysis subcommands."""

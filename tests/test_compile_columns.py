@@ -10,8 +10,9 @@ branches of the batch column derivation that lowered source cannot:
 - FP operand addresses that are live-in, a carried load, or a carried
   zero;
 - store producers that are carried or live-in;
-- legacy address mode, where a select over loaded values (or over a
-  carried pointer) makes operand addresses runtime-only;
+- a select over loaded values (or over a carried pointer), which makes
+  operand addresses runtime-only: the compiler rejects that loop, and
+  the step interpreter runs it;
 - a pointer register written twice in one iteration, which the kernel
   must guard again after the second write.
 
@@ -26,13 +27,14 @@ import pytest
 
 from repro.analysis.candidates import candidate_opcodes
 from repro.errors import MemoryError_
-from repro.interp.compile import LoopKernel
+from repro.interp.compile import REJECTED, LoopKernel
 from repro.interp.interpreter import Interpreter
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import Opcode
 from repro.ir.module import GlobalVar, Module
 from repro.ir.types import DOUBLE, INT32, INT64, ArrayType, PointerType
 from repro.ir.values import Constant, GlobalRef
+from repro.obs import EventLog, Run, Telemetry, use_run
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.store import SegmentedLoopSink, SegmentedSink
 
@@ -86,8 +88,10 @@ def carried_module(legacy: bool) -> Module:
       the body.
 
     ``legacy=True`` adds a select between a loaded value and the carried
-    ``prev``, and a pointer select, whose operand addresses only the
-    kernel can track.
+    ``prev``, and a pointer select, whose operand addresses only run time
+    knows.  Such a loop once compiled in a *legacy* address mode, in
+    which the kernel tracked every register's address; the compiler now
+    rejects it.
     """
     m = Module("carried")
     for name in "ABCDG":
@@ -236,6 +240,15 @@ def _kernel(interp) -> LoopKernel:
     return kern
 
 
+def _compiled_as_expected(interp, legacy):
+    """The inner loop ran batches, or, with a runtime-only operand
+    address (``legacy``), was rejected and stepped."""
+    if legacy:
+        assert interp._compiler.kernels[INNER] is REJECTED
+    else:
+        _kernel(interp)
+
+
 def _ddgs(source):
     """Full DDG and both candidate cones (FP only, and with integers)."""
     return [source(None), source(candidate_opcodes(False)),
@@ -251,16 +264,25 @@ SINKS = {
 
 @pytest.mark.parametrize("legacy", [False, True], ids=["derived", "legacy"])
 def test_kernel_reaches_the_carried_branches(legacy):
-    kern = _kernel(_run(MODULES[legacy], True, ColumnarSink(), 1024))
-    plan = kern.plan
-    assert plan.legacy == legacy
+    log = EventLog(capacity=4096)
+    with use_run(Run(tel=Telemetry(events=log))):
+        interp = _run(MODULES[legacy], True, ColumnarSink(), 1024)
+    rejected = [e["args"]["reason"] for e in log.snapshot()
+                if e["name"] == "compile.kernel.rejected"
+                and e["args"]["loop"] == INNER]
+    if legacy:
+        assert interp._compiler.kernels[INNER] is REJECTED
+        assert len(rejected) == 1
+        assert rejected[0].startswith("runtime-only operand address")
+        return
+    assert not rejected
+    plan = _kernel(interp).plan
     assert plan.car_slots
     assert {kind for _P, _mj, kind, _a1, _a2 in plan.store_groups} == {
         1, 2, 3}
-    if not legacy:
-        kinds = {side[0] for _P, d1, d2 in plan.fp_groups
-                 for side in (d1, d2)}
-        assert {1, 3, 4} <= kinds
+    kinds = {side[0] for _P, d1, d2 in plan.fp_groups
+             for side in (d1, d2)}
+    assert {1, 3, 4} <= kinds
 
 
 @pytest.mark.parametrize("batch_iters", [1024, 5, 1])
@@ -274,7 +296,7 @@ def test_compiled_columns_and_ddgs_equal_stepped(legacy, sink, batch_iters):
         interp = _run(module, compiled, s, batch_iters)
         runs.append((interp, s))
     (i0, s0), (i1, s1) = runs
-    _kernel(i1)
+    _compiled_as_expected(i1, legacy)
     assert i0.op_counts == i1.op_counts
     assert i0.memory.data == i1.memory.data
     assert _cols(s0) == _cols(s1)
@@ -303,7 +325,7 @@ def test_spilled_compiled_equals_stepped_and_in_ram(legacy, window,
             s = SegmentedSink(spill_dir, segment_rows=segment_rows)
         interp = _run(module, compiled, s, 5)
         if compiled:
-            _kernel(interp)
+            _compiled_as_expected(interp, legacy)
         stats.append(s.stats())
         stores.append(s.finish())
     assert stats[0] == stats[1]
@@ -360,5 +382,5 @@ def test_pointer_rewritten_mid_path_is_guarded_again():
     assert _cols(s0) == _cols(s1)
     assert s0.stats() == s1.stats()
     kern = i1._compiler.kernels[module.loop_by_name("loop").loop_id]
-    assert isinstance(kern, LoopKernel) and not kern.plan.legacy
+    assert isinstance(kern, LoopKernel)
     assert 15 < kern.gained < 25

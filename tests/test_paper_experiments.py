@@ -16,7 +16,6 @@ from repro.interp import run_and_trace
 from repro.vectorizer import analyze_program_loops
 from repro.vectorizer.autovec import decisions_by_name
 from repro.workloads import get_workload
-from repro.workloads.base import analyze_workload
 
 
 def loop_report(source, label, **kw):

@@ -7,7 +7,6 @@ import pytest
 import repro.analysis.pipeline as pipeline_mod
 from repro.analysis.pipeline import (
     analyze_loop,
-    analyze_module,
     analyze_program,
     run_loop_analyses,
 )
@@ -115,53 +114,62 @@ class TestAnalyzeProgram:
         few_rows = analyze_program(SRC, threshold=0.5)
         assert len(all_rows.loops) >= len(few_rows.loops)
 
-
-class TestAnalyzeModule:
-    def test_module_only_analysis_has_no_packed(self):
-        module = compile_source(SRC)
-        report = analyze_module(module)
-        assert report.loops
-        assert all(l.percent_packed == 0.0 for l in report.loops)
-
-    def test_matches_analyze_program_rows(self):
-        """Module-only analysis must find the same hot loops and compute
-        the same dynamic metrics as the full driver — only the static
-        Percent Packed column is missing."""
-        module = compile_source(SRC)
-        by_module = analyze_module(module)
-        by_program = analyze_program(SRC, benchmark="demo")
-        assert ([l.loop_name for l in by_module.loops]
-                == [l.loop_name for l in by_program.loops])
-        for lm, lp in zip(by_module.loops, by_program.loops):
-            assert lm.total_candidate_ops == lp.total_candidate_ops
-            assert lm.avg_concurrency == lp.avg_concurrency
-            assert lm.percent_vec_unit == lp.percent_vec_unit
-            assert lm.percent_cycles == lp.percent_cycles
-
-    def test_threshold_controls_row_count(self):
-        module = compile_source(SRC)
-        all_rows = analyze_module(module, threshold=0.001)
-        few_rows = analyze_module(module, threshold=0.5)
-        assert len(all_rows.loops) > len(few_rows.loops)
-
-    def test_forwards_fuel(self):
-        module = compile_source(SRC)
-        with pytest.raises(FuelExhaustedError):
-            analyze_module(module, fuel=50)
-
-    def test_records_telemetry(self):
-        module = compile_source(SRC)
+    def test_named_loops_match_discovered(self):
+        """Handed the hot loops by name, the driver runs no profile pass
+        and takes the profile from the first re-run: the same report."""
+        discovered = analyze_program(SRC, benchmark="demo")
+        names = [loop.loop_name for loop in discovered.loops]
         tel = Telemetry()
         with use_run(Run(tel=tel)):
-            analyze_module(module)
-        assert "profile.run" in tel.spans
+            named = analyze_program(SRC, benchmark="demo", loops=names)
+        assert named == discovered
+        assert tel.spans["profile.run"][1] == 1
+        # One windowed re-run per loop and no profile run.
+        assert tel.counters["interp.runs"] == len(names)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, 10])
+    def test_threshold_outside_unit_range_fails_before_interpreting(
+            self, threshold):
+        """The threshold is a fraction of the cycles: a percentage typed
+        as ``10`` would select nothing, a negative value everything."""
+        tel = Telemetry()
+        with use_run(Run(tel=tel)), \
+                pytest.raises(AnalysisError, match=r"\[0, 1\]"):
+            analyze_program(SRC, threshold=threshold)
+        assert "frontend.parse_lower" not in tel.spans
+        assert tel.counters.get("interp.runs", 0) == 0
+
+
+class TestAnalyzeModule:
+    """The one driver over a whole module: its hot loops, fuel,
+    telemetry and cone counters."""
+
+    def test_threshold_controls_row_count(self):
+        all_rows = analyze_program(SRC, threshold=0.001)
+        few_rows = analyze_program(SRC, threshold=0.5)
+        assert len(all_rows.loops) > len(few_rows.loops)
+        # The closed range's ends: every loop with cycles, or none.
+        assert len(analyze_program(SRC, threshold=0.0).loops) >= len(
+            all_rows.loops)
+        assert analyze_program(SRC, threshold=1.0).loops == []
+
+    def test_forwards_fuel(self):
+        with pytest.raises(FuelExhaustedError):
+            analyze_program(SRC, fuel=50)
+
+    def test_records_telemetry(self):
+        tel = Telemetry()
+        with use_run(Run(tel=tel)):
+            report = analyze_program(SRC)
+        assert tel.spans["profile.run"][1] == 1
         assert "loop.rerun" in tel.spans
         assert "ddg.build" in tel.spans
         assert "algorithm1" in tel.spans
         assert "stride" in tel.spans
-        assert tel.counters["pipeline.loops_analyzed"] == len(
-            analyze_module(module).loops
-        )
+        # The profile run, then one windowed re-run per hot loop.
+        assert tel.counters["interp.runs"] == 1 + len(report.loops)
+        assert tel.counters["pipeline.hot_loops"] == len(report.loops)
+        assert tel.counters["pipeline.loops_analyzed"] == len(report.loops)
         assert tel.counters["ddg.nodes"] > 0
         assert tel.counters["ddg.edges"] > 0
 
@@ -385,11 +393,10 @@ class TestRelaxReductionsPlumbing:
         assert relaxed_red.percent_vec_unit > strict_red.percent_vec_unit
         assert relaxed_red.avg_concurrency > strict_red.avg_concurrency
 
-    def test_analyze_module_forwards_relax_reductions(self):
-        module = compile_source(REDUCTION_SRC)
-        strict = analyze_module(module, threshold=0.01)
-        relaxed = analyze_module(module, threshold=0.01,
-                                 relax_reductions=True)
+    def test_named_loops_forward_relax_reductions(self):
+        strict = analyze_program(REDUCTION_SRC, loops=["red"])
+        relaxed = analyze_program(REDUCTION_SRC, loops=["red"],
+                                  relax_reductions=True)
         strict_red = self._red_loop(strict)
         relaxed_red = self._red_loop(relaxed)
         assert relaxed_red.percent_vec_unit > strict_red.percent_vec_unit
@@ -481,7 +488,6 @@ int main() {
         recorded again."""
         from repro.interp.compile import MAX_RECORD_FAILURES, TraceCompiler
         from repro.obs import EventLog
-        from repro.workloads.base import analyze_workload
 
         aborts = []
         abort = TraceCompiler.abort
@@ -495,8 +501,8 @@ int main() {
         once = module.loop_by_name("once").loop_id
         log = EventLog(capacity=65536)
         with use_run(Run(tel=Telemetry(events=log))):
-            analyze_workload(self.STRADDLE, "demo", ["a", "b", "c"],
-                             compile_threshold=1)
+            analyze_program(self.STRADDLE, "demo", ["a", "b", "c"],
+                            compile_threshold=1)
         rejected = [e["args"] for e in log.snapshot()
                     if e["name"] == "compile.kernel.rejected"
                     and e["args"]["loop"] == once]

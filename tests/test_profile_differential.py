@@ -1,11 +1,13 @@
-"""``analyze_workload``'s profile against the two-pass oracle.
+"""The profile of ``analyze_program`` with named loops against the
+two-pass oracle.
 
-``analyze_workload`` takes Percent Cycles and Percent Packed from the
-profile counters of its first windowed re-run instead of a separate
-sink-less run.  ``tests/profile_oracle.py`` keeps the two-pass driver;
-both must return the same ``BenchmarkReport`` on every registered
-workload and on a two-loop program under every execution path (process
-pool, segment store, compiler off, a later loop instance).  The
+Handed its loops by name, ``analyze_program`` takes Percent Cycles and
+Percent Packed from the profile counters of its first windowed re-run
+instead of a separate sink-less run.  ``tests/profile_oracle.py`` keeps
+the two-pass driver; both must return the same ``BenchmarkReport`` on
+every registered workload and on a two-loop program under every
+execution path (process pool, segment store, compiler off, a later loop
+instance).  The
 invariant underneath: a windowed re-run ends with the same profile
 counters and executed-instruction count as a sink-less run.
 """
@@ -15,12 +17,12 @@ import pickle
 
 import pytest
 
+from repro.analysis.pipeline import analyze_program
 from repro.frontend import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.trace.columnar import ColumnarLoopSink
 from repro.trace.store import SegmentedLoopSink
 from repro.workloads import list_workloads
-from repro.workloads.base import analyze_workload
 from tests import profile_oracle as oracle
 
 # Two loops that run in three calls of different trip counts (so the
@@ -46,8 +48,8 @@ int main() {
 
 
 def assert_matches_oracle(source, benchmark, loops, **kwargs):
-    got = analyze_workload(source, benchmark, loops, **kwargs)
-    want = oracle.analyze_workload(source, benchmark, loops, **kwargs)
+    got = analyze_program(source, benchmark, loops, **kwargs)
+    want = oracle.analyze_named_loops(source, benchmark, loops, **kwargs)
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
     return got
 

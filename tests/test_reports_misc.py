@@ -3,6 +3,7 @@ covered by the focused suites."""
 
 import pytest
 
+from repro.analysis.pipeline import analyze_program
 from repro.analysis.report import (
     BenchmarkReport,
     InstructionReport,
@@ -10,7 +11,6 @@ from repro.analysis.report import (
 )
 from repro.errors import FuelExhaustedError, WorkloadError
 from repro.obs import Run, Telemetry, use_run
-from repro.workloads.base import analyze_workload
 
 
 class TestReportFormatting:
@@ -69,7 +69,7 @@ int main() {
 
     def test_unknown_loop_is_reported_with_candidates(self):
         with pytest.raises(WorkloadError) as exc:
-            analyze_workload(self.SRC, "demo", ["nope"])
+            analyze_program(self.SRC, "demo", ["nope"])
         assert "known" in str(exc.value)
         assert "L" in str(exc.value)
 
@@ -83,19 +83,19 @@ int main() {
   return 0;
 }
 """
-        report = analyze_workload(src, "demo", ["two", "one"])
+        report = analyze_program(src, "demo", ["two", "one"])
         assert [l.loop_name for l in report.loops] == ["two", "one"]
 
     def test_unknown_loop_fails_before_interpreting(self):
         tel = Telemetry()
         with use_run(Run(tel=tel)), pytest.raises(WorkloadError):
-            analyze_workload(self.SRC, "demo", ["L", "nope"])
+            analyze_program(self.SRC, "demo", ["L", "nope"])
         assert tel.counters.get("interp.runs", 0) == 0
 
     def test_empty_loop_list_interprets_nothing(self):
         tel = Telemetry()
         with use_run(Run(tel=tel)):
-            report = analyze_workload(self.SRC, "demo", [])
+            report = analyze_program(self.SRC, "demo", [])
         assert report.loops == []
         assert tel.counters.get("interp.runs", 0) == 0
 
@@ -117,8 +117,8 @@ int main() {
             tel = Telemetry()
             with use_run(Run(tel=tel)), \
                     pytest.raises(FuelExhaustedError) as exc:
-                analyze_workload(src, "demo", ["one", "two"], fuel=40,
-                                 jobs=jobs)
+                analyze_program(src, "demo", ["one", "two"], fuel=40,
+                                jobs=jobs)
             messages.append(str(exc.value))
             assert tel.counters.get("pipeline.pool_fallbacks", 0) == 0
         # concurrent.futures chains a worker's traceback as the cause.

@@ -15,16 +15,11 @@ import os
 import pytest
 
 from repro.analysis.pipeline import analyze_loop
-from repro.analysis.timestamps import (
-    batched_parallel_partitions,
-    packed_scan_stream,
-    packed_timestamp_scan,
-)
 from repro.ddg.build import build_ddg
 from repro.errors import TraceError
 from repro.frontend import compile_source
 from repro.interp.interpreter import Interpreter
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, ColumnarTrace
 from repro.trace.store import (
     MANIFEST_NAME,
     SegmentedLoopSink,
@@ -92,22 +87,6 @@ def test_loop_report_bit_identical_under_spill(seed, tmp_path):
                            spill_dir=str(tmp_path / "spill"),
                            segment_rows=8)
     assert in_ram == spilled
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_streaming_scan_matches_batched(seed, tmp_path):
-    """The chunked Algorithm 1 scan over segment windows equals the
-    assembled-DDG batched engine: same packed vectors, same partitions."""
-    _, _, ram, store = _window_pair(seed, tmp_path)
-    ddg = ram.to_ddg()
-    targets = ddg.static_ids()
-    scan, parts = packed_scan_stream(store.iter_ddg_chunks(), targets,
-                                     store.n_nodes)
-    ref = packed_timestamp_scan(ddg, targets)
-    assert scan.width == ref.width
-    assert scan.lane == ref.lane
-    assert scan.vectors == ref.vectors
-    assert parts == batched_parallel_partitions(ddg, targets)
 
 
 def test_stats_match_in_ram_sink(tmp_path):
@@ -198,12 +177,13 @@ def test_pre_spill_store_entry_beats_late_patch(tmp_path):
 
 
 def test_stored_trace_dispatches_and_materializes(tmp_path):
+    """A store's reassembled sink, viewed as a trace, goes through
+    build_ddg's columnar path and materializes the same records."""
     module, _, ram, store = _window_pair(0, tmp_path)
-    trace = store.trace(module)
+    trace = ColumnarTrace(module, store.to_sink())
     assert len(trace) == store.total_rows
     assert_ddgs_identical(ram.to_ddg(), build_ddg(trace))
-    ram_records = ram.records
-    for a, b in zip(trace.records, ram_records):
+    for a, b in zip(trace.records, ram.records, strict=True):
         assert (a.node, a.sid, int(a.opcode), a.loop_id) == (
             b.node, b.sid, int(b.opcode), b.loop_id)
         assert tuple(a.deps) == tuple(b.deps)
@@ -256,11 +236,12 @@ def test_open_rejects_non_store_directories(tmp_path):
         SegmentStore(str(bad))
 
 
-def test_buffered_reader_matches_mmap(tmp_path):
-    _, _, ram, store = _window_pair(1, tmp_path)
-    buffered = SegmentStore(store.path, use_mmap=False)
-    assert_ddgs_identical(store.to_ddg(), buffered.to_ddg())
-    assert_ddgs_identical(ram.to_ddg(), buffered.to_ddg())
+def test_truncated_segment_fails_cleanly(tmp_path):
+    _, _, _, store = _window_pair(1, tmp_path)
+    path = os.path.join(store.path, store.segments[-1]["file"])
+    os.truncate(path, os.path.getsize(path) // 2)
+    with pytest.raises(TraceError, match="truncated section"):
+        store.to_ddg()
 
 
 def test_cli_spill_output_identical(tmp_path, capsys):
@@ -282,3 +263,16 @@ def test_cli_segment_rows_requires_spill_dir(capsys):
 
     assert main(["analyze", "utdsp_fir_array", "--segment-rows", "4"]) == 1
     assert "--spill-dir" in capsys.readouterr().err
+
+
+def test_cli_segment_rows_must_be_positive(tmp_path, capsys):
+    """0 is not a request for the default budget: it fails like any
+    other non-positive budget."""
+    from repro.tools.cli import main
+
+    for rows in ("0", "-5"):
+        assert main(["analyze", "utdsp_fir_array", "-p", "nout=8",
+                     "-p", "ntap=4", "--spill-dir", str(tmp_path / rows),
+                     "--segment-rows", rows]) == 1
+        assert (f"segment_rows must be positive, got {rows}"
+                in capsys.readouterr().err)
