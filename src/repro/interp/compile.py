@@ -44,13 +44,18 @@ This module borrows the tracing-JIT idiom (PyPy-style meta-tracing):
    analysis) the operand-address column are all re-derivable from path
    structure plus the kernel's memory-address stream.  The kernel
    therefore accumulates only what is genuinely runtime — one address
-   per memory operand, one ``MW`` lookup per load when recording — and
-   the dispatcher derives whole numpy columns from the kernel's pattern
-   arrays with a fixed handful of vectorized calls per batch, whatever
-   the path length, and hands them to
-   :meth:`ColumnarSink.bulk_append` / :meth:`SegmentedSink.bulk_append`
-   as they are — no per-record ``emit()``, no per-record Python
-   bookkeeping (store backpatches aside).
+   per memory operand, one ``MW`` lookup per load when recording.  A
+   recording dispatch derives nothing: it hands the batch to the sink
+   (:meth:`ColumnarSink.reserve`), which takes its rows (their runs,
+   loop-id change and marker rows are arithmetic), keeps the raw
+   streams as int64 with the kernel's other pending batches
+   (:class:`PendingBatches`) and applies at once only the store
+   backpatches whose producer lies before the batch.  When the sink's
+   columns are first read, every pending batch of one kernel is derived
+   in one vectorized pass (:class:`_Derivation`) and written, with the
+   stepped rows, into the window's columns in one merge, so the numpy
+   calls per window grow with its kernels, not its batches — no
+   per-record ``emit()``, no per-item Python bookkeeping.
 4. **Guards and deoptimization.**  Every branch in the path guards its
    recorded direction, and every faulting operation (division by zero,
    invalid load/store address) guards its precondition *before*
@@ -83,10 +88,11 @@ interpreter hits the exact budgeted instruction and raises
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from itertools import chain as _chain
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -173,9 +179,12 @@ class _Plan:
     streams stay complete: operand addresses come from uncaptured loads
     too, and an uncaptured load's ``MW`` lookup is what the capture-miss
     test reads (``dead_cols``).  ``mem_cols`` picks the captured entries
-    out of the memory-operand stream, ``fp_pos`` holds the captured FP
-    records' ranks, and ``mem_end``/``fp_end`` count the captured ones
-    before each path position, where a partial iteration is cut.
+    out of the memory-operand stream and ``fp_pos`` holds the captured FP
+    records' ranks.  ``ends[name][P]`` counts what the positions before
+    ``P`` hold — captured rows (``cap``), dependence slots (``dep``),
+    captured memory operands (``mem``) and FP records (``fp``) — so a
+    partial iteration that stopped at ``P`` is cut there, and
+    ``ends[name][L]`` is a full iteration's.
 
     Dependence slots classify as *constant* (``-1``), *affine* (operand
     written earlier in the same iteration at captured position ``d`` →
@@ -201,22 +210,45 @@ class _Plan:
     value that has an address, or a copy of a carried/live-in pointer).
     A path with any ``-2`` gets no plan (:func:`_analyze` returns
     ``None``) and its loop is rejected; for every other path the
-    dispatcher derives the address column, and the def-address
-    write-backs, from the memory-address stream.  Each FP operand side
-    is a gather from the stream (``fp_stride``/``fp_off`` over a zero
-    slot followed by the stream), and live-in, carried-load and
-    carried-zero sides patch in their pre-batch ``defa`` entries.
+    address column, and the def-address write-backs, are derived from
+    the memory-address stream.  Each FP operand side is a gather from
+    the stream (``fp_stride``/``fp_off`` over a zero slot followed by the
+    stream), and live-in, carried-load and carried-zero sides patch in
+    their pre-batch ``defa`` entries.  ``pre_n``/``pre_a`` read a
+    batch's pre-batch ``defn`` entries (carried, then live-in slots) and
+    ``defa`` entries (live-in, then first-iteration FP sides).
+
+    Store backpatches split by where the producer lies.  ``pre_stores``
+    (position, rank, memory operand, register) name one before the
+    batch, through ``defn``; the ``st_*`` arrays describe those inside
+    it — position, rank, memory operand, producer offset from the
+    iteration's first row, and whether that is the previous
+    iteration's — and ``st_shared`` says whether two of them can name
+    one producer.
     """
 
     __slots__ = (
-        "rank", "width", "cap_end",
-        "sids", "ops", "cnts", "dep_width", "dep_end", "dep_off",
+        "length", "rank", "width", "cap_end", "ends",
+        "sids", "ops", "cnts", "dep_width", "dep_off",
         "dep_mask", "car_slots", "car_idx", "car_regs", "li_idx",
         "li_regs", "lw_idx", "lw_cols", "dead_cols", "n_mem", "n_load",
-        "mem_cols", "mem_off", "mem_end", "fp_pos", "fp_groups", "fp_end",
+        "mem_cols", "mem_off", "fp_pos", "fp_groups",
         "fp_base", "fp_stride", "fp_off", "fp_li_idx", "fp_li_regs",
-        "fp_first_idx", "fp_first_regs", "store_groups", "wb",
+        "fp_first_idx", "fp_first_regs", "store_groups", "pre_stores",
+        "st_pos", "st_rank", "st_mj", "st_poff", "st_carried", "st_shared",
+        "pre_n", "pre_a", "wb",
     )
+
+
+def _getter(regs):
+    """A function from a register file to the tuple of its ``regs``
+    entries, or ``None`` for no register."""
+    if not regs:
+        return None
+    if len(regs) == 1:
+        r = regs[0]
+        return lambda values: (values[r],)
+    return itemgetter(*regs)
 
 
 def _analyze(entries, captured) -> Optional[_Plan]:
@@ -407,17 +439,15 @@ def _analyze(entries, captured) -> Optional[_Plan]:
     plan = _Plan()
     NM = len(mem_rank)
     kept = [e for e, cap in zip(entries, captured) if cap]
+    plan.length = L
     plan.rank = tuple(rank)
     plan.width = W
     plan.cap_end = tuple(cap_end)
-    plan.sids = np.array([[e[0].sid for e in kept]], dtype=np.int64)
-    plan.ops = np.array([[e[0].opcode._value_ for e in kept]],
-                        dtype=np.int8)
-    plan.cnts = np.array([[dep_end[P + 1] - dep_end[P]
-                           for P in range(L) if captured[P]]],
-                         dtype=np.intc)
+    plan.sids = np.array([e[0].sid for e in kept], dtype=np.int64)
+    plan.ops = np.array([e[0].opcode._value_ for e in kept], dtype=np.int8)
+    plan.cnts = np.array([dep_end[P + 1] - dep_end[P]
+                          for P in range(L) if captured[P]], dtype=np.intc)
     plan.dep_width = len(dep_off)
-    plan.dep_end = tuple(dep_end)
     plan.dep_off = np.array(dep_off, dtype=np.int64)
     plan.dep_mask = np.array(dep_mask, dtype=np.int64)
     plan.car_slots = tuple(car_slots)
@@ -434,10 +464,11 @@ def _analyze(entries, captured) -> Optional[_Plan]:
     plan.mem_cols = np.flatnonzero([r >= 0 for r in mem_rank])
     plan.mem_off = np.array([r for r in mem_rank if r >= 0],
                             dtype=np.int64)
-    plan.mem_end = tuple(mem_end)
     plan.fp_pos = np.array([g[0] for g in fp_groups], dtype=np.int64)
     plan.fp_groups = tuple(fp_groups)
-    plan.fp_end = tuple(fp_end)
+    plan.ends = {name: np.array(counts, dtype=np.int64) for name, counts in (
+        ("cap", cap_end), ("dep", dep_end), ("mem", mem_end),
+        ("fp", fp_end))}
     # Derived FP operand addresses gather from ``[zeros(fp_base),
     # stream]``: a same-iteration load reads its iteration's slot, a
     # carried load the previous one's (the zero block, for iteration 0),
@@ -472,6 +503,23 @@ def _analyze(entries, captured) -> Optional[_Plan]:
     plan.fp_first_idx = np.array([c[0] for c in first], dtype=np.intp)
     plan.fp_first_regs = tuple(c[1] for c in first)
     plan.store_groups = tuple(store_groups)
+    # Backpatches whose producer lies before the batch: iteration 0 of
+    # a carried store (``defn[a2]``) and a live-in one (``defn[a1]``; a
+    # later iteration's store of it loses under first-store-wins).  All
+    # the others name a producer inside the batch.
+    plan.pre_stores = tuple(
+        (P, rank[P], mj, a2 if kind == 2 else a1)
+        for P, mj, kind, a1, a2 in store_groups if kind >= 2)
+    inner = [(P, rank[P], mj, a1 if kind == 1 else a1 - W, kind == 2)
+             for P, mj, kind, a1, _a2 in store_groups
+             if kind == 1 or (kind == 2 and a1 >= 0)]
+    plan.st_pos, plan.st_rank, plan.st_mj, plan.st_poff = (
+        np.array([g[i] for g in inner], dtype=np.int64) for i in range(4))
+    plan.st_carried = np.array([g[4] for g in inner], dtype=bool)
+    # Two of them name one producer only if they share its rank.
+    plan.st_shared = len({g[3] + W * g[4] for g in inner}) < len(inner)
+    plan.pre_n = _getter(plan.car_regs + plan.li_regs)
+    plan.pre_a = _getter(plan.fp_li_regs + plan.fp_first_regs)
     plan.wb = tuple(
         (r, tuple(writes[r]), tuple(aclasses[r]),
          tuple(rank[P] for P in writes[r])) for r in sorted(writes))
@@ -483,9 +531,9 @@ class LoopKernel:
 
     One kernel serves every dispatch of the loop.  It always accumulates
     the memory-address stream, and the load-writer stream when
-    recording: a recording dispatch derives the batch's trace columns
-    from them (:func:`_emit`), and every dispatch derives the
-    def-address write-backs from the address stream
+    recording: a recording dispatch keeps both for the derivation of
+    its trace columns (:class:`PendingBatches`), and every dispatch
+    derives the def-address write-backs from the address stream
     (:func:`_writeback`).  The function is generated and compiled
     on first use.  ``plan`` is the path's :func:`_analyze` under the
     run's capture set; the kernel numbers only the captured positions,
@@ -528,6 +576,10 @@ class LoopKernel:
         """The generated kernel source (for tests and introspection)."""
         self.fn(True)
         return self._src
+
+    def pending(self) -> "PendingBatches":
+        """An empty group for this kernel's recording batches in a sink."""
+        return PendingBatches(self.plan)
 
     def fn(self, recording: bool):
         """The kernel function, generated and compiled on first call.
@@ -573,8 +625,8 @@ def _generate(entries, global_addr, plan: _Plan):
     completed iterations and, when a guard failed, the path position
     ``dpc`` to resume stepping at (``-1`` for a full batch); ``ma``
     holds one address per executed memory operand, and ``lw`` one ``MW``
-    lookup per executed load when ``R`` (a recording dispatch: only
-    :func:`_emit` reads ``lw``) and none otherwise.  Positions before
+    lookup per executed load when ``R`` (a recording dispatch: only the
+    column derivation reads ``lw``) and none otherwise.  Positions before
     ``dpc`` in the partial iteration have executed; position ``dpc`` and
     later have not.  A store records its node id in ``MW`` (``N0`` numbers
     the batch's first captured record), or ``-1`` when the capture set
@@ -592,8 +644,9 @@ def _generate(entries, global_addr, plan: _Plan):
       it again — and a global's address is never guarded;
     - a guard, and the wrap of an integer result, is one statement.
 
-    The kernel tracks no operand addresses: :func:`_emit` and
-    :func:`_writeback` derive them from ``ma``.
+    The kernel tracks no operand addresses: the column derivation
+    (:class:`_Derivation`) and :func:`_writeback` derive them from
+    ``ma``.
     """
     from repro.interp.interpreter import _INTRINSICS, _cdiv, _f32
     from repro.runtime.memory import default_value
@@ -778,142 +831,300 @@ def _generate(entries, global_addr, plan: _Plan):
 # -- column derivation -------------------------------------------------------
 
 
-#: The operand-address columns of a batch without FP records.
+#: A kernel's pending batches are derived in blocks of about this many
+#: captured rows (the batches that end within one such stretch of the
+#: window), so no temporary spans a whole window.
+DERIVE_BLOCK_ROWS = 1 << 14
+
+#: Stream padding for a partial iteration's unexecuted tail: no address,
+#: no writer.
+_NO_ADDRS = array("q", bytes(8 * MAX_PATH_LEN))
+_NO_WRITERS = array("q", [-1]) * MAX_PATH_LEN
+
+
+class PendingBatches:
+    """The recording batches one kernel dispatched into one sink since
+    the sink's columns were last read, kept raw.
+
+    A recording dispatch derives no columns.  The sink reserves the
+    batch's rows (:meth:`~repro.trace.columnar.ColumnarSink.reserve`)
+    and adds here what derivation needs: where the batch starts (sink
+    row and node id), its full iterations and the path positions of the
+    partial one, the entry ``jump``'s sid when that replaces the first
+    record's (``-1`` otherwise), the raw ``ma``/``lw`` streams as int64,
+    padded to whole iterations, and the few pre-batch ``defn``/``defa``
+    entries its carried and live-in slots read.  When the columns are
+    read, every batch of the kernel is derived in one vectorized pass
+    (:class:`_Derivation`).
+    """
+
+    __slots__ = ("plan", "row0", "node0", "iters", "part", "sid0", "ma",
+                 "lw", "pre_n", "pre_a")
+
+    def __init__(self, plan: _Plan):
+        self.plan = plan
+        self.row0: List[int] = []
+        self.node0: List[int] = []
+        self.iters: List[int] = []
+        self.part: List[int] = []
+        self.sid0: List[int] = []
+        self.ma = array("q")
+        self.lw = array("q")
+        self.pre_n = array("q")
+        self.pre_a = array("q")
+
+    def add(self, row0, N0, k, part, sid0, ma, lw, defn, defa):
+        """One batch of ``k`` full iterations and the first ``part`` path
+        positions of one more.  Must run *before* :func:`_writeback`:
+        the pre-batch ``defn``/``defa`` entries are read here.
+
+        Returns the batch's store backpatches whose producer lies before
+        it (a carried store's in iteration 0, a live-in store's), as
+        ``(store row offset, producer node, address)`` in store order.
+        """
+        plan = self.plan
+        self.row0.append(row0)
+        self.node0.append(N0)
+        self.iters.append(k)
+        self.part.append(part)
+        self.sid0.append(sid0)
+        if ma:
+            self.ma.fromlist(ma)
+        if lw:
+            self.lw.fromlist(lw)
+        if part:
+            rows = k + 1
+            self.ma.extend(_NO_ADDRS[:rows * plan.n_mem - len(ma)])
+            self.lw.extend(_NO_WRITERS[:rows * plan.n_load - len(lw)])
+        if plan.pre_n is not None:
+            self.pre_n.extend(plan.pre_n(defn))
+        if plan.pre_a is not None:
+            self.pre_a.extend(plan.pre_a(defa))
+        return [(r, defn[q], ma[mj]) for P, r, mj, q in plan.pre_stores
+                if defn[q] >= 0 and (k or P < part)]
+
+    def markers(self, k: int) -> range:
+        """The row offsets of a batch's loop-marker records: each full
+        iteration ends on its ``loop_next``."""
+        W = self.plan.width
+        return range(W - 1, k * W, W)
+
+    def derivation(self) -> "_Derivation":
+        """Every batch, as arrays ready to derive."""
+        return _Derivation(self.plan, self.row0, self.node0, self.iters,
+                           self.part, self.sid0, self.ma, self.lw,
+                           self.pre_n, self.pre_a)
+
+
+def _cut(grid, ends):
+    """The entries of each grid row left of its ``ends`` entry, row-major
+    (each row's leading entries are what executed)."""
+    if (ends == grid.shape[1]).all():
+        return grid.reshape((-1,) + grid.shape[2:])
+    return grid[np.arange(grid.shape[1]) < ends[:, None]]
+
+
+class _Block(NamedTuple):
+    """The iteration rows of a block of batches ``b0 .. b1-1``."""
+
+    b0: int
+    b1: int
+    R: int
+    #: each batch's first row, and each row's batch and iteration.
+    first: np.ndarray
+    bj: np.ndarray
+    it: np.ndarray
+    #: the path positions each row executed: all, or up to a deopt.
+    cut: np.ndarray
+    #: the rows a deopt cut short (at most one per batch).
+    short: np.ndarray
+
+
+class _Derivation:
+    """Pending batches of one kernel as arrays, derived together.
+
+    Each batch is laid out as the rows of a grid per column — one row
+    per iteration, the partial one included, and one column per captured
+    path position, dependence slot, memory operand, FP operand or store
+    — and each row is cut at the count of what executed, so one pass of
+    vectorized calls serves every batch of a block, however many batches
+    and whatever the path length.  The window's columns are written in
+    two steps (:func:`repro.trace.columnar.derive_rows`): :meth:`place`
+    writes the dense per-row columns; once every row's first dependence
+    is known, :meth:`fill` writes the dependence column, returns the
+    sparse columns and the capture misses, and resolves the store
+    backpatches whose producer lies inside a batch.  Dense entries are
+    scattered straight to their rows; a partial iteration's cut-off
+    entries go to one spare slot past the window's.  ``uncaptured``
+    counts the records the capture set did not hold.
+    """
+
+    __slots__ = ("plan", "row0", "node0", "iters", "part", "sid0", "ncap",
+                 "rfirst", "ma", "lw", "pre_n", "pre_a", "blocks",
+                 "uncaptured")
+
+    def __init__(self, plan, row0, node0, iters, part, sid0, ma, lw, pre_n,
+                 pre_a):
+        self.plan = plan
+        self.row0 = np.array(row0, dtype=np.int64)
+        self.node0 = np.array(node0, dtype=np.int64)
+        k = self.iters = np.array(iters, dtype=np.int64)
+        p = self.part = np.array(part, dtype=np.int64)
+        self.sid0 = np.array(sid0, dtype=np.int64)
+        nb = len(k)
+        self.ncap = k * plan.width + plan.ends["cap"][p]
+        #: each batch's first stream row (streams hold whole rows), and
+        #: the total.
+        self.rfirst = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum(k + (p > 0), out=self.rfirst[1:])
+        self.ma = np.frombuffer(ma, dtype=np.int64)
+        self.lw = np.frombuffer(lw, dtype=np.int64)
+        self.pre_n = (np.frombuffer(pre_n, dtype=np.int64).reshape(nb, -1)
+                      if len(pre_n) else None)
+        self.pre_a = (np.frombuffer(pre_a, dtype=np.int64).reshape(nb, -1)
+                      if len(pre_a) else None)
+        self.uncaptured = int((k * plan.length + p).sum() - self.ncap.sum())
+        cap = np.cumsum(self.ncap)
+        total = int(cap[-1]) if nb else 0
+        cuts = np.searchsorted(
+            cap, np.arange(DERIVE_BLOCK_ROWS, total, DERIVE_BLOCK_ROWS),
+            side="right")
+        self.blocks = sorted({0, nb, *cuts.tolist()})
+
+    def _blocks(self):
+        plan = self.plan
+        bounds = self.blocks
+        for b0, b1 in zip(bounds, bounds[1:]):
+            first = self.rfirst[b0:b1 + 1] - self.rfirst[b0]
+            R = int(first[-1])
+            first = first[:-1]
+            bj = np.repeat(np.arange(b1 - b0), np.diff(self.rfirst[b0:b1 + 1]))
+            it = np.arange(R) - first[bj]
+            cut = np.where(it == self.iters[b0:b1][bj],
+                           self.part[b0:b1][bj], plan.length)
+            yield _Block(b0, b1, R, first, bj, it, cut,
+                         np.flatnonzero(cut < plan.length))
+
+    def _scatter(self, blk, shift, width, ends):
+        """The destination of every grid entry: row ``r``'s run from
+        ``shift[r]`` on, its cut-off tail at ``-1`` (the spare slot)."""
+        dest = shift[:, None] + np.arange(width)
+        if len(blk.short):
+            s = blk.short
+            dest[s] = np.where(np.arange(width) < ends[blk.cut[s]][:, None],
+                               dest[s], -1)
+        return dest
+
+    def place(self, sids, ops, cnts, lo: int) -> None:
+        """Write the batches' sid, opcode and dependence-count columns
+        into the window's arrays, whose index 0 is sink row ``lo``."""
+        plan = self.plan
+        W = plan.width
+        for blk in self._blocks():
+            dest = self._scatter(
+                blk, (self.row0[blk.b0:blk.b1] - lo)[blk.bj] + blk.it * W, W,
+                plan.ends["cap"])
+            sids[dest] = plan.sids
+            ops[dest] = plan.ops
+            cnts[dest] = plan.cnts
+        entry = self.sid0 >= 0
+        sids[self.row0[entry] - lo] = self.sid0[entry]
+
+    def fill(self, dep, dstart, lo: int, store_map, items=None):
+        """Write the batches' dependences into ``dep``, row ``r``'s from
+        ``dstart[r - lo]`` on; return ``(addr_rows, addr_pairs, mem_rows,
+        mem_vals, misses)``, rows as sink rows.
+
+        A store backpatch whose producer lies inside a batch goes into
+        ``store_map``, the first of a producer's stores winning, over any
+        entry a later store already put there.  Given ``items``, they
+        are appended to it instead, as ``(store row, producer node,
+        address)`` in store order.
+        """
+        out = [self._fill(blk, dep, dstart, lo, store_map, items)
+               for blk in self._blocks()]
+        if len(out) == 1:
+            return out[0]
+        return (*(np.concatenate(col) for col in list(zip(*out))[:4]),
+                sum(o[4] for o in out))
+
+    def _fill(self, blk, dep, dstart, lo, store_map, items):
+        plan = self.plan
+        W = plan.width
+        DW = plan.dep_width
+        NM = plan.n_mem
+        ends = plan.ends
+        b0, b1, R = blk.b0, blk.b1, blk.R
+        first, bj, it, cut = blk.first, blk.bj, blk.it, blk.cut
+        base = self.node0[b0:b1][bj] + it * W
+        rbase = self.row0[b0:b1][bj] + it * W
+        r0, r1 = self.rfirst[b0], self.rfirst[b1]
+
+        deps = base[:, None] * plan.dep_mask + plan.dep_off
+        nc = len(plan.car_regs)
+        if nc:
+            deps[first[:, None], plan.car_idx] = self.pre_n[b0:b1, :nc]
+        if plan.li_regs:
+            deps[:, plan.li_idx] = self.pre_n[b0:b1][bj, nc:]
+        misses = 0
+        if plan.n_load:
+            writers = self.lw[r0 * plan.n_load:r1 * plan.n_load].reshape(
+                R, plan.n_load)
+            deps[:, plan.lw_idx] = writers[:, plan.lw_cols]
+            if plan.dead_cols is not None:
+                misses = int(np.count_nonzero(
+                    writers[:, plan.dead_cols] >= 0))
+        shift = (dstart[self.row0[b0:b1] - lo] - first * DW)[bj]
+        dep[self._scatter(blk, shift + np.arange(R) * DW, DW,
+                          ends["dep"])] = deps
+
+        stream = self.ma[r0 * NM:r1 * NM].reshape(R, NM)
+        mem_end = ends["mem"][cut]
+        mem_vals = _cut(stream[:, plan.mem_cols], mem_end)
+        mem_rows = _cut(rbase[:, None] + plan.mem_off, mem_end)
+        nfp = len(plan.fp_pos)
+        if nfp:
+            grid = np.zeros(plan.fp_base + R * NM, dtype=np.int64)
+            grid[plan.fp_base:] = stream.reshape(-1)
+            sides = grid[np.arange(R)[:, None] * plan.fp_stride + plan.fp_off]
+            nl = len(plan.fp_li_regs)
+            if nl:
+                sides[:, plan.fp_li_idx] = self.pre_a[b0:b1][bj, :nl]
+            if plan.fp_first_regs:
+                sides[first[:, None], plan.fp_first_idx] = (
+                    self.pre_a[b0:b1, nl:])
+            fp_end = ends["fp"][cut]
+            addr_pairs = _cut(sides.reshape(R, nfp, 2), fp_end)
+            addr_rows = _cut(rbase[:, None] + plan.fp_pos, fp_end)
+        else:
+            addr_pairs = _NO_PAIRS
+            addr_rows = _NO_NODES
+
+        if len(plan.st_pos):
+            # Stores that executed, and whose producer lies in the batch:
+            # a carried one's in iterations after the first.
+            ok = plan.st_pos < cut[:, None]
+            ok &= (it > 0)[:, None] | ~plan.st_carried
+            addrs = stream[:, plan.st_mj][ok]
+            if items is None:
+                prod = (rbase[:, None] + plan.st_poff)[ok]
+                if plan.st_shared:
+                    # Row-major is store order: keep each producer's first.
+                    prod, firsts = np.unique(prod, return_index=True)
+                    addrs = addrs[firsts]
+                store_map.update(zip(prod.tolist(), addrs.tolist()))
+            else:
+                items.extend(zip(
+                    (rbase[:, None] + plan.st_rank)[ok].tolist(),
+                    (base[:, None] + plan.st_poff)[ok].tolist(),
+                    addrs.tolist()))
+        return addr_rows, addr_pairs, mem_rows, mem_vals, misses
+
+
+#: The operand-address columns of a block without FP records.
 _NO_NODES = np.empty(0, dtype=np.int64)
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 _NO_NODES.flags.writeable = _NO_PAIRS.flags.writeable = False
-
-
-def _emit(kern, N0, k, part, defn, defa, ma, lw, sink, cur_loop,
-          sid0=None):
-    """Derive one batch's columns as numpy arrays and bulk-append them.
-
-    The batch's ``k`` full iterations, plus the partial one a deopt
-    leaves (its first ``part`` path positions), are laid out as the rows
-    of a grid per column — one row per iteration, one column per
-    captured path position, dependence slot, memory operand or FP
-    operand — and each column is cut at the count of what executed.  So
-    every column comes from a fixed handful of vectorized calls whatever
-    the path length; only the store backpatches stay per item.  The
-    records the capture set does not hold are counted into the sink's
-    ``uncaptured`` rows, and one vectorized test of their loads' ``MW``
-    lookups counts the capture misses (an uncaptured load that read a
-    captured store; see :func:`repro.analysis.pipeline
-    .windowed_loop_ddg`).
-
-    Must run *before* :func:`_writeback`: carried iteration-0 and
-    live-in slots read the pre-batch ``defn``/``defa`` entries.
-    ``sid0``, when given, replaces the first record's sid: an entry
-    batch starts with the ``loop_enter`` block's ``jump``, not the
-    path's backedge ``jump``.
-    """
-    plan = kern.plan
-    W = plan.width
-    NM = plan.n_mem
-    rows = k + 1 if part else k
-    ncap = k * W + plan.cap_end[part]
-    sink.uncaptured += k * kern.length + part - ncap
-    # First node id of each iteration.
-    base = np.arange(N0, N0 + rows * W, W, dtype=np.int64)
-    col = base[:, None]
-    sids = plan.sids.repeat(rows, 0).reshape(-1)[:ncap]
-    if sid0 is not None and plan.rank[0] >= 0:
-        sids[0] = sid0
-    deps = col * plan.dep_mask + plan.dep_off
-    if plan.car_regs:
-        deps[0, plan.car_idx] = [defn[r] for r in plan.car_regs]
-    if plan.li_regs:
-        deps[:, plan.li_idx] = [defn[r] for r in plan.li_regs]
-    if plan.n_load:
-        # The partial iteration's missing tail reads "no writer"; it
-        # lands only in slots that the cut below drops.
-        writers = np.full(rows * plan.n_load, -1, dtype=np.int64)
-        writers[:len(lw)] = np.fromiter(lw, np.int64, len(lw))
-        writers = writers.reshape(rows, plan.n_load)
-        deps[:, plan.lw_idx] = writers[:, plan.lw_cols]
-        if plan.dead_cols is not None:
-            sink.capture_misses += int(np.count_nonzero(
-                writers[:, plan.dead_cols] >= 0))
-    stream = np.empty(rows * NM, dtype=np.int64)
-    stream[:len(ma)] = np.fromiter(ma, np.int64, len(ma))
-    n_mem = k * len(plan.mem_off) + plan.mem_end[part]
-    mem_vals = stream.reshape(rows, NM)[:, plan.mem_cols].reshape(-1)[:n_mem]
-    mem_nodes = (col + plan.mem_off).reshape(-1)[:n_mem]
-    n_fp = k * len(plan.fp_pos) + plan.fp_end[part]
-    if not len(plan.fp_pos):
-        addr_pairs = _NO_PAIRS
-        addr_nodes = _NO_NODES
-    else:
-        grid = np.zeros(plan.fp_base + rows * NM, dtype=np.int64)
-        grid[plan.fp_base:plan.fp_base + len(ma)] = stream[:len(ma)]
-        sides = grid[np.arange(rows)[:, None] * plan.fp_stride
-                     + plan.fp_off]
-        if plan.fp_li_regs:
-            sides[:, plan.fp_li_idx] = [defa[q] for q in plan.fp_li_regs]
-        if plan.fp_first_regs:
-            sides[0, plan.fp_first_idx] = [defa[q]
-                                           for q in plan.fp_first_regs]
-        addr_pairs = sides.reshape(-1, 2)[:n_fp]
-        addr_nodes = (col + plan.fp_pos).reshape(-1)[:n_fp]
-    store_lists: List[list] = []
-    if k:
-        kW = k * W
-        kNM = k * NM
-        for P, mj, kind, a1, a2 in plan.store_groups:
-            b = N0 + plan.rank[P]
-            if kind == 1:     # producer written same iteration, rank a1
-                store_lists.append(list(zip(
-                    range(b, b + kW, W),
-                    range(N0 + a1, N0 + a1 + kW, W),
-                    ma[mj:kNM:NM])))
-            elif kind == 2:   # carried producer: prior iteration's a1
-                g = [] if a1 < 0 else list(zip(
-                    range(b + W, b + kW, W),
-                    range(N0 + a1, N0 + a1 + kW - W, W),
-                    ma[mj + NM:kNM:NM]))
-                p0 = defn[a2]
-                if p0 >= 0:
-                    g.insert(0, (b, p0, ma[mj]))
-                store_lists.append(g)
-            else:             # live-in producer: note_store first-wins,
-                p0 = defn[a1]  # so one item covers the whole batch
-                if p0 >= 0:
-                    store_lists.append([(b, p0, ma[mj])])
-    if part:
-        nfin = N0 + k * W
-        mab = k * NM
-        pstore = []
-        for P, mj, kind, a1, a2 in plan.store_groups:
-            if P >= part:
-                break
-            if kind == 1:
-                p0 = nfin + a1
-            elif kind == 2:
-                p0 = defn[a2] if not k else nfin - W + a1 if a1 >= 0 else -1
-            else:
-                p0 = defn[a1]
-            if p0 >= 0:
-                pstore.append((nfin + plan.rank[P], p0, ma[mab + mj]))
-        if pstore:
-            store_lists.append(pstore)
-    if len(store_lists) > 1:
-        # Node keys are unique (one store per record), so sorting
-        # restores the chronological order note_store's first-wins rule
-        # needs.
-        store_items = sorted(_chain.from_iterable(store_lists))
-    elif store_lists:
-        store_items = store_lists[0]
-    else:
-        store_items = ()
-    # Every path ends at its loop_next marker, which the capture set
-    # always holds: the last captured position.
-    sink.bulk_append(
-        N0, cur_loop, sids,
-        plan.ops.repeat(rows, 0).reshape(-1)[:ncap],
-        plan.cnts.repeat(rows, 0).reshape(-1)[:ncap],
-        deps.reshape(-1)[:k * plan.dep_width + plan.dep_end[part]],
-        base[:k] + (W - 1), addr_nodes, addr_pairs, mem_nodes, mem_vals,
-        store_items)
 
 
 def _writeback(plan, N0, k, part, defn, defa, ma):
@@ -1123,6 +1334,10 @@ class TraceCompiler:
         # histogram; collected only under telemetry so the disabled
         # dispatch path is unchanged.
         ks = [] if tel.enabled else None
+        W = plan.width
+        # The entry jump's sid replaces the first record's, if captured.
+        sid0 = (entry_sid if entry_sid is not None and plan.rank[0] >= 0
+                else -1)
         while True:
             B = batch if batch < room else room
             N0 = interp._node
@@ -1133,7 +1348,8 @@ class TraceCompiler:
             part = dpc if dpc > 0 else 0
             nrec = k * L + part
             if nrec:
-                interp._node = N0 + k * plan.width + plan.cap_end[part]
+                ncap = k * W + plan.cap_end[part]
+                interp._node = N0 + ncap
                 interp._executed += nrec
                 if k:
                     for opc_i, c in kern.count_items:
@@ -1142,11 +1358,11 @@ class TraceCompiler:
                     for opc_i in kern.op_pat[:part]:
                         counts[loop_key + opc_i] += 1
                 if recording:
-                    _emit(kern, N0, k, part, defn, defa, ma, lw, sink,
-                          cur_loop, entry_sid)
+                    sink.reserve(kern, N0, cur_loop, ncap, k, part, sid0,
+                                 ma, lw, defn, defa)
                 _writeback(plan, N0, k, part, defn, defa, ma)
                 total += k
-            entry_sid = None
+            sid0 = -1
             if dpc >= 0:
                 guard_exit = True
                 resume = kern.resume[dpc]

@@ -174,15 +174,16 @@ class Interpreter:
         self._layout_globals()
         #: trace-replay compiler (:mod:`repro.interp.compile`): hot loop
         #: bodies specialize into batch kernels that emit trace records
-        #: wholesale.  Requires a sink with the bulk-append write path
-        #: (or no sink at all — profile runs batch too); a sink without
-        #: one (the record-object reference sinks of the test oracle)
-        #: runs on pure stepping.  ``kernels``, a kernel table the caller
-        #: owns, lets the runs of one analysis of this module share their
-        #: kernels (see :class:`~repro.interp.compile.KernelTable`).
+        #: wholesale.  Requires a sink that reserves rows for batches
+        #: (``reserve``, or no sink at all — profile runs batch too); a
+        #: sink without it (the record-object reference sinks of the
+        #: test oracle) runs on pure stepping.  ``kernels``, a kernel
+        #: table the caller owns, lets the runs of one analysis of this
+        #: module share their kernels (see
+        #: :class:`~repro.interp.compile.KernelTable`).
         self._compiler = None
         if compile_loops and (
-            sink is None or hasattr(sink, "bulk_append")
+            sink is None or hasattr(sink, "reserve")
         ):
             self._compiler = TraceCompiler(self, compile_threshold,
                                            kernels=kernels)
@@ -362,7 +363,7 @@ class Interpreter:
                     elif recording and writer >= 0:
                         # An uncaptured load read a captured store: a
                         # dependence the capture set missed.
-                        sink.capture_misses += 1
+                        sink.note_capture_miss()
                     continue
 
                 if opc is _OP_STORE:

@@ -14,12 +14,14 @@ opcodes, the remap returns the window's candidate cone
 (:class:`CandidateCone`) instead of the whole window graph.
 
 The columns are numpy arrays (:class:`TraceColumns`) held in chunks.
-Compiled loop batches (:mod:`repro.interp.compile`) derive theirs as
-arrays and hand them over whole; the records :meth:`ColumnarSink.emit`
-receives one at a time are buffered in Python lists and sealed into a
-chunk when a batch arrives or the columns are read.  Every reader takes
-the columns from :meth:`ColumnarSink.columns`, which concatenates the
-chunks.
+The records :meth:`ColumnarSink.emit` receives one at a time are
+buffered in Python lists; a compiled loop batch (:mod:`repro.interp
+.compile`) only reserves its rows (:meth:`ColumnarSink.reserve`) and
+stays pending, raw, with the other batches of its kernel.  When the
+columns are first read, the pending batches are derived one kernel at a
+time and written, with the buffered rows, into one chunk
+(:func:`derive_rows`).  Every reader takes the columns from
+:meth:`ColumnarSink.columns`, which concatenates the chunks.
 
 Three pieces of bookkeeping keep the columns as small as the data:
 
@@ -55,6 +57,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.ir.instructions import Opcode
+from repro.obs import current_run
 from repro.trace.events import (
     MARKER_ENTER,
     MARKER_EXIT,
@@ -116,6 +119,88 @@ def concat_columns(parts: Sequence[TraceColumns]) -> TraceColumns:
     if not parts:
         return _EMPTY_COLUMNS
     return TraceColumns(*(np.concatenate(p) for p in zip(*parts)))
+
+
+#: An emit buffer holding no row.
+_NO_STEPS = ((), (), (), (), {}, {})
+
+
+def _merge_sparse(parts):
+    """Sparse columns ``(rows, counts, values)``, each keyed by ascending
+    rows, merged into one; ``counts`` is ``None`` when every row carries
+    one value."""
+    parts = [p for p in parts if len(p[0])] or parts[:1]
+    if len(parts) == 1:
+        return parts[0]
+    rows, values = (np.concatenate([p[i] for p in parts]) for i in (0, 2))
+    order = np.argsort(rows, kind="stable")
+    if parts[0][1] is None:
+        return rows[order], None, values[order]
+    counts = np.concatenate([p[1] for p in parts])
+    taken = counts[order]
+    starts = np.cumsum(counts) - counts
+    values = values[np.repeat(starts[order] - (np.cumsum(taken) - taken),
+                              taken) + np.arange(len(values))]
+    return rows[order], taken, values
+
+
+def derive_rows(n: int, lo: int, derivations, store_map,
+                steps=_NO_STEPS, items=None):
+    """The columns of ``n`` rows from sink row ``lo`` on, in one merge.
+
+    ``steps`` is an emit buffer, ``(sids, opcodes, dep_counts, deps,
+    addrs, mems)`` with the sparse fields keyed by sink row, whose rows
+    fill the gaps between the rows that the compiled batches of
+    ``derivations`` (:class:`repro.interp.compile._Derivation`, one per
+    kernel) reserved.  The batches write their dense columns first;
+    once every row's dependence count is known, their dependences, and
+    they hand back their sparse columns, which merge with the buffer's
+    by row.  They resolve their batch-internal store backpatches into
+    ``store_map`` (into ``items``, when given).  Returns ``(columns,
+    uncaptured, misses)``: the batches' uncaptured records and capture
+    misses.
+    """
+    sids_b, ops_b, cnts_b, deps_b, addrs, mems = steps
+    vals = list(addrs.values())
+    counts = np.fromiter(map(len, vals), np.intc, len(vals))
+    addr_parts = [(np.fromiter(addrs, np.int64, len(vals)), counts,
+                   np.fromiter(_chain.from_iterable(vals), np.int64,
+                               int(counts.sum())))]
+    mem_parts = [(np.fromiter(mems, np.int64, len(mems)), None,
+                  np.fromiter(mems.values(), np.int64, len(mems)))]
+    # One spare slot past the rows (and the dependences) takes the
+    # entries the batches cut off; -1 sids mark the stepped rows.
+    sids = np.full(n + 1, -1, dtype=np.int64)
+    ops = np.empty(n + 1, dtype=np.int8)
+    cnts = np.empty(n + 1, dtype=np.intc)
+    for d in derivations:
+        d.place(sids, ops, cnts, lo)
+    sids, ops, cnts = sids[:n], ops[:n], cnts[:n]
+    stepped = np.flatnonzero(sids < 0)
+    sids[stepped] = sids_b
+    ops[stepped] = ops_b
+    cnts[stepped] = cnts_b
+    dstart = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(cnts, out=dstart[1:])
+    dep = np.empty(int(dstart[-1]) + 1, dtype=np.int64)
+    if deps_b:
+        sc = cnts[stepped]
+        dep[np.repeat(dstart[stepped] - (np.cumsum(sc) - sc), sc)
+            + np.arange(len(deps_b))] = deps_b
+    uncaptured = misses = 0
+    for d in derivations:
+        addr_rows, addr_pairs, mem_rows, mem_vals, m = d.fill(
+            dep, dstart, lo, store_map, items)
+        addr_parts.append((addr_rows,
+                           np.full(len(addr_rows), 2, dtype=np.intc),
+                           addr_pairs.reshape(-1)))
+        mem_parts.append((mem_rows, None, mem_vals))
+        uncaptured += d.uncaptured
+        misses += m
+    addr_rows, addr_counts, addr_flat = _merge_sparse(addr_parts)
+    mem_rows, _, mem_vals = _merge_sparse(mem_parts)
+    return (TraceColumns(sids, ops, cnts, dep[:-1], addr_rows, addr_counts,
+                         addr_flat, mem_rows, mem_vals), uncaptured, misses)
 
 
 def addr_tuples(counts, flat) -> List[Tuple[int, ...]]:
@@ -296,26 +381,27 @@ class ColumnarSink:
     """Retains every dynamic record, packed into flat columns.
 
     The interpreter feeds it through :meth:`emit` (opcode as a plain
-    int) and the compiled kernels through :meth:`bulk_append`; every
-    reader — :meth:`to_ddg`, the lazy :attr:`records` view, the segment
-    spill — takes the columns from :meth:`columns`.
+    int) and the compiled kernels through :meth:`reserve`; every reader
+    — :meth:`to_ddg`, the lazy :attr:`records` view, the segment spill —
+    takes the columns from :meth:`columns`.
     """
 
     __slots__ = (
-        "store_map", "runs", "loop_breaks", "marker_rows", "active",
-        "uncaptured", "capture_misses",
-        "_chunks", "_sealed", "_sids", "_ops", "_cnts", "_deps",
-        "_addrs", "_mems",
+        "runs", "loop_breaks", "marker_rows", "active",
+        "uncaptured", "pending", "_stores",
+        "_chunks", "_merged", "_sealed", "_sids", "_ops", "_cnts", "_deps",
+        "_addrs", "_mems", "_misses",
         "_next_node", "_cur_node0", "_cur_row0", "_last_loop", "_records",
         "_sid_append", "_op_append", "_cnt_append", "_dep_extend",
     )
 
     def __init__(self):
-        #: Sealed rows, as :class:`TraceColumns` chunks in row order.
-        #: Compiled batches arrive as arrays and become chunks as they
-        #: are; the rows :meth:`emit` buffers are sealed into one when a
-        #: batch arrives or the columns are read.
+        #: The rows derived so far, as :class:`TraceColumns` chunks in
+        #: row order; ``_merged`` rows in all.
         self._chunks: List[TraceColumns] = []
+        self._merged = 0
+        #: Rows that are merged or reserved by a pending batch: the emit
+        #: buffer's rows lie between the reserved ones, after these.
         self._sealed = 0
         #: The emit buffer: plain lists (a list append is the cheapest
         #: per-record write) and row-keyed dicts for the sparse fields,
@@ -326,10 +412,11 @@ class ColumnarSink:
         self._deps: List[int] = []
         self._addrs: Dict[int, Tuple[int, ...]] = {}
         self._mems: Dict[int, int] = {}
-        #: Store-address backpatches, keyed by row: written out of row
-        #: order (a producer learns its address when a later store
-        #: names it), first store wins.
-        self.store_map: Dict[int, int] = {}
+        #: Compiled batches whose rows are reserved but not derived:
+        #: kernel -> :class:`~repro.interp.compile.PendingBatches`.
+        self.pending: Dict[object, object] = {}
+        #: Store-address backpatches, keyed by row (:attr:`store_map`).
+        self._stores: Dict[int, int] = {}
         #: (first node id, first row) of each contiguous recorded run.
         self.runs: List[Tuple[int, int]] = []
         #: (row, loop_id) change points of the RLE'd loop-id column.
@@ -340,9 +427,9 @@ class ColumnarSink:
         #: Window records the interpreter executed but did not capture
         #: (outside its capture set): they count in :meth:`stats`'s
         #: ``rows`` and the DDG's ``window_nodes``, and hold no row.
+        #: Pending batches add theirs when they are derived.
         self.uncaptured = 0
-        #: Uncaptured loads that read a captured store while recording.
-        self.capture_misses = 0
+        self._misses = 0
         #: Node id that continues the open run; ``None`` until the first
         #: record, so that record opens a run whatever its id.
         self._next_node: Optional[int] = None
@@ -369,11 +456,11 @@ class ColumnarSink:
         sink.uncaptured = uncaptured
         if len(cols.sids):
             sink._chunks.append(cols)
-            sink._sealed = len(cols.sids)
+            sink._sealed = sink._merged = len(cols.sids)
         sink.runs.extend(runs)
         sink.loop_breaks.extend(loop_breaks)
         sink.marker_rows.extend(marker_rows)
-        sink.store_map.update(store_map)
+        sink._stores.update(store_map)
         if sink.runs:
             last_node, last_row = sink.runs[-1]
             sink._next_node = last_node + (sink._sealed - last_row)
@@ -385,6 +472,27 @@ class ColumnarSink:
 
     def __len__(self) -> int:
         return self._sealed + len(self._sids)
+
+    @property
+    def store_map(self) -> Dict[int, int]:
+        """Store-address backpatches, keyed by row: written out of row
+        order (a producer learns its address when a later store names
+        it), first store wins.  Reading it derives the pending batches,
+        which resolve theirs."""
+        self._merge()
+        return self._stores
+
+    @property
+    def capture_misses(self) -> int:
+        """Uncaptured loads that read a captured store while recording:
+        the stepped ones (:meth:`note_capture_miss`) and the pending
+        batches', which reading this derives."""
+        self._merge()
+        return self._misses
+
+    def note_capture_miss(self) -> None:
+        """Count a stepped capture miss (derives nothing)."""
+        self._misses += 1
 
     # -- the streaming write path (hot) ------------------------------------
 
@@ -419,107 +527,109 @@ class ColumnarSink:
         if addr:
             self._mems[row] = addr
 
-    def _seal(self) -> None:
-        """Turn the emit buffer into a chunk of arrays."""
-        n = len(self._sids)
-        if not n:
+    def reserve(self, kern, node0: int, loop_id: int, n: int, k: int,
+                part: int, sid0: int, ma, lw, defn, defa) -> None:
+        """Take the ``n`` rows of a compiled batch of ``kern``, leaving
+        their columns to be derived when the columns are read.
+
+        The batch — ``k`` full iterations and the first ``part`` path
+        positions of one more, the entry sid ``sid0`` (or ``-1``), the
+        kernel's raw ``ma``/``lw`` streams and the ``defn``/``defa``
+        tables as they stand before the batch — joins the other pending
+        batches of its kernel in :attr:`pending`
+        (:class:`~repro.interp.compile.PendingBatches`, which
+        ``kern.pending()`` makes).  Its rows carry node ids ``node0 ..
+        node0+n-1`` and one ``loop_id`` (a compiled region never crosses
+        a loop-enter/exit marker), so its runs, loop-id change point and
+        marker rows are arithmetic.  Its store backpatches whose producer
+        lies before it go through :meth:`note_store` now; those whose
+        producer lies inside it are resolved when it is derived, where
+        they win over the notes of later stores (:meth:`_merge`).
+
+        The result is identical to ``n`` :meth:`emit` calls with the
+        records' fields.
+        """
+        batches = self.pending.get(kern)
+        if batches is None:
+            batches = self.pending[kern] = kern.pending()
+        notes = batches.add(len(self), node0, k, part, sid0, ma, lw, defn,
+                            defa)
+        self._take(node0, loop_id, n, batches.markers(k))
+        for _row, producer, addr in notes:
+            self.note_store(producer, addr)
+
+    def _take(self, node0: int, loop_id: int, n: int,
+              markers: range) -> None:
+        """Take ``n`` rows of node ids ``node0 ..`` and one ``loop_id``,
+        with loop-marker records at the row offsets ``markers``."""
+        if n:
+            row0 = self._sealed + len(self._sids)
+            if node0 != self._next_node:
+                self._cur_node0 = node0
+                self._cur_row0 = row0
+                self.runs.append((node0, row0))
+            self._next_node = node0 + n
+            if loop_id != self._last_loop:
+                self.loop_breaks.append((row0, loop_id))
+                self._last_loop = loop_id
+            self.marker_rows.extend(range(row0 + markers.start,
+                                          row0 + markers.stop, markers.step))
+            self._sealed += n
+
+    def _derive(self, derivations, lo: int, n: int, steps=_NO_STEPS,
+                items=None) -> TraceColumns:
+        """:func:`derive_rows`, under the ``trace.derive`` span when there
+        are batches to derive; adds their uncaptured records and capture
+        misses to the sink's."""
+        if not derivations:
+            return derive_rows(n, lo, (), None, steps)[0]
+        tel = current_run().tel
+        with tel.span("trace.derive"):
+            cols, uncaptured, misses = derive_rows(
+                n, lo, derivations, self._stores, steps, items)
+        if tel.enabled:
+            tel.count("trace.derive.groups", len(derivations))
+        self.uncaptured += uncaptured
+        self._misses += misses
+        return cols
+
+    def _merge(self) -> None:
+        """Derive the pending batches and seal the emit buffer: the rows
+        since the last merge become one chunk.
+
+        A batch-internal store backpatch goes straight into
+        :attr:`store_map`, over an entry that a store after the batch put
+        there first: no store before the batch can name a producer in
+        it, so the batch's own store is the first.
+        """
+        derivations = [b.derivation() for b in self.pending.values()]
+        self.pending.clear()
+        lo = self._merged
+        n = len(self) - lo
+        if not (n or derivations):
             return
-        addrs = self._addrs
-        mems = self._mems
-        vals = list(addrs.values())
-        self._chunks.append(TraceColumns(
-            np.array(self._sids, dtype=np.int64),
-            np.array(self._ops, dtype=np.int8),
-            np.array(self._cnts, dtype=np.intc),
-            np.array(self._deps, dtype=np.int64),
-            np.fromiter(addrs, np.int64, len(vals)),
-            np.fromiter(map(len, vals), np.intc, len(vals)),
-            np.fromiter(_chain.from_iterable(vals), np.int64),
-            np.fromiter(mems, np.int64, len(mems)),
-            np.fromiter(mems.values(), np.int64, len(mems)),
-        ))
-        self._sealed += n
+        cols = self._derive(derivations, lo, n, (
+            self._sids, self._ops, self._cnts, self._deps, self._addrs,
+            self._mems))
+        if n:
+            self._chunks.append(cols)
+        self._sealed = self._merged = lo + n
         self._sids.clear()
         self._ops.clear()
         self._cnts.clear()
         self._deps.clear()
-        addrs.clear()
-        mems.clear()
-
-    def bulk_append(
-        self,
-        node0: int,
-        loop_id: int,
-        sids,
-        opcodes,
-        dep_counts,
-        dep_flat,
-        marker_nodes,
-        addr_nodes,
-        addr_pairs,
-        mem_nodes,
-        mem_vals,
-        store_items=(),
-    ) -> None:
-        """Append a compiled batch's records wholesale, as one chunk.
-
-        The records carry node ids ``node0 .. node0+n-1`` (``n =
-        len(sids)``) and a single ``loop_id`` (a compiled region never
-        crosses a loop-enter/exit marker, so the innermost loop is
-        constant).  Every column is a numpy array with the dtype of its
-        :class:`TraceColumns` field: ``sids``/``opcodes``/``dep_counts``
-        have one entry per record and ``dep_flat`` holds their
-        dependences.  The rest are keyed by *absolute node id*, ascending:
-        ``marker_nodes`` are the loop-marker records, ``addr_nodes`` the
-        records with an operand-address pair (``addr_pairs``, shape
-        ``(len(addr_nodes), 2)``), ``mem_nodes`` the loads and stores and
-        ``mem_vals`` their addresses.  The sink shifts the keys to rows
-        (``row - node`` is one constant over the batch) and keeps the
-        arrays as they are.  ``store_items`` stays an item triple
-        iterable ``(store_node, producer_node, addr)`` in chronological
-        order (store nodes ascending), so the first-store-wins rule of
-        :meth:`note_store` resolves exactly as per-record emission would.
-
-        The result is identical to ``n`` :meth:`emit` calls with the same
-        per-record fields.
-        """
-        n = len(sids)
-        if not n:
-            return
-        self._seal()
-        row0 = self._sealed
-        if node0 != self._next_node:
-            self._cur_node0 = node0
-            self._cur_row0 = row0
-            self.runs.append((node0, row0))
-        self._next_node = node0 + n
-        if loop_id != self._last_loop:
-            self.loop_breaks.append((row0, loop_id))
-            self._last_loop = loop_id
-        shift = row0 - node0
-        if len(marker_nodes):
-            self.marker_rows += (marker_nodes + shift).tolist()
-        self._chunks.append(TraceColumns(
-            sids, opcodes, dep_counts, dep_flat,
-            addr_nodes + shift,
-            np.full(len(addr_nodes), 2, dtype=np.intc),
-            addr_pairs.reshape(-1),
-            mem_nodes + shift, mem_vals,
-        ))
-        self._sealed = row0 + n
-        if store_items:
-            note = self.note_store
-            for _node, producer_node, addr in store_items:
-                note(producer_node, addr)
+        self._addrs.clear()
+        self._mems.clear()
 
     def columns(self) -> TraceColumns:
         """Every row's columns, as numpy arrays: the one read path.
 
-        Seals the emit buffer and concatenates the chunks into one, which
-        replaces them, so a second call costs nothing.  Callers must not
-        write into the arrays.
+        Derives the pending batches, seals the emit buffer and
+        concatenates the chunks into one, which replaces them, so a
+        second call costs nothing.  Callers must not write into the
+        arrays.
         """
-        self._seal()
+        self._merge()
         if len(self._chunks) != 1:
             self._chunks = [concat_columns(self._chunks)]
         return self._chunks[0]
@@ -535,14 +645,14 @@ class ColumnarSink:
         open span).  The first store wins.
         """
         row = producer_node - self._cur_node0 + self._cur_row0
-        if row >= self._cur_row0 and row not in self.store_map:
-            self.store_map[row] = addr
+        if row >= self._cur_row0 and row not in self._stores:
+            self._stores[row] = addr
 
     # -- telemetry ---------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Cheap summary counters for telemetry (O(#markers), no column
-        walk).
+        """Summary counters for telemetry (O(#markers) once the pending
+        batches are derived, which this does).
 
         ``rows`` counts every record of the window, captured or not (the
         rows a run capturing every instruction would hold), ``captured``
@@ -550,6 +660,7 @@ class ColumnarSink:
         records, marker-free segments (the spans of captured DDG nodes
         between markers), resolved store backpatches (stores of a
         captured producer), and contiguous recorded runs."""
+        self._merge()
         n = len(self)
         segments = 0
         prev = 0
@@ -564,7 +675,7 @@ class ColumnarSink:
             "captured": n,
             "markers": len(self.marker_rows),
             "marker_segments": segments,
-            "backpatches": len(self.store_map),
+            "backpatches": len(self._stores),
             "runs": len(self.runs),
         }
 
@@ -619,7 +730,7 @@ class ColumnarSink:
         # Markers carry no sparse fields; rows of nodes outside the cone
         # map to -1 and are skipped.
         out_addrs, out_mem = scatter_sparse(di, n, cols)
-        store = self.store_map
+        store = self._stores
         out_store = np.zeros(n, dtype=np.int64)
         scatter_ints(out_store, di, np.fromiter(store, np.int64, len(store)),
                      np.fromiter(store.values(), np.int64, len(store)))
@@ -687,7 +798,7 @@ class ColumnarSink:
         dep_counts = cols.dep_counts.tolist()
         addr_get = cols.addr_map().get
         mem_get = cols.mem_map().get
-        store_get = self.store_map.get
+        store_get = self._stores.get
         n_runs = len(runs)
         n_breaks = len(breaks)
         ri = 0

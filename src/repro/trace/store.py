@@ -119,8 +119,9 @@ class SegmentedSink(ColumnarSink):
     """A :class:`ColumnarSink` that spills full segments to disk.
 
     The hot :meth:`emit` path is the parent's; this class only adds the
-    cut check (two comparisons per record, on the sealed plus buffered
-    rows).  Rows inside the in-memory columns are relative to
+    cut check (two comparisons per record, on the sink's rows), and a
+    compiled batch that reaches a cut is derived at once
+    (:meth:`reserve`).  Rows inside the in-memory columns are relative to
     :attr:`base_row`, which advances at every spill — ``emit`` itself
     never sees absolute rows, so the parent's bookkeeping (runs, loop
     RLE, sparse columns, store backpatches) works unchanged on the open
@@ -185,8 +186,8 @@ class SegmentedSink(ColumnarSink):
         row = producer_node - self._cur_node0 + self._cur_row0
         if row >= self._cur_row0:
             if row >= 0:
-                if row not in self.store_map:
-                    self.store_map[row] = addr
+                if row not in self._stores:
+                    self._stores[row] = addr
                 return
             row += self.base_row
             if row in self._late_stores or row in self._settled_rows:
@@ -209,42 +210,39 @@ class SegmentedSink(ColumnarSink):
         i = int(np.searchsorted(rows, rel))
         return i < len(rows) and int(rows[i]) == rel
 
-    def bulk_append(self, node0, loop_id, sids, opcodes, dep_counts,
-                    dep_flat, marker_nodes, addr_nodes, addr_pairs,
-                    mem_nodes, mem_vals, store_items=()):
-        """Batch append that cuts segments at exactly the rows where
-        per-record :meth:`emit` would have cut.
+    def reserve(self, kern, node0, loop_id, n, *batch):
+        """Reserve a compiled batch's rows, or, when the batch reaches a
+        segment cut, derive it at once and cut it at exactly the rows
+        where per-record :meth:`emit` would have cut.
 
-        The batch is sliced at each spill trigger — the first
-        loop-marker row that lands at or past ``segment_rows``, or the
-        unconditional ``2x``-budget row, whichever per-record emission
-        would hit first — and each slice is appended through the parent
-        and spilled with the same ``aligned`` flag.  The slices are views
-        of the batch's arrays; the key arrays ascend, so each slice's
-        sparse entries are found by ``searchsorted`` on the cut's node.
-        Store notes are applied with their own slice, so the
-        section-entry vs late-patch classification (which depends on
-        what had spilled when the note arrived) also matches step-mode
-        tracing row for row.
+        A batch that cannot reach the cut threshold stays pending, as in
+        :class:`ColumnarSink`.  One that can is derived alone, as a group of one
+        batch, and its columns are sliced at each spill trigger — the
+        first loop-marker row that lands at or past ``segment_rows``, or
+        the unconditional ``2x``-budget row, whichever per-record
+        emission would hit first.  Each slice takes the rows it covers,
+        becomes a chunk (after the pending batches before it are
+        derived) and is spilled with the same ``aligned`` flag.  Its
+        store backpatches, those whose producer lies before the batch and
+        the batch-internal ones alike, go through :meth:`note_store` with
+        their own slice, so the section-entry vs late-patch
+        classification (which depends on what had spilled when the note
+        arrived) also matches step-mode tracing row for row.
         """
-        n = len(sids)
-        if self._sealed + len(self._sids) + n < self.segment_rows:
-            # No record in this batch can reach the cut threshold.
-            ColumnarSink.bulk_append(
-                self, node0, loop_id, sids, opcodes, dep_counts, dep_flat,
-                marker_nodes, addr_nodes, addr_pairs, mem_nodes, mem_vals,
-                store_items)
+        if not n or len(self) + n < self.segment_rows:
+            ColumnarSink.reserve(self, kern, node0, loop_id, n, *batch)
             return
-        # The cut search runs in batch offsets, so markers convert once.
-        markers = (marker_nodes - node0).tolist()
-        dep_ends = np.cumsum(dep_counts)
-        store_items = list(store_items)
+        alone = kern.pending()
+        items = alone.add(0, node0, *batch)
+        markers = alone.markers(batch[0])
+        cols = self._derive([alone.derivation()], 0, n, items=items)
+        items.sort()
+        dep_ends = np.cumsum(cols.dep_counts)
         nmark = len(markers)
-        mk = si = 0
-        a0 = m0 = 0
+        mk = si = a0 = m0 = 0
         i = 0
         while i < n:
-            chunk_len = self._sealed + len(self._sids)
+            chunk_len = len(self)
             # First batch offset >= i whose emission triggers a cut.
             # A marker at offset m cuts once the chunk holds
             # ``segment_rows`` rows (aligned); any row cuts at the
@@ -267,20 +265,37 @@ class SegmentedSink(ColumnarSink):
             d0 = int(dep_ends[i - 1]) if i else 0
             d1 = int(dep_ends[end - 1])
             mk1 = bisect_left(markers, end, mk)
-            node_end = node0 + end
-            a1 = int(np.searchsorted(addr_nodes, node_end))
-            m1 = int(np.searchsorted(mem_nodes, node_end))
+            a1 = int(np.searchsorted(cols.addr_rows, end))
+            m1 = int(np.searchsorted(cols.mem_rows, end))
+            # Emitting row ``end - 1`` cuts before that row's store (an
+            # unaligned cut's row can be one) notes its producer.
+            last = end - 1 if spill else end
             s1 = si
-            while s1 < len(store_items) and store_items[s1][0] < node_end:
+            while s1 < len(items) and items[s1][0] < last:
                 s1 += 1
-            ColumnarSink.bulk_append(
-                self, node0 + i, loop_id, sids[i:end], opcodes[i:end],
-                dep_counts[i:end], dep_flat[d0:d1], marker_nodes[mk:mk1],
-                addr_nodes[a0:a1], addr_pairs[a0:a1], mem_nodes[m0:m1],
-                mem_vals[m0:m1], store_items[si:s1])
+            self._merge()
+            shift = len(self) - i
+            slice_markers = markers[mk:mk1]
+            self._take(node0 + i, loop_id, end - i,
+                       range(slice_markers.start - i, slice_markers.stop - i,
+                             slice_markers.step))
+            # Batch rows carry operand-address pairs.
+            self._chunks.append(TraceColumns(
+                cols.sids[i:end], cols.opcodes[i:end],
+                cols.dep_counts[i:end], cols.dep_flat[d0:d1],
+                cols.addr_rows[a0:a1] + shift, cols.addr_counts[a0:a1],
+                cols.addr_flat[2 * a0:2 * a1],
+                cols.mem_rows[m0:m1] + shift, cols.mem_vals[m0:m1]))
+            self._merged = self._sealed
+            for _row, producer, addr in items[si:s1]:
+                self.note_store(producer, addr)
             i, mk, a0, m0, si = end, mk1, a1, m1, s1
             if spill:
                 self._spill(aligned=aligned)
+                while si < len(items) and items[si][0] < end:
+                    _row, producer, addr = items[si]
+                    self.note_store(producer, addr)
+                    si += 1
 
     # -- spilling ----------------------------------------------------------
 
@@ -324,7 +339,7 @@ class SegmentedSink(ColumnarSink):
             else:
                 loop0 = self._loop_at_base
             cols = self.columns()
-            store_rows = sorted(self.store_map)
+            store_rows = sorted(self._stores)
             sections = dict(zip(TraceColumns._fields, cols))
             sections.update({
                 "marker_rows": array("q", self.marker_rows),
@@ -333,7 +348,7 @@ class SegmentedSink(ColumnarSink):
                 "loop_rows": array("q", [b[0] for b in breaks]),
                 "loop_vals": array("q", [b[1] for b in breaks]),
                 "store_rows": array("q", store_rows),
-                "store_vals": array("q", [self.store_map[r]
+                "store_vals": array("q", [self._stores[r]
                                           for r in store_rows]),
             })
             index = len(self.segments)
@@ -378,15 +393,15 @@ class SegmentedSink(ColumnarSink):
         if bus.enabled:
             bus.count("segments")
             bus.count("spill_bytes", nbytes)
-        # Reset the chunk (the emit buffer is already empty: columns()
-        # sealed it) and rebase.
+        # Reset the chunk (the emit buffer is already empty and no batch
+        # is pending: columns() merged them) and rebase.
         self.base_row += n
         self._node_at_base = self._next_node
         self._loop_at_base = self._last_loop
         self._cur_row0 -= n
         self._chunks = []
-        self._sealed = 0
-        self.store_map.clear()
+        self._sealed = self._merged = 0
+        self._stores.clear()
         del self.runs[:]
         del self.loop_breaks[:]
         del self.marker_rows[:]
@@ -443,6 +458,7 @@ class SegmentedSink(ColumnarSink):
     def stats(self) -> Dict[str, int]:
         """Spilled totals plus the open in-memory chunk — the same
         counters :meth:`ColumnarSink.stats` reports for an in-RAM run."""
+        self._merge()
         totals = self._totals
         n = len(self)
         spans, _ = self._count_marker_free_spans(
@@ -453,7 +469,7 @@ class SegmentedSink(ColumnarSink):
             "captured": totals["rows"] + n,
             "markers": totals["markers"] + len(self.marker_rows),
             "marker_segments": totals["marker_segments"] + spans,
-            "backpatches": (totals["backpatches"] + len(self.store_map)
+            "backpatches": (totals["backpatches"] + len(self._stores)
                             + len(self._late_stores)),
             "runs": totals["runs"] + len(self.runs),
         }

@@ -21,13 +21,23 @@ batches deoptimize mid-path and end on a partial iteration.  Compiled
 and stepped runs must give equal trace columns, full DDG and candidate
 cone DDG, in RAM and spilled into segments small enough that cuts land
 inside batches.
+
+A recording batch derives its columns only when the sink's columns are
+read, and resolves then the store backpatches whose producer lies inside
+it, while later stores note theirs at once.  The backpatch loops check
+that the first store still wins: a stepped store after a loop, and a
+later loop's live-in store, naming a producer of a pending batch that
+the batch stored too, and a segment cut between a batch-internal
+producer and its store.
 """
 
 import pytest
 
-from repro.analysis.candidates import candidate_opcodes
+import repro.interp.compile as compile_mod
+from repro.analysis.candidates import candidate_opcodes, capture_sids
 from repro.errors import MemoryError_
-from repro.interp.compile import REJECTED, LoopKernel
+from repro.frontend import compile_source
+from repro.interp.compile import REJECTED, KernelTable, LoopKernel
 from repro.interp.interpreter import Interpreter
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import Opcode
@@ -221,8 +231,113 @@ def rewritten_pointer_module() -> Module:
     return m
 
 
+def _counted(b, info, idx, body):
+    """``for (idx = 0; idx < N; idx++) body()`` as loop ``info``; the
+    builder is left after the loop's exit."""
+    head, blk, done = (b.new_block("head"), b.new_block("body"),
+                       b.new_block("done"))
+    _set(b, Opcode.COPY, idx, (_i64(0),))
+    b.loop_enter(info)
+    b.jump(head)
+    b.position_at(head)
+    b.cbranch(b.icmp("lt", idx, _i64(N)), blk, done)
+    b.position_at(blk)
+    body()
+    _set(b, Opcode.ADD, idx, (idx, _i64(1)))
+    b.loop_next(info)
+    b.jump(head)
+    b.position_at(done)
+    b.loop_exit(info)
+
+
+def backpatch_module() -> Module:
+    """``for r < R:`` three loops whose stores name producers across
+    batch boundaries.
+
+    - ``produce``: ``t = A[i] * 2; u = t + 1; C[i] = t``.  After it, the
+      stepped stores ``D[r] = t`` and ``E[r] = u`` name producers inside
+      the loop's last batch: ``t``'s was stored in the loop already, so
+      ``C``'s address wins; ``u``'s was not, so ``E``'s does.
+    - ``consume``: ``F[j] = t; G[j] = u; H[j] = s; B[j] += t`` — live-in
+      stores naming producers of ``produce``'s batches, which lose to
+      the stores before them, and ``s = t * 3`` from the stepped code
+      between the loops, which ``H[0]`` stores first.
+    - ``carry``: ``I[k] = pv; pv = A[k] * 0.5`` — a carried store, whose
+      producer is the previous iteration's, so a segment cut at an
+      iteration's end falls between the two.
+    """
+    m = Module("backpatch")
+    for name in "ABCDEFGHI":
+        init = [0.5 * j + (ord(name) - 64) for j in range(N + 1)]
+        m.add_global(GlobalVar(name, ArrayType(DOUBLE, N + 1), init))
+    b = IRBuilder(m)
+    b.start_function("main", [], INT32)
+    outer = b.new_loop(1, 1, None, "outer")
+    produce = b.new_loop(2, 2, outer.loop_id, "produce")
+    consume = b.new_loop(3, 2, outer.loop_id, "consume")
+    carry = b.new_loop(4, 2, outer.loop_id, "carry")
+    r, i, j, k = (b.new_reg(INT64, name) for name in "rijk")
+    t, u, pv = (b.new_reg(DOUBLE, name) for name in ("t", "u", "pv"))
+    _set(b, Opcode.COPY, r, (_i64(0),))
+    _set(b, Opcode.COPY, t, (_f64(0.0),))
+    _set(b, Opcode.COPY, u, (_f64(0.0),))
+    ohead, obody, oexit = (b.new_block("ohead"), b.new_block("obody"),
+                           b.new_block("oexit"))
+    b.loop_enter(outer)
+    b.jump(ohead)
+    b.position_at(ohead)
+    b.cbranch(b.icmp("lt", r, _i64(R)), obody, oexit)
+    b.position_at(obody)
+
+    def produce_body():
+        _set(b, Opcode.FMUL, t, (b.load(_elem(b, "A", i)), _f64(2.0)))
+        _set(b, Opcode.FADD, u, (t, _f64(1.0)))
+        b.store(t, _elem(b, "C", i))
+
+    _counted(b, produce, i, produce_body)
+    b.store(t, _elem(b, "D", r))
+    b.store(u, _elem(b, "E", r))
+    s = b.fmul(t, _f64(3.0))
+
+    def consume_body():
+        b.store(t, _elem(b, "F", j))
+        b.store(u, _elem(b, "G", j))
+        b.store(s, _elem(b, "H", j))
+        b.store(b.fadd(b.load(_elem(b, "B", j)), t), _elem(b, "B", j))
+
+    _counted(b, consume, j, consume_body)
+    _set(b, Opcode.COPY, pv, (s,))
+
+    def carry_body():
+        b.store(pv, _elem(b, "I", k))
+        _set(b, Opcode.FMUL, pv, (b.load(_elem(b, "A", k)), _f64(0.5)))
+
+    _counted(b, carry, k, carry_body)
+    _set(b, Opcode.ADD, r, (r, _i64(1)))
+    b.loop_next(outer)
+    b.jump(ohead)
+    b.position_at(oexit)
+    b.loop_exit(outer)
+    b.ret(Constant(0, INT32))
+    b.finish_function()
+    return m
+
+
 MODULES = {legacy: carried_module(legacy) for legacy in (False, True)}
 INNER = MODULES[False].loop_by_name("inner").loop_id
+BACKPATCH = backpatch_module()
+OUTER = BACKPATCH.loop_by_name("outer").loop_id
+BACKPATCH_LOOPS = ("produce", "consume", "carry")
+
+#: case -> (module, window loop, the instance an ``instance`` sink
+#: keeps): the backpatch loops' window is their outer loop, which runs
+#: once, so all three loops and the stepped stores between them fall
+#: in it.
+CASES = {
+    "derived": (MODULES[False], INNER, 1),
+    "legacy": (MODULES[True], INNER, 1),
+    "backpatch": (BACKPATCH, OUTER, 0),
+}
 
 
 def _run(module, compiled, sink, batch_iters):
@@ -240,13 +355,18 @@ def _kernel(interp) -> LoopKernel:
     return kern
 
 
-def _compiled_as_expected(interp, legacy):
-    """The inner loop ran batches, or, with a runtime-only operand
-    address (``legacy``), was rejected and stepped."""
-    if legacy:
+def _compiled_as_expected(interp, case):
+    """The loops ran batches, or, with a runtime-only operand address
+    (``legacy``), the inner loop was rejected and stepped."""
+    if case == "legacy":
         assert interp._compiler.kernels[INNER] is REJECTED
-    else:
+    elif case == "derived":
         _kernel(interp)
+    else:
+        for name in BACKPATCH_LOOPS:
+            kern = interp._compiler.kernels[
+                BACKPATCH.loop_by_name(name).loop_id]
+            assert isinstance(kern, LoopKernel) and kern.gained, name
 
 
 def _ddgs(source):
@@ -255,10 +375,11 @@ def _ddgs(source):
             source(candidate_opcodes(True))]
 
 
+#: sink -> factory over a case's window loop and instance.
 SINKS = {
-    "full": ColumnarSink,
-    "window": lambda: ColumnarLoopSink(INNER),
-    "instance": lambda: ColumnarLoopSink(INNER, {1}),
+    "full": lambda loop, instance: ColumnarSink(),
+    "window": lambda loop, instance: ColumnarLoopSink(loop),
+    "instance": lambda loop, instance: ColumnarLoopSink(loop, {instance}),
 }
 
 
@@ -287,18 +408,19 @@ def test_kernel_reaches_the_carried_branches(legacy):
 
 @pytest.mark.parametrize("batch_iters", [1024, 5, 1])
 @pytest.mark.parametrize("sink", sorted(SINKS))
-@pytest.mark.parametrize("legacy", [False, True], ids=["derived", "legacy"])
-def test_compiled_columns_and_ddgs_equal_stepped(legacy, sink, batch_iters):
-    module = MODULES[legacy]
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_compiled_columns_and_ddgs_equal_stepped(case, sink, batch_iters):
+    module, loop, instance = CASES[case]
     runs = []
     for compiled in (False, True):
-        s = SINKS[sink]()
+        s = SINKS[sink](loop, instance)
         interp = _run(module, compiled, s, batch_iters)
         runs.append((interp, s))
     (i0, s0), (i1, s1) = runs
-    _compiled_as_expected(i1, legacy)
+    _compiled_as_expected(i1, case)
     assert i0.op_counts == i1.op_counts
     assert i0.memory.data == i1.memory.data
+    # Column by column, the backpatches (``store_map``) included.
     assert _cols(s0) == _cols(s1)
     assert s0.stats() == s1.stats()
     for d0, d1 in zip(_ddgs(s0.to_ddg), _ddgs(s1.to_ddg)):
@@ -309,23 +431,23 @@ def test_compiled_columns_and_ddgs_equal_stepped(legacy, sink, batch_iters):
 
 @pytest.mark.parametrize("segment_rows", [7, 64])
 @pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
-@pytest.mark.parametrize("legacy", [False, True], ids=["derived", "legacy"])
-def test_spilled_compiled_equals_stepped_and_in_ram(legacy, window,
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_spilled_compiled_equals_stepped_and_in_ram(case, window,
                                                     segment_rows, tmp_path):
-    module = MODULES[legacy]
-    ram = SINKS["window" if window else "full"]()
+    module, loop, instance = CASES[case]
+    ram = SINKS["window" if window else "full"](loop, instance)
     _run(module, False, ram, 1024)
     stores, stats = [], []
     for compiled in (False, True):
         spill_dir = str(tmp_path / f"c{int(compiled)}")
         if window:
-            s = SegmentedLoopSink(INNER, spill_dir=spill_dir,
+            s = SegmentedLoopSink(loop, spill_dir=spill_dir,
                                   segment_rows=segment_rows)
         else:
             s = SegmentedSink(spill_dir, segment_rows=segment_rows)
         interp = _run(module, compiled, s, 5)
         if compiled:
-            _compiled_as_expected(interp, legacy)
+            _compiled_as_expected(interp, case)
         stats.append(s.stats())
         stores.append(s.finish())
     assert stats[0] == stats[1]
@@ -384,3 +506,126 @@ def test_pointer_rewritten_mid_path_is_guarded_again():
     kern = i1._compiler.kernels[module.loop_by_name("loop").loop_id]
     assert isinstance(kern, LoopKernel)
     assert 15 < kern.gained < 25
+
+
+def test_backpatches_across_batches_keep_the_first_store(tmp_path):
+    """The stores after ``produce`` name its last pending batch's
+    producers: the one the loop stored keeps the loop's address, the
+    other takes ``E``'s; the live-in stores of ``consume`` lose to the
+    stores before them, except ``H[0]``'s of the stepped ``s``.  Spilled,
+    cuts fall between a producer and the store that first names it."""
+    sink = ColumnarSink()
+    interp = _run(BACKPATCH, True, sink, 5)
+    _compiled_as_expected(interp, "backpatch")
+    addr = interp.global_addr
+    stored = set(sink.store_map.values())
+    assert addr["D"] not in stored and addr["F"] not in stored
+    assert {addr["E"], addr["H"]} <= stored
+    spilled = SegmentedSink(str(tmp_path), segment_rows=16)
+    _run(BACKPATCH, True, spilled, 5)
+    # The store's backpatch arrived after the producer's row spilled.
+    assert spilled.finish().manifest["late_patches"] > 0
+
+
+# -- derivation once per kernel per window -------------------------------
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize("module", [MODULES[False], BACKPATCH],
+                         ids=["carried", "backpatch"])
+def test_derivation_in_blocks_equals_stepped(module, block_rows,
+                                             monkeypatch):
+    """A kernel's pending batches derived a few batches at a time, down
+    to one batch per block."""
+    monkeypatch.setattr(compile_mod, "DERIVE_BLOCK_ROWS", block_rows)
+    sinks = []
+    for compiled in (False, True):
+        sink = ColumnarSink()
+        _run(module, compiled, sink, 5)
+        sinks.append(sink)
+    s0, s1 = sinks
+    assert _cols(s0) == _cols(s1)
+    assert s0.stats() == s1.stats()
+    for d0, d1 in zip(_ddgs(s0.to_ddg), _ddgs(s1.to_ddg)):
+        assert_ddgs_identical(d0, d1)
+
+
+REENTERED = """
+double A[8];
+
+int main() {
+  int r;
+  int i;
+  W: for (r = 0; r < 50; r++) {
+    L: for (i = 0; i < 8; i++) A[i] = A[i] * 0.5 + 1.0;
+  }
+  return 0;
+}
+"""
+
+
+def test_reentered_loop_derives_one_group_per_window():
+    """50 recording batches of one kernel in one window are derived in
+    one pass, however often the columns are read."""
+    module = compile_source(REENTERED)
+    window = module.loop_by_name("W").loop_id
+    kernels = KernelTable()
+    Interpreter(module, compile_threshold=2, kernels=kernels).run("main", ())
+    tel = Telemetry()
+    with use_run(Run(tel=tel)):
+        sink = ColumnarLoopSink(window, instances={0})
+        Interpreter(module, sink=sink, kernels=kernels).run("main", ())
+        assert sink.capture_misses == 0
+        stats = sink.stats()
+        ddg = sink.to_ddg()
+    assert tel.counters["interp.compile.batches"] == 50
+    assert tel.counters["trace.derive.groups"] == 1
+    stepped = ColumnarLoopSink(window, instances={0})
+    Interpreter(module, sink=stepped, compile_loops=False).run("main", ())
+    assert _cols(stepped) == _cols(sink)
+    assert stepped.stats() == stats
+    assert_ddgs_identical(stepped.to_ddg(), ddg)
+
+
+#: ``A[4 + r]`` runs past the end of ``A`` into ``B``, whose element the
+#: captured store just wrote: each outer iteration's stepped code after
+#: the compiled loop ``L`` has one capture miss.
+STEPPED_MISSES = """
+double A[4];
+double B[8];
+double C[16];
+
+int main() {
+  int r;
+  int i;
+  W: for (r = 0; r < 6; r++) {
+    L: for (i = 0; i < 16; i++) C[i] = C[i] * 0.5 + 1.0;
+    B[r] = C[r] * 2.0;
+    C[r + 1] = A[4 + r] + 1.0;
+  }
+  return 0;
+}
+"""
+
+
+def test_stepped_capture_misses_leave_batches_pending():
+    """Counting a stepped capture miss derives nothing: the window's six
+    batches of ``L``, one before each miss, are derived as one group."""
+    module = compile_source(STEPPED_MISSES)
+    window = module.loop_by_name("W").loop_id
+    capture = capture_sids(module, candidate_opcodes())
+    kernels = KernelTable(capture)
+    Interpreter(module, compile_threshold=2, kernels=kernels).run("main", ())
+    tel = Telemetry()
+    with use_run(Run(tel=tel)):
+        sink = ColumnarLoopSink(window, instances={0})
+        Interpreter(module, sink=sink, kernels=kernels).run("main", ())
+        assert sink.capture_misses == 6
+    assert tel.counters["interp.compile.batches"] == 6
+    assert tel.counters["trace.derive.groups"] == 1
+    stepped = ColumnarLoopSink(window, instances={0})
+    Interpreter(module, sink=stepped, compile_loops=False,
+                kernels=KernelTable(capture)).run("main", ())
+    assert stepped.capture_misses == 6
+    assert _cols(stepped) == _cols(sink)
+    assert stepped.stats() == sink.stats()

@@ -10,7 +10,7 @@ list in one linear pass.  Production packs records into flat columns
 (:meth:`~repro.trace.columnar.ColumnarSink.to_ddg`).
 
 The sinks still plug into :class:`~repro.interp.interpreter.Interpreter`.
-They have no ``bulk_append``, so the interpreter runs them on the step
+They have no ``reserve``, so the interpreter runs them on the step
 path only; an oracle run therefore also checks the compiled kernels.
 """
 
