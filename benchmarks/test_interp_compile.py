@@ -59,8 +59,8 @@ def _traced_run(module, sink, compile_loops):
 
 def ddgs_identical(a, b) -> bool:
     return (
-        a.sids == b.sids
-        and a.opcodes == b.opcodes
+        a.sids.tolist() == b.sids.tolist()
+        and a.opcodes.tolist() == b.opcodes.tolist()
         and list(a.pred_indices) == list(b.pred_indices)
         and list(a.pred_offsets) == list(b.pred_offsets)
         and [tuple(t) for t in a.addrs] == [tuple(t) for t in b.addrs]

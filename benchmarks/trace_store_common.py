@@ -6,10 +6,10 @@ the same synthetic emit stream is driven into an in-RAM
 slope) and into a :class:`SegmentedSink` at >= 10M records, then the
 spilled store is consumed by ``to_ddg()`` (serial segment reassembly).
 
-Every scenario runs in its own child process so ``ru_maxrss`` is that
-scenario's peak and nothing else's — a parent process's high-water mark
-never resets, so in-process measurement would charge every scenario
-with the largest one's footprint.
+Every scenario runs in its own child process and reads its own peak
+resident set (``VmHWM``) — a process's high-water mark never resets, so
+in-process measurement would charge every scenario with the largest
+one's footprint.
 
 The headline gate: peak RSS of spilled collection at 10M records must
 sit far below the in-RAM slope projected to 10M — the spill budget, not
@@ -67,6 +67,21 @@ def drive(sink, n_records: int) -> int:
 
 
 def _maxrss_kb() -> int:
+    """This process's peak resident set, in kB: ``VmHWM`` from
+    ``/proc/self/status``, else ``ru_maxrss``.
+
+    Linux carries ``ru_maxrss`` across fork+exec, so in a child started
+    by a process that had grown larger (a pytest session that ran other
+    benches first) it reports the parent's peak; ``VmHWM`` belongs to
+    the child's own image.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 

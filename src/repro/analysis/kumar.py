@@ -46,7 +46,8 @@ def kumar_timestamps(ddg: DDG, weights: str = "unit") -> List[int]:
         node_weight = [1] * len(ddg)
     elif weights == "candidates":
         ops = candidate_opcodes()
-        node_weight = [1 if opc in ops else 0 for opc in ddg.opcodes]
+        node_weight = [1 if opc in ops else 0
+                       for opc in ddg.opcodes.tolist()]
     else:
         raise AnalysisError(f"unknown weight scheme {weights!r}")
     ts = [0] * len(ddg)
@@ -67,7 +68,8 @@ def kumar_profile(ddg: DDG, weights: str = "unit") -> ParallelismProfile:
     ts = kumar_timestamps(ddg, weights)
     if weights == "candidates":
         ops = candidate_opcodes()
-        counted = [i for i, opc in enumerate(ddg.opcodes) if opc in ops]
+        counted = [i for i, opc in enumerate(ddg.opcodes.tolist())
+                   if opc in ops]
     else:
         counted = list(range(len(ddg)))
     histogram: Dict[int, int] = {}
@@ -86,7 +88,7 @@ def kumar_partitions(ddg: DDG, target_sid: int,
     compared with Algorithm 1's per-instruction timestamps."""
     ts = kumar_timestamps(ddg, weights)
     out: Dict[int, List[int]] = {}
-    for i, sid in enumerate(ddg.sids):
+    for i, sid in enumerate(ddg.sids.tolist()):
         if sid == target_sid:
             out.setdefault(ts[i], []).append(i)
     return out

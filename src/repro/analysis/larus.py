@@ -94,7 +94,7 @@ def larus_partitions(
     partitioning Fig. 2(b) illustrates."""
     result = larus_loop_parallelism(subtrace, ddg, loop_id)
     out: Dict[int, List[int]] = {}
-    for i, sid in enumerate(ddg.sids):
+    for i, sid in enumerate(ddg.sids.tolist()):
         if sid == target_sid:
             out.setdefault(result.finish_times[i], []).append(i)
     return out

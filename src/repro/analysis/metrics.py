@@ -17,8 +17,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.candidates import candidate_sids
-from repro.analysis.nonunit import nonunit_stride_subpartitions
-from repro.analysis.stride import unit_stride_subpartitions
+from repro.analysis.nonunit import (
+    NonunitGroup,
+    nonunit_stride_subpartitions,
+)
+from repro.analysis.stride import StrideBreak, unit_stride_subpartitions
 from repro.analysis.timestamps import batched_parallel_partitions
 from repro.analysis.report import InstructionReport, LoopReport
 from repro.ddg.graph import DDG
@@ -56,26 +59,25 @@ def instruction_metrics(
     ddg: DDG,
     sid: int,
     module: Optional[Module] = None,
-    elem_size: Optional[int] = None,
     *,
     partitions: Dict[int, List[int]],
+    subpartitions: Dict[int, List[List[int]]],
+    groups: Optional[List[NonunitGroup]] = None,
 ) -> InstructionReport:
     """The per-instruction analysis over ``sid``'s Algorithm 1
-    ``partitions`` (timestamp -> node list, from the batched engine that
-    :func:`loop_metrics` runs once for every candidate): unit-stride
-    subpartitioning, then the non-unit-stride waitlist scan.
+    ``partitions`` (timestamp -> node list) and the §3.2 unit-stride
+    ``subpartitions`` of its non-singleton ones (timestamp -> lists of
+    nodes), both of which :func:`loop_metrics` computes once for every
+    candidate: then the non-unit-stride waitlist scan over each
+    partition's leftovers.  ``groups``, when given, collects the scan's
+    :class:`~repro.analysis.nonunit.NonunitGroup` provenance.
     """
-    if elem_size is None:
-        elem_size = _elem_size(module, sid)
     num_instances = sum(len(p) for p in partitions.values())
     unit_sizes: List[int] = []
     nonunit_sizes: List[int] = []
     unit_ops = 0
     nonunit_ops = 0
-    for members in partitions.values():
-        if len(members) < 2:
-            continue
-        subs = unit_stride_subpartitions(ddg, members, elem_size)
+    for subs in subpartitions.values():
         leftovers: List[int] = []
         for sub in subs:
             unit_sizes.append(len(sub))
@@ -84,7 +86,7 @@ def instruction_metrics(
             else:
                 leftovers.extend(sub)
         if leftovers:
-            nsubs = nonunit_stride_subpartitions(ddg, leftovers)
+            nsubs = nonunit_stride_subpartitions(ddg, leftovers, groups)
             for sub in nsubs:
                 nonunit_sizes.append(len(sub))
                 if len(sub) >= 2:
@@ -112,6 +114,8 @@ def loop_metrics(
     include_integer: bool = False,
     relax_reductions: bool = False,
     partitions_by_sid: Optional[Dict[int, Dict[int, List[int]]]] = None,
+    breaks: Optional[Dict[int, List[StrideBreak]]] = None,
+    groups: Optional[Dict[int, List[NonunitGroup]]] = None,
 ) -> LoopReport:
     """Aggregate the paper's loop-level metrics over all candidate
     instructions in the graph.
@@ -121,7 +125,14 @@ def loop_metrics(
     ``partitions_by_sid`` lets a caller that already holds the scan's
     partitions (the explain driver keeps the packed scan for witness
     extraction) pass them in, skipping the second pass; it must cover
-    every candidate sid of the graph.
+    every candidate sid of the graph.  The §3.2 scan then runs once over
+    every partition of the window.
+
+    ``breaks`` and ``groups``, when given, collect the provenance of the
+    §3.2 and §3.3 scans per candidate sid (see
+    :func:`~repro.analysis.stride.unit_stride_subpartitions` and
+    :func:`~repro.analysis.nonunit.nonunit_stride_subpartitions`); the
+    metrics are unchanged.
     """
     tel = current_run().tel
     report = LoopReport(loop_name=loop_name)
@@ -147,9 +158,14 @@ def loop_metrics(
             tel.count("algorithm1.candidate_sids", len(sids))
             tel.count("algorithm1.lanes_packed", len(sids))
     with tel.span("stride"):
+        subpartitions_by_sid = unit_stride_subpartitions(
+            ddg, {sid: partitions_by_sid[sid] for sid in sids},
+            {sid: _elem_size(module, sid) for sid in sids}, breaks)
         for sid in sids:
-            ir = instruction_metrics(ddg, sid, module,
-                                     partitions=partitions_by_sid[sid])
+            ir = instruction_metrics(
+                ddg, sid, module, partitions=partitions_by_sid[sid],
+                subpartitions=subpartitions_by_sid.get(sid, {}),
+                groups=None if groups is None else groups.setdefault(sid, []))
             report.instructions.append(ir)
             total_ops += ir.num_instances
             total_partitions += ir.num_partitions

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.analysis.timestamps import batched_parallel_partitions
 from repro.ddg.graph import DDG
 from repro.ir.instructions import Opcode
@@ -64,18 +66,17 @@ def detect_reduction_chains(ddg: DDG) -> Dict[int, Set[int]]:
     Returns ``{sid: {accumulator addresses}}`` for instructions where at
     least two instances both read and write the same address (the
     ``s += expr`` pattern: operand source address == store target)."""
-    counts: Dict[Tuple[int, int], int] = {}
-    for i, opcode in enumerate(ddg.opcodes):
-        if opcode not in _REDUCIBLE:
-            continue
-        store_addr = ddg.store_addrs[i]
-        if store_addr and store_addr in ddg.addrs[i]:
-            key = (ddg.sids[i], store_addr)
-            counts[key] = counts.get(key, 0) + 1
+    store = ddg.store_addrs
+    # A padded operand-address entry is 0 and a store target here is
+    # not, so the match stays inside each node's own tuple.
+    updates = (np.isin(ddg.opcodes, list(_REDUCIBLE)) & (store != 0)
+               & (ddg.addr_cols == store[:, None]).any(axis=1))
+    pairs, counts = np.unique(
+        np.column_stack((ddg.sids[updates], store[updates])), axis=0,
+        return_counts=True)
     chains: Dict[int, Set[int]] = {}
-    for (sid, addr), count in counts.items():
-        if count >= 2:
-            chains.setdefault(sid, set()).add(addr)
+    for sid, addr in pairs[counts >= 2].tolist():
+        chains.setdefault(sid, set()).add(addr)
     return chains
 
 
@@ -87,19 +88,13 @@ def reduction_edges(ddg: DDG, accumulators: Set[int]) -> Set[Tuple[int, int]]:
     cached = cache.get(key)
     if cached is not None:
         return cached
-    removed: Set[Tuple[int, int]] = set()
-    store_nodes: Dict[int, List[int]] = {}
-    for i, opcode in enumerate(ddg.opcodes):
-        if opcode == _STORE and ddg.mem_addrs[i] in accumulators:
-            store_nodes.setdefault(ddg.mem_addrs[i], []).append(i)
-    stores_flat = {
-        i for nodes in store_nodes.values() for i in nodes
-    }
-    for i, opcode in enumerate(ddg.opcodes):
-        if opcode == _LOAD and ddg.mem_addrs[i] in accumulators:
-            for p in ddg.pred_row(i):
-                if p in stores_flat:
-                    removed.add((p, i))
+    opcodes = ddg.opcodes
+    at_accumulator = np.isin(ddg.mem_addrs, list(accumulators))
+    indices, offsets = ddg.csr()
+    loads = np.repeat(np.arange(len(opcodes)), np.diff(offsets))
+    through = ((opcodes[loads] == _LOAD) & at_accumulator[loads]
+               & (opcodes[indices] == _STORE) & at_accumulator[indices])
+    removed = set(zip(indices[through].tolist(), loads[through].tolist()))
     cache[key] = removed
     return removed
 

@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.ddg.graph import DDG
 from repro.errors import AnalysisError
 from repro.obs import current_run
@@ -58,7 +60,7 @@ def compute_timestamps(
     ``removed_edges`` optionally drops specific (pred, node) pairs — used
     by the reduction-relaxation extension.
     """
-    sids = ddg.sids
+    sids = ddg.sids.tolist()
     indices = ddg.pred_indices
     offsets = ddg.pred_offsets
     ts = [0] * len(sids)
@@ -130,7 +132,7 @@ def _timestamp_vectors(
     if len(lane) != k:
         raise AnalysisError("duplicate target sids in batched timestamping")
 
-    sids = ddg.sids
+    sids = ddg.sids.tolist()
     indices = ddg.pred_indices
     offsets = ddg.pred_offsets
     n = len(sids)
@@ -230,20 +232,42 @@ def partitions_from_scan(
 ) -> Dict[int, Dict[int, List[int]]]:
     """Parallel partitions for every lane of ``scan``:
     ``{sid: {timestamp: [node, ...]}}``, node lists in execution order —
-    bit-identical to :func:`parallel_partitions` per sid."""
-    vectors = scan.vectors
-    value_mask = scan.value_mask
-    width = scan.width
-    shifts = {sid: j * width for sid, j in scan.lane.items()}
-    shift_of = shifts.get
+    bit-identical to :func:`parallel_partitions` per sid.
+
+    Only the instances of the scanned sids are visited: each one's
+    own-lane timestamp is unpacked, and one stable argsort over (lane,
+    timestamp) groups them, keeping execution order inside a group.
+    Timestamps come out ascending, which is the order
+    :func:`parallel_partitions` first sees them in: by Property 3.2 an
+    instance at ``t + 1`` has an ancestor instance at ``t``, and an
+    ancestor executes first.
+    """
     partitions: Dict[int, Dict[int, List[int]]] = {
         sid: {} for sid in scan.lane
     }
-    for i, sid in enumerate(ddg.sids):
-        shift = shift_of(sid)
-        if shift is not None:
-            t = (vectors[i] >> shift) & value_mask
-            partitions[sid].setdefault(t, []).append(i)
+    if not partitions:
+        return partitions
+    targets = np.fromiter(scan.lane, np.int64, len(scan.lane))
+    by_sid = np.argsort(targets)
+    nodes = np.flatnonzero(np.isin(ddg.sids, targets))
+    lanes = by_sid[np.searchsorted(targets[by_sid], ddg.sids[nodes])]
+    vectors = scan.vectors
+    value_mask = scan.value_mask
+    stamps = np.fromiter(
+        ((vectors[i] >> shift) & value_mask
+         for i, shift in zip(nodes.tolist(), (lanes * scan.width).tolist())),
+        np.int64, len(nodes))
+    span = int(stamps.max(initial=0)) + 1
+    keys = lanes * span + stamps
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()
+    members = nodes[order].tolist()
+    sids = targets.tolist()
+    for lo, hi, key in zip(starts, starts[1:] + [len(members)],
+                           keys[starts].tolist()):
+        j, t = divmod(key, span)
+        partitions[sids[j]][t] = members[lo:hi]
     return partitions
 
 
@@ -305,8 +329,7 @@ def parallel_partitions(
     if timestamps is None:
         timestamps = compute_timestamps(ddg, target_sid, removed_edges)
     partitions: Dict[int, List[int]] = {}
-    sids = ddg.sids
-    for i, sid in enumerate(sids):
+    for i, sid in enumerate(ddg.sids.tolist()):
         if sid == target_sid:
             partitions.setdefault(timestamps[i], []).append(i)
     return partitions

@@ -42,18 +42,19 @@ def ddg_to_dot(
         )
     lines = [f"digraph {name} {{", "  rankdir=TB;",
              "  node [shape=box, fontsize=10];"]
-    for i in range(len(ddg)):
-        opcode = Opcode(ddg.opcodes[i])
+    sids = ddg.sids.tolist()
+    for i, op in enumerate(ddg.opcodes.tolist()):
+        opcode = Opcode(op)
         label = OPCODE_INFO[opcode].mnemonic
         if module is not None:
-            instr = module.instruction(ddg.sids[i])
+            instr = module.instruction(sids[i])
             if instr.line:
                 label = f"{label}@{instr.line}"
         label = f"{label}\\n#{i}"
         attrs = [f'label="{label}"']
         if (
             highlight_sid is not None
-            and ddg.sids[i] == highlight_sid
+            and sids[i] == highlight_sid
             and timestamps is not None
         ):
             color = _PALETTE[timestamps[i] % len(_PALETTE)]

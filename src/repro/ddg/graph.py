@@ -15,6 +15,12 @@ index vector plus an offsets vector, so the batched Algorithm 1 engine
 walks a contiguous buffer instead of chasing per-node tuples.  The old
 list-of-tuples view survives as the lazy :attr:`preds` property for
 callers (and tests) that still want it.
+
+The node columns are numpy arrays, and the operand addresses a
+zero-padded matrix with a per-node arity, so the analyses that read them
+(the sid index, the memory-flow edges, the §3.2/§3.3 stride scans) run
+as array passes.  :attr:`addrs` is the lazy list-of-tuples view of the
+operand addresses, for the per-node consumers.
 """
 
 from __future__ import annotations
@@ -22,10 +28,33 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import AnalysisError
 
 #: array typecode for CSR vectors — signed 64-bit, large-trace safe.
 _CSR_TYPECODE = "q"
+
+
+def addr_columns(nodes, counts, flat, n: int):
+    """The DDG's operand-address columns from CSR-shaped ones: row ``r``
+    holds ``counts[r]`` addresses of ``flat`` and belongs to node
+    ``nodes[r]``, or to none when that is -1.  Returns the ``(n,
+    widest)`` int64 matrix, zero past each node's arity and as wide as
+    the widest row, and the int8 arity of each node."""
+    width = int(counts.max()) if len(counts) else 0
+    cols = np.zeros((n, width), dtype=np.int64)
+    arity = np.zeros(n, dtype=np.int8)
+    if width:
+        kept = nodes >= 0
+        arity[nodes[kept]] = counts[kept]
+        # Each flat address's node and its position in the node's tuple.
+        flat_nodes = np.repeat(nodes, counts)
+        starts = np.cumsum(counts, dtype=np.int64) - counts
+        pos = np.arange(len(flat_nodes)) - np.repeat(starts, counts)
+        kept = flat_nodes >= 0
+        cols[flat_nodes[kept], pos[kept]] = flat[kept]
+    return cols, arity
 
 
 class DDG:
@@ -33,13 +62,17 @@ class DDG:
 
     Attributes
     ----------
-    sids:      static instruction id per node.
-    opcodes:   opcode int per node.
+    sids:      static instruction id per node (int64 array).
+    opcodes:   opcode per node (int8 array).
     pred_indices: flat CSR vector of predecessor node indices.
     pred_offsets: CSR offsets; node ``i``'s predecessors are
                ``pred_indices[pred_offsets[i]:pred_offsets[i+1]]``.
     preds:     lazy list-of-tuples view of the CSR adjacency.
-    addrs:     operand source-address tuple per node (candidates only).
+    addr_cols: operand source addresses, an ``(n, widest)`` int64 matrix,
+               zero past each node's arity (only binary FP records carry
+               any, two each).
+    addr_counts: the arity of each node's operand-address tuple (int8).
+    addrs:     lazy list-of-tuples view of the operand addresses.
     store_addrs: address the node's result was first stored to (0 if none).
     mem_addrs: accessed address for load/store nodes (0 otherwise).
     window_nodes, window_edges: size of the trace window's graph.
@@ -63,6 +96,8 @@ class DDG:
         store_addrs: Optional[Sequence[int]] = None,
         mem_addrs: Optional[Sequence[int]] = None,
         *,
+        addr_cols=None,
+        addr_counts=None,
         pred_indices: Optional[Sequence[int]] = None,
         pred_offsets: Optional[Sequence[int]] = None,
         validate: bool = True,
@@ -72,8 +107,8 @@ class DDG:
         n = len(sids)
         if len(opcodes) != n:
             raise AnalysisError("DDG column lengths disagree")
-        self.sids = list(sids)
-        self.opcodes = list(opcodes)
+        self.sids = np.asarray(sids, dtype=np.int64)
+        self.opcodes = np.asarray(opcodes, dtype=np.int8)
         if pred_indices is not None or pred_offsets is not None:
             if preds is not None:
                 raise AnalysisError(
@@ -103,11 +138,30 @@ class DDG:
                 offsets.append(len(indices))
             self.pred_indices = indices
             self.pred_offsets = offsets
-        self.addrs = list(addrs) if addrs is not None else [()] * n
-        self.store_addrs = (
-            list(store_addrs) if store_addrs is not None else [0] * n
-        )
-        self.mem_addrs = list(mem_addrs) if mem_addrs is not None else [0] * n
+        if addrs is not None:
+            if addr_cols is not None or addr_counts is not None:
+                raise AnalysisError(
+                    "pass either addrs or addr_cols/addr_counts, not both"
+                )
+            addr_cols, addr_counts = addr_columns(
+                np.arange(n), np.fromiter(map(len, addrs), np.int64, n),
+                np.fromiter((a for tup in addrs for a in tup), np.int64),
+                n)
+        elif addr_cols is None and addr_counts is None:
+            addr_cols = np.zeros((n, 0), dtype=np.int64)
+            addr_counts = np.zeros(n, dtype=np.int8)
+        elif addr_cols is None or addr_counts is None:
+            raise AnalysisError(
+                "addr_cols and addr_counts must be given together"
+            )
+        if len(addr_cols) != n or len(addr_counts) != n:
+            raise AnalysisError("DDG column lengths disagree")
+        self.addr_cols = addr_cols
+        self.addr_counts = addr_counts
+        self.store_addrs = (np.zeros(n, dtype=np.int64) if store_addrs is None
+                            else np.asarray(store_addrs, dtype=np.int64))
+        self.mem_addrs = (np.zeros(n, dtype=np.int64) if mem_addrs is None
+                          else np.asarray(mem_addrs, dtype=np.int64))
         self.window_nodes = n if window_nodes is None else window_nodes
         self.window_edges = (len(self.pred_indices) if window_edges is None
                              else window_edges)
@@ -117,6 +171,7 @@ class DDG:
         if validate:
             self._validate_csr()
         self._preds_view: Optional[List[Tuple[int, ...]]] = None
+        self._addrs_view: Optional[List[Tuple[int, ...]]] = None
         self._sid_nodes: Optional[Dict[int, List[int]]] = None
         self._sid_opcodes: Optional[Dict[int, int]] = None
 
@@ -158,6 +213,23 @@ class DDG:
             ]
         return self._preds_view
 
+    @property
+    def addrs(self) -> List[Tuple[int, ...]]:
+        """List-of-tuples view of the operand addresses (lazy, built
+        once): each node's row of :attr:`addr_cols`, cut to its arity."""
+        if self._addrs_view is None:
+            self._addrs_view = [
+                tuple(row[:k]) for row, k in zip(self.addr_cols.tolist(),
+                                                 self.addr_counts.tolist())
+            ]
+        return self._addrs_view
+
+    def csr(self):
+        """The CSR adjacency as int64 numpy views ``(indices, offsets)``
+        over :attr:`pred_indices` and :attr:`pred_offsets` (no copy)."""
+        return (np.frombuffer(self.pred_indices, dtype=np.int64),
+                np.frombuffer(self.pred_offsets, dtype=np.int64))
+
     def pred_row(self, i: int) -> array:
         """Predecessors of node ``i`` as a flat array slice."""
         return self.pred_indices[
@@ -180,32 +252,33 @@ class DDG:
 
     # -- static-instruction indexes ---------------------------------------
 
-    def _build_sid_index(self) -> None:
-        nodes: Dict[int, List[int]] = {}
-        opcode_of: Dict[int, int] = {}
-        for i, (sid, opcode) in enumerate(zip(self.sids, self.opcodes)):
-            members = nodes.get(sid)
-            if members is None:
-                nodes[sid] = [i]
-                opcode_of[sid] = opcode
-            else:
-                members.append(i)
-        self._sid_nodes = nodes
-        self._sid_opcodes = opcode_of
-
     @property
     def sid_nodes(self) -> Dict[int, List[int]]:
         """sid -> node indices of its instances, in execution order
         (lazy, built once; treat as read-only)."""
         if self._sid_nodes is None:
-            self._build_sid_index()
+            sids, first, counts = np.unique(self.sids, return_index=True,
+                                            return_counts=True)
+            # Grouped by sid value, in execution order inside a group.
+            members = np.argsort(self.sids, kind="stable").tolist()
+            ends = np.cumsum(counts).tolist()
+            starts = [0, *ends[:-1]]
+            sids = sids.tolist()
+            self._sid_nodes = {
+                sids[j]: members[starts[j]:ends[j]]
+                for j in np.argsort(first).tolist()
+            }
         return self._sid_nodes
 
     @property
     def sid_opcodes(self) -> Dict[int, int]:
-        """sid -> opcode of its first instance (lazy, built once)."""
+        """sid -> opcode of its first instance, in first-seen order
+        (lazy, built once)."""
         if self._sid_opcodes is None:
-            self._build_sid_index()
+            sids, first = np.unique(self.sids, return_index=True)
+            order = np.argsort(first)
+            self._sid_opcodes = dict(zip(sids[order].tolist(),
+                                         self.opcodes[first[order]].tolist()))
         return self._sid_opcodes
 
     def instances_of(self, sid: int) -> List[int]:
@@ -214,11 +287,12 @@ class DDG:
 
     def static_ids(self) -> List[int]:
         """Distinct static instruction ids present, in first-seen order."""
-        return list(self.sid_nodes)
+        return list(self.sid_opcodes)
 
     def memory_flow_edges(self) -> List[Tuple[int, int]]:
         """All store→load flow edges: ``(store_node, load_node)`` pairs
-        where a load's recorded producer is a store instruction.
+        where a load's recorded producer is a store instruction, by load
+        and then in predecessor order.
 
         These are the dependences that flow *through memory* rather than
         through a virtual register — exactly the evidence needed to
@@ -228,20 +302,12 @@ class DDG:
         """
         from repro.ir.instructions import Opcode
 
-        load = int(Opcode.LOAD)
-        store = int(Opcode.STORE)
+        indices, offsets = self.csr()
         opcodes = self.opcodes
-        indices = self.pred_indices
-        offsets = self.pred_offsets
-        edges: List[Tuple[int, int]] = []
-        for i, opcode in enumerate(opcodes):
-            if opcode != load:
-                continue
-            for j in range(offsets[i], offsets[i + 1]):
-                p = indices[j]
-                if opcodes[p] == store:
-                    edges.append((p, i))
-        return edges
+        consumers = np.repeat(np.arange(len(opcodes)), np.diff(offsets))
+        flow = ((opcodes[consumers] == int(Opcode.LOAD))
+                & (opcodes[indices] == int(Opcode.STORE)))
+        return list(zip(indices[flow].tolist(), consumers[flow].tolist()))
 
     def has_path(self, src: int, dst: int) -> bool:
         """Reachability test (used by tests to verify Property 3.1)."""

@@ -6,13 +6,14 @@ the metrics pipeline uses), runs the batched Algorithm 1 scan ONCE, and
 derives everything from that single artifact:
 
 - the parallel partitions feed :func:`repro.analysis.metrics.loop_metrics`
-  (via its ``partitions_by_sid`` fast path — no second scan);
+  (via its ``partitions_by_sid`` fast path — no second scan), which runs
+  the §3.2/§3.3 scans once and collects their provenance;
 - the kept :class:`~repro.analysis.timestamps.PackedScan` powers the
   backward witness walk (O(chain), not O(graph));
-- the §3.2/§3.3 provenance out-params and the layout inverse mapping
-  produce stride witnesses;
+- that provenance and the layout inverse mapping produce stride
+  witnesses;
 - the static vectorizer's refusal reasons are cross-examined against
-  all of the above.
+  all of the above and the graph's store→load edges, found once.
 
 Every stage is span-instrumented (``explain.*``); the finished report
 lands in the run report's optional ``explain`` mapping (schema /3) via
@@ -133,8 +134,11 @@ def explain_loop(
         tel.count("algorithm1.scans", 1 if sids else 0)
         tel.count("algorithm1.candidate_sids", len(sids))
         tel.count("algorithm1.lanes_packed", len(sids))
+    breaks: dict = {}
+    groups: dict = {}
     metrics = loop_metrics(ddg, module, loop_name, include_integer,
-                           partitions_by_sid=partitions_by_sid)
+                           partitions_by_sid=partitions_by_sid,
+                           breaks=breaks, groups=groups)
     with tel.span("explain.witness.dependence"):
         dep_witnesses = extract_dependence_witnesses(
             ddg, scan, partitions_by_sid, module
@@ -143,14 +147,15 @@ def explain_loop(
                 {"loop": loop_name, "witnesses": len(dep_witnesses)})
     with tel.span("explain.witness.stride"):
         stride_witnesses = extract_stride_witnesses(
-            ddg, partitions_by_sid, module
+            ddg, sids, breaks, groups, module
         )
     tel.instant("explain.witness.stride.done",
                 {"loop": loop_name, "witnesses": len(stride_witnesses)})
     with tel.span("explain.refusals"):
         mem_edges = ddg.memory_flow_edges()
         findings = cross_examine(ddg, list(reasons), dep_witnesses,
-                                 stride_witnesses, partitions_by_sid)
+                                 stride_witnesses, partitions_by_sid,
+                                 mem_edges)
     report = ExplainReport(
         loop_name=loop_name,
         num_nodes=len(ddg.sids),

@@ -23,7 +23,7 @@ measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ddg.graph import DDG
 from repro.vectorizer.autovec import reason_code
@@ -68,9 +68,11 @@ def cross_examine(
     dependence_witnesses: Sequence,
     stride_witnesses: Sequence,
     partitions_by_sid: Dict[int, Dict[int, List[int]]],
+    mem_edges: Sequence[Tuple[int, int]],
 ) -> List[RefusalFinding]:
-    """Join every refusal reason against the extracted dynamic evidence."""
-    mem_edges = ddg.memory_flow_edges()
+    """Join every refusal reason against the extracted dynamic evidence;
+    ``mem_edges`` are the graph's :meth:`~repro.ddg.graph.DDG
+    .memory_flow_edges`."""
     num_nodes = len(ddg.sids)
     dep_ids = [w.witness_id for w in dependence_witnesses]
     any_chain = any(

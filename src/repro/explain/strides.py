@@ -7,19 +7,19 @@ contiguous — and the declared data layout feature those addresses imply
 (:func:`repro.runtime.layout.infer_stride_culprit`): an AoS field
 access stepping whole structs, a transposed index stepping whole rows.
 
-Extraction rides on the out-params the analyses already expose
-(``breaks`` / ``groups``) so the partitioning logic is untouched; this
-module re-runs the two scans only over the partitions of the few sids
-it reports on, bounded by :data:`MAX_STRIDE_WITNESSES`.
+Extraction reads the provenance the metrics pass collects on request
+(:func:`repro.analysis.metrics.loop_metrics`' ``breaks`` / ``groups``),
+so the two scans run once per explained loop; the witnesses are bounded
+by :data:`MAX_STRIDE_WITNESSES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.nonunit import NonunitGroup, nonunit_stride_subpartitions
-from repro.analysis.stride import StrideBreak, unit_stride_subpartitions
+from repro.analysis.nonunit import NonunitGroup
+from repro.analysis.stride import StrideBreak
 from repro.ddg.graph import DDG
 
 #: Per-loop cap on reported stride witnesses (first unit-stride break
@@ -88,15 +88,6 @@ def _dominant_component(
     return best
 
 
-def _elem_size(module, sid: int, default: int = 8) -> int:
-    if module is None:
-        return default
-    instr = module.instruction(sid)
-    if instr.result is not None:
-        return instr.result.type.sizeof()
-    return default
-
-
 def _describe(module, sid: int):
     if module is None:
         return "?", 0
@@ -106,21 +97,25 @@ def _describe(module, sid: int):
 
 def extract_stride_witnesses(
     ddg: DDG,
-    partitions_by_sid: Dict[int, Dict[int, List[int]]],
+    sids: Sequence[int],
+    breaks: Dict[int, List[StrideBreak]],
+    groups: Dict[int, List[NonunitGroup]],
     module=None,
     limit: int = MAX_STRIDE_WITNESSES,
 ) -> List[StrideWitness]:
-    """Stride-break and fixed-stride-group witnesses for every candidate
-    static instruction, capped at ``limit``.
+    """Stride-break and fixed-stride-group witnesses for the candidate
+    static instructions ``sids``, in that order, capped at ``limit``.
 
-    Per sid, at most the first unit-stride break and the two largest
+    ``breaks`` and ``groups`` are the per-sid provenance of the §3.2 and
+    §3.3 scans, as :func:`repro.analysis.metrics.loop_metrics` collects
+    it.  Per sid, at most the first unit-stride break and the two largest
     non-unit groups (with a partner) are kept; the culprit inference runs
     once per kept witness.
     """
     from repro.runtime.layout import infer_stride_culprit
 
     witnesses: List[StrideWitness] = []
-    for sid, parts in partitions_by_sid.items():
+    for sid in sids:
         if len(witnesses) >= limit:
             break
         mnemonic, line = _describe(module, sid) if module else ("?", 0)
@@ -130,18 +125,7 @@ def extract_stride_witnesses(
             opcode = ddg.sid_opcodes.get(sid)
             if opcode is not None:
                 mnemonic = OPCODE_INFO[Opcode(opcode)].mnemonic
-        elem_size = _elem_size(module, sid)
-        breaks: List[StrideBreak] = []
-        groups: List[NonunitGroup] = []
-        for members in parts.values():
-            if len(members) < 2:
-                continue
-            subs = unit_stride_subpartitions(ddg, members, elem_size,
-                                             breaks=breaks)
-            leftovers = [n for sub in subs if len(sub) < 2 for n in sub]
-            if leftovers:
-                nonunit_stride_subpartitions(ddg, leftovers, groups=groups)
-        for brk in breaks[:1]:
+        for brk in breaks.get(sid, [])[:1]:
             dom = _dominant_component(brk.stride, brk.prev_tuple, brk.tuple)
             if dom is None:
                 continue
@@ -157,7 +141,8 @@ def extract_stride_witnesses(
                          if module is not None else None),
             ))
         partnered = sorted(
-            (g for g in groups if g.second_node is not None and g.size >= 2),
+            (g for g in groups.get(sid, ())
+             if g.second_node is not None and g.size >= 2),
             key=lambda g: -g.size,
         )
         for gi, grp in enumerate(partnered[:2]):

@@ -167,15 +167,16 @@ def extract_dependence_witnesses(
             continue
         mnemonic, line = _describe(module, ddg, sid)
         steps: List[WitnessStep] = []
-        opcodes = ddg.opcodes
-        for idx, node in enumerate(chain):
+        opcodes = ddg.opcodes[chain].tolist()
+        for idx, (node, step_sid) in enumerate(
+                zip(chain, ddg.sids[chain].tolist())):
             via_memory = (
                 idx > 0
-                and opcodes[node] == load
-                and opcodes[chain[idx - 1]] == store
+                and opcodes[idx] == load
+                and opcodes[idx - 1] == store
             )
-            m, ln = _describe(module, ddg, ddg.sids[node])
-            steps.append(WitnessStep(node=node, sid=ddg.sids[node],
+            m, ln = _describe(module, ddg, step_sid)
+            steps.append(WitnessStep(node=node, sid=step_sid,
                                      mnemonic=m, line=ln,
                                      via_memory=via_memory))
         witnesses.append(DependenceWitness(

@@ -228,17 +228,17 @@ def scatter_ints(out, di, rows, vals):
 def scatter_sparse(di, n, cols: TraceColumns):
     """Dense per-node columns from the sparse ones of ``cols``, through
     the row→node map ``di`` (rows mapping to -1 are skipped): the
-    operand-address tuples as a list and the memory addresses as an
-    array, zero where a node has none."""
-    out_addrs: List[tuple] = [()] * n
-    if len(cols.addr_rows):
-        for p, val in zip(di[cols.addr_rows].tolist(),
-                          addr_tuples(cols.addr_counts, cols.addr_flat)):
-            if p >= 0:
-                out_addrs[p] = val
+    operand addresses as :func:`~repro.ddg.graph.addr_columns` lays them
+    out (a zero-padded matrix, as wide as the widest tuple of ``cols``,
+    and each node's arity), and the memory addresses, zero where a node
+    has none."""
+    from repro.ddg.graph import addr_columns
+
+    addr_cols, addr_counts = addr_columns(
+        di[cols.addr_rows], cols.addr_counts, cols.addr_flat, n)
     out_mem = np.zeros(n, dtype=np.int64)
     scatter_ints(out_mem, di, cols.mem_rows, cols.mem_vals)
-    return out_addrs, out_mem
+    return addr_cols, addr_counts, out_mem
 
 
 def unique_deps(mapped, counts, n_rows, n_nodes):
@@ -729,7 +729,7 @@ class ColumnarSink:
 
         # Markers carry no sparse fields; rows of nodes outside the cone
         # map to -1 and are skipped.
-        out_addrs, out_mem = scatter_sparse(di, n, cols)
+        addr_cols, addr_counts, out_mem = scatter_sparse(di, n, cols)
         store = self._stores
         out_store = np.zeros(n, dtype=np.int64)
         scatter_ints(out_store, di, np.fromiter(store, np.int64, len(store)),
@@ -740,11 +740,12 @@ class ColumnarSink:
         # emits satisfies p < n and the DDG constructor can skip
         # structural validation.
         return DDG(
-            cols.sids[node_rows].tolist(),
-            cols.opcodes[node_rows].tolist(),
-            addrs=out_addrs,
-            store_addrs=out_store.tolist(),
-            mem_addrs=out_mem.tolist(),
+            cols.sids[node_rows],
+            cols.opcodes[node_rows],
+            addr_cols=addr_cols,
+            addr_counts=addr_counts,
+            store_addrs=out_store,
+            mem_addrs=out_mem,
             pred_indices=indices_arr,
             pred_offsets=offsets_arr,
             validate=False,

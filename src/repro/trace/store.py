@@ -53,7 +53,7 @@ import struct
 import time
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -571,11 +571,12 @@ class DDGChunk(NamedTuple):
     """
 
     node0: int
-    sids: List[int]
-    opcodes: List[int]
-    addrs: List[tuple]
-    store_addrs: List[int]
-    mem_addrs: List[int]
+    sids: np.ndarray
+    opcodes: np.ndarray
+    addr_cols: np.ndarray
+    addr_counts: np.ndarray
+    store_addrs: np.ndarray
+    mem_addrs: np.ndarray
     pred_indices: array
     pred_offsets: array
     #: the segment's edge count before any cone cut.
@@ -816,14 +817,13 @@ class SegmentStore:
         # rows outside the cone.
         ri = np.full(n_rows, -1, dtype=np.int64)
         ri[node_rows] = np.arange(len(node_rows), dtype=np.int64)
-        out_addrs, out_mem = scatter_sparse(ri, len(node_rows), cols)
+        addr_cols, addr_counts, out_mem = scatter_sparse(
+            ri, len(node_rows), cols)
         return DDGChunk(
-            node0,
-            cols.sids[node_rows].tolist(),
-            cols.opcodes[node_rows].tolist(),
-            out_addrs,
-            self._store_addrs(seg, ri, len(node_rows)).tolist(),
-            out_mem.tolist(), indices_arr, offsets_arr, window_edges)
+            node0, cols.sids[node_rows], cols.opcodes[node_rows],
+            addr_cols, addr_counts,
+            self._store_addrs(seg, ri, len(node_rows)), out_mem,
+            indices_arr, offsets_arr, window_edges)
 
     @staticmethod
     def _store_addrs(seg: SegmentData, ri, n_out: int):
@@ -886,42 +886,54 @@ class SegmentStore:
         from repro.ddg.graph import DDG
 
         tel = current_run().tel
-        out_sids: List[int] = []
-        out_ops: List[int] = []
-        out_addrs: List[tuple] = []
-        out_store: List[int] = []
-        out_mem: List[int] = []
+        chunks: List[DDGChunk] = []
         indices = array("q")
         offsets = array("q", [0])
         window_edges = 0
         with tel.span("trace_store.to_ddg"):
             for chunk in self._ddg_chunks(cone_ops):
-                out_sids += chunk.sids
-                out_ops += chunk.opcodes
-                out_addrs += chunk.addrs
-                out_store += chunk.store_addrs
-                out_mem += chunk.mem_addrs
+                # The CSR vectors grow as the chunks arrive; the node
+                # columns are joined once, below.
+                chunks.append(chunk._replace(pred_indices=None,
+                                             pred_offsets=None))
                 indices.extend(chunk.pred_indices)
                 rebased = np.frombuffer(chunk.pred_offsets,
                                         dtype=np.int64)[1:] + offsets[-1]
                 offsets.frombytes(rebased.tobytes())
                 window_edges += chunk.window_edges
+            sids = _joined(chunks, "sids", np.int64)
+            # Every segment's matrix is as wide as its widest tuple; the
+            # window's is as wide as the widest of them.
+            width = max((c.addr_cols.shape[1] for c in chunks), default=0)
+            addr_cols = np.zeros((len(sids), width), dtype=np.int64)
+            lo = 0
+            for chunk in chunks:
+                rows, cols = chunk.addr_cols.shape
+                addr_cols[lo:lo + rows, :cols] = chunk.addr_cols
+                lo += rows
         if tel.enabled:
             tel.count("trace_store.segments_read", len(self.segments))
             tel.count("trace_store.bytes_read",
                       self.manifest.get("segment_bytes", 0))
         return DDG(
-            out_sids,
-            out_ops,
-            addrs=out_addrs,
-            store_addrs=out_store,
-            mem_addrs=out_mem,
+            sids,
+            _joined(chunks, "opcodes", np.int8),
+            addr_cols=addr_cols,
+            addr_counts=_joined(chunks, "addr_counts", np.int8),
+            store_addrs=_joined(chunks, "store_addrs", np.int64),
+            mem_addrs=_joined(chunks, "mem_addrs", np.int64),
             pred_indices=indices,
             pred_offsets=offsets,
             validate=False,
             window_nodes=self.n_nodes + self.manifest.get("uncaptured", 0),
             window_edges=window_edges,
         )
+
+
+def _joined(chunks: Sequence[DDGChunk], column: str, dtype):
+    """One node column of a window, joined from its chunks in order."""
+    return np.concatenate([getattr(c, column) for c in chunks]
+                          or [np.empty(0, dtype)])
 
 
 def open_store(path: str) -> SegmentStore:

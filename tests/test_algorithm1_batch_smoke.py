@@ -35,7 +35,8 @@ def test_synthetic_ddg_is_seed_deterministic():
     a = synthetic_ddg(500, 5, seed=7)
     b = synthetic_ddg(500, 5, seed=7)
     c = synthetic_ddg(500, 5, seed=8)
-    assert a.sids == b.sids
+    assert a.sids.tolist() == b.sids.tolist()
     assert a.pred_indices == b.pred_indices
     assert a.pred_offsets == b.pred_offsets
-    assert (c.sids, list(c.pred_indices)) != (a.sids, list(a.pred_indices))
+    assert (c.sids.tolist(), list(c.pred_indices)) != (
+        a.sids.tolist(), list(a.pred_indices))

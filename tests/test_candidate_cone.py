@@ -12,7 +12,10 @@ and checks, on every analyzed window of the registry, that:
   Algorithm 1 scan (the full scan is the oracle for exactness);
 - ``loop_metrics`` over the cone equals ``loop_metrics`` over the full
   graph, with and without ``include_integer`` and ``relax_reductions``;
-- the spilled remap, in at least two segments, cuts the same cone.
+- the spilled remap, in at least two segments, cuts the same cone;
+- each candidate sid's timestamps, in first-execution order, run 1, 2,
+  ..., max, with and without reduction relaxation: the consequence of
+  Property 3.2 that ``partitions_from_scan`` orders partitions by.
 """
 
 import pytest
@@ -20,8 +23,12 @@ import pytest
 from repro.analysis.candidates import candidate_opcodes, candidate_sids
 from repro.analysis.metrics import loop_metrics
 from repro.analysis.pipeline import windowed_loop_ddg
+from repro.analysis.reductions import removed_edges_by_sid
 from repro.analysis.report import LoopReport
-from repro.analysis.timestamps import packed_timestamp_scan
+from repro.analysis.timestamps import (
+    packed_timestamp_scan,
+    partitions_from_scan,
+)
 from repro.interp.interpreter import DEFAULT_FUEL, Interpreter
 from repro.ir.instructions import Opcode
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
@@ -38,14 +45,14 @@ def oracle_cone(ddg, ops):
     """Full-graph indices of the nodes whose sid is a candidate's (an
     instance has an opcode in ``ops``) or reachable from one along the
     graph's sid-level edges, ascending."""
-    sids = ddg.sids
+    sids = ddg.sids.tolist()
     indices = ddg.pred_indices.tolist()
     offsets = ddg.pred_offsets.tolist()
     succs = {}
     for i, sid in enumerate(sids):
         for p in indices[offsets[i]:offsets[i + 1]]:
             succs.setdefault(sids[p], set()).add(sid)
-    live = {sid for sid, op in zip(sids, ddg.opcodes) if op in ops}
+    live = {sid for sid, op in zip(sids, ddg.opcodes.tolist()) if op in ops}
     stack = list(live)
     while stack:
         for sid in succs.get(stack.pop(), ()):
@@ -61,11 +68,11 @@ def assert_induced_cone(full, cone, kept):
     renumbered."""
     assert kept == sorted(set(kept))
     at = {j: k for k, j in enumerate(kept)}
-    assert cone.sids == [full.sids[j] for j in kept]
-    assert cone.opcodes == [full.opcodes[j] for j in kept]
+    assert cone.sids.tolist() == full.sids[kept].tolist()
+    assert cone.opcodes.tolist() == full.opcodes[kept].tolist()
     assert cone.addrs == [full.addrs[j] for j in kept]
-    assert cone.store_addrs == [full.store_addrs[j] for j in kept]
-    assert cone.mem_addrs == [full.mem_addrs[j] for j in kept]
+    assert cone.store_addrs.tolist() == full.store_addrs[kept].tolist()
+    assert cone.mem_addrs.tolist() == full.mem_addrs[kept].tolist()
     assert cone.preds == [tuple(at[p] for p in full.pred_row(j) if p in at)
                           for j in kept]
     assert (cone.window_nodes, cone.window_edges) == (len(full),
@@ -77,6 +84,18 @@ def assert_drops_only_zero_nodes(full, kept, include_integer):
                                  candidate_sids(full, include_integer))
     at = set(kept)
     assert all(v == 0 for j, v in enumerate(scan.vectors) if j not in at)
+
+
+def assert_first_seen_timestamps_ascend(ddg, include_integer):
+    sids = candidate_sids(ddg, include_integer)
+    for removed in (None, removed_edges_by_sid(ddg, sids)):
+        scan = packed_timestamp_scan(ddg, sids, removed)
+        partitions = partitions_from_scan(ddg, scan)
+        for sid in sids:
+            seen = dict.fromkeys(scan.timestamp(i, sid)
+                                 for i in ddg.instances_of(sid))
+            assert list(seen) == list(range(1, len(seen) + 1)), sid
+            assert list(partitions[sid]) == list(seen), sid
 
 
 def assert_same_metrics(full, cone, module, loop_name, include_integer):
@@ -109,6 +128,7 @@ def test_registry_windows_cone(workload, tmp_path):
             kept = oracle_cone(full, ops)
             assert_induced_cone(full, cone, kept)
             assert_drops_only_zero_nodes(full, kept, include_integer)
+            assert_first_seen_timestamps_ascend(full, include_integer)
             assert_same_metrics(full, cone, module, loop_name,
                                 include_integer)
             spilled = store.to_ddg(cone_ops=ops)
@@ -161,7 +181,7 @@ def test_dropped_producer_loses_its_edge_and_the_consumer_stays():
     sink = _sink([(10, LOAD, (), 8), (11, FMUL, (0,), 0),
                   (12, FADD, (1, 0), 0)])
     cone = _cone_checks(sink, False)
-    assert cone.sids == [11, 12]
+    assert cone.sids.tolist() == [11, 12]
     assert cone.preds == [(), (0,)]
     assert (cone.window_nodes, cone.window_edges) == (3, 3)
 
@@ -171,9 +191,9 @@ def test_candidate_chain_crosses_loop_markers():
                   (5, NEXT, (), 0), (22, LOAD, (2,), 64),
                   (23, FMUL, (4,), 0), (24, ICMP, (), 0)])
     cone = _cone_checks(sink, False)
-    assert cone.sids == [20, 21, 22, 23]
+    assert cone.sids.tolist() == [20, 21, 22, 23]
     assert cone.preds == [(), (0,), (1,), (2,)]
-    assert cone.mem_addrs == [0, 64, 64, 0]
+    assert cone.mem_addrs.tolist() == [0, 64, 64, 0]
     assert cone.window_nodes == 5
 
 
@@ -182,7 +202,7 @@ def test_marker_rows_are_never_nodes_of_the_cone():
     sink.emit(0, 7, MARKER_ENTER, 0)
     sink.emit(1, 20, FADD, 0)
     sink.emit(2, 7, MARKER_EXIT, 0)
-    assert sink.to_ddg(candidate_opcodes()).sids == [20]
+    assert sink.to_ddg(candidate_opcodes()).sids.tolist() == [20]
 
 
 @pytest.mark.parametrize("include_integer", FLAGS)
@@ -193,4 +213,5 @@ def test_integer_candidates_keep_the_index_chain(include_integer):
                   (32, PTRADD, (1,), 0), (33, LOAD, (2,), 8),
                   (34, FADD, (3,), 0)])
     cone = _cone_checks(sink, include_integer)
-    assert cone.sids == ([30, 31, 32, 33, 34] if include_integer else [34])
+    assert cone.sids.tolist() == ([30, 31, 32, 33, 34] if include_integer
+                                  else [34])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.metrics import loop_metrics
 from repro.analysis.nonunit import NonunitGroup, nonunit_stride_subpartitions
 from repro.analysis.stride import StrideBreak, unit_stride_subpartitions
 from repro.analysis.timestamps import (
@@ -53,6 +54,13 @@ def independent_ddg():
         addrs=[(256,), (264,), (280,), (296,)],
         store_addrs=[0, 0, 0, 0],
     )
+
+
+def stride_provenance(ddg):
+    """The §3.2 breaks and §3.3 groups of ``ddg``'s metrics pass."""
+    breaks, groups = {}, {}
+    loop_metrics(ddg, breaks=breaks, groups=groups)
+    return breaks, groups
 
 
 class TestScanReuse:
@@ -107,14 +115,15 @@ class TestDependenceWitnesses:
 class TestStrideProvenance:
     def test_unit_scan_breaks_are_optional_and_inert(self):
         ddg = independent_ddg()
-        nodes = [0, 1, 2, 3]
-        plain = unit_stride_subpartitions(ddg, nodes, 8)
-        breaks = []
-        with_breaks = unit_stride_subpartitions(ddg, nodes, 8, breaks=breaks)
+        parts = {7: {1: [0, 1, 2, 3]}}
+        plain = unit_stride_subpartitions(ddg, parts, {7: 8})
+        breaks = {}
+        with_breaks = unit_stride_subpartitions(ddg, parts, {7: 8},
+                                                breaks=breaks)
         assert with_breaks == plain
         # 256 -> 264 is unit (8); 264 -> 280 (16) breaks; 280 -> 296 too.
-        assert len(breaks) == len(plain) - 1
-        first = breaks[0]
+        assert len(breaks[7]) == len(plain[7][1]) - 1
+        first = breaks[7][0]
         assert isinstance(first, StrideBreak)
         assert first.stride[0] == 16
 
@@ -135,8 +144,9 @@ class TestStrideProvenance:
 
     def test_extract_stride_witnesses_without_module(self):
         ddg = independent_ddg()
-        parts = batched_parallel_partitions(ddg, [7])
-        witnesses = extract_stride_witnesses(ddg, parts, module=None)
+        witnesses = extract_stride_witnesses(ddg, [7],
+                                             *stride_provenance(ddg),
+                                             module=None)
         assert witnesses
         kinds = {w.kind for w in witnesses}
         assert "unit-break" in kinds
@@ -153,7 +163,8 @@ class TestCrossExamination:
         parts = partitions_from_scan(ddg, scan)
         deps = extract_dependence_witnesses(ddg, scan, parts)
         findings = cross_examine(
-            ddg, ["possible pointer aliasing: 'a' vs 'b'"], deps, [], parts
+            ddg, ["possible pointer aliasing: 'a' vs 'b'"], deps, [], parts,
+            ddg.memory_flow_edges(),
         )
         assert findings[0].verdict == "confirmed"
         assert "store→load" in findings[0].evidence
@@ -162,7 +173,8 @@ class TestCrossExamination:
         ddg = independent_ddg()
         parts = batched_parallel_partitions(ddg, [7])
         findings = cross_examine(
-            ddg, ["possible pointer aliasing: 'a' vs 'b'"], [], [], parts
+            ddg, ["possible pointer aliasing: 'a' vs 'b'"], [], [], parts,
+            ddg.memory_flow_edges(),
         )
         assert findings[0].verdict == "contradicted"
         assert "zero store→load" in findings[0].evidence
@@ -174,7 +186,8 @@ class TestCrossExamination:
         deps = extract_dependence_witnesses(ddg, scan, parts)
         findings = cross_examine(
             ddg, ["loop-carried dependence (distance 1) on 'A'"],
-            deps, [], parts
+            deps, [], parts,
+            ddg.memory_flow_edges(),
         )
         assert findings[0].verdict == "confirmed"
         assert findings[0].witness_ids == [deps[0].witness_id]
@@ -183,7 +196,8 @@ class TestCrossExamination:
         ddg = independent_ddg()
         parts = batched_parallel_partitions(ddg, [7])
         findings = cross_examine(
-            ddg, ["scalar recurrence on 's'"], [], [], parts
+            ddg, ["scalar recurrence on 's'"], [], [], parts,
+            ddg.memory_flow_edges(),
         )
         assert findings[0].verdict == "contradicted"
 
@@ -192,22 +206,25 @@ class TestCrossExamination:
         parts = batched_parallel_partitions(ddg, [7])
         findings = cross_examine(
             ddg, ["control flow in loop body", "contains an inner loop"],
-            [], [], parts
+            [], [], parts,
+            ddg.memory_flow_edges(),
         )
         assert all(f.verdict == "structural" for f in findings)
 
     def test_nonunit_stride_verdicts(self):
         ddg = independent_ddg()
         parts = batched_parallel_partitions(ddg, [7])
-        strides = extract_stride_witnesses(ddg, parts)
+        strides = extract_stride_witnesses(ddg, [7], *stride_provenance(ddg))
         confirmed = cross_examine(
             ddg, ["non-unit stride (16 bytes) on 'lattice'"],
-            [], strides, parts
+            [], strides, parts,
+            ddg.memory_flow_edges(),
         )
         assert confirmed[0].verdict == "confirmed"
         assert confirmed[0].witness_ids
         contradicted = cross_examine(
-            ddg, ["non-unit stride (16 bytes) on 'lattice'"], [], [], parts
+            ddg, ["non-unit stride (16 bytes) on 'lattice'"], [], [], parts,
+            ddg.memory_flow_edges(),
         )
         assert contradicted[0].verdict == "contradicted"
 

@@ -119,17 +119,18 @@ class TestBitIdentity:
         _, _, s0, _ = _run(STENCIL, False)
         _, _, s1, _ = _run(STENCIL, True)
         d0, d1 = s0.to_ddg(), s1.to_ddg()
-        assert d0.sids == d1.sids
-        assert d0.opcodes == d1.opcodes
+        assert d0.sids.tolist() == d1.sids.tolist()
+        assert d0.opcodes.tolist() == d1.opcodes.tolist()
         assert d0.addrs == d1.addrs
-        assert d0.mem_addrs == d1.mem_addrs
-        assert d0.store_addrs == d1.store_addrs
+        assert d0.mem_addrs.tolist() == d1.mem_addrs.tolist()
+        assert d0.store_addrs.tolist() == d1.store_addrs.tolist()
         assert list(d0.pred_indices) == list(d1.pred_indices)
         assert list(d0.pred_offsets) == list(d1.pred_offsets)
         # The columns survive the build: a second build and the lazy
         # record view both still see every sparse entry.
         d2 = s1.to_ddg()
-        assert d2.addrs == d1.addrs and d2.mem_addrs == d1.mem_addrs
+        assert d2.addrs == d1.addrs
+        assert d2.mem_addrs.tolist() == d1.mem_addrs.tolist()
         assert len(s1.records) == len(s0.records)
 
     def test_serialized_trace_bytes_identical(self):
@@ -168,7 +169,7 @@ class TestBitIdentity:
         ma, mb = dict(sta.manifest), dict(stb.manifest)
         assert ma["segments"] == mb["segments"]
         da, db = sta.to_ddg(), stb.to_ddg()
-        assert da.sids == db.sids
+        assert da.sids.tolist() == db.sids.tolist()
         assert list(da.pred_indices) == list(db.pred_indices)
         assert list(da.store_addrs) == list(db.store_addrs)
         assert list(da.mem_addrs) == list(db.mem_addrs)
@@ -342,10 +343,10 @@ int main() {{
         assert _cols(s0) == _cols(s1)
         assert s0.stats() == s1.stats()
         d0, d1 = s0.to_ddg(), s1.to_ddg()
-        assert d0.sids == d1.sids
+        assert d0.sids.tolist() == d1.sids.tolist()
         assert d0.addrs == d1.addrs
-        assert d0.mem_addrs == d1.mem_addrs
-        assert d0.store_addrs == d1.store_addrs
+        assert d0.mem_addrs.tolist() == d1.mem_addrs.tolist()
+        assert d0.store_addrs.tolist() == d1.store_addrs.tolist()
         assert list(d0.pred_indices) == list(d1.pred_indices)
 
 
@@ -680,8 +681,8 @@ class TestEntryDispatch:
         assert st0 == st1
         assert a.manifest["segments"] == b.manifest["segments"]
         da, db = a.to_ddg(), b.to_ddg()
-        assert da.sids == db.sids
-        assert da.opcodes == db.opcodes
+        assert da.sids.tolist() == db.sids.tolist()
+        assert da.opcodes.tolist() == db.opcodes.tolist()
         assert list(da.pred_indices) == list(db.pred_indices)
         assert list(da.pred_offsets) == list(db.pred_offsets)
         assert list(da.mem_addrs) == list(db.mem_addrs)

@@ -65,6 +65,13 @@ def ddg_from_tuples(tuples):
     )
 
 
+def unit_subpartitions(ddg, nodes):
+    """§3.2 over one partition of sid 1; a singleton stays whole."""
+    if len(nodes) < 2:
+        return [nodes]
+    return unit_stride_subpartitions(ddg, {1: {1: nodes}}, {1: 8})[1][1]
+
+
 class TestAlgorithm1Properties:
     @given(random_dags())
     @settings(max_examples=60, deadline=None)
@@ -129,6 +136,8 @@ class TestAlgorithm1Properties:
         for sid in targets:
             assert all_ts[sid] == compute_timestamps(ddg, sid)
             assert all_parts[sid] == parallel_partitions(ddg, sid)
+            # The same timestamps in the same (first-seen) order.
+            assert list(all_parts[sid]) == list(parallel_partitions(ddg, sid))
 
 
 class TestStrideProperties:
@@ -136,7 +145,7 @@ class TestStrideProperties:
     @settings(max_examples=80, deadline=None)
     def test_unit_subpartitions_partition_the_input(self, tuples):
         ddg = ddg_from_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(len(tuples))), 8)
+        subs = unit_subpartitions(ddg, list(range(len(tuples))))
         flat = sorted(x for s in subs for x in s)
         assert flat == list(range(len(tuples)))
 
@@ -144,7 +153,7 @@ class TestStrideProperties:
     @settings(max_examples=80, deadline=None)
     def test_unit_subpartitions_have_uniform_unit_strides(self, tuples):
         ddg = ddg_from_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(len(tuples))), 8)
+        subs = unit_subpartitions(ddg, list(range(len(tuples))))
         for sub in subs:
             if len(sub) < 2:
                 continue

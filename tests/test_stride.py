@@ -25,11 +25,17 @@ def ddg_with_tuples(tuples):
     )
 
 
+def subdivide(ddg, nodes, elem_size):
+    """The §3.2 subpartitions of one partition (timestamp 1 of sid 1)."""
+    return unit_stride_subpartitions(ddg, {1: {1: nodes}},
+                                     {1: elem_size})[1][1]
+
+
 class TestUnitStride:
     def test_contiguous_tuples_form_one_subpartition(self):
         tuples = [(100 + 8 * i, 200 + 8 * i, 300 + 8 * i) for i in range(5)]
         ddg = ddg_with_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(5)), 8)
+        subs = subdivide(ddg, list(range(5)), 8)
         assert len(subs) == 1
         assert len(subs[0]) == 5
 
@@ -37,20 +43,20 @@ class TestUnitStride:
         """Splat operands (same address each time) are vectorizable."""
         tuples = [(100, 200 + 8 * i, 300 + 8 * i) for i in range(4)]
         ddg = ddg_with_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(4)), 8)
+        subs = subdivide(ddg, list(range(4)), 8)
         assert len(subs) == 1
 
     def test_constants_use_artificial_zero(self):
         tuples = [(0, 200 + 8 * i, 300 + 8 * i) for i in range(4)]
         ddg = ddg_with_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(4)), 8)
+        subs = subdivide(ddg, list(range(4)), 8)
         assert len(subs) == 1
 
     def test_non_unit_stride_splits(self):
         tuples = [(100 + 16 * i, 200 + 16 * i, 300 + 16 * i)
                   for i in range(4)]
         ddg = ddg_with_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(4)), 8)
+        subs = subdivide(ddg, list(range(4)), 8)
         assert all(len(s) == 1 for s in subs)
 
     def test_stride_change_splits(self):
@@ -60,23 +66,23 @@ class TestUnitStride:
             + [(400 + 8 * i, 0, 600 + 8 * i) for i in range(3)]
         )
         ddg = ddg_with_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(6)), 8)
+        subs = subdivide(ddg, list(range(6)), 8)
         sizes = sorted(len(s) for s in subs)
         assert sizes == [3, 3]
 
     def test_unsorted_input_is_sorted_first(self):
         tuples = [(100 + 8 * i, 0, 300 + 8 * i) for i in (3, 0, 2, 1)]
         ddg = ddg_with_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(4)), 8)
+        subs = subdivide(ddg, list(range(4)), 8)
         assert len(subs) == 1
         assert len(subs[0]) == 4
 
     def test_float32_element_size(self):
         tuples = [(100 + 4 * i, 0, 300 + 4 * i) for i in range(4)]
         ddg = ddg_with_tuples(tuples)
-        assert len(unit_stride_subpartitions(ddg, list(range(4)), 4)) == 1
+        assert len(subdivide(ddg, list(range(4)), 4)) == 1
         # Same addresses under double element size: stride 4 is non-unit.
-        subs8 = unit_stride_subpartitions(ddg, list(range(4)), 8)
+        subs8 = subdivide(ddg, list(range(4)), 8)
         assert all(len(s) == 1 for s in subs8)
 
     def test_mixed_component_strides_split(self):
@@ -84,19 +90,23 @@ class TestUnitStride:
         tuples = [(100 + 8 * i, 200 + 24 * i, 300 + 8 * i)
                   for i in range(4)]
         ddg = ddg_with_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(4)), 8)
+        subs = subdivide(ddg, list(range(4)), 8)
         assert all(len(s) == 1 for s in subs)
 
     def test_every_member_appears_once(self):
         tuples = [(100 + 8 * (i % 3), 0, 300 + 16 * i) for i in range(7)]
         ddg = ddg_with_tuples(tuples)
-        subs = unit_stride_subpartitions(ddg, list(range(7)), 8)
+        subs = subdivide(ddg, list(range(7)), 8)
         flat = sorted(x for s in subs for x in s)
         assert flat == list(range(7))
 
     def test_empty_partition(self):
         ddg = ddg_with_tuples([(0, 0, 0)])
-        assert unit_stride_subpartitions(ddg, [], 8) == []
+        assert unit_stride_subpartitions(ddg, {1: {1: []}}, {1: 8}) == {}
+
+    def test_singleton_partition_is_not_subdivided(self):
+        ddg = ddg_with_tuples([(0, 0, 0)])
+        assert unit_stride_subpartitions(ddg, {1: {1: [0]}}, {1: 8}) == {}
 
 
 class TestMetricsHelpers:

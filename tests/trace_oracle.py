@@ -197,10 +197,12 @@ def record_trace(module, entry: str = "main", args: Sequence = (),
 
 
 def assert_ddgs_identical(a: DDG, b: DDG) -> None:
-    assert a.sids == b.sids
-    assert a.opcodes == b.opcodes
+    assert a.sids.tolist() == b.sids.tolist()
+    assert a.opcodes.tolist() == b.opcodes.tolist()
     assert list(a.pred_indices) == list(b.pred_indices)
     assert list(a.pred_offsets) == list(b.pred_offsets)
-    assert [tuple(t) for t in a.addrs] == [tuple(t) for t in b.addrs]
-    assert list(a.store_addrs) == list(b.store_addrs)
-    assert list(a.mem_addrs) == list(b.mem_addrs)
+    assert a.addrs == b.addrs
+    assert a.addr_cols.tolist() == b.addr_cols.tolist()
+    assert a.addr_counts.tolist() == b.addr_counts.tolist()
+    assert a.store_addrs.tolist() == b.store_addrs.tolist()
+    assert a.mem_addrs.tolist() == b.mem_addrs.tolist()
