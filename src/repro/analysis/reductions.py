@@ -90,11 +90,10 @@ def reduction_edges(ddg: DDG, accumulators: Set[int]) -> Set[Tuple[int, int]]:
         return cached
     opcodes = ddg.opcodes
     at_accumulator = np.isin(ddg.mem_addrs, list(accumulators))
-    indices, offsets = ddg.csr()
-    loads = np.repeat(np.arange(len(opcodes)), np.diff(offsets))
+    stores, loads = ddg.edge_arrays()
     through = ((opcodes[loads] == _LOAD) & at_accumulator[loads]
-               & (opcodes[indices] == _STORE) & at_accumulator[indices])
-    removed = set(zip(indices[through].tolist(), loads[through].tolist()))
+               & (opcodes[stores] == _STORE) & at_accumulator[stores])
+    removed = set(zip(stores[through].tolist(), loads[through].tolist()))
     cache[key] = removed
     return removed
 

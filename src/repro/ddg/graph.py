@@ -224,11 +224,12 @@ class DDG:
             ]
         return self._addrs_view
 
-    def csr(self):
-        """The CSR adjacency as int64 numpy views ``(indices, offsets)``
-        over :attr:`pred_indices` and :attr:`pred_offsets` (no copy)."""
+    def edge_arrays(self):
+        """Every edge as int64 arrays ``(producers, consumers)``, in CSR
+        order: by consumer, then in predecessor order."""
+        offsets = np.frombuffer(self.pred_offsets, dtype=np.int64)
         return (np.frombuffer(self.pred_indices, dtype=np.int64),
-                np.frombuffer(self.pred_offsets, dtype=np.int64))
+                np.repeat(np.arange(len(self.sids)), np.diff(offsets)))
 
     def pred_row(self, i: int) -> array:
         """Predecessors of node ``i`` as a flat array slice."""
@@ -302,12 +303,11 @@ class DDG:
         """
         from repro.ir.instructions import Opcode
 
-        indices, offsets = self.csr()
+        producers, consumers = self.edge_arrays()
         opcodes = self.opcodes
-        consumers = np.repeat(np.arange(len(opcodes)), np.diff(offsets))
         flow = ((opcodes[consumers] == int(Opcode.LOAD))
-                & (opcodes[indices] == int(Opcode.STORE)))
-        return list(zip(indices[flow].tolist(), consumers[flow].tolist()))
+                & (opcodes[producers] == int(Opcode.STORE)))
+        return list(zip(producers[flow].tolist(), consumers[flow].tolist()))
 
     def has_path(self, src: int, dst: int) -> bool:
         """Reachability test (used by tests to verify Property 3.1)."""
