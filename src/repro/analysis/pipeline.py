@@ -5,46 +5,49 @@
 
 1. compile and run the program, collecting a cycle profile;
 2. select hot loops (>=10% of cycles, innermost-first selection rule);
-3. for each hot loop, re-run with a loop-window sink to collect the
-   subtrace of one representative dynamic instance;
-4. build the DDG, run Algorithm 1 + the stride analyses, and attach the
-   static-vectorizer Percent Packed for comparison.
+3. run the program once more, recording the subtrace of one
+   representative dynamic instance of every hot loop — each loop's
+   *window* — in that one run (:func:`record_windows`);
+4. for each window, build the DDG, run Algorithm 1 + the stride
+   analyses, and attach the static-vectorizer Percent Packed for
+   comparison.
 
 Steps 1-2 run only where the loops are discovered.  Handed its loops by
 name (``loops=[...]``, as :meth:`repro.workloads.base.Workload.analyze`
 and ``analyze-file --loop`` do), the driver skips the separate profile
-run: every windowed re-run executes the whole program and accumulates
-the same profile counters as a sink-less run, so the profile of step 1
-comes from the first loop's re-run (:func:`run_loop_analyses` hands
-those counters back).
+run: the windowed run executes the whole program and accumulates the
+same profile counters as a sink-less run, so the profile of step 1
+comes from it (:func:`run_loop_analyses` hands those counters back).
 
-Step 3 uses the fused columnar path: the windowed re-run streams records
-straight into DDG-shaped columns (:class:`ColumnarLoopSink`, or the
-spilling :class:`~repro.trace.store.SegmentedLoopSink` under
-``spill_dir``), and one numpy remap turns them into the DDG, so no
-per-record objects exist between interpretation and analysis.  The
-remap keeps only the window's candidate cone — the nodes a candidate
-instruction reaches, the only ones Algorithm 1 can give a nonzero
-timestamp — so step 4 builds and scans no node that cannot move a
-partition (:class:`~repro.trace.columnar.CandidateCone`).  The re-run
+Step 3 uses the fused columnar path: the windowed run streams records
+straight into DDG-shaped columns, one window sink per loop
+(:class:`ColumnarLoopSink`, or the spilling
+:class:`~repro.trace.store.SegmentedLoopSink` under ``spill_dir``)
+behind one :class:`~repro.trace.columnar.WindowFanout` when there are
+several (DESIGN.md §20), and one numpy remap per window turns them into
+the DDG, so no per-record objects exist between interpretation and
+analysis.  The remap keeps only the window's candidate cone — the nodes
+a candidate instruction reaches, the only ones Algorithm 1 can give a
+nonzero timestamp — so step 4 builds and scans no node that cannot move
+a partition (:class:`~repro.trace.columnar.CandidateCone`).  The run
 itself records only the instructions a candidate can reach statically
 (:func:`~repro.analysis.candidates.capture_sids`, DESIGN.md §18).
 
-Because each hot loop's windowed re-run is independent, step 3 fans out
-across a process pool when ``jobs > 1`` (each worker recompiles the
-source — modules are cheap to rebuild and deterministic, so reports are
-byte-identical to the serial path).  Pool failures fall back to serial,
-with a ``vectra.pipeline`` warning so the degradation is visible.  An
-out-of-core run (``spill_dir``) analyzes its loops serially.
+Step 4 fans out across a process pool when ``jobs > 1``: a fork pool
+starts after the run and its workers inherit the recorded windows, so
+they only build DDGs and metrics — none recompiles the source or
+interprets — and reports are byte-identical to the serial path.  Pool
+failures fall back to serial, with a ``vectra.pipeline`` warning so the
+degradation is visible.  Without a fork start method, and in an
+out-of-core run (``spill_dir``), the windows are analyzed serially.
 
 The driver records stage spans plus work counters into the current
 run's telemetry (:func:`repro.obs.run.current_run`; a no-op unless e.g.
 the CLI's ``--profile`` installed a run that records).  Pool workers
-record each loop into a fresh telemetry and ship a snapshot back with
-its report, which the parent merges — serial and parallel runs report
-identical counter totals, except for the trace-replay compiler's: the
-driver shares one kernel table across its module's serial runs, which
-pool workers cannot.
+record each window's analysis into a fresh telemetry and ship a
+snapshot back with its report, which the parent merges; the run itself
+happens in the parent.  So serial and pooled analyses report identical
+counter totals.
 """
 
 from __future__ import annotations
@@ -69,13 +72,13 @@ from repro.interp.interpreter import (
     count_traced_run,
     run_and_trace,
 )
-from repro.ir.module import Module
+from repro.ir.module import LoopInfo, Module
 from repro.ir.verifier import verify_module
 from repro.obs import current_run, get_logger
 from repro.obs.run import init_worker
 from repro.profiler.costmodel import CostModel
 from repro.profiler.hotloops import hot_loops, profile_loops
-from repro.trace.columnar import ColumnarLoopSink
+from repro.trace.columnar import ColumnarLoopSink, WindowFanout
 from repro.vectorizer.autovec import VectorizerConfig, analyze_program_loops
 from repro.vectorizer.packed import percent_packed
 
@@ -87,9 +90,206 @@ __all__ = [
     "analyze_loop",
     "analyze_program",
     "analyze_kernel",
+    "find_loop",
+    "LoopWindow",
+    "record_windows",
     "run_loop_analyses",
     "windowed_loop_ddg",
 ]
+
+
+def find_loop(module: Module, loop_name: str) -> LoopInfo:
+    """The loop named ``loop_name`` (a label or ``function:line``);
+    :class:`AnalysisError`, listing the module's loops, if there is
+    none."""
+    info = module.loop_by_name(loop_name)
+    if info is None:
+        known = ", ".join(li.name for li in module.loops.values())
+        raise AnalysisError(
+            f"no loop named {loop_name!r}; known loops: {known}"
+        )
+    return info
+
+
+def record_windows(module: Module, loops: Sequence[Tuple[int, str]],
+                   entry: str = "main", args: Sequence = (),
+                   instance: int = 0, fuel: int = DEFAULT_FUEL,
+                   spill_dir: Optional[str] = None,
+                   segment_rows: Optional[int] = None,
+                   compile_loops: bool = True,
+                   compile_threshold: Optional[int] = None,
+                   kernels: Optional[KernelTable] = None):
+    """Record instance ``instance`` of each of ``loops`` (``(loop id,
+    name)`` pairs) in one run of the program.
+
+    Each loop's window streams into a window sink of its own: a
+    :class:`ColumnarLoopSink`, or with ``spill_dir`` a
+    :class:`~repro.trace.store.SegmentedLoopSink` that spills full
+    segments to a per-loop subdirectory under ``segment_rows``-row
+    budgets.  One window's sink is the interpreter's sink; several sit
+    behind a :class:`~repro.trace.columnar.WindowFanout`, which hands
+    each the calls a run of its own would, so every window's columns
+    equal those of a run of that loop alone (DESIGN.md §20).  Loops
+    named twice share one window.
+
+    Returns ``(windows, counters)``.  ``windows`` holds one
+    :class:`LoopWindow` per loop, in order.  The run
+    executes the whole program to completion; the windows only filter
+    what the sinks keep.  So its profile counters (``counters``, a
+    :class:`~repro.interp.interpreter.ProfileCounters` snapshot) and its
+    executed-instruction count equal a sink-less run's, and
+    :func:`analyze_program`, handed its loops by name, takes its §4.1
+    profile from them.  The run counts ``interp.runs`` and
+    ``interp.instructions`` once and the ``loop.rerun`` span; each
+    window counts its ``trace.records.*`` and ``trace.spans_recorded``.
+    Each window's span counter validates the instance: no recorded span
+    means the requested instance never executed; more than one means the
+    window filter misbehaved, and silently taking the first would
+    analyze the wrong iteration.
+
+    ``kernels``, the caller's :class:`~repro.interp.compile.KernelTable`
+    for ``module``, carries the run's capture set
+    (:func:`~repro.analysis.candidates.capture_sids`; a fresh table,
+    capturing every instruction, when none is given).  The run
+    dispatches the kernels earlier runs of the same analysis built and
+    adds its own.  The static capture set misses a memory dependence
+    only where two base objects share an address at run time (a stack
+    slot reused by another frame and read as an uninitialized local, a
+    subscript past an array's end).  The run catches that: an uncaptured
+    load inside a window that read a captured store is a *capture miss*.
+    A miss in any window discards every window (and its spill
+    subdirectory) and runs the program once more capturing every
+    instruction, which counts one ``trace.capture_fallbacks`` and logs
+    one ``vectra.pipeline`` warning; ``kernels`` then captures every
+    instruction for the rest of the analysis.  If the capture set holds
+    every sid of a window's dynamic candidate cone, the cone cut from
+    the captured rows equals the one cut from all rows (DESIGN.md §18),
+    so no DDG depends on the capture set.
+    """
+    tel = current_run().tel
+    if kernels is None:
+        kernels = KernelTable()
+    names = {}
+    for loop_id, loop_name in loops:
+        names.setdefault(loop_id, loop_name)
+    if spill_dir:
+        from repro.trace.store import (
+            DEFAULT_SEGMENT_ROWS,
+            SegmentedLoopSink,
+            spill_subdir,
+        )
+
+        dirs = {loop_id: spill_subdir(spill_dir, f"{name}-inst{instance}")
+                for loop_id, name in names.items()}
+
+    def record():
+        if spill_dir:
+            sinks = {
+                loop_id: SegmentedLoopSink(
+                    loop_id, instances={instance}, spill_dir=dirs[loop_id],
+                    segment_rows=(DEFAULT_SEGMENT_ROWS if segment_rows is None
+                                  else segment_rows))
+                for loop_id in names
+            }
+        else:
+            sinks = {loop_id: ColumnarLoopSink(loop_id, instances={instance})
+                     for loop_id in names}
+        sink = (WindowFanout(sinks.values()) if len(sinks) > 1
+                else next(iter(sinks.values())))
+        with tel.span("loop.rerun", hist=True):
+            interp = Interpreter(module, sink=sink, fuel=fuel,
+                                 compile_loops=compile_loops,
+                                 compile_threshold=compile_threshold,
+                                 kernels=kernels)
+            interp.run(entry, args)
+        if isinstance(sink, WindowFanout):
+            sink.settle()
+        return sinks, interp
+
+    sinks, interp = record()
+    missed = {loop_id: sink.capture_misses
+              for loop_id, sink in sinks.items() if sink.capture_misses}
+    if missed:
+        _log.warning(
+            "loop %s: %d load(s) outside the capture set read a captured "
+            "store; re-running the program with every instruction "
+            "captured", ", ".join(repr(names[lid]) for lid in missed),
+            sum(missed.values()),
+        )
+        tel.count("trace.capture_fallbacks")
+        tel.instant("trace.capture_fallback",
+                    {"loops": [names[lid] for lid in missed],
+                     "misses": sum(missed.values())})
+        if spill_dir:
+            for window_dir in dirs.values():
+                shutil.rmtree(window_dir, ignore_errors=True)
+        kernels.reset(None)
+        sinks = interp = None
+        sinks, interp = record()
+    counters = interp.profile_counters()
+    stats = {loop_id: sink.stats() for loop_id, sink in sinks.items()}
+    if tel.enabled:
+        count_traced_run(tel, interp, *(stats[lid] for lid, _ in loops))
+        for loop_id, _ in loops:
+            tel.count("trace.records.captured", stats[loop_id]["captured"])
+            tel.count("trace.spans_recorded", sinks[loop_id].spans_recorded)
+    for loop_id, loop_name in loops:
+        spans = sinks[loop_id].spans_recorded
+        if spans == 0:
+            raise AnalysisError(
+                f"loop {loop_name!r} instance {instance} never executed"
+            )
+        if spans != 1:
+            raise AnalysisError(
+                f"loop {loop_name!r}: expected one recorded span for "
+                f"instance {instance}, found {spans}"
+            )
+    traces = {loop_id: sink.finish() if spill_dir else sink
+              for loop_id, sink in sinks.items()}
+    return ([LoopWindow(traces[lid], stats[lid]) for lid, _ in loops],
+            counters)
+
+
+class LoopWindow:
+    """One loop's window as :func:`record_windows` recorded it: its
+    ``stats`` (the window sink's
+    :meth:`~repro.trace.columnar.ColumnarSink.stats`) and its columns —
+    the sink itself in RAM, the finished
+    :class:`~repro.trace.store.SegmentStore` when spilled — until
+    :meth:`ddg` turns them into the window's DDG."""
+
+    __slots__ = ("stats", "_trace")
+
+    def __init__(self, trace, stats: dict):
+        self.stats = stats
+        self._trace = trace
+
+    def ddg(self, cone_ops=None):
+        """The window's DDG.  The window lets go of its columns here, so
+        they are freed once the DDG exists: call it once.
+
+        ``cone_ops`` (a set of candidate opcodes) cuts the DDG down to
+        the window's candidate cone inside the remap
+        (:class:`~repro.trace.columnar.CandidateCone`).  A spilled
+        window's DDG is reassembled by streaming its segments through the
+        same remap, bit-identical to the in-RAM one.  ``ddg.nodes``
+        counts the whole window, captured or not, ``ddg.edges`` the edges
+        among the captured rows, and ``ddg.cone_nodes``/``ddg
+        .cone_edges`` the cone.
+        """
+        trace, self._trace = self._trace, None
+        tel = current_run().tel
+        with tel.span("ddg.build"):
+            ddg = trace.to_ddg(cone_ops=cone_ops)
+        if tel.enabled:
+            tel.count("ddg.nodes", ddg.window_nodes)
+            tel.count("ddg.edges", ddg.window_edges)
+            if cone_ops is not None:
+                tel.count("ddg.cone_nodes", len(ddg.sids))
+                tel.count("ddg.cone_edges", ddg.num_edges)
+            tel.count("ddg.marker_segments",
+                      self.stats["marker_segments"])
+        return ddg
 
 
 def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
@@ -99,129 +299,21 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
                       compile_loops: bool = True,
                       compile_threshold: Optional[int] = None,
                       cone_ops=None, kernels: Optional[KernelTable] = None):
-    """Fused trace→DDG for one loop instance: the windowed re-run streams
-    into columnar storage and the DDG drops out without materializing a
-    record list.  The sink's span counter validates the instance: no
-    recorded span means the requested instance never executed; more than
-    one means the window filter misbehaved, and silently taking the
-    first would analyze the wrong iteration.
+    """Fused trace→DDG for one loop instance: the one-loop case of
+    :func:`record_windows`, and the window's :meth:`LoopWindow.ddg`.
 
-    Returns ``(ddg, stats, counters)``.  ``stats`` are the window sink's
-    (:meth:`~repro.trace.columnar.ColumnarSink.stats`).  The re-run
-    executes the whole program to completion; the window only filters
-    what the sink keeps.  So its profile counters (``counters``, a
-    :class:`~repro.interp.interpreter.ProfileCounters` snapshot) and its
-    executed-instruction count equal a sink-less run's, and
-    :func:`analyze_program`, handed its loops by name, takes its §4.1
-    profile from them.
-
-    With ``spill_dir`` set the window streams through a
-    :class:`~repro.trace.store.SegmentedLoopSink` instead — full segments
-    spill to a per-loop subdirectory under ``segment_rows``-row budgets
-    and the DDG is reassembled by streaming segment windows through the
-    same remap.  The resulting DDG is bit-identical to the in-RAM path.
-
-    ``cone_ops`` (a set of candidate opcodes) cuts the DDG down to the
-    window's candidate cone inside the remap
-    (:class:`~repro.trace.columnar.CandidateCone`), and the re-run
-    records only the instructions of the capture set
-    (:func:`~repro.analysis.candidates.capture_sids`): ``kernels``, the
-    caller's :class:`~repro.interp.compile.KernelTable` for ``module``,
-    carries that set (a fresh table for ``cone_ops`` when none is
-    given).  The re-run dispatches the kernels earlier runs of the same
-    analysis built and adds its own.  ``trace.records.kept`` and
-    ``ddg.nodes`` still count the whole window, ``trace.records
-    .captured`` the rows held; ``ddg.edges`` counts the edges among
-    them, and ``ddg.cone_nodes``/``ddg.cone_edges`` the cone.
-
-    The static capture set misses a memory dependence only where two
-    base objects share an address at run time (a stack slot reused by
-    another frame and read as an uninitialized local, a subscript past
-    an array's end).  The re-run catches that: an
-    uncaptured load inside the window that read a captured store is a
-    *capture miss*.  On a miss the window (and its spill subdirectory)
-    is discarded and run again capturing every instruction, which counts
-    ``trace.capture_fallbacks`` and logs a ``vectra.pipeline`` warning;
-    ``kernels`` then captures every instruction for the rest of the
-    analysis.  If the capture set holds every sid of the window's
-    dynamic candidate cone, the cone cut from the captured rows equals
-    the one cut from all rows (DESIGN.md §18), so the DDG never depends
-    on the capture set.
+    Returns ``(ddg, stats, counters)``: the window's DDG (its candidate
+    cone with ``cone_ops``), the window sink's stats and the run's
+    profile counters.  ``kernels`` defaults to a fresh table with the
+    capture set of ``cone_ops`` (every instruction without one).
     """
-    tel = current_run().tel
     if kernels is None:
         kernels = KernelTable(None if cone_ops is None
                               else capture_sids(module, cone_ops))
-    if spill_dir:
-        from repro.trace.store import (
-            DEFAULT_SEGMENT_ROWS,
-            SegmentedLoopSink,
-            spill_subdir,
-        )
-
-        window_dir = spill_subdir(spill_dir, f"{loop_name}-inst{instance}")
-
-    def rerun():
-        if spill_dir:
-            sink = SegmentedLoopSink(
-                loop_id, instances={instance}, spill_dir=window_dir,
-                segment_rows=(DEFAULT_SEGMENT_ROWS if segment_rows is None
-                              else segment_rows),
-            )
-        else:
-            sink = ColumnarLoopSink(loop_id, instances={instance})
-        with tel.span("loop.rerun", hist=True):
-            interp = Interpreter(module, sink=sink, fuel=fuel,
-                                 compile_loops=compile_loops,
-                                 compile_threshold=compile_threshold,
-                                 kernels=kernels)
-            interp.run(entry, args)
-        return sink, interp
-
-    sink, interp = rerun()
-    if sink.capture_misses:
-        _log.warning(
-            "loop %r: %d load(s) outside the capture set read a captured "
-            "store; re-running the window with every instruction "
-            "captured", loop_name, sink.capture_misses,
-        )
-        tel.count("trace.capture_fallbacks")
-        tel.instant("trace.capture_fallback",
-                    {"loop": loop_name, "misses": sink.capture_misses})
-        if spill_dir:
-            shutil.rmtree(window_dir, ignore_errors=True)
-        kernels.reset(None)
-        sink, interp = rerun()
-    counters = interp.profile_counters()
-    stats = sink.stats()
-    if tel.enabled:
-        count_traced_run(tel, interp, stats)
-        tel.count("trace.records.captured", stats["captured"])
-        tel.count("trace.spans_recorded", sink.spans_recorded)
-    if sink.spans_recorded == 0:
-        raise AnalysisError(
-            f"loop {loop_name!r} instance {instance} never executed"
-        )
-    if sink.spans_recorded != 1:
-        raise AnalysisError(
-            f"loop {loop_name!r}: expected one recorded span for instance "
-            f"{instance}, found {sink.spans_recorded}"
-        )
-    if spill_dir:
-        store = sink.finish()
-        with tel.span("ddg.build"):
-            ddg = store.to_ddg(cone_ops=cone_ops)
-    else:
-        with tel.span("ddg.build"):
-            ddg = sink.to_ddg(cone_ops)
-    if tel.enabled:
-        tel.count("ddg.nodes", ddg.window_nodes)
-        tel.count("ddg.edges", ddg.window_edges)
-        if cone_ops is not None:
-            tel.count("ddg.cone_nodes", len(ddg.sids))
-            tel.count("ddg.cone_edges", ddg.num_edges)
-        tel.count("ddg.marker_segments", stats["marker_segments"])
-    return ddg, stats, counters
+    [window], counters = record_windows(
+        module, [(loop_id, loop_name)], entry, args, instance, fuel,
+        spill_dir, segment_rows, compile_loops, compile_threshold, kernels)
+    return window.ddg(cone_ops), window.stats, counters
 
 
 def analyze_loop(
@@ -248,48 +340,34 @@ def analyze_loop(
     compiler (:mod:`repro.interp.compile`); output is bit-identical
     either way.
     """
-    return _analyze_loop(module, loop_name, entry, args, instance,
-                         include_integer, relax_reductions, fuel,
-                         spill_dir, segment_rows, compile_loops,
-                         compile_threshold)[0]
+    return run_loop_analyses(
+        module, [loop_name], entry, args, instance, include_integer,
+        relax_reductions, fuel, spill_dir=spill_dir,
+        segment_rows=segment_rows, compile_loops=compile_loops,
+        compile_threshold=compile_threshold)[0][0]
 
 
-def _analyze_loop(
-    module, loop_name, entry, args, instance, include_integer,
-    relax_reductions, fuel, spill_dir, segment_rows, compile_loops,
-    compile_threshold, kernels=None,
-) -> Tuple[LoopReport, ProfileCounters]:
-    """:func:`analyze_loop`, also returning the re-run's profile counters
-    (see :func:`windowed_loop_ddg`).  ``kernels`` is the caller's kernel
-    table for ``module``, with the capture set of this ``include_integer``
-    (a fresh table per re-run when ``None``)."""
+def _analyze_window(module, loop_name, window: LoopWindow,
+                    include_integer, relax_reductions) -> LoopReport:
+    """The metrics of ``loop_name`` from its recorded ``window``, whose
+    columns are freed once its DDG exists, before Algorithm 1 and the
+    stride scans run."""
     run = current_run()
     tel = run.tel
-    info = module.loop_by_name(loop_name)
-    if info is None:
-        known = ", ".join(li.name for li in module.loops.values())
-        raise AnalysisError(
-            f"no loop named {loop_name!r}; known loops: {known}"
-        )
     tel.instant("loop.analyze.start", {"loop": loop_name})
     run.bus.phase(f"loop.{loop_name}")
     # hist=True: one occurrence per analyzed loop, so --profile can
     # report p50/p95 per-loop analysis latency across the whole run.
     with tel.span("loop.analyze", hist=True):
-        ddg, stats, counters = windowed_loop_ddg(
-            module, info.loop_id, loop_name, entry, args, instance, fuel,
-            spill_dir=spill_dir, segment_rows=segment_rows,
-            compile_loops=compile_loops,
-            compile_threshold=compile_threshold,
-            cone_ops=candidate_opcodes(include_integer), kernels=kernels)
+        ddg = window.ddg(candidate_opcodes(include_integer))
         report = loop_metrics(ddg, module, loop_name, include_integer,
                               relax_reductions)
     tel.count("pipeline.loops_analyzed")
     if tel.enabled:
         tel.section(f"loop.{loop_name}", {
             "loop": loop_name,
-            "records_traced": stats["rows"],
-            "captured_rows": stats["captured"],
+            "records_traced": window.stats["rows"],
+            "captured_rows": window.stats["captured"],
             "ddg_nodes": ddg.window_nodes,
             "cone_nodes": len(ddg.sids),
             "candidate_ops": report.total_candidate_ops,
@@ -308,42 +386,46 @@ def _analyze_loop(
         })
     tel.instant("loop.analyze.finish", {"loop": loop_name})
     run.bus.count("loops")
-    return report, counters
+    return report
 
 
-def _loop_worker(payload):
-    """Process-pool entry point: recompile the source and analyze one
-    loop.  Compilation and interpretation are deterministic, so the
-    result is identical to an in-process run on the parent's module.
+#: A pool worker's job: ``(module, loop names, recorded windows,
+#: include_integer, relax_reductions)``, set by :func:`_init_worker`.
+_worker_job = None
 
-    Returns ``(report, profile counters, telemetry snapshot or None)``.
-    The counters are the re-run's (see :func:`windowed_loop_ddg`).  The
-    loop runs in a fresh task run built from the parent's worker spec
+
+def _init_worker(spec, job) -> None:
+    """Process-pool initializer: the worker's run
+    (:func:`repro.obs.run.init_worker`) and the job its tasks read.  A
+    fork worker inherits ``job`` with the parent's memory; nothing is
+    pickled."""
+    global _worker_job
+    init_worker(spec)
+    _worker_job = job
+
+
+def _window_worker(index: int):
+    """Process-pool entry point: analyze recorded window ``index``.
+
+    Returns ``(report, telemetry snapshot or None)``.  The window is
+    analyzed in a fresh task run built from the parent's worker spec
     (:meth:`repro.obs.run.Run.task`).  When the parent records, the
     task's telemetry snapshot rides home so the parent's merged counters
-    match a serial run.  A parent timeline makes each worker record its
-    own :class:`~repro.obs.timeline.EventLog` (stamped with the worker
-    pid), so a ``--jobs N`` trace renders as N worker tracks; a parent
-    sampler makes each task sample itself and fold its resolved sample
-    table and ``sampling.samples``/``sampling.ir_samples`` counts into
-    the snapshot, so the merged flamegraph covers all workers and the
-    merged counts equal its sample total."""
-    (source, benchmark, loop_name, entry, args, instance,
-     include_integer, relax_reductions, fuel, compile_loops,
-     compile_threshold) = payload
+    match a serial analysis.  A parent timeline makes each worker record
+    its own :class:`~repro.obs.timeline.EventLog` (stamped with the
+    worker pid), so a ``--jobs N`` trace renders as N worker tracks; a
+    parent sampler makes each task sample itself and fold its resolved
+    sample table and ``sampling.samples``/``sampling.ir_samples`` counts
+    into the snapshot, so the merged flamegraph covers all workers and
+    the merged counts equal its sample total."""
+    module, names, windows, include_integer, relax_reductions = _worker_job
     with current_run().task() as run:
-        module = compile_source(source, benchmark or "module")
-        report, counters = _analyze_loop(
-            module, loop_name, entry, args, instance, include_integer,
-            relax_reductions, fuel, None, None, compile_loops,
-            compile_threshold)
-    return report, counters, (run.tel.snapshot() if run.tel.enabled
-                              else None)
+        report = _analyze_window(module, names[index], windows[index],
+                                 include_integer, relax_reductions)
+    return report, (run.tel.snapshot() if run.tel.enabled else None)
 
 
 def run_loop_analyses(
-    source: str,
-    benchmark: str,
     module: Module,
     loop_names: Sequence[str],
     entry: str = "main",
@@ -357,80 +439,79 @@ def run_loop_analyses(
     segment_rows: Optional[int] = None,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
-    kernels: Optional[dict] = None,
+    kernels: Optional[KernelTable] = None,
 ) -> Tuple[List[LoopReport], Optional[ProfileCounters]]:
-    """Per-loop windowed analyses, optionally across a process pool.
+    """The windowed analyses of ``loop_names``: one run of the program
+    records every loop's window (:func:`record_windows`), in the calling
+    process; then each window's DDG and metrics are built in loop order,
+    and each window's columns are freed once its DDG exists.
 
     Returns ``(reports, counters)``: the reports in ``loop_names`` order
-    regardless of ``jobs``, so parallel runs produce byte-identical
-    reports, and the :class:`~repro.interp.interpreter.ProfileCounters`
-    of the first loop's re-run (``None`` without loops) — the whole
-    program's profile, wherever that loop ran (see
-    :func:`windowed_loop_ddg`).  ``jobs=None`` uses
-    one worker per CPU; any failure to stand up the pool (restricted
-    sandboxes, missing semaphores) falls back to the serial path with a
+    regardless of ``jobs``, so pooled analyses produce byte-identical
+    reports, and the run's
+    :class:`~repro.interp.interpreter.ProfileCounters` — the whole
+    program's profile (``None`` without loops, which interprets
+    nothing).
+
+    ``jobs > 1`` analyzes the recorded windows across a fork process
+    pool whose workers inherit them (``None`` or below 1: one worker per
+    CPU).  Any failure to stand up the pool (restricted sandboxes,
+    missing semaphores) falls back to the serial path with a
     ``vectra.pipeline`` warning.  Worker telemetry snapshots are merged
     into the current run's telemetry, so counter totals match the serial
-    path exactly.
-
-    With ``spill_dir`` set, loops run serially whatever ``jobs`` says:
-    an out-of-core run is memory-bound, so loop-level fan-out would
-    multiply the working set.
+    path exactly.  Without a fork start method the windows are analyzed
+    serially, and so they are with ``spill_dir`` set: an out-of-core run
+    is memory-bound, so fanning the windows out would multiply the
+    working set.
 
     ``kernels`` is a :class:`~repro.interp.compile.KernelTable` for
     ``module`` that the caller owns, with the capture set of this
-    ``include_integer``, or ``None`` for a fresh table per re-run.  The
-    serial re-runs share it: a later loop's re-run dispatches the
-    kernels an earlier run built from its first iteration on, instead of
-    stepping to the hotness threshold and recording and compiling them
-    again.  Pool workers compile a module
-    of their own, so each keeps its own table, and the ``interp.compile``
-    counters of a pooled run then count the kernel work each worker
-    repeats.
+    ``include_integer``, or ``None`` for a fresh one: the run dispatches
+    the kernels an earlier run of the same analysis (a profile run)
+    built from its first iteration on, instead of stepping to the
+    hotness threshold and recording and compiling them again.
     """
     run = current_run()
     tel = run.tel
     bus = run.bus
     names = list(loop_names)
+    loops = [(find_loop(module, name).loop_id, name) for name in names]
     if jobs is None or int(jobs) <= 0:
         jobs = multiprocessing.cpu_count()
-    jobs = 1 if spill_dir else max(1, min(int(jobs), len(names)))
+    if spill_dir or "fork" not in multiprocessing.get_all_start_methods():
+        jobs = 1
+    jobs = max(1, min(int(jobs), len(names)))
     tel.gauge("pipeline.jobs", jobs)
     bus.set_total("loops", len(names))
+    if not names:
+        return [], None
+    if kernels is None:
+        kernels = KernelTable(
+            capture_sids(module, candidate_opcodes(include_integer)))
+    windows, counters = record_windows(
+        module, loops, entry, args, instance, fuel, spill_dir, segment_rows,
+        compile_loops, compile_threshold, kernels)
 
-    def serial() -> Tuple[List[LoopReport], Optional[ProfileCounters]]:
-        analyses = [
-            _analyze_loop(module, name, entry, args, instance,
-                          include_integer, relax_reductions, fuel,
-                          spill_dir, segment_rows, compile_loops,
-                          compile_threshold, kernels)
-            for name in names
-        ]
-        return ([report for report, _ in analyses],
-                analyses[0][1] if analyses else None)
+    def serial() -> List[LoopReport]:
+        return [_analyze_window(module, name, window, include_integer,
+                                relax_reductions)
+                for name, window in zip(names, windows)]
 
     if jobs <= 1:
-        return serial()
-    payloads = [
-        (source, benchmark, name, entry, tuple(args), instance,
-         include_integer, relax_reductions, fuel, compile_loops,
-         compile_threshold)
-        for name in names
-    ]
+        return serial(), counters
     # Workers set their phases on their own buses; this is the parent's.
     bus.phase("loops")
+    job = (module, names, windows, include_integer, relax_reductions)
     try:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
-                                 initializer=init_worker,
-                                 initargs=(run.worker_spec(),)) as pool:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context(
+                                     "fork"),
+                                 initializer=_init_worker,
+                                 initargs=(run.worker_spec(), job)) as pool:
             # pool.map yields in submission order as results land, so
             # loop progress advances while later loops are still running.
             results = []
-            for result in pool.map(_loop_worker, payloads):
+            for result in pool.map(_window_worker, range(len(names))):
                 results.append(result)
                 bus.count("loops")
     except (OSError, PermissionError, ImportError, RuntimeError) as exc:
@@ -451,16 +532,16 @@ def run_loop_analyses(
             "workers": bus.worker_rows() if bus.enabled else [],
         })
         bus.retire_workers()
-        return serial()
+        return serial(), counters
     finally:
         # Every exit shuts the pool down, a worker's own exception
         # included, so no exited worker is left reported as live.
         bus.retire_workers()
     reports: List[LoopReport] = []
-    for report, _, snapshot in results:
+    for report, snapshot in results:
         reports.append(report)
         tel.merge(snapshot)
-    return reports, results[0][1]
+    return reports, counters
 
 
 def analyze_program(
@@ -489,14 +570,16 @@ def analyze_program(
     innermost first.  A list of loop names (labels or ``function:line``)
     skips that run: the names are checked before anything is
     interpreted, an empty list interprets nothing, and Percent Cycles
-    and Percent Packed come from the profile counters of the first
-    loop's re-run, wherever it ran (see :func:`windowed_loop_ddg`).
+    and Percent Packed come from the profile counters of the windowed
+    run (see :func:`record_windows`).  Either way, one windowed run
+    records every loop's window.
 
-    ``jobs > 1`` analyzes the loops concurrently across a process pool
-    (``None`` = one worker per CPU); reports are byte-identical to
-    ``jobs=1``.  ``spill_dir``/``segment_rows`` run the windowed traces
-    out-of-core (bit-identical report; loops then run serially).  The
-    profile run and the serial re-runs share one kernel table.
+    ``jobs > 1`` analyzes the recorded windows concurrently across a
+    process pool (``None`` = one worker per CPU); reports are
+    byte-identical to ``jobs=1``.  ``spill_dir``/``segment_rows`` record
+    the windows out-of-core (bit-identical report; the windows are then
+    analyzed serially).  The profile run and the windowed run share one
+    kernel table.
     """
     if not 0.0 <= threshold <= 1.0:
         raise AnalysisError(
@@ -549,14 +632,14 @@ def analyze_program(
                 loop_ids.append(info.loop_id)
 
         loop_reports, counters = run_loop_analyses(
-            source, benchmark, module, names, entry, args, instance,
+            module, names, entry, args, instance,
             include_integer, relax_reductions, fuel, jobs,
             spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,
             compile_threshold=compile_threshold, kernels=kernels,
         )
         if loops is not None and names:
-            # The first re-run ran the whole program: its counters are
+            # The windowed run ran the whole program: its counters are
             # the profile a sink-less run would have taken.
             profile = counters
             bus.phase("profile")

@@ -290,10 +290,9 @@ class DDG:
         """Distinct static instruction ids present, in first-seen order."""
         return list(self.sid_opcodes)
 
-    def memory_flow_edges(self) -> List[Tuple[int, int]]:
-        """All store→load flow edges: ``(store_node, load_node)`` pairs
-        where a load's recorded producer is a store instruction, by load
-        and then in predecessor order.
+    def memory_flow_edges(self) -> int:
+        """The number of store→load flow edges: edges whose consumer is
+        a load and whose producer is a store instruction.
 
         These are the dependences that flow *through memory* rather than
         through a virtual register — exactly the evidence needed to
@@ -305,9 +304,9 @@ class DDG:
 
         producers, consumers = self.edge_arrays()
         opcodes = self.opcodes
-        flow = ((opcodes[consumers] == int(Opcode.LOAD))
-                & (opcodes[producers] == int(Opcode.STORE)))
-        return list(zip(producers[flow].tolist(), consumers[flow].tolist()))
+        return int(np.count_nonzero(
+            (opcodes[consumers] == int(Opcode.LOAD))
+            & (opcodes[producers] == int(Opcode.STORE))))
 
     def has_path(self, src: int, dst: int) -> bool:
         """Reachability test (used by tests to verify Property 3.1)."""

@@ -1,9 +1,10 @@
-"""``explain_loop``: one windowed run, every witness, one report.
+"""``explain_loop``: one loop window, every witness, one report.
 
-The driver re-traces one instance of the loop through the fused
-columnar path (the same :func:`repro.analysis.pipeline.windowed_loop_ddg`
-the metrics pipeline uses), runs the batched Algorithm 1 scan ONCE, and
-derives everything from that single artifact:
+The driver takes one instance of the loop through the fused columnar
+path (the same :func:`repro.analysis.pipeline.record_windows` the
+metrics pipeline uses, as recorded by the caller's run or by a run of
+its own), runs the batched Algorithm 1 scan ONCE, and derives
+everything from that single artifact:
 
 - the parallel partitions feed :func:`repro.analysis.metrics.loop_metrics`
   (via its ``partitions_by_sid`` fast path — no second scan), which runs
@@ -28,13 +29,12 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.candidates import candidate_sids
 from repro.analysis.metrics import loop_metrics
-from repro.analysis.pipeline import windowed_loop_ddg
+from repro.analysis.pipeline import LoopWindow, find_loop, record_windows
 from repro.analysis.report import LoopReport
 from repro.analysis.timestamps import (
     packed_timestamp_scan,
     partitions_from_scan,
 )
-from repro.errors import AnalysisError
 from repro.explain.refusals import RefusalFinding, cross_examine
 from repro.explain.strides import StrideWitness, extract_stride_witnesses
 from repro.explain.witnesses import (
@@ -103,6 +103,7 @@ def explain_loop(
     instance: int = 0,
     include_integer: bool = False,
     fuel: int = DEFAULT_FUEL,
+    window: Optional[LoopWindow] = None,
 ) -> ExplainReport:
     """Trace one instance of ``loop_name`` and extract all witnesses.
 
@@ -110,20 +111,26 @@ def explain_loop(
     loop (typically :func:`repro.analysis.opportunities.subtree_reasons`)
     — empty means the cross-examination section is empty, the dynamic
     witnesses are still produced.
+
+    ``window`` is this loop's
+    :class:`~repro.analysis.pipeline.LoopWindow` from a
+    :func:`~repro.analysis.pipeline.record_windows` run that captured
+    every instruction, as ``vectra explain`` records all of its loops in
+    one run.  Without it the loop's window is recorded by a run of its
+    own, with ``fuel``.
     """
     tel = current_run().tel
-    info = module.loop_by_name(loop_name)
-    if info is None:
-        known = ", ".join(li.name for li in module.loops.values())
-        raise AnalysisError(
-            f"no loop named {loop_name!r}; known loops: {known}"
-        )
+    info = find_loop(module, loop_name)
     tel.instant("explain.start", {"loop": loop_name})
     # The full window graph, not analyze's candidate cone: the report
     # prints its node and edge totals, the refusal verdicts count every
     # store->load edge, and the witnesses name its node indices.
-    ddg, stats, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
-                                      entry, args, instance, fuel)
+    if window is None:
+        [window], _ = record_windows(
+            module, [(info.loop_id, loop_name)], entry, args, instance,
+            fuel)
+    ddg = window.ddg()
+    stats = window.stats
     sids = candidate_sids(ddg, include_integer)
     with tel.span("algorithm1"):
         scan = packed_timestamp_scan(ddg, sids)
@@ -161,7 +168,7 @@ def explain_loop(
         num_nodes=len(ddg.sids),
         num_edges=ddg.num_edges,
         num_candidate_sids=len(sids),
-        num_memory_flow_edges=len(mem_edges),
+        num_memory_flow_edges=mem_edges,
         dependence_witnesses=dep_witnesses,
         stride_witnesses=stride_witnesses,
         refusals=findings,
@@ -177,7 +184,7 @@ def explain_loop(
             "records_traced": stats["rows"],
             "dependence_witnesses": len(dep_witnesses),
             "stride_witnesses": len(stride_witnesses),
-            "memory_flow_edges": len(mem_edges),
+            "memory_flow_edges": mem_edges,
             "refusals_examined": len(findings),
             "refusals_contradicted": sum(
                 1 for f in findings if f.verdict == "contradicted"

@@ -23,7 +23,7 @@ measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.ddg.graph import DDG
 from repro.vectorizer.autovec import reason_code
@@ -68,11 +68,11 @@ def cross_examine(
     dependence_witnesses: Sequence,
     stride_witnesses: Sequence,
     partitions_by_sid: Dict[int, Dict[int, List[int]]],
-    mem_edges: Sequence[Tuple[int, int]],
+    mem_edges: int,
 ) -> List[RefusalFinding]:
     """Join every refusal reason against the extracted dynamic evidence;
-    ``mem_edges`` are the graph's :meth:`~repro.ddg.graph.DDG
-    .memory_flow_edges`."""
+    ``mem_edges`` is the graph's count of store→load flow edges
+    (:meth:`~repro.ddg.graph.DDG.memory_flow_edges`)."""
     num_nodes = len(ddg.sids)
     dep_ids = [w.witness_id for w in dependence_witnesses]
     any_chain = any(
@@ -97,7 +97,7 @@ def cross_examine(
             if mem_edges:
                 verdict = "confirmed"
                 evidence = (
-                    f"{len(mem_edges)} store→load flow dependence(s) "
+                    f"{mem_edges} store→load flow dependence(s) "
                     f"observed among {num_nodes} traced instances"
                 )
             else:
@@ -153,7 +153,7 @@ def cross_examine(
             elif mem_edges:
                 verdict = "confirmed"
                 evidence = (
-                    f"{len(mem_edges)} store→load flow dependence(s) "
+                    f"{mem_edges} store→load flow dependence(s) "
                     f"flowed through the irregular accesses"
                 )
         findings.append(RefusalFinding(

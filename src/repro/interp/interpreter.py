@@ -784,14 +784,16 @@ def run_and_trace(
     return ColumnarTrace(module, sink)
 
 
-def count_traced_run(tel, interp: Interpreter, stats: dict) -> None:
-    """Count one traced run into ``tel``: the run, its executed
-    instructions, and what its sink kept (``stats``, the sink's
-    :meth:`~repro.trace.columnar.ColumnarSink.stats`) and filtered."""
+def count_traced_run(tel, interp: Interpreter, *windows: dict) -> None:
+    """Count one traced run into ``tel``: the run and its executed
+    instructions once, and what each of its sinks kept (``windows``,
+    each a sink's :meth:`~repro.trace.columnar.ColumnarSink.stats`) and
+    filtered out of the run."""
+    executed = interp.executed_instructions
     tel.count("interp.runs")
-    tel.count("interp.instructions", interp.executed_instructions)
-    tel.count("trace.records.kept", stats["rows"])
-    tel.count("trace.records.filtered",
-              interp.executed_instructions - stats["rows"])
-    tel.count("trace.markers", stats["markers"])
-    tel.count("trace.backpatches", stats["backpatches"])
+    tel.count("interp.instructions", executed)
+    for stats in windows:
+        tel.count("trace.records.kept", stats["rows"])
+        tel.count("trace.records.filtered", executed - stats["rows"])
+        tel.count("trace.markers", stats["markers"])
+        tel.count("trace.backpatches", stats["backpatches"])

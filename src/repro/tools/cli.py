@@ -52,10 +52,15 @@ At most one of ``--metrics-json`` / ``--trace-json`` /
 target ``-``: two JSON documents interleaved on stdout are corrupt, so
 the CLI refuses the combination up front, naming the colliding flags.
 
-``analyze`` and ``analyze-file`` additionally accept ``--spill-dir DIR``
-/ ``--segment-rows N``: the windowed traces stream through the
-out-of-core segment store (bit-identical reports, bounded trace
-memory; loops then run one at a time, so ``--jobs`` has no effect).
+``analyze``, ``analyze-file`` and ``explain`` run the program once to
+record the windows of all of their loops (a profile run comes first
+when ``analyze-file`` picks the hot loops itself).  ``analyze`` and
+``analyze-file`` accept ``--jobs N``: the recorded windows are then
+analyzed across N worker processes (byte-identical reports).  They
+additionally accept ``--spill-dir DIR`` / ``--segment-rows N``: the
+windows stream through the out-of-core segment store (bit-identical
+reports, bounded trace memory; the windows are then analyzed one at a
+time, so ``--jobs`` has no effect).
 """
 
 from __future__ import annotations
@@ -317,6 +322,7 @@ def _cmd_dot(args) -> int:
 
 def _cmd_explain(args) -> int:
     from repro.analysis.opportunities import subtree_reasons
+    from repro.analysis.pipeline import find_loop, record_windows
     from repro.explain import explain_loop, render_explain
     from repro.frontend import parse_source
     from repro.frontend.lower import lower
@@ -336,13 +342,16 @@ def _cmd_explain(args) -> int:
             f"workload {workload.name!r} declares no analysis loops; "
             f"pass --loop NAME"
         )
-    for idx, loop_name in enumerate(loops):
+    # One run records every loop's window, capturing every instruction.
+    windows, _ = record_windows(
+        module, [(find_loop(module, name).loop_id, name) for name in loops],
+        workload.entry, instance=args.instance, **_run_opts(args))
+    for idx, (loop_name, window) in enumerate(zip(loops, windows)):
         reasons = subtree_reasons(module, decisions, loop_name)
         report = explain_loop(module, loop_name, reasons,
                               entry=workload.entry,
                               instance=args.instance,
-                              include_integer=args.integer,
-                              **_run_opts(args))
+                              include_integer=args.integer, window=window)
         if idx:
             print()
         print(render_explain(report))
@@ -548,8 +557,9 @@ def _add_compile_options(p):
 def _add_jobs_option(p):
     p.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
                    help="analyze hot loops across N worker processes "
-                        "(0 or negative: one per CPU); results are "
-                        "byte-identical to --jobs 1; ignored with "
+                        "(0 or negative: one per CPU), once one run of "
+                        "the program has recorded their windows; results "
+                        "are byte-identical to --jobs 1; ignored with "
                         "--spill-dir")
 
 

@@ -45,6 +45,10 @@ The ``DynInstr``/``Trace`` API survives as a lazy view:
 ``records`` delegate to it, so serialization, ``LoopSpan`` indexing and
 ``subtrace`` slicing keep working unchanged (mirroring the CSR/preds
 tuple-view pattern of the batched Algorithm 1 engine).
+
+One run of the program can record several loops' windows:
+:class:`WindowFanout` sits over their window sinks and hands each the
+calls a run of its own would (DESIGN.md §20).
 """
 
 from __future__ import annotations
@@ -868,6 +872,74 @@ class ColumnarLoopSink(ColumnarSink):
             if self._depth <= 0:
                 self._depth = 0
                 self.active = False
+
+
+class WindowFanout:
+    """Feeds several loop-window sinks from one run of the program.
+
+    Each window sink (:class:`ColumnarLoopSink`, or the spilling
+    :class:`~repro.trace.store.SegmentedLoopSink`) gets exactly the calls
+    it would get in a run of its own: :meth:`on_marker` goes to every
+    window, and :meth:`emit`, :meth:`reserve`, :meth:`note_store` and
+    :meth:`note_capture_miss` go to the windows that are active.
+    :attr:`active` is true while any window is.  Node ids are global to
+    the run, and a compiled batch never crosses a loop-enter or -exit
+    marker, so each window's columns come out as in a run of its own.
+
+    The interpreter counts an uncaptured record with a plain ``sink
+    .uncaptured += 1``.  The set of active windows changes only at
+    markers, so the fan-out holds that count and adds it to the windows
+    that were active at every marker, and when :meth:`settle` is called
+    (:meth:`stats` calls it) before a window's counts are read.
+    """
+
+    __slots__ = ("windows", "active", "uncaptured", "_active")
+
+    def __init__(self, windows: Sequence[ColumnarSink]):
+        self.windows = list(windows)
+        self._active = [w for w in self.windows if w.active]
+        self.active = bool(self._active)
+        self.uncaptured = 0
+
+    def settle(self) -> None:
+        """Add the uncaptured records counted since the last marker to
+        the windows active since then."""
+        if self.uncaptured:
+            for w in self._active:
+                w.uncaptured += self.uncaptured
+            self.uncaptured = 0
+
+    def on_marker(self, kind: int, loop_id: int, instance: int) -> None:
+        self.settle()
+        for w in self.windows:
+            w.on_marker(kind, loop_id, instance)
+        self._active = [w for w in self.windows if w.active]
+        self.active = bool(self._active)
+
+    def emit(self, *record) -> None:
+        for w in self._active:
+            w.emit(*record)
+
+    def reserve(self, *batch) -> None:
+        for w in self._active:
+            w.reserve(*batch)
+
+    def note_store(self, producer_node: int, addr: int) -> None:
+        for w in self._active:
+            w.note_store(producer_node, addr)
+
+    def note_capture_miss(self) -> None:
+        for w in self._active:
+            w.note_capture_miss()
+
+    def stats(self) -> Dict[str, int]:
+        """The windows' :meth:`ColumnarSink.stats`, summed."""
+        self.settle()
+        total: Dict[str, int] = {}
+        for w in self.windows:
+            for key, value in w.stats().items():
+                total[key] = total.get(key, 0) + value
+        return total
 
 
 def pack_records(records: Sequence[DynInstr]) -> ColumnarSink:

@@ -5,12 +5,13 @@ oracle that ``tests/test_profile_differential.py`` checks
 :func:`repro.analysis.pipeline.analyze_program` (``loops=[...]``)
 against.  It runs the whole program once without a trace sink to fill
 Percent Cycles and Percent Packed, then analyzes every requested loop
-through its windowed re-run.  The production driver takes the profile
-from the first re-run instead.  The body is verbatim except for two
+through its windowed run.  The production driver takes the profile
+from the windowed run instead.  The body is verbatim except for three
 edits: ``run_loop_analyses`` now returns ``(reports, counters)``, and
-the oracle drops the counters; and the telemetry and status bus come
-from the current run instead of a ``tel`` parameter and the old
-process-global registries.
+the oracle drops the counters; it no longer takes the source and the
+benchmark name, since no pool worker recompiles the source; and the
+telemetry and status bus come from the current run instead of a
+``tel`` parameter and the old process-global registries.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def analyze_named_loops(
             infos.append(info)
 
         loop_reports, _ = run_loop_analyses(
-            source, benchmark, module, list(loops), entry, args, instance,
+            module, list(loops), entry, args, instance,
             include_integer, relax_reductions, fuel, jobs,
             spill_dir=spill_dir, segment_rows=segment_rows,
             compile_loops=compile_loops,

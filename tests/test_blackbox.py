@@ -217,8 +217,7 @@ int main() {
         try:
             module = compile_source(src)
             with use_run(run):
-                pipeline_mod.run_loop_analyses(src, "demo", module,
-                                               ["P", "Q"], jobs=2)
+                pipeline_mod.run_loop_analyses(module, ["P", "Q"], jobs=2)
         finally:
             run.close()
         note = recorder.notes["pool_failure"]

@@ -29,7 +29,12 @@ import pytest
 
 from repro.analysis.candidates import candidate_opcodes, capture_sids
 from repro.analysis.metrics import loop_metrics
-from repro.analysis.pipeline import analyze_loop, windowed_loop_ddg
+from repro.analysis.pipeline import (
+    analyze_loop,
+    record_windows,
+    run_loop_analyses,
+    windowed_loop_ddg,
+)
 from repro.errors import FuelExhaustedError
 from repro.frontend import compile_source
 from repro.interp.compile import KernelTable, LoopKernel
@@ -65,11 +70,17 @@ def _window(module, loop_id, entry, kernels=None, compiled=True):
 
 @pytest.mark.parametrize("workload", list_workloads(), ids=lambda w: w.name)
 def test_registry_windows_capture_exactly(workload, tmp_path):
+    """Each window alone, and, for a program that analyzes several
+    loops, every window of one shared run, in RAM and spilled: the
+    uncaptured records of a shared run count in the windows that were
+    active when they ran."""
     module = workload.compile()
     sets = {inc: capture_sids(module, candidate_opcodes(inc))
             for inc in FLAGS}
-    for loop_name in workload.analyze_loops:
-        loop_id = module.loop_by_name(loop_name).loop_id
+    loops = [(module.loop_by_name(name).loop_id, name)
+             for name in workload.analyze_loops]
+    wanted = {inc: [] for inc in FLAGS}
+    for loop_id, loop_name in loops:
         full_sink = _window(module, loop_id, workload.entry)
         full = full_sink.to_ddg()
         sids = full_sink.columns().sids
@@ -80,6 +91,8 @@ def test_registry_windows_capture_exactly(workload, tmp_path):
             expected = full_sink.to_ddg(ops)
             held = int(np.isin(sids, list(capture)).sum())
             assert held < len(sids)
+            wanted[include_integer].append(
+                (expected, full_sink.stats()["rows"], held))
             for compiled in FLAGS:
                 for spilled in FLAGS:
                     tel = Telemetry()
@@ -101,6 +114,28 @@ def test_registry_windows_capture_exactly(workload, tmp_path):
                         store = SegmentStore(spill_subdir(
                             spill_dir, f"{loop_name}-inst0"))
                         assert len(store.segments) >= 2, where
+    if len(loops) < 2:
+        return
+    for include_integer in FLAGS:
+        ops = candidate_opcodes(include_integer)
+        for spilled in FLAGS:
+            tel = Telemetry()
+            with use_run(Run(tel=tel)):
+                windows, _ = record_windows(
+                    module, loops, workload.entry,
+                    spill_dir=(str(tmp_path / f"shared{include_integer}")
+                               if spilled else None),
+                    segment_rows=64,
+                    kernels=KernelTable(sets[include_integer]))
+            assert "trace.capture_fallbacks" not in tel.counters
+            for (_, loop_name), window, (expected, rows, held) in zip(
+                    loops, windows, wanted[include_integer]):
+                where = (loop_name, include_integer, spilled)
+                assert window.stats["rows"] == rows, where
+                assert window.stats["captured"] == held, where
+                ddg = window.ddg(ops)
+                assert_ddgs_identical(ddg, expected)
+                assert ddg.window_nodes == expected.window_nodes, where
 
 
 # -- the dependence only the run-time check sees ---------------------------
@@ -109,8 +144,10 @@ def test_registry_windows_capture_exactly(workload, tmp_path):
 #: across frames, so it reads what ``f``'s local last held: the product
 #: of a candidate, stored by a captured store into a different ``alloca``
 #: (a different base object, so the static set drops ``g``'s load).
+#: ``M``'s window, recorded in the same run as ``L``'s, misses nothing.
 MISS = """
 double A[4];
+double B[16];
 
 void f() {
   double t;
@@ -129,6 +166,7 @@ int main() {
     f();
     A[0] = g() + 1.0;
   }
+  M: for (i = 0; i < 16; i++) B[i] = B[i] * 0.5 + (double)i;
   return 0;
 }
 """
@@ -179,6 +217,47 @@ def test_fallback_discards_the_spilled_window(tmp_path):
     assert store.total_rows == stats["rows"]
     # The rest of the analysis captures every instruction.
     assert kernels.capture is None
+
+
+def test_capture_miss_in_one_window_recaptures_every_window(caplog,
+                                                            tmp_path):
+    """``L`` and ``M`` are recorded in one run.  ``L``'s miss discards
+    both windows and makes one full-capture run for both: one fallback,
+    both reports equal to full capture, and, spilled, both
+    subdirectories hold only the full-capture rows."""
+    module = compile_source(MISS)
+    ops = candidate_opcodes()
+    loops = [(module.loop_by_name(name).loop_id, name) for name in "LM"]
+    full = {name: _window(module, loop_id, "main").to_ddg(ops)
+            for loop_id, name in loops}
+    alone = _window(module, loops[1][0], "main",
+                    KernelTable(capture_sids(module, ops)))
+    assert alone.capture_misses == 0 < alone.uncaptured
+
+    tel = Telemetry()
+    with use_run(Run(tel=tel)), \
+            caplog.at_level(logging.WARNING, logger="vectra.pipeline"):
+        reports, _ = run_loop_analyses(module, ["L", "M"])
+    assert reports == [loop_metrics(full[name], module, name)
+                       for name in "LM"]
+    assert tel.counters["trace.capture_fallbacks"] == 1
+    assert tel.spans["loop.rerun"][1] == 2
+    assert tel.counters["trace.records.captured"] == (
+        tel.counters["trace.records.kept"])
+    (warning,) = [r.getMessage() for r in caplog.records
+                  if "capture set" in r.getMessage()]
+    assert "'L'" in warning and "'M'" not in warning
+
+    kernels = KernelTable(capture_sids(module, ops))
+    windows, _ = record_windows(module, loops, spill_dir=str(tmp_path),
+                                segment_rows=16, kernels=kernels)
+    assert kernels.capture is None
+    for (_, name), window in zip(loops, windows):
+        assert window.stats["captured"] == window.stats["rows"]
+        store = SegmentStore(spill_subdir(str(tmp_path), f"{name}-inst0"))
+        assert store.manifest["uncaptured"] == 0
+        assert store.total_rows == window.stats["rows"]
+        assert_ddgs_identical(window.ddg(ops), full[name])
 
 
 #: ``A[4 + i]`` runs past the end of ``A`` into ``B``: the load's base

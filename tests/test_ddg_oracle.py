@@ -14,7 +14,7 @@ import io
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.pipeline import windowed_loop_ddg
+from repro.analysis.pipeline import record_windows, windowed_loop_ddg
 from repro.ddg.build import build_ddg
 from repro.errors import TraceError
 from repro.frontend import compile_source
@@ -63,27 +63,56 @@ WORKLOADS = list_workloads()
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
 def test_registry_windows_match_oracle(workload, tmp_path):
     """Each analyzed loop's window DDG, in RAM and spilled in at least
-    two segments, equals the oracle's walk over the same instance."""
+    two segments, equals the oracle's walk over the same instance.  A
+    program that analyzes several loops records all of their windows
+    in one run (nested ones, as in ``cactus_leapfrog``, and disjoint
+    ones, as in ``tonto_integrals``): there too, in RAM and spilled,
+    each window's DDG and stats equal those of a run of its loop
+    alone."""
     module = workload.compile()
-    for loop_name in workload.analyze_loops:
-        loop_id = module.loop_by_name(loop_name).loop_id
+    loops = [(module.loop_by_name(name).loop_id, name)
+             for name in workload.analyze_loops]
+    alone = []
+    segment_rows = []
+    for loop_id, loop_name in loops:
         oracle = record_trace(module, workload.entry, loop=loop_id,
                               instances={0})
         expected = walk_records(oracle)
         assert len(expected) > 0
 
-        ddg, _, _ = windowed_loop_ddg(module, loop_id, loop_name,
-                                      workload.entry, (), 0, DEFAULT_FUEL)
+        ddg, stats, _ = windowed_loop_ddg(module, loop_id, loop_name,
+                                          workload.entry, (), 0,
+                                          DEFAULT_FUEL)
         assert_ddgs_identical(ddg, expected)
+        alone.append((ddg, stats))
 
         spill_dir = str(tmp_path / "spill")
+        segment_rows.append(max(1, len(oracle) // 4))
         ddg, _, _ = windowed_loop_ddg(
             module, loop_id, loop_name, workload.entry, (), 0,
-            DEFAULT_FUEL, spill_dir=spill_dir,
-            segment_rows=max(1, len(oracle) // 4))
+            DEFAULT_FUEL, spill_dir=spill_dir, segment_rows=segment_rows[-1])
         store = SegmentStore(spill_subdir(spill_dir, f"{loop_name}-inst0"))
         assert len(store.segments) >= 2
         assert_ddgs_identical(ddg, expected)
+    if len(loops) < 2:
+        return
+
+    shared_dir = str(tmp_path / "shared")
+    for spill in (None, shared_dir):
+        windows, _ = record_windows(module, loops, workload.entry,
+                                    spill_dir=spill,
+                                    segment_rows=min(segment_rows))
+        for (_, loop_name), window, (ddg, stats) in zip(loops, windows,
+                                                          alone):
+            assert window.stats == stats, (loop_name, spill)
+            shared = window.ddg()
+            assert_ddgs_identical(shared, ddg)
+            assert shared.window_nodes == ddg.window_nodes
+            assert shared.window_edges == ddg.window_edges
+            if spill:
+                store = SegmentStore(spill_subdir(spill,
+                                                  f"{loop_name}-inst0"))
+                assert len(store.segments) >= 2
 
 
 # -- build_ddg on record traces ----------------------------------------------

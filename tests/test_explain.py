@@ -157,6 +157,12 @@ class TestStrideProvenance:
 
 
 class TestCrossExamination:
+    def test_memory_flow_edges_counts_store_to_load_edges(self):
+        # chain_ddg's one store feeds its second load; the first load
+        # has no producer and the fadd consumers are no loads.
+        assert chain_ddg().memory_flow_edges() == 1
+        assert independent_ddg().memory_flow_edges() == 0
+
     def test_alias_confirmed_by_memory_flow(self):
         ddg = chain_ddg()
         scan = packed_timestamp_scan(ddg, [2])
@@ -442,6 +448,38 @@ class TestExplainCLI:
             assert diff % w["culprit"]["struct_size"] == 0 or (
                 diff % 16 == 0
             )
+
+    def test_explain_runs_the_program_once(self, capsys, tmp_path):
+        """One run records the windows of all of the command's loops:
+        each loop's explanation equals that of its own command, and
+        no kernel is built twice."""
+        reports = {}
+        for loop in (None, "vq_c", "vq_d"):
+            path = tmp_path / f"{loop}.json"
+            argv = ["explain", "sphinx3_subvq", "--metrics-json", str(path)]
+            code = main(argv + (["--loop", loop] if loop else []))
+            assert code == 0
+            reports[loop] = json.loads(path.read_text())
+        capsys.readouterr()
+        both = reports[None]
+        assert both["counters"]["interp.runs"] == 1
+        assert both["counters"]["explain.loops"] == 2
+        for loop in ("vq_c", "vq_d"):
+            alone = reports[loop]
+            key = f"loop.{loop}"
+            assert both["explain"][key] == alone["explain"][key]
+            assert (both["counters"]["interp.compile.kernels"]
+                    == alone["counters"]["interp.compile.kernels"] > 0)
+
+    def test_explain_takes_the_compile_options(self, capsys):
+        """The trace-replay compiler's options reach explain's run, and
+        its output is the same either way."""
+        outs = []
+        for opts in ([], ["--no-compile"], ["--compile-threshold", "4"]):
+            code = main(["explain", "sphinx3_subvq", *opts])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
 
     def test_explain_unknown_loop_fails_cleanly(self, capsys):
         code = main(["explain", "milc_su3mv", "--loop", "nope"])

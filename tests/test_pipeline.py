@@ -116,7 +116,7 @@ class TestAnalyzeProgram:
 
     def test_named_loops_match_discovered(self):
         """Handed the hot loops by name, the driver runs no profile pass
-        and takes the profile from the first re-run: the same report."""
+        and takes the profile from the windowed run: the same report."""
         discovered = analyze_program(SRC, benchmark="demo")
         names = [loop.loop_name for loop in discovered.loops]
         tel = Telemetry()
@@ -124,8 +124,8 @@ class TestAnalyzeProgram:
             named = analyze_program(SRC, benchmark="demo", loops=names)
         assert named == discovered
         assert tel.spans["profile.run"][1] == 1
-        # One windowed re-run per loop and no profile run.
-        assert tel.counters["interp.runs"] == len(names)
+        # One windowed run for every loop, and no profile run.
+        assert tel.counters["interp.runs"] == 1
 
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, 10])
     def test_threshold_outside_unit_range_fails_before_interpreting(
@@ -166,8 +166,8 @@ class TestAnalyzeModule:
         assert "ddg.build" in tel.spans
         assert "algorithm1" in tel.spans
         assert "stride" in tel.spans
-        # The profile run, then one windowed re-run per hot loop.
-        assert tel.counters["interp.runs"] == 1 + len(report.loops)
+        # The profile run, then one windowed run for every hot loop.
+        assert tel.counters["interp.runs"] == 2
         assert tel.counters["pipeline.hot_loops"] == len(report.loops)
         assert tel.counters["pipeline.loops_analyzed"] == len(report.loops)
         assert tel.counters["ddg.nodes"] > 0
@@ -228,8 +228,7 @@ int main() {
 
     def _run(self, jobs):
         module = compile_source(self.SRC2)
-        reports, _ = run_loop_analyses(self.SRC2, "demo", module,
-                                       ["P", "Q"], jobs=jobs)
+        reports, _ = run_loop_analyses(module, ["P", "Q"], jobs=jobs)
         return reports
 
     def test_fallback_reports_identical_and_warns(self, monkeypatch,
@@ -259,12 +258,12 @@ int main() {
         module = compile_source(self.SRC2)
         tel_serial = Telemetry()
         with use_run(Run(tel=tel_serial)):
-            run_loop_analyses(self.SRC2, "demo", module, ["P", "Q"], jobs=1)
+            run_loop_analyses(module, ["P", "Q"], jobs=1)
         monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor",
                             BrokenPool)
         tel_fallback = Telemetry()
         with use_run(Run(tel=tel_fallback)):
-            run_loop_analyses(self.SRC2, "demo", module, ["P", "Q"], jobs=2)
+            run_loop_analyses(module, ["P", "Q"], jobs=2)
         assert tel_fallback.counters["pipeline.pool_fallbacks"] == 1
         for key, value in tel_serial.counters.items():
             assert tel_fallback.counters[key] == value
@@ -291,12 +290,10 @@ int main() {
         module = compile_source(src)
         tel1 = Telemetry()
         with use_run(Run(tel=tel1)):
-            r1, _ = run_loop_analyses(src, "demo", module, ["P", "Q"],
-                                      jobs=1)
+            r1, _ = run_loop_analyses(module, ["P", "Q"], jobs=1)
         tel2 = Telemetry()
         with use_run(Run(tel=tel2)):
-            r2, _ = run_loop_analyses(src, "demo", module, ["P", "Q"],
-                                      jobs=2)
+            r2, _ = run_loop_analyses(module, ["P", "Q"], jobs=2)
         assert ([r.total_candidate_ops for r in r1]
                 == [r.total_candidate_ops for r in r2])
         c1 = {k: v for k, v in tel1.counters.items()
@@ -304,13 +301,17 @@ int main() {
         c2 = {k: v for k, v in tel2.counters.items()
               if not k.startswith("pipeline.pool")}
         assert c1 == c2
-        # The trace-replay compiler runs inside the pool workers; its
-        # counters must ride home in the snapshots like everything else.
+        # The program runs once, in the parent, whatever ``jobs`` says:
+        # the trace-replay compiler's counters count that one run, and
+        # the per-loop sections ride home from the workers unchanged.
         compile_keys = [k for k in c1 if k.startswith("interp.compile.")]
         assert "interp.compile.kernels" in compile_keys
         assert "interp.compile.batches" in compile_keys
         for key in compile_keys:
             assert c2[key] == c1[key] > 0
+        assert c1["interp.runs"] == 1
+        assert tel2.sections == tel1.sections
+        assert set(tel1.sections) == {"loop.P", "loop.Q"}
 
     def test_histograms_merge_serial_vs_pool(self):
         """Histograms ride home in worker snapshots like counters.
@@ -321,10 +322,10 @@ int main() {
         module = compile_source(src)
         tel1 = Telemetry()
         with use_run(Run(tel=tel1)):
-            run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=1)
+            run_loop_analyses(module, ["P", "Q"], jobs=1)
         tel2 = Telemetry()
         with use_run(Run(tel=tel2)):
-            run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2)
+            run_loop_analyses(module, ["P", "Q"], jobs=2)
         h1 = tel1.snapshot()["histograms"]
         h2 = tel2.snapshot()["histograms"]
         assert set(h1) == set(h2)
@@ -334,25 +335,23 @@ int main() {
         for name in ("loop.analyze", "loop.rerun"):
             assert h2[name]["count"] == h1[name]["count"] > 0
 
-    def test_pool_histogram_merge_matches_manual_fold(self):
-        """Merging the two per-loop serial analyses by hand equals the
-        pooled run's merged histograms for deterministic metrics."""
-        from repro.obs.telemetry import Histogram
-
+    def test_pool_histograms_count_one_run(self):
+        """Every analysis runs the program once, whatever its windows:
+        the pooled analysis of both loops has the deterministic
+        histograms of each single-loop analysis."""
         src = self.SRC3
         module = compile_source(src)
-        folded = Histogram()
+        tel2 = Telemetry()
+        with use_run(Run(tel=tel2)):
+            run_loop_analyses(module, ["P", "Q"], jobs=2)
+        pooled = tel2.histograms["interp.compile.batch_iterations"]
         for name in ("P", "Q"):
             tel = Telemetry()
             with use_run(Run(tel=tel)):
-                run_loop_analyses(src, "demo", module, [name], jobs=1)
-            folded.merge(tel.histograms["interp.compile.batch_iterations"])
-        tel2 = Telemetry()
-        with use_run(Run(tel=tel2)):
-            run_loop_analyses(src, "demo", module, ["P", "Q"], jobs=2)
-        pooled = tel2.histograms["interp.compile.batch_iterations"]
-        assert pooled.buckets == folded.buckets
-        assert pooled.count == folded.count
+                run_loop_analyses(module, [name], jobs=1)
+            single = tel.histograms["interp.compile.batch_iterations"]
+            assert pooled.buckets == single.buckets
+            assert pooled.count == single.count > 0
 
 
 REDUCTION_SRC = """
@@ -424,10 +423,10 @@ class TestAnalyzeKernelByName:
 
 
 class TestSharedKernelTable:
-    """The serial runs of one analysis share one kernel table: each loop
-    is recorded and compiled at most once per analysis, and the report
-    stays equal to the compiler-off and the pooled one.  Pool workers,
-    and separate analyses, keep tables of their own."""
+    """The runs of one analysis share one kernel table: each loop is
+    recorded and compiled at most once per analysis, and the report
+    stays equal to the compiler-off and the pooled one.  Separate
+    analyses keep tables of their own."""
 
     TWO_LOOPS = TestParallelTelemetryMerge.SRC3
 
@@ -466,7 +465,7 @@ class TestSharedKernelTable:
                 == first["interp.compile.kernels"] > 0)
 
     #: ``once`` runs one iteration per instance, so every recording of
-    #: its path straddles its exit and aborts: three strikes per run.
+    #: its path straddles its exit and aborts: twelve strikes per run.
     STRADDLE = """
 double A[8]; double B[8]; double C[8];
 int main() {
@@ -474,18 +473,18 @@ int main() {
   a: for (i = 0; i < 8; i++) A[i] = (double)i * 0.5;
   b: for (i = 0; i < 8; i++) B[i] = A[i] + 1.0;
   c: for (i = 0; i < 8; i++) C[i] = B[i] * 2.0;
-  outer: for (r = 0; r < 3; r++) {
+  outer: for (r = 0; r < 12; r++) {
     once: for (k = 0; k < 1; k++) A[k] = A[k] + 1.0;
   }
   return 0;
 }
 """
 
-    def test_recording_strikes_add_up_across_reruns(self, monkeypatch):
-        """The re-runs of ``a``, ``b`` and ``c`` share one table, so its
-        strikes add up: ``once`` is rejected at the
-        ``MAX_RECORD_FAILURES``-th abort of the analysis, and never
-        recorded again."""
+    def test_recording_strikes_add_up_within_one_run(self, monkeypatch):
+        """One run records the windows of ``a``, ``b`` and ``c``, and the
+        strikes of its recordings add up in the analysis's table:
+        ``once`` is rejected at the ``MAX_RECORD_FAILURES``-th abort, and
+        never recorded again."""
         from repro.interp.compile import MAX_RECORD_FAILURES, TraceCompiler
         from repro.obs import EventLog
 
@@ -506,7 +505,7 @@ int main() {
         rejected = [e["args"] for e in log.snapshot()
                     if e["name"] == "compile.kernel.rejected"
                     and e["args"]["loop"] == once]
-        assert len(aborts) == MAX_RECORD_FAILURES < 3 * 3
+        assert len(aborts) == MAX_RECORD_FAILURES < 12
         assert set(aborts) == {once}
         assert len(rejected) == 1
         assert "aborted" in rejected[0]["reason"]

@@ -100,9 +100,9 @@ int main() {
         assert tel.counters.get("interp.runs", 0) == 0
 
     def test_small_fuel_fails_alike_serial_and_pooled(self):
-        """The windowed re-run is the only run, so with ``jobs=2`` the
-        fuel error comes from a pool worker: same error as serial, and
-        no pool-to-serial fallback."""
+        """The windowed run is the only run, and it happens in the
+        calling process before any pool starts, so with ``jobs=2`` the
+        fuel error is the serial one, and no pool-to-serial fallback."""
         src = """
 double A[16]; double B[16];
 int main() {
@@ -121,8 +121,9 @@ int main() {
                                 jobs=jobs)
             messages.append(str(exc.value))
             assert tel.counters.get("pipeline.pool_fallbacks", 0) == 0
-        # concurrent.futures chains a worker's traceback as the cause.
-        assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+        # No pool worker raised it: concurrent.futures would chain the
+        # worker's traceback as the cause.
+        assert exc.value.__cause__ is None
         assert messages[0] == messages[1]
         assert "fuel=40" in messages[0]
 
