@@ -1,10 +1,15 @@
-"""Regenerate tests/golden_metrics.json, golden_metrics_int_relaxed.json
-(and golden_trace.json) after an intentional analysis or trace-format
-change.
+"""Regenerate tests/golden_metrics.json, golden_metrics_int_relaxed.json,
+golden_cli.json (and golden_trace.json) after an intentional analysis or
+trace-format change.
 Run: python tests/regenerate_golden.py"""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
 import pathlib
+import tempfile
 
 from repro.workloads import get_workload, list_workloads
 
@@ -38,6 +43,77 @@ def golden_entry(report) -> dict:
     }
 
 
+def cli_stdout(argv) -> str:
+    """The stdout of one in-process ``vectra`` command, which must
+    succeed."""
+    from repro.tools.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"vectra {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def dot_output(workload: str, loop: str, workdir: str):
+    """``vectra dot WORKLOAD --loop LOOP`` run in ``workdir``: its
+    stdout and the ``ddg.dot`` it wrote there."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        stdout = cli_stdout(["dot", workload, "--loop", loop])
+        with open("ddg.dot", "rb") as fh:
+            data = fh.read()
+        os.unlink("ddg.dot")
+    finally:
+        os.chdir(cwd)
+    return stdout, data
+
+
+def dot_entry(stdout: str, data: bytes) -> dict:
+    """A ``dot`` run as pinned: its stdout, and the written file by
+    SHA-256 and size (the ten files hold ~700 KB of DOT text)."""
+    return {"stdout": stdout, "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data)}
+
+
+def dot_loops():
+    """``(workload, loop)`` for every analyzed loop whose full DDG is
+    small enough for ``vectra dot`` to render."""
+    from repro.analysis.pipeline import windowed_loop_ddg
+    from repro.ddg.dot import MAX_NODES
+
+    out = []
+    for workload in list_workloads():
+        module = workload.compile()
+        for name in workload.analyze_loops:
+            info = module.loop_by_name(name)
+            ddg, _, _ = windowed_loop_ddg(module, info.loop_id, name,
+                                          workload.entry, (), 0,
+                                          500_000_000)
+            if len(ddg) <= MAX_NODES:
+                out.append((workload.name, name))
+    return out
+
+
+def cli_golden() -> dict:
+    """The stdout of ``vlength`` and ``baselines`` on every registry
+    program, and ``dot`` on every analyzed loop it can render."""
+    names = [w.name for w in list_workloads()]
+    golden = {
+        "vlength": {name: cli_stdout(["vlength", name]) for name in names},
+        "baselines": {name: cli_stdout(["baselines", name])
+                      for name in names},
+        "dot": {},
+    }
+    with tempfile.TemporaryDirectory() as workdir:
+        for workload, loop in dot_loops():
+            golden["dot"][f"{workload}/{loop}"] = dot_entry(
+                *dot_output(workload, loop, workdir))
+    return golden
+
+
 def write_golden(name: str, golden: dict) -> None:
     path = pathlib.Path(__file__).parent / name
     path.write_text(json.dumps(golden, indent=1, sort_keys=True))
@@ -55,6 +131,11 @@ def main() -> None:
             include_integer=True, relax_reductions=True))
         for name in INT_RELAXED_PROGRAMS
     })
+    golden = cli_golden()
+    path = pathlib.Path(__file__).parent / "golden_cli.json"
+    path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {sum(map(len, golden.values()))} command outputs to "
+          f"{path}")
     regenerate_trace_golden()
 
 
