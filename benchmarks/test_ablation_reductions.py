@@ -14,9 +14,8 @@ from repro.analysis.timestamps import (
     parallel_partitions,
 )
 from repro.analysis.candidates import candidate_sids
-from repro.ddg import build_ddg
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.workloads.spec.sphinx3 import subvq_source
 
 from benchmarks.conftest import write_result
@@ -25,8 +24,7 @@ from benchmarks.conftest import write_result
 def run_ablation(codebook=32, dim=16):
     module = compile_source(subvq_source(codebook=codebook, dim=dim))
     loop = module.loop_by_name("vq_c")
-    trace = run_and_trace(module, loop=loop.loop_id)
-    ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+    ddg, _, _ = windowed_loop_ddg(module, loop.loop_id, "vq_c")
     rows = []
     for sid in candidate_sids(ddg):
         strict = parallel_partitions(ddg, sid)

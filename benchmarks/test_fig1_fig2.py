@@ -8,12 +8,17 @@ model vs Algorithm 1), asserting the exact counts the figures show.
 from collections import Counter
 
 from repro.analysis.kumar import kumar_partitions, kumar_profile
-from repro.analysis.larus import larus_loop_parallelism, larus_partitions
+from repro.analysis.larus import (
+    larus_loop_parallelism,
+    larus_partitions,
+    node_iterations,
+)
+from repro.analysis.pipeline import record_windows
 from repro.analysis.timestamps import parallel_partitions
-from repro.ddg import build_ddg
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
+from repro.interp import Interpreter
 from repro.ir.instructions import Opcode
+from repro.trace import ColumnarSink
 
 from benchmarks.conftest import write_result
 
@@ -59,7 +64,9 @@ def _sizes(parts):
 
 def run_figure1(n):
     module = compile_source(LISTING1.format(n=n))
-    ddg = build_ddg(run_and_trace(module))
+    sink = ColumnarSink()
+    Interpreter(module, sink=sink).run("main")
+    ddg = sink.to_ddg()
     s1, s2 = _fmul_sids(module, ddg)
     return {
         "profile": kumar_profile(ddg, weights="candidates"),
@@ -72,13 +79,13 @@ def run_figure1(n):
 def run_figure2(n):
     module = compile_source(LISTING2.format(n=n))
     loop = module.loop_by_name("L")
-    trace = run_and_trace(module, loop=loop.loop_id)
-    sub = trace.subtrace(loop.loop_id, 0)
-    ddg = build_ddg(sub)
-    out = {"larus": larus_loop_parallelism(sub, ddg, loop.loop_id)}
+    [window], _ = record_windows(module, [(loop.loop_id, "L")])
+    iterations = node_iterations(window.trace, loop.loop_id)
+    ddg = window.ddg()
+    out = {"larus": larus_loop_parallelism(ddg, iterations, loop.loop_id)}
     for idx, sid in enumerate(_fmul_sids(module, ddg)):
         out[f"larus_s{idx + 1}"] = larus_partitions(
-            sub, ddg, loop.loop_id, sid
+            ddg, iterations, loop.loop_id, sid
         )
         out[f"ours_s{idx + 1}"] = parallel_partitions(ddg, sid)
     return out

@@ -4,14 +4,15 @@ The paper reports instrumentation overhead of 2-3 orders of magnitude
 and DDG analysis cost of "tens to hundreds of microseconds per DDG
 node".  This bench measures the analogous quantities for this
 implementation: interpreter slowdown of tracing vs. plain execution, and
-per-node cost of the DDG construction + Algorithm 1 + stride pipeline.
+per-node cost of the DDG construction (the columnar remap of a recorded
+loop window) + Algorithm 1 + stride pipeline.
 These are real microbenchmarks (multiple rounds).
 """
 
 from repro.analysis.metrics import loop_metrics
-from repro.ddg import build_ddg
+from repro.analysis.pipeline import record_windows
 from repro.frontend import compile_source
-from repro.interp import Interpreter, run_and_trace
+from repro.interp import Interpreter
 from repro.trace.columnar import ColumnarSink
 
 from benchmarks.conftest import write_result
@@ -53,11 +54,12 @@ def test_traced_execution(benchmark):
 def test_analysis_cost_per_node(benchmark, results_dir):
     module = compile_source(SRC)
     loop = module.loop_by_name("hot")
-    trace = run_and_trace(module, loop=loop.loop_id)
-    sub = trace.subtrace(loop.loop_id, 0)
+    [window], _ = record_windows(module, [(loop.loop_id, "hot")])
+    # The window's columns, remapped into its DDG once per round.
+    sink = window.trace
 
     def analyze():
-        ddg = build_ddg(sub)
+        ddg = sink.to_ddg()
         return loop_metrics(ddg, module, "hot"), len(ddg)
 
     (report, nodes) = benchmark(analyze)

@@ -11,12 +11,17 @@ Run:  python examples/compare_baselines.py
 from collections import Counter
 
 from repro.analysis.kumar import kumar_partitions, kumar_profile
-from repro.analysis.larus import larus_loop_parallelism, larus_partitions
+from repro.analysis.larus import (
+    larus_loop_parallelism,
+    larus_partitions,
+    node_iterations,
+)
+from repro.analysis.pipeline import record_windows
 from repro.analysis.timestamps import parallel_partitions
-from repro.ddg import build_ddg
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
+from repro.interp import Interpreter
 from repro.ir.instructions import Opcode
+from repro.trace import ColumnarSink
 
 N = 8
 
@@ -61,7 +66,9 @@ def fmul_sids(module, ddg):
 def figure1() -> None:
     print(f"== Figure 1 (Listing 1, N={N}) ==")
     module = compile_source(LISTING1)
-    ddg = build_ddg(run_and_trace(module))
+    sink = ColumnarSink()
+    Interpreter(module, sink=sink).run("main")
+    ddg = sink.to_ddg()
     s1, s2 = fmul_sids(module, ddg)
     profile = kumar_profile(ddg, weights="candidates")
     print(f"Kumar critical path: {profile.critical_path} "
@@ -82,15 +89,15 @@ def figure2() -> None:
     print(f"== Figure 2 (Listing 2, N={N}) ==")
     module = compile_source(LISTING2)
     loop = module.loop_by_name("L")
-    trace = run_and_trace(module, loop=loop.loop_id)
-    sub = trace.subtrace(loop.loop_id, 0)
-    ddg = build_ddg(sub)
-    result = larus_loop_parallelism(sub, ddg, loop.loop_id)
+    [window], _ = record_windows(module, [(loop.loop_id, "L")])
+    iterations = node_iterations(window.trace, loop.loop_id)
+    ddg = window.ddg()
+    result = larus_loop_parallelism(ddg, iterations, loop.loop_id)
     print(f"Larus loop-level parallelism: {result.parallelism:.2f} "
           "(iterations chained by the S2 -> S1 dependence)")
     for sid in fmul_sids(module, ddg):
         line = module.instruction(sid).line
-        larus = larus_partitions(sub, ddg, loop.loop_id, sid)
+        larus = larus_partitions(ddg, iterations, loop.loop_id, sid)
         ours = parallel_partitions(ddg, sid)
         print(f"  stmt at line {line}: Larus groups {sizes(larus)} vs "
               f"Algorithm 1 {sizes(ours)}")

@@ -12,9 +12,8 @@ a 2-4 lane SSE register, who fills a 32-lane warp, who fills nothing.
 Run:  python examples/gpu_assessment.py
 """
 
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.analysis.vlength import vector_length_profile
-from repro.ddg import build_ddg
-from repro.interp import run_and_trace
 from repro.workloads import get_workload
 
 CANDIDATES = [
@@ -34,9 +33,8 @@ def main() -> None:
         workload = get_workload(name)
         module = workload.compile(**params)
         info = module.loop_by_name(loop_label)
-        trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                              instances={0})
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, info.loop_id, loop_label,
+                                      workload.entry)
         profile = vector_length_profile(ddg, module,
                                         f"{name}/{loop_label}")
         print(f"--- {name} ({blurb})")

@@ -8,7 +8,6 @@ High-level entry points (each re-exported from :mod:`repro.analysis.pipeline`
 once the full pipeline is importable):
 
 - :func:`compile_source` — mini-C source text to an IR :class:`~repro.ir.Module`.
-- :func:`run_and_trace` — execute a module and collect a dynamic trace.
 - :func:`analyze_loop` — the paper's analysis of one loop:
   per-static-instruction parallel partitions, stride subpartitions, and the
   Table-1 metrics.
@@ -26,7 +25,6 @@ __all__ = ["VectraError", "__version__"]
 _PIPELINE_NAMES = frozenset(
     {
         "compile_source",
-        "run_and_trace",
         "analyze_loop",
         "analyze_program",
         "analyze_kernel",

@@ -11,18 +11,21 @@ loop body means dependence-preserving reorderings (e.g. distributing the
 loop) are never explored, so vectorization potential is under-reported —
 the motivation for Algorithm 1.
 
-Input here is one loop's subtrace (markers included, so iteration
-boundaries are known) plus the DDG built from it.
+Input here is one loop's DDG plus each node's iteration of the loop,
+which :func:`node_iterations` reads off the recorded window's loop
+markers (they are no DDG nodes, so the DDG alone cannot tell).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.ddg.graph import DDG
 from repro.errors import AnalysisError
-from repro.trace.trace import Trace
+from repro.trace.events import MARKER_ENTER, MARKER_EXIT, MARKER_NEXT
 
 
 @dataclass
@@ -42,24 +45,67 @@ class LoopParallelismResult:
         return self.total_ops / self.completion_time
 
 
+def node_iterations(window, loop_id: int) -> List[int]:
+    """Each DDG node's iteration of ``loop_id`` in a recorded ``window``
+    (a :class:`~repro.trace.columnar.ColumnarSink` whose DDG is not
+    built yet), -1 outside the loop.
+
+    The iteration changes only at ``loop_id``'s markers: its outermost
+    entry starts iteration 0, each of its iteration markers at that
+    depth starts the next, and its outermost exit leaves the loop.  So
+    one walk over the window's marker rows (their opcodes, and their
+    loop ids from the ``loop_breaks`` change points) gives the iteration
+    after each marker, and every node takes the one after the last
+    marker before it.
+    """
+    opcodes = window.columns().opcodes
+    marker_rows = np.asarray(window.marker_rows, dtype=np.int64)
+    break_rows = np.asarray([r for r, _ in window.loop_breaks],
+                            dtype=np.int64)
+    break_loops = np.asarray([lid for _, lid in window.loop_breaks],
+                             dtype=np.int64)
+    marker_loops = break_loops[np.searchsorted(break_rows, marker_rows,
+                                               side="right") - 1]
+    after = [-1]
+    depth = 0
+    iteration = -1
+    for kind, lid in zip(opcodes[marker_rows].tolist(),
+                         marker_loops.tolist()):
+        if lid == loop_id:
+            if kind == MARKER_ENTER:
+                depth += 1
+                if depth == 1:
+                    iteration = 0
+            elif kind == MARKER_NEXT:
+                if depth == 1:
+                    iteration += 1
+            elif kind == MARKER_EXIT:
+                depth -= 1
+                if depth == 0:
+                    iteration = -1
+        after.append(iteration)
+    # The nodes between consecutive markers (and before the first and
+    # after the last).
+    bounds = np.concatenate(([-1], marker_rows, [len(opcodes)]))
+    return np.repeat(after, np.diff(bounds) - 1).tolist()
+
+
 def larus_loop_parallelism(
-    subtrace: Trace, ddg: DDG, loop_id: int
+    ddg: DDG, iterations: Sequence[int], loop_id: int
 ) -> LoopParallelismResult:
     """Simulate Larus's concurrent-iterations model over one loop instance.
 
-    Every non-marker record is one unit of work.  ``finish[i]`` is the
-    time step node i completes: one after both the previous instruction of
-    the same iteration and all of its DDG producers have completed.
+    ``iterations`` holds each DDG node's iteration of the loop
+    (:func:`node_iterations`).  Every node is one unit of work.
+    ``finish[i]`` is the time step node i completes: one after both the
+    previous instruction of the same iteration and all of its DDG
+    producers have completed.
     """
-    iters = subtrace.iteration_numbers(loop_id)
-    # Map trace records to DDG node indices (markers are not DDG nodes).
-    node_iter: List[int] = []
-    for rec, itn in zip(subtrace.records, iters):
-        if not rec.is_marker:
-            node_iter.append(itn)
+    node_iter = list(iterations)
     if len(node_iter) != len(ddg):
         raise AnalysisError(
-            "subtrace and DDG disagree; build the DDG from this subtrace"
+            f"{len(node_iter)} iteration numbers for {len(ddg)} DDG nodes; "
+            f"take both from the same window"
         )
     finish = [0] * len(ddg)
     last_in_iter: Dict[int, int] = {}
@@ -88,11 +134,11 @@ def larus_loop_parallelism(
 
 
 def larus_partitions(
-    subtrace: Trace, ddg: DDG, loop_id: int, target_sid: int
+    ddg: DDG, iterations: Sequence[int], loop_id: int, target_sid: int
 ) -> Dict[int, List[int]]:
     """Group one instruction's instances by Larus finish time — the
     partitioning Fig. 2(b) illustrates."""
-    result = larus_loop_parallelism(subtrace, ddg, loop_id)
+    result = larus_loop_parallelism(ddg, iterations, loop_id)
     out: Dict[int, List[int]] = {}
     for i, sid in enumerate(ddg.sids.tolist()):
         if sid == target_sid:

@@ -52,7 +52,9 @@ counter totals.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
@@ -70,7 +72,6 @@ from repro.interp.interpreter import (
     Interpreter,
     ProfileCounters,
     count_traced_run,
-    run_and_trace,
 )
 from repro.ir.module import LoopInfo, Module
 from repro.ir.verifier import verify_module
@@ -86,7 +87,6 @@ _log = get_logger("pipeline")
 
 __all__ = [
     "compile_source",
-    "run_and_trace",
     "analyze_loop",
     "analyze_program",
     "analyze_kernel",
@@ -145,7 +145,9 @@ def record_windows(module: Module, loops: Sequence[Tuple[int, str]],
     Each window's span counter validates the instance: no recorded span
     means the requested instance never executed; more than one means the
     window filter misbehaved, and silently taking the first would
-    analyze the wrong iteration.
+    analyze the wrong iteration.  A run that fails, by either error or
+    any other, removes the windows' spill subdirectories (and the spill
+    root, if the run made it), so it leaves no store behind.
 
     ``kernels``, the caller's :class:`~repro.interp.compile.KernelTable`
     for ``module``, carries the run's capture set
@@ -181,6 +183,17 @@ def record_windows(module: Module, loops: Sequence[Tuple[int, str]],
 
         dirs = {loop_id: spill_subdir(spill_dir, f"{name}-inst{instance}")
                 for loop_id, name in names.items()}
+        made_root = not os.path.isdir(spill_dir)
+
+    def discard(root: bool = False) -> None:
+        """Remove the windows' spill subdirectories; with ``root``, also
+        the spill root if this call made it and it is left empty."""
+        if spill_dir:
+            for window_dir in dirs.values():
+                shutil.rmtree(window_dir, ignore_errors=True)
+            if root and made_root:
+                with contextlib.suppress(OSError):
+                    os.rmdir(spill_dir)
 
     def record():
         if spill_dir:
@@ -206,46 +219,51 @@ def record_windows(module: Module, loops: Sequence[Tuple[int, str]],
             sink.settle()
         return sinks, interp
 
-    sinks, interp = record()
-    missed = {loop_id: sink.capture_misses
-              for loop_id, sink in sinks.items() if sink.capture_misses}
-    if missed:
-        _log.warning(
-            "loop %s: %d load(s) outside the capture set read a captured "
-            "store; re-running the program with every instruction "
-            "captured", ", ".join(repr(names[lid]) for lid in missed),
-            sum(missed.values()),
-        )
-        tel.count("trace.capture_fallbacks")
-        tel.instant("trace.capture_fallback",
-                    {"loops": [names[lid] for lid in missed],
-                     "misses": sum(missed.values())})
-        if spill_dir:
-            for window_dir in dirs.values():
-                shutil.rmtree(window_dir, ignore_errors=True)
-        kernels.reset(None)
-        sinks = interp = None
+    try:
         sinks, interp = record()
-    counters = interp.profile_counters()
-    stats = {loop_id: sink.stats() for loop_id, sink in sinks.items()}
-    if tel.enabled:
-        count_traced_run(tel, interp, *(stats[lid] for lid, _ in loops))
-        for loop_id, _ in loops:
-            tel.count("trace.records.captured", stats[loop_id]["captured"])
-            tel.count("trace.spans_recorded", sinks[loop_id].spans_recorded)
-    for loop_id, loop_name in loops:
-        spans = sinks[loop_id].spans_recorded
-        if spans == 0:
-            raise AnalysisError(
-                f"loop {loop_name!r} instance {instance} never executed"
+        missed = {loop_id: sink.capture_misses
+                  for loop_id, sink in sinks.items() if sink.capture_misses}
+        if missed:
+            _log.warning(
+                "loop %s: %d load(s) outside the capture set read a "
+                "captured store; re-running the program with every "
+                "instruction captured",
+                ", ".join(repr(names[lid]) for lid in missed),
+                sum(missed.values()),
             )
-        if spans != 1:
-            raise AnalysisError(
-                f"loop {loop_name!r}: expected one recorded span for "
-                f"instance {instance}, found {spans}"
-            )
-    traces = {loop_id: sink.finish() if spill_dir else sink
-              for loop_id, sink in sinks.items()}
+            tel.count("trace.capture_fallbacks")
+            tel.instant("trace.capture_fallback",
+                        {"loops": [names[lid] for lid in missed],
+                         "misses": sum(missed.values())})
+            discard()
+            kernels.reset(None)
+            sinks = interp = None
+            sinks, interp = record()
+        counters = interp.profile_counters()
+        stats = {loop_id: sink.stats() for loop_id, sink in sinks.items()}
+        if tel.enabled:
+            count_traced_run(tel, interp, *(stats[lid] for lid, _ in loops))
+            for loop_id, _ in loops:
+                tel.count("trace.records.captured",
+                          stats[loop_id]["captured"])
+                tel.count("trace.spans_recorded",
+                          sinks[loop_id].spans_recorded)
+        for loop_id, loop_name in loops:
+            spans = sinks[loop_id].spans_recorded
+            if spans == 0:
+                raise AnalysisError(
+                    f"loop {loop_name!r} instance {instance} never executed"
+                )
+            if spans != 1:
+                raise AnalysisError(
+                    f"loop {loop_name!r}: expected one recorded span for "
+                    f"instance {instance}, found {spans}"
+                )
+        traces = {loop_id: sink.finish() if spill_dir else sink
+                  for loop_id, sink in sinks.items()}
+    except BaseException:
+        discard(root=True)
+        raise
     return ([LoopWindow(traces[lid], stats[lid]) for lid, _ in loops],
             counters)
 
@@ -253,16 +271,17 @@ def record_windows(module: Module, loops: Sequence[Tuple[int, str]],
 class LoopWindow:
     """One loop's window as :func:`record_windows` recorded it: its
     ``stats`` (the window sink's
-    :meth:`~repro.trace.columnar.ColumnarSink.stats`) and its columns —
-    the sink itself in RAM, the finished
+    :meth:`~repro.trace.columnar.ColumnarSink.stats`) and its ``trace``
+    — the window sink itself in RAM, the finished
     :class:`~repro.trace.store.SegmentStore` when spilled — until
-    :meth:`ddg` turns them into the window's DDG."""
+    :meth:`ddg` turns it into the window's DDG (``trace`` is ``None``
+    from then on)."""
 
-    __slots__ = ("stats", "_trace")
+    __slots__ = ("stats", "trace")
 
     def __init__(self, trace, stats: dict):
         self.stats = stats
-        self._trace = trace
+        self.trace = trace
 
     def ddg(self, cone_ops=None):
         """The window's DDG.  The window lets go of its columns here, so
@@ -277,7 +296,7 @@ class LoopWindow:
         among the captured rows, and ``ddg.cone_nodes``/``ddg
         .cone_edges`` the cone.
         """
-        trace, self._trace = self._trace, None
+        trace, self.trace = self.trace, None
         tel = current_run().tel
         with tel.span("ddg.build"):
             ddg = trace.to_ddg(cone_ops=cone_ops)
@@ -293,8 +312,9 @@ class LoopWindow:
 
 
 def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
-                      entry: str, args: Sequence, instance: int,
-                      fuel: int, spill_dir: Optional[str] = None,
+                      entry: str = "main", args: Sequence = (),
+                      instance: int = 0, fuel: int = DEFAULT_FUEL,
+                      spill_dir: Optional[str] = None,
                       segment_rows: Optional[int] = None,
                       compile_loops: bool = True,
                       compile_threshold: Optional[int] = None,

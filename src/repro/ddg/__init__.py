@@ -1,6 +1,5 @@
 """Dynamic data-dependence graphs."""
 
 from repro.ddg.graph import DDG
-from repro.ddg.build import build_ddg
 
-__all__ = ["DDG", "build_ddg"]
+__all__ = ["DDG"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.ddg.graph import DDG
+from repro.errors import AnalysisError
 from repro.ir.instructions import OPCODE_INFO, Opcode
 from repro.ir.module import Module
 
@@ -34,10 +35,11 @@ def ddg_to_dot(
 
     With ``highlight_sid`` + ``timestamps`` (from Algorithm 1), instances
     of that instruction are filled by partition color — reproducing the
-    visual story of Fig. 1(b).
+    visual story of Fig. 1(b).  A graph of more than :data:`MAX_NODES`
+    nodes raises :class:`~repro.errors.AnalysisError`.
     """
     if len(ddg) > MAX_NODES:
-        raise ValueError(
+        raise AnalysisError(
             f"graph too large to render ({len(ddg)} nodes > {MAX_NODES})"
         )
     lines = [f"digraph {name} {{", "  rankdir=TB;",

@@ -166,7 +166,8 @@ class DDG:
         self.window_edges = (len(self.pred_indices) if window_edges is None
                              else window_edges)
         # ``validate=False`` is for constructors that guarantee a
-        # well-formed topological CSR by construction (build_ddg); every
+        # well-formed topological CSR by construction (the trace remaps
+        # of ColumnarSink.to_ddg and SegmentStore.to_ddg); every
         # other path keeps the O(N+E) structural check.
         if validate:
             self._validate_csr()

@@ -1,10 +1,5 @@
 """IR interpreter with dynamic-trace instrumentation."""
 
-from repro.interp.interpreter import (
-    DEFAULT_FUEL,
-    Interpreter,
-    run_and_trace,
-    run_module,
-)
+from repro.interp.interpreter import DEFAULT_FUEL, Interpreter, run_module
 
-__all__ = ["DEFAULT_FUEL", "Interpreter", "run_and_trace", "run_module"]
+__all__ = ["DEFAULT_FUEL", "Interpreter", "run_module"]

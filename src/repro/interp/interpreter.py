@@ -45,12 +45,6 @@ from repro.ir.module import Module
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.ir.values import Constant, GlobalRef, VirtualReg
 from repro.runtime.memory import Memory, default_value
-from repro.trace.columnar import (
-    ColumnarLoopSink,
-    ColumnarSink,
-    ColumnarTrace,
-)
-from repro.trace.trace import Trace
 
 _OP_ADD = Opcode.ADD
 _OP_SUB = Opcode.SUB
@@ -258,7 +252,7 @@ class Interpreter:
         mem = memory.data
         sink = self.sink
         # One bound-method hoist serves every record: emit() takes plain
-        # scalars, so tracing allocates no DynInstr on the hot path.
+        # scalars, so tracing allocates no record object on the hot path.
         sink_emit = sink.emit if sink is not None else None
         counts = self.op_counts
         module = self.module
@@ -743,45 +737,6 @@ def run_module(module: Module, entry: str = "main", args: Sequence = (),
                          compile_threshold=compile_threshold)
     value = interp.run(entry, args)
     return value, interp
-
-
-def run_and_trace(
-    module: Module,
-    entry: str = "main",
-    args: Sequence = (),
-    loop: Optional[int] = None,
-    instances: Optional[set] = None,
-    fuel: int = DEFAULT_FUEL,
-    compile_loops: bool = True,
-    compile_threshold: Optional[int] = None,
-) -> Trace:
-    """Execute a module and collect a trace.
-
-    With ``loop`` set, only records inside that loop id are retained (the
-    paper's per-loop subtrace); ``instances`` optionally narrows to chosen
-    dynamic instances of the loop.
-
-    The trace is collected into flat columns
-    (:class:`~repro.trace.columnar.ColumnarSink`) and returned as a
-    :class:`~repro.trace.columnar.ColumnarTrace` — ``records`` stay
-    available as a lazy view, and DDG construction remaps the columns
-    directly.
-    """
-    tel = current_run().tel
-    sink = (ColumnarSink() if loop is None
-            else ColumnarLoopSink(loop, instances))
-    interp = Interpreter(module, sink=sink, fuel=fuel,
-                         compile_loops=compile_loops,
-                         compile_threshold=compile_threshold)
-    # Re-traces recur once per analyzed loop, so their latency is a
-    # distribution worth keeping (hist=True); the whole-program run
-    # happens once per pipeline and stays a plain span.
-    with tel.span("trace.run" if loop is None else "loop.rerun",
-                  hist=loop is not None):
-        interp.run(entry, args)
-    if tel.enabled:
-        count_traced_run(tel, interp, sink.stats())
-    return ColumnarTrace(module, sink)
 
 
 def count_traced_run(tel, interp: Interpreter, *windows: dict) -> None:

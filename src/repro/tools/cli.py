@@ -10,8 +10,8 @@ Subcommands:
   verdicts with reasons.
 - ``speedup <orig> <transformed>`` — simulated Table-4-style speedups on
   the three machine models.
-- ``trace <workload> --loop NAME [-o OUT]`` — dump a loop subtrace to a
-  binary trace file.
+- ``trace <workload> --loop NAME [-o DIR]`` — write a loop subtrace to
+  disk as a segment store, for ``analyze-trace <store> --source SRC``.
 - ``explain <workload> [--loop NAME]`` — drill-down evidence report:
   dependence witnesses, stride-break provenance with layout culprits,
   and the static refusal reasons cross-examined against the trace.
@@ -52,9 +52,11 @@ At most one of ``--metrics-json`` / ``--trace-json`` /
 target ``-``: two JSON documents interleaved on stdout are corrupt, so
 the CLI refuses the combination up front, naming the colliding flags.
 
-``analyze``, ``analyze-file`` and ``explain`` run the program once to
-record the windows of all of their loops (a profile run comes first
-when ``analyze-file`` picks the hot loops itself).  ``analyze`` and
+``analyze``, ``analyze-file``, ``explain`` and ``vlength`` run the
+program once to record the windows of all of their loops (a profile run
+comes first when ``analyze-file`` picks the hot loops itself);
+``baselines``, ``dot`` and ``trace`` record their one loop's window the
+same way.  ``analyze`` and
 ``analyze-file`` accept ``--jobs N``: the recorded windows are then
 analyzed across N worker processes (byte-identical reports).  They
 additionally accept ``--spill-dir DIR`` / ``--segment-rows N``: the
@@ -152,22 +154,18 @@ def _cmd_speedup(args) -> int:
 
 
 def _cmd_vlength(args) -> int:
+    from repro.analysis.pipeline import find_loop, record_windows
     from repro.analysis.vlength import vector_length_profile
-    from repro.ddg import build_ddg
-    from repro.interp import run_and_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     module = workload.compile()
     loops = [args.loop] if args.loop else workload.analyze_loops
-    for loop_name in loops:
-        info = module.loop_by_name(loop_name)
-        if info is None:
-            raise VectraError(f"no loop named {loop_name!r}")
-        trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                              instances={0}, **_run_opts(args))
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
-        profile = vector_length_profile(ddg, module, loop_name)
+    windows, _ = record_windows(
+        module, [(find_loop(module, name).loop_id, name) for name in loops],
+        workload.entry, **_run_opts(args))
+    for loop_name, window in zip(loops, windows):
+        profile = vector_length_profile(window.ddg(), module, loop_name)
         print(profile.table())
         print()
     return 0
@@ -202,38 +200,31 @@ def _cmd_opportunities(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.interp import run_and_trace
-    from repro.trace.serialize import save_trace
+    from repro.analysis.pipeline import find_loop, record_windows
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     module = workload.compile()
-    info = module.loop_by_name(args.loop)
-    if info is None:
-        raise VectraError(f"no loop named {args.loop!r}")
-    trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                          instances={args.instance}, **_run_opts(args))
-    if trace.columnar_sink.spans_recorded == 0:
-        raise VectraError(f"loop {args.loop!r} instance {args.instance} "
-                          f"never executed")
-    save_trace(trace, args.output)
-    print(f"wrote {len(trace)} records to {args.output}")
+    info = find_loop(module, args.loop)
+    [window], _ = record_windows(
+        module, [(info.loop_id, args.loop)], workload.entry,
+        instance=args.instance, spill_dir=args.output, **_run_opts(args))
+    store = window.trace
+    print(f"wrote {len(store)} records to {store.path}")
     return 0
 
 
 def _cmd_analyze_trace(args) -> int:
-    """Offline analysis of a previously dumped trace (the paper's
+    """Offline analysis of a previously written trace store (the paper's
     collect-then-analyze workflow)."""
     from repro.analysis.metrics import loop_metrics
     from repro.analysis.report import LoopReport
-    from repro.ddg import build_ddg
     from repro.frontend.driver import compile_source
-    from repro.trace.serialize import load_trace
+    from repro.trace.store import open_store
 
     with open(args.source) as fh:
         module = compile_source(fh.read(), args.source)
-    trace = load_trace(args.trace, module)
-    ddg = build_ddg(trace)
+    ddg = open_store(args.trace).to_ddg()
     report = loop_metrics(ddg, module, args.trace,
                           include_integer=args.integer)
     print(LoopReport.header())
@@ -245,29 +236,28 @@ def _cmd_baselines(args) -> int:
     """Compare Algorithm 1 against the Kumar and Larus baselines on one
     loop — the paper's §2 argument, on demand."""
     from repro.analysis.kumar import kumar_profile
-    from repro.analysis.larus import larus_loop_parallelism
+    from repro.analysis.larus import larus_loop_parallelism, node_iterations
+    from repro.analysis.pipeline import find_loop, record_windows
     from repro.analysis.timestamps import (
         average_partition_size,
         batched_parallel_partitions,
     )
     from repro.analysis.candidates import candidate_sids
-    from repro.ddg import build_ddg
-    from repro.interp import run_and_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     module = workload.compile()
     loop_name = args.loop or workload.analyze_loops[0]
-    info = module.loop_by_name(loop_name)
-    if info is None:
-        raise VectraError(f"no loop named {loop_name!r}")
-    trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                          instances={0}, **_run_opts(args))
-    sub = trace.subtrace(info.loop_id, 0)
-    ddg = build_ddg(sub)
+    info = find_loop(module, loop_name)
+    [window], _ = record_windows(module, [(info.loop_id, loop_name)],
+                                 workload.entry, **_run_opts(args))
+    # The markers are no DDG nodes: read the iterations off the window
+    # before its DDG lets the columns go.
+    iterations = node_iterations(window.trace, info.loop_id)
+    ddg = window.ddg()
 
     profile = kumar_profile(ddg, weights="candidates")
-    larus = larus_loop_parallelism(sub, ddg, info.loop_id)
+    larus = larus_loop_parallelism(ddg, iterations, info.loop_id)
     print(f"loop {loop_name}: {len(ddg)} DDG nodes")
     print(f"  Kumar critical path (FP ops):   {profile.critical_path}")
     print(f"  Kumar average parallelism:      "
@@ -285,20 +275,16 @@ def _cmd_baselines(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from repro.analysis.pipeline import find_loop, windowed_loop_ddg
     from repro.analysis.timestamps import compute_all_timestamps
-    from repro.ddg import build_ddg
     from repro.ddg.dot import ddg_to_dot
-    from repro.interp import run_and_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     module = workload.compile(**_parse_params(args.param))
-    info = module.loop_by_name(args.loop)
-    if info is None:
-        raise VectraError(f"no loop named {args.loop!r}")
-    trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                          instances={0}, **_run_opts(args))
-    ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+    info = find_loop(module, args.loop)
+    ddg, _, _ = windowed_loop_ddg(module, info.loop_id, args.loop,
+                                  workload.entry, **_run_opts(args))
     highlight = None
     timestamps = None
     if args.highlight_line is not None:
@@ -753,20 +739,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("transformed")
     p.set_defaults(func=_cmd_speedup)
 
-    p = sub.add_parser("trace", help="dump a loop subtrace to a file",
+    p = sub.add_parser("trace",
+                       help="write a loop subtrace as a segment store",
                        parents=[obs])
     p.add_argument("workload")
     p.add_argument("--loop", required=True)
     p.add_argument("--instance", type=int, default=0)
-    p.add_argument("-o", "--output", default="loop.vtrc")
+    p.add_argument("-o", "--output", default="loop.trace", metavar="DIR",
+                   help="directory the store goes under, in a "
+                        "subdirectory named after the loop and instance "
+                        "(default: %(default)s)")
     _add_fuel_option(p)
     _add_compile_options(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("analyze-trace",
-                       help="offline analysis of a dumped trace file",
+                       help="offline analysis of a trace store written "
+                            "by 'trace'",
                        parents=[obs])
-    p.add_argument("trace")
+    p.add_argument("trace", help="the store directory 'trace' printed")
     p.add_argument("--source", required=True,
                    help="the mini-C source the trace was collected from")
     p.add_argument("--integer", action="store_true")

@@ -1,8 +1,7 @@
-"""Dynamic execution traces: records, containers, sinks, serialization."""
+"""Dynamic execution traces: columnar sinks and the segment store."""
 
-from repro.trace.events import DynInstr, MARKER_ENTER, MARKER_NEXT, MARKER_EXIT
-from repro.trace.trace import Trace, LoopSpan
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, ColumnarTrace
+from repro.trace.events import MARKER_ENTER, MARKER_NEXT, MARKER_EXIT
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.store import (
     DEFAULT_SEGMENT_ROWS,
     SegmentedLoopSink,
@@ -12,15 +11,11 @@ from repro.trace.store import (
 )
 
 __all__ = [
-    "DynInstr",
     "MARKER_ENTER",
     "MARKER_NEXT",
     "MARKER_EXIT",
-    "Trace",
-    "LoopSpan",
     "ColumnarSink",
     "ColumnarLoopSink",
-    "ColumnarTrace",
     "DEFAULT_SEGMENT_ROWS",
     "SegmentedSink",
     "SegmentedLoopSink",

@@ -6,12 +6,12 @@ as the interpreter emits it — no per-record object — and
 :class:`~repro.ddg.graph.DDG` with a handful of numpy array passes.  The
 combination is the "fused interpret→trace→DDG" pipeline: a windowed
 analysis run produces an analysis-ready DDG with no intermediate trace
-materialization.  A record :class:`~repro.trace.trace.Trace` (a
-``subtrace`` or a file read back by :mod:`repro.trace.serialize`) is
-packed into the same columns by :func:`pack_records`, so every DDG in
-the system comes out of the same remap.  Given a set of candidate
-opcodes, the remap returns the window's candidate cone
-(:class:`CandidateCone`) instead of the whole window graph.
+materialization.  The out-of-core segment store
+(:mod:`repro.trace.store`) writes the same columns to disk and streams
+them through the same remap, so every DDG in the system comes out of
+one remap.  Given a set of candidate opcodes, the remap returns the
+window's candidate cone (:class:`CandidateCone`) instead of the whole
+window graph.
 
 The columns are numpy arrays (:class:`TraceColumns`) held in chunks.
 The records :meth:`ColumnarSink.emit` receives one at a time are
@@ -39,13 +39,6 @@ Three pieces of bookkeeping keep the columns as small as the data:
   memory address, so those are stored only for the rows that carry
   them, as ascending row keys with CSR values.
 
-The ``DynInstr``/``Trace`` API survives as a lazy view:
-:attr:`ColumnarSink.records` materializes the object list on demand and
-:class:`ColumnarTrace` is a :class:`~repro.trace.trace.Trace` whose
-``records`` delegate to it, so serialization, ``LoopSpan`` indexing and
-``subtrace`` slicing keep working unchanged (mirroring the CSR/preds
-tuple-view pattern of the batched Algorithm 1 engine).
-
 One run of the program can record several loops' windows:
 :class:`WindowFanout` sits over their window sinks and hands each the
 calls a run of its own would (DESIGN.md §20).
@@ -59,20 +52,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import TraceError
-from repro.ir.instructions import Opcode
 from repro.obs import current_run
-from repro.trace.events import (
-    MARKER_ENTER,
-    MARKER_EXIT,
-    DynInstr,
-)
-from repro.trace.trace import Trace
-
-#: Every opcode a record may carry.  The columns read any opcode at or
-#: above ``MARKER_ENTER`` as a loop marker, so :func:`pack_records`
-#: refuses values outside the enum.
-_OPCODES = frozenset(int(op) for op in Opcode)
+from repro.trace.events import MARKER_ENTER, MARKER_EXIT
 
 
 class TraceColumns(NamedTuple):
@@ -386,8 +367,8 @@ class ColumnarSink:
 
     The interpreter feeds it through :meth:`emit` (opcode as a plain
     int) and the compiled kernels through :meth:`reserve`; every reader
-    — :meth:`to_ddg`, the lazy :attr:`records` view, the segment spill —
-    takes the columns from :meth:`columns`.
+    — :meth:`to_ddg`, the segment spill — takes the columns from
+    :meth:`columns`.
     """
 
     __slots__ = (
@@ -395,7 +376,7 @@ class ColumnarSink:
         "uncaptured", "pending", "_stores",
         "_chunks", "_merged", "_sealed", "_sids", "_ops", "_cnts", "_deps",
         "_addrs", "_mems", "_misses",
-        "_next_node", "_cur_node0", "_cur_row0", "_last_loop", "_records",
+        "_next_node", "_cur_node0", "_cur_row0", "_last_loop",
         "_sid_append", "_op_append", "_cnt_append", "_dep_extend",
     )
 
@@ -440,7 +421,6 @@ class ColumnarSink:
         self._cur_node0 = 0
         self._cur_row0 = 0
         self._last_loop: Optional[int] = None
-        self._records: Optional[List[DynInstr]] = None
         # The buffer lists are cleared in place, never rebound, so the
         # bound methods can be cached once — each saves an attribute
         # chain per record in emit().
@@ -785,51 +765,6 @@ class ColumnarSink:
             mapped = di[np.where((j >= 0) & (rows < rend[jc]), rows, n_rows)]
         return unique_deps(mapped, cols.dep_counts, n_rows, n)
 
-    # -- record view -------------------------------------------------------
-
-    @property
-    def records(self) -> List[DynInstr]:
-        """Lazy ``DynInstr`` materialization of the columns (built once;
-        rebuilt if more records arrived since)."""
-        recs = self._records
-        if recs is not None and len(recs) == len(self):
-            return recs
-        cols = self.columns()
-        recs = []
-        append = recs.append
-        runs = self.runs
-        breaks = self.loop_breaks
-        dep_flat = cols.dep_flat.tolist()
-        dep_counts = cols.dep_counts.tolist()
-        addr_get = cols.addr_map().get
-        mem_get = cols.mem_map().get
-        store_get = self._stores.get
-        n_runs = len(runs)
-        n_breaks = len(breaks)
-        ri = 0
-        bi = 0
-        node = 0
-        loop_id = -1
-        row = 0
-        start = 0
-        for sid, op in zip(cols.sids.tolist(), cols.opcodes.tolist()):
-            if ri < n_runs and runs[ri][1] == row:
-                node = runs[ri][0]
-                ri += 1
-            if bi < n_breaks and breaks[bi][0] == row:
-                loop_id = breaks[bi][1]
-                bi += 1
-            nd = dep_counts[row]
-            ds = tuple(dep_flat[start:start + nd]) if nd else ()
-            start += nd
-            append(DynInstr(node, sid, op, loop_id, ds,
-                            addr_get(row, ()), mem_get(row, 0),
-                            store_get(row, 0)))
-            node += 1
-            row += 1
-        self._records = recs
-        return recs
-
 
 class ColumnarLoopSink(ColumnarSink):
     """Retains records only inside chosen instances of one loop — the
@@ -940,66 +875,3 @@ class WindowFanout:
             for key, value in w.stats().items():
                 total[key] = total.get(key, 0) + value
         return total
-
-
-def pack_records(records: Sequence[DynInstr]) -> ColumnarSink:
-    """Pack a record list into the columns of a :class:`ColumnarSink`,
-    so that record traces take the same :meth:`ColumnarSink.to_ddg` as
-    the interpreter's sinks.
-
-    The DDG of the packed columns has one node per non-marker record and
-    an edge from each of its deps that names an earlier non-marker
-    record.  To keep
-    the remap's invariants, markers are packed bare (no deps or
-    addresses), deps that do not name an earlier node id are dropped, and
-    store addresses are written to ``store_map`` as recorded.  Raises
-    :class:`TraceError` when node ids do not strictly increase or a
-    record's opcode is not an :class:`~repro.ir.instructions.Opcode`.
-    """
-    sink = ColumnarSink()
-    emit = sink.emit
-    store_map = sink.store_map
-    first = prev = None
-    for row, rec in enumerate(records):
-        node = rec.node
-        if prev is None:
-            first = node
-        elif node <= prev:
-            raise TraceError(
-                f"record {row}: node id {node} does not follow {prev}"
-            )
-        prev = node
-        op = rec.opcode
-        if op not in _OPCODES:
-            raise TraceError(f"record {row}: unknown opcode {op!r}")
-        op = int(op)
-        if op >= MARKER_ENTER:
-            emit(node, rec.sid, op, rec.loop_id)
-            continue
-        deps = tuple(d for d in rec.deps if first <= d < node)
-        emit(node, rec.sid, op, rec.loop_id, deps, rec.addrs, rec.addr)
-        if rec.store_addr:
-            store_map[row] = rec.store_addr
-    return sink
-
-
-class ColumnarTrace(Trace):
-    """A :class:`Trace` view over a columnar sink.
-
-    ``records`` materializes lazily; span indexing, subtraces and
-    serialization work unchanged through it.  :func:`~repro.ddg.build
-    .build_ddg` recognizes the attached sink and remaps its columns
-    directly instead of packing the records again.
-    """
-
-    def __init__(self, module, sink: ColumnarSink):
-        self.module = module
-        self.columnar_sink = sink
-        self._spans = None
-
-    def __len__(self) -> int:
-        return len(self.columnar_sink)
-
-    @property
-    def records(self) -> List[DynInstr]:
-        return self.columnar_sink.records

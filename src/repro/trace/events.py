@@ -1,14 +1,12 @@
-"""Dynamic trace records.
+"""Loop-marker opcodes of the dynamic trace.
 
-One :class:`DynInstr` per executed IR instruction.  A record is the
-paper's unit of analysis: a run-time instance of a static instruction,
-carrying the observed flow dependences (producer node ids) and the memory
-addresses needed for the stride analysis.
+A run emits one record per executed IR instruction (the paper's unit of
+analysis: a run-time instance of a static instruction).  Loop entry,
+iteration and exit are records too: marker rows, whose opcodes are
+these, and which are no DDG nodes.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 from repro.ir.instructions import Opcode
 
@@ -16,84 +14,3 @@ from repro.ir.instructions import Opcode
 MARKER_ENTER = int(Opcode.LOOP_ENTER)
 MARKER_NEXT = int(Opcode.LOOP_NEXT)
 MARKER_EXIT = int(Opcode.LOOP_EXIT)
-
-
-class DynInstr:
-    """One dynamic instruction instance.
-
-    Attributes
-    ----------
-    node:
-        Globally unique dynamic node id (execution order; ids increase
-        monotonically along the trace, so trace order is a topological
-        order of the DDG).
-    sid:
-        Static instruction id (see :class:`repro.ir.Instruction`).
-    opcode:
-        Opcode as an int.
-    loop_id:
-        Innermost active source loop id, or -1 outside all loops.
-    deps:
-        Producer node ids for this record's flow dependences (register
-        operands' defining nodes; for loads, also the last store to the
-        address).  Ids of -1 (constants/parameters of the entry function)
-        are included as-is and filtered during DDG construction.
-    addrs:
-        For candidate (FP arithmetic) instructions: per-operand source
-        addresses — the address a feeding load read from, or 0 for values
-        not obtained from memory (paper §3.2's "artificial address of
-        zero").  Empty for non-candidates.
-    addr:
-        Accessed memory address for loads/stores; 0 otherwise.
-    store_addr:
-        Address this record's *result* was first stored to, or 0.  Filled
-        in retroactively by the tracer when a store consumes the value;
-        completes the paper's access tuple (operands + written location).
-    """
-
-    __slots__ = (
-        "node",
-        "sid",
-        "opcode",
-        "loop_id",
-        "deps",
-        "addrs",
-        "addr",
-        "store_addr",
-    )
-
-    def __init__(
-        self,
-        node: int,
-        sid: int,
-        opcode: int,
-        loop_id: int,
-        deps: Tuple[int, ...] = (),
-        addrs: Tuple[int, ...] = (),
-        addr: int = 0,
-        store_addr: int = 0,
-    ):
-        self.node = node
-        self.sid = sid
-        self.opcode = opcode
-        self.loop_id = loop_id
-        self.deps = deps
-        self.addrs = addrs
-        self.addr = addr
-        self.store_addr = store_addr
-
-    @property
-    def is_marker(self) -> bool:
-        return self.opcode in (MARKER_ENTER, MARKER_NEXT, MARKER_EXIT)
-
-    @property
-    def access_tuple(self) -> Tuple[int, ...]:
-        """The paper's memory-access tuple: operand sources plus the
-        address the result was stored to."""
-        return self.addrs + (self.store_addr,)
-
-    def __repr__(self) -> str:
-        return (
-            f"<dyn {self.node} sid={self.sid} op={Opcode(self.opcode).name} "
-            f"loop={self.loop_id}>"
-        )

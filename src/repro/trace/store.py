@@ -58,6 +58,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import TraceError
+from repro.ir.instructions import Opcode
 from repro.obs import current_run
 from repro.trace.columnar import (
     COLUMN_DTYPES,
@@ -105,6 +106,20 @@ SECTION_TYPECODES: Dict[str, str] = {
 _HEADER = struct.Struct("<4sII")  # magic, format version, segment index
 
 _SEGMENT_RE = re.compile(r"^segment-\d{5}\.vseg$")
+
+#: Count fields of a manifest segment entry.
+_SEGMENT_COUNTS = ("row0", "rows", "markers", "markers_before", "deps",
+                   "dep0", "bytes")
+
+#: Sections holding one entry per segment row, per marker, per
+#: dependence; and pairs of sections that hold one entry each per key.
+_ROW_SECTIONS = ("sids", "opcodes", "dep_counts")
+_PAIRED_SECTIONS = (("run_nodes", "run_rows"), ("loop_rows", "loop_vals"),
+                    ("addr_rows", "addr_counts"), ("mem_rows", "mem_vals"),
+                    ("store_rows", "store_vals"))
+
+#: Every opcode a row may carry.
+_OPCODES = np.array(sorted(int(op) for op in Opcode), dtype=np.int8)
 
 
 def _pad(offset: int) -> int:
@@ -405,7 +420,6 @@ class SegmentedSink(ColumnarSink):
         del self.runs[:]
         del self.loop_breaks[:]
         del self.marker_rows[:]
-        self._records = None
 
     # -- finalize ----------------------------------------------------------
 
@@ -480,13 +494,6 @@ class SegmentedSink(ColumnarSink):
         raise TraceError(
             "SegmentedSink spills columns to disk; call finish() and use "
             "SegmentStore.to_ddg() instead"
-        )
-
-    @property
-    def records(self):
-        raise TraceError(
-            "SegmentedSink spills columns to disk; call finish() and use "
-            "SegmentStore.to_sink().records instead"
         )
 
 
@@ -610,11 +617,7 @@ class SegmentStore:
                 f"cannot read trace-store manifest {manifest_path!r}: "
                 f"{exc}"
             ) from None
-        if manifest.get("schema") != STORE_SCHEMA:
-            raise TraceError(
-                f"{manifest_path!r}: unknown trace-store schema "
-                f"{manifest.get('schema')!r} (expected {STORE_SCHEMA!r})"
-            )
+        _check_manifest(manifest, repr(manifest_path))
         self.manifest = manifest
         self.segments: List[dict] = manifest["segments"]
         self.total_rows: int = manifest["rows"]
@@ -652,6 +655,10 @@ class SegmentStore:
                     )
                 mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
                 seg._mm = mm
+                if len(mm) > meta["bytes"]:
+                    raise TraceError(
+                        f"{path!r}: {len(mm) - meta['bytes']} trailing "
+                        f"byte(s) at offset {meta['bytes']}")
                 view = memoryview(mm)
                 for name, tc in SECTION_TYPECODES.items():
                     off, count = sections[name]
@@ -676,9 +683,15 @@ class SegmentStore:
         if not count:
             return arr
         path = os.path.join(self.path, meta["file"])
-        with open(path, "rb") as fh:
-            fh.seek(off)
-            arr.frombytes(fh.read(count * arr.itemsize))
+        try:
+            with open(path, "rb") as fh:
+                fh.seek(off)
+                data = fh.read(count * arr.itemsize)
+        except OSError as exc:
+            raise TraceError(f"cannot read segment {path!r}: {exc}") from None
+        if len(data) != count * arr.itemsize:
+            raise TraceError(f"{path!r}: truncated section {name!r}")
+        arr.frombytes(data)
         return arr
 
     def context(self) -> _StoreContext:
@@ -702,6 +715,36 @@ class SegmentStore:
             self._ctx = _StoreContext(markers, run_nodes, run_rows,
                                       run_ends)
         return self._ctx
+
+    # -- input checks -------------------------------------------------------
+
+    def check_rows(self) -> None:
+        """Raise :class:`TraceError` unless every row is one a run
+        writes: its opcode an :class:`~repro.ir.instructions.Opcode`, the
+        marker rows exactly the rows with a marker opcode, node ids
+        strictly increasing, every dependence naming an earlier node and
+        none carried by a marker, and every sparse entry inside its
+        segment.  The remap trusts all of this, so :func:`open_store`
+        checks a store it did not write; O(rows)."""
+        ctx = self.context()
+        run_nodes = np.frombuffer(ctx.run_nodes, dtype=np.int64)
+        run_rows = np.frombuffer(ctx.run_rows, dtype=np.int64)
+        if self.total_rows and (not len(run_rows) or run_rows[0] != 0):
+            raise TraceError(f"{self.path!r}: row 0 starts no node-id run")
+        steps = np.diff(run_rows)
+        if (steps <= 0).any() or (len(run_rows)
+                                  and run_rows[-1] >= self.total_rows):
+            raise TraceError(f"{self.path!r}: node-id runs out of row order")
+        bad = np.flatnonzero(run_nodes[1:] < run_nodes[:-1] + steps)
+        if len(bad):
+            k = int(bad[0]) + 1
+            raise TraceError(
+                f"{self.path!r}: row {int(run_rows[k])}: node id "
+                f"{int(run_nodes[k])} does not follow "
+                f"{int(run_nodes[k - 1] + steps[k - 1] - 1)}")
+        for seg in self.iter_segments():
+            _check_segment_rows(seg, run_nodes, run_rows,
+                                f"{self.path!r}: segment {seg.index}")
 
     # -- full materialization (compat / validation) ------------------------
 
@@ -937,8 +980,122 @@ def _joined(chunks: Sequence[DDGChunk], column: str, dtype):
 
 
 def open_store(path: str) -> SegmentStore:
-    """Open a spilled segment directory for reading."""
-    return SegmentStore(path)
+    """Open a segment directory written elsewhere (``vectra trace``, or an
+    earlier ``--spill-dir`` run) for reading, after checking its rows
+    (:meth:`SegmentStore.check_rows`)."""
+    store = SegmentStore(path)
+    store.check_rows()
+    return store
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_manifest(manifest, where: str) -> None:
+    """Raise :class:`TraceError` unless ``manifest`` has the shape the
+    reader indexes: the schema, the totals, and per segment a segment
+    file name, its counts, a section table whose counts agree with them,
+    and its late store patches.  O(segments)."""
+    if not isinstance(manifest, dict):
+        raise TraceError(f"{where}: the manifest is not a JSON object")
+    if manifest.get("schema") != STORE_SCHEMA:
+        raise TraceError(
+            f"{where}: unknown trace-store schema "
+            f"{manifest.get('schema')!r} (expected {STORE_SCHEMA!r})"
+        )
+    segments = manifest.get("segments")
+    if not isinstance(segments, list):
+        raise TraceError(f"{where}: 'segments' is not a list")
+    for key in ("rows", "markers", "uncaptured", "segment_bytes"):
+        if not _is_count(manifest.get(key, 0)):
+            raise TraceError(f"{where}: {key!r} is not a count")
+    rows = markers = 0
+    for i, seg in enumerate(segments):
+        if not isinstance(seg, dict):
+            raise TraceError(f"{where}: segment {i} is not a JSON object")
+        name = seg.get("file")
+        if not isinstance(name, str) or not _SEGMENT_RE.match(name):
+            raise TraceError(f"{where}: segment {i}: bad file name {name!r}")
+        for key in _SEGMENT_COUNTS:
+            if not _is_count(seg.get(key)):
+                raise TraceError(
+                    f"{where}: segment {i}: {key!r} is not a count")
+        if seg["row0"] != rows or seg["markers_before"] != markers:
+            raise TraceError(
+                f"{where}: segment {i} does not start where segment "
+                f"{i - 1} ends")
+        sections = seg.get("sections")
+        if not (isinstance(sections, dict) and all(
+                isinstance(sections.get(sec), list)
+                and len(sections[sec]) == 2
+                and all(map(_is_count, sections[sec]))
+                for sec in SECTION_TYPECODES)):
+            raise TraceError(f"{where}: segment {i}: bad section table")
+        count = {sec: sections[sec][1] for sec in SECTION_TYPECODES}
+        if (any(count[sec] != seg["rows"] for sec in _ROW_SECTIONS)
+                or count["marker_rows"] != seg["markers"]
+                or count["dep_flat"] != seg["deps"]
+                or any(count[a] != count[b] for a, b in _PAIRED_SECTIONS)):
+            raise TraceError(
+                f"{where}: segment {i}: section counts disagree")
+        patches = seg.get("store_patches")
+        if not (isinstance(patches, list) and all(
+                isinstance(p, list) and len(p) == 2
+                and all(type(v) is int for v in p) for p in patches)):
+            raise TraceError(f"{where}: segment {i}: bad store patches")
+        rows += seg["rows"]
+        markers += seg["markers"]
+    if rows != manifest.get("rows") or markers != manifest.get("markers"):
+        raise TraceError(
+            f"{where}: the segments hold {rows} rows and {markers} "
+            f"markers; the manifest says {manifest.get('rows')} and "
+            f"{manifest.get('markers')}")
+
+
+def _check_segment_rows(seg: SegmentData, run_nodes, run_rows,
+                        where: str) -> None:
+    """The row checks of :meth:`SegmentStore.check_rows` on one segment,
+    given the store's node-id runs."""
+    cols = seg.columns()
+    n = seg.n_rows
+    unknown = np.flatnonzero(~np.isin(cols.opcodes, _OPCODES))
+    if len(unknown):
+        r = int(unknown[0])
+        raise TraceError(
+            f"{where}: row {seg.row0 + r}: unknown opcode "
+            f"{int(cols.opcodes[r])}")
+    markers = np.flatnonzero(cols.opcodes >= MARKER_ENTER)
+    if not np.array_equal(markers, np.frombuffer(seg.marker_rows,
+                                                 dtype=np.int64)):
+        raise TraceError(f"{where}: marker rows disagree with the opcodes")
+    counts = cols.dep_counts
+    if (counts < 0).any() or int(counts.sum()) != len(cols.dep_flat):
+        raise TraceError(f"{where}: dependence counts disagree")
+    if counts[markers].any():
+        raise TraceError(f"{where}: a marker row carries dependences")
+    # Each row's node id, from the run that holds it.
+    rows = np.arange(seg.row0, seg.row0 + n, dtype=np.int64)
+    run = np.searchsorted(run_rows, rows, side="right") - 1
+    nodes = run_nodes[run] + rows - run_rows[run]
+    late = np.flatnonzero(cols.dep_flat >= np.repeat(nodes, counts))
+    if len(late):
+        raise TraceError(
+            f"{where}: dependence on node {int(cols.dep_flat[late[0]])} "
+            f"does not name an earlier node")
+    addr_counts = cols.addr_counts
+    if ((addr_counts < 0).any()
+            or int(addr_counts.sum()) != len(cols.addr_flat)):
+        raise TraceError(f"{where}: operand-address counts disagree")
+    patch_rows = [p[0] for p in seg.meta["store_patches"]]
+    for name, keyed in (("addr_rows", cols.addr_rows),
+                        ("mem_rows", cols.mem_rows),
+                        ("store_rows", np.frombuffer(seg.store_rows,
+                                                     dtype=np.int64)),
+                        ("store_patches", np.asarray(patch_rows,
+                                                     dtype=np.int64))):
+        if len(keyed) and (int(keyed.min()) < 0 or int(keyed.max()) >= n):
+            raise TraceError(f"{where}: {name} names a row outside it")
 
 
 def spill_subdir(spill_dir: str, label: str) -> str:

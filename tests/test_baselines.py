@@ -7,15 +7,20 @@ from repro.analysis.kumar import (
     kumar_profile,
     kumar_timestamps,
 )
-from repro.analysis.larus import larus_loop_parallelism, larus_partitions
+from repro.analysis.larus import (
+    larus_loop_parallelism,
+    larus_partitions,
+    node_iterations,
+)
+from repro.analysis.pipeline import record_windows
 from repro.analysis.timestamps import parallel_partitions
-from repro.ddg import DDG, build_ddg
+from repro.ddg import DDG
 from repro.errors import AnalysisError
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.ir.instructions import Opcode
 
 from tests.conftest import listing1_source, listing2_source
+from tests.trace_oracle import program_ddg
 
 FMUL = int(Opcode.FMUL)
 
@@ -54,7 +59,7 @@ class TestKumar:
         access contiguous memory."""
         n = 8
         module = compile_source(listing1_source(n))
-        ddg = build_ddg(run_and_trace(module))
+        ddg = program_ddg(module)
         s2 = max(
             (sid for sid in set(ddg.sids)
              if module.instruction(sid).opcode is Opcode.FMUL),
@@ -72,26 +77,28 @@ class TestKumar:
     def test_fig1_critical_path(self):
         n = 8
         module = compile_source(listing1_source(n))
-        ddg = build_ddg(run_and_trace(module))
+        ddg = program_ddg(module)
         profile = kumar_profile(ddg, weights="candidates")
         assert profile.critical_path == 2 * (n - 1)
 
 
 class TestLarus:
     def _loop_setup(self, source, label):
+        """The loop's DDG and each node's iteration of it, from one
+        recorded window."""
         module = compile_source(source)
         loop = module.loop_by_name(label)
-        trace = run_and_trace(module, loop=loop.loop_id)
-        sub = trace.subtrace(loop.loop_id, 0)
-        return module, loop, sub, build_ddg(sub)
+        [window], _ = record_windows(module, [(loop.loop_id, label)])
+        iterations = node_iterations(window.trace, loop.loop_id)
+        return module, loop, iterations, window.ddg()
 
     def test_fully_parallel_loop(self):
-        module, loop, sub, ddg = self._loop_setup(
+        module, loop, iters, ddg = self._loop_setup(
             "double A[8]; double B[8]; int main() { int i; "
             "L: for (i = 0; i < 8; i++) A[i] = B[i] * 2.0; return 0; }",
             "L",
         )
-        result = larus_loop_parallelism(sub, ddg, loop.loop_id)
+        result = larus_loop_parallelism(ddg, iters, loop.loop_id)
         # 8 body iterations plus the trailing failing bounds check.
         assert result.num_iterations == 9
         # The induction-variable chain serializes iteration *starts*, but
@@ -99,12 +106,12 @@ class TestLarus:
         assert result.parallelism > 1.0
 
     def test_serial_loop_parallelism_near_one(self):
-        module, loop, sub, ddg = self._loop_setup(
+        module, loop, iters, ddg = self._loop_setup(
             "double A[8]; int main() { int i; "
             "L: for (i = 1; i < 8; i++) A[i] = A[i-1] * 2.0; return 0; }",
             "L",
         )
-        result = larus_loop_parallelism(sub, ddg, loop.loop_id)
+        result = larus_loop_parallelism(ddg, iters, loop.loop_id)
         assert result.parallelism < 1.6
 
     def test_fig2_larus_misses_reordering_parallelism(self):
@@ -112,34 +119,34 @@ class TestLarus:
         Larus-model partitions tiny, while Algorithm 1 puts each
         statement's instances into one full partition."""
         n = 8
-        module, loop, sub, ddg = self._loop_setup(listing2_source(n), "L")
+        module, loop, iters, ddg = self._loop_setup(listing2_source(n), "L")
         fmuls = [
             sid for sid in set(ddg.sids)
             if module.instruction(sid).opcode is Opcode.FMUL
         ]
         for sid in fmuls:
-            larus = larus_partitions(sub, ddg, loop.loop_id, sid)
+            larus = larus_partitions(ddg, iters, loop.loop_id, sid)
             ours = parallel_partitions(ddg, sid)
             assert max(len(p) for p in larus.values()) == 1
             assert len(ours) == 1
             assert len(next(iter(ours.values()))) == n - 1
 
     def test_mismatched_ddg_rejected(self):
-        module, loop, sub, ddg = self._loop_setup(
+        module, loop, iters, ddg = self._loop_setup(
             "double A[4]; int main() { int i; "
             "L: for (i = 0; i < 4; i++) A[i] = 1.0; return 0; }",
             "L",
         )
         wrong = DDG([1], [FMUL], [()])
         with pytest.raises(AnalysisError):
-            larus_loop_parallelism(sub, wrong, loop.loop_id)
+            larus_loop_parallelism(wrong, iters, loop.loop_id)
 
     def test_total_ops_counts_non_markers(self):
-        module, loop, sub, ddg = self._loop_setup(
+        module, loop, iters, ddg = self._loop_setup(
             "double A[4]; int main() { int i; "
             "L: for (i = 0; i < 4; i++) A[i] = 1.0; return 0; }",
             "L",
         )
-        result = larus_loop_parallelism(sub, ddg, loop.loop_id)
+        result = larus_loop_parallelism(ddg, iters, loop.loop_id)
         assert result.total_ops == len(ddg)
         assert result.completion_time >= 1

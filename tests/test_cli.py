@@ -56,7 +56,7 @@ class TestCLI:
         assert code == 1
 
     def test_trace_dump(self, capsys, tmp_path):
-        out_path = str(tmp_path / "x.vtrc")
+        out_path = str(tmp_path / "x.trace")
         code, out = run_cli(capsys, "trace", "utdsp_fir_array",
                             "--loop", "fir_n", "-o", out_path)
         assert code == 0
@@ -64,7 +64,7 @@ class TestCLI:
 
     def test_trace_missing_instance_fails_without_writing(self, capsys,
                                                           tmp_path):
-        out_path = tmp_path / "x.vtrc"
+        out_path = tmp_path / "x.trace"
         code = main(["trace", "utdsp_fir_array", "--loop", "fir_n",
                      "--instance", "999", "-o", str(out_path)])
         captured = capsys.readouterr()
@@ -158,7 +158,7 @@ class TestRunOptions:
         assert "--fuel" in err
 
     def test_trace_fuel_exhaustion_fails_cleanly(self, capsys, tmp_path):
-        out_path = str(tmp_path / "x.vtrc")
+        out_path = str(tmp_path / "x.trace")
         code = main(["trace", "utdsp_fir_array", "--loop", "fir_n",
                      "-o", out_path, "--fuel", "50"])
         err = capsys.readouterr().err
@@ -318,7 +318,7 @@ class TestObservability:
 
     def test_profile_available_on_trace_subcommand(self, capsys,
                                                    tmp_path):
-        out = str(tmp_path / "x.vtrc")
+        out = str(tmp_path / "x.trace")
         code = main(["trace", "utdsp_fir_array", "--loop", "fir_n",
                      "-o", out, "--profile"])
         captured = capsys.readouterr()

@@ -14,16 +14,18 @@ import pytest
 
 from repro.analysis.metrics import loop_metrics
 from repro.analysis.pipeline import analyze_loop
-from repro.ddg.build import build_ddg
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.interp.interpreter import Interpreter
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, ColumnarTrace
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
+from repro.trace.store import SegmentedLoopSink, open_store
 
 from tests.trace_oracle import (
     LoopWindowSink,
+    Trace,
     assert_ddgs_identical,
     record_trace,
+    records_equal,
+    sink_records,
     walk_records,
 )
 
@@ -89,30 +91,30 @@ def oracle_subtrace(module, loop_id):
     return trace.subtrace(loop_id, 0)
 
 
+def _run(module, sink):
+    Interpreter(module, sink=sink).run("main", ())
+    return sink
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_trace_ddg_bit_identical(seed):
     module = compile_source(random_kernel(seed))
     legacy = record_trace(module)
-    columnar = run_and_trace(module)
-    assert isinstance(columnar, ColumnarTrace)
-    assert len(columnar) == len(legacy)
-    assert_ddgs_identical(build_ddg(columnar), walk_records(legacy))
+    sink = _run(module, ColumnarSink())
+    assert len(sink) == len(legacy)
+    assert_ddgs_identical(sink.to_ddg(), walk_records(legacy))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_trace_records_compat_view(seed):
+    """The columns, read back as records (the oracle's
+    :func:`sink_records`), equal the oracle's records field for field:
+    node ids, loop ids, raw dependences and store addresses included."""
     module = compile_source(random_kernel(seed))
     legacy = record_trace(module)
-    columnar = run_and_trace(module)
-    for a, b in zip(columnar.records, legacy.records):
-        assert a.node == b.node
-        assert a.sid == b.sid
-        assert int(a.opcode) == int(b.opcode)
-        assert a.loop_id == b.loop_id
-        assert tuple(a.deps) == tuple(b.deps)
-        assert tuple(a.addrs) == tuple(b.addrs)
-        assert a.addr == b.addr
-        assert a.store_addr == b.store_addr
+    records = sink_records(_run(module, ColumnarSink()))
+    assert len(records) == len(legacy)
+    assert all(map(records_equal, records, legacy.records))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -145,17 +147,17 @@ def test_loop_metrics_unchanged_on_reductions(seed, relax):
 
 def test_windowed_multi_instance_spans():
     """A window over the inner loop of a nest records one span per outer
-    iteration; runs bookkeeping must keep them separate and the compat
-    Trace must still index them."""
+    iteration; runs bookkeeping must keep them separate and the record
+    view must still index them."""
     module = compile_source(random_kernel(0))
     info = module.loop_by_name("innr")
-    columnar = run_and_trace(module, loop=info.loop_id, instances=None)
+    sink = _run(module, ColumnarLoopSink(info.loop_id, instances=None))
     legacy = record_trace(module, loop=info.loop_id, instances=None)
-    spans_c = columnar.loop_instances(info.loop_id)
+    spans_c = Trace(module, sink_records(sink)).loop_instances(info.loop_id)
     spans_l = legacy.loop_instances(info.loop_id)
-    assert len(spans_c) == len(spans_l) > 1
-    assert len(columnar.columnar_sink.runs) >= len(spans_c)
-    assert_ddgs_identical(build_ddg(columnar), walk_records(legacy))
+    assert len(spans_c) == len(spans_l) == sink.spans_recorded > 1
+    assert len(sink.runs) >= len(spans_c)
+    assert_ddgs_identical(sink.to_ddg(), walk_records(legacy))
 
 
 def test_store_backpatch_is_bounded_to_open_run():
@@ -169,7 +171,7 @@ def test_store_backpatch_is_bounded_to_open_run():
     sink.note_store(20, 0xF00D)  # open run — patched
     sink.note_store(20, 0xDEAD)  # second write — first wins
     assert sink.store_map == {2: 0xF00D}
-    assert [r.store_addr for r in sink.records] == [0, 0, 0xF00D]
+    assert [r.store_addr for r in sink_records(sink)] == [0, 0, 0xF00D]
 
 
 def test_loop_window_sink_by_node_is_bounded():
@@ -186,16 +188,16 @@ def test_loop_window_sink_by_node_is_bounded():
     assert 0 < window < interp.executed_instructions
 
 
-def test_columnar_trace_serializes_like_legacy():
+def test_columnar_trace_serializes_like_legacy(tmp_path):
+    """A window written to a segment store and read back holds the
+    oracle's records of that window, field for field."""
     module = compile_source(random_kernel(4))
     info = module.loop_by_name("outer")
-    columnar = run_and_trace(module, loop=info.loop_id, instances={0})
+    sink = _run(module, SegmentedLoopSink(
+        info.loop_id, instances={0}, spill_dir=str(tmp_path / "outer"),
+        segment_rows=16))
+    back = open_store(sink.finish().path).to_sink()
     legacy = record_trace(module, loop=info.loop_id, instances={0})
-    import io
-
-    from repro.trace.serialize import write_trace
-
-    buf_c, buf_l = io.BytesIO(), io.BytesIO()
-    write_trace(columnar, buf_c)
-    write_trace(legacy, buf_l)
-    assert buf_c.getvalue() == buf_l.getvalue()
+    records = sink_records(back)
+    assert len(records) == len(legacy)
+    assert all(map(records_equal, records, legacy.records))

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.analysis.candidates import candidate_sids
-from repro.ddg import DDG, build_ddg
+from repro.analysis.pipeline import windowed_loop_ddg
+from repro.ddg import DDG
 from repro.errors import AnalysisError
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.ir.instructions import Opcode
+
+from tests.trace_oracle import program_ddg
 
 
 def make_ddg(source, loop=None, module_out=None):
@@ -16,10 +18,8 @@ def make_ddg(source, loop=None, module_out=None):
         module_out.append(module)
     if loop is not None:
         info = module.loop_by_name(loop)
-        trace = run_and_trace(module, loop=info.loop_id)
-        sub = trace.subtrace(info.loop_id, 0)
-        return build_ddg(sub)
-    return build_ddg(run_and_trace(module))
+        return windowed_loop_ddg(module, info.loop_id, loop)[0]
+    return program_ddg(module)
 
 
 class TestConstruction:

@@ -1,34 +1,41 @@
 """The one trace→DDG path against the record oracle.
 
 Production builds every DDG with the numpy remap of
-:meth:`repro.trace.columnar.ColumnarSink.to_ddg`: in RAM, through the
-segment store, and — via :func:`repro.trace.columnar.pack_records` — for
-record traces.  ``tests/trace_oracle.py`` keeps the original
-record-object sinks and :func:`walk_records` as the reference.  The
-oracle sinks run on the step interpreter only, so the comparison on the
-registered workloads also checks the compiled kernels' records.
+:meth:`repro.trace.columnar.ColumnarSink.to_ddg`, in RAM or streamed
+through the segment store (:meth:`repro.trace.store.SegmentStore
+.to_ddg`), whose reader (:func:`repro.trace.store.open_store`) also
+takes stores written elsewhere.  ``tests/trace_oracle.py`` keeps the
+original record-object sinks and :func:`walk_records` as the reference.
+The oracle sinks run on the step interpreter only, so the comparison on
+the registered workloads also checks the compiled kernels' records.
 """
 
-import io
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.larus import node_iterations
 from repro.analysis.pipeline import record_windows, windowed_loop_ddg
-from repro.ddg.build import build_ddg
 from repro.errors import TraceError
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
-from repro.interp.interpreter import DEFAULT_FUEL
+from repro.interp.interpreter import DEFAULT_FUEL, Interpreter
 from repro.ir.instructions import Opcode
-from repro.trace.events import MARKER_ENTER, MARKER_EXIT, DynInstr
-from repro.trace.serialize import read_trace, write_trace
-from repro.trace.store import SegmentStore, spill_subdir
-from repro.trace.trace import Trace
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
+from repro.trace.events import MARKER_ENTER, MARKER_EXIT
+from repro.trace.store import (
+    SegmentedLoopSink,
+    SegmentedSink,
+    SegmentStore,
+    open_store,
+    spill_subdir,
+)
 from repro.workloads import list_workloads
 
 from tests.test_columnar import SEEDS, random_kernel
 from tests.trace_oracle import (
+    DynInstr,
+    Trace,
     assert_ddgs_identical,
     record_trace,
     walk_records,
@@ -63,12 +70,13 @@ WORKLOADS = list_workloads()
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
 def test_registry_windows_match_oracle(workload, tmp_path):
     """Each analyzed loop's window DDG, in RAM and spilled in at least
-    two segments, equals the oracle's walk over the same instance.  A
-    program that analyzes several loops records all of their windows
-    in one run (nested ones, as in ``cactus_leapfrog``, and disjoint
-    ones, as in ``tonto_integrals``): there too, in RAM and spilled,
-    each window's DDG and stats equal those of a run of its loop
-    alone."""
+    two segments, equals the oracle's walk over the same instance, and
+    the Larus iteration numbers read off the window's marker rows equal
+    the oracle's.  A program that analyzes several loops records all of
+    their windows in one run (nested ones, as in ``cactus_leapfrog``,
+    and disjoint ones, as in ``tonto_integrals``): there too, in RAM and
+    spilled, each window's DDG and stats equal those of a run of its
+    loop alone."""
     module = workload.compile()
     loops = [(module.loop_by_name(name).loop_id, name)
              for name in workload.analyze_loops]
@@ -80,6 +88,12 @@ def test_registry_windows_match_oracle(workload, tmp_path):
         expected = walk_records(oracle)
         assert len(expected) > 0
 
+        [window], _ = record_windows(module, [(loop_id, loop_name)],
+                                     workload.entry)
+        assert node_iterations(window.trace, loop_id) == [
+            itn for rec, itn in zip(oracle.records,
+                                    oracle.iteration_numbers(loop_id))
+            if not rec.is_marker]
         ddg, stats, _ = windowed_loop_ddg(module, loop_id, loop_name,
                                           workload.entry, (), 0,
                                           DEFAULT_FUEL)
@@ -115,33 +129,47 @@ def test_registry_windows_match_oracle(workload, tmp_path):
                 assert len(store.segments) >= 2
 
 
-# -- build_ddg on record traces ----------------------------------------------
+# -- building DDGs on kernel traces and hand-made rows ----------------------
 
 
-def _round_trip(trace):
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    buf.seek(0)
-    return read_trace(buf, trace.module)
-
-
-def _kernel_record_traces(seed):
-    """The full trace, a window, and every subtrace of one random
-    kernel, each round-tripped through the trace file format."""
+def _kernel_record_traces(seed, tmp_path):
+    """``(oracle trace, production DDGs)`` pairs for one random kernel:
+    the full trace, and every instance of every loop, each from the
+    in-RAM sink and through a segment store of a few rows per segment
+    (read back with :func:`open_store`, as ``analyze-trace`` reads it)."""
     module = compile_source(random_kernel(seed))
     full = record_trace(module)
-    loop_ids = sorted(full.spans)
-    traces = [full, record_trace(module, loop=loop_ids[0], instances={0})]
-    for loop_id in loop_ids:
+    out = []
+
+    def run(ram, spill, store_dir):
+        for sink in (ram, spill):
+            Interpreter(module, sink=sink).run("main", ())
+        spill.finish()
+        return [ram.to_ddg(), open_store(store_dir).to_ddg()]
+
+    store_dir = str(tmp_path / "full")
+    out.append((full, run(ColumnarSink(),
+                          SegmentedSink(store_dir, segment_rows=16),
+                          store_dir)))
+    for loop_id in sorted(full.spans):
         for instance in range(len(full.loop_instances(loop_id))):
-            traces.append(full.subtrace(loop_id, instance))
-    return [_round_trip(t) for t in traces]
+            store_dir = str(tmp_path / f"loop{loop_id}-{instance}")
+            out.append((full.subtrace(loop_id, instance), run(
+                ColumnarLoopSink(loop_id, {instance}),
+                SegmentedLoopSink(loop_id, {instance}, spill_dir=store_dir,
+                                  segment_rows=16),
+                store_dir)))
+    return out
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_build_ddg_on_kernel_record_traces(seed):
-    for trace in _kernel_record_traces(seed):
-        assert_ddgs_identical(build_ddg(trace), walk_records(trace))
+def test_build_ddg_on_kernel_record_traces(seed, tmp_path):
+    """The production DDG of the full trace and of every loop instance
+    equals the oracle's walk over the same records."""
+    for trace, ddgs in _kernel_record_traces(seed, tmp_path):
+        expected = walk_records(trace)
+        for ddg in ddgs:
+            assert_ddgs_identical(ddg, expected)
 
 
 _OPCODES = [int(op) for op in Opcode]
@@ -149,24 +177,48 @@ _OPCODES = [int(op) for op in Opcode]
 
 @st.composite
 def record_lists(draw):
-    """Hand-made record lists: node ids from 0 (as the interpreter
-    numbers them) or elsewhere, with and without gaps; deps on earlier,
-    later, absent, negative and own node ids; markers that carry
-    payloads."""
+    """Hand-made record lists as a run could write them: node ids from
+    0 (as the interpreter numbers them) or elsewhere, with and without
+    gaps; deps on earlier and absent node ids and the interpreter's -1
+    "no producer" (never on the record's own or a later one); bare
+    markers."""
     n = draw(st.integers(0, 24))
-    node = draw(st.sampled_from([0, 0, 0, 3, -1, -2]))
+    node = draw(st.sampled_from([0, 0, 0, 3, 7]))
     records = []
     for i in range(n):
         if i:
             node += draw(st.sampled_from([1, 1, 1, 2, 3]))
-        deps = tuple(draw(st.lists(st.integers(-4, node + 6), max_size=4)))
+        op = draw(st.sampled_from(_OPCODES))
+        if op >= MARKER_ENTER:
+            records.append(DynInstr(node, draw(st.integers(0, 5)), op,
+                                    draw(st.integers(-1, 3))))
+            continue
+        deps = tuple(draw(st.lists(st.integers(-1, node - 1), max_size=4)))
         addrs = tuple(draw(st.lists(st.integers(0, 64), max_size=3)))
         records.append(DynInstr(
-            node, draw(st.integers(0, 5)), draw(st.sampled_from(_OPCODES)),
-            draw(st.integers(-1, 3)), deps, addrs,
-            draw(st.sampled_from([0, 0, 8, 16])),
+            node, draw(st.integers(0, 5)), op, draw(st.integers(-1, 3)),
+            deps, addrs, draw(st.sampled_from([0, 0, 8, 16])),
             draw(st.sampled_from([0, 0, 24, 32]))))
     return records
+
+
+def _emit(sink, records):
+    """Feed ``records`` to a production sink as a run would: each
+    record, then its store-address backpatch."""
+    for rec in records:
+        sink.emit(rec.node, rec.sid, rec.opcode, rec.loop_id, rec.deps,
+                  rec.addrs, rec.addr)
+        if rec.store_addr:
+            sink.note_store(rec.node, rec.store_addr)
+    return sink
+
+
+def _store_of(records, path, segment_rows=4):
+    """``records`` written to a segment store at ``path``, opened by the
+    outside-input reader."""
+    _emit(SegmentedSink(str(path), segment_rows=segment_rows),
+          records).finish()
+    return open_store(str(path))
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,44 +226,46 @@ def record_lists(draw):
 @example([DynInstr(0, 1, int(Opcode.FADD), -1),
           DynInstr(1, 1, int(Opcode.FADD), -1, (-3, -1, 0))])
 def test_build_ddg_on_hand_made_records(records):
-    trace = Trace(None, records)
-    assert_ddgs_identical(build_ddg(trace), walk_records(trace))
+    expected = walk_records(Trace(None, records))
+    assert_ddgs_identical(_emit(ColumnarSink(), records).to_ddg(), expected)
+    with tempfile.TemporaryDirectory() as store_dir:
+        assert_ddgs_identical(_store_of(records, store_dir).to_ddg(),
+                              expected)
 
 
 def test_build_ddg_on_small_kernel():
     module = compile_source(SMALL_KERNEL)
-    traced = run_and_trace(module)
+    sink = ColumnarSink()
+    Interpreter(module, sink=sink).run("main", ())
     expected = walk_records(record_trace(module))
-    assert len(traced) > 0 and len(expected) > 0
-    assert_ddgs_identical(build_ddg(traced), expected)
-    assert_ddgs_identical(build_ddg(Trace(module, traced.records)),
-                          expected)
+    assert len(sink) > 0 and len(expected) > 0
+    assert_ddgs_identical(sink.to_ddg(), expected)
 
 
 @pytest.mark.parametrize("records", [
     [],
     [DynInstr(0, 1, MARKER_ENTER, 2), DynInstr(1, 1, MARKER_EXIT, 2)],
-    [DynInstr(4, 1, MARKER_ENTER, 2, (3, 4), (8,), 16, 24)],
+    [DynInstr(4, 1, MARKER_ENTER, 2, (), (8,), 16, 24)],
 ], ids=["empty", "markers-only", "marker-with-payload"])
-def test_build_ddg_without_nodes(records):
-    """Empty and markers-only columns go through the same remap."""
-    trace = Trace(None, records)
-    ddg = build_ddg(trace)
-    assert len(ddg) == 0
-    assert list(ddg.pred_offsets) == [0]
-    assert_ddgs_identical(ddg, walk_records(trace))
+def test_build_ddg_without_nodes(records, tmp_path):
+    """Empty and markers-only columns go through the same remap, in RAM
+    and read back from a store."""
+    expected = walk_records(Trace(None, records))
+    for ddg in (_emit(ColumnarSink(), records).to_ddg(),
+                _store_of(records, tmp_path / "store").to_ddg()):
+        assert len(ddg) == 0
+        assert list(ddg.pred_offsets) == [0]
+        assert_ddgs_identical(ddg, expected)
 
 
 @pytest.mark.parametrize("nodes", [(0, 0), (3, 2)])
-def test_build_ddg_rejects_unordered_node_ids(nodes):
-    trace = Trace(None, [DynInstr(node, 1, int(Opcode.FADD), -1)
-                         for node in nodes])
+def test_build_ddg_rejects_unordered_node_ids(nodes, tmp_path):
+    records = [DynInstr(node, 1, int(Opcode.FADD), -1) for node in nodes]
     with pytest.raises(TraceError, match="node id"):
-        build_ddg(trace)
+        _store_of(records, tmp_path / "store")
 
 
 @pytest.mark.parametrize("opcode", [0, 73, 99])
-def test_build_ddg_rejects_unknown_opcodes(opcode):
-    trace = Trace(None, [DynInstr(0, 1, opcode, -1)])
+def test_build_ddg_rejects_unknown_opcodes(opcode, tmp_path):
     with pytest.raises(TraceError, match="opcode"):
-        build_ddg(trace)
+        _store_of([DynInstr(0, 1, opcode, -1)], tmp_path / "store")

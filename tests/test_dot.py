@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.analysis.timestamps import compute_timestamps, parallel_partitions
-from repro.ddg import DDG, build_ddg
+from repro.ddg import DDG
 from repro.ddg.dot import MAX_NODES, ddg_to_dot, partition_legend
+from repro.errors import AnalysisError
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.ir.instructions import Opcode
 
 FMUL = int(Opcode.FMUL)
@@ -41,15 +42,14 @@ int main() {
 """
         module = compile_source(src)
         info = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=info.loop_id)
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, info.loop_id, "L")
         dot = ddg_to_dot(ddg, module)
         assert "fmul@5" in dot
 
     def test_size_limit(self):
         n = MAX_NODES + 1
         big = DDG([1] * n, [FMUL] * n, [()] * n)
-        with pytest.raises(ValueError):
+        with pytest.raises(AnalysisError, match="too large"):
             ddg_to_dot(big)
 
     def test_legend(self):
@@ -81,17 +81,33 @@ class TestDotCLI:
         assert "Kumar" in captured
         assert "Algorithm 1" in captured
 
+    def test_oversize_loop_is_a_clean_error(self, capsys, tmp_path,
+                                            monkeypatch):
+        """A loop whose DDG is past ``MAX_NODES`` exits 1 with an
+        ``error:`` line instead of raising, and writes no file."""
+        from repro.tools.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["dot", "gauss_seidel", "--loop", "time_loop"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"error: graph too large to render (79705 nodes > {MAX_NODES})")
+        assert not (tmp_path / "ddg.dot").exists()
+
     def test_analyze_trace_roundtrip(self, capsys, tmp_path):
         from repro.tools.cli import main
         from repro.workloads import get_workload
 
-        trace_path = str(tmp_path / "t.vtrc")
+        trace_dir = tmp_path / "t.trace"
         src_path = str(tmp_path / "k.c")
         with open(src_path, "w") as fh:
             fh.write(get_workload("utdsp_fir_array").source())
         assert main(["trace", "utdsp_fir_array", "--loop", "fir_n",
-                     "-o", trace_path]) == 0
-        assert main(["analyze-trace", trace_path, "--source",
+                     "-o", str(trace_dir)]) == 0
+        store = trace_dir / "fir_n-inst0"
+        assert capsys.readouterr().out.endswith(f" records to {store}\n")
+        assert main(["analyze-trace", str(store), "--source",
                      src_path]) == 0
         out = capsys.readouterr().out
         assert "100.0%" in out

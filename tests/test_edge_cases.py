@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.ddg import build_ddg
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.errors import FrontendError
 from repro.frontend import compile_source
-from repro.interp import run_and_trace, run_module
+from repro.interp import run_module
+
+from tests.trace_oracle import columnar_trace
 
 
 class TestRecursiveLoopReentry:
@@ -35,7 +37,7 @@ int main() {
 
     def test_full_trace_spans_balanced(self):
         module = compile_source(self.SRC)
-        trace = run_and_trace(module)
+        trace = columnar_trace(module)
         info = module.loop_by_name("L")
         spans = trace.loop_instances(info.loop_id)
         # 3 nested activations per top-level call, 2 calls.
@@ -47,18 +49,19 @@ int main() {
     def test_window_covers_nested_activations(self):
         module = compile_source(self.SRC)
         info = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=info.loop_id, instances={0})
+        trace = columnar_trace(module, loop=info.loop_id, instances={0})
         # Instance 0 is the outermost activation of the first call; the
         # recursive activations happen inside it and are recorded.
         spans = trace.loop_instances(info.loop_id)
         assert len(spans) == 3
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+        ddg, stats, _ = windowed_loop_ddg(module, info.loop_id, "L")
         assert len(ddg) > 0
+        assert stats["rows"] == len(trace)
 
     def test_later_instance_selectable(self):
         module = compile_source(self.SRC)
         info = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=info.loop_id, instances={3})
+        trace = columnar_trace(module, loop=info.loop_id, instances={3})
         # Instance 3 = the outermost activation of the second call.
         assert trace.loop_instances(info.loop_id)
 
@@ -88,7 +91,6 @@ class TestLazyAPI:
         import repro
 
         assert callable(repro.compile_source)
-        assert callable(repro.run_and_trace)
         assert callable(repro.analyze_loop)
         assert callable(repro.analyze_kernel)
         assert repro.LoopReport is not None

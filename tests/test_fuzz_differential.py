@@ -22,20 +22,20 @@ accumulate a scalar reduction local.  Each program is then:
 
 from typing import NamedTuple, Optional
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.candidates import candidate_opcodes, capture_sids
 from repro.analysis.pipeline import windowed_loop_ddg
-from repro.ddg import build_ddg
 from repro.frontend import compile_source
-from repro.interp import run_and_trace, run_module
+from repro.interp import run_module
 from repro.interp.interpreter import DEFAULT_FUEL, Interpreter
 from repro.ir.passes import optimize_module
 from repro.obs import Run, Telemetry, use_run
-from repro.trace.columnar import ColumnarLoopSink
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 
 from tests.test_candidate_cone import oracle_cone
-from tests.trace_oracle import assert_ddgs_identical
+from tests.trace_oracle import assert_ddgs_identical, sink_records
 
 N = 12  # array extent
 ARRAYS = "ABC"
@@ -314,11 +314,17 @@ def test_optimizer_preserves_generated_programs(program):
 def test_traces_of_generated_programs_are_well_formed(program):
     source = to_source(program)
     module = compile_source(source)
-    trace = run_and_trace(module)
-    ddg = build_ddg(trace)  # raises if edges violate topological order
+    sink = ColumnarSink()
+    Interpreter(module, sink=sink).run("main", ())
+    ddg = sink.to_ddg()
+    # Every edge runs from an earlier node: execution order is a
+    # topological order.
+    offsets = np.asarray(ddg.pred_offsets)
+    consumers = np.repeat(np.arange(len(ddg)), np.diff(offsets))
+    assert (np.asarray(ddg.pred_indices) < consumers).all()
     # Loop markers must balance.
     depth = 0
-    for rec in trace.records:
+    for rec in sink_records(sink):
         if rec.opcode == 70:
             depth += 1
         elif rec.opcode == 72:

@@ -1,7 +1,7 @@
 """Trace-replay compilation (:mod:`repro.interp.compile`).
 
 The contract under test is *bit-identity*: with the compiler on, every
-observable artifact — trace columns, serialized trace bytes, DDG, sink
+observable artifact — trace columns, segment-store bytes, DDG, sink
 stats, loop reports, profile counts, fuel accounting — must equal the
 step-interpreter run exactly, in both the in-RAM and spilled trace
 stores.  On top of that: kernel lifecycle (hotness threshold, caching,
@@ -21,10 +21,9 @@ from repro.interp.compile import (
     LoopKernel,
     TraceCompiler,
 )
-from repro.interp.interpreter import Interpreter, run_and_trace
+from repro.interp.interpreter import Interpreter
 from repro.obs import Run, Telemetry, use_run
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
-from repro.trace.serialize import write_trace
 
 STENCIL = """
 float A[64]; float B[64]; float C[64];
@@ -126,25 +125,27 @@ class TestBitIdentity:
         assert d0.store_addrs.tolist() == d1.store_addrs.tolist()
         assert list(d0.pred_indices) == list(d1.pred_indices)
         assert list(d0.pred_offsets) == list(d1.pred_offsets)
-        # The columns survive the build: a second build and the lazy
-        # record view both still see every sparse entry.
+        # The columns survive the build: a second build and a second
+        # read of the columns both still see every sparse entry.
         d2 = s1.to_ddg()
         assert d2.addrs == d1.addrs
         assert d2.mem_addrs.tolist() == d1.mem_addrs.tolist()
-        assert len(s1.records) == len(s0.records)
+        assert _cols(s1) == _cols(s0)
 
-    def test_serialized_trace_bytes_identical(self):
-        import io
+    def test_serialized_trace_bytes_identical(self, tmp_path):
+        """The segment store a compiled run writes equals the step run's
+        byte for byte: manifest and every segment file."""
+        from repro.trace.store import MANIFEST_NAME, SegmentedSink
 
-        module0 = compile_source(BRANCHY)
-        module1 = compile_source(BRANCHY)
-        t0 = run_and_trace(module0, compile_loops=False)
-        t1 = run_and_trace(module1, compile_loops=True,
-                           compile_threshold=4)
-        b0, b1 = io.BytesIO(), io.BytesIO()
-        write_trace(t0, b0)
-        write_trace(t1, b1)
-        assert b0.getvalue() == b1.getvalue()
+        stores = []
+        for compile_loops in (False, True):
+            d = tmp_path / str(compile_loops)
+            _run(BRANCHY, compile_loops,
+                 lambda: SegmentedSink(str(d), segment_rows=64))[2].finish()
+            stores.append({f.name: f.read_bytes() for f in d.iterdir()})
+        assert MANIFEST_NAME in stores[0]
+        assert len(stores[0]) > 2
+        assert stores[0] == stores[1]
 
     def test_windowed_sink_identical(self):
         _, i0, s0, _ = _run(BRANCHY, False,

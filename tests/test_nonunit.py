@@ -133,9 +133,8 @@ class TestEndToEndNonUnit:
     def test_aos_loop_reports_nonunit(self):
         """Array-of-structures traversal (paper Listing 3, S2/S3)."""
         from repro.analysis.metrics import loop_metrics
-        from repro.ddg import build_ddg
+        from repro.analysis.pipeline import windowed_loop_ddg
         from repro.frontend import compile_source
-        from repro.interp import run_and_trace
 
         src = """
 struct pt { double x; double y; };
@@ -153,8 +152,7 @@ int main() {
 """
         module = compile_source(src)
         loop = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=loop.loop_id)
-        ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, loop.loop_id, "L")
         report = loop_metrics(ddg, module, "L")
         # Stride-16 (2 doubles) accesses: zero unit, all non-unit.
         assert report.percent_vec_unit == 0.0
@@ -165,9 +163,8 @@ int main() {
         """After the paper's Listing 4 transformation the same computation
         is unit-stride."""
         from repro.analysis.metrics import loop_metrics
-        from repro.ddg import build_ddg
+        from repro.analysis.pipeline import windowed_loop_ddg
         from repro.frontend import compile_source
-        from repro.interp import run_and_trace
 
         src = """
 struct pts { double x[16]; double y[16]; };
@@ -185,8 +182,7 @@ int main() {
 """
         module = compile_source(src)
         loop = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=loop.loop_id)
-        ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, loop.loop_id, "L")
         report = loop_metrics(ddg, module, "L")
         assert report.percent_vec_unit == 100.0
         assert report.percent_vec_nonunit == 0.0

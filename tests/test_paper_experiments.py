@@ -10,19 +10,19 @@ caught here.
 import pytest
 
 from repro.analysis.metrics import loop_metrics
-from repro.ddg import build_ddg
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.frontend import compile_source, parse_source
-from repro.interp import run_and_trace
 from repro.vectorizer import analyze_program_loops
 from repro.vectorizer.autovec import decisions_by_name
 from repro.workloads import get_workload
+
+from tests.trace_oracle import program_ddg
 
 
 def loop_report(source, label, **kw):
     module = compile_source(source)
     info = module.loop_by_name(label)
-    trace = run_and_trace(module, loop=info.loop_id)
-    ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+    ddg, _, _ = windowed_loop_ddg(module, info.loop_id, label)
     return loop_metrics(ddg, module, label, **kw)
 
 
@@ -42,7 +42,7 @@ class TestFigure1:
 
         n = 8
         module = compile_source(listing1_source(n))
-        ddg = build_ddg(run_and_trace(module))
+        ddg = program_ddg(module)
         from repro.ir.instructions import Opcode
 
         s2 = max(

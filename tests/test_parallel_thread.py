@@ -15,9 +15,10 @@ one-thread-at-a-time methodology.
 import pytest
 
 from repro.analysis.metrics import loop_metrics
-from repro.ddg import build_ddg
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
+
+from tests.trace_oracle import columnar_trace
 
 WORKER_SRC = """
 double A[64];
@@ -49,10 +50,9 @@ def module():
 
 def analyze_rank(module, rank, nthreads=4):
     info = module.loop_by_name("body")
-    trace = run_and_trace(module, entry="worker", args=(rank, nthreads),
-                          loop=info.loop_id, instances={0})
-    sub = trace.subtrace(info.loop_id, 0)
-    return loop_metrics(build_ddg(sub), module, "body")
+    ddg, _, _ = windowed_loop_ddg(module, info.loop_id, "body", "worker",
+                                  (rank, nthreads))
+    return loop_metrics(ddg, module, "body")
 
 
 class TestPerThreadAnalysis:
@@ -71,8 +71,8 @@ class TestPerThreadAnalysis:
         info = module.loop_by_name("body")
         seen = set()
         for rank in range(4):
-            trace = run_and_trace(module, entry="worker", args=(rank, 4),
-                                  loop=info.loop_id, instances={0})
+            trace = columnar_trace(module, entry="worker", args=(rank, 4),
+                                   loop=info.loop_id, instances={0})
             addrs = {
                 r.addr for r in trace.records if r.addr and r.store_addr
             }
@@ -88,5 +88,5 @@ class TestPerThreadAnalysis:
         """Analyzing the sequentialized parallel region from main sees
         all four slices as one loop per instance."""
         info = module.loop_by_name("body")
-        trace = run_and_trace(module, entry="main", loop=info.loop_id)
+        trace = columnar_trace(module, entry="main", loop=info.loop_id)
         assert len(trace.loop_instances(info.loop_id)) == 4

@@ -6,10 +6,9 @@ from repro.analysis.reductions import (
     reduction_edges,
     reduction_relaxed_partitions,
 )
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.analysis.timestamps import parallel_partitions
-from repro.ddg import build_ddg
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.ir.instructions import Opcode
 
 
@@ -33,8 +32,7 @@ int main() {{
 def reduction_setup(n=12):
     module = compile_source(REDUCTION_SRC.format(n=n))
     loop = module.loop_by_name("red")
-    trace = run_and_trace(module, loop=loop.loop_id)
-    ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+    ddg, _, _ = windowed_loop_ddg(module, loop.loop_id, loop.name)
     fadd_sid = next(
         sid for sid in set(ddg.sids)
         if module.instruction(sid).opcode is Opcode.FADD
@@ -60,8 +58,7 @@ int main() {
 """
         module = compile_source(src)
         loop = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=loop.loop_id)
-        ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, loop.loop_id, loop.name)
         assert detect_reduction_chains(ddg) == {}
 
     def test_reduction_edges_are_store_load_pairs(self):
@@ -100,8 +97,7 @@ int main() {
 """
         module = compile_source(src)
         loop = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=loop.loop_id)
-        ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, loop.loop_id, loop.name)
         sid = next(
             s for s in set(ddg.sids)
             if module.instruction(s).opcode is Opcode.FMUL
@@ -131,8 +127,7 @@ int main() {
 
         module = compile_source(subvq_source(codebook=8, dim=8))
         loop = module.loop_by_name("vq_c")
-        trace = run_and_trace(module, loop=loop.loop_id)
-        ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, loop.loop_id, loop.name)
         fadds = [
             s for s in set(ddg.sids)
             if module.instruction(s).opcode is Opcode.FADD

@@ -1,23 +1,42 @@
-"""Binary trace serialization round-trip tests."""
+"""The one on-disk trace format: segment-store round trips and the
+reader's checks on stores from outside.
 
-import io
+``vectra trace`` writes a loop's window as a segment store
+(:mod:`repro.trace.store`) and ``vectra analyze-trace`` reads it back
+with :func:`~repro.trace.store.open_store`.  A store read that way is
+outside input: its manifest and its rows are checked, and anything
+malformed raises :class:`~repro.errors.TraceError`, never a raw Python
+error.
+"""
+
+import json
+import os
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
-from repro.trace.events import DynInstr
-from repro.trace.serialize import (
-    MAGIC,
-    MAX_COUNT,
-    load_trace,
-    read_trace,
-    save_trace,
-    write_trace,
+from repro.interp.interpreter import Interpreter
+from repro.ir.instructions import Opcode
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
+from repro.trace.events import MARKER_ENTER
+from repro.trace.store import (
+    MANIFEST_NAME,
+    SECTION_TYPECODES,
+    SegmentedLoopSink,
+    SegmentedSink,
+    open_store,
 )
-from repro.trace.trace import Trace
+
+from tests.trace_oracle import (
+    DynInstr,
+    Trace,
+    assert_ddgs_identical,
+    records_equal,
+    sink_records,
+)
 
 
 SRC = """
@@ -29,207 +48,341 @@ int main() {
 }
 """
 
+FADD = int(Opcode.FADD)
+
 
 @pytest.fixture
 def module():
     return compile_source(SRC)
 
 
-def test_round_trip_preserves_all_fields(module):
-    trace = run_and_trace(module)
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    buf.seek(0)
-    back = read_trace(buf, module)
-    assert len(back) == len(trace)
-    for a, b in zip(trace.records, back.records):
-        assert a.node == b.node
-        assert a.sid == b.sid
-        assert int(a.opcode) == int(b.opcode)
-        assert a.loop_id == b.loop_id
-        assert tuple(a.deps) == tuple(b.deps)
-        assert tuple(a.addrs) == tuple(b.addrs)
-        assert a.addr == b.addr
-        assert a.store_addr == b.store_addr
+def _run(module, sink):
+    Interpreter(module, sink=sink).run("main", ())
+    return sink
 
 
-def test_round_trip_via_files(module, tmp_path):
-    trace = run_and_trace(module)
-    path = str(tmp_path / "t.vtrc")
-    save_trace(trace, path)
-    back = load_trace(path, module)
-    assert len(back) == len(trace)
+def _store(module, path, segment_rows=8):
+    """The full trace of ``module`` written to a store at ``path`` and
+    opened by the outside-input reader, with the in-RAM sink of the
+    same run."""
+    ram = _run(module, ColumnarSink())
+    _run(module, SegmentedSink(str(path), segment_rows=segment_rows)).finish()
+    return ram, open_store(str(path))
 
 
-def test_spans_survive_round_trip(module):
-    trace = run_and_trace(module)
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    buf.seek(0)
-    back = read_trace(buf, module)
+def _write(records, path, segment_rows=4):
+    """``records`` fed to a segment store at ``path`` as a run would:
+    each record, then its store-address backpatch."""
+    sink = SegmentedSink(str(path), segment_rows=segment_rows)
+    for rec in records:
+        sink.emit(rec.node, rec.sid, rec.opcode, rec.loop_id, rec.deps,
+                  rec.addrs, rec.addr)
+        if rec.store_addr:
+            sink.note_store(rec.node, rec.store_addr)
+    return sink.finish()
+
+
+def _segment_path(store, index=-1):
+    return os.path.join(store.path, store.segments[index]["file"])
+
+
+def _manifest(path):
+    return json.loads((path / MANIFEST_NAME).read_text())
+
+
+def _set_manifest(path, manifest):
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def test_round_trip_preserves_all_fields(module, tmp_path):
+    ram, store = _store(module, tmp_path / "full")
+    assert len(store.segments) > 1
+    back = store.to_sink()
+    records = sink_records(back)
+    assert len(records) == len(ram) == len(store)
+    assert all(map(records_equal, records, sink_records(ram)))
+    assert_ddgs_identical(store.to_ddg(), ram.to_ddg())
+
+
+def test_round_trip_via_files(module, tmp_path, capsys):
+    """``trace -o DIR`` writes the window's store under DIR and names it;
+    reopened, it holds the DDG of the same window recorded in RAM."""
+    from repro.tools.cli import main
+    from repro.workloads import get_workload
+
+    assert main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                 "-o", str(tmp_path / "fir.trace")]) == 0
+    path = tmp_path / "fir.trace" / "fir_n-inst0"
+    assert capsys.readouterr().out == (
+        f"wrote {len(open_store(str(path)))} records to {path}\n")
+    fir = get_workload("utdsp_fir_array").compile()
+    ram = _run(fir, ColumnarLoopSink(fir.loop_by_name("fir_n").loop_id, {0}))
+    assert_ddgs_identical(open_store(str(path)).to_ddg(), ram.to_ddg())
+
+
+def test_spans_survive_round_trip(module, tmp_path):
+    _, store = _store(module, tmp_path / "full")
+    back = Trace(module, sink_records(store.to_sink()))
     loop = module.loop_by_name("L")
     assert len(back.loop_instances(loop.loop_id)) == 1
 
 
-def test_bad_magic_rejected(module):
+def test_bad_magic_rejected(module, tmp_path):
+    _, store = _store(module, tmp_path / "full")
+    with open(_segment_path(store, 0), "r+b") as fh:
+        fh.write(b"NOPE")
+    with pytest.raises(TraceError, match="not a segment file"):
+        store.to_ddg()
+
+
+def test_truncated_header_rejected(module, tmp_path):
+    _, store = _store(module, tmp_path / "full")
+    os.truncate(_segment_path(store, 0), 2)
     with pytest.raises(TraceError):
-        read_trace(io.BytesIO(b"NOPE" + b"\x00" * 16), module)
+        store.to_ddg()
 
 
-def test_truncated_header_rejected(module):
-    with pytest.raises(TraceError):
-        read_trace(io.BytesIO(b"VT"), module)
+def test_truncated_record_rejected(module, tmp_path):
+    _, store = _store(module, tmp_path / "full")
+    path = _segment_path(store)
+    os.truncate(path, os.path.getsize(path) - 7)
+    with pytest.raises(TraceError, match="truncated"):
+        store.to_ddg()
 
 
-def test_truncated_record_rejected(module):
-    trace = run_and_trace(module)
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    data = buf.getvalue()[: len(buf.getvalue()) - 7]
-    with pytest.raises(TraceError):
-        read_trace(io.BytesIO(data), module)
-
-
-def _synthetic_trace(module, dep_counts=(), addr_counts=()):
-    """Records with chosen dependence/address list lengths — the count
-    columns are what the u8→u16 format bump is about."""
+def _synthetic_records(dep_counts=(), addr_counts=()):
+    """Records with chosen dependence/address list lengths, each
+    dependence on an earlier record."""
     n = max(len(dep_counts), len(addr_counts), 1)
     records = []
     for i in range(n):
         nd = dep_counts[i] if i < len(dep_counts) else 0
         na = addr_counts[i] if i < len(addr_counts) else 0
         records.append(DynInstr(
-            node=i, sid=i + 1, opcode=3, loop_id=-1,
-            deps=tuple(range(nd)), addrs=tuple(8 * k for k in range(na)),
-            addr=i * 8, store_addr=i * 16,
+            node=i, sid=i + 1, opcode=FADD, loop_id=-1,
+            deps=tuple(k % max(i, 1) for k in range(nd)) if i else (),
+            addrs=tuple(8 * k for k in range(na)), addr=i * 8,
+            store_addr=i * 16,
         ))
-    return Trace(module, records)
+    return records
 
 
-def _v1_bytes(records):
-    """A handcrafted version-1 stream (u8 counts) for reader-compat
-    tests — the v2 writer can no longer produce one."""
-    out = bytearray(struct.pack("<4sIQ", MAGIC, 1, len(records)))
-    for rec in records:
-        out += struct.pack("<QIBiQQ", rec.node, rec.sid, int(rec.opcode),
-                           rec.loop_id, rec.addr, rec.store_addr)
-        out.append(len(rec.deps))
-        if rec.deps:
-            out += struct.pack(f"<{len(rec.deps)}q", *rec.deps)
-        out.append(len(rec.addrs))
-        if rec.addrs:
-            out += struct.pack(f"<{len(rec.addrs)}Q", *rec.addrs)
-    return bytes(out)
+@pytest.mark.parametrize("count", [0, 1, 254, 255, 256, 1000, 65535])
+def test_store_round_trip_at_count_boundaries(tmp_path, count):
+    """A row's dependence and operand-address lists round-trip at every
+    length, across the old one- and two-byte count boundaries."""
+    records = _synthetic_records(dep_counts=(0, count),
+                                 addr_counts=(0, count))
+    back = sink_records(open_store(
+        _write(records, tmp_path / "s").path).to_sink())
+    assert len(back) == len(records)
+    assert all(map(records_equal, back, records))
 
 
-def _assert_records_equal(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.node == y.node
-        assert x.sid == y.sid
-        assert int(x.opcode) == int(y.opcode)
-        assert x.loop_id == y.loop_id
-        assert tuple(x.deps) == tuple(y.deps)
-        assert tuple(x.addrs) == tuple(y.addrs)
-        assert x.addr == y.addr
-        assert x.store_addr == y.store_addr
-
-
-@pytest.mark.parametrize("count", [0, 1, 254, 255, 256, 1000, MAX_COUNT])
-def test_v2_round_trip_at_count_boundaries(module, count):
-    """The u8 format died at 256; v2 must carry every count up to the
-    u16 limit — including the exact old and new boundaries."""
-    trace = _synthetic_trace(module, dep_counts=(count,),
-                             addr_counts=(0, count))
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    buf.seek(0)
-    back = read_trace(buf, module)
-    _assert_records_equal(trace.records, back.records)
-
-
-@pytest.mark.parametrize("field", ["deps", "addrs"])
-def test_count_past_format_limit_names_the_record(module, field):
-    """One past the u16 limit: a TraceError naming the offending record,
-    not an opaque struct/bytearray ValueError."""
-    kwargs = {"dep_counts": (1, MAX_COUNT + 1)} if field == "deps" else {
-        "addr_counts": (1, MAX_COUNT + 1)}
-    trace = _synthetic_trace(module, **kwargs)
-    with pytest.raises(TraceError) as excinfo:
-        write_trace(trace, io.BytesIO())
-    message = str(excinfo.value)
-    assert "record 1" in message
-    assert str(MAX_COUNT + 1) in message
-
-
-@pytest.mark.parametrize("count", [0, 1, 254, 255])
-def test_v1_reader_compat_at_u8_boundaries(module, count):
-    """The reader keeps decoding version-1 streams (u8 counts) across
-    the whole u8 range."""
-    trace = _synthetic_trace(module, dep_counts=(count,),
-                             addr_counts=(count, 3))
-    back = read_trace(io.BytesIO(_v1_bytes(trace.records)), module)
-    _assert_records_equal(trace.records, back.records)
-
-
-def test_unknown_version_rejected(module):
-    data = struct.pack("<4sIQ", MAGIC, 3, 0)
+def test_unknown_version_rejected(module, tmp_path):
+    _, store = _store(module, tmp_path / "full")
+    with open(_segment_path(store, 0), "r+b") as fh:
+        fh.seek(4)
+        fh.write(struct.pack("<I", 3))
     with pytest.raises(TraceError, match="version 3"):
-        read_trace(io.BytesIO(data), module)
+        store.to_ddg()
 
 
-def test_trailing_bytes_rejected_with_offset(module):
-    """Corrupted/concatenated files used to load 'successfully'; now the
-    error reports how many bytes are left and where they start."""
-    trace = _synthetic_trace(module, dep_counts=(2, 0, 1))
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    clean = buf.getvalue()
+def test_trailing_bytes_rejected_with_offset(module, tmp_path):
+    """A segment file longer than the manifest says (junk appended, or
+    two files concatenated) is refused, naming the extra bytes and where
+    they start."""
+    _, store = _store(module, tmp_path / "full")
+    path = _segment_path(store)
+    with open(path, "rb") as fh:
+        clean = fh.read()
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 7)
     with pytest.raises(TraceError) as excinfo:
-        read_trace(io.BytesIO(clean + b"\x00" * 7), module)
+        store.to_ddg()
     message = str(excinfo.value)
     assert "7 trailing byte(s)" in message
     assert f"offset {len(clean)}" in message
-    # Two concatenated streams: the second stream is the trailing junk.
+    with open(path, "wb") as fh:
+        fh.write(clean + clean)
     with pytest.raises(TraceError, match="trailing"):
-        read_trace(io.BytesIO(clean + clean), module)
+        store.to_ddg()
 
 
-def test_truncation_at_every_offset_rejected(module):
-    """Fuzz: every strict prefix of a valid stream must raise TraceError
-    — never a partial load, never an uncaught struct/IndexError."""
-    trace = _synthetic_trace(module, dep_counts=(3, 0, 1),
-                             addr_counts=(0, 2, 257))
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    data = buf.getvalue()
+def test_truncation_at_every_offset_rejected(tmp_path):
+    """Every strict prefix of a segment file raises TraceError — never a
+    partial load, never an uncaught struct or numpy error."""
+    records = _synthetic_records(dep_counts=(0, 1, 1),
+                                 addr_counts=(0, 2, 257))
+    store = _write(records, tmp_path / "s", segment_rows=8)
+    path = _segment_path(store, 0)
+    with open(path, "rb") as fh:
+        data = fh.read()
     for cut in range(len(data)):
+        with open(path, "wb") as fh:
+            fh.write(data[:cut])
         with pytest.raises(TraceError):
-            read_trace(io.BytesIO(data[:cut]), module)
-    _assert_records_equal(
-        trace.records, read_trace(io.BytesIO(data), module).records
-    )
+            open_store(store.path).to_ddg()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    back = sink_records(open_store(store.path).to_sink())
+    assert all(map(records_equal, back, records))
 
 
-def test_windowed_subtrace_round_trip(module):
-    """The buffered writer/reader preserve a windowed subtrace — the
-    collect-then-analyze artifact the CLI's ``trace`` command dumps —
-    field for field, markers included."""
+def test_windowed_subtrace_round_trip(module, tmp_path):
+    """A window — the collect-then-analyze artifact ``trace`` writes —
+    survives the store field for field, markers included."""
     loop = module.loop_by_name("L")
-    trace = run_and_trace(module, loop=loop.loop_id, instances={0})
-    sub = trace.subtrace(loop.loop_id, 0)
-    buf = io.BytesIO()
-    write_trace(sub, buf)
-    buf.seek(0)
-    back = read_trace(buf, module)
-    assert len(back) == len(sub)
-    for a, b in zip(sub.records, back.records):
-        assert a.node == b.node
-        assert a.sid == b.sid
-        assert int(a.opcode) == int(b.opcode)
-        assert a.loop_id == b.loop_id
-        assert tuple(a.deps) == tuple(b.deps)
-        assert tuple(a.addrs) == tuple(b.addrs)
-        assert a.addr == b.addr
-        assert a.store_addr == b.store_addr
-    assert len(back.loop_instances(loop.loop_id)) == 1
+    ram = _run(module, ColumnarLoopSink(loop.loop_id, {0}))
+    spill = _run(module, SegmentedLoopSink(
+        loop.loop_id, {0}, spill_dir=str(tmp_path / "L"), segment_rows=8))
+    back = sink_records(open_store(spill.finish().path).to_sink())
+    assert len(back) == len(ram)
+    assert all(map(records_equal, back, sink_records(ram)))
+    assert len(Trace(module, back).loop_instances(loop.loop_id)) == 1
+
+
+# -- malformed manifests ------------------------------------------------
+
+
+def _no_segments(m):
+    del m["segments"]
+    return m
+
+
+def _segments_five(m):
+    m["segments"] = 5
+    return m
+
+
+def _empty_segment(m):
+    m["segments"][0] = {}
+    return m
+
+
+def _escaping_file(m):
+    m["segments"][0]["file"] = "../" + m["segments"][0]["file"]
+    return m
+
+
+def _short_section_table(m):
+    del m["segments"][0]["sections"]["sids"]
+    return m
+
+
+def _rows_disagree(m):
+    m["rows"] += 1
+    return m
+
+
+def _bad_patches(m):
+    m["segments"][0]["store_patches"] = [[1]]
+    return m
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda m: [], _no_segments, _segments_five, _empty_segment,
+    _escaping_file, _short_section_table, _rows_disagree, _bad_patches,
+], ids=["list", "no-segments", "segments-5", "empty-segment",
+        "escaping-file", "short-section-table", "rows-disagree",
+        "bad-patches"])
+def test_malformed_manifest_rejected(module, tmp_path, corrupt):
+    path = tmp_path / "full"
+    _store(module, path)
+    _set_manifest(path, corrupt(_manifest(path)))
+    with pytest.raises(TraceError):
+        open_store(str(path))
+
+
+# -- rows a run never writes --------------------------------------------
+
+
+def _patch_section(store, name, index, value):
+    """Overwrite entry ``index`` of section ``name`` of the first
+    segment in place."""
+    tc = SECTION_TYPECODES[name]
+    off, count = store.segments[0]["sections"][name]
+    assert index < count
+    with open(_segment_path(store, 0), "r+b") as fh:
+        fh.seek(off + index * struct.calcsize(tc))
+        fh.write(struct.pack("<" + tc, value))
+
+
+@pytest.mark.parametrize("records,match", [
+    ([DynInstr(0, 1, FADD, -1, (1,)), DynInstr(1, 1, FADD, -1)],
+     "earlier node"),
+    ([DynInstr(0, 1, FADD, -1), DynInstr(1, 1, FADD, -1, (1,))],
+     "earlier node"),
+    ([DynInstr(0, 1, FADD, -1), DynInstr(1, 1, MARKER_ENTER, 2, (0,))],
+     "marker row carries"),
+], ids=["later-node", "own-node", "marker-deps"])
+def test_outside_rows_rejected(tmp_path, records, match):
+    with pytest.raises(TraceError, match=match):
+        open_store(_write(records, tmp_path / "s").path)
+
+
+@pytest.mark.parametrize("section,value,match", [
+    ("opcodes", MARKER_ENTER, "marker rows"),
+    ("mem_rows", 99, "outside"),
+    ("dep_counts", 5, "dependence counts"),
+], ids=["marker-opcode", "mem-row", "dep-counts"])
+def test_corrupt_sections_rejected(tmp_path, section, value, match):
+    records = [DynInstr(0, 1, int(Opcode.LOAD), -1, (), (), 8),
+               DynInstr(1, 1, FADD, -1, (0,))]
+    store = _write(records, tmp_path / "s")
+    _patch_section(store, section, 0, value)
+    with pytest.raises(TraceError, match=match):
+        open_store(store.path)
+
+
+def test_run_written_store_passes_the_row_checks(module, tmp_path):
+    _, store = _store(module, tmp_path / "full", segment_rows=3)
+    store.check_rows()
+    ops = np.concatenate([seg.columns().opcodes
+                          for seg in store.iter_segments()])
+    assert (ops >= MARKER_ENTER).any()
+
+
+# -- the CLI ------------------------------------------------------------
+
+
+def _source_file(tmp_path):
+    from repro.workloads import get_workload
+
+    path = tmp_path / "fir.c"
+    path.write_text(get_workload("utdsp_fir_array").source())
+    return str(path)
+
+
+def test_analyze_trace_on_non_store_fails_cleanly(tmp_path, capsys):
+    from repro.tools.cli import main
+
+    code = main(["analyze-trace", str(tmp_path), "--source",
+                 _source_file(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert "not a trace store" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("corrupt", ["manifest", "segment"])
+def test_analyze_trace_on_corrupt_store_fails_cleanly(tmp_path, capsys,
+                                                      corrupt):
+    from repro.tools.cli import main
+
+    assert main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                 "-o", str(tmp_path / "t")]) == 0
+    path = tmp_path / "t" / "fir_n-inst0"
+    if corrupt == "manifest":
+        _set_manifest(path, _segments_five(_manifest(path)))
+    else:
+        seg = path / _manifest(path)["segments"][0]["file"]
+        os.truncate(seg, seg.stat().st_size // 2)
+    capsys.readouterr()
+    code = main(["analyze-trace", str(path), "--source",
+                 _source_file(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert captured.out == ""

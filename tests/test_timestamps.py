@@ -14,13 +14,14 @@ from repro.analysis.timestamps import (
     critical_path_length,
     parallel_partitions,
 )
-from repro.ddg import DDG, build_ddg
+from repro.analysis.pipeline import windowed_loop_ddg
+from repro.ddg import DDG
 from repro.errors import AnalysisError
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.ir.instructions import Opcode
 
 from tests.conftest import listing1_source, listing2_source
+from tests.trace_oracle import program_ddg
 
 FMUL = int(Opcode.FMUL)
 FADD = int(Opcode.FADD)
@@ -212,7 +213,7 @@ class TestProperties:
         from repro.analysis.kumar import kumar_partitions
 
         module = compile_source(listing1_source(6))
-        ddg = build_ddg(run_and_trace(module))
+        ddg = program_ddg(module)
         for sid in set(ddg.sids):
             if ddg.opcodes[ddg.instances_of(sid)[0]] != FMUL:
                 continue
@@ -235,7 +236,7 @@ class TestPaperListings:
         N-1 partitions of size N."""
         n = 8
         module = compile_source(listing1_source(n))
-        ddg = build_ddg(run_and_trace(module))
+        ddg = program_ddg(module)
         sids = sorted(
             self._fmul_sids(module, ddg),
             key=lambda s: module.instruction(s).line,
@@ -254,7 +255,7 @@ class TestPaperListings:
 
         n = 8
         module = compile_source(listing1_source(n))
-        ddg = build_ddg(run_and_trace(module))
+        ddg = program_ddg(module)
         profile = kumar_profile(ddg, weights="candidates")
         assert profile.critical_path == 2 * (n - 1)
         assert profile.average_parallelism == pytest.approx((n + 1) / 2)
@@ -264,8 +265,7 @@ class TestPaperListings:
         n = 8
         module = compile_source(listing2_source(n))
         loop = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=loop.loop_id)
-        ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, loop.loop_id, loop.name)
         for sid in self._fmul_sids(module, ddg):
             parts = parallel_partitions(ddg, sid)
             assert len(parts) == 1

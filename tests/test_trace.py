@@ -1,12 +1,18 @@
-"""Trace collection tests: records, loop spans, subtraces, sinks."""
+"""Trace collection tests: records, loop spans, subtraces, sinks.
+
+The production sinks' columns are read back as records through the
+oracle (:func:`tests.trace_oracle.columnar_trace`), whose
+:class:`~tests.trace_oracle.Trace` indexes them by loop span.
+"""
 
 import pytest
 
 from repro.errors import TraceError
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.ir.instructions import Opcode
 from repro.trace.events import MARKER_ENTER, MARKER_EXIT, MARKER_NEXT
+
+from tests.trace_oracle import columnar_trace
 
 
 SRC = """
@@ -32,7 +38,7 @@ def module():
 
 @pytest.fixture
 def trace(module):
-    return run_and_trace(module)
+    return columnar_trace(module)
 
 
 class TestRecords:
@@ -114,7 +120,7 @@ class TestLoopStructure:
 class TestWindowSink:
     def test_window_restricts_to_loop(self, module):
         inner = module.loop_by_name("inner")
-        trace = run_and_trace(module, loop=inner.loop_id)
+        trace = columnar_trace(module, loop=inner.loop_id)
         # 3 instances recorded back to back.
         assert len(trace.loop_instances(inner.loop_id)) == 3
         assert all(
@@ -124,13 +130,14 @@ class TestWindowSink:
 
     def test_window_single_instance(self, module):
         inner = module.loop_by_name("inner")
-        trace = run_and_trace(module, loop=inner.loop_id, instances={2})
+        trace = columnar_trace(module, loop=inner.loop_id, instances={2})
         assert len(trace.loop_instances(inner.loop_id)) == 1
         sub = trace.subtrace(inner.loop_id, 0)
         assert len(sub.candidate_records()) == 2
 
     def test_window_smaller_than_full_trace(self, module):
-        full = run_and_trace(module)
-        window = run_and_trace(module, loop=module.loop_by_name("inner").loop_id,
-                               instances={0})
+        full = columnar_trace(module)
+        window = columnar_trace(module,
+                                loop=module.loop_by_name("inner").loop_id,
+                                instances={0})
         assert len(window) < len(full)

@@ -15,11 +15,10 @@ import os
 import pytest
 
 from repro.analysis.pipeline import analyze_loop
-from repro.ddg.build import build_ddg
 from repro.errors import TraceError
 from repro.frontend import compile_source
 from repro.interp.interpreter import Interpreter
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, ColumnarTrace
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.store import (
     MANIFEST_NAME,
     SegmentedLoopSink,
@@ -28,7 +27,11 @@ from repro.trace.store import (
 )
 
 from tests.test_columnar import random_kernel
-from tests.trace_oracle import assert_ddgs_identical
+from tests.trace_oracle import (
+    assert_ddgs_identical,
+    records_equal,
+    sink_records,
+)
 
 SEEDS = list(range(8))
 
@@ -177,17 +180,14 @@ def test_pre_spill_store_entry_beats_late_patch(tmp_path):
 
 
 def test_stored_trace_dispatches_and_materializes(tmp_path):
-    """A store's reassembled sink, viewed as a trace, goes through
-    build_ddg's columnar path and materializes the same records."""
-    module, _, ram, store = _window_pair(0, tmp_path)
-    trace = ColumnarTrace(module, store.to_sink())
-    assert len(trace) == store.total_rows
-    assert_ddgs_identical(ram.to_ddg(), build_ddg(trace))
-    for a, b in zip(trace.records, ram.records, strict=True):
-        assert (a.node, a.sid, int(a.opcode), a.loop_id) == (
-            b.node, b.sid, int(b.opcode), b.loop_id)
-        assert tuple(a.deps) == tuple(b.deps)
-        assert a.store_addr == b.store_addr
+    """A store's reassembled sink builds the in-RAM DDG and holds the
+    same records."""
+    _, _, ram, store = _window_pair(0, tmp_path)
+    back = store.to_sink()
+    assert len(back) == store.total_rows
+    assert_ddgs_identical(ram.to_ddg(), back.to_ddg())
+    assert all(map(records_equal, sink_records(back), sink_records(ram)))
+    assert len(sink_records(back)) == len(ram)
 
 
 def test_segmented_sink_refuses_in_ram_conveniences(tmp_path):
@@ -195,8 +195,6 @@ def test_segmented_sink_refuses_in_ram_conveniences(tmp_path):
     sink.emit(0, 1, 1, -1)
     with pytest.raises(TraceError, match="finish"):
         sink.to_ddg()
-    with pytest.raises(TraceError, match="finish"):
-        sink.records
     with pytest.raises(TraceError):
         SegmentedSink(str(tmp_path / "bad"), segment_rows=0)
 

@@ -7,16 +7,14 @@ from repro.analysis.vlength import (
     VectorLengthProfile,
     vector_length_profile,
 )
-from repro.ddg import build_ddg
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 
 
 def profile_of(source, label, **kw):
     module = compile_source(source)
     info = module.loop_by_name(label)
-    trace = run_and_trace(module, loop=info.loop_id)
-    ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+    ddg, _, _ = windowed_loop_ddg(module, info.loop_id, label)
     return vector_length_profile(ddg, module, label, **kw)
 
 
@@ -122,8 +120,7 @@ class TestPaperUseCase:
         w = get_workload("milc_su3mv")
         module = w.compile(sites=64)
         info = module.loop_by_name("sites_loop")
-        trace = run_and_trace(module, loop=info.loop_id)
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, info.loop_id, info.name)
         profile = vector_length_profile(ddg, module, "sites_loop")
         assert profile.gpu_coverage >= 0.5
         assert profile.verdict() == "gpu-scale parallelism"
@@ -136,7 +133,6 @@ class TestPaperUseCase:
         w = get_workload("povray_bbox")
         module = w.compile()
         info = module.loop_by_name("walk")
-        trace = run_and_trace(module, loop=info.loop_id)
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+        ddg, _, _ = windowed_loop_ddg(module, info.loop_id, info.name)
         profile = vector_length_profile(ddg, module, "walk")
         assert profile.coverage_at(32) < 0.5
