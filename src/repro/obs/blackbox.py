@@ -165,10 +165,6 @@ class FlightRecorder:
         if bus.enabled:
             phase = bus.phase_name
             progress = bus.sample()
-            worker_records = bus.worker_records()
-            if worker_records:
-                progress["records"] = (progress.get("records", 0)
-                                       + worker_records)
             workers = bus.worker_rows()
             stalls = bus.stalls
         events: List[dict] = []
@@ -294,8 +290,7 @@ def render_autopsy(bundle: dict) -> str:
             lines.append(
                 f"    pid {worker.get('pid', '?'):>7}  "
                 f"{worker.get('state', '?'):<8}"
-                f"hb {worker.get('age_s', float('nan')):.1f}s ago  "
-                f"rec {worker.get('records', 0)}"
+                f"hb {worker.get('age_s', float('nan')):.1f}s ago"
             )
     else:
         lines.append("  workers     : (none — serial run)")

@@ -16,7 +16,7 @@ this module answers "what is happening" *during* one.  Three pieces:
   stage boundaries and nothing per record.
 - :class:`StatusTicker` — a daemon thread that drains the bus every
   ``interval`` seconds into **status frames**: versioned
-  (:data:`LIVE_SCHEMA` = ``vectra.live/1``) JSON documents, one per
+  (:data:`LIVE_SCHEMA` = ``vectra.live/2``) JSON documents, one per
   line, written to the CLI's ``--status-json PATH|-|fd:N`` target.
   Frames carry per-stage progress with totals, EWMA rates with an ETA,
   sampled resource gauges (current RSS, spill-dir disk usage, on-disk
@@ -26,7 +26,7 @@ this module answers "what is happening" *during* one.  Three pieces:
 - the **heartbeat watchdog** — pool workers run a sidecar daemon
   thread (:meth:`StatusBus.heartbeat_to`, started by the pool
   initializer :func:`repro.obs.run.init_worker`) that ships ``(pid,
-  wall time, records)`` tuples through a multiprocessing queue every
+  wall time)`` pairs through a multiprocessing queue every
   ``heartbeat_interval``.  The parent's ticker drains the queue; a
   worker silent past ``stall_timeout`` raises a
   :class:`WorkerStallWarning`, logs a ``vectra.live`` warning, bumps
@@ -77,7 +77,10 @@ __all__ = [
 ]
 
 #: Version tag of the status-frame stream (bump on shape changes).
-LIVE_SCHEMA = "vectra.live/1"
+#: ``vectra.live/2`` dropped the per-worker ``records`` field of
+#: ``vectra.live/1``: pool workers analyze recorded windows and
+#: interpret nothing, so it always read 0.
+LIVE_SCHEMA = "vectra.live/2"
 
 #: Default seconds between status frames (the CLI's ``--status-interval``).
 DEFAULT_STATUS_INTERVAL = 1.0
@@ -175,8 +178,7 @@ class StatusBus:
         self.phase_name = "startup"
         self.spill_dirs: List[str] = []
         #: worker heartbeats the ticker pushes into frames:
-        #: pid -> {"ts": wall clock, "records": n, "state": ok|stalled|
-        #: dead|done}.
+        #: pid -> {"ts": wall clock, "state": ok|stalled|dead|done}.
         self.workers: Dict[int, dict] = {}
         #: workers flagged by the watchdog so far (rides in every frame).
         self.stalls = 0
@@ -226,9 +228,7 @@ class StatusBus:
     # -- reading (ticker side) ---------------------------------------------
 
     def sample(self) -> Dict[str, int]:
-        """Merged progress: counters plus current sampler readings
-        (worker-shipped records are added by the frame builder, not
-        here — workers sample their own bus)."""
+        """Merged progress: counters plus current sampler readings."""
         out = dict(self.counters)
         for name, fn in list(self._samplers.items()):
             try:
@@ -256,8 +256,8 @@ class StatusBus:
         return self._hb_queue
 
     def heartbeat_to(self, channel) -> None:
-        """Worker side: start the sidecar daemon thread that ships this
-        bus's record count into the parent's ``channel`` every
+        """Worker side: start the sidecar daemon thread that ships a
+        heartbeat into the parent's ``channel`` every
         ``heartbeat_interval``."""
         threading.Thread(target=_heartbeat_loop, args=(channel, self),
                          name="vectra-heartbeat", daemon=True).start()
@@ -274,17 +274,15 @@ class StatusBus:
             return
         while True:
             try:
-                pid, ts, records = q.get_nowait()
+                pid, ts = q.get_nowait()
             except (_queue.Empty, OSError):
                 break
             with self._lock:
                 worker = self.workers.get(pid)
                 if worker is None:
-                    self.workers[pid] = {"ts": ts, "records": records,
-                                         "state": "ok"}
+                    self.workers[pid] = {"ts": ts, "state": "ok"}
                 else:
                     worker["ts"] = ts
-                    worker["records"] = max(worker["records"], records)
                     if worker["state"] in ("stalled", "dead"):
                         _log.info("worker %d recovered", pid)
                         worker["state"] = "ok"
@@ -292,8 +290,8 @@ class StatusBus:
     def retire_workers(self) -> None:
         """Mark every live worker as cleanly finished — called when a
         pool shuts down, so exited workers are not reported stalled.
-        Drains the queue first so each worker's final shipped record
-        count lands before its entry freezes."""
+        Drains the queue first so each worker's final heartbeat lands
+        before its entry freezes."""
         self.drain_heartbeats()
         with self._lock:
             for worker in self.workers.values():
@@ -352,22 +350,16 @@ class StatusBus:
         return flagged
 
     def worker_rows(self, now: Optional[float] = None) -> List[dict]:
-        """The frame's ``workers`` section (heartbeat ages, shipped
-        record counts, liveness state), ordered by pid."""
+        """The frame's ``workers`` section (heartbeat ages and liveness
+        state), ordered by pid."""
         if now is None:
             now = time.time()
         with self._lock:
             return [
                 {"pid": pid, "age_s": round(now - worker["ts"], 3),
-                 "records": worker["records"], "state": worker["state"]}
+                 "state": worker["state"]}
                 for pid, worker in sorted(self.workers.items())
             ]
-
-    def worker_records(self) -> int:
-        """Records shipped by workers, summed — added to the parent's
-        own sample so frame progress covers the whole pool."""
-        with self._lock:
-            return sum(w["records"] for w in self.workers.values())
 
 
 def _pid_alive(pid: int) -> bool:
@@ -393,9 +385,8 @@ def _heartbeat_loop(q, bus: StatusBus) -> None:
     interval = bus.heartbeat_interval
     while True:
         if not _HB_STATE["suspended"]:
-            records = bus.sample().get("records", 0)
             try:
-                q.put((pid, time.time(), records))
+                q.put((pid, time.time()))
             except (OSError, ValueError):  # parent gone / queue closed
                 return
         time.sleep(interval)
@@ -462,7 +453,7 @@ class StatusTicker(threading.Thread):
     Every ``interval`` seconds (plus once at start and once at
     :meth:`close`) it drains worker heartbeats, runs the stall
     watchdog (mirrored into the run's telemetry), builds one
-    ``vectra.live/1`` frame, appends it as a JSON line to the status
+    ``vectra.live/2`` frame, appends it as a JSON line to the status
     sink, and repaints the ``--progress`` line.  ``clock`` is
     injectable for deterministic tests.
     """
@@ -575,9 +566,6 @@ class StatusTicker(threading.Thread):
         bus.check_stalls(self.stall_timeout, tel=run.tel)
         now = self._clock()
         sample = bus.sample()
-        worker_records = bus.worker_records()
-        if worker_records:
-            sample["records"] = sample.get("records", 0) + worker_records
         self._update_rates(now, sample)
         progress = {
             key: {"done": sample.get(key, 0),
@@ -603,7 +591,7 @@ class StatusTicker(threading.Thread):
                 "rss_kb": _rss_kb(),
                 "spill_dir_bytes": spill_bytes,
                 "open_segments": open_segments,
-                # Additive within vectra.live/1: readers require the
+                # Additive within vectra.live/2: readers require the
                 # section, not its exact key set (validate_frames).
                 # Samples taken so far (None when sampling is off):
                 # lets ``vectra watch`` see the sampler is alive.
@@ -897,7 +885,6 @@ def render_dashboard(frame: dict) -> str:
         lines.append(
             f"  worker {worker['pid']:>7}  {worker['state']:<8}"
             f"  hb {worker['age_s']:.1f}s ago"
-            f"  rec {_fmt_count(worker['records'])}"
         )
     if frame.get("event") == "done":
         lines.append(f"  run finished, exit {frame.get('exit_code', 0)}")

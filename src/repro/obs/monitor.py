@@ -15,7 +15,7 @@ can observe a run *from the outside* while it is alive.  Four routes:
   (:meth:`~repro.obs.telemetry.Histogram.cumulative_buckets`), so a
   scraped quantile agrees with ``Histogram.percentile`` to the
   documented ~10% bucket error.
-- ``GET /status`` — the latest ``vectra.live/1`` status frame as JSON.
+- ``GET /status`` — the latest ``vectra.live/2`` status frame as JSON.
   The monitor reuses the run's single :class:`StatusBus`/
   :class:`StatusTicker` pair — no second sampler registration, no
   second heartbeat queue — so serving the frame costs one dict read.

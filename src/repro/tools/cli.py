@@ -23,7 +23,7 @@ Subcommands:
   document.
 - ``watch <status.jsonl>`` — tail a ``--status-json`` file from another
   run into a live terminal dashboard (``--validate`` instead checks
-  every frame against the ``vectra.live/1`` schema — the CI gate).
+  every frame against the ``vectra.live/2`` schema — the CI gate).
 
 Every subcommand additionally accepts the observability options:
 ``--profile`` (stage/counter table on stderr after the run),
@@ -33,7 +33,7 @@ reports across invocations), ``--trace-json PATH`` (Chrome trace-event
 timeline for Perfetto/``chrome://tracing``; ``-`` writes to stdout),
 ``--log-level LEVEL`` (the ``vectra.*`` logger hierarchy — surfaces
 e.g. pool-to-serial fallbacks and fuel exhaustion as warnings), and the
-live-status options ``--status-json PATH`` (stream ``vectra.live/1``
+live-status options ``--status-json PATH`` (stream ``vectra.live/2``
 status frames, one JSON line per ``--status-interval``; ``-`` for
 stdout, ``fd:N`` for an inherited descriptor), ``--stall-timeout S``
 (flag pool workers silent past S seconds), and ``--progress``
@@ -648,7 +648,7 @@ def _obs_options() -> argparse.ArgumentParser:
                      help="serve a loopback HTTP observability plane on "
                           "port N while the command runs: GET /metrics "
                           "(OpenMetrics text for Prometheus scrapes), "
-                          "/status (latest vectra.live/1 frame as JSON), "
+                          "/status (latest vectra.live/2 frame as JSON), "
                           "/healthz (503 once the run stalls), /flame "
                           "(folded profiler samples, with --sample-hz); "
                           "0 binds an ephemeral port, printed to stderr "
@@ -830,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--once", action="store_true",
                    help="render the latest frame once and exit")
     p.add_argument("--validate", action="store_true",
-                   help="validate every frame against the vectra.live/1 "
+                   help="validate every frame against the vectra.live/2 "
                         "schema (monotonic progress, increasing seq, "
                         "final done frame) and exit nonzero on any "
                         "violation — the CI gate")

@@ -178,8 +178,7 @@ class TestLoadAndAutopsy:
                        "signum": 15},
             "phase": "loop.Q", "active_loop": "Q",
             "progress": {"records": 10}, "stalls": 1,
-            "workers": [{"pid": 77, "state": "dead", "age_s": 12.5,
-                         "records": 4}],
+            "workers": [{"pid": 77, "state": "dead", "age_s": 12.5}],
             "events": [], "frames": [], "telemetry": None, "notes": {},
         }
         text = render_autopsy(bundle)

@@ -548,7 +548,7 @@ class TestSamplingCli:
         assert code == 0
         code, out = run_cli(capsys, "watch", str(path), "--validate")
         assert code == 0
-        assert "valid vectra.live/1 frame(s)" in out
+        assert "valid vectra.live/2 frame(s)" in out
 
     def test_watch_validate_rejects_truncated_run(self, capsys, tmp_path):
         path = tmp_path / "st.jsonl"
@@ -579,8 +579,8 @@ class TestSamplingCli:
 
     def test_watch_malformed_file_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "st.jsonl"
-        path.write_text('{"schema":"vectra.live/1","seq":0}\n{garbage\n'
-                        '{"schema":"vectra.live/1","seq":1}\n')
+        path.write_text('{"schema":"vectra.live/2","seq":0}\n{garbage\n'
+                        '{"schema":"vectra.live/2","seq":1}\n')
         code = main(["watch", str(path), "--validate"])
         err = capsys.readouterr().err
         assert code == 1

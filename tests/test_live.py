@@ -129,8 +129,8 @@ class TestActiveBus:
         assert not hasattr(bus, "counters")
 
 
-def _seed_worker(bus, pid, ts, records=0, state="ok"):
-    bus.workers[pid] = {"ts": ts, "records": records, "state": state}
+def _seed_worker(bus, pid, ts, state="ok"):
+    bus.workers[pid] = {"ts": ts, "state": state}
 
 
 class TestWatchdog:
@@ -190,26 +190,25 @@ class TestWatchdog:
 
     def test_heartbeat_recovers_stalled_worker(self):
         bus = StatusBus(clock=make_clock())
-        _seed_worker(bus, 5, ts=0.0, records=10, state="stalled")
+        _seed_worker(bus, 5, ts=0.0, state="stalled")
         bus._hb_queue = queue.Queue()
-        bus._hb_queue.put((5, 200.0, 25))
+        bus._hb_queue.put((5, 200.0))
         bus.drain_heartbeats()
         worker = bus.workers[5]
         assert worker["state"] == "ok"
         assert worker["ts"] == 200.0
-        assert worker["records"] == 25
 
     def test_late_heartbeat_never_resurrects_done_worker(self):
         """Beats queued before a clean pool shutdown must not flip a
         retired worker back to ok — the watchdog would later report the
         exited pid as a death."""
         bus = StatusBus(clock=make_clock())
-        _seed_worker(bus, 5, ts=0.0, records=10, state="done")
+        _seed_worker(bus, 5, ts=0.0, state="done")
         bus._hb_queue = queue.Queue()
-        bus._hb_queue.put((5, 200.0, 25))
+        bus._hb_queue.put((5, 200.0))
         bus.drain_heartbeats()
         assert bus.workers[5]["state"] == "done"
-        assert bus.workers[5]["records"] == 25  # final count still lands
+        assert bus.workers[5]["ts"] == 200.0  # the final beat still lands
 
     def test_retire_marks_ok_and_stalled_done(self):
         bus = StatusBus(clock=make_clock())
@@ -229,13 +228,12 @@ class TestWatchdog:
 
     def test_worker_rows_sorted_with_ages(self):
         bus = StatusBus(clock=make_clock())
-        _seed_worker(bus, 20, ts=99.0, records=7)
-        _seed_worker(bus, 10, ts=98.0, records=3)
+        _seed_worker(bus, 20, ts=99.0)
+        _seed_worker(bus, 10, ts=98.0)
         rows = bus.worker_rows(now=100.0)
         assert [r["pid"] for r in rows] == [10, 20]
         assert rows[0]["age_s"] == pytest.approx(2.0)
-        assert rows[1]["records"] == 7
-        assert bus.worker_records() == 10
+        assert rows[1] == {"pid": 20, "age_s": 1.0, "state": "ok"}
 
 
 class TestStatusTicker:
@@ -341,14 +339,6 @@ class TestStatusTicker:
         assert "[analyze]" in painted
         assert "\n" not in painted  # repaint, not scroll
 
-    def test_worker_records_ride_frame_progress(self):
-        ticker, bus, _, _ = self._ticker()
-        bus.count("records", 10)
-        _seed_worker(bus, 1, ts=time.time(), records=5)
-        _seed_worker(bus, 2, ts=time.time(), records=7)
-        frame = ticker.tick()
-        assert frame["progress"]["records"]["done"] == 22
-
     def test_bad_interval_rejected(self):
         bus = StatusBus(clock=make_clock())
         with pytest.raises(VectraError, match="--status-interval"):
@@ -411,7 +401,7 @@ class TestFrameReader:
 
     def test_partial_trailing_line_tolerated(self, tmp_path):
         path = self._write_stream(
-            tmp_path, tail='{"schema":"vectra.live/1","seq":3,"pro')
+            tmp_path, tail='{"schema":"vectra.live/2","seq":3,"pro')
         frames = read_frames(str(path))
         assert len(frames) == 3
 
@@ -499,8 +489,7 @@ class TestRendering:
 
     def test_dashboard_lists_workers(self):
         frame = self._frame()
-        frame["workers"] = [{"pid": 123, "age_s": 0.4, "records": 99,
-                             "state": "ok"}]
+        frame["workers"] = [{"pid": 123, "age_s": 0.4, "state": "ok"}]
         text = render_dashboard(frame)
         assert "phase loop.fir_n" in text
         assert "loops" in text and "/ 4" in text

@@ -216,7 +216,7 @@ class TestMonitorServer:
         assert status == 200
         assert ctype == "application/json"
         frame = json.loads(body)
-        assert frame["schema"] == "vectra.live/1"
+        assert frame["schema"] == "vectra.live/2"
         assert frame["phase"] == "loop.fir_n"
         assert frame["resources"]["monitor_port"] == monitor.port
 
@@ -239,7 +239,7 @@ class TestMonitorServer:
         ticker.tick()
         ticker.last_frame = dict(ticker.last_frame)
         ticker.last_frame["workers"] = [
-            {"pid": 4242, "age_s": 99.0, "records": 0, "state": "dead"},
+            {"pid": 4242, "age_s": 99.0, "state": "dead"},
         ]
         status, _, body = _get(monitor.url("/healthz"))
         assert status == 503
