@@ -46,17 +46,14 @@ class LoopParallelismResult:
 
 
 def node_iterations(window, loop_id: int) -> List[int]:
-    """Each DDG node's iteration of ``loop_id`` in a recorded ``window``
-    (a :class:`~repro.trace.columnar.ColumnarSink` whose DDG is not
-    built yet), -1 outside the loop.
+    """Each DDG node's iteration of ``loop_id`` (-1 outside the loop) in
+    a recorded ``window``, a :class:`~repro.trace.columnar.ColumnarSink`
+    whose DDG is not built yet.
 
-    The iteration changes only at ``loop_id``'s markers: its outermost
-    entry starts iteration 0, each of its iteration markers at that
-    depth starts the next, and its outermost exit leaves the loop.  So
-    one walk over the window's marker rows (their opcodes, and their
-    loop ids from the ``loop_breaks`` change points) gives the iteration
-    after each marker, and every node takes the one after the last
-    marker before it.
+    The iteration changes only at ``loop_id``'s markers, so one walk over
+    the window's marker rows (their opcodes, and their loop ids from the
+    ``loop_breaks`` change points) gives the iteration after each marker;
+    every node takes the one after the last marker before it.
     """
     opcodes = window.columns().opcodes
     marker_rows = np.asarray(window.marker_rows, dtype=np.int64)

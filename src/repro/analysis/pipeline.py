@@ -71,7 +71,6 @@ from repro.interp.interpreter import (
     DEFAULT_FUEL,
     Interpreter,
     ProfileCounters,
-    count_traced_run,
 )
 from repro.ir.module import LoopInfo, Module
 from repro.ir.verifier import verify_module
@@ -145,9 +144,9 @@ def record_windows(module: Module, loops: Sequence[Tuple[int, str]],
     Each window's span counter validates the instance: no recorded span
     means the requested instance never executed; more than one means the
     window filter misbehaved, and silently taking the first would
-    analyze the wrong iteration.  A run that fails, by either error or
-    any other, removes the windows' spill subdirectories (and the spill
-    root, if the run made it), so it leaves no store behind.
+    analyze the wrong iteration.  Whatever makes the recording fail, it
+    removes the windows' spill subdirectories (and the spill root, if it
+    made it), so a failed run leaves no store behind.
 
     ``kernels``, the caller's :class:`~repro.interp.compile.KernelTable`
     for ``module``, carries the run's capture set
@@ -242,10 +241,16 @@ def record_windows(module: Module, loops: Sequence[Tuple[int, str]],
         counters = interp.profile_counters()
         stats = {loop_id: sink.stats() for loop_id, sink in sinks.items()}
         if tel.enabled:
-            count_traced_run(tel, interp, *(stats[lid] for lid, _ in loops))
+            executed = interp.executed_instructions
+            tel.count("interp.runs")
+            tel.count("interp.instructions", executed)
             for loop_id, _ in loops:
-                tel.count("trace.records.captured",
-                          stats[loop_id]["captured"])
+                window = stats[loop_id]
+                tel.count("trace.records.kept", window["rows"])
+                tel.count("trace.records.filtered", executed - window["rows"])
+                tel.count("trace.records.captured", window["captured"])
+                tel.count("trace.markers", window["markers"])
+                tel.count("trace.backpatches", window["backpatches"])
                 tel.count("trace.spans_recorded",
                           sinks[loop_id].spans_recorded)
         for loop_id, loop_name in loops:

@@ -737,18 +737,3 @@ def run_module(module: Module, entry: str = "main", args: Sequence = (),
                          compile_threshold=compile_threshold)
     value = interp.run(entry, args)
     return value, interp
-
-
-def count_traced_run(tel, interp: Interpreter, *windows: dict) -> None:
-    """Count one traced run into ``tel``: the run and its executed
-    instructions once, and what each of its sinks kept (``windows``,
-    each a sink's :meth:`~repro.trace.columnar.ColumnarSink.stats`) and
-    filtered out of the run."""
-    executed = interp.executed_instructions
-    tel.count("interp.runs")
-    tel.count("interp.instructions", executed)
-    for stats in windows:
-        tel.count("trace.records.kept", stats["rows"])
-        tel.count("trace.records.filtered", executed - stats["rows"])
-        tel.count("trace.markers", stats["markers"])
-        tel.count("trace.backpatches", stats["backpatches"])

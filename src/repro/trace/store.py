@@ -107,13 +107,11 @@ _HEADER = struct.Struct("<4sII")  # magic, format version, segment index
 
 _SEGMENT_RE = re.compile(r"^segment-\d{5}\.vseg$")
 
-#: Count fields of a manifest segment entry.
+#: Count fields of a manifest segment entry that the reader uses.
 _SEGMENT_COUNTS = ("row0", "rows", "markers", "markers_before", "deps",
-                   "dep0", "bytes")
+                   "bytes")
 
-#: Sections holding one entry per segment row, per marker, per
-#: dependence; and pairs of sections that hold one entry each per key.
-_ROW_SECTIONS = ("sids", "opcodes", "dep_counts")
+#: Pairs of sections that hold one entry each per key.
 _PAIRED_SECTIONS = (("run_nodes", "run_rows"), ("loop_rows", "loop_vals"),
                     ("addr_rows", "addr_counts"), ("mem_rows", "mem_vals"),
                     ("store_rows", "store_vals"))
@@ -675,25 +673,6 @@ class SegmentStore:
         for i in range(len(self.segments)):
             yield self.load(i)
 
-    def _read_section(self, meta: dict, name: str) -> array:
-        """One section of one segment, read without loading the rest."""
-        tc = SECTION_TYPECODES[name]
-        off, count = meta["sections"][name]
-        arr = array(tc)
-        if not count:
-            return arr
-        path = os.path.join(self.path, meta["file"])
-        try:
-            with open(path, "rb") as fh:
-                fh.seek(off)
-                data = fh.read(count * arr.itemsize)
-        except OSError as exc:
-            raise TraceError(f"cannot read segment {path!r}: {exc}") from None
-        if len(data) != count * arr.itemsize:
-            raise TraceError(f"{path!r}: truncated section {name!r}")
-        arr.frombytes(data)
-        return arr
-
     def context(self) -> _StoreContext:
         """The global remap context (absolute marker rows + runs),
         assembled from the small sections of every segment."""
@@ -701,15 +680,11 @@ class SegmentStore:
             markers = array("q")
             run_nodes = array("q")
             run_rows = array("q")
-            for meta in self.segments:
-                row0 = meta["row0"]
-                for m in self._read_section(meta, "marker_rows"):
-                    markers.append(row0 + m)
-                nodes = self._read_section(meta, "run_nodes")
-                rows = self._read_section(meta, "run_rows")
-                run_nodes.extend(nodes)
-                for r in rows:
-                    run_rows.append(row0 + r)
+            for seg in self.iter_segments():
+                row0 = seg.row0
+                markers.extend(row0 + m for m in seg.marker_rows)
+                run_nodes.extend(seg.run_nodes)
+                run_rows.extend(row0 + r for r in seg.run_rows)
             run_ends = array("q", run_rows[1:])
             run_ends.append(self.total_rows)
             self._ctx = _StoreContext(markers, run_nodes, run_rows,
@@ -988,8 +963,19 @@ def open_store(path: str) -> SegmentStore:
     return store
 
 
+def spill_subdir(spill_dir: str, label: str) -> str:
+    """A per-analysis subdirectory inside the user's spill root, with
+    the label sanitized to a safe path component."""
+    safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", label) or "trace"
+    return os.path.join(spill_dir, safe)
+
+
 def _is_count(value) -> bool:
     return type(value) is int and value >= 0
+
+
+def _is_pair(value, ok) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(ok, value))
 
 
 def _check_manifest(manifest, where: str) -> None:
@@ -997,60 +983,45 @@ def _check_manifest(manifest, where: str) -> None:
     reader indexes: the schema, the totals, and per segment a segment
     file name, its counts, a section table whose counts agree with them,
     and its late store patches.  O(segments)."""
+    def fail(what: str):
+        raise TraceError(f"{where}: {what}")
+
     if not isinstance(manifest, dict):
-        raise TraceError(f"{where}: the manifest is not a JSON object")
+        fail("the manifest is not a JSON object")
     if manifest.get("schema") != STORE_SCHEMA:
-        raise TraceError(
-            f"{where}: unknown trace-store schema "
-            f"{manifest.get('schema')!r} (expected {STORE_SCHEMA!r})"
-        )
+        fail(f"unknown trace-store schema {manifest.get('schema')!r} "
+             f"(expected {STORE_SCHEMA!r})")
     segments = manifest.get("segments")
     if not isinstance(segments, list):
-        raise TraceError(f"{where}: 'segments' is not a list")
-    for key in ("rows", "markers", "uncaptured", "segment_bytes"):
-        if not _is_count(manifest.get(key, 0)):
-            raise TraceError(f"{where}: {key!r} is not a count")
+        fail("'segments' is not a list")
+    if not all(_is_count(manifest.get(key, 0))
+               for key in ("rows", "markers", "uncaptured", "segment_bytes")):
+        fail("a total is not a count")
     rows = markers = 0
     for i, seg in enumerate(segments):
-        if not isinstance(seg, dict):
-            raise TraceError(f"{where}: segment {i} is not a JSON object")
-        name = seg.get("file")
-        if not isinstance(name, str) or not _SEGMENT_RE.match(name):
-            raise TraceError(f"{where}: segment {i}: bad file name {name!r}")
-        for key in _SEGMENT_COUNTS:
-            if not _is_count(seg.get(key)):
-                raise TraceError(
-                    f"{where}: segment {i}: {key!r} is not a count")
-        if seg["row0"] != rows or seg["markers_before"] != markers:
-            raise TraceError(
-                f"{where}: segment {i} does not start where segment "
-                f"{i - 1} ends")
-        sections = seg.get("sections")
-        if not (isinstance(sections, dict) and all(
-                isinstance(sections.get(sec), list)
-                and len(sections[sec]) == 2
-                and all(map(_is_count, sections[sec]))
-                for sec in SECTION_TYPECODES)):
-            raise TraceError(f"{where}: segment {i}: bad section table")
-        count = {sec: sections[sec][1] for sec in SECTION_TYPECODES}
-        if (any(count[sec] != seg["rows"] for sec in _ROW_SECTIONS)
+        if not (isinstance(seg, dict)
+                and _SEGMENT_RE.match(str(seg.get("file")))
+                and all(_is_count(seg.get(key)) for key in _SEGMENT_COUNTS)
+                and isinstance(seg.get("sections"), dict)
+                and all(_is_pair(seg["sections"].get(name), _is_count)
+                        for name in SECTION_TYPECODES)
+                and isinstance(seg.get("store_patches"), list)
+                and all(_is_pair(patch, lambda v: type(v) is int)
+                        for patch in seg["store_patches"])):
+            fail(f"segment {i}: malformed entry")
+        count = {name: c for name, (_, c) in seg["sections"].items()}
+        if ((seg["row0"], seg["markers_before"]) != (rows, markers)
+                or {count["sids"], count["opcodes"],
+                    count["dep_counts"]} != {seg["rows"]}
                 or count["marker_rows"] != seg["markers"]
                 or count["dep_flat"] != seg["deps"]
                 or any(count[a] != count[b] for a, b in _PAIRED_SECTIONS)):
-            raise TraceError(
-                f"{where}: segment {i}: section counts disagree")
-        patches = seg.get("store_patches")
-        if not (isinstance(patches, list) and all(
-                isinstance(p, list) and len(p) == 2
-                and all(type(v) is int for v in p) for p in patches)):
-            raise TraceError(f"{where}: segment {i}: bad store patches")
+            fail(f"segment {i}: counts disagree")
         rows += seg["rows"]
         markers += seg["markers"]
-    if rows != manifest.get("rows") or markers != manifest.get("markers"):
-        raise TraceError(
-            f"{where}: the segments hold {rows} rows and {markers} "
-            f"markers; the manifest says {manifest.get('rows')} and "
-            f"{manifest.get('markers')}")
+    if (rows, markers) != (manifest.get("rows"), manifest.get("markers")):
+        fail(f"the segments hold {rows} rows and {markers} markers, not "
+             f"{manifest.get('rows')} and {manifest.get('markers')}")
 
 
 def _check_segment_rows(seg: SegmentData, run_nodes, run_rows,
@@ -1062,9 +1033,8 @@ def _check_segment_rows(seg: SegmentData, run_nodes, run_rows,
     unknown = np.flatnonzero(~np.isin(cols.opcodes, _OPCODES))
     if len(unknown):
         r = int(unknown[0])
-        raise TraceError(
-            f"{where}: row {seg.row0 + r}: unknown opcode "
-            f"{int(cols.opcodes[r])}")
+        raise TraceError(f"{where}: row {seg.row0 + r}: unknown opcode "
+                         f"{int(cols.opcodes[r])}")
     markers = np.flatnonzero(cols.opcodes >= MARKER_ENTER)
     if not np.array_equal(markers, np.frombuffer(seg.marker_rows,
                                                  dtype=np.int64)):
@@ -1080,26 +1050,17 @@ def _check_segment_rows(seg: SegmentData, run_nodes, run_rows,
     nodes = run_nodes[run] + rows - run_rows[run]
     late = np.flatnonzero(cols.dep_flat >= np.repeat(nodes, counts))
     if len(late):
-        raise TraceError(
-            f"{where}: dependence on node {int(cols.dep_flat[late[0]])} "
-            f"does not name an earlier node")
+        raise TraceError(f"{where}: dependence on node "
+                         f"{int(cols.dep_flat[late[0]])} does not name an "
+                         f"earlier node")
     addr_counts = cols.addr_counts
-    if ((addr_counts < 0).any()
-            or int(addr_counts.sum()) != len(cols.addr_flat)):
+    if (addr_counts < 0).any() or int(addr_counts.sum()) != len(
+            cols.addr_flat):
         raise TraceError(f"{where}: operand-address counts disagree")
-    patch_rows = [p[0] for p in seg.meta["store_patches"]]
-    for name, keyed in (("addr_rows", cols.addr_rows),
-                        ("mem_rows", cols.mem_rows),
-                        ("store_rows", np.frombuffer(seg.store_rows,
-                                                     dtype=np.int64)),
-                        ("store_patches", np.asarray(patch_rows,
-                                                     dtype=np.int64))):
+    for name, keyed in (
+            ("addr_rows", cols.addr_rows), ("mem_rows", cols.mem_rows),
+            ("store_rows", np.frombuffer(seg.store_rows, dtype=np.int64)),
+            ("store_patches", np.asarray(
+                [p[0] for p in seg.meta["store_patches"]], dtype=np.int64))):
         if len(keyed) and (int(keyed.min()) < 0 or int(keyed.max()) >= n):
             raise TraceError(f"{where}: {name} names a row outside it")
-
-
-def spill_subdir(spill_dir: str, label: str) -> str:
-    """A per-analysis subdirectory inside the user's spill root, with
-    the label sanitized to a safe path component."""
-    safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", label) or "trace"
-    return os.path.join(spill_dir, safe)

@@ -37,6 +37,7 @@ from tests.trace_oracle import (
     DynInstr,
     Trace,
     assert_ddgs_identical,
+    emit_records,
     record_trace,
     walk_records,
 )
@@ -202,22 +203,11 @@ def record_lists(draw):
     return records
 
 
-def _emit(sink, records):
-    """Feed ``records`` to a production sink as a run would: each
-    record, then its store-address backpatch."""
-    for rec in records:
-        sink.emit(rec.node, rec.sid, rec.opcode, rec.loop_id, rec.deps,
-                  rec.addrs, rec.addr)
-        if rec.store_addr:
-            sink.note_store(rec.node, rec.store_addr)
-    return sink
-
-
 def _store_of(records, path, segment_rows=4):
     """``records`` written to a segment store at ``path``, opened by the
     outside-input reader."""
-    _emit(SegmentedSink(str(path), segment_rows=segment_rows),
-          records).finish()
+    emit_records(SegmentedSink(str(path), segment_rows=segment_rows),
+                 records).finish()
     return open_store(str(path))
 
 
@@ -227,7 +217,7 @@ def _store_of(records, path, segment_rows=4):
           DynInstr(1, 1, int(Opcode.FADD), -1, (-3, -1, 0))])
 def test_build_ddg_on_hand_made_records(records):
     expected = walk_records(Trace(None, records))
-    assert_ddgs_identical(_emit(ColumnarSink(), records).to_ddg(), expected)
+    assert_ddgs_identical(emit_records(ColumnarSink(), records).to_ddg(), expected)
     with tempfile.TemporaryDirectory() as store_dir:
         assert_ddgs_identical(_store_of(records, store_dir).to_ddg(),
                               expected)
@@ -251,7 +241,7 @@ def test_build_ddg_without_nodes(records, tmp_path):
     """Empty and markers-only columns go through the same remap, in RAM
     and read back from a store."""
     expected = walk_records(Trace(None, records))
-    for ddg in (_emit(ColumnarSink(), records).to_ddg(),
+    for ddg in (emit_records(ColumnarSink(), records).to_ddg(),
                 _store_of(records, tmp_path / "store").to_ddg()):
         assert len(ddg) == 0
         assert list(ddg.pred_offsets) == [0]

@@ -34,6 +34,7 @@ from tests.trace_oracle import (
     DynInstr,
     Trace,
     assert_ddgs_identical,
+    emit_records,
     records_equal,
     sink_records,
 )
@@ -71,15 +72,9 @@ def _store(module, path, segment_rows=8):
 
 
 def _write(records, path, segment_rows=4):
-    """``records`` fed to a segment store at ``path`` as a run would:
-    each record, then its store-address backpatch."""
-    sink = SegmentedSink(str(path), segment_rows=segment_rows)
-    for rec in records:
-        sink.emit(rec.node, rec.sid, rec.opcode, rec.loop_id, rec.deps,
-                  rec.addrs, rec.addr)
-        if rec.store_addr:
-            sink.note_store(rec.node, rec.store_addr)
-    return sink.finish()
+    """``records`` written to a segment store at ``path``."""
+    return emit_records(SegmentedSink(str(path), segment_rows=segment_rows),
+                        records).finish()
 
 
 def _segment_path(store, index=-1):
@@ -168,9 +163,10 @@ def _synthetic_records(dep_counts=(), addr_counts=()):
 
 
 @pytest.mark.parametrize("count", [0, 1, 254, 255, 256, 1000, 65535])
-def test_store_round_trip_at_count_boundaries(tmp_path, count):
-    """A row's dependence and operand-address lists round-trip at every
-    length, across the old one- and two-byte count boundaries."""
+def test_v2_round_trip_at_count_boundaries(tmp_path, count):
+    """A row's dependence and operand-address lists round-trip through
+    the store at every length up to the old ``.vtrc`` version-2 limit,
+    across its one- and two-byte count boundaries."""
     records = _synthetic_records(dep_counts=(0, count),
                                  addr_counts=(0, count))
     back = sink_records(open_store(

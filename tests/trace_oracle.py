@@ -455,6 +455,17 @@ def program_ddg(module, entry: str = "main", args: Sequence = ()) -> DDG:
     return sink.to_ddg()
 
 
+def emit_records(sink, records: Sequence[DynInstr]):
+    """Feed ``records`` to a production sink as a run would: each record,
+    then its store-address backpatch.  Returns the sink."""
+    for rec in records:
+        sink.emit(rec.node, rec.sid, rec.opcode, rec.loop_id, rec.deps,
+                  rec.addrs, rec.addr)
+        if rec.store_addr:
+            sink.note_store(rec.node, rec.store_addr)
+    return sink
+
+
 def records_equal(a: DynInstr, b: DynInstr) -> bool:
     """Whether two records carry the same fields."""
     return ((a.node, a.sid, int(a.opcode), a.loop_id, tuple(a.deps),
