@@ -436,15 +436,14 @@ def sink_records(sink: ColumnarSink) -> List[DynInstr]:
 
 def columnar_trace(module, entry: str = "main", args: Sequence = (),
                    loop: Optional[int] = None,
-                   instances: Optional[set] = None,
-                   **interp_opts) -> Trace:
+                   instances: Optional[set] = None) -> Trace:
     """Run ``module`` into a production sink — a
     :class:`~repro.trace.columnar.ColumnarSink`, or with ``loop`` a
     :class:`~repro.trace.columnar.ColumnarLoopSink` over its chosen
     instances — and return the record :class:`Trace` of its columns."""
     sink = (ColumnarSink() if loop is None
             else ColumnarLoopSink(loop, instances))
-    Interpreter(module, sink=sink, **interp_opts).run(entry, args)
+    Interpreter(module, sink=sink).run(entry, args)
     return Trace(module, sink_records(sink))
 
 
